@@ -37,14 +37,6 @@ class NonpositiveField(FracfieldError):
     """An operation required a field with nontrivial positive part, got none."""
 
 
-class MaxIterations(FracfieldError):
-    """Iteration limit reached.
-
-    The ground-state solver does not raise this; it returns the best iterate
-    marked unconverged. The type exists for callers that want a hard failure.
-    """
-
-
 class AllStartsFailed(FracfieldError):
     """Every multistart seed failed to produce a converged solution."""
 

@@ -18,8 +18,10 @@ this quantity is <= tol.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 from scipy.optimize import brentq
@@ -83,14 +85,15 @@ class LimitLevelReport:
     levels: tuple[float, ...]
 
 
-def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[float, float]:
+def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[tuple[float, float], float]:
+    """(beta, sum (u+)^2): the mass center of the positive part and its nodal mass."""
     up = np.maximum(values, 0.0)
     w = up * up
     mass = float(w.sum())
     if mass <= 0.0:
         raise NonpositiveField("barycenter undefined: u+ vanishes on the grid")
     pt = (dom.node_coords * w[:, None]).sum(axis=0) / mass
-    return (float(pt[0]), float(pt[1]))
+    return (float(pt[0]), float(pt[1])), mass
 
 
 class _Objective:
@@ -109,6 +112,10 @@ class _Objective:
     def energy(self, c: np.ndarray, values: np.ndarray) -> float:
         quad = 0.5 * float(np.sum(self.w * c * c))
         return quad - self.h2 * float(np.sum(H_eval(self.nl, values)))
+
+    def value(self, c: np.ndarray, values: np.ndarray) -> tuple[float, None]:
+        """The descent kernel's value callable for I itself."""
+        return self.energy(c, values), None
 
     def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
         return self.w * c - self.h2 * (self.phi.T @ h_eval(self.nl, values))
@@ -221,90 +228,118 @@ def ground_state(
     seed_tag: str = "custom",
     energy_trace: list[float] | None = None,
 ) -> SolutionRecord:
-    """Minimize I over the Nehari manifold by retracted gradient descent.
+    """Minimize I over the Nehari manifold with the retracted descent kernel.
 
-    Barzilai-Borwein step guess, halving backtracks against an Armijo bound,
-    exact retraction after every trial step. Energies of accepted iterates are
-    strictly decreasing; pass energy_trace to collect them. On iteration
-    exhaustion the best iterate is returned marked unconverged rather than
-    raised.
+    Energies of accepted iterates never increase; pass energy_trace to collect
+    them. On iteration exhaustion the best iterate is returned marked
+    unconverged rather than raised.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     basis.check_same_domain(seed.dom)
     _require_positive_part(seed.values)
     obj = _Objective(basis, nl)
+    c, values, energy, residual, iterations = _retracted_descent(
+        obj, np.asarray(seed.coeffs, dtype=float), obj.value,
+        lambda c, values, _: obj.grad(c, values), tol, max_iter, energy_trace,
+    )
+    return _solution_record(basis, c, values, energy, residual, tol, seed_tag, iterations)
 
-    c = np.asarray(seed.coeffs, dtype=float)
-    values = obj.values(c)
-    c, values = obj.retract(c, values)
-    I_cur = obj.energy(c, values)
-    g = obj.grad(c, values)
+
+_Value = Callable[[np.ndarray, np.ndarray], tuple[float, Any]]
+
+
+def _retracted_descent(
+    obj: _Objective, c: np.ndarray, value: _Value,
+    grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray],
+    tol: float, max_iter: int, trace: list[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """The one descent on the Nehari manifold: (c, values, F, residual, iterations).
+
+    Retract c, then take Barzilai-Borwein steps along the Riesz-preconditioned
+    gradient through _armijo_step until the residual is at most tol, max_iter
+    steps are taken, or no backtrack is accepted. value(c, values) gives
+    (F, aux) at every trial point; grad(c, values, aux) runs at accepted points
+    only. Accepted F, appended to trace if given, never increases; it falls
+    strictly unless the Armijo decrement is below the roundoff of F.
+    """
+    c, values = obj.retract(c, obj.values(c))
+    F, aux = value(c, values)
+    g = grad(c, values, aux)
     d = g / obj.w
     dv = obj.values(d)
     gd = float(g @ d)
 
     step = 1.0 / max(1.0, math.sqrt(gd))
     iterations = 0
-    converged = False
     prev_c: np.ndarray | None = None
     prev_d: np.ndarray | None = None
-
     for _ in range(max_iter):
-        residual = math.sqrt(max(gd, 0.0)) / (1.0 + abs(I_cur))
-        if residual <= tol:
-            converged = True
+        if _residual(gd, F) <= tol:
             break
-
         if prev_c is not None:
             s = c - prev_c
             y = d - prev_d
             sy = float(s @ y)
             if sy > 0.0:
                 step = min(max(float(s @ s) / sy, 1e-14), 1e14)
-
-        t = step
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            cand_c = c - t * d
-            cand_v = values - t * dv
-            try:
-                new_c, new_v = obj.retract(cand_c, cand_v)
-            except NonpositiveField:
-                t *= 0.5
-                continue
-            I_new = obj.energy(new_c, new_v)
-            if I_new <= I_cur - _ARMIJO * t * gd:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
+        trial = _armijo_step(obj, c, values, d, dv, F, gd, step, value, _MAX_BACKTRACKS)
+        if trial is None:
             break
-
         prev_c, prev_d = c, d
-        c, values, I_cur = new_c, new_v, I_new
-        g = obj.grad(c, values)
+        c, values, F, aux = trial
+        g = grad(c, values, aux)
         d = g / obj.w
         dv = obj.values(d)
         gd = float(g @ d)
         iterations += 1
-        if energy_trace is not None:
-            energy_trace.append(I_cur)
+        if trace is not None:
+            trace.append(F)
+    return c, values, F, _residual(gd, F), iterations
 
-    residual = math.sqrt(max(gd, 0.0)) / (1.0 + abs(I_cur))
-    if residual <= tol:
-        converged = True
+
+def _residual(gd: float, F: float) -> float:
+    """The residual convention of the module docstring, from gd = ||grad F||_*^2."""
+    return math.sqrt(max(gd, 0.0)) / (1.0 + abs(F))
+
+
+def _armijo_step(
+    obj: _Objective, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
+    F: float, gd: float, t: float, value: _Value, max_backtracks: int,
+) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
+    """Retracted step c - t d, halving t until F drops by _ARMIJO t gd.
+
+    dv = phi @ d and gd = <g, d>; returns the accepted (c, values, F, aux),
+    or None when every halving fails.
+    """
+    for _ in range(max_backtracks):
+        try:
+            new_c, new_v = obj.retract(c - t * d, values - t * dv)
+        except NonpositiveField:
+            t *= 0.5
+            continue
+        F_new, aux = value(new_c, new_v)
+        if F_new <= F - _ARMIJO * t * gd:
+            return new_c, new_v, F_new, aux
+        t *= 0.5
+    return None
+
+
+def _solution_record(
+    basis: SpectralBasis, c: np.ndarray, values: np.ndarray, energy: float,
+    residual: float, tol: float, seed_tag: str, iterations: int,
+) -> SolutionRecord:
+    """Record for coefficients c; barycenter and positivity are read from values."""
     vmax = float(values.max())
-    positive = bool(float(values.min()) >= -_POSITIVITY_EPS * max(vmax, 1e-300))
     return SolutionRecord(
         u=basis.synthesize(c),
-        energy=I_cur,
+        energy=energy,
         residual=residual,
-        barycenter=_barycenter(basis.dom, values),
-        positive=positive,
+        barycenter=_barycenter(basis.dom, values)[0],
+        positive=bool(float(values.min()) >= -_POSITIVITY_EPS * max(vmax, 1e-300)),
         seed_tag=seed_tag,
         iterations=iterations,
-        converged=converged,
+        converged=bool(residual <= tol),
     )
 
 

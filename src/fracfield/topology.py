@@ -27,17 +27,19 @@ from .errors import BallDoesNotFit, ConstraintViolated, NonpositiveField
 from .model import Nonlinearity
 from .nehari import (
     SolutionRecord,
+    _armijo_step,
     _barycenter,
     _Objective,
+    _residual,
+    _retracted_descent,
+    _solution_record,
     gaussian_bump_seed,
     ground_state,
+    nehari_scale,
 )
 from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 log = logging.getLogger(__name__)
-
-_ARMIJO = 1e-4
-_MAX_BACKTRACKS = 60
 
 
 @dataclass(frozen=True)
@@ -56,12 +58,7 @@ class BarycenterReport:
 
 def barycenter(u: Field, band: float | None = None) -> BarycenterReport:
     """beta(u) = sum x_i (u_i+)^2 / sum (u_i+)^2 over the grid values as given."""
-    up = np.maximum(u.values, 0.0)
-    w = up * up
-    mass = float(w.sum())
-    if mass <= 0.0:
-        raise NonpositiveField("barycenter undefined: u+ vanishes on the grid")
-    pt = _barycenter(u.dom, u.values)
+    pt, mass = _barycenter(u.dom, u.values)
     in_plus = None
     if band is not None:
         in_plus = neighborhood_membership(u.dom, pt, band, side="outer_plus")
@@ -88,26 +85,22 @@ def symmetry_group(dom: GridDomain) -> list[np.ndarray]:
     dropped, so slightly asymmetric grids degrade to smaller groups rather
     than producing wrong permutations. The identity is always first.
     """
-    h = dom.h
-    cx = 0.5 * (dom.xs[0] + dom.xs[-1])
-    cy = 0.5 * (dom.ys[0] + dom.ys[-1])
-    key_of = {}
-    for i, (x, y) in enumerate(dom.node_coords):
-        key_of[(round((x - dom.xs[0]) / h), round((y - dom.ys[0]) / h))] = i
-
+    # grid offsets from the center, doubled so a half-integer center stays
+    # integer; an image with odd doubled offset falls between nodes
+    iy, ix = np.nonzero(dom.index_of >= 0)
+    ox = 2 * ix - (dom.nx - 1)
+    oy = 2 * iy - (dom.ny - 1)
     perms: list[np.ndarray] = []
     for a, b, c, d in _D4:
-        perm = np.empty(dom.n_interior, dtype=np.int64)
-        ok = True
-        for i, (x, y) in enumerate(dom.node_coords):
-            tx = cx + a * (x - cx) + b * (y - cy)
-            ty = cy + c * (x - cx) + d * (y - cy)
-            j = key_of.get((round((tx - dom.xs[0]) / h), round((ty - dom.ys[0]) / h)))
-            if j is None:
-                ok = False
-                break
-            perm[i] = j
-        if ok:
+        jx = a * ox + b * oy + (dom.nx - 1)
+        jy = c * ox + d * oy + (dom.ny - 1)
+        if np.any(jx % 2) or np.any(jy % 2):
+            continue
+        jx, jy = jx // 2, jy // 2
+        if np.any((jx < 0) | (jx >= dom.nx) | (jy < 0) | (jy >= dom.ny)):
+            continue
+        perm = dom.index_of[jy, jx]
+        if np.all(perm >= 0):
             perms.append(perm)
     return perms
 
@@ -157,14 +150,15 @@ def psi_seed(
     basis_dom: SpectralBasis,
     nl: Nonlinearity,
     x_tilde: tuple[float, float],
-    ball_values: np.ndarray | None = None,
+    ball_values: np.ndarray,
 ) -> Field:
-    """Translate the ball ground state to x_tilde, zero-extend, project to M.
+    """Translate ball_values to x_tilde, zero-extend, project to M.
 
-    Both grids must share the spacing h; the center snaps to the nearest host
-    node so the stamp is an exact node-to-node copy, no interpolation. Raises
-    BallDoesNotFit when x_tilde is not inside the domain by at least the ball
-    radius.
+    ball_values are nodal values on basis_ball's grid, normally its ground
+    state (PsiSeeder caches one). Both grids must share the spacing h; the
+    center snaps to the nearest host node so the stamp is an exact
+    node-to-node copy, no interpolation. Raises BallDoesNotFit when x_tilde is
+    not inside the domain by at least the ball radius.
     """
     dom = basis_dom.dom
     ball_dom = basis_ball.dom
@@ -175,13 +169,6 @@ def psi_seed(
         raise BallDoesNotFit(
             f"center {x_tilde} is closer than {radius} to the boundary of the host domain"
         )
-    if ball_values is None:
-        rec = ground_state(
-            basis_ball, nl,
-            gaussian_bump_seed(basis_ball, (0.0, 0.0), 0.5 * radius),
-            seed_tag="ball",
-        )
-        ball_values = rec.u.values
 
     h = dom.h
     ix0 = round((x_tilde[0] - dom.xs[0]) / h)
@@ -189,27 +176,21 @@ def psi_seed(
     ix0 = int(np.clip(ix0, 0, dom.nx - 1))
     iy0 = int(np.clip(iy0, 0, dom.ny - 1))
 
+    offsets = np.rint(ball_dom.node_coords / h).astype(np.int64)
+    jx = ix0 + offsets[:, 0]
+    jy = iy0 + offsets[:, 1]
+    on_grid = (jx >= 0) & (jx < dom.nx) & (jy >= 0) & (jy < dom.ny)
+    idx = np.full(jx.size, -1)
+    idx[on_grid] = dom.index_of[jy[on_grid], jx[on_grid]]
+    kept = idx >= 0
     ext = np.zeros(dom.n_interior)
-    dropped = 0
-    for v, (bx, by) in zip(ball_values, ball_dom.node_coords):
-        jx = ix0 + round(bx / h)
-        jy = iy0 + round(by / h)
-        if 0 <= jx < dom.nx and 0 <= jy < dom.ny:
-            idx = dom.index_of[jy, jx]
-        else:
-            idx = -1
-        if idx >= 0:
-            ext[idx] = v
-        else:
-            dropped += 1
+    ext[idx[kept]] = ball_values[kept]
+    dropped = int(jx.size - kept.sum())
     if dropped:
         log.debug("psi_seed: %d ball nodes fell outside the host mask after snapping", dropped)
 
     f = basis_dom.analyze(ext)
-    obj = _Objective(basis_dom, nl)
-    values = obj.values(f.coeffs)
-    t = obj.nehari_t(f.coeffs, values)
-    return basis_dom.synthesize(t * f.coeffs)
+    return basis_dom.synthesize(nehari_scale(basis_dom, nl, f) * f.coeffs)
 
 
 def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
@@ -270,82 +251,31 @@ class AnnulusLevelReport:
 
 
 def _penalized_descent(
-    obj: _Objective,
-    c: np.ndarray,
-    rho: float,
-    x_tilde: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> tuple[np.ndarray, float, bool, int]:
-    """Retracted BB descent on I + rho |beta(u) - x_tilde|^2.
+    obj: _Objective, c: np.ndarray, rho: float, x_tilde: np.ndarray,
+    tol: float, max_iter: int, trace: list[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray, float, float, int]:
+    """nehari's one retracted descent kernel, run on I + rho |beta(u) - x_tilde|^2.
 
     The penalty is scale-invariant along rays (beta ignores positive scaling),
     so the Nehari retraction leaves it unchanged and the descent argument for
-    the plain solver carries over verbatim.
+    the plain solver carries over verbatim. The penalty's nodal gradient is
+    computed with its value at each trial point and reused at accepted ones.
     """
     coords = obj.basis.dom.node_coords
 
-    def penalty_and_pvals(values: np.ndarray) -> tuple[float, np.ndarray]:
+    def value(c: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
         up = np.maximum(values, 0.0)
         w = up * up
         M = float(w.sum())
         beta = (coords * w[:, None]).sum(axis=0) / M
         gap = beta - x_tilde
         pvals = 4.0 * rho * up * ((coords - beta) @ gap) / M
-        return rho * float(gap @ gap), pvals
+        return obj.energy(c, values) + rho * float(gap @ gap), pvals
 
-    values = obj.values(c)
-    c, values = obj.retract(c, values)
-    pen, pvals = penalty_and_pvals(values)
-    F = obj.energy(c, values) + pen
-    g = obj.grad(c, values) + obj.phi.T @ pvals
-    d = g / obj.w
-    dv = obj.values(d)
-    gd = float(g @ d)
+    def grad(c: np.ndarray, values: np.ndarray, pvals: np.ndarray) -> np.ndarray:
+        return obj.grad(c, values) + obj.phi.T @ pvals
 
-    step = 1.0 / max(1.0, np.sqrt(gd))
-    prev_c: np.ndarray | None = None
-    prev_d: np.ndarray | None = None
-    iterations = 0
-    converged = False
-
-    for _ in range(max_iter):
-        residual = np.sqrt(max(gd, 0.0)) / (1.0 + abs(F))
-        if residual <= tol:
-            converged = True
-            break
-        if prev_c is not None:
-            s = c - prev_c
-            y = d - prev_d
-            sy = float(s @ y)
-            if sy > 0.0:
-                step = min(max(float(s @ s) / sy, 1e-14), 1e14)
-        t = step
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            try:
-                new_c, new_v = obj.retract(c - t * d, values - t * dv)
-            except NonpositiveField:
-                t *= 0.5
-                continue
-            new_pen, new_pvals = penalty_and_pvals(new_v)
-            F_new = obj.energy(new_c, new_v) + new_pen
-            if F_new <= F - _ARMIJO * t * gd:
-                accepted = True
-                break
-            t *= 0.5
-        if not accepted:
-            break
-        prev_c, prev_d = c, d
-        c, values, F = new_c, new_v, F_new
-        g = obj.grad(c, values) + obj.phi.T @ new_pvals
-        d = g / obj.w
-        dv = obj.values(d)
-        gd = float(g @ d)
-        iterations += 1
-
-    residual = float(np.sqrt(max(gd, 0.0))) / (1.0 + abs(F))
-    return c, residual, bool(converged or residual <= tol), iterations
+    return _retracted_descent(obj, c, value, grad, tol, max_iter, trace)
 
 
 def annulus_level(
@@ -385,34 +315,24 @@ def annulus_level(
     length = dom.lam * dom.params["r"]
     rhos = tuple(float(m) * abs(e_typ) / length**2 for m in rho_multipliers)
 
-    converged = False
     iterations = 0
     for rho in rhos:
-        c, residual, converged, its = _penalized_descent(obj, c, rho, target, tol, max_iter)
+        c, _, _, residual, its = _penalized_descent(obj, c, rho, target, tol, max_iter)
         iterations += its
 
     values = obj.values(c)
-    beta = np.array(_barycenter(dom, values))
+    record = _solution_record(
+        basis, c, values, obj.energy(c, values), residual, tol, "ring-penalty", iterations
+    )
+    beta = np.array(record.barycenter)
     dist = float(np.sqrt(((beta - target) ** 2).sum()))
     if dist > 2.0 * dom.h:
         raise ConstraintViolated(
             f"final barycenter {tuple(beta)} sits {dist:.3g} from target {x_tilde}"
             f" (allowed 2h = {2 * dom.h:.3g})"
         )
-    energy = obj.energy(c, values)
-    vmax = float(values.max())
-    record = SolutionRecord(
-        u=basis.synthesize(c),
-        energy=energy,
-        residual=residual,
-        barycenter=(float(beta[0]), float(beta[1])),
-        positive=bool(float(values.min()) >= -1e-8 * max(vmax, 1e-300)),
-        seed_tag="ring-penalty",
-        iterations=iterations,
-        converged=converged,
-    )
     return AnnulusLevelReport(
-        value=energy,
+        value=record.energy,
         record=record,
         target=(float(target[0]), float(target[1])),
         distance_to_target=dist,
@@ -599,8 +519,9 @@ def band_saddle(
         c = (1.0 - t) * end_a.coeffs + t * end_b.coeffs
         path.append(np.asarray(obj.retract(c, obj.values(c))[0]))
 
-    def energy_of(c: np.ndarray) -> float:
-        return obj.energy(c, obj.values(c))
+    def profile() -> tuple[list[np.ndarray], list[float]]:
+        vals = [obj.values(c) for c in path]
+        return vals, [obj.energy(c, v) for c, v in zip(path, vals)]
 
     def redistribute(path: list[np.ndarray], lo: int, hi: int) -> None:
         # equal-arclength reparametrization of images strictly between lo, hi
@@ -629,36 +550,26 @@ def band_saddle(
     saddle_residual = np.inf
     sweeps_done = 0
     for sweep in range(max_sweeps):
-        energies = [energy_of(c) for c in path]
+        vals, energies = profile()
         k_star = 1 + int(np.argmax(energies[1:-1]))
 
         moved = []
         for k in range(1, n_images - 1):
-            c = path[k]
-            values = obj.values(c)
+            c, values = path[k], vals[k]
             g = obj.grad(c, values)
             d = g / obj.w
             if k == k_star:
                 tau = path[k + 1] - path[k - 1]
                 tau /= max(float(np.linalg.norm(tau)), 1e-300)
                 d = d - 2.0 * float(d @ tau) * tau
-                gd_k = float(g @ (g / obj.w))
-                saddle_residual = np.sqrt(max(gd_k, 0.0)) / (1.0 + abs(energies[k]))
+                saddle_residual = _residual(float(g @ (g / obj.w)), energies[k])
                 new_c, _ = obj.retract(c - step * d, obj.values(c - step * d))
                 moved.append((k, new_c))
             else:
-                gd = float(g @ d)
-                t = step
-                for _ in range(30):
-                    try:
-                        cand_c, cand_v = obj.retract(c - t * d, values - t * obj.values(d))
-                    except NonpositiveField:
-                        t *= 0.5
-                        continue
-                    if obj.energy(cand_c, cand_v) <= energies[k] - _ARMIJO * t * gd:
-                        moved.append((k, cand_c))
-                        break
-                    t *= 0.5
+                trial = _armijo_step(obj, c, values, d, obj.values(d), energies[k],
+                                     float(g @ d), step, obj.value, 30)
+                if trial is not None:
+                    moved.append((k, trial[0]))
         for k, new_c in moved:
             path[k] = new_c
         sweeps_done = sweep + 1
@@ -667,24 +578,13 @@ def band_saddle(
         redistribute(path, 0, k_star)
         redistribute(path, k_star, n_images - 1)
 
-    energies = [energy_of(c) for c in path]
+    vals, energies = profile()
     k_star = 1 + int(np.argmax(energies[1:-1]))
-    c = path[k_star]
-    values = obj.values(c)
+    c, values = path[k_star], vals[k_star]
     g = obj.grad(c, values)
-    gd = float(g @ (g / obj.w))
-    residual = float(np.sqrt(max(gd, 0.0))) / (1.0 + abs(energies[k_star]))
-    vmax = float(values.max())
-    rec = SolutionRecord(
-        u=basis.synthesize(c),
-        energy=energies[k_star],
-        residual=residual,
-        barycenter=_barycenter(basis.dom, values),
-        positive=bool(float(values.min()) >= -1e-8 * max(vmax, 1e-300)),
-        seed_tag="band-climbing-image",
-        iterations=sweeps_done,
-        converged=bool(residual <= tol),
-    )
+    residual = _residual(float(g @ (g / obj.w)), energies[k_star])
+    rec = _solution_record(basis, c, values, energies[k_star], residual, tol,
+                           "band-climbing-image", sweeps_done)
     return BandSaddleReport(
         saddle=rec,
         energies=tuple(float(e) for e in energies),

@@ -15,6 +15,7 @@ from fracfield.domain import build_domain
 from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
 from fracfield.model import power_model
 from fracfield.nehari import (
+    _Objective,
     gaussian_bump_seed,
     ground_state,
     j_value,
@@ -26,6 +27,7 @@ from fracfield.nehari import (
     ray_profile,
 )
 from fracfield.spectral import assemble_and_decompose
+from fracfield.topology import _penalized_descent, annulus_level
 
 NL = power_model()
 
@@ -140,12 +142,32 @@ def test_ground_state_converges_positive_on_manifold(disk_basis, disk_ground):
     assert rec.energy == pytest.approx((0.5 - 1.0 / (NL.p + 1.0)) * Q, rel=1e-8)
 
 
-def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground):
+def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, annulus4):
     rec, seed, trace = disk_ground
     _, seed_level = ray_max(disk_basis, NL, seed)
     assert rec.energy <= seed_level + 1e-12
     assert len(trace) == rec.iterations
     assert np.all(np.diff(trace) < 0)
+
+    # second input, the same kernel on the barycenter-penalized objective as
+    # annulus_level's first stage runs it: its ring seed, its first rho
+    dom = annulus4.dom
+    rr = np.sqrt((dom.node_coords**2).sum(axis=1))
+    ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
+    rho = annulus_level(annulus4, NL).rho_schedule[0]
+    pen_trace: list[float] = []
+    c, _, _, _, its = _penalized_descent(
+        _Objective(annulus4, NL), ring.coeffs, rho, np.zeros(2), 1e-8, 20000, pen_trace
+    )
+    assert len(pen_trace) == its > 0
+    # accepted values never rise; a few late steps leave F unchanged in the
+    # last bit, where the Armijo decrement is below the roundoff of F
+    assert np.all(np.diff(pen_trace) <= 0)
+    assert pen_trace[-1] < pen_trace[0]
+
+    for basis, u in ((disk_basis, rec.u), (annulus4, annulus4.synthesize(c))):
+        Q = float(np.sum(basis.weights * u.coeffs**2))
+        assert abs(j_value(basis, NL, u)) <= 1e-12 * Q
 
 
 def test_ground_state_barycenter_near_center(disk_ground):

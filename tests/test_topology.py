@@ -165,7 +165,7 @@ def test_psi_seed_ball_must_fit(annulus4, disk_host):
         seeder.seed((3.7, 0.0))  # only 0.3 from the outer boundary
     with pytest.raises(BallDoesNotFit):
         # unit ball into the unit disk anywhere off center cannot fit
-        psi_seed(disk_host, disk_host, NL, (0.5, 0.0))
+        psi_seed(disk_host, disk_host, NL, (0.5, 0.0), np.zeros(disk_host.dom.n_interior))
 
 
 def test_psi_seed_grid_step_mismatch(annulus4):
@@ -173,7 +173,8 @@ def test_psi_seed_grid_step_mismatch(annulus4):
         build_domain("disk", {"R": 1.0}, lam=1.0, h=0.2), K=20, alpha=0.5
     )
     with pytest.raises(ValueError, match="grid steps differ"):
-        psi_seed(coarse_ball, annulus4, NL, (MID_RADIUS, 0.0))
+        psi_seed(coarse_ball, annulus4, NL, (MID_RADIUS, 0.0),
+                 np.zeros(coarse_ball.dom.n_interior))
 
 
 # -------------------------------------------------------------- multiplicity
