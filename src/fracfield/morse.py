@@ -64,8 +64,10 @@ def hessian_matrix(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarr
     values = basis.phi @ u.coeffs
     w = basis.dom.h**2 * h_prime(nl, values)
     G = basis.phi.T @ (w[:, None] * basis.phi)
-    G = 0.5 * (G + G.T)
-    H = -G
+    # scaled in place: a first elided numpy temporary loads libgcc_s, whose
+    # never-freed blocks can pin the K x K arrays in the heap
+    H = G + G.T
+    H *= -0.5
     H[np.diag_indices_from(H)] += basis.weights
     return H
 
