@@ -84,7 +84,8 @@ def hessian_spectrum(
         raise ValueError(f"eps_null must be positive, got {eps_null}")
     H = hessian_matrix(basis, nl, u)
     try:
-        ev = scipy.linalg.eigvalsh(H)
+        # H is symmetric: its transpose is H in Fortran order, overwritten in place
+        ev = scipy.linalg.eigvalsh(H.T, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigSolveFailure(f"Hessian eigendecomposition failed: {exc}") from exc
     if not np.all(np.isfinite(ev)):

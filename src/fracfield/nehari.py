@@ -13,6 +13,17 @@ retracted step decreases energy for small step sizes.
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
 this quantity is <= tol.
+
+Step acceptance: a step is accepted by the Armijo test on F when one of its
+halvings passes it. Near a minimum that test can fail on every halving for
+rounding alone: each retracted step changes F by less than the error of
+evaluating F at a retracted point, so the stored F is the lucky low draw
+among noisy trials and no step can beat it. The descent then takes a floor
+step: a second pass over the same halvings accepts the first trial whose
+dual gradient norm is below the current one and whose F exceeds the current
+F by at most the rounding allowance _FLOOR_ULPS eps max(|F|, 1). Accepted F
+therefore never rises by more than that allowance, and only on floor steps;
+Armijo steps lower it.
 """
 
 from __future__ import annotations
@@ -33,6 +44,7 @@ from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
+_FLOOR_ULPS = 64
 _POSITIVITY_EPS = 1e-8
 
 
@@ -230,9 +242,10 @@ def ground_state(
 ) -> SolutionRecord:
     """Minimize I over the Nehari manifold with the retracted descent kernel.
 
-    Energies of accepted iterates never increase; pass energy_trace to collect
-    them. On iteration exhaustion the best iterate is returned marked
-    unconverged rather than raised.
+    Energies of accepted iterates rise by at most the floor-step allowance of
+    the module docstring; pass energy_trace to collect them. On iteration
+    exhaustion the best iterate is returned marked unconverged rather than
+    raised.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -257,11 +270,12 @@ def _retracted_descent(
     """The one descent on the Nehari manifold: (c, values, F, residual, iterations).
 
     Retract c, then take Barzilai-Borwein steps along the Riesz-preconditioned
-    gradient through _armijo_step until the residual is at most tol, max_iter
-    steps are taken, or no backtrack is accepted. value(c, values) gives
-    (F, aux) at every trial point; grad(c, values, aux) runs at accepted points
-    only. Accepted F, appended to trace if given, never increases; it falls
-    strictly unless the Armijo decrement is below the roundoff of F.
+    gradient through _armijo_step, or _floor_step when no halving passes the
+    Armijo test, until the residual is at most tol, max_iter steps are taken,
+    or neither step is accepted. value(c, values) gives (F, aux) at every
+    trial point; grad(c, values, aux) runs at accepted points and at the floor
+    step's trials. Accepted F is appended to trace if given; see the module
+    docstring for how much it may rise.
     """
     c, values = obj.retract(c, obj.values(c))
     F, aux = value(c, values)
@@ -284,6 +298,8 @@ def _retracted_descent(
             if sy > 0.0:
                 step = min(max(float(s @ s) / sy, 1e-14), 1e14)
         trial = _armijo_step(obj, c, values, d, dv, F, gd, step, value, _MAX_BACKTRACKS)
+        if trial is None:
+            trial = _floor_step(obj, c, values, d, dv, F, gd, step, value, grad)
         if trial is None:
             break
         prev_c, prev_d = c, d
@@ -312,6 +328,39 @@ def _armijo_step(
     dv = phi @ d and gd = <g, d>; returns the accepted (c, values, F, aux),
     or None when every halving fails.
     """
+    return _first_halving(obj, c, values, d, dv, t, value, max_backtracks,
+                          lambda t, F_new, *_: F_new <= F - _ARMIJO * t * gd)
+
+
+def _floor_step(
+    obj: _Objective, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
+    F: float, gd: float, t: float, value: _Value,
+    grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
+    """The floor step of the module docstring, over _armijo_step's halvings of t.
+
+    Returns the first trial (c, values, F, aux) that lowers the dual gradient
+    norm below gd while F rises by at most the rounding allowance, or None.
+    """
+    F_max = F + _FLOOR_ULPS * np.finfo(float).eps * max(abs(F), 1.0)
+
+    def lowers_gradient(t: float, F_new: float, new_c: np.ndarray, new_v: np.ndarray,
+                        aux: Any) -> bool:
+        if F_new > F_max:
+            return False
+        g = grad(new_c, new_v, aux)
+        return float(g @ (g / obj.w)) < gd
+
+    return _first_halving(obj, c, values, d, dv, t, value, _MAX_BACKTRACKS, lowers_gradient)
+
+
+def _first_halving(
+    obj: _Objective, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
+    t: float, value: _Value, max_backtracks: int,
+    accept: Callable[[float, float, np.ndarray, np.ndarray, Any], bool],
+) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
+    """First retracted trial c - t d over halvings of t that accept(t, F, c, values, aux)
+    passes, as (c, values, F, aux); None when none does."""
     for _ in range(max_backtracks):
         try:
             new_c, new_v = obj.retract(c - t * d, values - t * dv)
@@ -319,7 +368,7 @@ def _armijo_step(
             t *= 0.5
             continue
         F_new, aux = value(new_c, new_v)
-        if F_new <= F - _ARMIJO * t * gd:
+        if accept(t, F_new, new_c, new_v, aux):
             return new_c, new_v, F_new, aux
         t *= 0.5
     return None
@@ -358,6 +407,11 @@ def _multistart_seeds(
         width = base_width * (0.5 + rng.random())
         seeds.append((f"random-{i}", (float(node[0]), float(node[1])), width))
     return seeds
+
+
+def start_order(seed_tag: str) -> int:
+    """Position of a level_c start in seed order, read from its seed_tag."""
+    return 0 if seed_tag == "center" else int(seed_tag.removeprefix("random-"))
 
 
 def level_c(

@@ -31,7 +31,13 @@ from .morse import (
     morse_count_check,
     ray_second_derivative,
 )
-from .nehari import gaussian_bump_seed, ground_state, level_c, limit_level_estimate
+from .nehari import (
+    gaussian_bump_seed,
+    ground_state,
+    level_c,
+    limit_level_estimate,
+    start_order,
+)
 from .persist import dump_field, read_results_json, record_summary, write_csv, write_results_json
 from .spectral import SpectralBasis, assemble_and_decompose
 from .topology import (
@@ -152,10 +158,12 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, lam: float, workers: int):
     is_annulus = cfg.shape == "annulus"
     ball_level = None
     a_level = None
+    a_converged = None
     margin = None
     localized = False
     if is_annulus:
-        a_level = annulus_level(basis, nl, tol=cfg.tol, max_iter=cfg.max_iter).value
+        a_rep = annulus_level(basis, nl, tol=cfg.tol, max_iter=cfg.max_iter)
+        a_level, a_converged = a_rep.value, a_rep.record.converged
         # random starts pin to grid-commensurate local minima at coarse h, so
         # the level estimate also seeds states on the mid circle and keeps the
         # best of both batches
@@ -195,6 +203,7 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, lam: float, workers: int):
         "c_level": c_level,
         "ball_level": ball_level,
         "annulus_level": a_level,
+        "annulus_converged": a_converged,
         "solution_count": n_solutions,
         "min_barycenter_margin": margin,
         "localized": localized,
@@ -325,10 +334,13 @@ def run_morse(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed, workers=workers)
     # multistarts rediscover the same critical point; the census must count
-    # distinct orbit classes, so only class representatives enter it
-    classes = sorted(orbit_classes(basis, list(report.records)),
+    # distinct orbit classes, so only class representatives enter it. A class
+    # is represented by its first start in seed order: members agree in energy
+    # only to rounding, so picking the lowest would let rounding choose
+    in_seed_order = sorted(report.records, key=lambda r: start_order(r.seed_tag))
+    classes = sorted(orbit_classes(basis, in_seed_order),
                      key=lambda cl: min((r.energy, r.seed_tag) for r in cl))
-    reps = [min(cl, key=lambda r: (r.energy, r.seed_tag)) for cl in classes]
+    reps = [cl[0] for cl in classes]
     pairs = classify_records(basis, nl, reps, workers=workers)
     rows = []
     recs_json = []

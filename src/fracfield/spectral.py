@@ -9,6 +9,16 @@ outside the mask), a grid field u = sum_k b_k phi_k maps to
 Eigenvectors are orthonormal in the quadrature inner product
 <u, v> = h^2 sum_i u_i v_i, and their signs are fixed deterministically
 (largest-magnitude entry positive, first such entry on ties).
+
+The dense decomposition picks its LAPACK routine by the cut: when the padded
+cut is the whole span, divide and conquer (``evd``) computes every pair
+faster than ``evr`` does; otherwise ``evr`` computes only the lowest pairs,
+which is faster there. Both run in place: LAPACK overwrites the assembled
+matrix, ``evd`` returns the eigenvectors in its storage, and phi is the
+eigenvector array scaled in place, so the build holds two n x n arrays at
+most (``evd`` also takes a 2 n^2 workspace) instead of four. In the full span
+the routine changes rounding only; which orthonormal basis of a degenerate
+eigenspace is returned does not matter there, since the span is everything.
 """
 
 from __future__ import annotations
@@ -163,7 +173,9 @@ def assemble_and_decompose(
     """Assemble the masked Laplacian and extract the lowest-K eigenpairs.
 
     K defaults to min(400, node count). The effective cut may differ from the
-    request by a few modes to avoid splitting a near-degenerate cluster.
+    request by a few modes to avoid splitting a near-degenerate cluster. The
+    routine choice and the in-place build are described in the module
+    docstring.
     """
     n = dom.n_interior
     k_req = min(n, DEFAULT_K if K is None else int(K))
@@ -172,8 +184,14 @@ def assemble_and_decompose(
 
     A = assemble_laplacian(dom).toarray()
     k_pad = min(n, k_req + _CUT_PAD)
+    # A is symmetric, so its transpose is the same matrix in Fortran order,
+    # which LAPACK overwrites instead of copying
+    if k_pad == n:
+        kwargs = {"driver": "evd"}
+    else:
+        kwargs = {"driver": "evr", "subset_by_index": (0, k_pad - 1)}
     try:
-        mu_all, vecs = scipy.linalg.eigh(A, subset_by_index=(0, k_pad - 1), driver="evr")
+        mu_all, vecs = scipy.linalg.eigh(A.T, overwrite_a=True, **kwargs)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
         raise EigSolveFailure(f"dense eigendecomposition failed: {exc}") from exc
 
@@ -187,7 +205,8 @@ def assemble_and_decompose(
 
     k_eff = _cluster_safe_cut(mu_all, k_req, n)
     mu = mu_all[:k_eff].copy()
-    phi = vecs[:, :k_eff] / dom.h  # h^2 * phi.T @ phi = I
+    phi = vecs[:, :k_eff]
+    phi /= dom.h  # h^2 * phi.T @ phi = I
 
     # deterministic signs: largest-|entry| positive, first index on ties
     flip = phi[np.abs(phi).argmax(axis=0), np.arange(k_eff)] < 0

@@ -393,7 +393,7 @@ def orbit_classes(
 
     Two records land in the same class iff their relative energy gap is below
     energy_gap_tol AND some grid-symmetry image brings their relative L2
-    distance below l2_dist_tol.
+    distance below l2_dist_tol. Each class lists its records in input order.
     """
     perms = symmetry_group(basis.dom)
     n = len(records)
@@ -433,8 +433,9 @@ def multiplicity_search(
 ) -> MultiplicityReport:
     """Descend from translated-bump seeds and count symmetry-orbit classes.
 
-    Class membership is decided by orbit_classes. Unconverged starts are
-    logged and dropped, never raised.
+    Class membership is decided by orbit_classes; a class is represented by
+    its member from the earliest seed center. Unconverged starts are logged
+    and dropped, never raised.
     """
     if not seed_centers:
         raise ValueError("need at least one seed center")
@@ -454,7 +455,9 @@ def multiplicity_search(
     n = len(records)
     classes = []
     for members in orbit_classes(basis, records, energy_gap_tol, l2_dist_tol):
-        rep = min(members, key=lambda r: r.energy)
+        # first in seed order: orbit members agree in energy only to rounding,
+        # so picking the lowest would let rounding choose
+        rep = members[0]
         below = rep.energy <= seeder.ball_level * (1.0 + 1e-12)
         in_plus = neighborhood_membership(
             basis.dom, rep.barycenter, ball_radius, side="outer_plus"

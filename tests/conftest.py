@@ -9,10 +9,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracfield.domain import build_domain
 from fracfield.model import power_model
-from fracfield.spectral import assemble_and_decompose
+from fracfield.spectral import (
+    _CUT_PAD,
+    SpectralBasis,
+    _cluster_safe_cut,
+    assemble_and_decompose,
+    assemble_laplacian,
+)
 from fracfield.topology import band_saddle, barycenter, multiplicity_search, symmetry_group
 
 ANNULUS_MID_RADIUS = 2.8  # 0.5 (R + r) lam with R=1, r=0.4, lam=4
@@ -57,3 +64,25 @@ def annulus_band(annulus4, annulus_classes):
             break
     assert rotated is not None
     return band_saddle(annulus4, nl, lo, rotated, n_images=13, tol=1e-6)
+
+
+@pytest.fixture(scope="session")
+def evr_basis():
+    """Builds the basis that LAPACK's evr routine gives on a copy of A, at any cut.
+
+    The reference for assemble_and_decompose, which runs evr in place below
+    the full span and evd at it.
+    """
+
+    def build(dom, K, alpha=0.5):
+        n = dom.n_interior
+        k_pad = min(n, K + _CUT_PAD)
+        A = assemble_laplacian(dom).toarray()
+        mu_all, vecs = scipy.linalg.eigh(A, subset_by_index=(0, k_pad - 1), driver="evr")
+        k_eff = _cluster_safe_cut(mu_all, K, n)
+        phi = vecs[:, :k_eff] / dom.h
+        flip = phi[np.abs(phi).argmax(axis=0), np.arange(k_eff)] < 0
+        phi[:, flip] *= -1.0
+        return SpectralBasis(dom, alpha, mu_all[:k_eff].copy(), phi)
+
+    return build

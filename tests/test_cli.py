@@ -356,6 +356,21 @@ class TestMultiplicityAndReport:
         assert "multiplicity" in md
 
 
+class TestSweepOutputs:
+    def test_rows_say_whether_the_pinned_level_converged(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["sweep-lambda", "--out", str(out), "--quiet"]) == 0
+        rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+        assert [r["lambda"] for r in rows] == [2.0, 4.0]
+        assert all(r["annulus_converged"] is True for r in rows)
+        # the flag is in the JSON only; the CSV columns stay as they were
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[2].split(",") == [
+            "lambda", "c_level", "ball_level", "annulus_level", "solution_count",
+            "min_barycenter_margin", "localized", "runtime_s",
+        ]
+
+
 class TestJsonHygiene:
     def test_no_timestamps_anywhere(self, tmp_path):
         out = tmp_path / "o"

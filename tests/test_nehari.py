@@ -15,6 +15,7 @@ from fracfield.domain import build_domain
 from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
 from fracfield.model import power_model
 from fracfield.nehari import (
+    _multistart_seeds,
     _Objective,
     gaussian_bump_seed,
     ground_state,
@@ -168,6 +169,25 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     for basis, u in ((disk_basis, rec.u), (annulus4, annulus4.synthesize(c))):
         Q = float(np.sum(basis.weights * u.coeffs**2))
         assert abs(j_value(basis, NL, u)) <= 1e-12 * Q
+
+
+@pytest.mark.parametrize("lapack", ["evd", "evr"])
+def test_floor_step_finishes_stalled_start(evr_basis, lapack):
+    # full span of the R=2 disk at h=0.125: with the Armijo test alone, start
+    # random-1 of rng_seed 430440614 stalled on the evr basis after 1612
+    # iterations at residual 1.28e-8, no halving passing the test
+    dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
+    n = dom.n_interior
+    basis = assemble_and_decompose(dom, K=n) if lapack == "evd" else evr_basis(dom, n)
+    tag, center, width = _multistart_seeds(basis, 8, 430440614)[1]
+    assert tag == "random-1"
+    trace: list[float] = []
+    rec = ground_state(basis, NL, gaussian_bump_seed(basis, center, width),
+                       tol=1e-8, energy_trace=trace)
+    assert rec.converged
+    F = np.array(trace)
+    allowance = 64 * np.finfo(float).eps * np.maximum(np.abs(F[:-1]), 1.0)
+    assert np.all(np.diff(F) <= allowance)
 
 
 def test_ground_state_barycenter_near_center(disk_ground):

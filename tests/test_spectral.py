@@ -73,6 +73,34 @@ def test_signs_and_decomposition_deterministic():
     assert (peaks > 0).all()
 
 
+def test_full_span_basis_matches_evr(evr_basis):
+    # the full span takes LAPACK's evd routine; the pairs it returns must be
+    # those of evr up to rounding, and orthonormal to rounding
+    dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
+    n = dom.n_interior
+    basis = assemble_and_decompose(dom, K=n, alpha=0.5)
+    ref = evr_basis(dom, n)
+    assert basis.K == ref.K == n
+    assert np.max(np.abs(basis.mu - ref.mu) / ref.mu) <= 1e-12
+    gram = dom.h**2 * (basis.phi.T @ basis.phi)
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+
+
+@pytest.mark.parametrize("shape,params,h,K", [
+    ("rectangle", {"a": 1.0, "b": 1.0}, 1.0 / 17.0, 100),
+    ("annulus", {"R": 1.0, "r": 0.4}, 0.25, 400),
+])
+def test_truncated_basis_equals_evr_bitwise(evr_basis, shape, params, h, K):
+    # below the full span evr still runs, now on A in place: same bits
+    lam = 4.0 if shape == "annulus" else 1.0
+    dom = build_domain(shape, params, lam, h)
+    assert K + 8 < dom.n_interior
+    basis = assemble_and_decompose(dom, K=K, alpha=0.5)
+    ref = evr_basis(dom, K)
+    assert np.array_equal(basis.mu, ref.mu)
+    assert np.array_equal(basis.phi, ref.phi)
+
+
 def test_cluster_safe_cut_avoids_degenerate_pair(square16):
     dom, _ = square16
     exact = _closed_form_square(16)

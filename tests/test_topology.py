@@ -247,6 +247,19 @@ def test_annulus_level_pinned_to_center(annulus4, annulus_classes):
     assert all(b > a for a, b in zip(rep.rho_schedule, rep.rho_schedule[1:]))
 
 
+@pytest.mark.parametrize("lam", [2.0, 4.0, 6.0])
+def test_annulus_level_converges_on_evd_and_evr(evr_basis, lam):
+    # the last penalty stage ends where rounding decides whether an Armijo
+    # step passes; the floor step must finish it on the evd and evr bases alike
+    dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=lam, h=0.25)
+    levels = []
+    for basis in (assemble_and_decompose(dom, K=dom.n_interior), evr_basis(dom, dom.n_interior)):
+        rep = annulus_level(basis, NL)
+        assert rep.record.converged
+        levels.append(rep.value)
+    assert levels[0] == pytest.approx(levels[1], rel=1e-12)
+
+
 def test_annulus_level_infeasible_target(annulus4):
     with pytest.raises(ConstraintViolated):
         annulus_level(annulus4, NL, x_tilde=(10.0, 0.0), max_iter=2000)
