@@ -147,6 +147,22 @@ def _integer(mapping: dict, key: str, path: str, lo: int) -> int:
     return v
 
 
+def _object(v, path: str) -> dict:
+    if not isinstance(v, dict):
+        raise ConfigInvalid(f"field \"{path}\" must be an object")
+    return v
+
+
+def _section(raw: dict, name: str) -> dict:
+    """raw[name] over the default section; a key the default lacks is rejected."""
+    defaults = default_config()[name]
+    given = _object(raw.get(name, {}), name)
+    for key in given:
+        if key not in defaults:
+            raise ConfigInvalid(f"unknown field \"{name}.{key}\"")
+    return {**defaults, **given}
+
+
 def validate_config(raw: dict, task: str | None = None) -> RunConfig:
     """Validate a raw config dict, fill defaults, and freeze the canonical form.
 
@@ -172,17 +188,13 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
         if key not in known:
             raise ConfigInvalid(f"unknown field {key!r} (known: {sorted(known)})")
 
-    dom_raw = _require(raw, "domain", "")
-    if not isinstance(dom_raw, dict):
-        raise ConfigInvalid("field \"domain\" must be an object")
+    dom_raw = _object(_require(raw, "domain", ""), "domain")
     shape = _require(dom_raw, "shape", "domain")
     if shape not in _SHAPE_PARAMS:
         raise ConfigInvalid(
             f"field \"domain.shape\" must be one of {sorted(_SHAPE_PARAMS)}, got {shape!r}"
         )
-    params_raw = _require(dom_raw, "params", "domain")
-    if not isinstance(params_raw, dict):
-        raise ConfigInvalid("field \"domain.params\" must be an object")
+    params_raw = _object(_require(dom_raw, "params", "domain"), "domain.params")
     expected = _SHAPE_PARAMS[shape]
     if set(params_raw) != set(expected):
         raise ConfigInvalid(
@@ -197,22 +209,13 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
     lam = _number(dom_raw, "lambda", "domain", lo=0.0)
     h = _number(dom_raw, "h", "domain", lo=0.0)
 
-    model_raw = _require(raw, "model", "")
-    if not isinstance(model_raw, dict):
-        raise ConfigInvalid("field \"model\" must be an object")
+    model_raw = _object(_require(raw, "model", ""), "model")
     alpha = _number(model_raw, "alpha", "model", lo=0.0, hi=1.0)
     p = _number(model_raw, "p", "model", lo=1.0)
     theta = _number(model_raw, "theta", "model", lo=2.0)
     q = _number(model_raw, "q", "model", lo=2.0)
 
-    solver_raw = raw.get("solver", {})
-    if not isinstance(solver_raw, dict):
-        raise ConfigInvalid("field \"solver\" must be an object")
-    solver_defaults = default_config()["solver"]
-    solver = {**solver_defaults, **solver_raw}
-    for key in solver:
-        if key not in solver_defaults:
-            raise ConfigInvalid(f"unknown field \"solver.{key}\"")
+    solver = _section(raw, "solver")
     K = solver["K"]
     if K is not None:
         K = _integer(solver, "K", "solver", lo=1)
@@ -221,19 +224,23 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
     n_starts = _integer(solver, "n_starts", "solver", lo=1)
     rng_seed = _integer(solver, "rng_seed", "solver", lo=0)
 
+    dump_fields = _section(raw, "output")["dump_fields"]
+    if not isinstance(dump_fields, bool):
+        raise ConfigInvalid(f"field \"output.dump_fields\" must be a bool, got {dump_fields!r}")
+
     canonical: dict = {
         "task": eff_task,
         "domain": {"shape": shape, "params": params, "lambda": lam, "h": h},
         "model": {"alpha": alpha, "p": p, "theta": theta, "q": q},
         "solver": {"K": K, "tol": tol, "max_iter": max_iter,
                    "n_starts": n_starts, "rng_seed": rng_seed},
-        "output": {"dump_fields": bool(raw.get("output", {}).get("dump_fields", False))},
+        "output": {"dump_fields": dump_fields},
     }
 
     if eff_task == "sweep-lambda":
-        sweep_raw = raw.get("sweep")
-        if sweep_raw is None:
+        if raw.get("sweep") is None:
             raise ConfigInvalid("missing required field \"sweep\" for task sweep-lambda")
+        sweep_raw = _object(raw["sweep"], "sweep")
         lambdas = sweep_raw.get("lambdas")
         if not isinstance(lambdas, list) or len(lambdas) < 2:
             raise ConfigInvalid("field \"sweep.lambdas\" must be a list of at least 2 values")
@@ -272,7 +279,7 @@ def load_config(path: str | Path | None, task: str | None = None,
             raw = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigInvalid(f"config file {p} is not valid JSON: {exc}") from exc
-    if seed is not None:
-        raw.setdefault("solver", {})
-        raw["solver"]["rng_seed"] = seed
+    # validate_config names a root or solver that is not an object
+    if seed is not None and isinstance(raw, dict) and isinstance(raw.get("solver", {}), dict):
+        raw["solver"] = {**raw.get("solver", {}), "rng_seed": seed}
     return validate_config(raw, task=task)

@@ -7,6 +7,8 @@ The functional on a spectral basis is
 with h(s) = (s_+)^p, H its primitive, acting only on the positive part so
 critical points are automatically candidates for positive solutions. The
 L2 gradient has spectral coefficients (mu_k^alpha + 1) b_k - <h(u), phi_k>.
+Energy is the one implementation of I, with its gradient, the Nehari functional
+J, the Hessian-vector action and the closed-form retraction onto the manifold.
 
 check_hypotheses probes the structural conditions used by the existence and
 multiplicity theory (superlinearity at 0, strict subcriticality, the theta
@@ -22,7 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectral import Field, SpectralBasis, alpha_norm_sq
+from .errors import NonpositiveField
+from .spectral import SpectralBasis
 
 N_DIM = 2
 
@@ -151,51 +154,55 @@ def check_hypotheses(nl: Nonlinearity, samples: np.ndarray | None = None) -> Hyp
     return HypothesisReport(checks=checks)
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy value, its two parts, and the L2 gradient at a field.
+class Energy:
+    """The functional I on the span, on raw arrays: coefficients c and values = phi @ c.
 
-    value = quadratic_part - potential_part holds to roundoff by construction;
-    grad_norm is the quadrature L2 norm of the gradient field, which by
-    orthonormality equals the Euclidean norm of its coefficients.
+    Methods taking both trust the caller to pass such a pair, so one synthesis
+    serves value, gradient and retraction; callers holding a Field check its
+    domain against the basis first.
     """
 
-    value: float
-    quadratic_part: float
-    potential_part: float
-    grad: Field
-    grad_norm: float
+    def __init__(self, basis: SpectralBasis, nl: Nonlinearity):
+        self.basis = basis
+        self.nl = nl
+        self.phi = basis.phi
+        self.w = basis.weights
+        self.h2 = basis.dom.h**2
 
+    def values(self, c: np.ndarray) -> np.ndarray:
+        return self.phi @ c
 
-def energy(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> EnergyReport:
-    """Evaluate I and its gradient at the span representation of u.
+    def quadratic(self, c: np.ndarray) -> float:
+        """Q(u) = sum_k (mu_k^alpha + 1) c_k^2, the squared energy norm."""
+        return float(np.sum(self.w * c * c))
 
-    The functional lives on the K-dimensional spectral span: values are
-    synthesized from coeffs, so content truncated away by analysis does not
-    contribute (it would break the quadratic/potential pairing if it did).
-    """
-    basis.check_same_domain(u.dom)
-    h2 = basis.dom.h**2
-    values = basis.phi @ u.coeffs
-    Q = alpha_norm_sq(basis, u)
-    pot = float(h2 * np.sum(H_eval(nl, values)))
-    hv = h_eval(nl, values)
-    c = h2 * (basis.phi.T @ hv)
-    g = basis.weights * u.coeffs - c
-    return EnergyReport(
-        value=0.5 * Q - pot,
-        quadratic_part=0.5 * Q,
-        potential_part=pot,
-        grad=basis.synthesize(g),
-        grad_norm=float(np.sqrt(g @ g)),
-    )
+    def energy(self, c: np.ndarray, values: np.ndarray) -> float:
+        return 0.5 * self.quadratic(c) - self.h2 * float(np.sum(H_eval(self.nl, values)))
 
+    def value(self, c: np.ndarray, values: np.ndarray) -> tuple[float, None]:
+        """The descent kernel's value callable for I itself."""
+        return self.energy(c, values), None
 
-def hessian_vector(basis: SpectralBasis, nl: Nonlinearity, u: Field, v_coeffs: np.ndarray) -> np.ndarray:
-    """Second-variation action on coefficients: w*v - <h'(u) (phi v), phi_k>."""
-    basis.check_same_domain(u.dom)
-    v_coeffs = np.asarray(v_coeffs, dtype=float)
-    v_values = basis.phi @ v_coeffs
-    u_values = basis.phi @ u.coeffs
-    h2 = basis.dom.h**2
-    return basis.weights * v_coeffs - h2 * (basis.phi.T @ (h_prime(nl, u_values) * v_values))
+    def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Spectral coefficients of the L2 gradient: w c - <h(u), phi_k>."""
+        return self.w * c - self.h2 * (self.phi.T @ h_eval(self.nl, values))
+
+    def j(self, c: np.ndarray, values: np.ndarray) -> float:
+        """J(u) = Q(u) - <h(u), u>_h; zero exactly on the Nehari manifold."""
+        return self.quadratic(c) - self.h2 * float(np.sum(h_eval(self.nl, values) * values))
+
+    def hessian_vector(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Second variation at the field with these values, on v: w v - <h'(u) phi v, phi_k>."""
+        return self.w * v - self.h2 * (self.phi.T @ (h_prime(self.nl, values) * (self.phi @ v)))
+
+    def nehari_t(self, c: np.ndarray, values: np.ndarray) -> float:
+        """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1))."""
+        Q = self.quadratic(c)
+        P = self.h2 * float(np.sum(np.maximum(values, 0.0) ** (self.nl.p + 1.0)))
+        if P <= 0.0 or Q <= 0.0:
+            raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
+        return (Q / P) ** (1.0 / (self.nl.p - 1.0))
+
+    def retract(self, c: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = self.nehari_t(c, values)
+        return t * c, t * values

@@ -29,7 +29,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EigSolveFailure, OffManifold, UnknownDomainTopology
-from .model import Nonlinearity, h_eval, h_prime
+from .model import Energy, Nonlinearity, h_prime
 from .nehari import SolutionRecord
 from .spectral import Field, SpectralBasis
 
@@ -58,15 +58,24 @@ class HessianSpectrumReport:
     eps_null: float
 
 
-def hessian_matrix(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
-    """Dense symmetric second-variation matrix at the span representation of u."""
+def _doubled_gram(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
+    """G + G.T for G the Gram matrix of the modes under node weights h^2 h'(u).
+
+    G is freed after the sum is allocated: freed first, it left one K x K
+    array more in the disk-descent peak memory in about half the runs.
+    """
     basis.check_same_domain(u.dom)
     values = basis.phi @ u.coeffs
     w = basis.dom.h**2 * h_prime(nl, values)
     G = basis.phi.T @ (w[:, None] * basis.phi)
+    return G + G.T
+
+
+def hessian_matrix(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
+    """Dense symmetric second-variation matrix at the span representation of u."""
     # scaled in place: a first elided numpy temporary loads libgcc_s, whose
     # never-freed blocks can pin the K x K arrays in the heap
-    H = G + G.T
+    H = _doubled_gram(basis, nl, u)
     H *= -0.5
     H[np.diag_indices_from(H)] += basis.weights
     return H
@@ -113,11 +122,8 @@ def perturbation_spectrum(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> n
     non-negligible. At a manifold point with p = 2 the top eigenvalue is
     exactly 2, attained along the ray.
     """
-    basis.check_same_domain(u.dom)
-    values = basis.phi @ u.coeffs
-    w = basis.dom.h**2 * h_prime(nl, values)
-    G = basis.phi.T @ (w[:, None] * basis.phi)
-    G = 0.5 * (G + G.T)
+    G = _doubled_gram(basis, nl, u)
+    G *= 0.5
     sw = 1.0 / np.sqrt(basis.weights)
     return scipy.linalg.eigvalsh(sw[:, None] * G * sw[None, :])
 
@@ -135,13 +141,13 @@ def ray_second_derivative(
     satisfy |J(u)| <= tol Q.
     """
     basis.check_same_domain(u.dom)
-    values = basis.phi @ u.coeffs
-    h2 = basis.dom.h**2
-    Q = float(np.sum(basis.weights * u.coeffs**2))
-    J = Q - h2 * float(np.sum(h_eval(nl, values) * values))
+    e = Energy(basis, nl)
+    values = e.values(u.coeffs)
+    Q = e.quadratic(u.coeffs)
+    J = e.j(u.coeffs, values)
     if abs(J) > tol * Q:
         raise OffManifold(f"|J(u)| = {abs(J):.3g} exceeds {tol:.1g} Q = {tol * Q:.3g}")
-    return Q - h2 * float(np.sum(h_prime(nl, values) * values**2))
+    return Q - e.h2 * float(np.sum(h_prime(nl, values) * values**2))
 
 
 def classify_record(

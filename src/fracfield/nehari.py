@@ -8,7 +8,8 @@ the energy along the ray. Ground states are found by projected gradient
 descent: a Riesz-preconditioned gradient step on coefficients followed by the
 closed-form rescaling back onto M. On M the radial derivative of I vanishes
 (I'(u)[u] = J(u) = 0), so the full gradient is tangent to first order and the
-retracted step decreases energy for small step sizes.
+retracted step decreases energy for small step sizes. The functional, its
+gradient and the retraction are model.Energy's; the descent takes them as given.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
@@ -39,7 +40,7 @@ from scipy.optimize import brentq
 
 from .domain import GridDomain, build_domain
 from .errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from .model import H_eval, Nonlinearity, h_eval
+from .model import Energy, Nonlinearity, h_eval
 from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 _ARMIJO = 1e-4
@@ -97,65 +98,14 @@ class LimitLevelReport:
     levels: tuple[float, ...]
 
 
-def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[tuple[float, float], float]:
-    """(beta, sum (u+)^2): the mass center of the positive part and its nodal mass."""
+def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(u+, beta, sum (u+)^2): the positive part, its mass center and its nodal mass."""
     up = np.maximum(values, 0.0)
     w = up * up
     mass = float(w.sum())
     if mass <= 0.0:
         raise NonpositiveField("barycenter undefined: u+ vanishes on the grid")
-    pt = (dom.node_coords * w[:, None]).sum(axis=0) / mass
-    return (float(pt[0]), float(pt[1])), mass
-
-
-class _Objective:
-    """Raw-array energy machinery shared by the solver and the level ops."""
-
-    def __init__(self, basis: SpectralBasis, nl: Nonlinearity):
-        self.basis = basis
-        self.nl = nl
-        self.phi = basis.phi
-        self.w = basis.weights
-        self.h2 = basis.dom.h**2
-
-    def values(self, c: np.ndarray) -> np.ndarray:
-        return self.phi @ c
-
-    def energy(self, c: np.ndarray, values: np.ndarray) -> float:
-        quad = 0.5 * float(np.sum(self.w * c * c))
-        return quad - self.h2 * float(np.sum(H_eval(self.nl, values)))
-
-    def value(self, c: np.ndarray, values: np.ndarray) -> tuple[float, None]:
-        """The descent kernel's value callable for I itself."""
-        return self.energy(c, values), None
-
-    def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return self.w * c - self.h2 * (self.phi.T @ h_eval(self.nl, values))
-
-    def nehari_t(self, c: np.ndarray, values: np.ndarray) -> float:
-        Q = float(np.sum(self.w * c * c))
-        P = self.h2 * float(np.sum(np.maximum(values, 0.0) ** (self.nl.p + 1.0)))
-        if P <= 0.0 or Q <= 0.0:
-            raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
-        return (Q / P) ** (1.0 / (self.nl.p - 1.0))
-
-    def retract(self, c: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = self.nehari_t(c, values)
-        return t * c, t * values
-
-
-def j_value(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
-    """J(u) = Q(u) - <h(u), u>_h; zero exactly on the manifold.
-
-    Like every variational operation here, evaluates u through its span
-    representation (values synthesized from coeffs); content the analysis
-    step truncated away does not participate.
-    """
-    basis.check_same_domain(u.dom)
-    values = basis.phi @ u.coeffs
-    Q = float(np.sum(basis.weights * u.coeffs**2))
-    inner = basis.dom.h**2 * float(np.sum(h_eval(nl, values) * values))
-    return Q - inner
+    return up, (dom.node_coords * w[:, None]).sum(axis=0) / mass, mass
 
 
 def _require_positive_part(values: np.ndarray) -> None:
@@ -167,7 +117,7 @@ def nehari_scale(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
     """Closed-form t > 0 with J(t u) = 0 for the power family."""
     basis.check_same_domain(u.dom)
     _require_positive_part(u.values)
-    obj = _Objective(basis, nl)
+    obj = Energy(basis, nl)
     return obj.nehari_t(u.coeffs, obj.values(u.coeffs))
 
 
@@ -207,19 +157,11 @@ def nehari_scale_root(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float
 
 def ray_max(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> tuple[float, float]:
     """(t*, I(t* u)): the maximum of the energy along the ray through u."""
-    obj = _Objective(basis, nl)
+    obj = Energy(basis, nl)
     basis.check_same_domain(u.dom)
     values = obj.values(u.coeffs)
     t = obj.nehari_t(u.coeffs, values)
     return t, obj.energy(t * u.coeffs, t * values)
-
-
-def ray_profile(basis: SpectralBasis, nl: Nonlinearity, u: Field, ts: np.ndarray) -> np.ndarray:
-    """I(t u) sampled over ts; one basis synthesis total."""
-    obj = _Objective(basis, nl)
-    basis.check_same_domain(u.dom)
-    values = obj.values(u.coeffs)
-    return np.array([obj.energy(t * u.coeffs, t * values) for t in np.asarray(ts, float)])
 
 
 def gaussian_bump_seed(basis: SpectralBasis, center: tuple[float, float], width: float) -> Field:
@@ -251,7 +193,7 @@ def ground_state(
         raise ValueError(f"tol must be positive, got {tol}")
     basis.check_same_domain(seed.dom)
     _require_positive_part(seed.values)
-    obj = _Objective(basis, nl)
+    obj = Energy(basis, nl)
     c, values, energy, residual, iterations = _retracted_descent(
         obj, np.asarray(seed.coeffs, dtype=float), obj.value,
         lambda c, values, _: obj.grad(c, values), tol, max_iter, energy_trace,
@@ -263,7 +205,7 @@ _Value = Callable[[np.ndarray, np.ndarray], tuple[float, Any]]
 
 
 def _retracted_descent(
-    obj: _Objective, c: np.ndarray, value: _Value,
+    obj: Energy, c: np.ndarray, value: _Value,
     grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray],
     tol: float, max_iter: int, trace: list[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
@@ -320,7 +262,7 @@ def _residual(gd: float, F: float) -> float:
 
 
 def _armijo_step(
-    obj: _Objective, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
+    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
     F: float, gd: float, t: float, value: _Value, max_backtracks: int,
 ) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
     """Retracted step c - t d, halving t until F drops by _ARMIJO t gd.
@@ -333,7 +275,7 @@ def _armijo_step(
 
 
 def _floor_step(
-    obj: _Objective, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
+    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
     F: float, gd: float, t: float, value: _Value,
     grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
@@ -355,7 +297,7 @@ def _floor_step(
 
 
 def _first_halving(
-    obj: _Objective, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
+    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
     t: float, value: _Value, max_backtracks: int,
     accept: Callable[[float, float, np.ndarray, np.ndarray, Any], bool],
 ) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
@@ -384,7 +326,7 @@ def _solution_record(
         u=basis.synthesize(c),
         energy=energy,
         residual=residual,
-        barycenter=_barycenter(basis.dom, values)[0],
+        barycenter=tuple(_barycenter(basis.dom, values)[1].tolist()),
         positive=bool(float(values.min()) >= -_POSITIVITY_EPS * max(vmax, 1e-300)),
         seed_tag=seed_tag,
         iterations=iterations,

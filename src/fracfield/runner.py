@@ -27,7 +27,6 @@ from .extension import k_alpha, scaling_check, solve_profile
 from .model import Nonlinearity, power_model
 from .morse import (
     classify_records,
-    hessian_spectrum,
     morse_count_check,
     ray_second_derivative,
 )
@@ -41,12 +40,11 @@ from .nehari import (
 from .persist import dump_field, read_results_json, record_summary, write_csv, write_results_json
 from .spectral import SpectralBasis, assemble_and_decompose
 from .topology import (
+    adjacent_orbit_image,
     annulus_level,
     band_saddle,
-    barycenter,
     multiplicity_search,
     orbit_classes,
-    symmetry_group,
 )
 
 log = logging.getLogger(__name__)
@@ -226,7 +224,7 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
     extra_spectra = []
     if len(report.classes) >= 2:
         lo = pairs[0][0]
-        partner = _adjacent_orbit_image(basis, lo.u)
+        partner = adjacent_orbit_image(basis, lo.u)
         if partner is not None:
             band_report = band_saddle(basis, nl, lo.u, partner, tol=max(cfg.tol, 1e-6))
             srec, sspec = classify_records(basis, nl, [band_report.saddle], workers=1)[0]
@@ -285,18 +283,6 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
         for k, (rec, _) in enumerate(pairs):
             dump_field(out_dir, f"class-{k}", cfg.config_hash, rec.u)
     return results
-
-
-def _adjacent_orbit_image(basis: SpectralBasis, lo) -> object | None:
-    """Symmetry image of lo whose barycenter flips in x and keeps y: the
-    nearest distinct orbit neighbor to pull an elastic band toward."""
-    ref = barycenter(lo).point
-    for perm in symmetry_group(basis.dom)[1:]:
-        cand = lo.values[perm]
-        b = barycenter(basis.analyze(cand)).point
-        if b[0] * ref[0] < 0 and b[1] * ref[1] > 0:
-            return basis.analyze(cand)
-    return None
 
 
 def run_verify_extension(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:

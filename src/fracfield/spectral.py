@@ -221,8 +221,3 @@ def fractional_apply(basis: SpectralBasis, u: Field) -> Field:
     coeffs = basis.mu**basis.alpha * u.coeffs
     return basis.synthesize(coeffs)
 
-
-def alpha_norm_sq(basis: SpectralBasis, u: Field) -> float:
-    """Q(u) = sum_k (mu_k^alpha + 1) b_k^2, the squared energy norm."""
-    basis.check_same_domain(u.dom)
-    return float(np.sum(basis.weights * u.coeffs**2))

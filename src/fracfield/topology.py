@@ -24,12 +24,11 @@ from scipy import ndimage
 
 from .domain import GridDomain, build_domain, neighborhood_membership
 from .errors import BallDoesNotFit, ConstraintViolated, NonpositiveField
-from .model import Nonlinearity
+from .model import Energy, Nonlinearity
 from .nehari import (
     SolutionRecord,
     _armijo_step,
     _barycenter,
-    _Objective,
     _residual,
     _retracted_descent,
     _solution_record,
@@ -58,7 +57,8 @@ class BarycenterReport:
 
 def barycenter(u: Field, band: float | None = None) -> BarycenterReport:
     """beta(u) = sum x_i (u_i+)^2 / sum (u_i+)^2 over the grid values as given."""
-    pt, mass = _barycenter(u.dom, u.values)
+    _, beta, mass = _barycenter(u.dom, u.values)
+    pt = tuple(beta.tolist())
     in_plus = None
     if band is not None:
         in_plus = neighborhood_membership(u.dom, pt, band, side="outer_plus")
@@ -251,25 +251,23 @@ class AnnulusLevelReport:
 
 
 def _penalized_descent(
-    obj: _Objective, c: np.ndarray, rho: float, x_tilde: np.ndarray,
+    obj: Energy, c: np.ndarray, rho: float, x_tilde: np.ndarray,
     tol: float, max_iter: int, trace: list[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """nehari's one retracted descent kernel, run on I + rho |beta(u) - x_tilde|^2.
 
     The penalty is scale-invariant along rays (beta ignores positive scaling),
     so the Nehari retraction leaves it unchanged and the descent argument for
-    the plain solver carries over verbatim. The penalty's nodal gradient is
-    computed with its value at each trial point and reused at accepted ones.
+    the plain solver carries over verbatim. beta is _barycenter's, as in the
+    records. The penalty's nodal gradient is computed with its value at each
+    trial point and reused at accepted ones.
     """
-    coords = obj.basis.dom.node_coords
+    dom = obj.basis.dom
 
     def value(c: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
-        up = np.maximum(values, 0.0)
-        w = up * up
-        M = float(w.sum())
-        beta = (coords * w[:, None]).sum(axis=0) / M
+        up, beta, M = _barycenter(dom, values)
         gap = beta - x_tilde
-        pvals = 4.0 * rho * up * ((coords - beta) @ gap) / M
+        pvals = 4.0 * rho * up * ((dom.node_coords - beta) @ gap) / M
         return obj.energy(c, values) + rho * float(gap @ gap), pvals
 
     def grad(c: np.ndarray, values: np.ndarray, pvals: np.ndarray) -> np.ndarray:
@@ -299,7 +297,7 @@ def annulus_level(
     dom = basis.dom
     if dom.shape_id != "annulus":
         raise ValueError(f"annulus_level needs an annulus domain, got {dom.shape_id!r}")
-    obj = _Objective(basis, nl)
+    obj = Energy(basis, nl)
     target = np.array([float(x_tilde[0]), float(x_tilde[1])])
 
     if seed is None:
@@ -478,6 +476,24 @@ def multiplicity_search(
     )
 
 
+def adjacent_orbit_image(basis: SpectralBasis, u: Field) -> Field | None:
+    """First symmetry image of u whose barycenter flips in x and keeps y, or None.
+
+    Images with a barycenter within 2h of u's are passed over: they are u again
+    (an axis state mirrored across its own axis), and a band to them climbs nothing.
+    """
+    basis.check_same_domain(u.dom)
+    ref = _barycenter(basis.dom, u.values)[1]
+    for perm in symmetry_group(basis.dom)[1:]:
+        cand = u.values[perm]
+        b = _barycenter(basis.dom, cand)[1]
+        if float(np.hypot(*(b - ref))) <= 2.0 * basis.dom.h:
+            continue
+        if b[0] * ref[0] < 0 and b[1] * ref[1] > 0:
+            return basis.analyze(cand)
+    return None
+
+
 @dataclass(frozen=True)
 class BandSaddleReport:
     """Climbing-image elastic band outcome between two minimizer classes.
@@ -512,7 +528,7 @@ def band_saddle(
     """
     if n_images < 5:
         raise ValueError(f"need at least 5 images, got {n_images}")
-    obj = _Objective(basis, nl)
+    obj = Energy(basis, nl)
     basis.check_same_domain(end_a.dom)
     basis.check_same_domain(end_b.dom)
 

@@ -20,7 +20,7 @@ from fracfield.spectral import (
     assemble_and_decompose,
     assemble_laplacian,
 )
-from fracfield.topology import band_saddle, barycenter, multiplicity_search, symmetry_group
+from fracfield.topology import adjacent_orbit_image, band_saddle, multiplicity_search
 
 ANNULUS_MID_RADIUS = 2.8  # 0.5 (R + r) lam with R=1, r=0.4, lam=4
 
@@ -54,14 +54,7 @@ def annulus_band(annulus4, annulus_classes):
     """Climbing-image band between two adjacent images of the lowest class."""
     nl = power_model()
     lo = annulus_classes.classes[0].representative.u
-    ref = barycenter(lo).point
-    rotated = None
-    for perm in symmetry_group(annulus4.dom)[1:]:
-        cand = lo.values[perm]
-        b = barycenter(annulus4.analyze(cand)).point
-        if b[0] * ref[0] < 0 and b[1] * ref[1] > 0:
-            rotated = annulus4.analyze(cand)
-            break
+    rotated = adjacent_orbit_image(annulus4, lo)
     assert rotated is not None
     return band_saddle(annulus4, nl, lo, rotated, n_images=13, tol=1e-6)
 

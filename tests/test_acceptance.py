@@ -19,24 +19,22 @@ from fracfield.cli import main as cli_main
 from fracfield.config import default_config
 from fracfield.domain import build_domain
 from fracfield.extension import k_alpha, scaling_check, solve_profile
-from fracfield.model import energy, hessian_vector, power_model
+from fracfield.model import Energy, power_model
 from fracfield.morse import classify_records, hessian_spectrum, morse_count_check
 from fracfield.nehari import (
     gaussian_bump_seed,
     ground_state,
-    j_value,
     limit_level_estimate,
     nehari_scale,
     nehari_scale_root,
 )
 from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import (
+    adjacent_orbit_image,
     annulus_level,
     band_saddle,
-    barycenter,
     multiplicity_search,
     radial_asymmetry,
-    symmetry_group,
 )
 
 NL = power_model()
@@ -103,14 +101,7 @@ def orbit_hunt(annulus4):
     report = multiplicity_search(annulus4, NL, centers, ball_radius=radius)
 
     lo = report.classes[0].representative.u
-    ref = barycenter(lo).point
-    partner = None
-    for perm in symmetry_group(annulus4.dom)[1:]:
-        cand = annulus4.analyze(lo.values[perm])
-        b = barycenter(cand).point
-        if b[0] * ref[0] < 0 and b[1] * ref[1] > 0:
-            partner = cand
-            break
+    partner = adjacent_orbit_image(annulus4, lo)
     assert partner is not None
     band = band_saddle(annulus4, NL, lo, partner, n_images=13, tol=1e-6)
 
@@ -201,16 +192,17 @@ def test_a3_variational_calculus(capsys, disk_host):
         rng = np.random.default_rng(11)
         K = disk_host.mu.size
         c = rng.standard_normal(K)
-        u = disk_host.synthesize(c)
-        g = energy(disk_host, NL, u).grad.coeffs
+        e = Energy(disk_host, NL)
+        g = e.grad(c, e.values(c))
         eps = 1e-6 * max(1.0, float(np.linalg.norm(c)))
 
         worst_g = 0.0
         for _ in range(20):
             v = rng.standard_normal(K)
             v /= np.linalg.norm(v)
-            ep = energy(disk_host, NL, disk_host.synthesize(c + eps * v)).value
-            em = energy(disk_host, NL, disk_host.synthesize(c - eps * v)).value
+            cp, cm = c + eps * v, c - eps * v
+            ep = e.energy(cp, e.values(cp))
+            em = e.energy(cm, e.values(cm))
             fd = (ep - em) / (2.0 * eps)
             worst_g = max(worst_g, abs(float(g @ v) - fd) / max(abs(fd), 1e-12))
         assert worst_g <= 1e-6
@@ -219,10 +211,9 @@ def test_a3_variational_calculus(capsys, disk_host):
         for _ in range(20):
             v = rng.standard_normal(K)
             v /= np.linalg.norm(v)
-            gp = energy(disk_host, NL, disk_host.synthesize(c + eps * v)).grad.coeffs
-            gm = energy(disk_host, NL, disk_host.synthesize(c - eps * v)).grad.coeffs
-            fd = (gp - gm) / (2.0 * eps)
-            hv = hessian_vector(disk_host, NL, u, v)
+            cp, cm = c + eps * v, c - eps * v
+            fd = (e.grad(cp, e.values(cp)) - e.grad(cm, e.values(cm))) / (2.0 * eps)
+            hv = e.hessian_vector(e.values(c), v)
             worst_h = max(worst_h, float(np.linalg.norm(hv - fd) / max(np.linalg.norm(fd), 1e-12)))
         assert worst_h <= 1e-5
 
@@ -249,7 +240,8 @@ def test_a4_ground_state_properties(capsys, disk1500):
 
         c = rec.u.coeffs
         Q = float(c @ (basis.weights * c))
-        assert abs(j_value(basis, NL, rec.u)) <= 1e-8 * Q
+        e = Energy(basis, NL)
+        assert abs(e.j(c, e.values(c))) <= 1e-8 * Q
 
         asym = radial_asymmetry(rec.u, center=(0.0, 0.0))
         assert asym <= 0.02

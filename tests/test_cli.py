@@ -132,6 +132,31 @@ class TestValidation:
         with pytest.raises(ConfigInvalid, match="object"):
             validate_config([1, 2, 3])
 
+    @pytest.mark.parametrize("task,section", [
+        ("solve", "output"), ("solve", "solver"), ("sweep-lambda", "sweep"),
+    ])
+    @pytest.mark.parametrize("bad", [[1, 2], "yes", 3])
+    def test_sections_must_be_objects(self, task, section, bad):
+        cfg = default_config(task)
+        cfg[section] = bad
+        with pytest.raises(ConfigInvalid, match=f'"{section}" must be an object'):
+            validate_config(cfg)
+
+    @pytest.mark.parametrize("bad", ["no", 0, 1, None])
+    def test_dump_fields_must_be_bool(self, bad):
+        cfg = default_config("solve")
+        cfg["output"]["dump_fields"] = bad
+        with pytest.raises(ConfigInvalid, match=r"output\.dump_fields"):
+            validate_config(cfg)
+        cfg["output"]["dump_fields"] = True
+        assert validate_config(cfg).dump_fields is True
+
+    def test_unknown_output_field(self):
+        cfg = default_config("solve")
+        cfg["output"]["dump_feilds"] = True
+        with pytest.raises(ConfigInvalid, match=r"output\.dump_feilds"):
+            validate_config(cfg)
+
 
 class TestLoadConfig:
     def test_none_path_gives_defaults(self):
@@ -155,6 +180,19 @@ class TestLoadConfig:
         assert seeded.rng_seed == 7
         assert seeded.canonical["solver"]["rng_seed"] == 7
         assert seeded.config_hash != base.config_hash
+
+    @pytest.mark.parametrize("bad", [[1, 2], "fast"])
+    def test_seed_override_with_non_object_solver(self, tmp_path, bad):
+        cfg = default_config("solve")
+        cfg["solver"] = bad
+        with pytest.raises(ConfigInvalid, match='"solver" must be an object'):
+            load_config(write_config(tmp_path, cfg), seed=3)
+
+    def test_seed_override_with_non_object_root(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigInvalid, match="root must be a JSON object"):
+            load_config(str(path), task="solve", seed=3)
 
     def test_hash_is_sha256_of_canonical_json(self):
         rc = load_config(None, task="solve", seed=None)
@@ -193,6 +231,16 @@ class TestExitCodes:
         code = main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["output", "sweep"])
+    def test_non_object_section_exits_2(self, tmp_path, capsys, section):
+        cfg = default_config("sweep-lambda")
+        cfg[section] = [1, 2]
+        path = write_config(tmp_path, cfg)
+        code = main(["sweep-lambda", "--config", path, "--out", str(tmp_path / "o"),
+                     "--seed", "3", "--quiet"])
+        assert code == 2
+        assert f'"{section}"' in capsys.readouterr().err
 
     def test_task_failure_exits_3(self, tmp_path, capsys):
         # h too coarse for the unit disk: the mask keeps too few nodes

@@ -12,16 +12,15 @@ import pytest
 
 from fracfield.domain import build_domain
 from fracfield.model import (
-    EnergyReport,
+    Energy,
     H_eval,
     Nonlinearity,
     check_hypotheses,
-    energy,
     h_eval,
     h_prime,
-    hessian_vector,
     power_model,
 )
+from fracfield.nehari import ray_max
 from fracfield.spectral import assemble_and_decompose
 
 
@@ -32,7 +31,7 @@ def square16():
 
 
 def _energy_value(basis, nl, coeffs: np.ndarray) -> float:
-    # independent of model.energy: raw definition in coefficient space
+    # independent of model.Energy: raw definition in coefficient space
     values = basis.phi @ coeffs
     quad = 0.5 * float(np.sum(basis.weights * coeffs**2))
     pot = basis.dom.h**2 * float(np.sum(H_eval(nl, values)))
@@ -90,16 +89,20 @@ def test_supercritical_growth_fails_growth_bound():
     assert not report.checks["H2"].passed
 
 
-def test_energy_report_identity_and_parts(square16):
+def test_energy_identity_and_parts(square16):
     basis = square16
     nl = power_model()
-    u = basis.synthesize(_positive_bump_coeffs(basis))
-    rep = energy(basis, nl, u)
-    assert isinstance(rep, EnergyReport)
-    assert rep.value == pytest.approx(rep.quadratic_part - rep.potential_part, abs=1e-12)
-    assert rep.potential_part > 0
-    assert rep.quadratic_part > 0
-    assert rep.value == pytest.approx(_energy_value(basis, nl, u.coeffs), rel=1e-12)
+    e = Energy(basis, nl)
+    c = _positive_bump_coeffs(basis)
+    values = e.values(c)
+    quadratic_part = 0.5 * e.quadratic(c)
+    potential_part = basis.dom.h**2 * float(np.sum(H_eval(nl, values)))
+    value = e.energy(c, values)
+    assert value == pytest.approx(quadratic_part - potential_part, abs=1e-12)
+    assert potential_part > 0
+    assert quadratic_part > 0
+    assert value == pytest.approx(_energy_value(basis, nl, c), rel=1e-12)
+    assert e.value(c, values) == (value, None)
 
 
 @pytest.mark.parametrize("seed,offset", [(0, 0.5), (1, 0.5), (2, 0.0)])
@@ -111,8 +114,8 @@ def test_gradient_matches_central_differences(square16, seed, offset):
         c0 = _positive_bump_coeffs(basis, offset)
     else:
         c0 = rng.standard_normal(basis.K) * 0.3  # sign-changing field
-    rep = energy(basis, nl, basis.synthesize(c0))
-    g = rep.grad.coeffs
+    e = Energy(basis, nl)
+    g = e.grad(c0, e.values(c0))
     eps = 1e-6 * max(1.0, float(np.linalg.norm(c0)))
     worst = 0.0
     for _ in range(20):
@@ -126,29 +129,30 @@ def test_gradient_matches_central_differences(square16, seed, offset):
 
 def test_gradient_norm_is_coefficient_norm(square16):
     basis = square16
-    nl = power_model()
-    rep = energy(basis, nl, basis.synthesize(_positive_bump_coeffs(basis)))
-    g = rep.grad.coeffs
-    assert rep.grad_norm == pytest.approx(float(np.sqrt(g @ g)), rel=1e-14)
-    # and equals the quadrature L2 norm of the synthesized gradient field
-    assert rep.grad_norm == pytest.approx(basis.norm_l2(rep.grad.values), rel=1e-10)
+    e = Energy(basis, power_model())
+    c = _positive_bump_coeffs(basis)
+    g = e.grad(c, e.values(c))
+    # by orthonormality the coefficient norm is the quadrature L2 norm of the
+    # synthesized gradient field
+    grad_norm = float(np.sqrt(g @ g))
+    assert grad_norm == pytest.approx(basis.norm_l2(basis.synthesize(g).values), rel=1e-10)
 
 
 def test_hessian_vector_matches_gradient_differences(square16):
     basis = square16
     nl = power_model()
     c0 = _positive_bump_coeffs(basis, offset=0.5)  # stays away from the kink at 0
-    u = basis.synthesize(c0)
+    e = Energy(basis, nl)
     rng = np.random.default_rng(7)
     eps = 1e-6
     worst = 0.0
     for _ in range(20):
         v = rng.standard_normal(basis.K)
         v /= np.linalg.norm(v)
-        gp = energy(basis, nl, basis.synthesize(c0 + eps * v)).grad.coeffs
-        gm = energy(basis, nl, basis.synthesize(c0 - eps * v)).grad.coeffs
+        gp = e.grad(c0 + eps * v, e.values(c0 + eps * v))
+        gm = e.grad(c0 - eps * v, e.values(c0 - eps * v))
         fd = (gp - gm) / (2 * eps)
-        hv = hessian_vector(basis, nl, u, v)
+        hv = e.hessian_vector(e.values(c0), v)
         worst = max(worst, float(np.linalg.norm(fd - hv) / max(np.linalg.norm(fd), 1e-10)))
     assert worst <= 1e-5
 
@@ -176,5 +180,6 @@ def test_energy_rejects_foreign_domain(square16):
 
     foreign = assemble_and_decompose(other, K=10, alpha=0.5)
     u = foreign.synthesize(np.ones(foreign.K))
+    # Energy works on raw arrays; the Field entry points check the domain
     with pytest.raises(DomainMismatch):
-        energy(square16, power_model(), u)
+        ray_max(square16, power_model(), u)

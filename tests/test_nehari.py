@@ -13,19 +13,16 @@ import pytest
 
 from fracfield.domain import build_domain
 from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from fracfield.model import power_model
+from fracfield.model import Energy, power_model
 from fracfield.nehari import (
     _multistart_seeds,
-    _Objective,
     gaussian_bump_seed,
     ground_state,
-    j_value,
     level_c,
     limit_level_estimate,
     nehari_scale,
     nehari_scale_root,
     ray_max,
-    ray_profile,
 )
 from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import _penalized_descent, annulus_level
@@ -57,13 +54,19 @@ def _bump(basis, center=(0.1, -0.05), width=0.3):
     return gaussian_bump_seed(basis, center, width)
 
 
+def _j(basis, u):
+    """J at the span representation of u."""
+    e = Energy(basis, NL)
+    return e.j(u.coeffs, e.values(u.coeffs))
+
+
 def test_scale_satisfies_defining_equation(square16):
     u = _bump(square16)
     t = nehari_scale(square16, NL, u)
     assert t > 0
     scaled = square16.synthesize(t * u.coeffs)
     Q = float(np.sum(square16.weights * scaled.coeffs**2))
-    assert abs(j_value(square16, NL, scaled)) <= 1e-12 * Q
+    assert abs(_j(square16, scaled)) <= 1e-12 * Q
 
 
 def test_scale_closed_form_algebra(square16):
@@ -116,7 +119,9 @@ def test_ray_max_against_dense_scan(square16):
     t_star, value = ray_max(square16, NL, u)
     assert value > 0
     ts = np.linspace(1e-6, 4 * t_star, 1200)
-    profile = ray_profile(square16, NL, u, ts)
+    e = Energy(square16, NL)
+    values = e.values(u.coeffs)
+    profile = np.array([e.energy(t * u.coeffs, t * values) for t in ts])
     assert np.all(value >= profile - 1e-12 * abs(value))
     k = int(np.argmax(profile))
     assert ts[k] == pytest.approx(t_star, abs=ts[1] - ts[0])
@@ -138,7 +143,7 @@ def test_ground_state_converges_positive_on_manifold(disk_basis, disk_ground):
     assert rec.positive
     assert rec.energy > 0
     Q = float(np.sum(disk_basis.weights * rec.u.coeffs**2))
-    assert abs(j_value(disk_basis, NL, rec.u)) <= 1e-10 * Q
+    assert abs(_j(disk_basis, rec.u)) <= 1e-10 * Q
     # on-manifold identity eliminates the potential term
     assert rec.energy == pytest.approx((0.5 - 1.0 / (NL.p + 1.0)) * Q, rel=1e-8)
 
@@ -158,7 +163,7 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     rho = annulus_level(annulus4, NL).rho_schedule[0]
     pen_trace: list[float] = []
     c, _, _, _, its = _penalized_descent(
-        _Objective(annulus4, NL), ring.coeffs, rho, np.zeros(2), 1e-8, 20000, pen_trace
+        Energy(annulus4, NL), ring.coeffs, rho, np.zeros(2), 1e-8, 20000, pen_trace
     )
     assert len(pen_trace) == its > 0
     # accepted values never rise; a few late steps leave F unchanged in the
@@ -168,7 +173,7 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
 
     for basis, u in ((disk_basis, rec.u), (annulus4, annulus4.synthesize(c))):
         Q = float(np.sum(basis.weights * u.coeffs**2))
-        assert abs(j_value(basis, NL, u)) <= 1e-12 * Q
+        assert abs(_j(basis, u)) <= 1e-12 * Q
 
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from fracfield.domain import build_domain
 from fracfield.errors import DomainMismatch, EigSolveFailure
+from fracfield.model import Energy, power_model
 from fracfield.spectral import (
-    alpha_norm_sq,
     assemble_and_decompose,
     assemble_laplacian,
     fractional_apply,
@@ -155,13 +155,13 @@ def test_fractional_apply_halves_compose(square16):
     assert np.max(np.abs(twice.coeffs - want)) < 1e-12 * np.max(np.abs(want))
 
 
-def test_alpha_norm_sq_fundamental_mode(square16):
+def test_energy_norm_fundamental_mode(square16):
     _, basis = square16
     e0 = np.zeros(basis.K)
     e0[0] = 3.0
     u = basis.synthesize(e0)
     want = 9.0 * (basis.mu[0] ** 0.5 + 1.0)
-    assert alpha_norm_sq(basis, u) == pytest.approx(want, rel=1e-13)
+    assert Energy(basis, power_model()).quadratic(u.coeffs) == pytest.approx(want, rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,9 +172,8 @@ def test_alpha_norm_homogeneity(c):
     rng = np.random.default_rng(11)
     u = basis.synthesize(rng.standard_normal(basis.K))
     cu = basis.synthesize(c * u.coeffs)
-    assert alpha_norm_sq(basis, cu) == pytest.approx(
-        c * c * alpha_norm_sq(basis, u), rel=1e-12, abs=1e-12
-    )
+    q = Energy(basis, power_model()).quadratic
+    assert q(cu.coeffs) == pytest.approx(c * c * q(u.coeffs), rel=1e-12, abs=1e-12)
 
 
 def test_domain_mismatch_raised(square16):
@@ -185,7 +184,7 @@ def test_domain_mismatch_raised(square16):
     other_basis = assemble_and_decompose(other, K=20, alpha=0.5)
     u = other_basis.synthesize(np.zeros(other_basis.K))
     with pytest.raises(DomainMismatch):
-        alpha_norm_sq(basis, u)
+        fractional_apply(basis, u)
     with pytest.raises(DomainMismatch):
         basis.synthesize(np.zeros(basis.K + 5))
 

@@ -15,12 +15,13 @@ import pytest
 
 from fracfield.domain import build_domain, neighborhood_membership
 from fracfield.errors import BallDoesNotFit, ConstraintViolated, NonpositiveField
-from fracfield.model import energy as model_energy
-from fracfield.model import power_model
-from fracfield.nehari import gaussian_bump_seed, ground_state, j_value
-from fracfield.spectral import assemble_and_decompose
+from fracfield.model import Energy, power_model
+from fracfield.nehari import gaussian_bump_seed, ground_state
+from fracfield.spectral import Field, assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
+    _penalized_descent,
+    adjacent_orbit_image,
     annulus_level,
     band_saddle,
     barycenter,
@@ -36,6 +37,13 @@ NL = power_model()
 MID_RADIUS = 2.8  # annulus lam=4: 0.5 (R + r) lam with R=1, r=0.4
 # the annulus4, disk_host, annulus_classes, annulus_band fixtures live in
 # conftest.py, shared session-wide
+
+
+def _energy_and_j(basis, u):
+    """(I, J) at the span representation of u."""
+    e = Energy(basis, NL)
+    values = e.values(u.coeffs)
+    return e.energy(u.coeffs, values), e.j(u.coeffs, values)
 
 
 def _bump_values(dom, center, width=0.3):
@@ -142,13 +150,14 @@ def test_psi_seed_postconditions(annulus4):
         x_tilde = (MID_RADIUS * np.cos(angle), MID_RADIUS * np.sin(angle))
         u = seeder.seed(x_tilde)
         Q = float(np.sum(annulus4.weights * u.coeffs**2))
-        assert abs(j_value(annulus4, NL, u)) <= 1e-10 * Q
+        energy, j = _energy_and_j(annulus4, u)
+        assert abs(j) <= 1e-10 * Q
         rep = barycenter(u)
         snapped = seeder.snap(x_tilde)
         assert np.hypot(rep.point[0] - snapped[0], rep.point[1] - snapped[1]) <= annulus4.dom.h
         # zero-extension can only lower the quadratic form on a full span, so
         # the projected seed never exceeds the ball level
-        assert model_energy(annulus4, NL, u).value <= seeder.ball_level + 1e-9
+        assert energy <= seeder.ball_level + 1e-9
 
 
 def test_psi_seed_on_matching_disk_reproduces_ball_state(disk_host):
@@ -156,7 +165,7 @@ def test_psi_seed_on_matching_disk_reproduces_ball_state(disk_host):
     # node-for-node copy and the projected energy equals the ball level
     seeder = PsiSeeder(disk_host, NL, ball_radius=1.0)
     u = seeder.seed((0.0, 0.0))
-    assert model_energy(disk_host, NL, u).value == pytest.approx(seeder.ball_level, abs=1e-9)
+    assert _energy_and_j(disk_host, u)[0] == pytest.approx(seeder.ball_level, abs=1e-9)
 
 
 def test_psi_seed_ball_must_fit(annulus4, disk_host):
@@ -245,6 +254,25 @@ def test_annulus_level_pinned_to_center(annulus4, annulus_classes):
     assert fractions[0] < 0.9
     assert len(rep.rho_schedule) == 4
     assert all(b > a for a, b in zip(rep.rho_schedule, rep.rho_schedule[1:]))
+
+
+def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
+    # the penalty's beta is the records' barycenter, bit for bit: with x_tilde
+    # 1e-3 from beta and rho making the penalty as large as I, a one-ulp change
+    # of beta would move F by about 1e-12
+    e = Energy(annulus4, NL)
+    c0 = gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).coeffs
+    c, values = e.retract(c0, e.values(c0))
+    beta = np.array(barycenter(Field(annulus4.dom, values, c, 0.0)).point)
+    x_tilde = beta + np.array([1e-3, -1e-3])
+    energy = e.energy(c, values)
+    rho = abs(energy) / 2e-6
+    # max_iter=0: the kernel retracts the seed, evaluates F there and stops
+    c_k, values_k, F, _, its = _penalized_descent(e, c0, rho, x_tilde, 1e-8, 0)
+    assert its == 0
+    assert np.array_equal(c_k, c) and np.array_equal(values_k, values)
+    gap = beta - x_tilde
+    assert F == energy + rho * float(gap @ gap)
 
 
 @pytest.mark.parametrize("lam", [2.0, 4.0, 6.0])
@@ -336,6 +364,25 @@ def test_band_saddle_between_adjacent_minima(annulus_classes, annulus_band):
     assert report.energies[-1] == pytest.approx(e_min, rel=1e-9)
     assert max(report.energies) == report.saddle.energy
     assert report.saddle.positive
+
+
+def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):
+    # an axis state mirrored across its own axis is itself again, and the
+    # off-axis coordinate of its barycenter is rounding noise, so the sign
+    # rule alone can take that mirror for the partner
+    h = annulus4.dom.h
+    axis = annulus_classes.classes[1].representative
+    assert min(abs(axis.barycenter[0]), abs(axis.barycenter[1])) < h
+    images = [annulus4.analyze(axis.u.values[p]) for p in symmetry_group(annulus4.dom)]
+    # the states at (0, 2.8) and (0, -2.8), each twice, since the
+    # representative is its own mirror image
+    on_y = [u for u in images if abs(barycenter(u).point[0]) < h]
+    assert len(on_y) == 4
+    for u in on_y:
+        ref = np.array(barycenter(u).point)
+        partner = adjacent_orbit_image(annulus4, u)
+        if partner is not None:
+            assert np.hypot(*(np.array(barycenter(partner).point) - ref)) > 2 * h
 
 
 def test_band_saddle_needs_enough_images(annulus4, annulus_classes):
