@@ -58,25 +58,29 @@ class HessianSpectrumReport:
     eps_null: float
 
 
-def _doubled_gram(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
-    """G + G.T for G the Gram matrix of the modes under node weights h^2 h'(u).
+def _gram(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
+    """The Gram matrix G of the modes under node weights h^2 h'(u), exactly symmetric.
 
-    G is freed after the sum is allocated: freed first, it left one K x K
-    array more in the disk-descent peak memory in about half the runs.
+    Symmetrized by mirroring its upper triangle in place, column by column:
+    G is the only K x K array allocated, and it is allocated while the node
+    vectors are live, so the peak memory no longer depends on the order in
+    which they are freed.
     """
     basis.check_same_domain(u.dom)
     values = basis.phi @ u.coeffs
     w = basis.dom.h**2 * h_prime(nl, values)
     G = basis.phi.T @ (w[:, None] * basis.phi)
-    return G + G.T
+    for j in range(G.shape[0] - 1):
+        G[j + 1:, j] = G[j, j + 1:]
+    return G
 
 
 def hessian_matrix(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
     """Dense symmetric second-variation matrix at the span representation of u."""
-    # scaled in place: a first elided numpy temporary loads libgcc_s, whose
+    # negated in place: a first elided numpy temporary loads libgcc_s, whose
     # never-freed blocks can pin the K x K arrays in the heap
-    H = _doubled_gram(basis, nl, u)
-    H *= -0.5
+    H = _gram(basis, nl, u)
+    np.negative(H, out=H)
     H[np.diag_indices_from(H)] += basis.weights
     return H
 
@@ -122,8 +126,7 @@ def perturbation_spectrum(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> n
     non-negligible. At a manifold point with p = 2 the top eigenvalue is
     exactly 2, attained along the ray.
     """
-    G = _doubled_gram(basis, nl, u)
-    G *= 0.5
+    G = _gram(basis, nl, u)
     sw = 1.0 / np.sqrt(basis.weights)
     return scipy.linalg.eigvalsh(sw[:, None] * G * sw[None, :])
 

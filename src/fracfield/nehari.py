@@ -4,27 +4,50 @@ The manifold M is the set of nontrivial fields with J(u) = Q(u) - <h(u), u> = 0,
 where Q(u) = sum_k (mu_k^alpha + 1) b_k^2. For the power family h(s) = (s_+)^p
 every ray through a field with nontrivial positive part meets M exactly once,
 at t = (Q/P)^(1/(p-1)) with P = h^2 sum (u_+)^(p+1), and that point maximizes
-the energy along the ray. Ground states are found by projected gradient
-descent: a Riesz-preconditioned gradient step on coefficients followed by the
-closed-form rescaling back onto M. On M the radial derivative of I vanishes
-(I'(u)[u] = J(u) = 0), so the full gradient is tangent to first order and the
-retracted step decreases energy for small step sizes. The functional, its
-gradient and the retraction are model.Energy's; the descent takes them as given.
+the energy along the ray. Ground states are found by retracted descent: a
+step on coefficients followed by the closed-form rescaling back onto M. On M
+the radial derivative of I vanishes (I'(u)[u] = J(u) = 0), so the full
+gradient is tangent to first order and the retracted step decreases energy
+for small step sizes. The functional, its gradient, Hessian action and the
+retraction are model.Energy's; the descent takes them as given.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
 this quantity is <= tol.
 
-Step acceptance: a step is accepted by the Armijo test on F when one of its
-halvings passes it. Near a minimum that test can fail on every halving for
-rounding alone: each retracted step changes F by less than the error of
-evaluating F at a retracted point, so the stored F is the lucky low draw
-among noisy trials and no step can beat it. The descent then takes a floor
-step: a second pass over the same halvings accepts the first trial whose
-dual gradient norm is below the current one and whose F exceeds the current
-F by at most the rounding allowance _FLOOR_ULPS eps max(|F|, 1). Accepted F
-therefore never rises by more than that allowance, and only on floor steps;
-Armijo steps lower it.
+Steps: every accepted step is a retracted trial c - t d, with t halved until
+a test passes (_first_halving); max_iter counts accepted steps. Three kinds
+are tried in turn at each iterate.
+
+- Newton step, for objectives that supply a Hessian action (ground_state's
+  plain energy; not the barycenter penalty of topology.annulus_level), from
+  the (_NEWTON_AFTER + 1)-th step on. A Newton step costs about a dozen
+  products with phi and a BB step two, so starts that BB finishes within
+  _NEWTON_AFTER steps, as most annulus starts do, never pay for one, while
+  starts that creep along near-null translation modes for thousands of BB
+  steps finish in a few dozen Newton steps. The direction is a truncated
+  preconditioned CG solve of H y = -g on the tangent space
+  {y : J'(c) y = 0} (Steihaug 1983; Absil, Mahony and Sepulchre 2008),
+  preconditioned by W = diag(mu^alpha + 1) with the W-orthogonal
+  projection onto the tangent space. CG stops at relative residual
+  min(_CG_FORCING, sqrt(residual)), at the first nonpositive curvature, or
+  after _CG_MAX_ITER products; J'(c) = H c + g costs one product more. The
+  step is tried from t = 1 with the Armijo test below and skipped when the
+  direction is not a descent direction.
+- Barzilai-Borwein step along the Riesz-preconditioned gradient W^-1 g, from
+  the BB length, with the Armijo test: accepted when F drops by at least
+  _ARMIJO t <g, d>. Taken when there is no Newton step or none of its
+  halvings passes.
+- Floor step, when no BB halving passes either. Near a minimum the Armijo
+  test can fail on every halving for rounding alone: each retracted step
+  changes F by less than the error of evaluating F at a retracted point, so
+  the stored F is the lucky low draw among noisy trials and no step can beat
+  it. A second pass over the BB halvings then accepts the first trial whose
+  dual gradient norm is below the current one and whose F exceeds the
+  current F by at most the rounding allowance _FLOOR_ULPS eps max(|F|, 1).
+
+Accepted F therefore never rises by more than that allowance, and only on
+floor steps; Newton and BB steps lower it.
 """
 
 from __future__ import annotations
@@ -46,6 +69,9 @@ from .spectral import Field, SpectralBasis, assemble_and_decompose
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 _FLOOR_ULPS = 64
+_NEWTON_AFTER = 20
+_CG_FORCING = 0.1
+_CG_MAX_ITER = 300
 _POSITIVITY_EPS = 1e-8
 
 
@@ -196,28 +222,30 @@ def ground_state(
     obj = Energy(basis, nl)
     c, values, energy, residual, iterations = _retracted_descent(
         obj, np.asarray(seed.coeffs, dtype=float), obj.value,
-        lambda c, values, _: obj.grad(c, values), tol, max_iter, energy_trace,
+        lambda c, values, _: obj.grad(c, values), obj.hessian_vector, tol, max_iter,
+        energy_trace,
     )
     return _solution_record(basis, c, values, energy, residual, tol, seed_tag, iterations)
 
 
 _Value = Callable[[np.ndarray, np.ndarray], tuple[float, Any]]
+_Hessian = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _retracted_descent(
     obj: Energy, c: np.ndarray, value: _Value,
-    grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray],
+    grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray], hess: _Hessian | None,
     tol: float, max_iter: int, trace: list[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """The one descent on the Nehari manifold: (c, values, F, residual, iterations).
 
-    Retract c, then take Barzilai-Borwein steps along the Riesz-preconditioned
-    gradient through _armijo_step, or _floor_step when no halving passes the
-    Armijo test, until the residual is at most tol, max_iter steps are taken,
-    or neither step is accepted. value(c, values) gives (F, aux) at every
-    trial point; grad(c, values, aux) runs at accepted points and at the floor
-    step's trials. Accepted F is appended to trace if given; see the module
-    docstring for how much it may rise.
+    Retract c, then take the module docstring's Newton, Barzilai-Borwein or
+    floor steps until the residual is at most tol, max_iter steps are taken,
+    or no step is accepted. value(c, values) gives (F, aux) at every trial
+    point; grad(c, values, aux) runs at accepted points and at the floor
+    step's trials; hess(values, v), if given, is the Hessian of F on v at
+    the current point and enables the Newton step. Accepted F is appended to
+    trace if given; see the module docstring for how much it may rise.
     """
     c, values = obj.retract(c, obj.values(c))
     F, aux = value(c, values)
@@ -231,7 +259,8 @@ def _retracted_descent(
     prev_c: np.ndarray | None = None
     prev_d: np.ndarray | None = None
     for _ in range(max_iter):
-        if _residual(gd, F) <= tol:
+        residual = _residual(gd, F)
+        if residual <= tol:
             break
         if prev_c is not None:
             s = c - prev_c
@@ -239,7 +268,14 @@ def _retracted_descent(
             sy = float(s @ y)
             if sy > 0.0:
                 step = min(max(float(s @ s) / sy, 1e-14), 1e14)
-        trial = _armijo_step(obj, c, values, d, dv, F, gd, step, value, _MAX_BACKTRACKS)
+        trial = None
+        if hess is not None and iterations >= _NEWTON_AFTER:
+            newton = _newton_direction(obj, c, values, g, hess, residual)
+            if newton is not None:
+                trial = _armijo_step(obj, c, values, -newton, -obj.values(newton), F,
+                                     -float(g @ newton), 1.0, value, _MAX_BACKTRACKS)
+        if trial is None:
+            trial = _armijo_step(obj, c, values, d, dv, F, gd, step, value, _MAX_BACKTRACKS)
         if trial is None:
             trial = _floor_step(obj, c, values, d, dv, F, gd, step, value, grad)
         if trial is None:
@@ -254,6 +290,51 @@ def _retracted_descent(
         if trace is not None:
             trace.append(F)
     return c, values, F, _residual(gd, F), iterations
+
+
+def _newton_direction(
+    obj: Energy, c: np.ndarray, values: np.ndarray, g: np.ndarray, hess: _Hessian,
+    residual: float,
+) -> np.ndarray | None:
+    """The Newton direction y of the module docstring at (c, values), or None.
+
+    Projected preconditioned CG from y = 0 on H y = -g, H v = hess(values, v):
+    every CG direction is W-orthogonally projected onto the tangent space
+    {y : a y = 0}, a = J'(c) = H c + g, so the iterates stay in it; y is
+    projected once more against drift. None when y is not a descent
+    direction (g y >= 0), as when the first curvature is nonpositive.
+    """
+    a = hess(values, c) + g
+    wa = a / obj.w
+    a_wa = float(a @ wa)
+
+    def project(r: np.ndarray) -> np.ndarray:
+        """W^-1 r, W-orthogonally projected onto the tangent space."""
+        z = r / obj.w
+        return z - (float(a @ z) / a_wa) * wa
+
+    y = np.zeros_like(c)
+    r = g.copy()
+    z = project(r)
+    rz = float(r @ z)
+    rz_stop = min(_CG_FORCING, math.sqrt(residual)) ** 2 * rz
+    p = -z
+    for _ in range(_CG_MAX_ITER):
+        hp = hess(values, p)
+        curvature = float(p @ hp)
+        if curvature <= 0.0:
+            break
+        alpha = rz / curvature
+        y += alpha * p
+        r += alpha * hp
+        z = project(r)
+        rz_new = float(r @ z)
+        if rz_new <= rz_stop:
+            break
+        p = (rz_new / rz) * p - z
+        rz = rz_new
+    y -= (float(a @ y) / a_wa) * wa
+    return y if float(g @ y) < 0.0 else None
 
 
 def _residual(gd: float, F: float) -> float:
@@ -284,7 +365,7 @@ def _floor_step(
     Returns the first trial (c, values, F, aux) that lowers the dual gradient
     norm below gd while F rises by at most the rounding allowance, or None.
     """
-    F_max = F + _FLOOR_ULPS * np.finfo(float).eps * max(abs(F), 1.0)
+    F_max = F + _rounding_allowance(F)
 
     def lowers_gradient(t: float, F_new: float, new_c: np.ndarray, new_v: np.ndarray,
                         aux: Any) -> bool:
@@ -294,6 +375,11 @@ def _floor_step(
         return float(g @ (g / obj.w)) < gd
 
     return _first_halving(obj, c, values, d, dv, t, value, _MAX_BACKTRACKS, lowers_gradient)
+
+
+def _rounding_allowance(F: float) -> float:
+    """_FLOOR_ULPS eps max(|F|, 1): how far two evaluations of one level may differ."""
+    return _FLOOR_ULPS * float(np.finfo(float).eps) * max(abs(F), 1.0)
 
 
 def _first_halving(
@@ -415,8 +501,9 @@ def limit_level_estimate(
 
     Fits a geometric sequence to the last three levels: with gaps g1, g2 and
     ratio rho = g2/g1 the tail sums to g2 rho/(1 - rho) below the last level.
-    Raises NonmonotoneLevels when the levels fail to decrease or the gaps fail
-    to shrink, both signs the grid is too coarse for the expansion.
+    Raises NonmonotoneLevels when a level fails to drop below the one before
+    by more than rounding or the gaps fail to shrink, both signs the grid is
+    too coarse for the expansion.
 
     K defaults to the full span of each grid. Truncating narrow ground states
     inflates their level and can even break the monotone decrease that nested
@@ -437,8 +524,22 @@ def limit_level_estimate(
         )
         levels.append(rep.value)
 
-    diffs = np.diff(levels)
-    if np.any(diffs >= 0):
+    value, error_bar = _geometric_tail(levels, radii)
+    return LimitLevelReport(
+        value=value,
+        error_bar=error_bar,
+        radii=tuple(float(r) for r in radii),
+        levels=tuple(float(v) for v in levels),
+    )
+
+
+def _geometric_tail(levels: list[float], radii: list[float]) -> tuple[float, float]:
+    """(extrapolated level, last gap) for limit_level_estimate.
+
+    A drop within the rounding allowance of the higher level counts as flat:
+    levels of coinciding masks differ by rounding noise of either sign.
+    """
+    if any(a - b <= _rounding_allowance(a) for a, b in zip(levels, levels[1:])):
         raise NonmonotoneLevels(
             f"levels {levels} not strictly decreasing over radii {radii}; grid too coarse"
         )
@@ -449,10 +550,4 @@ def limit_level_estimate(
         raise NonmonotoneLevels(
             f"level gaps do not shrink (ratio {rho:.3f}); geometric tail undefined"
         )
-    value = c3 - g2 * rho / (1.0 - rho)
-    return LimitLevelReport(
-        value=float(value),
-        error_bar=float(g2),
-        radii=tuple(float(r) for r in radii),
-        levels=tuple(float(v) for v in levels),
-    )
+    return float(c3 - g2 * rho / (1.0 - rho)), float(g2)

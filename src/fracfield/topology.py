@@ -260,7 +260,8 @@ def _penalized_descent(
     so the Nehari retraction leaves it unchanged and the descent argument for
     the plain solver carries over verbatim. beta is _barycenter's, as in the
     records. The penalty's nodal gradient is computed with its value at each
-    trial point and reused at accepted ones.
+    trial point and reused at accepted ones. No Hessian action is supplied,
+    so the kernel takes Barzilai-Borwein and floor steps only.
     """
     dom = obj.basis.dom
 
@@ -273,7 +274,7 @@ def _penalized_descent(
     def grad(c: np.ndarray, values: np.ndarray, pvals: np.ndarray) -> np.ndarray:
         return obj.grad(c, values) + obj.phi.T @ pvals
 
-    return _retracted_descent(obj, c, value, grad, tol, max_iter, trace)
+    return _retracted_descent(obj, c, value, grad, None, tol, max_iter, trace)
 
 
 def annulus_level(

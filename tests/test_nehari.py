@@ -11,11 +11,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fracfield import nehari
 from fracfield.domain import build_domain
 from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
 from fracfield.model import Energy, power_model
 from fracfield.nehari import (
+    _geometric_tail,
     _multistart_seeds,
+    _newton_direction,
+    _residual,
     gaussian_bump_seed,
     ground_state,
     level_c,
@@ -177,10 +181,11 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
 
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])
-def test_floor_step_finishes_stalled_start(evr_basis, lapack):
+def test_newton_step_finishes_formerly_stalled_start(evr_basis, lapack):
     # full span of the R=2 disk at h=0.125: with the Armijo test alone, start
     # random-1 of rng_seed 430440614 stalled on the evr basis after 1612
-    # iterations at residual 1.28e-8, no halving passing the test
+    # iterations at residual 1.28e-8, no halving passing the test; the floor
+    # step finished it, and now the Newton step does in a few dozen
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
     n = dom.n_interior
     basis = assemble_and_decompose(dom, K=n) if lapack == "evd" else evr_basis(dom, n)
@@ -190,9 +195,60 @@ def test_floor_step_finishes_stalled_start(evr_basis, lapack):
     rec = ground_state(basis, NL, gaussian_bump_seed(basis, center, width),
                        tol=1e-8, energy_trace=trace)
     assert rec.converged
+    assert rec.iterations <= 100
     F = np.array(trace)
     allowance = 64 * np.finfo(float).eps * np.maximum(np.abs(F[:-1]), 1.0)
     assert np.all(np.diff(F) <= allowance)
+
+
+@pytest.mark.parametrize("lapack", ["evd", "evr"])
+def test_floor_step_finishes_stalled_start(evr_basis, lapack, monkeypatch):
+    # the last penalty stage of the pinned lambda=6 annulus level ends where
+    # no Armijo halving passes for rounding alone; the penalty supplies no
+    # Hessian, so no Newton step either, and floor steps must finish it
+    dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=6.0, h=0.25)
+    n = dom.n_interior
+    basis = assemble_and_decompose(dom, K=n) if lapack == "evd" else evr_basis(dom, n)
+    floor_step = nehari._floor_step
+    rises: list[float] = []
+
+    def recorded(obj, c, values, d, dv, F, *rest):
+        trial = floor_step(obj, c, values, d, dv, F, *rest)
+        if trial is not None:
+            rises.append((trial[2] - F) / (64 * np.finfo(float).eps * max(abs(F), 1.0)))
+        return trial
+
+    monkeypatch.setattr(nehari, "_floor_step", recorded)
+    rep = annulus_level(basis, NL)
+    assert rep.record.converged
+    assert rises
+    assert max(rises) <= 1.0
+
+
+def test_newton_direction_is_tangent_and_descends(disk_basis):
+    e = Energy(disk_basis, NL)
+    for center, width in (((0.0, 0.0), 0.4), ((0.3, -0.2), 0.25)):
+        c0 = gaussian_bump_seed(disk_basis, center, width).coeffs
+        c, values = e.retract(c0, e.values(c0))
+        g = e.grad(c, values)
+        residual = _residual(float(g @ (g / e.w)), e.energy(c, values))
+        y = _newton_direction(e, c, values, g, e.hessian_vector, residual)
+        assert y is not None
+        # J'(c) from J = Q - h^2 sum (u+)^3, not from the H c + g the solver uses
+        a = 2.0 * e.w * c - 3.0 * e.h2 * (e.phi.T @ np.maximum(values, 0.0) ** 2)
+        assert abs(float(a @ y)) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(y)
+        assert float(g @ y) < 0.0
+
+
+def test_newton_finish_converges_every_full_span_disk_start():
+    # at the Barzilai-Borwein steps alone, random-1 and random-3 took about
+    # 5,000 iterations each, creeping along the near-null translation modes
+    dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
+    basis = assemble_and_decompose(dom, K=dom.n_interior)
+    rep = level_c(basis, NL, n_multistarts=8, rng_seed=0)
+    assert rep.n_converged == 8
+    assert max(r.iterations for r in rep.records) <= 100
+    assert rep.value == pytest.approx(5.509143886951, rel=1e-10)
 
 
 def test_ground_state_barycenter_near_center(disk_ground):
@@ -264,9 +320,23 @@ def test_limit_level_estimate_stable_under_refinement():
 
 
 def test_limit_level_estimate_rejects_flat_levels():
-    # radii so close the discrete masks coincide: identical levels
+    # radii so close the discrete masks coincide: levels equal up to rounding
     with pytest.raises(NonmonotoneLevels):
         limit_level_estimate(NL, [1.0, 1.001, 1.002], h=0.3, n_multistarts=1)
+
+
+def test_limit_level_rejects_gaps_within_rounding():
+    # a flat pair a few ulps apart, in either order, is flat; the shrinking
+    # gaps around it must not rescue it
+    c = 4.248961349664238
+    few = 3 * np.spacing(c)
+    for levels in ([c + 0.1, c, c - few], [c + 0.1, c - few, c],
+                   [c, c - few, c - 0.2, c - 0.3], [c - few, c, c - 0.2, c - 0.3]):
+        with pytest.raises(NonmonotoneLevels):
+            _geometric_tail(levels, [1.0, 2.0, 4.0, 8.0][: len(levels)])
+    value, error_bar = _geometric_tail([4.5, 4.3, 4.25], [1.0, 2.0, 4.0])
+    assert error_bar == pytest.approx(0.05)
+    assert value == pytest.approx(4.25 - 0.05 * 0.25 / 0.75)
 
 
 def test_limit_level_estimate_input_validation():
