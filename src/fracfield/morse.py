@@ -1,17 +1,15 @@
 """Second-variation spectra, Morse indices, and the solution-count comparison.
 
 In the retained-mode coordinates the second variation of the energy at u is
-the symmetric K x K matrix
-
-    H[j, k] = (mu_k^alpha + 1) delta_jk - h^2 sum_i h'(u(x_i)) phi_j(x_i) phi_k(x_i),
-
-a diagonal quadratic-form part minus the Gram matrix of the modes under the
-node weights h^2 h'(u). The Morse index is the number of eigenvalues below
--eps_null; eigenvalues within eps_null of zero are counted as null and make
-the point degenerate. The count check compares the index-1/index-2 census of
-a solution list against the prediction 2 P1 - 1 built from hard-coded
-Poincare polynomials (rectangle, disk: 1; annulus: 1 + t), split as P1 points
-of index 1 and P1 - 1 points of index 2.
+the symmetric K x K operator H v = (mu^alpha + 1) v - h^2 Phi^T (h'(u) Phi v),
+a diagonal quadratic-form part minus the Gram operator of the modes under the
+node weights h^2 h'(u), applied by Energy.hessian_vector and never formed. The
+Morse index is the number of eigenvalues below -eps_null; eigenvalues within
+eps_null of zero are counted as null and make the point degenerate. Both need
+only the bottom of the spectrum. The count check compares the index-1/index-2
+census of a solution list against the prediction 2 P1 - 1 built from
+hard-coded Poincare polynomials (rectangle, disk: 1; annulus: 1 + t), split
+as P1 points of index 1 and P1 - 1 points of index 2.
 
 Indices are reported for the full space, not the manifold tangent: every
 solution carries one negative ray direction, so manifold minima score 1 and
@@ -27,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .errors import EigSolveFailure, OffManifold, UnknownDomainTopology
 from .model import Energy, Nonlinearity, h_prime
@@ -43,12 +42,13 @@ def default_eps_null(basis: SpectralBasis) -> float:
 
 @dataclass(frozen=True)
 class HessianSpectrumReport:
-    """Eigenvalue census of the second variation at one field.
+    """Census of the second variation at one field.
 
-    morse_index counts eigenvalues below -eps_null, null_count those within
-    [-eps_null, eps_null]; nondegenerate means null_count is zero, and only
-    then is the critical-group polynomial of the point the single power
-    t^morse_index.
+    eigenvalues holds the k >= min(6, K) smallest eigenvalues, ascending; the
+    largest exceeds eps_null unless k = K. morse_index counts those below
+    -eps_null, null_count those within [-eps_null, eps_null]; nondegenerate
+    means null_count is zero, and only then is the critical-group polynomial
+    of the point the single power t^morse_index.
     """
 
     eigenvalues: np.ndarray
@@ -58,51 +58,28 @@ class HessianSpectrumReport:
     eps_null: float
 
 
-def _gram(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
-    """The Gram matrix G of the modes under node weights h^2 h'(u), exactly symmetric.
-
-    Symmetrized by mirroring its upper triangle in place, column by column:
-    G is the only K x K array allocated, and it is allocated while the node
-    vectors are live, so the peak memory no longer depends on the order in
-    which they are freed.
-    """
-    basis.check_same_domain(u.dom)
-    values = basis.phi @ u.coeffs
-    w = basis.dom.h**2 * h_prime(nl, values)
-    G = basis.phi.T @ (w[:, None] * basis.phi)
-    for j in range(G.shape[0] - 1):
-        G[j + 1:, j] = G[j, j + 1:]
-    return G
-
-
-def hessian_matrix(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
-    """Dense symmetric second-variation matrix at the span representation of u."""
-    # negated in place: a first elided numpy temporary loads libgcc_s, whose
-    # never-freed blocks can pin the K x K arrays in the heap
-    H = _gram(basis, nl, u)
-    np.negative(H, out=H)
-    H[np.diag_indices_from(H)] += basis.weights
-    return H
-
-
 def hessian_spectrum(
     basis: SpectralBasis,
     nl: Nonlinearity,
     u: Field,
     eps_null: float | None = None,
 ) -> HessianSpectrumReport:
-    """Eigendecompose the second variation and count negative and null modes."""
+    """Count negative and null modes from the smallest eigenvalues, k = 6, 12, ...
+
+    k doubles until the largest of the k exceeds eps_null, so no null mode is
+    cut off. Raises EigSolveFailure when the eigensolve fails.
+    """
     eps = default_eps_null(basis) if eps_null is None else float(eps_null)
     if eps <= 0.0:
         raise ValueError(f"eps_null must be positive, got {eps_null}")
-    H = hessian_matrix(basis, nl, u)
-    try:
-        # H is symmetric: its transpose is H in Fortran order, overwritten in place
-        ev = scipy.linalg.eigvalsh(H.T, overwrite_a=True)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise EigSolveFailure(f"Hessian eigendecomposition failed: {exc}") from exc
-    if not np.all(np.isfinite(ev)):
-        raise EigSolveFailure("Hessian spectrum contains non-finite eigenvalues")
+    basis.check_same_domain(u.dom)
+    e = Energy(basis, nl)
+    values = e.values(u.coeffs)
+    k = 6
+    ev = _smallest_eigenvalues(e, values, k)
+    while ev[-1] <= eps and ev.size < basis.K:
+        k *= 2
+        ev = _smallest_eigenvalues(e, values, k)
     morse = int(np.sum(ev < -eps))
     null = int(np.sum(np.abs(ev) <= eps))
     return HessianSpectrumReport(
@@ -114,21 +91,31 @@ def hessian_spectrum(
     )
 
 
-def perturbation_spectrum(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> np.ndarray:
-    """Ascending eigenvalues of the compact part of the second variation.
+def _smallest_eigenvalues(e: Energy, values: np.ndarray, k: int) -> np.ndarray:
+    """The min(k, K) smallest Hessian eigenvalues at these values, ascending.
 
-    Conjugating the Hessian by the quadratic-form weights turns it into
-    I - W^(-1/2) G W^(-1/2) with G the h'(u)-weighted Gram matrix of the
-    modes: identity minus a compact perturbation, measured in the inner
-    product where the quadratic form is the identity. Returned here is the
-    spectrum of that perturbation; it decays because the weight divides out
-    growing mode energies, so only a thin head of the spectrum is
-    non-negligible. At a manifold point with p = 2 the top eigenvalue is
-    exactly 2, attained along the ray.
+    Lanczos (ARPACK) on the Hessian action, with the start vector and the
+    restart generator fixed: by default ARPACK draws them from OS entropy.
     """
-    G = _gram(basis, nl, u)
-    sw = 1.0 / np.sqrt(basis.weights)
-    return scipy.linalg.eigvalsh(sw[:, None] * G * sw[None, :])
+    K = e.w.size
+    if not np.any(h_prime(e.nl, values)):
+        # H = W: its products are exact, so Lanczos from one start vector
+        # would find one copy of each repeated weight
+        return np.sort(e.w)[:k]
+    try:
+        if k < K:
+            H = scipy.sparse.linalg.LinearOperator(
+                (K, K), matvec=lambda v: e.hessian_vector(values, v), dtype=float)
+            ev = scipy.sparse.linalg.eigsh(H, k=k, which="SA", v0=np.ones(K), tol=1e-12,
+                                           return_eigenvectors=False, rng=0)
+        else:  # eigsh needs k < K: form H from K products
+            ev = scipy.linalg.eigvalsh(np.column_stack([e.hessian_vector(values, c)
+                                                        for c in np.eye(K)]))
+    except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
+        raise EigSolveFailure(f"Hessian eigensolve failed: {exc}") from exc
+    if not np.all(np.isfinite(ev)):
+        raise EigSolveFailure("Hessian spectrum contains non-finite eigenvalues")
+    return np.sort(ev)
 
 
 def ray_second_derivative(

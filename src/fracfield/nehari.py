@@ -97,7 +97,7 @@ class SolutionRecord:
 
 @dataclass(frozen=True)
 class LevelReport:
-    """Minimum converged energy over a multistart batch plus its spread."""
+    """Best converged energy of a multistart batch plus its spread (see level_c)."""
 
     value: float
     spread: float
@@ -251,7 +251,6 @@ def _retracted_descent(
     F, aux = value(c, values)
     g = grad(c, values, aux)
     d = g / obj.w
-    dv = obj.values(d)
     gd = float(g @ d)
 
     step = 1.0 / max(1.0, math.sqrt(gd))
@@ -275,6 +274,7 @@ def _retracted_descent(
                 trial = _armijo_step(obj, c, values, -newton, -obj.values(newton), F,
                                      -float(g @ newton), 1.0, value, _MAX_BACKTRACKS)
         if trial is None:
+            dv = obj.values(d)
             trial = _armijo_step(obj, c, values, d, dv, F, gd, step, value, _MAX_BACKTRACKS)
         if trial is None:
             trial = _floor_step(obj, c, values, d, dv, F, gd, step, value, grad)
@@ -284,7 +284,6 @@ def _retracted_descent(
         c, values, F, aux = trial
         g = grad(c, values, aux)
         d = g / obj.w
-        dv = obj.values(d)
         gd = float(g @ d)
         iterations += 1
         if trace is not None:
@@ -455,8 +454,8 @@ def level_c(
 
     Starts are independent; with workers > 1 they run on a thread pool (the
     dense basis is shared read-only and the matrix products release the GIL).
-    Results are merged by sorting on (energy, seed_tag), so the report does
-    not depend on scheduling order.
+    Converged records are merged in _level_order, so neither scheduling nor
+    rounding picks the best record, whose energy is the level.
     """
     if n_multistarts < 1:
         raise ValueError(f"n_multistarts must be >= 1, got {n_multistarts}")
@@ -473,7 +472,7 @@ def level_c(
     else:
         results = [run(s) for s in specs]
 
-    good = sorted((r for r in results if r.converged), key=lambda r: (r.energy, r.seed_tag))
+    good = _level_order([r for r in results if r.converged])
     if not good:
         raise AllStartsFailed(f"none of {n_multistarts} starts converged at tol={tol}")
     energies = [r.energy for r in good]
@@ -484,6 +483,17 @@ def level_c(
         n_requested=n_multistarts,
         records=tuple(good),
     )
+
+
+def _level_order(records: list[SolutionRecord]) -> list[SolutionRecord]:
+    """By energy, where energies within rounding of a group's lowest join it, then by start."""
+    groups: list[list[SolutionRecord]] = []
+    for r in sorted(records, key=lambda r: r.energy):
+        if groups and r.energy - groups[-1][0].energy <= _rounding_allowance(groups[-1][0].energy):
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    return [r for g in groups for r in sorted(g, key=lambda r: start_order(r.seed_tag))]
 
 
 def limit_level_estimate(

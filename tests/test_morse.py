@@ -1,8 +1,11 @@
-"""Second-variation assembly, index counting, and the census comparison.
+"""Second-variation spectra, index counting, and the census comparison.
 
-Oracle strategy: the Hessian matrix is checked column-by-column against a
-central finite difference of the energy gradient, and its action against the
-matrix-free product; index examples use states whose stability type is forced
+Oracle strategy: hessian_spectrum never forms the Hessian, so the dense
+matrix is assembled here as the reference. It is checked column-by-column
+against a central finite difference of the energy gradient and against the
+matrix-free product; the Lanczos eigenvalues are compared with its full
+spectrum and the index counts with the inertia of its LDL^T factorization
+(Sylvester's law). Index examples use states whose stability type is forced
 by the construction (zero field, ground states, two-bump band saddle).
 """
 
@@ -12,25 +15,83 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from fracfield.domain import build_domain
-from fracfield.errors import OffManifold, UnknownDomainTopology
-from fracfield.model import Energy, power_model
+from fracfield.errors import EigSolveFailure, OffManifold, UnknownDomainTopology
+from fracfield.model import Energy, h_prime, power_model
 from fracfield.morse import (
     HessianSpectrumReport,
     classify_record,
     classify_records,
     default_eps_null,
-    hessian_matrix,
     hessian_spectrum,
     morse_count_check,
-    perturbation_spectrum,
     ray_second_derivative,
 )
 from fracfield.nehari import gaussian_bump_seed, ground_state
-from fracfield.spectral import assemble_and_decompose
+from fracfield.spectral import SpectralBasis, assemble_and_decompose
 
 NL = power_model()
+
+
+def _gram(basis: SpectralBasis, u) -> np.ndarray:
+    """The Gram matrix G of the modes under node weights h^2 h'(u), exactly symmetric."""
+    values = basis.phi @ u.coeffs
+    w = basis.dom.h**2 * h_prime(NL, values)
+    G = basis.phi.T @ (w[:, None] * basis.phi)
+    for j in range(G.shape[0] - 1):
+        G[j + 1:, j] = G[j, j + 1:]
+    return G
+
+
+def hessian_matrix(basis: SpectralBasis, u) -> np.ndarray:
+    """Dense symmetric second-variation matrix W - G at the span representation of u."""
+    H = -_gram(basis, u)
+    H[np.diag_indices_from(H)] += basis.weights
+    return H
+
+
+def perturbation_spectrum(basis: SpectralBasis, u) -> np.ndarray:
+    """Ascending eigenvalues of W^(-1/2) G W^(-1/2), the compact part of the second variation.
+
+    Conjugating the Hessian by the quadratic-form weights turns it into
+    identity minus this perturbation; its spectrum decays because the weight
+    divides out growing mode energies. At a manifold point with p = 2 the top
+    eigenvalue is exactly 2, attained along the ray.
+    """
+    sw = 1.0 / np.sqrt(basis.weights)
+    return scipy.linalg.eigvalsh(sw[:, None] * _gram(basis, u) * sw[None, :])
+
+
+def _negative_count(M: np.ndarray) -> int:
+    """Negative eigenvalues of the symmetric M, read off the blocks of its LDL^T factor.
+
+    A 2 x 2 block of D with negative determinant holds one negative
+    eigenvalue, one with positive determinant two of its diagonal's sign.
+    """
+    _, D, _ = scipy.linalg.ldl(M)
+    neg, j = 0, 0
+    while j < D.shape[0]:
+        if j + 1 < D.shape[0] and D[j + 1, j] != 0.0:
+            a, b, c = D[j, j], D[j + 1, j], D[j + 1, j + 1]
+            det = a * c - b * b
+            assert det != 0.0
+            neg += 1 if det < 0.0 else 2 * int(a < 0.0)
+            j += 2
+        else:
+            assert D[j, j] != 0.0
+            neg += int(D[j, j] < 0.0)
+            j += 1
+    return neg
+
+
+def _sylvester_counts(H: np.ndarray, eps: float) -> tuple[int, int]:
+    """(Morse index, null count) of H from the inertia of H + eps I and H - eps I."""
+    shift = eps * np.eye(H.shape[0])
+    below = _negative_count(H + shift)
+    return below, _negative_count(H - shift) - below
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +124,14 @@ def test_zero_field_spectrum(square16):
     assert rep.nondegenerate
     assert rep.eigenvalues[0] == pytest.approx(square16.weights[0], rel=1e-12)
     assert rep.eigenvalues[0] > 1.0
-    assert np.allclose(rep.eigenvalues, np.sort(square16.weights), rtol=1e-12)
+    weights = np.sort(square16.weights)
+    assert np.allclose(rep.eigenvalues, weights[:rep.eigenvalues.size], rtol=1e-12)
+    full = scipy.linalg.eigvalsh(hessian_matrix(square16, zero))
+    assert np.allclose(full, weights, rtol=1e-12)
 
 
 def test_hessian_exactly_symmetric_and_matches_product(square16, square_ground):
-    H = hessian_matrix(square16, NL, square_ground.u)
+    H = hessian_matrix(square16, square_ground.u)
     assert float(np.abs(H - H.T).max()) == 0.0
     e = Energy(square16, NL)
     values = e.values(square_ground.u.coeffs)
@@ -80,7 +144,7 @@ def test_hessian_exactly_symmetric_and_matches_product(square16, square_ground):
 
 def test_hessian_matches_finite_difference_gradient(square16, square_ground):
     u = square_ground.u
-    H = hessian_matrix(square16, NL, u)
+    H = hessian_matrix(square16, u)
     e = Energy(square16, NL)
     rng = np.random.default_rng(7)
     eps = 1e-6 * max(1.0, float(np.linalg.norm(u.coeffs)))
@@ -113,7 +177,7 @@ def test_ray_second_derivative_identities(disk_host, disk_ground):
     assert rsd < 0
     # for h(s) = s^2 the ray curvature is (1 - p) Q = -Q exactly
     assert rsd == pytest.approx(-Q, rel=1e-12)
-    H = hessian_matrix(disk_host, NL, u)
+    H = hessian_matrix(disk_host, u)
     assert rsd == pytest.approx(float(u.coeffs @ (H @ u.coeffs)), rel=1e-8)
 
 
@@ -147,6 +211,76 @@ def test_band_saddle_has_index_two(annulus4, annulus_band):
     # the two descent modes are the near-degenerate single-bump ray pair
     assert rep.eigenvalues[1] == pytest.approx(rep.eigenvalues[0], rel=1e-3)
     assert rep.eigenvalues[2] > 1.0
+
+
+def test_index_counts_match_sylvester_inertia(square16, square_ground, disk_host, disk_ground,
+                                              annulus4, annulus_classes, annulus_band):
+    cases = [(square16, square_ground.u), (disk_host, disk_ground.u)]
+    cases += [(annulus4, cl.representative.u) for cl in annulus_classes.classes]
+    cases.append((annulus4, annulus_band.saddle.u))
+    for basis, u in cases:
+        rep = hessian_spectrum(basis, NL, u)
+        H = hessian_matrix(basis, u)
+        assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, rep.eps_null)
+        k = rep.eigenvalues.size
+        assert 6 <= k < basis.K
+        assert rep.eigenvalues[-1] > rep.eps_null
+        assert np.allclose(rep.eigenvalues, scipy.linalg.eigvalsh(H)[:k], rtol=1e-10, atol=1e-10)
+
+
+def _eps_with_null_count(ev: np.ndarray, lo: int, hi: int) -> tuple[float, int]:
+    """An eps_null midway in the widest gap between the lo-th and hi-th smallest |ev|,
+    with the number of eigenvalues it takes in."""
+    mags = np.sort(np.abs(ev))
+    j = lo + int(np.argmax(np.diff(mags[lo:hi + 1])))
+    return 0.5 * (mags[j] + mags[j + 1]), j + 1
+
+
+def test_null_guard_widens_past_first_k(square16, square_ground):
+    H = hessian_matrix(square16, square_ground.u)
+    ev = scipy.linalg.eigvalsh(H)
+    eps, inside = _eps_with_null_count(ev, 8, 14)
+    rep = hessian_spectrum(square16, NL, square_ground.u, eps_null=eps)
+    assert rep.morse_index + rep.null_count == inside > 6
+    assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps)
+    assert rep.morse_index == np.sum(ev < -eps)
+    assert rep.null_count == np.sum(np.abs(ev) <= eps)
+    k = rep.eigenvalues.size
+    assert k > inside and rep.eigenvalues[-1] > eps
+    assert np.allclose(rep.eigenvalues, ev[:k], rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("K, wide", [(10, False), (10, True), (4, False)])
+def test_small_span_spectrum(square16, square_ground, K, wide):
+    basis = assemble_and_decompose(square16.dom, K=K, alpha=0.5)
+    assert basis.K <= 12
+    u = basis.analyze(square_ground.u.values)
+    H = hessian_matrix(basis, u)
+    ev = scipy.linalg.eigvalsh(H)
+    eps = _eps_with_null_count(ev, 6, 7)[0] if wide else default_eps_null(basis)
+    rep = hessian_spectrum(basis, NL, u, eps_null=eps)
+    # six eigenvalues, by Lanczos, when they reach past eps; all of them otherwise
+    assert rep.eigenvalues.size == (basis.K if wide or basis.K <= 6 else 6)
+    assert np.allclose(rep.eigenvalues, ev[:rep.eigenvalues.size], rtol=1e-10, atol=1e-10)
+    assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps)
+
+
+def test_spectrum_repeats_bitwise(disk_host, disk_ground):
+    first = hessian_spectrum(disk_host, NL, disk_ground.u)
+    again = hessian_spectrum(disk_host, NL, disk_ground.u)
+    assert first.eigenvalues.tobytes() == again.eigenvalues.tobytes()
+
+
+def test_eigensolve_failures_are_typed(monkeypatch, square16, square_ground):
+    def no_convergence(*args, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.empty(0), None)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+    with pytest.raises(EigSolveFailure, match="eigensolve failed"):
+        hessian_spectrum(square16, NL, square_ground.u)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: np.full(k, np.nan))
+    with pytest.raises(EigSolveFailure, match="non-finite"):
+        hessian_spectrum(square16, NL, square_ground.u)
 
 
 def test_classify_records_attaches_indices(disk_host, disk_ground):
@@ -212,7 +346,7 @@ def test_morse_count_check_validation(disk_ground):
 
 
 def test_compactness_echo_spectrum_decays(disk_host, disk_ground):
-    ps = perturbation_spectrum(disk_host, NL, disk_ground.u)
+    ps = perturbation_spectrum(disk_host, disk_ground.u)
     assert np.all(np.diff(ps) >= 0)
     assert np.all(ps >= -1e-12)
     top = ps[-1]

@@ -8,6 +8,8 @@ identities that eliminate the potential term.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveFiel
 from fracfield.model import Energy, power_model
 from fracfield.nehari import (
     _geometric_tail,
+    _level_order,
     _multistart_seeds,
     _newton_direction,
     _residual,
@@ -285,6 +288,18 @@ def test_level_threaded_matches_serial(disk_basis):
     threaded = level_c(disk_basis, NL, n_multistarts=3, rng_seed=5, workers=3)
     assert serial.value == threaded.value
     assert [r.seed_tag for r in serial.records] == [r.seed_tag for r in threaded.records]
+
+
+def test_level_order_ignores_rounding_and_tag_spelling(disk_ground):
+    rec = disk_ground[0]
+    E = rec.energy
+    ulp = float(np.spacing(E))
+    tagged = [("random-10", E), ("random-2", E + 3 * ulp), ("center", E + 8 * ulp),
+              ("random-1", E - 2 * ulp), ("random-3", E + 1e-6), ("random-4", E + 1e-6 - ulp)]
+    records = [dataclasses.replace(rec, seed_tag=t, energy=e) for t, e in tagged]
+    for order in (records, records[::-1]):
+        got = [r.seed_tag for r in _level_order(order)]
+        assert got == ["center", "random-1", "random-2", "random-10", "random-3", "random-4"]
 
 
 def test_level_decreases_when_square_expands():
