@@ -53,6 +53,10 @@ class ConstraintViolated(FracfieldError):
     """Penalty continuation ended with the barycenter constraint out of tolerance."""
 
 
+class SaddleNotEscaped(FracfieldError):
+    """The pinned level's descent kept converging to saddles of the penalized objective."""
+
+
 class OffManifold(FracfieldError):
     """A computation assumed a Nehari-manifold point but |J(u)| was too large."""
 

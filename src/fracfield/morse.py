@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import dataclasses
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,30 +92,41 @@ def hessian_spectrum(
 
 
 def _smallest_eigenvalues(e: Energy, values: np.ndarray, k: int) -> np.ndarray:
-    """The min(k, K) smallest Hessian eigenvalues at these values, ascending.
-
-    Lanczos (ARPACK) on the Hessian action, with the start vector and the
-    restart generator fixed: by default ARPACK draws them from OS entropy.
-    """
-    K = e.w.size
+    """The min(k, K) smallest Hessian eigenvalues at these values, ascending."""
     if not np.any(h_prime(e.nl, values)):
         # H = W: its products are exact, so Lanczos from one start vector
         # would find one copy of each repeated weight
         return np.sort(e.w)[:k]
+    return _smallest_eigenpairs(lambda v: e.hessian_vector(values, v), e.w.size, k)[0]
+
+
+def _smallest_eigenpairs(
+    matvec: Callable[[np.ndarray], np.ndarray], K: int, k: int,
+    vectors: bool = False, maxiter: int | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The min(k, K) smallest eigenvalues of the symmetric K x K operator matvec,
+    ascending, with their eigenvectors as columns if vectors is set (else None).
+
+    Lanczos (ARPACK) with the start vector and the restart generator fixed: by
+    default ARPACK draws them from OS entropy. maxiter caps its restarts (ARPACK's
+    default is 10 K). Raises EigSolveFailure when the solve fails or runs out.
+    """
     try:
         if k < K:
-            H = scipy.sparse.linalg.LinearOperator(
-                (K, K), matvec=lambda v: e.hessian_vector(values, v), dtype=float)
-            ev = scipy.sparse.linalg.eigsh(H, k=k, which="SA", v0=np.ones(K), tol=1e-12,
-                                           return_eigenvectors=False, rng=0)
+            H = scipy.sparse.linalg.LinearOperator((K, K), matvec=matvec, dtype=float)
+            found = scipy.sparse.linalg.eigsh(H, k=k, which="SA", v0=np.ones(K), tol=1e-12,
+                                              return_eigenvectors=vectors, rng=0,
+                                              maxiter=maxiter)
         else:  # eigsh needs k < K: form H from K products
-            ev = scipy.linalg.eigvalsh(np.column_stack([e.hessian_vector(values, c)
-                                                        for c in np.eye(K)]))
+            found = scipy.linalg.eigh(np.column_stack([matvec(c) for c in np.eye(K)]),
+                                      eigvals_only=not vectors)
     except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
         raise EigSolveFailure(f"Hessian eigensolve failed: {exc}") from exc
+    ev, vecs = found if vectors else (found, None)
     if not np.all(np.isfinite(ev)):
         raise EigSolveFailure("Hessian spectrum contains non-finite eigenvalues")
-    return np.sort(ev)
+    order = np.argsort(ev)
+    return ev[order], None if vecs is None else vecs[:, order]
 
 
 def ray_second_derivative(

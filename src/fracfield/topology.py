@@ -17,16 +17,26 @@ representatives, so counts here are orbit-class counts.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
 from .domain import GridDomain, build_domain, neighborhood_membership
-from .errors import BallDoesNotFit, ConstraintViolated, NonpositiveField
-from .model import Energy, Nonlinearity
+from .errors import (
+    BallDoesNotFit,
+    ConstraintViolated,
+    EigSolveFailure,
+    NonpositiveField,
+    SaddleNotEscaped,
+)
+from .model import Energy, Nonlinearity, h_prime
+from .morse import _smallest_eigenpairs, default_eps_null
 from .nehari import (
     SolutionRecord,
+    _Hessian,
+    _Value,
     _armijo_step,
     _barycenter,
     _residual,
@@ -39,6 +49,10 @@ from .nehari import (
 from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 log = logging.getLogger(__name__)
+
+_ESCAPE_SIZE = 0.1
+_MAX_ESCAPES = 4
+_CHECK_RESTARTS = 50
 
 
 @dataclass(frozen=True)
@@ -254,14 +268,35 @@ def _penalized_descent(
     obj: Energy, c: np.ndarray, rho: float, x_tilde: np.ndarray,
     tol: float, max_iter: int, trace: list[float] | None = None,
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """nehari's one retracted descent kernel, run on I + rho |beta(u) - x_tilde|^2.
+    """nehari's one retracted descent kernel, run on F = I + rho |beta(u) - x_tilde|^2.
 
     The penalty is scale-invariant along rays (beta ignores positive scaling),
     so the Nehari retraction leaves it unchanged and the descent argument for
-    the plain solver carries over verbatim. beta is _barycenter's, as in the
-    records. The penalty's nodal gradient is computed with its value at each
-    trial point and reused at accepted ones. No Hessian action is supplied,
-    so the kernel takes Barzilai-Borwein and floor steps only.
+    the plain solver carries over verbatim. The kernel takes _penalty's value,
+    gradient and Hessian action, so its Newton step serves this objective too.
+    """
+    return _retracted_descent(obj, c, *_penalty(obj, rho, x_tilde), tol, max_iter, trace)
+
+
+def _penalty(
+    obj: Energy, rho: float, x_tilde: np.ndarray,
+) -> tuple[_Value, Callable[..., np.ndarray], _Hessian]:
+    """The kernel's value, grad and hess callables for F = I + rho |beta(u) - x_tilde|^2.
+
+    beta is _barycenter's, as in the records. The penalty's nodal gradient
+    4 rho s q / M is computed with F at each trial point and reused at accepted
+    ones. With s = u+, m = 1[u > 0], M = sum s^2, r_i = x_i - beta,
+    q = r . (beta - x_tilde) and Bz = 2 sum s_i z_i r_i / M (the change of
+    beta along z), the penalty's nodal Hessian on z is
+
+        4 rho / M [s (r . Bz) + m q z - 2 (s <s q, z> + s q <s, z>) / M],
+
+    a diagonal on the positive set plus a term of rank at most 3. hess(values)
+    computes the per-point terms once and returns the map v -> H_F v, which
+    adds that Hessian to the energy's second variation on z = phi v in one
+    product with phi and one with its transpose. The penalty is 0-homogeneous,
+    so its Hessian sends c to minus its gradient: H_F c + g_F = H_I c + g_I =
+    J'(c), and the Newton step's tangent space is the plain energy's.
     """
     dom = obj.basis.dom
 
@@ -274,7 +309,41 @@ def _penalized_descent(
     def grad(c: np.ndarray, values: np.ndarray, pvals: np.ndarray) -> np.ndarray:
         return obj.grad(c, values) + obj.phi.T @ pvals
 
-    return _retracted_descent(obj, c, value, grad, None, tol, max_iter, trace)
+    def hess(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        s, beta, M = _barycenter(dom, values)
+        r = dom.node_coords - beta
+        q = r @ (beta - x_tilde)
+        sq, sr = s * q, s[:, None] * r
+        diag = (4.0 * rho / M) * (s > 0.0) * q - obj.h2 * h_prime(obj.nl, values)
+
+        def hv(v: np.ndarray) -> np.ndarray:
+            z = obj.phi @ v
+            bz = 2.0 * (z @ sr) / M
+            low_rank = s * (r @ bz) - 2.0 * (s * float(sq @ z) + sq * float(s @ z)) / M
+            return obj.w * v + obj.phi.T @ ((4.0 * rho / M) * low_rank + diag * z)
+
+        return hv
+
+    return value, grad, hess
+
+
+def _saddle_escape(
+    obj: Energy, hv: Callable[[np.ndarray], np.ndarray], c: np.ndarray,
+) -> np.ndarray | None:
+    """The escape step from a stage's end point c when it is a saddle of F, else None.
+
+    The two smallest eigenvalues of F's Hessian hv there, by morse's Lanczos: the
+    first is the ray's, negative at every point of the manifold, and a second
+    one below -eps_null makes the point a saddle on the manifold. The step is
+    _ESCAPE_SIZE |c| along the second eigenvector, signed so that its largest
+    component is positive.
+    """
+    ev, vecs = _smallest_eigenpairs(hv, c.size, 2, vectors=True, maxiter=_CHECK_RESTARTS)
+    if ev[1] >= -default_eps_null(obj.basis):
+        return None
+    v = vecs[:, 1]
+    v = v if v[np.argmax(np.abs(v))] > 0.0 else -v
+    return _ESCAPE_SIZE * float(np.linalg.norm(c)) * v
 
 
 def annulus_level(
@@ -292,8 +361,17 @@ def annulus_level(
     rho upward with warm starts; rho is scaled by (seed energy)/(lam r)^2 so
     the penalty competes with the energy from the first stage on. The default
     seed is a radially symmetric ring at the mid radius, whose barycenter is
-    already the center. Fails with ConstraintViolated if the final barycenter
-    sits farther than 2h from the target.
+    already the center.
+
+    Each stage runs _penalized_descent, Newton finish included. A converged
+    stage is checked to second order (_saddle_escape): where its end point is
+    a saddle of the penalized objective, as the symmetric four-bump point
+    that the ring seed can reach at lam=2, the stage is rerun from a step off
+    it, at most _MAX_ESCAPES times in all, then SaddleNotEscaped is raised.
+    An unconverged stage ends the continuation, and so does a check whose
+    Lanczos solve fails within _CHECK_RESTARTS restarts. Fails with
+    ConstraintViolated if the barycenter it ends at sits farther than 2h from
+    the target, else with the check's EigSolveFailure if there was one.
     """
     dom = basis.dom
     if dom.shape_id != "annulus":
@@ -314,10 +392,28 @@ def annulus_level(
     length = dom.lam * dom.params["r"]
     rhos = tuple(float(m) * abs(e_typ) / length**2 for m in rho_multipliers)
 
-    iterations = 0
-    for rho in rhos:
-        c, _, _, residual, its = _penalized_descent(obj, c, rho, target, tol, max_iter)
+    k = iterations = escapes = 0
+    unchecked: EigSolveFailure | None = None
+    while k < len(rhos):
+        c, values, _, residual, its = _penalized_descent(obj, c, rhos[k], target, tol, max_iter)
         iterations += its
+        if residual > tol:
+            break  # an unconverged stage ends the continuation
+        hess = _penalty(obj, rhos[k], target)[2]
+        try:
+            step = _saddle_escape(obj, hess(values), c)
+        except EigSolveFailure as exc:
+            unchecked = exc
+            break
+        if step is None:
+            k += 1
+        elif escapes < _MAX_ESCAPES:
+            escapes += 1
+            c = c + step
+        else:
+            raise SaddleNotEscaped(
+                f"stage rho={rhos[k]:.3g} still ends at a saddle after {escapes} escapes"
+            )
 
     values = obj.values(c)
     record = _solution_record(
@@ -329,7 +425,9 @@ def annulus_level(
         raise ConstraintViolated(
             f"final barycenter {tuple(beta)} sits {dist:.3g} from target {x_tilde}"
             f" (allowed 2h = {2 * dom.h:.3g})"
-        )
+        ) from unchecked
+    if unchecked is not None:
+        raise unchecked
     return AnnulusLevelReport(
         value=record.energy,
         record=record,

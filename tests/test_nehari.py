@@ -206,9 +206,11 @@ def test_newton_step_finishes_formerly_stalled_start(evr_basis, lapack):
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])
 def test_floor_step_finishes_stalled_start(evr_basis, lapack, monkeypatch):
-    # the last penalty stage of the pinned lambda=6 annulus level ends where
-    # no Armijo halving passes for rounding alone; the penalty supplies no
-    # Hessian, so no Newton step either, and floor steps must finish it
+    # the pinned lambda=6 annulus level with the Newton step held off: its
+    # last penalty stage then ends where no Armijo halving passes for rounding
+    # alone, and floor steps must finish it. With Newton the stages mostly
+    # jump past that floor, and whether one lands on it changes with the
+    # basis and the BLAS thread count
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=6.0, h=0.25)
     n = dom.n_interior
     basis = assemble_and_decompose(dom, K=n) if lapack == "evd" else evr_basis(dom, n)
@@ -222,10 +224,34 @@ def test_floor_step_finishes_stalled_start(evr_basis, lapack, monkeypatch):
         return trial
 
     monkeypatch.setattr(nehari, "_floor_step", recorded)
+    monkeypatch.setattr(nehari, "_NEWTON_AFTER", 20000)
     rep = annulus_level(basis, NL)
     assert rep.record.converged
     assert rises
     assert max(rises) <= 1.0
+
+
+def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
+    # from a converged start, at tol 0, which no residual meets, the Newton
+    # step is tried at every step from the 21st on and costs several Hessian
+    # products each time; the descent stops trying it once max_iter products
+    # are spent
+    rec = disk_ground[0]
+    e = Energy(disk_basis, NL)
+    products = 0
+
+    def hess(values):
+        def hv(v):
+            nonlocal products
+            products += 1
+            return e.hessian_vector(values, v)
+        return hv
+
+    max_iter = 200
+    *_, residual, _ = nehari._retracted_descent(
+        e, rec.u.coeffs, e.value, lambda c, values, _: e.grad(c, values), hess, 0.0, max_iter)
+    assert residual > 0.0
+    assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
 
 
 def test_newton_direction_is_tangent_and_descends(disk_basis):
@@ -235,7 +261,7 @@ def test_newton_direction_is_tangent_and_descends(disk_basis):
         c, values = e.retract(c0, e.values(c0))
         g = e.grad(c, values)
         residual = _residual(float(g @ (g / e.w)), e.energy(c, values))
-        y = _newton_direction(e, c, values, g, e.hessian_vector, residual)
+        y, _ = _newton_direction(e, c, g, lambda v: e.hessian_vector(values, v), residual)
         assert y is not None
         # J'(c) from J = Q - h^2 sum (u+)^3, not from the H c + g the solver uses
         a = 2.0 * e.w * c - 3.0 * e.h2 * (e.phi.T @ np.maximum(values, 0.0) ** 2)

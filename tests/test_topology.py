@@ -14,13 +14,22 @@ import numpy as np
 import pytest
 
 from fracfield.domain import build_domain, neighborhood_membership
-from fracfield.errors import BallDoesNotFit, ConstraintViolated, NonpositiveField
+from fracfield import topology
+from fracfield.errors import (
+    BallDoesNotFit,
+    ConstraintViolated,
+    EigSolveFailure,
+    NonpositiveField,
+    SaddleNotEscaped,
+)
 from fracfield.model import Energy, power_model
+from fracfield.morse import _smallest_eigenpairs
 from fracfield.nehari import gaussian_bump_seed, ground_state
 from fracfield.spectral import Field, assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
     _penalized_descent,
+    _penalty,
     adjacent_orbit_image,
     annulus_level,
     band_saddle,
@@ -291,6 +300,133 @@ def test_annulus_level_converges_on_evd_and_evr(evr_basis, lam):
 def test_annulus_level_infeasible_target(annulus4):
     with pytest.raises(ConstraintViolated):
         annulus_level(annulus4, NL, x_tilde=(10.0, 0.0), max_iter=2000)
+
+
+def _off_centre_penalty(annulus4):
+    """(Energy, value, grad, hess, c, values) for a bump off the axes, cut below zero
+    so m = 1[u > 0] is not all ones, with x_tilde off its barycenter and rho
+    making the penalty's gradient comparable to the energy's."""
+    e = Energy(annulus4, NL)
+    dom = annulus4.dom
+    values = _bump_values(dom, (MID_RADIUS * np.cos(0.5), MID_RADIUS * np.sin(0.5)), 0.8) - 0.05
+    c = annulus4.analyze(values).coeffs
+    values = e.values(c)
+    beta = np.array(barycenter(Field(dom, values, c, 0.0)).point)
+    x_tilde = beta + np.array([0.4, -0.3])
+    rho = float(np.linalg.norm(e.grad(c, values))) / 0.5
+    return (e, *_penalty(e, rho, x_tilde), c, values)
+
+
+def test_penalty_hessian_matches_gradient_differences(annulus4):
+    e, value, grad, hess, c, values = _off_centre_penalty(annulus4)
+    # central differences stay on one side of u = 0 at every node
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        v = rng.standard_normal(c.size) * np.exp(-0.01 * np.arange(c.size))
+        z = e.values(v)
+        eps = 1e-6 / float(np.abs(z).max())
+        assert np.all(np.abs(values) > 10.0 * eps * np.abs(z))
+
+        def g(t):
+            ct = c + t * v
+            vt = e.values(ct)
+            return grad(ct, vt, value(ct, vt)[1])
+
+        fd = (g(eps) - g(-eps)) / (2.0 * eps)
+        hv = hess(values)(v)
+        assert np.linalg.norm(fd - hv) <= 1e-8 * np.linalg.norm(hv)
+        # the penalty's part alone, not drowned by the energy's
+        pen = hv - e.hessian_vector(values, v)
+        fd_pen = fd - (e.grad(c + eps * v, e.values(c + eps * v))
+                       - e.grad(c - eps * v, e.values(c - eps * v))) / (2.0 * eps)
+        assert np.linalg.norm(pen) >= 0.1 * np.linalg.norm(hv)
+        assert np.linalg.norm(fd_pen - pen) <= 1e-8 * np.linalg.norm(pen)
+
+
+def test_penalty_hessian_is_symmetric(annulus4):
+    _, _, _, hess, c, values = _off_centre_penalty(annulus4)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        a, b = rng.standard_normal((2, c.size))
+        lhs, rhs = float(a @ hess(values)(b)), float(hess(values)(a) @ b)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(hess(values)(a)) * np.linalg.norm(b)
+
+
+def test_penalty_hessian_sends_c_to_nehari_differential(annulus4):
+    # the penalty is 0-homogeneous, so H_F c + g_F = J'(c), here computed from
+    # J = Q - h^2 sum (u+)^3 and not from the energy's Hessian
+    e, value, grad, hess, c, values = _off_centre_penalty(annulus4)
+    jprime = 2.0 * e.w * c - 3.0 * e.h2 * (e.phi.T @ np.maximum(values, 0.0) ** 2)
+    g = grad(c, values, value(c, values)[1])
+    lhs = hess(values)(c) + g
+    assert np.linalg.norm(lhs - jprime) <= 1e-12 * np.linalg.norm(g - e.grad(c, values))
+
+
+@pytest.fixture(scope="module")
+def annulus2():
+    dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=2.0, h=0.25)
+    return assemble_and_decompose(dom, K=dom.n_interior)
+
+
+def _diagonal_bumps_seed(basis):
+    """Four equal bumps on the diagonals of the mid circle: exactly D4-symmetric."""
+    dom = basis.dom
+    mid = 0.5 * (dom.params["R"] + dom.params["r"]) * dom.lam
+    vals = sum(_bump_values(dom, (mid * np.cos(a), mid * np.sin(a)), 0.4)
+               for a in np.pi / 4 * np.array([1, 3, 5, 7]))
+    return basis.analyze(vals)
+
+
+def test_annulus_level_escapes_the_four_bump_saddle(annulus2, monkeypatch):
+    # from four D4-symmetric bumps the first stage converges to the
+    # four-bump critical point, which is a saddle of F (index 2); the default
+    # ring seed reaches it too under some BLAS thread counts and leaves it by
+    # rounding under others. The second-order check steps off it, and the
+    # level ends at the two-bump minimum.
+    basis = annulus2
+    escape = topology._saddle_escape
+    taken: list[bool] = []
+
+    def counted(*args):
+        step = escape(*args)
+        taken.append(step is not None)
+        return step
+
+    monkeypatch.setattr(topology, "_saddle_escape", counted)
+    rep = annulus_level(basis, NL, seed=_diagonal_bumps_seed(basis))
+    assert sum(taken) >= 1
+    assert rep.record.converged
+    assert rep.value == pytest.approx(9.418961681314, rel=1e-11)
+    fractions = mass_clusters(rep.record.u)
+    assert len(fractions) == 2
+    assert fractions[0] == pytest.approx(fractions[1], rel=1e-6)
+    e = Energy(basis, NL)
+    hess = _penalty(e, rep.rho_schedule[-1], np.zeros(2))[2]
+    values = e.values(rep.record.u.coeffs)
+    ev, _ = _smallest_eigenpairs(hess(values), basis.K, 2)
+    assert ev[0] < 0.0 < ev[1]
+
+
+def test_annulus_level_escapes_are_bounded(annulus2, monkeypatch):
+    monkeypatch.setattr(topology, "_MAX_ESCAPES", 0)
+    with pytest.raises(SaddleNotEscaped):
+        annulus_level(annulus2, NL, seed=_diagonal_bumps_seed(annulus2))
+
+
+def test_annulus_level_check_failure_is_typed(annulus4, monkeypatch):
+    # one Lanczos restart cannot converge the check: on a feasible target that
+    # is an eigensolve failure, not a level
+    monkeypatch.setattr(topology, "_CHECK_RESTARTS", 1)
+    with pytest.raises(EigSolveFailure):
+        annulus_level(annulus4, NL)
+
+
+def test_unconverged_stage_ends_the_continuation(annulus4):
+    # the ring seed's barycenter is the target, so the level is returned,
+    # unconverged, after the first stage's max_iter steps
+    rep = annulus_level(annulus4, NL, max_iter=5)
+    assert not rep.record.converged
+    assert rep.record.iterations == 5
 
 
 def test_annulus_level_rejects_other_shapes(disk_host):
