@@ -1,4 +1,4 @@
-"""Power-type nonlinearity, growth/structure checks, and the energy functional.
+"""Power-type nonlinearity and the energy functional.
 
 The functional on a spectral basis is
 
@@ -9,18 +9,11 @@ critical points are automatically candidates for positive solutions. The
 L2 gradient has spectral coefficients (mu_k^alpha + 1) b_k - <h(u), phi_k>.
 Energy is the one implementation of I, with its gradient, the Nehari functional
 J, the Hessian-vector action and the closed-form retraction onto the manifold.
-
-check_hypotheses probes the structural conditions used by the existence and
-multiplicity theory (superlinearity at 0, strict subcriticality, the theta
-inequality, monotonicity of h(s)/s, and the C^2 variants) on a sample grid.
-These are numerical probes with documented thresholds, not proofs: parameters
-sitting close to a boundary can read as failures at finite sampling. Equality
-in the theta inequality counts as a pass.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +29,7 @@ class Nonlinearity:
 
     theta is the Ambrosetti-Rabinowitz exponent, q the subcritical growth
     bound, two_star_alpha the fractional critical exponent 2N/(N - 2*alpha).
+    The config schema sets theta and q, but no computation reads them.
     """
 
     p: float
@@ -63,95 +57,6 @@ def h_prime(nl: Nonlinearity, s):
 def H_eval(nl: Nonlinearity, s):
     sp = np.maximum(np.asarray(s, dtype=float), 0.0)
     return sp ** (nl.p + 1.0) / (nl.p + 1.0)
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    passed: bool
-    margin: float
-    note: str
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    checks: dict[str, CheckResult] = field(default_factory=dict)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks.values())
-
-
-_EQ_TOL = 1e-12
-
-
-def check_hypotheses(nl: Nonlinearity, samples: np.ndarray | None = None) -> HypothesisReport:
-    """Numerically probe the structural hypotheses on a positive sample grid.
-
-    Failures are reported, never raised, so deliberately broken parameter
-    sets can be inspected. Each result carries the worst-case sampled margin
-    (nonnegative means pass).
-    """
-    s = np.geomspace(1e-6, 1e3, 121) if samples is None else np.asarray(samples, float)
-    s = np.sort(s[s > 0])
-    checks: dict[str, CheckResult] = {}
-
-    neg = np.max(np.abs(h_eval(nl, -s)))
-    zero = abs(float(h_eval(nl, 0.0)))
-    checks["H0"] = CheckResult(
-        passed=bool(neg == 0.0 and zero == 0.0),
-        margin=-(neg + zero),
-        note="h vanishes on (-inf, 0]",
-    )
-
-    r = h_eval(nl, s) / s
-    checks["H1"] = CheckResult(
-        passed=bool(r[0] <= 1e-3),
-        margin=float(1e-3 - r[0]),
-        note=f"h(s)/s at s={s[0]:.1e} is {r[0]:.3e}; superlinear at the origin needs ~0",
-    )
-
-    t = h_eval(nl, s) / s ** (nl.q - 1.0)
-    ratio = t[-1] / max(t[t.size // 2], 1e-300)
-    checks["H2"] = CheckResult(
-        passed=bool(ratio < 0.5 and np.all(np.diff(t[-8:]) <= 0)),
-        margin=float(0.5 - ratio),
-        note=f"h(s)/s^(q-1) decays by factor {ratio:.3e} from median to s={s[-1]:.0e}",
-    )
-
-    sh = s * h_eval(nl, s)
-    theta_gap = sh - nl.theta * H_eval(nl, s)
-    norm_gap = float(np.min(theta_gap / np.maximum(np.abs(sh), 1e-300)))
-    h_pos = float(H_eval(nl, s[0]))
-    checks["H3"] = CheckResult(
-        passed=bool(nl.theta > 2.0 and norm_gap >= -_EQ_TOL and h_pos > 0.0),
-        margin=norm_gap,
-        note=f"theta={nl.theta}; min (s h - theta H)/(s h) = {norm_gap:.3e} (equality allowed)",
-    )
-
-    dr = np.diff(r)
-    min_incr = float(np.min(dr / np.maximum(s[1:] - s[:-1], 1e-300)))
-    checks["H4"] = CheckResult(
-        passed=bool(np.all(dr > 0)),
-        margin=min_incr,
-        note="h(s)/s strictly increasing across the sample grid",
-    )
-
-    hp = h_prime(nl, s)
-    checks["H1'"] = CheckResult(
-        passed=bool(hp[0] <= 1e-2),
-        margin=float(1e-2 - hp[0]),
-        note=f"h'(s) at s={s[0]:.1e} is {hp[0]:.3e}; needs to vanish at the origin",
-    )
-
-    tp = hp / s ** (nl.q - 2.0)
-    ratio_p = tp[-1] / max(tp[tp.size // 2], 1e-300)
-    checks["H2'"] = CheckResult(
-        passed=bool(ratio_p < 0.5 and np.all(np.diff(tp[-8:]) <= 0)),
-        margin=float(0.5 - ratio_p),
-        note=f"h'(s)/s^(q-2) decays by factor {ratio_p:.3e} toward s={s[-1]:.0e}",
-    )
-
-    return HypothesisReport(checks=checks)
 
 
 class Energy:

@@ -66,11 +66,10 @@ from functools import partial
 from typing import Any
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .domain import GridDomain, build_domain
 from .errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from .model import Energy, Nonlinearity, h_eval
+from .model import Energy, Nonlinearity
 from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 _ARMIJO = 1e-4
@@ -153,49 +152,6 @@ def nehari_scale(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
     _require_positive_part(u.values)
     obj = Energy(basis, nl)
     return obj.nehari_t(u.coeffs, obj.values(u.coeffs))
-
-
-def nehari_scale_root(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
-    """Root-finder route to the projection scale, independent of the closed form.
-
-    Works through generic h evaluations only, so it cross-checks the power
-    shortcut. Brackets the sign change of J(t u) by doubling/halving from 1.
-    """
-    basis.check_same_domain(u.dom)
-    _require_positive_part(u.values)
-    values = basis.phi @ u.coeffs
-    Q = float(np.sum(basis.weights * u.coeffs**2))
-    if Q <= 0.0 or not np.any(values > 0.0):
-        raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
-    h2 = basis.dom.h**2
-
-    def j_of_t(t: float) -> float:
-        tv = t * values
-        return t * t * Q - h2 * float(np.sum(h_eval(nl, tv) * tv))
-
-    lo = hi = 1.0
-    for _ in range(200):
-        if j_of_t(hi) < 0.0:
-            break
-        hi *= 2.0
-    else:
-        raise NonpositiveField("no sign change found: positive part too weak to bracket")
-    for _ in range(200):
-        if j_of_t(lo) > 0.0:
-            break
-        lo *= 0.5
-    else:
-        raise NonpositiveField("no sign change found below t=1")
-    return float(brentq(j_of_t, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200))
-
-
-def ray_max(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> tuple[float, float]:
-    """(t*, I(t* u)): the maximum of the energy along the ray through u."""
-    obj = Energy(basis, nl)
-    basis.check_same_domain(u.dom)
-    values = obj.values(u.coeffs)
-    t = obj.nehari_t(u.coeffs, values)
-    return t, obj.energy(t * u.coeffs, t * values)
 
 
 def gaussian_bump_seed(basis: SpectralBasis, center: tuple[float, float], width: float) -> Field:
@@ -513,7 +469,6 @@ def limit_level_estimate(
     radii: list[float],
     h: float,
     alpha: float = 0.5,
-    K: int | None = None,
     tol: float = 1e-8,
     n_multistarts: int = 2,
     rng_seed: int = 0,
@@ -527,9 +482,9 @@ def limit_level_estimate(
     by more than rounding or the gaps fail to shrink, both signs the grid is
     too coarse for the expansion.
 
-    K defaults to the full span of each grid. Truncating narrow ground states
+    Each ball's basis spans its whole grid. Truncating narrow ground states
     inflates their level and can even break the monotone decrease that nested
-    grids otherwise guarantee, so a cap is opt-in here, unlike elsewhere.
+    grids otherwise guarantee.
     """
     if len(radii) < 3:
         raise ValueError(f"need at least 3 radii, got {len(radii)}")
@@ -539,7 +494,7 @@ def limit_level_estimate(
     levels = []
     for xi in radii:
         dom = build_domain("disk", {"R": float(xi)}, lam=1.0, h=h)
-        basis = assemble_and_decompose(dom, K=K if K is not None else dom.n_interior, alpha=alpha)
+        basis = assemble_and_decompose(dom, K=dom.n_interior, alpha=alpha)
         rep = level_c(
             basis, nl, n_multistarts=n_multistarts, tol=tol,
             rng_seed=rng_seed, workers=workers,

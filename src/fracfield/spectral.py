@@ -99,15 +99,14 @@ def _cluster_safe_cut(mu_all: np.ndarray, k_req: int, n: int) -> int:
 class Field:
     """A grid field together with its spectral coefficients.
 
-    values holds the nodal data; coeffs its projection onto the retained
-    modes. truncation_error is ||values - synth(coeffs)|| / ||values|| in the
-    quadrature norm at construction time (zero for synthesized fields).
+    values holds the nodal data as given; coeffs its projection onto the
+    retained modes. The two agree when the field lies in the span, as a
+    synthesized one does; analyze keeps values as given even when it does not.
     """
 
     dom: GridDomain
     values: np.ndarray
     coeffs: np.ndarray
-    truncation_error: float
 
 
 class SpectralBasis:
@@ -142,18 +141,14 @@ class SpectralBasis:
             )
 
     def analyze(self, values: np.ndarray) -> Field:
-        """Project nodal values onto the retained modes, reporting truncation."""
+        """Project nodal values onto the retained modes."""
         values = np.asarray(values, dtype=float)
         if values.shape != (self.dom.n_interior,):
             raise DomainMismatch(
                 f"values shape {values.shape} does not match the "
                 f"{self.dom.n_interior} interior nodes"
             )
-        coeffs = self._h2 * (self.phi.T @ values)
-        resid = values - self.phi @ coeffs
-        norm = np.sqrt(self._h2 * (values @ values))
-        terr = float(np.sqrt(self._h2 * (resid @ resid)) / norm) if norm > 0 else 0.0
-        return Field(self.dom, values, coeffs, terr)
+        return Field(self.dom, values, self._h2 * (self.phi.T @ values))
 
     def synthesize(self, coeffs: np.ndarray) -> Field:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -161,10 +156,7 @@ class SpectralBasis:
             raise DomainMismatch(
                 f"coefficient shape {coeffs.shape} does not match K={self.K}"
             )
-        return Field(self.dom, self.phi @ coeffs, coeffs, 0.0)
-
-    def norm_l2(self, values: np.ndarray) -> float:
-        return float(np.sqrt(self._h2 * (values @ values)))
+        return Field(self.dom, self.phi @ coeffs, coeffs)
 
 
 def assemble_and_decompose(
@@ -213,11 +205,4 @@ def assemble_and_decompose(
     phi[:, flip] *= -1.0
 
     return SpectralBasis(dom, alpha, mu, phi)
-
-
-def fractional_apply(basis: SpectralBasis, u: Field) -> Field:
-    """Apply (-Delta)^alpha within the retained modes."""
-    basis.check_same_domain(u.dom)
-    coeffs = basis.mu**basis.alpha * u.coeffs
-    return basis.synthesize(coeffs)
 

@@ -55,30 +55,6 @@ _MAX_ESCAPES = 4
 _CHECK_RESTARTS = 50
 
 
-@dataclass(frozen=True)
-class BarycenterReport:
-    """Mass center of the positive part, with optional band membership.
-
-    mass is the quadrature integral h^2 sum (u+)^2; in_omega_plus is set when
-    a band was supplied and says whether the point lies within that distance
-    of the domain.
-    """
-
-    point: tuple[float, float]
-    mass: float
-    in_omega_plus: bool | None
-
-
-def barycenter(u: Field, band: float | None = None) -> BarycenterReport:
-    """beta(u) = sum x_i (u_i+)^2 / sum (u_i+)^2 over the grid values as given."""
-    _, beta, mass = _barycenter(u.dom, u.values)
-    pt = tuple(beta.tolist())
-    in_plus = None
-    if band is not None:
-        in_plus = neighborhood_membership(u.dom, pt, band, side="outer_plus")
-    return BarycenterReport(point=pt, mass=u.dom.h**2 * mass, in_omega_plus=in_plus)
-
-
 _D4 = (
     (1, 0, 0, 1),
     (-1, 0, 0, 1),
@@ -123,8 +99,8 @@ class PsiSeeder:
     """Cache of a ball ground state, stamped onto a host domain on demand.
 
     Solves the ground state of B_rho (same grid step as the host, full span)
-    once; seed(x) translates it by a grid-aligned shift to the snapped center,
-    extends by zero, and projects the result onto the host Nehari manifold.
+    once; seed(x) translates it by a grid-aligned shift to snap(x), extends by
+    zero, and projects the result onto the host Nehari manifold.
     """
 
     def __init__(
@@ -155,56 +131,33 @@ class PsiSeeder:
         return float(dom.xs[ix]), float(dom.ys[iy])
 
     def seed(self, x_tilde: tuple[float, float]) -> Field:
-        return psi_seed(self.basis_ball, self.basis_dom, self.nl, x_tilde,
-                        ball_values=self.ball_state.u.values)
+        """The ball state stamped at the snapped center, zero-extended, projected to M.
 
+        The ball shares the host's grid step, so the stamp is an exact
+        node-to-node copy, no interpolation; ball nodes that land outside the
+        host mask are dropped. Raises BallDoesNotFit when x_tilde is not inside
+        the domain by at least the ball radius.
+        """
+        dom = self.basis_dom.dom
+        if not neighborhood_membership(dom, x_tilde, self.ball_radius, side="inner_minus"):
+            raise BallDoesNotFit(
+                f"center {x_tilde} is closer than {self.ball_radius} to the boundary "
+                "of the host domain"
+            )
+        stamp = self.basis_ball.dom.node_coords + self.snap(x_tilde)
+        jx, jy = np.rint((stamp - (dom.xs[0], dom.ys[0])) / dom.h).astype(np.int64).T
+        on_grid = (jx >= 0) & (jx < dom.nx) & (jy >= 0) & (jy < dom.ny)
+        idx = np.full(jx.size, -1)
+        idx[on_grid] = dom.index_of[jy[on_grid], jx[on_grid]]
+        kept = idx >= 0
+        ext = np.zeros(dom.n_interior)
+        ext[idx[kept]] = self.ball_state.u.values[kept]
+        dropped = int(jx.size - kept.sum())
+        if dropped:
+            log.debug("seed: %d ball nodes fell outside the host mask after snapping", dropped)
 
-def psi_seed(
-    basis_ball: SpectralBasis,
-    basis_dom: SpectralBasis,
-    nl: Nonlinearity,
-    x_tilde: tuple[float, float],
-    ball_values: np.ndarray,
-) -> Field:
-    """Translate ball_values to x_tilde, zero-extend, project to M.
-
-    ball_values are nodal values on basis_ball's grid, normally its ground
-    state (PsiSeeder caches one). Both grids must share the spacing h; the
-    center snaps to the nearest host node so the stamp is an exact
-    node-to-node copy, no interpolation. Raises BallDoesNotFit when x_tilde is
-    not inside the domain by at least the ball radius.
-    """
-    dom = basis_dom.dom
-    ball_dom = basis_ball.dom
-    if abs(ball_dom.h - dom.h) > 1e-12 * dom.h:
-        raise ValueError(f"grid steps differ: ball h={ball_dom.h}, domain h={dom.h}")
-    radius = ball_dom.params["R"] * ball_dom.lam
-    if not neighborhood_membership(dom, x_tilde, radius, side="inner_minus"):
-        raise BallDoesNotFit(
-            f"center {x_tilde} is closer than {radius} to the boundary of the host domain"
-        )
-
-    h = dom.h
-    ix0 = round((x_tilde[0] - dom.xs[0]) / h)
-    iy0 = round((x_tilde[1] - dom.ys[0]) / h)
-    ix0 = int(np.clip(ix0, 0, dom.nx - 1))
-    iy0 = int(np.clip(iy0, 0, dom.ny - 1))
-
-    offsets = np.rint(ball_dom.node_coords / h).astype(np.int64)
-    jx = ix0 + offsets[:, 0]
-    jy = iy0 + offsets[:, 1]
-    on_grid = (jx >= 0) & (jx < dom.nx) & (jy >= 0) & (jy < dom.ny)
-    idx = np.full(jx.size, -1)
-    idx[on_grid] = dom.index_of[jy[on_grid], jx[on_grid]]
-    kept = idx >= 0
-    ext = np.zeros(dom.n_interior)
-    ext[idx[kept]] = ball_values[kept]
-    dropped = int(jx.size - kept.sum())
-    if dropped:
-        log.debug("psi_seed: %d ball nodes fell outside the host mask after snapping", dropped)
-
-    f = basis_dom.analyze(ext)
-    return basis_dom.synthesize(nehari_scale(basis_dom, nl, f) * f.coeffs)
+        f = self.basis_dom.analyze(ext)
+        return self.basis_dom.synthesize(nehari_scale(self.basis_dom, self.nl, f) * f.coeffs)
 
 
 def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
@@ -220,37 +173,13 @@ def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
     total = float((up * up).sum())
     if total <= 0.0:
         raise NonpositiveField("mass clustering undefined: u+ vanishes on the grid")
-    grid = np.zeros(u.dom.mask.shape)
-    grid[u.dom.mask] = up
+    grid = u.dom.grid_values(up)
     labels, n_comp = ndimage.label(grid >= level_frac * up.max())
     fractions = []
     for comp in range(1, n_comp + 1):
         vals = grid[labels == comp]
         fractions.append(float((vals * vals).sum()) / total)
     return tuple(sorted(fractions, reverse=True))
-
-
-def radial_asymmetry(u: Field, center: tuple[float, float] = (0.0, 0.0)) -> float:
-    """||u - equal-radius average of u|| / ||u|| about center.
-
-    Nodes are grouped by exact squared radius (integer r^2/h^2 keys), so a
-    field that genuinely depends only on r scores ~1e-15 and the result
-    measures angular variation alone. Shells of finite width would instead
-    charge a radial field O(h |u'|) for the radius spread inside each bin and
-    drown the signal this diagnostic exists to detect.
-    """
-    x = u.dom.node_coords
-    r2 = (x[:, 0] - center[0]) ** 2 + (x[:, 1] - center[1]) ** 2
-    keys = np.round(r2 / u.dom.h**2).astype(np.int64)
-    norm2 = float(u.values @ u.values)
-    if norm2 <= 0.0:
-        raise NonpositiveField("radial asymmetry undefined for a zero field")
-    _, inverse = np.unique(keys, return_inverse=True)
-    counts = np.bincount(inverse)
-    sums = np.bincount(inverse, weights=u.values)
-    means = sums / counts
-    dev = u.values - means[inverse]
-    return float(np.sqrt((dev @ dev) / norm2))
 
 
 @dataclass(frozen=True)
@@ -262,20 +191,6 @@ class AnnulusLevelReport:
     target: tuple[float, float]
     distance_to_target: float
     rho_schedule: tuple[float, ...]
-
-
-def _penalized_descent(
-    obj: Energy, c: np.ndarray, rho: float, x_tilde: np.ndarray,
-    tol: float, max_iter: int, trace: list[float] | None = None,
-) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """nehari's one retracted descent kernel, run on F = I + rho |beta(u) - x_tilde|^2.
-
-    The penalty is scale-invariant along rays (beta ignores positive scaling),
-    so the Nehari retraction leaves it unchanged and the descent argument for
-    the plain solver carries over verbatim. The kernel takes _penalty's value,
-    gradient and Hessian action, so its Newton step serves this objective too.
-    """
-    return _retracted_descent(obj, c, *_penalty(obj, rho, x_tilde), tol, max_iter, trace)
 
 
 def _penalty(
@@ -363,8 +278,12 @@ def annulus_level(
     seed is a radially symmetric ring at the mid radius, whose barycenter is
     already the center.
 
-    Each stage runs _penalized_descent, Newton finish included. A converged
-    stage is checked to second order (_saddle_escape): where its end point is
+    Each stage builds _penalty's callables for its rho once and runs nehari's
+    descent kernel on them, Newton finish included. The penalty is
+    scale-invariant along rays (beta ignores positive scaling), so the Nehari
+    retraction leaves it unchanged and the plain solver's descent argument
+    carries over. A converged stage is checked to second order, on the same
+    Hessian action (_saddle_escape): where its end point is
     a saddle of the penalized objective, as the symmetric four-bump point
     that the ring seed can reach at lam=2, the stage is rerun from a step off
     it, at most _MAX_ESCAPES times in all, then SaddleNotEscaped is raised.
@@ -395,11 +314,11 @@ def annulus_level(
     k = iterations = escapes = 0
     unchecked: EigSolveFailure | None = None
     while k < len(rhos):
-        c, values, _, residual, its = _penalized_descent(obj, c, rhos[k], target, tol, max_iter)
+        value, grad, hess = _penalty(obj, rhos[k], target)
+        c, values, _, residual, its = _retracted_descent(obj, c, value, grad, hess, tol, max_iter)
         iterations += its
         if residual > tol:
             break  # an unconverged stage ends the continuation
-        hess = _penalty(obj, rhos[k], target)[2]
         try:
             step = _saddle_escape(obj, hess(values), c)
         except EigSolveFailure as exc:

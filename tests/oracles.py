@@ -1,0 +1,72 @@
+"""Independent oracles that only the tests use.
+
+Each recomputes something the package computes another way, so agreement
+checks the package's route: the Nehari scale by bracketing a root of J(t u)
+instead of its closed form, and the radial symmetry of a field by averaging
+over exact grid radii.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize import brentq
+
+from fracfield.errors import NonpositiveField
+from fracfield.model import Nonlinearity, h_eval
+from fracfield.spectral import Field, SpectralBasis
+
+
+def nehari_scale_root(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
+    """Root-finder route to the projection scale, independent of the closed form.
+
+    Works through generic h evaluations only, so it cross-checks the power
+    shortcut. Brackets the sign change of J(t u) by doubling/halving from 1.
+    """
+    basis.check_same_domain(u.dom)
+    values = basis.phi @ u.coeffs
+    Q = float(np.sum(basis.weights * u.coeffs**2))
+    if Q <= 0.0 or not np.any(values > 0.0):
+        raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
+    h2 = basis.dom.h**2
+
+    def j_of_t(t: float) -> float:
+        tv = t * values
+        return t * t * Q - h2 * float(np.sum(h_eval(nl, tv) * tv))
+
+    lo = hi = 1.0
+    for _ in range(200):
+        if j_of_t(hi) < 0.0:
+            break
+        hi *= 2.0
+    else:
+        raise NonpositiveField("no sign change found: positive part too weak to bracket")
+    for _ in range(200):
+        if j_of_t(lo) > 0.0:
+            break
+        lo *= 0.5
+    else:
+        raise NonpositiveField("no sign change found below t=1")
+    return float(brentq(j_of_t, lo, hi, xtol=1e-300, rtol=1e-14, maxiter=200))
+
+
+def radial_asymmetry(u: Field, center: tuple[float, float] = (0.0, 0.0)) -> float:
+    """||u - equal-radius average of u|| / ||u|| about center.
+
+    Nodes are grouped by exact squared radius (integer r^2/h^2 keys), so a
+    field that genuinely depends only on r scores ~1e-15 and the result
+    measures angular variation alone. Shells of finite width would instead
+    charge a radial field O(h |u'|) for the radius spread inside each bin and
+    drown the signal this diagnostic exists to detect.
+    """
+    x = u.dom.node_coords
+    r2 = (x[:, 0] - center[0]) ** 2 + (x[:, 1] - center[1]) ** 2
+    keys = np.round(r2 / u.dom.h**2).astype(np.int64)
+    norm2 = float(u.values @ u.values)
+    if norm2 <= 0.0:
+        raise NonpositiveField("radial asymmetry undefined for a zero field")
+    _, inverse = np.unique(keys, return_inverse=True)
+    counts = np.bincount(inverse)
+    sums = np.bincount(inverse, weights=u.values)
+    means = sums / counts
+    dev = u.values - means[inverse]
+    return float(np.sqrt((dev @ dev) / norm2))

@@ -26,7 +26,6 @@ from fracfield.nehari import (
     ground_state,
     limit_level_estimate,
     nehari_scale,
-    nehari_scale_root,
 )
 from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import (
@@ -34,8 +33,8 @@ from fracfield.topology import (
     annulus_level,
     band_saddle,
     multiplicity_search,
-    radial_asymmetry,
 )
+from oracles import nehari_scale_root, radial_asymmetry
 
 NL = power_model()
 

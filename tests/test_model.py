@@ -1,4 +1,4 @@
-"""Nonlinearity checks and energy/gradient machinery against finite differences.
+"""Pointwise nonlinearity and energy/gradient machinery against finite differences.
 
 The gradient and Hessian-vector oracles are central finite differences of an
 independently written energy evaluation in coefficient space, so agreement
@@ -15,12 +15,11 @@ from fracfield.model import (
     Energy,
     H_eval,
     Nonlinearity,
-    check_hypotheses,
     h_eval,
     h_prime,
     power_model,
 )
-from fracfield.nehari import ray_max
+from fracfield.nehari import nehari_scale
 from fracfield.spectral import assemble_and_decompose
 
 
@@ -60,33 +59,6 @@ def test_critical_exponent_and_subcriticality():
     assert nl.q < nl.two_star_alpha
     with pytest.raises(ValueError):
         power_model(alpha=1.0)
-
-
-def test_default_model_passes_all_hypotheses():
-    report = check_hypotheses(power_model())
-    assert report.all_passed, {k: v for k, v in report.checks.items() if not v.passed}
-    assert set(report.checks) == {"H0", "H1", "H2", "H3", "H4", "H1'", "H2'"}
-
-
-def test_theta_equality_boundary_passes():
-    # theta = p + 1 makes s h(s) - theta H(s) identically zero; equality counts
-    report = check_hypotheses(power_model(p=2.0, theta=3.0))
-    h3 = report.checks["H3"]
-    assert h3.passed
-    assert abs(h3.margin) <= 1e-12
-
-
-def test_sublinear_power_fails_monotonicity():
-    report = check_hypotheses(power_model(p=0.5))
-    assert not report.checks["H4"].passed
-    assert report.checks["H4"].margin < 0
-    assert not report.all_passed
-
-
-def test_supercritical_growth_fails_growth_bound():
-    # p = q - 1 makes h(s)/s^(q-1) constant, so the decay check must fail
-    report = check_hypotheses(power_model(p=2.5, q=3.5))
-    assert not report.checks["H2"].passed
 
 
 def test_energy_identity_and_parts(square16):
@@ -135,7 +107,8 @@ def test_gradient_norm_is_coefficient_norm(square16):
     # by orthonormality the coefficient norm is the quadrature L2 norm of the
     # synthesized gradient field
     grad_norm = float(np.sqrt(g @ g))
-    assert grad_norm == pytest.approx(basis.norm_l2(basis.synthesize(g).values), rel=1e-10)
+    gv = basis.synthesize(g).values
+    assert grad_norm == pytest.approx(np.sqrt(basis.dom.h**2 * (gv @ gv)), rel=1e-10)
 
 
 def test_hessian_vector_matches_gradient_differences(square16):
@@ -182,4 +155,4 @@ def test_energy_rejects_foreign_domain(square16):
     u = foreign.synthesize(np.ones(foreign.K))
     # Energy works on raw arrays; the Field entry points check the domain
     with pytest.raises(DomainMismatch):
-        ray_max(square16, power_model(), u)
+        nehari_scale(square16, power_model(), u)

@@ -28,11 +28,10 @@ from fracfield.nehari import (
     level_c,
     limit_level_estimate,
     nehari_scale,
-    nehari_scale_root,
-    ray_max,
 )
 from fracfield.spectral import assemble_and_decompose
-from fracfield.topology import _penalized_descent, annulus_level
+from fracfield.topology import _penalty, annulus_level
+from oracles import nehari_scale_root
 
 NL = power_model()
 
@@ -121,9 +120,17 @@ def test_scale_matches_root_finder_on_random_fields(square16):
         checked += 1
 
 
+def _ray_max(basis, u):
+    """(t*, I(t* u)) from the closed-form Nehari scale."""
+    e = Energy(basis, NL)
+    values = e.values(u.coeffs)
+    t = e.nehari_t(u.coeffs, values)
+    return t, e.energy(t * u.coeffs, t * values)
+
+
 def test_ray_max_against_dense_scan(square16):
     u = _bump(square16)
-    t_star, value = ray_max(square16, NL, u)
+    t_star, value = _ray_max(square16, u)
     assert value > 0
     ts = np.linspace(1e-6, 4 * t_star, 1200)
     e = Energy(square16, NL)
@@ -136,9 +143,9 @@ def test_ray_max_against_dense_scan(square16):
 
 def test_ray_max_scale_invariance(square16):
     u = _bump(square16)
-    t1, v1 = ray_max(square16, NL, u)
+    t1, v1 = _ray_max(square16, u)
     u2 = square16.synthesize(2.0 * u.coeffs)
-    t2, v2 = ray_max(square16, NL, u2)
+    t2, v2 = _ray_max(square16, u2)
     assert t2 == pytest.approx(t1 / 2.0, rel=1e-12)
     assert v2 == pytest.approx(v1, rel=1e-12)
 
@@ -157,7 +164,7 @@ def test_ground_state_converges_positive_on_manifold(disk_basis, disk_ground):
 
 def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, annulus4):
     rec, seed, trace = disk_ground
-    _, seed_level = ray_max(disk_basis, NL, seed)
+    _, seed_level = _ray_max(disk_basis, seed)
     assert rec.energy <= seed_level + 1e-12
     assert len(trace) == rec.iterations
     assert np.all(np.diff(trace) < 0)
@@ -169,8 +176,9 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
     rho = annulus_level(annulus4, NL).rho_schedule[0]
     pen_trace: list[float] = []
-    c, _, _, _, its = _penalized_descent(
-        Energy(annulus4, NL), ring.coeffs, rho, np.zeros(2), 1e-8, 20000, pen_trace
+    e = Energy(annulus4, NL)
+    c, _, _, _, its = nehari._retracted_descent(
+        e, ring.coeffs, *_penalty(e, rho, np.zeros(2)), 1e-8, 20000, pen_trace
     )
     assert len(pen_trace) == its > 0
     # accepted values never rise; a few late steps leave F unchanged in the

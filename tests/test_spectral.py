@@ -8,11 +8,7 @@ from hypothesis import strategies as st
 from fracfield.domain import build_domain
 from fracfield.errors import DomainMismatch, EigSolveFailure
 from fracfield.model import Energy, power_model
-from fracfield.spectral import (
-    assemble_and_decompose,
-    assemble_laplacian,
-    fractional_apply,
-)
+from fracfield.spectral import assemble_and_decompose, assemble_laplacian
 
 
 def _closed_form_square(n_side):
@@ -116,23 +112,11 @@ def test_analyze_synthesize_roundtrip_in_span(square16):
     rng = np.random.default_rng(7)
     coeffs = rng.standard_normal(basis.K)
     u = basis.synthesize(coeffs)
-    assert u.truncation_error == 0.0
+    assert np.array_equal(u.values, basis.phi @ coeffs)
     v = basis.analyze(u.values)
     assert np.max(np.abs(v.coeffs - coeffs)) < 1e-12 * np.max(np.abs(coeffs))
-    assert v.truncation_error < 1e-12
-
-
-def test_analyze_reports_truncation(square16):
-    dom, basis = square16
-    full = assemble_and_decompose(dom, K=dom.n_interior, alpha=0.5)
-    high = full.phi[:, 200]  # far outside the retained 100-mode span
-    u = basis.synthesize(np.eye(basis.K)[0])
-    mixed = basis.analyze(u.values + 0.5 * high)
-    # reported truncation equals the actual projection residual
-    resid = mixed.values - basis.phi @ mixed.coeffs
-    got = basis.norm_l2(resid) / basis.norm_l2(mixed.values)
-    assert mixed.truncation_error == pytest.approx(got, rel=1e-12)
-    assert mixed.truncation_error > 0.1
+    resid = v.values - basis.phi @ v.coeffs
+    assert np.linalg.norm(resid) < 1e-12 * np.linalg.norm(v.values)
 
 
 def test_fractional_apply_alpha1_matches_stencil(square16):
@@ -144,15 +128,6 @@ def test_fractional_apply_alpha1_matches_stencil(square16):
     lu = basis.analyze(L @ u.values)
     want = basis.mu * u.coeffs
     assert np.max(np.abs(lu.coeffs - want)) < 1e-8 * np.max(np.abs(want))
-
-
-def test_fractional_apply_halves_compose(square16):
-    _, basis = square16
-    rng = np.random.default_rng(4)
-    u = basis.synthesize(rng.standard_normal(basis.K))
-    twice = fractional_apply(basis, fractional_apply(basis, u))
-    want = basis.mu * u.coeffs  # alpha = 0.5 applied twice
-    assert np.max(np.abs(twice.coeffs - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_energy_norm_fundamental_mode(square16):
@@ -184,7 +159,7 @@ def test_domain_mismatch_raised(square16):
     other_basis = assemble_and_decompose(other, K=20, alpha=0.5)
     u = other_basis.synthesize(np.zeros(other_basis.K))
     with pytest.raises(DomainMismatch):
-        fractional_apply(basis, u)
+        basis.check_same_domain(u.dom)
     with pytest.raises(DomainMismatch):
         basis.synthesize(np.zeros(basis.K + 5))
 

@@ -24,22 +24,19 @@ from fracfield.errors import (
 )
 from fracfield.model import Energy, power_model
 from fracfield.morse import _smallest_eigenpairs
-from fracfield.nehari import gaussian_bump_seed, ground_state
-from fracfield.spectral import Field, assemble_and_decompose
+from fracfield.nehari import _barycenter, _retracted_descent, gaussian_bump_seed, ground_state
+from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
-    _penalized_descent,
     _penalty,
     adjacent_orbit_image,
     annulus_level,
     band_saddle,
-    barycenter,
     mass_clusters,
     multiplicity_search,
-    psi_seed,
-    radial_asymmetry,
     symmetry_group,
 )
+from oracles import radial_asymmetry
 
 NL = power_model()
 
@@ -63,63 +60,64 @@ def _bump_values(dom, center, width=0.3):
 # ---------------------------------------------------------------- barycenter
 
 
+def _beta(u):
+    """The barycenter of u's grid values, as the records and the penalty read it."""
+    return tuple(_barycenter(u.dom, u.values)[1].tolist())
+
+
 def test_barycenter_centered_bump(disk_host):
     u = disk_host.analyze(_bump_values(disk_host.dom, (0.0, 0.0)))
-    rep = barycenter(u)
-    assert abs(rep.point[0]) <= disk_host.dom.h
-    assert abs(rep.point[1]) <= disk_host.dom.h
-    assert rep.mass > 0
-    assert rep.in_omega_plus is None
+    _, beta, mass = _barycenter(u.dom, u.values)
+    assert abs(beta[0]) <= disk_host.dom.h
+    assert abs(beta[1]) <= disk_host.dom.h
+    assert mass > 0
 
 
 def test_barycenter_grid_translation_equivariance(disk_host):
     dom = disk_host.dom
-    a = barycenter(disk_host.analyze(_bump_values(dom, (0.0, 0.0), 0.15)))
-    b = barycenter(disk_host.analyze(_bump_values(dom, (3 * dom.h, -2 * dom.h), 0.15)))
+    a = _beta(disk_host.analyze(_bump_values(dom, (0.0, 0.0), 0.15)))
+    b = _beta(disk_host.analyze(_bump_values(dom, (3 * dom.h, -2 * dom.h), 0.15)))
     # same profile sampled at shifted nodes; mass far from the boundary so the
     # mask clip is negligible at this width
-    assert b.point[0] - a.point[0] == pytest.approx(3 * dom.h, abs=1e-6)
-    assert b.point[1] - a.point[1] == pytest.approx(-2 * dom.h, abs=1e-6)
+    assert b[0] - a[0] == pytest.approx(3 * dom.h, abs=1e-6)
+    assert b[1] - a[1] == pytest.approx(-2 * dom.h, abs=1e-6)
 
 
 def test_barycenter_two_equal_bumps_cancel(disk_host):
     dom = disk_host.dom
     vals = _bump_values(dom, (0.5, 0.0), 0.2) + _bump_values(dom, (-0.5, 0.0), 0.2)
-    rep = barycenter(disk_host.analyze(vals))
-    assert abs(rep.point[0]) <= 1e-10
-    assert abs(rep.point[1]) <= 1e-10
+    beta = _beta(disk_host.analyze(vals))
+    assert abs(beta[0]) <= 1e-10
+    assert abs(beta[1]) <= 1e-10
 
 
 def test_barycenter_scale_invariant_and_ignores_negative_part(disk_host):
     dom = disk_host.dom
     vals = _bump_values(dom, (0.3, -0.2)) - 0.05
-    u = disk_host.analyze(vals)
-    rep = barycenter(u)
-    scaled = barycenter(disk_host.analyze(3.7 * vals))
-    assert scaled.point == pytest.approx(rep.point, rel=1e-13)
+    beta = _beta(disk_host.analyze(vals))
+    scaled = _beta(disk_host.analyze(3.7 * vals))
+    assert scaled == pytest.approx(beta, rel=1e-13)
     # deepening the negative part must not move beta
     deeper = np.where(vals <= 0.0, vals - 1.0, vals)
-    rep2 = barycenter(disk_host.analyze(deeper))
-    assert rep2.point == rep.point
+    assert _beta(disk_host.analyze(deeper)) == beta
 
 
 def test_barycenter_rejects_nonpositive(disk_host):
     with pytest.raises(NonpositiveField):
-        barycenter(disk_host.analyze(-_bump_values(disk_host.dom, (0.0, 0.0))))
+        _beta(disk_host.analyze(-_bump_values(disk_host.dom, (0.0, 0.0))))
 
 
 def test_barycenter_band_membership_detects_hole(annulus4, disk_host):
     # a symmetric ring has beta at the origin, inside the hole: the membership
-    # flag must say the point is NOT within a 1.0-band of the annulus
+    # test must say the point is NOT within a 1.0-band of the annulus
     dom = annulus4.dom
     rr = np.sqrt((dom.node_coords**2).sum(axis=1))
-    ring = annulus4.analyze(np.exp(-((rr - MID_RADIUS) ** 2)))
-    rep = barycenter(ring, band=1.0)
-    assert abs(rep.point[0]) <= 1e-10 and abs(rep.point[1]) <= 1e-10
-    assert rep.in_omega_plus is False
+    beta = _beta(annulus4.analyze(np.exp(-((rr - MID_RADIUS) ** 2))))
+    assert abs(beta[0]) <= 1e-10 and abs(beta[1]) <= 1e-10
+    assert neighborhood_membership(dom, beta, 1.0, side="outer_plus") is False
     # while a bump inside the disk is trivially within any band of it
-    inside = barycenter(disk_host.analyze(_bump_values(disk_host.dom, (0.0, 0.0))), band=0.05)
-    assert inside.in_omega_plus is True
+    inside = _beta(disk_host.analyze(_bump_values(disk_host.dom, (0.0, 0.0))))
+    assert neighborhood_membership(disk_host.dom, inside, 0.05, side="outer_plus") is True
 
 
 # ------------------------------------------------------------ symmetry group
@@ -161,38 +159,34 @@ def test_psi_seed_postconditions(annulus4):
         Q = float(np.sum(annulus4.weights * u.coeffs**2))
         energy, j = _energy_and_j(annulus4, u)
         assert abs(j) <= 1e-10 * Q
-        rep = barycenter(u)
+        beta = _beta(u)
         snapped = seeder.snap(x_tilde)
-        assert np.hypot(rep.point[0] - snapped[0], rep.point[1] - snapped[1]) <= annulus4.dom.h
+        assert np.hypot(beta[0] - snapped[0], beta[1] - snapped[1]) <= annulus4.dom.h
         # zero-extension can only lower the quadratic form on a full span, so
         # the projected seed never exceeds the ball level
         assert energy <= seeder.ball_level + 1e-9
 
 
-def test_psi_seed_on_matching_disk_reproduces_ball_state(disk_host):
-    # host disk and seeding ball share shape, radius, and grid: the stamp is a
-    # node-for-node copy and the projected energy equals the ball level
-    seeder = PsiSeeder(disk_host, NL, ball_radius=1.0)
-    u = seeder.seed((0.0, 0.0))
-    assert _energy_and_j(disk_host, u)[0] == pytest.approx(seeder.ball_level, abs=1e-9)
+@pytest.fixture(scope="module")
+def disk_seeder(disk_host):
+    # host disk and seeding ball share shape, radius, and grid
+    return PsiSeeder(disk_host, NL, ball_radius=1.0)
 
 
-def test_psi_seed_ball_must_fit(annulus4, disk_host):
+def test_psi_seed_on_matching_disk_reproduces_ball_state(disk_host, disk_seeder):
+    # the stamp is a node-for-node copy and the projected energy equals the
+    # ball level
+    u = disk_seeder.seed((0.0, 0.0))
+    assert _energy_and_j(disk_host, u)[0] == pytest.approx(disk_seeder.ball_level, abs=1e-9)
+
+
+def test_psi_seed_ball_must_fit(annulus4, disk_seeder):
     seeder = PsiSeeder(annulus4, NL, ball_radius=1.0)
     with pytest.raises(BallDoesNotFit):
         seeder.seed((3.7, 0.0))  # only 0.3 from the outer boundary
     with pytest.raises(BallDoesNotFit):
         # unit ball into the unit disk anywhere off center cannot fit
-        psi_seed(disk_host, disk_host, NL, (0.5, 0.0), np.zeros(disk_host.dom.n_interior))
-
-
-def test_psi_seed_grid_step_mismatch(annulus4):
-    coarse_ball = assemble_and_decompose(
-        build_domain("disk", {"R": 1.0}, lam=1.0, h=0.2), K=20, alpha=0.5
-    )
-    with pytest.raises(ValueError, match="grid steps differ"):
-        psi_seed(coarse_ball, annulus4, NL, (MID_RADIUS, 0.0),
-                 np.zeros(coarse_ball.dom.n_interior))
+        disk_seeder.seed((0.5, 0.0))
 
 
 # -------------------------------------------------------------- multiplicity
@@ -272,12 +266,12 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
     e = Energy(annulus4, NL)
     c0 = gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).coeffs
     c, values = e.retract(c0, e.values(c0))
-    beta = np.array(barycenter(Field(annulus4.dom, values, c, 0.0)).point)
+    beta = _barycenter(annulus4.dom, values)[1]
     x_tilde = beta + np.array([1e-3, -1e-3])
     energy = e.energy(c, values)
     rho = abs(energy) / 2e-6
     # max_iter=0: the kernel retracts the seed, evaluates F there and stops
-    c_k, values_k, F, _, its = _penalized_descent(e, c0, rho, x_tilde, 1e-8, 0)
+    c_k, values_k, F, _, its = _retracted_descent(e, c0, *_penalty(e, rho, x_tilde), 1e-8, 0)
     assert its == 0
     assert np.array_equal(c_k, c) and np.array_equal(values_k, values)
     gap = beta - x_tilde
@@ -311,7 +305,7 @@ def _off_centre_penalty(annulus4):
     values = _bump_values(dom, (MID_RADIUS * np.cos(0.5), MID_RADIUS * np.sin(0.5)), 0.8) - 0.05
     c = annulus4.analyze(values).coeffs
     values = e.values(c)
-    beta = np.array(barycenter(Field(dom, values, c, 0.0)).point)
+    beta = _barycenter(dom, values)[1]
     x_tilde = beta + np.array([0.4, -0.3])
     rho = float(np.linalg.norm(e.grad(c, values))) / 0.5
     return (e, *_penalty(e, rho, x_tilde), c, values)
@@ -512,13 +506,13 @@ def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classe
     images = [annulus4.analyze(axis.u.values[p]) for p in symmetry_group(annulus4.dom)]
     # the states at (0, 2.8) and (0, -2.8), each twice, since the
     # representative is its own mirror image
-    on_y = [u for u in images if abs(barycenter(u).point[0]) < h]
+    on_y = [u for u in images if abs(_beta(u)[0]) < h]
     assert len(on_y) == 4
     for u in on_y:
-        ref = np.array(barycenter(u).point)
+        ref = np.array(_beta(u))
         partner = adjacent_orbit_image(annulus4, u)
         if partner is not None:
-            assert np.hypot(*(np.array(barycenter(partner).point) - ref)) > 2 * h
+            assert np.hypot(*(np.array(_beta(partner)) - ref)) > 2 * h
 
 
 def test_band_saddle_needs_enough_images(annulus4, annulus_classes):
