@@ -66,11 +66,10 @@ def main(argv: list[str] | None = None) -> int:
     workers = resolve_workers(args.workers)
     try:
         cfg = load_config(args.config, task=args.task, seed=args.seed)
+        run(cfg, args.out, workers=workers)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        run(cfg, args.out, workers=workers)
     except TaskFailed as exc:
         print(f"task error: {exc}", file=sys.stderr)
         return EXIT_TASK

@@ -78,9 +78,8 @@ class RunConfig:
         return self.canonical["model"]["alpha"]
 
     @property
-    def model_pqtheta(self) -> tuple[float, float, float]:
-        m = self.canonical["model"]
-        return m["p"], m["theta"], m["q"]
+    def p(self) -> float:
+        return self.canonical["model"]["p"]
 
     @property
     def K(self) -> int | None:

@@ -20,28 +20,18 @@ import numpy as np
 from .errors import NonpositiveField
 from .spectral import SpectralBasis
 
-N_DIM = 2
-
 
 @dataclass(frozen=True)
 class Nonlinearity:
-    """Parameters of the power family h(s) = (s_+)^p with bookkeeping exponents.
-
-    theta is the Ambrosetti-Rabinowitz exponent, q the subcritical growth
-    bound, two_star_alpha the fractional critical exponent 2N/(N - 2*alpha).
-    The config schema sets theta and q, but no computation reads them.
-    """
+    """The power family h(s) = (s_+)^p."""
 
     p: float
-    theta: float
-    q: float
-    two_star_alpha: float
 
 
-def power_model(alpha: float = 0.5, p: float = 2.0, theta: float = 3.0, q: float = 3.5) -> Nonlinearity:
+def power_model(alpha: float = 0.5, p: float = 2.0) -> Nonlinearity:
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return Nonlinearity(p=p, theta=theta, q=q, two_star_alpha=2.0 * N_DIM / (N_DIM - 2.0 * alpha))
+    return Nonlinearity(p=p)
 
 
 def h_eval(nl: Nonlinearity, s):

@@ -1,6 +1,6 @@
 """Second-variation spectra, Morse indices, and the solution-count comparison.
 
-In the retained-mode coordinates the second variation of the energy at u is
+In the mode coordinates the second variation of the energy at u is
 the symmetric K x K operator H v = (mu^alpha + 1) v - h^2 Phi^T (h'(u) Phi v),
 a diagonal quadratic-form part minus the Gram operator of the modes under the
 node weights h^2 h'(u), applied by Energy.hessian_vector and never formed. The

@@ -481,10 +481,6 @@ def limit_level_estimate(
     Raises NonmonotoneLevels when a level fails to drop below the one before
     by more than rounding or the gaps fail to shrink, both signs the grid is
     too coarse for the expansion.
-
-    Each ball's basis spans its whole grid. Truncating narrow ground states
-    inflates their level and can even break the monotone decrease that nested
-    grids otherwise guarantee.
     """
     if len(radii) < 3:
         raise ValueError(f"need at least 3 radii, got {len(radii)}")
@@ -494,7 +490,7 @@ def limit_level_estimate(
     levels = []
     for xi in radii:
         dom = build_domain("disk", {"R": float(xi)}, lam=1.0, h=h)
-        basis = assemble_and_decompose(dom, K=dom.n_interior, alpha=alpha)
+        basis = assemble_and_decompose(dom, alpha=alpha)
         rep = level_c(
             basis, nl, n_multistarts=n_multistarts, tol=tol,
             rng_seed=rng_seed, workers=workers,

@@ -5,11 +5,9 @@ writes a results JSON plus a CSV summary through the persist module. All
 functions return the results dict they persisted; failures surface as
 FracfieldError subclasses for the CLI to map onto exit codes.
 
-Span policy: tasks that compare energies across domains (sweep-lambda,
-multiplicity) default to the full eigenbasis when solver.K is null, because
-truncating a larger domain's span inflates its level relative to a smaller
-one and corrupts exactly the comparisons those tasks exist to make. solve and
-morse default to the spectral module's standard cut.
+Every basis spans its whole grid. solver.K stays in the schema as a bound a
+config may state: null, or at least the node count of the configured domain
+at each lambda the task runs; a smaller K is a ConfigInvalid naming it.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import numpy as np
 
 from .config import RunConfig
 from .domain import build_domain
-from .errors import EmptyMask, FracfieldError, TaskFailed
+from .errors import ConfigInvalid, EmptyMask, FracfieldError, TaskFailed
 from .extension import k_alpha, scaling_check, solve_profile
 from .model import Nonlinearity, power_model
 from .morse import (
@@ -51,16 +49,17 @@ log = logging.getLogger(__name__)
 
 
 def _nonlinearity(cfg: RunConfig) -> Nonlinearity:
-    p, theta, q = cfg.model_pqtheta
-    return power_model(alpha=cfg.alpha, p=p, theta=theta, q=q)
+    return power_model(alpha=cfg.alpha, p=cfg.p)
 
 
-def _basis(cfg: RunConfig, lam: float | None = None, full_span: bool = False) -> SpectralBasis:
+def _basis(cfg: RunConfig, lam: float | None = None) -> SpectralBasis:
     dom = build_domain(cfg.shape, cfg.params, lam=cfg.lam if lam is None else lam, h=cfg.h)
-    K = cfg.K
-    if K is None and full_span:
-        K = dom.n_interior
-    return assemble_and_decompose(dom, K=K, alpha=cfg.alpha)
+    if cfg.K is not None and cfg.K < dom.n_interior:
+        raise ConfigInvalid(
+            f"field \"solver.K\" must be null or at least the {dom.n_interior} interior "
+            f"nodes of the {cfg.shape} at lambda={dom.lam:g}, got {cfg.K}"
+        )
+    return assemble_and_decompose(dom, alpha=cfg.alpha)
 
 
 def run_solve(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
@@ -106,6 +105,8 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
         t0 = time.perf_counter()
         try:
             row, jrow = _sweep_row(cfg, nl, lam, workers)
+        except ConfigInvalid:
+            raise
         except FracfieldError as exc:
             log.warning("sweep row lambda=%s failed: %s", lam, exc)
             row = [lam, None, None, None, 0, None, 0]
@@ -148,7 +149,7 @@ def _annulus_seeding(cfg: RunConfig, lam: float) -> tuple[list[tuple[float, floa
 
 
 def _sweep_row(cfg: RunConfig, nl: Nonlinearity, lam: float, workers: int):
-    basis = _basis(cfg, lam=lam, full_span=True)
+    basis = _basis(cfg, lam=lam)
     report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed, workers=workers)
     records = list(report.records)
@@ -211,7 +212,7 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, lam: float, workers: int):
 
 def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     nl = _nonlinearity(cfg)
-    basis = _basis(cfg, full_span=True)
+    basis = _basis(cfg)
     centers, seed_radius = _annulus_seeding(cfg, basis.dom.lam)
     report = multiplicity_search(basis, nl, centers, ball_radius=seed_radius,
                                  tol=cfg.tol, max_iter=cfg.max_iter)
@@ -417,11 +418,12 @@ TASK_RUNNERS = {
 
 
 def run(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
-    """Dispatch the configured task; FracfieldError escapes become TaskFailed."""
+    """Dispatch the configured task; FracfieldError escapes other than
+    ConfigInvalid become TaskFailed."""
     runner = TASK_RUNNERS[cfg.task]
     try:
         return runner(cfg, out_dir, workers=workers)
-    except TaskFailed:
+    except (ConfigInvalid, TaskFailed):
         raise
     except FracfieldError as exc:
         raise TaskFailed(f"task {cfg.task} failed: {type(exc).__name__}: {exc}") from exc

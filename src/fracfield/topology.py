@@ -53,6 +53,16 @@ log = logging.getLogger(__name__)
 _ESCAPE_SIZE = 0.1
 _MAX_ESCAPES = 4
 _CHECK_RESTARTS = 50
+# penalty weights of annulus_level's continuation, in units of the seed's
+# energy over (lam r)^2
+_RHO_MULTIPLIERS = (1.0, 10.0, 100.0, 1000.0)
+# orbit_classes joins two records whose relative energy gap is below the
+# first and whose relative L2 distance under some grid symmetry is below the second
+_ENERGY_GAP_TOL = 1e-4
+_L2_DIST_TOL = 1e-2
+# band_saddle's image count, endpoints included, and its sweep cap
+_N_IMAGES = 13
+_MAX_SWEEPS = 400
 
 
 _D4 = (
@@ -98,7 +108,7 @@ def symmetry_group(dom: GridDomain) -> list[np.ndarray]:
 class PsiSeeder:
     """Cache of a ball ground state, stamped onto a host domain on demand.
 
-    Solves the ground state of B_rho (same grid step as the host, full span)
+    Solves the ground state of B_rho (same grid step as the host)
     once; seed(x) translates it by a grid-aligned shift to snap(x), extends by
     zero, and projects the result onto the host Nehari manifold.
     """
@@ -116,9 +126,7 @@ class PsiSeeder:
         self.nl = nl
         self.ball_radius = float(ball_radius)
         ball_dom = build_domain("disk", {"R": self.ball_radius}, lam=1.0, h=basis_dom.dom.h)
-        self.basis_ball = assemble_and_decompose(
-            ball_dom, K=ball_dom.n_interior, alpha=basis_dom.alpha
-        )
+        self.basis_ball = assemble_and_decompose(ball_dom, alpha=basis_dom.alpha)
         seed = gaussian_bump_seed(self.basis_ball, (0.0, 0.0), 0.5 * self.ball_radius)
         self.ball_state = ground_state(self.basis_ball, nl, seed, tol=tol, seed_tag="ball-cache")
         self.ball_level = self.ball_state.energy
@@ -265,7 +273,6 @@ def annulus_level(
     basis: SpectralBasis,
     nl: Nonlinearity,
     x_tilde: tuple[float, float] = (0.0, 0.0),
-    rho_multipliers: tuple[float, ...] = (1.0, 10.0, 100.0, 1000.0),
     seed: Field | None = None,
     tol: float = 1e-8,
     max_iter: int = 20000,
@@ -309,7 +316,7 @@ def annulus_level(
     c, values = obj.retract(c, values)
     e_typ = obj.energy(c, values)
     length = dom.lam * dom.params["r"]
-    rhos = tuple(float(m) * abs(e_typ) / length**2 for m in rho_multipliers)
+    rhos = tuple(m * abs(e_typ) / length**2 for m in _RHO_MULTIPLIERS)
 
     k = iterations = escapes = 0
     unchecked: EigSolveFailure | None = None
@@ -402,14 +409,12 @@ def _l2_orbit_distance(
 def orbit_classes(
     basis: SpectralBasis,
     records: list[SolutionRecord],
-    energy_gap_tol: float = 1e-4,
-    l2_dist_tol: float = 1e-2,
 ) -> list[list[SolutionRecord]]:
     """Group records into symmetry-orbit classes by union-find.
 
     Two records land in the same class iff their relative energy gap is below
-    energy_gap_tol AND some grid-symmetry image brings their relative L2
-    distance below l2_dist_tol. Each class lists its records in input order.
+    _ENERGY_GAP_TOL AND some grid-symmetry image brings their relative L2
+    distance below _L2_DIST_TOL. Each class lists its records in input order.
     """
     perms = symmetry_group(basis.dom)
     n = len(records)
@@ -425,10 +430,10 @@ def orbit_classes(
         for j in range(i + 1, n):
             ei, ej = records[i].energy, records[j].energy
             gap = abs(ei - ej) / max(abs(ei), abs(ej), 1e-300)
-            if gap >= energy_gap_tol:
+            if gap >= _ENERGY_GAP_TOL:
                 continue
             dist = _l2_orbit_distance(records[i].u.values, records[j].u.values, perms)
-            if dist < l2_dist_tol:
+            if dist < _L2_DIST_TOL:
                 parent[find(i)] = find(j)
 
     groups: dict[int, list[SolutionRecord]] = {}
@@ -444,8 +449,6 @@ def multiplicity_search(
     ball_radius: float,
     tol: float = 1e-8,
     max_iter: int = 20000,
-    energy_gap_tol: float = 1e-4,
-    l2_dist_tol: float = 1e-2,
 ) -> MultiplicityReport:
     """Descend from translated-bump seeds and count symmetry-orbit classes.
 
@@ -470,7 +473,7 @@ def multiplicity_search(
 
     n = len(records)
     classes = []
-    for members in orbit_classes(basis, records, energy_gap_tol, l2_dist_tol):
+    for members in orbit_classes(basis, records):
         # first in seed order: orbit members agree in energy only to rounding,
         # so picking the lowest would let rounding choose
         rep = members[0]
@@ -532,9 +535,7 @@ def band_saddle(
     nl: Nonlinearity,
     end_a: Field,
     end_b: Field,
-    n_images: int = 13,
     tol: float = 1e-6,
-    max_sweeps: int = 400,
 ) -> BandSaddleReport:
     """String method with a climbing image, run inside the Nehari manifold.
 
@@ -544,13 +545,11 @@ def band_saddle(
     climbing image follows the gradient with its path-tangent component
     reversed, converging to the saddle instead of the minima.
     """
-    if n_images < 5:
-        raise ValueError(f"need at least 5 images, got {n_images}")
     obj = Energy(basis, nl)
     basis.check_same_domain(end_a.dom)
     basis.check_same_domain(end_b.dom)
 
-    ts = np.linspace(0.0, 1.0, n_images)
+    ts = np.linspace(0.0, 1.0, _N_IMAGES)
     path = []
     for t in ts:
         c = (1.0 - t) * end_a.coeffs + t * end_b.coeffs
@@ -586,12 +585,12 @@ def band_saddle(
     step = 0.1
     saddle_residual = np.inf
     sweeps_done = 0
-    for sweep in range(max_sweeps):
+    for sweep in range(_MAX_SWEEPS):
         vals, energies = profile()
         k_star = 1 + int(np.argmax(energies[1:-1]))
 
         moved = []
-        for k in range(1, n_images - 1):
+        for k in range(1, _N_IMAGES - 1):
             c, values = path[k], vals[k]
             g = obj.grad(c, values)
             d = g / obj.w
@@ -613,7 +612,7 @@ def band_saddle(
         if saddle_residual <= tol:
             break
         redistribute(path, 0, k_star)
-        redistribute(path, k_star, n_images - 1)
+        redistribute(path, k_star, _N_IMAGES - 1)
 
     vals, energies = profile()
     k_star = 1 + int(np.argmax(energies[1:-1]))

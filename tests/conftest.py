@@ -13,13 +13,7 @@ import scipy.linalg
 
 from fracfield.domain import build_domain
 from fracfield.model import power_model
-from fracfield.spectral import (
-    _CUT_PAD,
-    SpectralBasis,
-    _cluster_safe_cut,
-    assemble_and_decompose,
-    assemble_laplacian,
-)
+from fracfield.spectral import SpectralBasis, assemble_and_decompose, assemble_laplacian
 from fracfield.topology import adjacent_orbit_image, band_saddle, multiplicity_search
 
 ANNULUS_MID_RADIUS = 2.8  # 0.5 (R + r) lam with R=1, r=0.4, lam=4
@@ -27,10 +21,8 @@ ANNULUS_MID_RADIUS = 2.8  # 0.5 (R + r) lam with R=1, r=0.4, lam=4
 
 @pytest.fixture(scope="session")
 def annulus4():
-    # full span: truncation would inflate energies of stamped translates and
-    # break the zero-extension comparison against the ball level
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
-    return assemble_and_decompose(dom, K=dom.n_interior, alpha=0.5)
+    return assemble_and_decompose(dom, alpha=0.5)
 
 
 @pytest.fixture(scope="session")
@@ -56,26 +48,23 @@ def annulus_band(annulus4, annulus_classes):
     lo = annulus_classes.classes[0].representative.u
     rotated = adjacent_orbit_image(annulus4, lo)
     assert rotated is not None
-    return band_saddle(annulus4, nl, lo, rotated, n_images=13, tol=1e-6)
+    return band_saddle(annulus4, nl, lo, rotated, tol=1e-6)
 
 
 @pytest.fixture(scope="session")
 def evr_basis():
-    """Builds the basis that LAPACK's evr routine gives on a copy of A, at any cut.
+    """Builds the full-span basis that LAPACK's evr routine gives on a copy of A.
 
-    The reference for assemble_and_decompose, which runs evr in place below
-    the full span and evd at it.
+    An independent reference for assemble_and_decompose, which runs evd in
+    place: the two agree to rounding.
     """
 
-    def build(dom, K, alpha=0.5):
-        n = dom.n_interior
-        k_pad = min(n, K + _CUT_PAD)
+    def build(dom, alpha=0.5):
         A = assemble_laplacian(dom).toarray()
-        mu_all, vecs = scipy.linalg.eigh(A, subset_by_index=(0, k_pad - 1), driver="evr")
-        k_eff = _cluster_safe_cut(mu_all, K, n)
-        phi = vecs[:, :k_eff] / dom.h
-        flip = phi[np.abs(phi).argmax(axis=0), np.arange(k_eff)] < 0
+        mu, vecs = scipy.linalg.eigh(A, driver="evr")
+        phi = vecs / dom.h
+        flip = phi[np.abs(phi).argmax(axis=0), np.arange(mu.size)] < 0
         phi[:, flip] *= -1.0
-        return SpectralBasis(dom, alpha, mu_all[:k_eff].copy(), phi)
+        return SpectralBasis(dom, alpha, mu, phi)
 
     return build

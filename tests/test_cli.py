@@ -20,6 +20,7 @@ from fracfield.config import (
     load_config,
     validate_config,
 )
+from fracfield.domain import build_domain
 from fracfield.errors import ConfigInvalid
 
 
@@ -250,6 +251,37 @@ class TestExitCodes:
         code = main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 3
         assert "task error" in capsys.readouterr().err
+
+    def test_solve_k_below_node_count_exits_2(self, tmp_path, capsys):
+        cfg = small_solve_config()
+        d = cfg["domain"]
+        n = build_domain(d["shape"], d["params"], lam=d["lambda"], h=d["h"]).n_interior
+        cfg["solver"]["K"] = n - 1
+        out = tmp_path / "o"
+        code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "solver.K" in err and f"{n} interior nodes" in err
+        assert not out.exists()
+        # at the node count the basis is the full span it always is
+        cfg["solver"]["K"] = n
+        code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--quiet"])
+        assert code == 0
+
+    def test_sweep_k_below_a_rows_node_count_fails_without_error_rows(self, tmp_path, capsys):
+        # K covers the lambda=2 annulus (156 nodes) but not lambda=4 (664):
+        # the second row fails the task instead of becoming an error row
+        cfg = default_config("sweep-lambda")
+        cfg["solver"]["K"] = 300
+        out = tmp_path / "o"
+        code = main(["sweep-lambda", "--config", write_config(tmp_path, cfg),
+                     "--out", str(out), "--quiet"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "solver.K" in err and "664 interior nodes" in err
+        assert not out.exists()
 
     def test_report_with_nothing_exits_3(self, tmp_path, capsys):
         code = main(["report", "--out", str(tmp_path / "empty"), "--quiet"])

@@ -26,7 +26,7 @@ from fracfield.spectral import assemble_and_decompose
 @pytest.fixture(scope="module")
 def square16():
     dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, lam=1.0, h=1.0 / 17.0)
-    return assemble_and_decompose(dom, K=100, alpha=0.5)
+    return assemble_and_decompose(dom, alpha=0.5)
 
 
 def _energy_value(basis, nl, coeffs: np.ndarray) -> float:
@@ -54,9 +54,8 @@ def test_pointwise_evaluations_and_vectorization():
 
 def test_critical_exponent_and_subcriticality():
     nl = power_model(alpha=0.5)
-    assert nl.two_star_alpha == pytest.approx(4.0)
-    assert nl.p + 1 < nl.two_star_alpha
-    assert nl.q < nl.two_star_alpha
+    # the fractional critical exponent 2N/(N - 2 alpha) is 4 in the plane
+    assert nl.p + 1 < 2 * 2 / (2 - 2 * 0.5)
     with pytest.raises(ValueError):
         power_model(alpha=1.0)
 
@@ -151,7 +150,7 @@ def test_energy_rejects_foreign_domain(square16):
     other = build_domain("disk", {"R": 1.0}, lam=1.0, h=0.2)
     from fracfield.errors import DomainMismatch
 
-    foreign = assemble_and_decompose(other, K=10, alpha=0.5)
+    foreign = assemble_and_decompose(other, alpha=0.5)
     u = foreign.synthesize(np.ones(foreign.K))
     # Energy works on raw arrays; the Field entry points check the domain
     with pytest.raises(DomainMismatch):

@@ -97,7 +97,7 @@ def _sylvester_counts(H: np.ndarray, eps: float) -> tuple[int, int]:
 @pytest.fixture(scope="module")
 def square16():
     dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, lam=1.0, h=1.0 / 17.0)
-    return assemble_and_decompose(dom, K=100, alpha=0.5)
+    return assemble_and_decompose(dom, alpha=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -250,18 +250,35 @@ def test_null_guard_widens_past_first_k(square16, square_ground):
     assert np.allclose(rep.eigenvalues, ev[:k], rtol=1e-10, atol=1e-10)
 
 
-@pytest.mark.parametrize("K, wide", [(10, False), (10, True), (4, False)])
-def test_small_span_spectrum(square16, square_ground, K, wide):
-    basis = assemble_and_decompose(square16.dom, K=K, alpha=0.5)
-    assert basis.K <= 12
-    u = basis.analyze(square_ground.u.values)
-    H = hessian_matrix(basis, u)
+@pytest.fixture(scope="module")
+def square6_ground():
+    # a 6 x 6 grid: small enough that the doubling k reaches the formed-H branch
+    dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, lam=1.0, h=1.0 / 7.0)
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    rec = ground_state(basis, NL, gaussian_bump_seed(basis, (0.0, 0.0), 0.25))
+    assert rec.converged
+    return basis, rec
+
+
+@pytest.mark.parametrize("nulls, lanczos_ks, size", [
+    (None, [6], 6), ((6, 7), [6, 12], 12), ((23, 27), [6, 12, 24], 36),
+], ids=["default-eps", "widened-eps", "formed-h"])
+def test_small_span_spectrum(square6_ground, monkeypatch, nulls, lanczos_ks, size):
+    basis, rec = square6_ground
+    assert basis.K == 36
+    H = hessian_matrix(basis, rec.u)
     ev = scipy.linalg.eigvalsh(H)
-    eps = _eps_with_null_count(ev, 6, 7)[0] if wide else default_eps_null(basis)
-    rep = hessian_spectrum(basis, NL, u, eps_null=eps)
-    # six eigenvalues, by Lanczos, when they reach past eps; all of them otherwise
-    assert rep.eigenvalues.size == (basis.K if wide or basis.K <= 6 else 6)
-    assert np.allclose(rep.eigenvalues, ev[:rep.eigenvalues.size], rtol=1e-10, atol=1e-10)
+    eps = default_eps_null(basis) if nulls is None else _eps_with_null_count(ev, *nulls)[0]
+    ks = []
+    eigsh = scipy.sparse.linalg.eigsh
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
+                        lambda *a, **kw: ks.append(kw["k"]) or eigsh(*a, **kw))
+    rep = hessian_spectrum(basis, NL, rec.u, eps_null=eps)
+    # k doubles by Lanczos while the largest of the k stays within eps; at
+    # k = 48 >= K all K eigenvalues come from the formed H
+    assert ks == lanczos_ks
+    assert rep.eigenvalues.size == size
+    assert np.allclose(rep.eigenvalues, ev[:size], rtol=1e-10, atol=1e-10)
     assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps)
 
 

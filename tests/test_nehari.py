@@ -39,7 +39,7 @@ NL = power_model()
 @pytest.fixture(scope="module")
 def square16():
     dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, lam=1.0, h=1.0 / 17.0)
-    return assemble_and_decompose(dom, K=100, alpha=0.5)
+    return assemble_and_decompose(dom, alpha=0.5)
 
 
 @pytest.fixture(scope="module")
@@ -198,8 +198,7 @@ def test_newton_step_finishes_formerly_stalled_start(evr_basis, lapack):
     # iterations at residual 1.28e-8, no halving passing the test; the floor
     # step finished it, and now the Newton step does in a few dozen
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
-    n = dom.n_interior
-    basis = assemble_and_decompose(dom, K=n) if lapack == "evd" else evr_basis(dom, n)
+    basis = assemble_and_decompose(dom) if lapack == "evd" else evr_basis(dom)
     tag, center, width = _multistart_seeds(basis, 8, 430440614)[1]
     assert tag == "random-1"
     trace: list[float] = []
@@ -220,8 +219,7 @@ def test_floor_step_finishes_stalled_start(evr_basis, lapack, monkeypatch):
     # jump past that floor, and whether one lands on it changes with the
     # basis and the BLAS thread count
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=6.0, h=0.25)
-    n = dom.n_interior
-    basis = assemble_and_decompose(dom, K=n) if lapack == "evd" else evr_basis(dom, n)
+    basis = assemble_and_decompose(dom) if lapack == "evd" else evr_basis(dom)
     floor_step = nehari._floor_step
     rises: list[float] = []
 
@@ -281,7 +279,7 @@ def test_newton_finish_converges_every_full_span_disk_start():
     # at the Barzilai-Borwein steps alone, random-1 and random-3 took about
     # 5,000 iterations each, creeping along the near-null translation modes
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
-    basis = assemble_and_decompose(dom, K=dom.n_interior)
+    basis = assemble_and_decompose(dom)
     rep = level_c(basis, NL, n_multistarts=8, rng_seed=0)
     assert rep.n_converged == 8
     assert max(r.iterations for r in rep.records) <= 100
@@ -340,7 +338,7 @@ def test_level_decreases_when_square_expands():
     levels = {}
     for lam in (1.0, 2.0):
         dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, lam=lam, h=1.0 / 17.0)
-        basis = assemble_and_decompose(dom, K=150, alpha=0.5)
+        basis = assemble_and_decompose(dom, alpha=0.5)
         levels[lam] = level_c(basis, NL, n_multistarts=2, rng_seed=0).value
     assert levels[1.0] > levels[2.0] > 0
 

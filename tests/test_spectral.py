@@ -22,7 +22,7 @@ def _closed_form_square(n_side):
 @pytest.fixture(scope="module")
 def square16():
     dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, 1.0, 1.0 / 17.0)
-    return dom, assemble_and_decompose(dom, K=100, alpha=0.5)
+    return dom, assemble_and_decompose(dom, alpha=0.5)
 
 
 def test_square_eigenvalues_match_closed_form(square16):
@@ -52,7 +52,7 @@ def test_square_eigenvector_is_sine_product(square16):
 
 def test_orthonormality_in_quadrature_inner_product():
     dom = build_domain("disk", {"R": 1.0}, 1.0, 0.08)
-    basis = assemble_and_decompose(dom, K=60, alpha=0.5)
+    basis = assemble_and_decompose(dom, alpha=0.5)
     gram = dom.h**2 * (basis.phi.T @ basis.phi)
     assert np.max(np.abs(gram - np.eye(basis.K))) < 1e-10
     assert basis.mu[0] > 0
@@ -61,8 +61,8 @@ def test_orthonormality_in_quadrature_inner_product():
 
 def test_signs_and_decomposition_deterministic():
     dom = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
-    b1 = assemble_and_decompose(dom, K=40, alpha=0.5)
-    b2 = assemble_and_decompose(dom, K=40, alpha=0.5)
+    b1 = assemble_and_decompose(dom, alpha=0.5)
+    b2 = assemble_and_decompose(dom, alpha=0.5)
     assert np.array_equal(b1.mu, b2.mu)
     assert np.array_equal(b1.phi, b2.phi)
     peaks = b1.phi[np.abs(b1.phi).argmax(axis=0), np.arange(b1.K)]
@@ -70,41 +70,16 @@ def test_signs_and_decomposition_deterministic():
 
 
 def test_full_span_basis_matches_evr(evr_basis):
-    # the full span takes LAPACK's evd routine; the pairs it returns must be
+    # the basis takes LAPACK's evd routine; the pairs it returns must be
     # those of evr up to rounding, and orthonormal to rounding
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
     n = dom.n_interior
-    basis = assemble_and_decompose(dom, K=n, alpha=0.5)
-    ref = evr_basis(dom, n)
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    ref = evr_basis(dom)
     assert basis.K == ref.K == n
     assert np.max(np.abs(basis.mu - ref.mu) / ref.mu) <= 1e-12
     gram = dom.h**2 * (basis.phi.T @ basis.phi)
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
-
-
-@pytest.mark.parametrize("shape,params,h,K", [
-    ("rectangle", {"a": 1.0, "b": 1.0}, 1.0 / 17.0, 100),
-    ("annulus", {"R": 1.0, "r": 0.4}, 0.25, 400),
-])
-def test_truncated_basis_equals_evr_bitwise(evr_basis, shape, params, h, K):
-    # below the full span evr still runs, now on A in place: same bits
-    lam = 4.0 if shape == "annulus" else 1.0
-    dom = build_domain(shape, params, lam, h)
-    assert K + 8 < dom.n_interior
-    basis = assemble_and_decompose(dom, K=K, alpha=0.5)
-    ref = evr_basis(dom, K)
-    assert np.array_equal(basis.mu, ref.mu)
-    assert np.array_equal(basis.phi, ref.phi)
-
-
-def test_cluster_safe_cut_avoids_degenerate_pair(square16):
-    dom, _ = square16
-    exact = _closed_form_square(16)
-    # modes 1 and 2 (0-based) are the exactly degenerate (1,2)/(2,1) pair;
-    # requesting K=2 would cut inside it
-    assert exact[1] == exact[2]
-    basis = assemble_and_decompose(dom, K=2, alpha=0.5)
-    assert basis.K in (1, 3)
 
 
 def test_analyze_synthesize_roundtrip_in_span(square16):
@@ -121,7 +96,7 @@ def test_analyze_synthesize_roundtrip_in_span(square16):
 
 def test_fractional_apply_alpha1_matches_stencil(square16):
     dom, _ = square16
-    basis = assemble_and_decompose(dom, K=100, alpha=1.0)
+    basis = assemble_and_decompose(dom, alpha=1.0)
     L = assemble_laplacian(dom)
     rng = np.random.default_rng(3)
     u = basis.synthesize(rng.standard_normal(basis.K))
@@ -143,7 +118,7 @@ def test_energy_norm_fundamental_mode(square16):
 @given(c=st.floats(-50, 50, allow_nan=False, allow_infinity=False))
 def test_alpha_norm_homogeneity(c):
     dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, 1.0, 1.0 / 9.0)
-    basis = assemble_and_decompose(dom, K=20, alpha=0.5)
+    basis = assemble_and_decompose(dom, alpha=0.5)
     rng = np.random.default_rng(11)
     u = basis.synthesize(rng.standard_normal(basis.K))
     cu = basis.synthesize(c * u.coeffs)
@@ -156,7 +131,7 @@ def test_domain_mismatch_raised(square16):
     with pytest.raises(DomainMismatch):
         basis.analyze(np.zeros(10))
     other = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
-    other_basis = assemble_and_decompose(other, K=20, alpha=0.5)
+    other_basis = assemble_and_decompose(other, alpha=0.5)
     u = other_basis.synthesize(np.zeros(other_basis.K))
     with pytest.raises(DomainMismatch):
         basis.check_same_domain(u.dom)
@@ -167,6 +142,4 @@ def test_domain_mismatch_raised(square16):
 def test_bad_alpha_and_k_rejected(square16):
     dom, _ = square16
     with pytest.raises(EigSolveFailure):
-        assemble_and_decompose(dom, K=10, alpha=1.5)
-    with pytest.raises(EigSolveFailure):
-        assemble_and_decompose(dom, K=0, alpha=0.5)
+        assemble_and_decompose(dom, alpha=1.5)

@@ -4,12 +4,14 @@ Every public top-level function or class in src/fracfield must be referenced
 in code, not in a docstring, somewhere in the package outside its own
 definition, or be a layer that perfbench/spans.py traces;
 EXCEPTIONS names the ones that wait for a caller. Code that only tests call
-belongs in tests/. Every name a module imports must be used by that module.
+belongs in tests/. Every name a module imports must be used by that module,
+and every module-level constant must be read somewhere in the package.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -83,6 +85,18 @@ def _public_defs() -> list[tuple[str, str, ast.AST]]:
     ]
 
 
+def _constants() -> list[tuple[str, str, ast.AST]]:
+    """(module, name, assignment) for each top-level NAME or _NAME assignment."""
+    return [
+        (mod, target.id, node)
+        for mod, tree in _modules().items()
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)
+    ]
+
+
 def _sources(tree: ast.Module) -> dict[str, tuple[str, str]]:
     """Bound name -> (module, name) for each name imported from a sibling module."""
     out = {}
@@ -114,6 +128,15 @@ def _unreferenced() -> list[str]:
 def test_every_public_definition_has_a_caller_in_src():
     # an exception that gains a caller leaves the list
     assert _unreferenced() == sorted(EXCEPTIONS)
+
+
+def test_every_module_constant_is_read():
+    modules = _modules()
+    unread = [
+        f"{mod}.{name}" for mod, name, node in _constants()
+        if not _referenced(mod, name, node, modules)
+    ]
+    assert unread == []
 
 
 def test_every_traced_layer_is_defined():

@@ -31,7 +31,6 @@ from fracfield.topology import (
     _penalty,
     adjacent_orbit_image,
     annulus_level,
-    band_saddle,
     mass_clusters,
     multiplicity_search,
     symmetry_group,
@@ -284,7 +283,7 @@ def test_annulus_level_converges_on_evd_and_evr(evr_basis, lam):
     # step passes; the floor step must finish it on the evd and evr bases alike
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=lam, h=0.25)
     levels = []
-    for basis in (assemble_and_decompose(dom, K=dom.n_interior), evr_basis(dom, dom.n_interior)):
+    for basis in (assemble_and_decompose(dom), evr_basis(dom)):
         rep = annulus_level(basis, NL)
         assert rep.record.converged
         levels.append(rep.value)
@@ -359,7 +358,7 @@ def test_penalty_hessian_sends_c_to_nehari_differential(annulus4):
 @pytest.fixture(scope="module")
 def annulus2():
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=2.0, h=0.25)
-    return assemble_and_decompose(dom, K=dom.n_interior)
+    return assemble_and_decompose(dom)
 
 
 def _diagonal_bumps_seed(basis):
@@ -513,9 +512,3 @@ def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classe
         partner = adjacent_orbit_image(annulus4, u)
         if partner is not None:
             assert np.hypot(*(np.array(_beta(partner)) - ref)) > 2 * h
-
-
-def test_band_saddle_needs_enough_images(annulus4, annulus_classes):
-    u = annulus_classes.classes[0].representative.u
-    with pytest.raises(ValueError, match="images"):
-        band_saddle(annulus4, NL, u, u, n_images=3)
