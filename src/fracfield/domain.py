@@ -218,6 +218,29 @@ def build_domain(shape_id: str, params: dict, lam: float, h: float) -> GridDomai
     )
 
 
+def grid_symmetry(dom: GridDomain, a: int, b: int, c: int, d: int) -> np.ndarray | None:
+    """Interior-index permutation of the grid map (x, y) -> (a x + b y, c x + d y).
+
+    The map acts about the grid's own center. It is None unless it carries the
+    interior node set exactly onto itself, so a slightly asymmetric grid keeps
+    only the symmetries it really has.
+    """
+    # grid offsets from the center, doubled so a half-integer center stays
+    # integer; an image with odd doubled offset falls between nodes
+    iy, ix = np.nonzero(dom.index_of >= 0)
+    ox = 2 * ix - (dom.nx - 1)
+    oy = 2 * iy - (dom.ny - 1)
+    jx = a * ox + b * oy + (dom.nx - 1)
+    jy = c * ox + d * oy + (dom.ny - 1)
+    if np.any(jx % 2) or np.any(jy % 2):
+        return None
+    jx, jy = jx // 2, jy // 2
+    if np.any((jx < 0) | (jx >= dom.nx) | (jy < 0) | (jy >= dom.ny)):
+        return None
+    perm = dom.index_of[jy, jx]
+    return perm if np.all(perm >= 0) else None
+
+
 def neighborhood_membership(dom: GridDomain, point, band: float, side: str) -> bool:
     """Membership of a point in the band neighborhoods of lambda*Omega.
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .domain import build_domain
+from .domain import GridDomain, build_domain
 from .errors import ConfigInvalid, EmptyMask, FracfieldError, TaskFailed
 from .extension import k_alpha, scaling_check, solve_profile
 from .model import Nonlinearity, power_model
@@ -52,14 +52,19 @@ def _nonlinearity(cfg: RunConfig) -> Nonlinearity:
     return power_model(alpha=cfg.alpha, p=cfg.p)
 
 
-def _basis(cfg: RunConfig, lam: float | None = None) -> SpectralBasis:
+def _domain(cfg: RunConfig, lam: float | None = None) -> GridDomain:
+    """The configured domain at lam (default: the config's), with solver.K checked."""
     dom = build_domain(cfg.shape, cfg.params, lam=cfg.lam if lam is None else lam, h=cfg.h)
     if cfg.K is not None and cfg.K < dom.n_interior:
         raise ConfigInvalid(
             f"field \"solver.K\" must be null or at least the {dom.n_interior} interior "
             f"nodes of the {cfg.shape} at lambda={dom.lam:g}, got {cfg.K}"
         )
-    return assemble_and_decompose(dom, alpha=cfg.alpha)
+    return dom
+
+
+def _basis(cfg: RunConfig) -> SpectralBasis:
+    return assemble_and_decompose(_domain(cfg), alpha=cfg.alpha)
 
 
 def run_solve(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
@@ -96,17 +101,28 @@ def run_solve(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
 
 def run_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     nl = _nonlinearity(cfg)
+    # every row's domain first: masks are cheap, and a K below some row's node
+    # count then fails before the limit level or any row is computed. A domain
+    # that cannot be built is that row's error.
+    domains: list[GridDomain | FracfieldError] = []
+    for lam in cfg.lambdas:
+        try:
+            domains.append(_domain(cfg, lam))
+        except ConfigInvalid:
+            raise
+        except FracfieldError as exc:
+            domains.append(exc)
     limit = limit_level_estimate(nl, cfg.radii, cfg.h, alpha=cfg.alpha, tol=cfg.tol,
                                  rng_seed=cfg.rng_seed, workers=workers)
     rows = []
     json_rows = []
     threshold_lambda = None
-    for lam in cfg.lambdas:
+    for lam, dom in zip(cfg.lambdas, domains):
         t0 = time.perf_counter()
         try:
-            row, jrow = _sweep_row(cfg, nl, lam, workers)
-        except ConfigInvalid:
-            raise
+            if isinstance(dom, FracfieldError):
+                raise dom
+            row, jrow = _sweep_row(cfg, nl, dom, workers)
         except FracfieldError as exc:
             log.warning("sweep row lambda=%s failed: %s", lam, exc)
             row = [lam, None, None, None, 0, None, 0]
@@ -148,8 +164,9 @@ def _annulus_seeding(cfg: RunConfig, lam: float) -> tuple[list[tuple[float, floa
     return centers, seed_radius
 
 
-def _sweep_row(cfg: RunConfig, nl: Nonlinearity, lam: float, workers: int):
-    basis = _basis(cfg, lam=lam)
+def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain, workers: int):
+    lam = dom.lam
+    basis = assemble_and_decompose(dom, alpha=cfg.alpha)
     report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed, workers=workers)
     records = list(report.records)

@@ -12,23 +12,37 @@ Eigenvectors are orthonormal in the quadrature inner product
 
 Every basis spans the whole interior grid: energies compare across domains
 only when no mode is cut, and the comparisons across lambda are what the
-tasks exist to make. The dense decomposition uses LAPACK's divide and
-conquer routine (``evd``) in place: LAPACK overwrites the assembled matrix
-and returns the eigenvectors in its storage, and phi is that array scaled in
-place, so the build holds two n x n arrays at most (``evd`` also takes a
-2 n^2 workspace) instead of four. Which orthonormal basis of a degenerate
-eigenspace comes back does not matter, since the span is everything.
+tasks exist to make. Which orthonormal basis of a degenerate eigenspace comes
+back does not matter, since the span is everything.
+
+The dense decomposition is split by parity. The axis mirrors x -> -x and
+y -> -y preserve the mask of every disk and annulus, and of a rectangle whose
+sides h divides, and the 5-point Laplacian commutes with each mirror that
+preserves the mask. In a frame of signed, normalized sums over reflection
+orbits (at most 4 nodes each), A therefore splits exactly into one block per
+parity class: 4 blocks of about n/4 with both mirrors, 2 with one, and a
+single block in the identity frame with none (Bossavit, CMAME 1986). Each
+block goes through LAPACK's divide and conquer routine (``evd``) in place,
+which is about 16 times less dense work than one decomposition of A when
+there are 4 blocks. phi is then filled block by block, each column at the
+place its eigenvalue takes in ascending order. The build peaks at about
+1.5 n^2 doubles: phi, the eigenvectors of all blocks (n^2/4 together) and
+one block's columns of phi (n^2/4) before they are written. A block's
+workspace, about 2 (n/4)^2, is freed before phi is allocated. One dense
+``evd`` of all of A held 3 n^2.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .domain import GridDomain
+from .domain import GridDomain, grid_symmetry
 from .errors import DomainMismatch, EigSolveFailure
 
 
@@ -128,19 +142,60 @@ class SpectralBasis:
         return Field(self.dom, self.phi @ coeffs, coeffs)
 
 
+def _parity_frames(dom: GridDomain) -> list[scipy.sparse.csr_matrix]:
+    """Sparse orthonormal frames Q_b, one per parity class of the axis mirrors.
+
+    The mirrors are the axis reflections ix -> nx-1-ix and iy -> ny-1-iy that
+    preserve the mask: k of them give 2^k classes, one sign per mirror. A
+    class's column for a reflection orbit (at most 4 nodes) weights each node
+    by the class's sign of the group element that maps the orbit's smallest
+    index onto it, summed and normalized; it vanishes for odd parity on a node
+    that lies on the mirror's axis and is then dropped. Columns follow their
+    orbit's smallest index, and every node lies in exactly one kept column.
+    """
+    n = dom.n_interior
+    mirrors = [p for p in (grid_symmetry(dom, -1, 0, 0, 1), grid_symmetry(dom, 1, 0, 0, -1))
+               if p is not None]
+    # the group the mirrors generate; each element with the mirrors composing it
+    group: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.arange(n), ())]
+    for j, m in enumerate(mirrors):
+        group += [(m[p], used + (j,)) for p, used in group]
+    rep = np.min([p for p, _ in group], axis=0)
+    orbit = np.unique(rep, return_inverse=True)[1]
+
+    frames = []
+    for signs in itertools.product((1, -1), repeat=len(mirrors)):
+        # the elements are involutions, so g maps rep onto i exactly when it maps i onto rep
+        coef = sum(math.prod(signs[j] for j in used) * (p == rep) for p, used in group)
+        nodes = np.flatnonzero(coef)
+        if nodes.size == 0:
+            continue
+        kept, col = np.unique(orbit[nodes], return_inverse=True)
+        norm = np.sqrt(np.bincount(col, weights=coef[nodes] ** 2.0))
+        frames.append(scipy.sparse.csr_matrix(
+            (coef[nodes] / norm[col], (nodes, col)), shape=(n, kept.size)))
+    return frames
+
+
 def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis:
     """Assemble the masked Laplacian and decompose it over the full span.
 
-    The in-place build is described in the module docstring.
+    The parity-blocked build is described in the module docstring.
     """
-    # A is symmetric, so its transpose is the same matrix in Fortran order,
-    # which LAPACK overwrites instead of copying
-    A = assemble_laplacian(dom).toarray()
-    try:
-        mu, phi = scipy.linalg.eigh(A.T, overwrite_a=True, driver="evd")
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
-        raise EigSolveFailure(f"dense eigendecomposition failed: {exc}") from exc
+    A = assemble_laplacian(dom)
+    blocks = []
+    for Q in _parity_frames(dom):
+        # Fortran order, so LAPACK overwrites the block instead of copying it
+        B = (Q.T @ A @ Q).toarray(order="F")
+        try:
+            mu_b, V = scipy.linalg.eigh(B, overwrite_a=True, driver="evd")
+        except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
+            raise EigSolveFailure(f"dense eigendecomposition failed: {exc}") from exc
+        blocks.append((Q, mu_b, V))
 
+    mu = np.concatenate([mu_b for _, mu_b, _ in blocks])
+    order = np.argsort(mu, kind="stable")
+    mu = mu[order]
     if not np.all(np.isfinite(mu)):
         raise EigSolveFailure("eigendecomposition produced non-finite eigenvalues")
     if mu[0] <= 0:
@@ -149,10 +204,28 @@ def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis
             "proper Dirichlet interior"
         )
 
-    phi /= dom.h  # h^2 * phi.T @ phi = I
-
-    # deterministic signs: largest-|entry| positive, first index on ties
-    flip = phi[np.abs(phi).argmax(axis=0), np.arange(mu.size)] < 0
-    phi[:, flip] *= -1.0
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    phi = np.zeros((dom.n_interior, mu.size))
+    start = 0
+    while blocks:
+        Q, mu_b, V = blocks.pop(0)
+        # Q holds one entry in each row it covers, so Q V / h gathers rows of
+        # V and scales them. All nodes of an orbit carry one magnitude w and
+        # its first node a plus sign, and the columns follow those first
+        # nodes, so the sign rule (largest |entry| positive, first index on
+        # ties) reads off |w V| / h, which holds phi's magnitudes bit for bit
+        rows = np.flatnonzero(np.diff(Q.indptr))
+        w = np.empty(Q.shape[1])
+        w[Q.indices] = np.abs(Q.data)
+        peak = (np.abs(V * w[:, None]) / dom.h).argmax(axis=0)
+        V *= np.where(V[peak, np.arange(mu_b.size)] < 0, -1.0, 1.0)
+        Y = V[Q.indices]
+        del V
+        Y *= Q.data[:, None]
+        Y /= dom.h  # h^2 * phi.T @ phi = I
+        phi[np.ix_(rows, position[start : start + mu_b.size])] = Y
+        del Y
+        start += mu_b.size
 
     return SpectralBasis(dom, alpha, mu, phi)

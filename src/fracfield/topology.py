@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .domain import GridDomain, build_domain, neighborhood_membership
+from .domain import GridDomain, build_domain, grid_symmetry, neighborhood_membership
 from .errors import (
     BallDoesNotFit,
     ConstraintViolated,
@@ -80,29 +80,13 @@ _D4 = (
 def symmetry_group(dom: GridDomain) -> list[np.ndarray]:
     """Mask-preserving D4 elements as interior-index permutations.
 
-    Candidate reflections/rotations act about the grid's own center; any
-    candidate that fails to map the interior node set onto itself exactly is
-    dropped, so slightly asymmetric grids degrade to smaller groups rather
-    than producing wrong permutations. The identity is always first.
+    Candidates that do not map the interior node set onto itself exactly are
+    dropped (see grid_symmetry), so slightly asymmetric grids degrade to
+    smaller groups rather than producing wrong permutations. The identity is
+    always first.
     """
-    # grid offsets from the center, doubled so a half-integer center stays
-    # integer; an image with odd doubled offset falls between nodes
-    iy, ix = np.nonzero(dom.index_of >= 0)
-    ox = 2 * ix - (dom.nx - 1)
-    oy = 2 * iy - (dom.ny - 1)
-    perms: list[np.ndarray] = []
-    for a, b, c, d in _D4:
-        jx = a * ox + b * oy + (dom.nx - 1)
-        jy = c * ox + d * oy + (dom.ny - 1)
-        if np.any(jx % 2) or np.any(jy % 2):
-            continue
-        jx, jy = jx // 2, jy // 2
-        if np.any((jx < 0) | (jx >= dom.nx) | (jy < 0) | (jy >= dom.ny)):
-            continue
-        perm = dom.index_of[jy, jx]
-        if np.all(perm >= 0):
-            perms.append(perm)
-    return perms
+    perms = (grid_symmetry(dom, *g) for g in _D4)
+    return [p for p in perms if p is not None]
 
 
 class PsiSeeder:
@@ -500,8 +484,10 @@ def multiplicity_search(
 def adjacent_orbit_image(basis: SpectralBasis, u: Field) -> Field | None:
     """First symmetry image of u whose barycenter flips in x and keeps y, or None.
 
-    Images with a barycenter within 2h of u's are passed over: they are u again
-    (an axis state mirrored across its own axis), and a band to them climbs nothing.
+    "Keeps y" means within 2h of u's y: on an axis state that coordinate is
+    rounding noise, and its sign must not choose. Images with a barycenter
+    within 2h of u's are passed over: they are u again (an axis state mirrored
+    across its own axis), and a band to them climbs nothing.
     """
     basis.check_same_domain(u.dom)
     ref = _barycenter(basis.dom, u.values)[1]
@@ -510,7 +496,7 @@ def adjacent_orbit_image(basis: SpectralBasis, u: Field) -> Field | None:
         b = _barycenter(basis.dom, cand)[1]
         if float(np.hypot(*(b - ref))) <= 2.0 * basis.dom.h:
             continue
-        if b[0] * ref[0] < 0 and b[1] * ref[1] > 0:
+        if b[0] * ref[0] < 0 and abs(b[1] - ref[1]) <= 2.0 * basis.dom.h:
             return basis.analyze(cand)
     return None
 

@@ -52,17 +52,22 @@ def annulus_band(annulus4, annulus_classes):
 
 
 @pytest.fixture(scope="session")
-def evr_basis():
-    """Builds the full-span basis that LAPACK's evr routine gives on a copy of A.
+def unblocked_basis():
+    """Builds the full-span basis from one dense eigendecomposition of all of A.
 
-    An independent reference for assemble_and_decompose, which runs evd in
-    place: the two agree to rounding.
+    An independent reference for assemble_and_decompose, which decomposes A
+    block by block in its parity frames. driver="evr" runs LAPACK's MRRR
+    routine and driver="evd" the divide and conquer routine the blocks use,
+    both in place on the whole matrix; the pairs agree with the blocked
+    build's to rounding.
     """
 
-    def build(dom, alpha=0.5):
+    def build(dom, alpha=0.5, driver="evr"):
+        # A is symmetric, so its transpose is the same matrix in Fortran
+        # order, which LAPACK overwrites instead of copying
         A = assemble_laplacian(dom).toarray()
-        mu, vecs = scipy.linalg.eigh(A, driver="evr")
-        phi = vecs / dom.h
+        mu, phi = scipy.linalg.eigh(A.T, overwrite_a=True, driver=driver)
+        phi /= dom.h
         flip = phi[np.abs(phi).argmax(axis=0), np.arange(mu.size)] < 0
         phi[:, flip] *= -1.0
         return SpectralBasis(dom, alpha, mu, phi)

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fracfield import nehari, runner
 from fracfield.cli import main, resolve_workers
 from fracfield.config import (
     TASKS,
@@ -22,6 +23,7 @@ from fracfield.config import (
 )
 from fracfield.domain import build_domain
 from fracfield.errors import ConfigInvalid
+from fracfield.nehari import level_c
 
 
 def small_solve_config(**overrides) -> dict:
@@ -270,15 +272,26 @@ class TestExitCodes:
                      "--quiet"])
         assert code == 0
 
-    def test_sweep_k_below_a_rows_node_count_fails_without_error_rows(self, tmp_path, capsys):
+    def test_sweep_k_below_a_rows_node_count_fails_without_error_rows(self, tmp_path, capsys,
+                                                                      monkeypatch):
         # K covers the lambda=2 annulus (156 nodes) but not lambda=4 (664):
-        # the second row fails the task instead of becoming an error row
+        # the second row fails the task instead of becoming an error row, and
+        # it fails before the limit level or the first row runs a descent
         cfg = default_config("sweep-lambda")
         cfg["solver"]["K"] = 300
         out = tmp_path / "o"
+        levels = []
+
+        def spy(*args, **kwargs):
+            levels.append(args)
+            return level_c(*args, **kwargs)
+
+        monkeypatch.setattr(nehari, "level_c", spy)
+        monkeypatch.setattr(runner, "level_c", spy)
         code = main(["sweep-lambda", "--config", write_config(tmp_path, cfg),
                      "--out", str(out), "--quiet"])
         assert code == 2
+        assert levels == []
         err = capsys.readouterr().err
         assert "solver.K" in err and "664 interior nodes" in err
         assert not out.exists()

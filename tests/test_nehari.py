@@ -192,13 +192,13 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
 
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])
-def test_newton_step_finishes_formerly_stalled_start(evr_basis, lapack):
+def test_newton_step_finishes_formerly_stalled_start(unblocked_basis, lapack):
     # full span of the R=2 disk at h=0.125: with the Armijo test alone, start
     # random-1 of rng_seed 430440614 stalled on the evr basis after 1612
     # iterations at residual 1.28e-8, no halving passing the test; the floor
     # step finished it, and now the Newton step does in a few dozen
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
-    basis = assemble_and_decompose(dom) if lapack == "evd" else evr_basis(dom)
+    basis = assemble_and_decompose(dom) if lapack == "evd" else unblocked_basis(dom)
     tag, center, width = _multistart_seeds(basis, 8, 430440614)[1]
     assert tag == "random-1"
     trace: list[float] = []
@@ -212,14 +212,17 @@ def test_newton_step_finishes_formerly_stalled_start(evr_basis, lapack):
 
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])
-def test_floor_step_finishes_stalled_start(evr_basis, lapack, monkeypatch):
+def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch):
     # the pinned lambda=6 annulus level with the Newton step held off: its
     # last penalty stage then ends where no Armijo halving passes for rounding
     # alone, and floor steps must finish it. With Newton the stages mostly
     # jump past that floor, and whether one lands on it changes with the
-    # basis and the BLAS thread count
+    # basis and the BLAS thread count. Without Newton it still depends on
+    # rounding (on the parity-blocked basis under one BLAS thread no stage
+    # lands there), so both cases take the unblocked oracle: the floor step
+    # is a property of the kernel, not of the basis
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=6.0, h=0.25)
-    basis = assemble_and_decompose(dom) if lapack == "evd" else evr_basis(dom)
+    basis = unblocked_basis(dom, driver=lapack)
     floor_step = nehari._floor_step
     rises: list[float] = []
 

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracfield.domain import build_domain
 from fracfield.errors import DomainMismatch, EigSolveFailure
 from fracfield.model import Energy, power_model
-from fracfield.spectral import assemble_and_decompose, assemble_laplacian
+from fracfield.spectral import _parity_frames, assemble_and_decompose, assemble_laplacian
 
 
 def _closed_form_square(n_side):
@@ -69,17 +70,59 @@ def test_signs_and_decomposition_deterministic():
     assert (peaks > 0).all()
 
 
-def test_full_span_basis_matches_evr(evr_basis):
-    # the basis takes LAPACK's evd routine; the pairs it returns must be
-    # those of evr up to rounding, and orthonormal to rounding
+def test_full_span_basis_matches_evr(unblocked_basis):
+    # the basis takes LAPACK's evd routine on each parity block; the pairs it
+    # returns must be those of evr on all of A up to rounding, and
+    # orthonormal to rounding
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
     n = dom.n_interior
     basis = assemble_and_decompose(dom, alpha=0.5)
-    ref = evr_basis(dom)
+    ref = unblocked_basis(dom)
     assert basis.K == ref.K == n
     assert np.max(np.abs(basis.mu - ref.mu) / ref.mu) <= 1e-12
     gram = dom.h**2 * (basis.phi.T @ basis.phi)
     assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "shape, params, lam, h, n_blocks",
+    [
+        ("annulus", {"R": 1.0, "r": 0.4}, 4.0, 0.25, 4),
+        ("disk", {"R": 1.0}, 1.0, 0.1, 4),
+        ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.25, 4),
+        # h does not divide the sides: no mirror preserves the mask
+        ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.3, 1),
+    ],
+    ids=["annulus4", "disk", "rectangle-divided", "rectangle-undivided"],
+)
+def test_blocked_basis_matches_unblocked_oracle(unblocked_basis, shape, params, lam, h, n_blocks):
+    dom = build_domain(shape, params, lam=lam, h=h)
+    n = dom.n_interior
+    frames = _parity_frames(dom)
+    assert len(frames) == n_blocks
+    # the frames together are an orthonormal basis in which A is block diagonal
+    Q = scipy.sparse.hstack(frames).toarray()
+    assert np.max(np.abs(Q.T @ Q - np.eye(n))) <= 1e-15
+    A = assemble_laplacian(dom)
+    B = Q.T @ (A @ Q)
+    sizes = [f.shape[1] for f in frames]
+    off = np.ones_like(B, dtype=bool)
+    for lo, hi in zip(np.cumsum([0] + sizes[:-1]), np.cumsum(sizes)):
+        off[lo:hi, lo:hi] = False
+    assert np.all(np.abs(B[off]) <= 1e-13 * np.max(np.abs(B)))
+
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    ref = unblocked_basis(dom, driver="evd")
+    assert basis.K == ref.K == n
+    assert np.max(np.abs(basis.mu - ref.mu) / ref.mu) <= 1e-12
+    assert np.all(np.diff(basis.mu) >= 0)
+    phi = basis.phi
+    assert np.max(np.abs(h**2 * (phi.T @ phi) - np.eye(n))) <= 1e-13
+    residual = A @ phi - phi * basis.mu
+    assert np.max(np.abs(residual)) <= 1e-13 * basis.mu[-1] * np.max(np.abs(phi))
+    # largest |entry| positive, first index on ties; argmax takes the first
+    peaks = phi[np.abs(phi).argmax(axis=0), np.arange(n)]
+    assert (peaks > 0).all()
 
 
 def test_analyze_synthesize_roundtrip_in_span(square16):

@@ -278,12 +278,12 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
 
 
 @pytest.mark.parametrize("lam", [2.0, 4.0, 6.0])
-def test_annulus_level_converges_on_evd_and_evr(evr_basis, lam):
+def test_annulus_level_converges_on_evd_and_evr(unblocked_basis, lam):
     # the last penalty stage ends where rounding decides whether an Armijo
     # step passes; the floor step must finish it on the evd and evr bases alike
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=lam, h=0.25)
     levels = []
-    for basis in (assemble_and_decompose(dom), evr_basis(dom)):
+    for basis in (assemble_and_decompose(dom), unblocked_basis(dom)):
         rep = annulus_level(basis, NL)
         assert rep.record.converged
         levels.append(rep.value)
@@ -512,3 +512,30 @@ def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classe
         partner = adjacent_orbit_image(annulus4, u)
         if partner is not None:
             assert np.hypot(*(np.array(_beta(partner)) - ref)) > 2 * h
+
+
+def test_adjacent_orbit_image_ignores_the_sign_of_rounding_noise(annulus4, annulus_classes,
+                                                                 monkeypatch):
+    # on an axis state the off-axis barycenter coordinate is rounding noise;
+    # the partner must not depend on the sign that noise draws
+    h = annulus4.dom.h
+    images = [annulus4.analyze(rep.u.values[p])
+              for rep in (c.representative for c in annulus_classes.classes)
+              for p in symmetry_group(annulus4.dom)]
+    u = next(v for v in images if abs(_beta(v)[1]) < h and _beta(v)[0] > h)
+    barycenter = topology._barycenter
+    partners = []
+    for noise in (1e-17, -1e-17):
+        def nudged(dom, values, noise=noise):
+            up, beta, mass = barycenter(dom, values)
+            if values is u.values:
+                beta = np.array([beta[0], noise])
+            return up, beta, mass
+
+        monkeypatch.setattr(topology, "_barycenter", nudged)
+        partners.append(adjacent_orbit_image(annulus4, u))
+    assert partners[0] is not None and partners[1] is not None
+    assert np.array_equal(partners[0].values, partners[1].values)
+    bx, by = _beta(partners[0])
+    assert bx == pytest.approx(-_beta(u)[0], abs=h)
+    assert abs(by - _beta(u)[1]) <= 2 * h
