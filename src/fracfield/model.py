@@ -54,18 +54,18 @@ class Energy:
 
     Methods taking both trust the caller to pass such a pair, so one synthesis
     serves value, gradient and retraction; callers holding a Field check its
-    domain against the basis first.
+    domain against the basis first. Products with phi and its transpose are
+    the basis's matvec and rmatvec, block by block on its factors.
     """
 
     def __init__(self, basis: SpectralBasis, nl: Nonlinearity):
         self.basis = basis
         self.nl = nl
-        self.phi = basis.phi
         self.w = basis.weights
         self.h2 = basis.dom.h**2
 
     def values(self, c: np.ndarray) -> np.ndarray:
-        return self.phi @ c
+        return self.basis.matvec(c)
 
     def quadratic(self, c: np.ndarray) -> float:
         """Q(u) = sum_k (mu_k^alpha + 1) c_k^2, the squared energy norm."""
@@ -80,7 +80,7 @@ class Energy:
 
     def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Spectral coefficients of the L2 gradient: w c - <h(u), phi_k>."""
-        return self.w * c - self.h2 * (self.phi.T @ h_eval(self.nl, values))
+        return self.w * c - self.h2 * self.basis.rmatvec(h_eval(self.nl, values))
 
     def j(self, c: np.ndarray, values: np.ndarray) -> float:
         """J(u) = Q(u) - <h(u), u>_h; zero exactly on the Nehari manifold."""
@@ -88,7 +88,8 @@ class Energy:
 
     def hessian_vector(self, values: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Second variation at the field with these values, on v: w v - <h'(u) phi v, phi_k>."""
-        return self.w * v - self.h2 * (self.phi.T @ (h_prime(self.nl, values) * (self.phi @ v)))
+        z = h_prime(self.nl, values) * self.basis.matvec(v)
+        return self.w * v - self.h2 * self.basis.rmatvec(z)
 
     def nehari_t(self, c: np.ndarray, values: np.ndarray) -> float:
         """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1))."""

@@ -23,10 +23,11 @@ are tried in turn at each iterate.
   at most _NEWTON_RESIDUAL, and while fewer than max_iter Hessian products
   have been spent. Both objectives supply a Hessian action: ground_state's
   plain energy and the barycenter penalty of topology.annulus_level. A Newton
-  step costs about a dozen products with phi and a BB step two, so starts
-  that BB finishes within _NEWTON_AFTER steps, as most annulus starts do,
-  never pay for one, while starts that creep along near-null translation
-  modes for thousands of BB steps finish in a few dozen Newton steps. The
+  step costs about a dozen products with phi (the basis's matvec and rmatvec,
+  block by block) and a BB step two, so starts that BB finishes within
+  _NEWTON_AFTER steps, as most annulus starts do, never pay for one, while
+  starts that creep along near-null translation modes for thousands of BB
+  steps finish in a few dozen Newton steps. The
   residual gate keeps Newton to the basin BB has chosen: from a residual
   near 1 a Newton step can cross into another basin, as it takes the pinned
   lambda=6 annulus level to a lower ring-shaped minimum. At 0.1, ground-state

@@ -250,7 +250,9 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
                 "record": record_summary(srec),
                 "null_count": sspec.null_count,
                 "nondegenerate": sspec.nondegenerate,
-                "band_energies": list(band_report.energies),
+                # the interior images are not critical points and stop wherever
+                # the climbing image converges; only the ends are written
+                "band_endpoint_energies": [band_report.energies[0], band_report.energies[-1]],
                 "sweeps": band_report.sweeps,
             }
             if band_report.converged:

@@ -24,11 +24,16 @@ parity class: 4 blocks of about n/4 with both mirrors, 2 with one, and a
 single block in the identity frame with none (Bossavit, CMAME 1986). Each
 block goes through LAPACK's divide and conquer routine (``evd``) in place,
 which is about 16 times less dense work than one decomposition of A when
-there are 4 blocks. phi is then filled block by block, each column at the
-place its eigenvalue takes in ascending order. The build peaks at about
-1.5 n^2 doubles: phi, the eigenvectors of all blocks (n^2/4 together) and
-one block's columns of phi (n^2/4) before they are written. A block's
-workspace, about 2 (n/4)^2, is freed before phi is allocated. One dense
+there are 4 blocks.
+
+The n x n matrix phi of eigenvectors is never formed. The basis keeps its
+factors: the frames side by side as one sparse orthogonal Q (at most 4
+nonzeros per row), each block's eigenvectors V_b and the permutation from
+ascending order to block order. phi c is Q times the stacked V_b c_b, and
+phi^T x the reverse, about 4 times fewer flops than a dense product with 4
+blocks. The blocks hold about n^2/4 doubles. The build peaks at about
+0.4 n^2: the blocks done so far, and the block being decomposed with its
+LAPACK workspace, about 3 (n/4)^2. A dense phi took n^2 more, and one dense
 ``evd`` of all of A held 3 n^2.
 """
 
@@ -95,26 +100,54 @@ class Field:
 class SpectralBasis:
     """All eigenpairs of the masked Laplacian plus the fractional weight.
 
+    phi, the n x K matrix of eigenvectors, is kept as its factors (module
+    docstring) and applied by matvec and rmatvec.
+
     Attributes
     ----------
     dom : GridDomain
     alpha : fractional order in (0, 1]
     K : number of modes, equal to the interior node count
     mu : (K,) eigenvalues, ascending, all positive
-    phi : (n, K) eigenvectors, orthonormal in the h^2-weighted inner product
     weights : (K,) mu^alpha + 1, the diagonal of the quadratic-form operator
+    frame : (n, n) sparse orthogonal Q, at most 4 nonzeros per row
+    blocks : the V_b in frame order, square, with 1/h folded in, so that phi
+        is orthonormal in the h^2-weighted inner product
+    order : (K,) for each mode in ascending order, its index in block order
     """
 
-    def __init__(self, dom: GridDomain, alpha: float, mu: np.ndarray, phi: np.ndarray):
+    def __init__(
+        self, dom: GridDomain, alpha: float, frame: scipy.sparse.csr_matrix,
+        blocks: list[tuple[np.ndarray, np.ndarray]],
+    ):
+        """blocks holds (mu_b, V_b) per parity block, in frame order."""
         if not 0.0 < alpha <= 1.0:
             raise EigSolveFailure(f"alpha must be in (0, 1], got {alpha}")
         self.dom = dom
         self.alpha = float(alpha)
-        self.mu = mu
-        self.phi = phi
-        self.K = int(mu.size)
-        self.weights = mu**alpha + 1.0
+        self.frame = frame
+        self._frame_t = frame.T.tocsr()
+        self.blocks = [V for _, V in blocks]
+        self._bounds = list(itertools.pairwise(np.cumsum([0] + [V.shape[0] for V in self.blocks])))
+        mu = np.concatenate([mu_b for mu_b, _ in blocks])
+        self.order = np.argsort(mu, kind="stable")
+        self._position = np.argsort(self.order)  # the inverse permutation
+        self.mu = mu[self.order]
+        self.K = int(self.mu.size)
+        self.weights = self.mu**alpha + 1.0
         self._h2 = dom.h**2
+
+    def matvec(self, c: np.ndarray) -> np.ndarray:
+        """phi @ c, as Q times the stacked V_b c_b, c_b being block b's share of c."""
+        cb = c[self._position]
+        return self.frame @ np.concatenate(
+            [V @ cb[lo:hi] for V, (lo, hi) in zip(self.blocks, self._bounds)])
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        """phi.T @ x, as the stacked V_b^T y_b with y = Q^T x, put in ascending order."""
+        y = self._frame_t @ x
+        return np.concatenate(
+            [V.T @ y[lo:hi] for V, (lo, hi) in zip(self.blocks, self._bounds)])[self.order]
 
     def check_same_domain(self, other_dom: GridDomain) -> None:
         if other_dom.content_hash != self.dom.content_hash:
@@ -131,7 +164,7 @@ class SpectralBasis:
                 f"values shape {values.shape} does not match the "
                 f"{self.dom.n_interior} interior nodes"
             )
-        return Field(self.dom, values, self._h2 * (self.phi.T @ values))
+        return Field(self.dom, values, self._h2 * self.rmatvec(values))
 
     def synthesize(self, coeffs: np.ndarray) -> Field:
         coeffs = np.asarray(coeffs, dtype=float)
@@ -139,7 +172,7 @@ class SpectralBasis:
             raise DomainMismatch(
                 f"coefficient shape {coeffs.shape} does not match K={self.K}"
             )
-        return Field(self.dom, self.phi @ coeffs, coeffs)
+        return Field(self.dom, self.matvec(coeffs), coeffs)
 
 
 def _parity_frames(dom: GridDomain) -> list[scipy.sparse.csr_matrix]:
@@ -183,49 +216,33 @@ def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis
     The parity-blocked build is described in the module docstring.
     """
     A = assemble_laplacian(dom)
+    frames = _parity_frames(dom)
     blocks = []
-    for Q in _parity_frames(dom):
+    for Q in frames:
         # Fortran order, so LAPACK overwrites the block instead of copying it
         B = (Q.T @ A @ Q).toarray(order="F")
         try:
             mu_b, V = scipy.linalg.eigh(B, overwrite_a=True, driver="evd")
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
             raise EigSolveFailure(f"dense eigendecomposition failed: {exc}") from exc
-        blocks.append((Q, mu_b, V))
-
-    mu = np.concatenate([mu_b for _, mu_b, _ in blocks])
-    order = np.argsort(mu, kind="stable")
-    mu = mu[order]
-    if not np.all(np.isfinite(mu)):
-        raise EigSolveFailure("eigendecomposition produced non-finite eigenvalues")
-    if mu[0] <= 0:
-        raise EigSolveFailure(
-            f"smallest eigenvalue {mu[0]} is not positive; mask is not a "
-            "proper Dirichlet interior"
-        )
-
-    position = np.empty_like(order)
-    position[order] = np.arange(order.size)
-    phi = np.zeros((dom.n_interior, mu.size))
-    start = 0
-    while blocks:
-        Q, mu_b, V = blocks.pop(0)
-        # Q holds one entry in each row it covers, so Q V / h gathers rows of
-        # V and scales them. All nodes of an orbit carry one magnitude w and
-        # its first node a plus sign, and the columns follow those first
-        # nodes, so the sign rule (largest |entry| positive, first index on
-        # ties) reads off |w V| / h, which holds phi's magnitudes bit for bit
-        rows = np.flatnonzero(np.diff(Q.indptr))
+        V /= dom.h  # h^2 * phi.T @ phi = I
+        # Q holds one entry in each row it covers, so phi's entries are the
+        # products q v. All nodes of an orbit carry one magnitude w and its
+        # first node a plus sign, and the columns follow those first nodes,
+        # so the sign rule (largest |entry| positive, first index on ties)
+        # reads off |w V|, which holds phi's magnitudes bit for bit
         w = np.empty(Q.shape[1])
         w[Q.indices] = np.abs(Q.data)
-        peak = (np.abs(V * w[:, None]) / dom.h).argmax(axis=0)
+        peak = np.abs(V * w[:, None]).argmax(axis=0)
         V *= np.where(V[peak, np.arange(mu_b.size)] < 0, -1.0, 1.0)
-        Y = V[Q.indices]
-        del V
-        Y *= Q.data[:, None]
-        Y /= dom.h  # h^2 * phi.T @ phi = I
-        phi[np.ix_(rows, position[start : start + mu_b.size])] = Y
-        del Y
-        start += mu_b.size
+        blocks.append((mu_b, V))
 
-    return SpectralBasis(dom, alpha, mu, phi)
+    basis = SpectralBasis(dom, alpha, scipy.sparse.hstack(frames, format="csr"), blocks)
+    if not np.all(np.isfinite(basis.mu)):
+        raise EigSolveFailure("eigendecomposition produced non-finite eigenvalues")
+    if basis.mu[0] <= 0:
+        raise EigSolveFailure(
+            f"smallest eigenvalue {basis.mu[0]} is not positive; mask is not a "
+            "proper Dirichlet interior"
+        )
+    return basis

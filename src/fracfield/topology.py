@@ -201,9 +201,9 @@ def _penalty(
     a diagonal on the positive set plus a term of rank at most 3. hess(values)
     computes the per-point terms once and returns the map v -> H_F v, which
     adds that Hessian to the energy's second variation on z = phi v in one
-    product with phi and one with its transpose. The penalty is 0-homogeneous,
-    so its Hessian sends c to minus its gradient: H_F c + g_F = H_I c + g_I =
-    J'(c), and the Newton step's tangent space is the plain energy's.
+    basis matvec and one rmatvec. The penalty is 0-homogeneous, so its
+    Hessian sends c to minus its gradient: H_F c + g_F = H_I c + g_I = J'(c),
+    and the Newton step's tangent space is the plain energy's.
     """
     dom = obj.basis.dom
 
@@ -214,7 +214,7 @@ def _penalty(
         return obj.energy(c, values) + rho * float(gap @ gap), pvals
 
     def grad(c: np.ndarray, values: np.ndarray, pvals: np.ndarray) -> np.ndarray:
-        return obj.grad(c, values) + obj.phi.T @ pvals
+        return obj.grad(c, values) + obj.basis.rmatvec(pvals)
 
     def hess(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         s, beta, M = _barycenter(dom, values)
@@ -224,10 +224,10 @@ def _penalty(
         diag = (4.0 * rho / M) * (s > 0.0) * q - obj.h2 * h_prime(obj.nl, values)
 
         def hv(v: np.ndarray) -> np.ndarray:
-            z = obj.phi @ v
+            z = obj.basis.matvec(v)
             bz = 2.0 * (z @ sr) / M
             low_rank = s * (r @ bz) - 2.0 * (s * float(sq @ z) + sq * float(s @ z)) / M
-            return obj.w * v + obj.phi.T @ ((4.0 * rho / M) * low_rank + diag * z)
+            return obj.w * v + obj.basis.rmatvec((4.0 * rho / M) * low_rank + diag * z)
 
         return hv
 

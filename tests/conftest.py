@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from fracfield.domain import build_domain
 from fracfield.model import power_model
@@ -59,7 +60,8 @@ def unblocked_basis():
     block by block in its parity frames. driver="evr" runs LAPACK's MRRR
     routine and driver="evd" the divide and conquer routine the blocks use,
     both in place on the whole matrix; the pairs agree with the blocked
-    build's to rounding.
+    build's to rounding. The eigenvectors are the basis's single block, in
+    the identity frame, so its products with phi are plain dense ones.
     """
 
     def build(dom, alpha=0.5, driver="evr"):
@@ -70,6 +72,7 @@ def unblocked_basis():
         phi /= dom.h
         flip = phi[np.abs(phi).argmax(axis=0), np.arange(mu.size)] < 0
         phi[:, flip] *= -1.0
-        return SpectralBasis(dom, alpha, mu, phi)
+        return SpectralBasis(dom, alpha, scipy.sparse.identity(mu.size, format="csr"),
+                             [(mu, phi)])
 
     return build

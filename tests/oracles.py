@@ -1,19 +1,31 @@
 """Independent oracles that only the tests use.
 
 Each recomputes something the package computes another way, so agreement
-checks the package's route: the Nehari scale by bracketing a root of J(t u)
-instead of its closed form, and the radial symmetry of a field by averaging
-over exact grid radii.
+checks the package's route: the dense eigenvector matrix phi from the basis's
+factors instead of their products, the Nehari scale by bracketing a root of
+J(t u) instead of its closed form, and the radial symmetry of a field by
+averaging over exact grid radii.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg
 from scipy.optimize import brentq
 
 from fracfield.errors import NonpositiveField
 from fracfield.model import Nonlinearity, h_eval
 from fracfield.spectral import Field, SpectralBasis
+
+
+def dense_phi(basis: SpectralBasis) -> np.ndarray:
+    """The n x K eigenvector matrix phi, formed from the basis's factors.
+
+    Column k is Q times the block-diagonal eigenvectors' column order[k]. Each
+    entry is one product q v, plus zeros from the other blocks, so phi's
+    magnitudes are those the sign rule read.
+    """
+    return (basis.frame @ scipy.linalg.block_diag(*basis.blocks))[:, basis.order]
 
 
 def nehari_scale_root(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
@@ -23,7 +35,7 @@ def nehari_scale_root(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float
     shortcut. Brackets the sign change of J(t u) by doubling/halving from 1.
     """
     basis.check_same_domain(u.dom)
-    values = basis.phi @ u.coeffs
+    values = dense_phi(basis) @ u.coeffs
     Q = float(np.sum(basis.weights * u.coeffs**2))
     if Q <= 0.0 or not np.any(values > 0.0):
         raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")

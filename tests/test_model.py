@@ -21,6 +21,7 @@ from fracfield.model import (
 )
 from fracfield.nehari import nehari_scale
 from fracfield.spectral import assemble_and_decompose
+from oracles import dense_phi
 
 
 @pytest.fixture(scope="module")
@@ -31,7 +32,7 @@ def square16():
 
 def _energy_value(basis, nl, coeffs: np.ndarray) -> float:
     # independent of model.Energy: raw definition in coefficient space
-    values = basis.phi @ coeffs
+    values = dense_phi(basis) @ coeffs
     quad = 0.5 * float(np.sum(basis.weights * coeffs**2))
     pot = basis.dom.h**2 * float(np.sum(H_eval(nl, values)))
     return quad - pot

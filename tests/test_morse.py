@@ -32,15 +32,17 @@ from fracfield.morse import (
 )
 from fracfield.nehari import gaussian_bump_seed, ground_state
 from fracfield.spectral import SpectralBasis, assemble_and_decompose
+from oracles import dense_phi
 
 NL = power_model()
 
 
 def _gram(basis: SpectralBasis, u) -> np.ndarray:
     """The Gram matrix G of the modes under node weights h^2 h'(u), exactly symmetric."""
-    values = basis.phi @ u.coeffs
+    phi = dense_phi(basis)
+    values = phi @ u.coeffs
     w = basis.dom.h**2 * h_prime(NL, values)
-    G = basis.phi.T @ (w[:, None] * basis.phi)
+    G = phi.T @ (w[:, None] * phi)
     for j in range(G.shape[0] - 1):
         G[j + 1:, j] = G[j, j + 1:]
     return G

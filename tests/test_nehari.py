@@ -31,7 +31,7 @@ from fracfield.nehari import (
 )
 from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import _penalty, annulus_level
-from oracles import nehari_scale_root
+from oracles import dense_phi, nehari_scale_root
 
 NL = power_model()
 
@@ -79,7 +79,7 @@ def test_scale_closed_form_algebra(square16):
     # independent reconstruction: t^(p-1) = Q/P with P the weighted cubic sum
     # of the span representation (the variational ops never see raw values)
     u = _bump(square16)
-    span_values = square16.phi @ u.coeffs
+    span_values = dense_phi(square16) @ u.coeffs
     Q = float(np.sum(square16.weights * u.coeffs**2))
     P = square16.dom.h ** 2 * float(np.sum(np.maximum(span_values, 0.0) ** 3))
     assert nehari_scale(square16, NL, u) == pytest.approx((Q / P) ** (1.0 / (NL.p - 1.0)), rel=1e-14)
@@ -273,7 +273,7 @@ def test_newton_direction_is_tangent_and_descends(disk_basis):
         y, _ = _newton_direction(e, c, g, lambda v: e.hessian_vector(values, v), residual)
         assert y is not None
         # J'(c) from J = Q - h^2 sum (u+)^3, not from the H c + g the solver uses
-        a = 2.0 * e.w * c - 3.0 * e.h2 * (e.phi.T @ np.maximum(values, 0.0) ** 2)
+        a = 2.0 * e.w * c - 3.0 * e.h2 * (dense_phi(e.basis).T @ np.maximum(values, 0.0) ** 2)
         assert abs(float(a @ y)) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(y)
         assert float(g @ y) < 0.0
 

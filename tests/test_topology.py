@@ -35,7 +35,7 @@ from fracfield.topology import (
     multiplicity_search,
     symmetry_group,
 )
-from oracles import radial_asymmetry
+from oracles import dense_phi, radial_asymmetry
 
 NL = power_model()
 
@@ -349,7 +349,7 @@ def test_penalty_hessian_sends_c_to_nehari_differential(annulus4):
     # the penalty is 0-homogeneous, so H_F c + g_F = J'(c), here computed from
     # J = Q - h^2 sum (u+)^3 and not from the energy's Hessian
     e, value, grad, hess, c, values = _off_centre_penalty(annulus4)
-    jprime = 2.0 * e.w * c - 3.0 * e.h2 * (e.phi.T @ np.maximum(values, 0.0) ** 2)
+    jprime = 2.0 * e.w * c - 3.0 * e.h2 * (dense_phi(e.basis).T @ np.maximum(values, 0.0) ** 2)
     g = grad(c, values, value(c, values)[1])
     lhs = hess(values)(c) + g
     assert np.linalg.norm(lhs - jprime) <= 1e-12 * np.linalg.norm(g - e.grad(c, values))
