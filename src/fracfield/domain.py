@@ -110,12 +110,6 @@ class GridDomain:
         return self.ys.size
 
     @property
-    def diameter(self) -> float:
-        if self.shape_id == "rectangle":
-            return self.lam * math.hypot(self.params["a"], self.params["b"])
-        return 2.0 * self.lam * self.params["R"]
-
-    @property
     def content_hash(self) -> str:
         """Hash of the geometric identity, used to tag dumps and detect mismatches."""
         key = (

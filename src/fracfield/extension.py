@@ -55,16 +55,14 @@ def _series_coeffs(alpha: float, n_terms: int):
 
 @dataclass(frozen=True)
 class BesselProfile:
-    """Profile psi on (0, s_max] with series, dense-march data, and samples.
+    """Profile psi on (0, s_max] from series and dense-march data.
 
-    samples is an (n, 3) table of (s, psi(s), psi'(s)) on a log-graded grid;
-    the psi/psi_prime/flux methods evaluate anywhere in (0, s_max].
+    The psi/psi_prime/flux methods evaluate anywhere in (0, s_max].
     """
 
     alpha: float
     s_max: float
     k_alpha: float
-    samples: np.ndarray = field(repr=False)
     _a: np.ndarray = field(repr=False)
     _b: np.ndarray = field(repr=False)
     _sol: object = field(repr=False)
@@ -124,29 +122,13 @@ class BesselProfile:
         """Numerical realization of -lim s^(1-2*alpha) psi'(s); converges to k_alpha."""
         return float(self.flux(np.array([s]))[0])
 
-    def ode_residual(self, s, rel_step: float = 1e-4) -> np.ndarray:
-        """ODE residual with a central-difference psi'', relative to term size.
-
-        Near the origin the individual terms scale like s^(2*alpha - 2), so an
-        absolute residual is meaningless there; the residual is normalized by
-        the largest term magnitude (floored at 1). The difference step scales
-        with s to keep the finite-difference truncation error uniform.
-        """
-        s = np.asarray(s, dtype=float)
-        delta = rel_step * s
-        d2 = (self.psi_prime(s + delta) - self.psi_prime(s - delta)) / (2.0 * delta)
-        t_damp = (1.0 - 2.0 * self.alpha) / s * self.psi_prime(s)
-        t_val = self.psi(s)
-        resid = np.abs(d2 + t_damp - t_val)
-        scale = np.maximum.reduce([np.ones_like(s), np.abs(d2), np.abs(t_damp), np.abs(t_val)])
-        return resid / scale
-
 
 def solve_profile(alpha: float, s_max: float = 25.0, n_samples: int = 400) -> BesselProfile:
     """Build the decaying profile for fractional order alpha on (0, s_max].
 
-    Raises IntegrationFailure if the march loses positivity/monotonicity or
-    the series and march disagree at the matching point.
+    Raises IntegrationFailure if the profile loses positivity or monotonicity
+    on n_samples log-graded points of [1e-8, s_max] or the series and march
+    disagree at the matching point.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
@@ -210,20 +192,16 @@ def solve_profile(alpha: float, s_max: float = 25.0, n_samples: int = 400) -> Be
         alpha=float(alpha),
         s_max=float(s_max),
         k_alpha=k_alpha(alpha),
-        samples=np.empty((0, 3)),
         _a=a,
         _b=b,
         _sol=sol,
         _sigma=float(sigma),
     )
-    s_grid = np.geomspace(1e-8, s_max, n_samples)
-    psi_g = profile.psi(s_grid)
-    dpsi_g = profile.psi_prime(s_grid)
+    psi_g = profile.psi(np.geomspace(1e-8, s_max, n_samples))
     if not (psi_g > 0).all():
         raise IntegrationFailure("profile lost positivity on the sample grid")
     if not (np.diff(psi_g) < 1e-14).all():
         raise IntegrationFailure("profile is not decreasing on the sample grid")
-    object.__setattr__(profile, "samples", np.stack([s_grid, psi_g, dpsi_g], axis=1))
     return profile
 
 

@@ -15,9 +15,9 @@ Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
 this quantity is <= tol.
 
-Steps: every accepted step is a retracted trial c - t d, with t halved until
-a test passes (_first_halving); max_iter counts accepted steps. Three kinds
-are tried in turn at each iterate.
+Steps: every accepted step is a retracted trial c - t d, with t halved up to
+_MAX_BACKTRACKS times until the acceptance rule below passes (_line_search);
+max_iter counts accepted steps. Two kinds are tried in turn at each iterate.
 
 - Newton step, from the (_NEWTON_AFTER + 1)-th step on, once the residual is
   at most _NEWTON_RESIDUAL, and while fewer than max_iter Hessian products
@@ -39,22 +39,32 @@ are tried in turn at each iterate.
   projection onto the tangent space. CG stops at relative residual
   min(_CG_FORCING, sqrt(residual)), at the first nonpositive curvature, or
   after _CG_MAX_ITER products; J'(c) = H c + g costs one product more. The
-  step is tried from t = 1 with the Armijo test below and skipped when the
-  direction is not a descent direction.
+  step is tried from t = 1 and skipped when the direction is not a descent
+  direction.
 - Barzilai-Borwein step along the Riesz-preconditioned gradient W^-1 g, from
-  the BB length, with the Armijo test: accepted when F drops by at least
-  _ARMIJO t <g, d>. Taken when there is no Newton step or none of its
-  halvings passes.
-- Floor step, when no BB halving passes either. Near a minimum the Armijo
-  test can fail on every halving for rounding alone: each retracted step
-  changes F by less than the error of evaluating F at a retracted point, so
-  the stored F is the lucky low draw among noisy trials and no step can beat
-  it. A second pass over the BB halvings then accepts the first trial whose
-  dual gradient norm is below the current one and whose F exceeds the
-  current F by at most the rounding allowance _FLOOR_ULPS eps max(|F|, 1).
+  the BB length. Taken when there is no Newton step or none of its halvings
+  passes.
 
-Accepted F therefore never rises by more than that allowance, and only on
-floor steps; Newton and BB steps lower it.
+Acceptance rule, one for both kinds and for the non-climbing images of
+topology.band_saddle. A trial with value F_new passes in one of two cases:
+
+- Armijo decrease: F_new < F and F_new <= F - _ARMIJO t <g, d>.
+- Rounding case: |F_new - F| is at most the rounding allowance
+  _ROUNDING_ULPS eps max(|F|, 1), and ||g_new||_*^2 <= (1 - _ARMIJO) ||g||_*^2.
+
+Near a minimum the Armijo test alone can fail on every halving, or pass
+steps that leave F unchanged, for rounding alone: each retracted step changes
+F by less than the error of evaluating F at a retracted point, so the stored
+F is the lucky low draw among noisy trials. Once F differences are at that
+level, the rule judges progress by the gradient instead, as the approximate
+Wolfe conditions of Hager and Zhang (SIAM J. Optim. 2005) do. The factor
+1 - _ARMIJO asks the dual gradient norm to drop by a fixed fraction, more
+than rounding noise in the gradient can: with a bare "the norm drops", the
+lambda=6 annulus level pinned at (4.2, 0) at tol 1e-13 took 1,325 steps and
+20,194 Hessian products under 2 BLAS threads, against 115 and 424 with it.
+
+Accepted F therefore never rises by more than that allowance, and only in
+the rounding case.
 """
 
 from __future__ import annotations
@@ -75,7 +85,7 @@ from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
-_FLOOR_ULPS = 64
+_ROUNDING_ULPS = 64
 _NEWTON_AFTER = 20
 _NEWTON_RESIDUAL = 0.1
 _CG_FORCING = 0.1
@@ -112,10 +122,6 @@ class LevelReport:
     n_converged: int
     n_requested: int
     records: tuple[SolutionRecord, ...]
-
-    @property
-    def best(self) -> SolutionRecord:
-        return self.records[0]
 
 
 @dataclass(frozen=True)
@@ -171,14 +177,12 @@ def ground_state(
     tol: float = 1e-8,
     max_iter: int = 20000,
     seed_tag: str = "custom",
-    energy_trace: list[float] | None = None,
 ) -> SolutionRecord:
     """Minimize I over the Nehari manifold with the retracted descent kernel.
 
-    Energies of accepted iterates rise by at most the floor-step allowance of
-    the module docstring; pass energy_trace to collect them. On iteration
-    exhaustion the best iterate is returned marked unconverged rather than
-    raised.
+    Energies of accepted iterates rise by at most the rounding allowance of
+    the module docstring. On iteration exhaustion the best iterate is
+    returned marked unconverged rather than raised.
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -188,29 +192,28 @@ def ground_state(
     c, values, energy, residual, iterations = _retracted_descent(
         obj, np.asarray(seed.coeffs, dtype=float), obj.value,
         lambda c, values, _: obj.grad(c, values),
-        lambda values: partial(obj.hessian_vector, values), tol, max_iter, energy_trace,
+        lambda values: partial(obj.hessian_vector, values), tol, max_iter,
     )
     return _solution_record(basis, c, values, energy, residual, tol, seed_tag, iterations)
 
 
 _Value = Callable[[np.ndarray, np.ndarray], tuple[float, Any]]
+_Grad = Callable[[np.ndarray, np.ndarray, Any], np.ndarray]
 _Hessian = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
 
 
 def _retracted_descent(
-    obj: Energy, c: np.ndarray, value: _Value,
-    grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray], hess: _Hessian,
-    tol: float, max_iter: int, trace: list[float] | None = None,
+    obj: Energy, c: np.ndarray, value: _Value, grad: _Grad, hess: _Hessian,
+    tol: float, max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
     """The one descent on the Nehari manifold: (c, values, F, residual, iterations).
 
-    Retract c, then take the module docstring's Newton, Barzilai-Borwein or
-    floor steps until the residual is at most tol, max_iter steps are taken,
-    or no step is accepted. value(c, values) gives (F, aux) at every trial
-    point; grad(c, values, aux) runs at accepted points and at the floor
-    step's trials; hess(values) is the Hessian of F at the point with these
-    values, as the map v -> H v, for the Newton step. Accepted F is appended
-    to trace if given; see the module docstring for how much it may rise.
+    Retract c, then take the module docstring's Newton or Barzilai-Borwein
+    steps until the residual is at most tol, max_iter steps are taken, or no
+    step is accepted. value(c, values) gives (F, aux) at every trial point;
+    grad(c, values, aux) runs at accepted points and at trials the rounding
+    case of the acceptance rule judges; hess(values) is the Hessian of F at
+    the point with these values, as the map v -> H v, for the Newton step.
     """
     c, values = obj.retract(c, obj.values(c))
     F, aux = value(c, values)
@@ -237,23 +240,19 @@ def _retracted_descent(
             newton, used = _newton_direction(obj, c, g, hess(values), residual)
             products += used
             if newton is not None:
-                trial = _armijo_step(obj, c, values, -newton, -obj.values(newton), F,
-                                     -float(g @ newton), 1.0, value, _MAX_BACKTRACKS)
+                trial = _line_search(obj, c, values, -newton, -obj.values(newton), 1.0,
+                                     F, -float(g @ newton), gd, value, grad)
         if trial is None:
-            dv = obj.values(d)
-            trial = _armijo_step(obj, c, values, d, dv, F, gd, step, value, _MAX_BACKTRACKS)
-        if trial is None:
-            trial = _floor_step(obj, c, values, d, dv, F, gd, step, value, grad)
+            trial = _line_search(obj, c, values, d, obj.values(d), step, F, gd, gd, value, grad)
         if trial is None:
             break
         prev_c, prev_d = c, d
-        c, values, F, aux = trial
-        g = grad(c, values, aux)
+        c, values, F, aux, g = trial
+        if g is None:
+            g = grad(c, values, aux)
         d = g / obj.w
         gd = float(g @ d)
         iterations += 1
-        if trace is not None:
-            trace.append(F)
     return c, values, F, _residual(gd, F), iterations
 
 
@@ -310,62 +309,35 @@ def _residual(gd: float, F: float) -> float:
     return math.sqrt(max(gd, 0.0)) / (1.0 + abs(F))
 
 
-def _armijo_step(
-    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
-    F: float, gd: float, t: float, value: _Value, max_backtracks: int,
-) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
-    """Retracted step c - t d, halving t until F drops by _ARMIJO t gd.
-
-    dv = phi @ d and gd = <g, d>; returns the accepted (c, values, F, aux),
-    or None when every halving fails.
-    """
-    return _first_halving(obj, c, values, d, dv, t, value, max_backtracks,
-                          lambda t, F_new, *_: F_new <= F - _ARMIJO * t * gd)
-
-
-def _floor_step(
-    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
-    F: float, gd: float, t: float, value: _Value,
-    grad: Callable[[np.ndarray, np.ndarray, Any], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
-    """The floor step of the module docstring, over _armijo_step's halvings of t.
-
-    Returns the first trial (c, values, F, aux) that lowers the dual gradient
-    norm below gd while F rises by at most the rounding allowance, or None.
-    """
-    F_max = F + _rounding_allowance(F)
-
-    def lowers_gradient(t: float, F_new: float, new_c: np.ndarray, new_v: np.ndarray,
-                        aux: Any) -> bool:
-        if F_new > F_max:
-            return False
-        g = grad(new_c, new_v, aux)
-        return float(g @ (g / obj.w)) < gd
-
-    return _first_halving(obj, c, values, d, dv, t, value, _MAX_BACKTRACKS, lowers_gradient)
-
-
 def _rounding_allowance(F: float) -> float:
-    """_FLOOR_ULPS eps max(|F|, 1): how far two evaluations of one level may differ."""
-    return _FLOOR_ULPS * float(np.finfo(float).eps) * max(abs(F), 1.0)
+    """_ROUNDING_ULPS eps max(|F|, 1): how far two evaluations of one level may differ."""
+    return _ROUNDING_ULPS * float(np.finfo(float).eps) * max(abs(F), 1.0)
 
 
-def _first_halving(
-    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray,
-    t: float, value: _Value, max_backtracks: int,
-    accept: Callable[[float, float, np.ndarray, np.ndarray, Any], bool],
-) -> tuple[np.ndarray, np.ndarray, float, Any] | None:
-    """First retracted trial c - t d over halvings of t that accept(t, F, c, values, aux)
-    passes, as (c, values, F, aux); None when none does."""
-    for _ in range(max_backtracks):
+def _line_search(
+    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray, t: float,
+    F: float, slope: float, gd: float, value: _Value, grad: _Grad,
+) -> tuple[np.ndarray, np.ndarray, float, Any, np.ndarray | None] | None:
+    """First retracted trial c - t d over halvings of t that the module docstring's
+    acceptance rule passes, as (c, values, F, aux, g), or None when none does.
+
+    dv = phi d, slope = <g, d> and gd = ||g||_*^2 at c. g is the gradient at
+    the trial when the rule's rounding case computed it, else None.
+    """
+    allowance = _rounding_allowance(F)
+    for _ in range(_MAX_BACKTRACKS):
         try:
             new_c, new_v = obj.retract(c - t * d, values - t * dv)
         except NonpositiveField:
             t *= 0.5
             continue
         F_new, aux = value(new_c, new_v)
-        if accept(t, F_new, new_c, new_v, aux):
-            return new_c, new_v, F_new, aux
+        if F_new < F and F_new <= F - _ARMIJO * t * slope:
+            return new_c, new_v, F_new, aux, None
+        if abs(F_new - F) <= allowance:
+            g = grad(new_c, new_v, aux)
+            if float(g @ (g / obj.w)) <= (1.0 - _ARMIJO) * gd:
+                return new_c, new_v, F_new, aux, g
         t *= 0.5
     return None
 

@@ -37,8 +37,8 @@ from .nehari import (
     SolutionRecord,
     _Hessian,
     _Value,
-    _armijo_step,
     _barycenter,
+    _line_search,
     _residual,
     _retracted_descent,
     _solution_record,
@@ -588,8 +588,9 @@ def band_saddle(
                 new_c, _ = obj.retract(c - step * d, obj.values(c - step * d))
                 moved.append((k, new_c))
             else:
-                trial = _armijo_step(obj, c, values, d, obj.values(d), energies[k],
-                                     float(g @ d), step, obj.value, 30)
+                gd = float(g @ d)
+                trial = _line_search(obj, c, values, d, obj.values(d), step, energies[k],
+                                     gd, gd, obj.value, lambda c, v, _: obj.grad(c, v))
                 if trial is not None:
                     moved.append((k, trial[0]))
         for k, new_c in moved:

@@ -3,19 +3,57 @@
 Each recomputes something the package computes another way, so agreement
 checks the package's route: the dense eigenvector matrix phi from the basis's
 factors instead of their products, the Nehari scale by bracketing a root of
-J(t u) instead of its closed form, and the radial symmetry of a field by
-averaging over exact grid radii.
+J(t u) instead of its closed form, the radial symmetry of a field by
+averaging over exact grid radii, and the profile ODE by finite differences
+of the profile's derivative. The rest are measurements the package has no
+use for: a domain's diameter and a table of profile samples.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
 from scipy.optimize import brentq
 
+from fracfield.domain import GridDomain
 from fracfield.errors import NonpositiveField
+from fracfield.extension import BesselProfile
 from fracfield.model import Nonlinearity, h_eval
 from fracfield.spectral import Field, SpectralBasis
+
+
+def diameter(dom: GridDomain) -> float:
+    """Diameter of the continuous region lam * Omega."""
+    if dom.shape_id == "rectangle":
+        return dom.lam * math.hypot(dom.params["a"], dom.params["b"])
+    return 2.0 * dom.lam * dom.params["R"]
+
+
+def profile_samples(profile: BesselProfile, n_samples: int = 400) -> np.ndarray:
+    """(n_samples, 3) table of (s, psi(s), psi'(s)) on solve_profile's log-graded grid."""
+    s = np.geomspace(1e-8, profile.s_max, n_samples)
+    return np.stack([s, profile.psi(s), profile.psi_prime(s)], axis=1)
+
+
+def ode_residual(profile: BesselProfile, s, rel_step: float = 1e-4) -> np.ndarray:
+    """Residual of psi'' + ((1 - 2 alpha)/s) psi' - psi with a central-difference
+    psi'', relative to term size.
+
+    Near the origin the individual terms scale like s^(2*alpha - 2), so an
+    absolute residual is meaningless there; the residual is normalized by
+    the largest term magnitude (floored at 1). The difference step scales
+    with s to keep the finite-difference truncation error uniform.
+    """
+    s = np.asarray(s, dtype=float)
+    delta = rel_step * s
+    d2 = (profile.psi_prime(s + delta) - profile.psi_prime(s - delta)) / (2.0 * delta)
+    t_damp = (1.0 - 2.0 * profile.alpha) / s * profile.psi_prime(s)
+    t_val = profile.psi(s)
+    resid = np.abs(d2 + t_damp - t_val)
+    scale = np.maximum.reduce([np.ones_like(s), np.abs(d2), np.abs(t_damp), np.abs(t_val)])
+    return resid / scale
 
 
 def dense_phi(basis: SpectralBasis) -> np.ndarray:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from fracfield.domain import build_domain, neighborhood_membership
 from fracfield.errors import BadShapeParams, EmptyMask
+from oracles import diameter
 
 
 def _boundary_points(shape_id, params, lam, n=20000):
@@ -95,13 +96,13 @@ def test_boundary_distance_exact_and_bounded(shape_id, params, lam, h):
     dom = build_domain(shape_id, params, lam, h)
     bd = dom.boundary_distance
     assert (bd > 0).all()
-    assert bd.max() <= dom.diameter
+    assert bd.max() <= diameter(dom)
     # oracle: min distance to a dense boundary sampling
     bpts = _boundary_points(shape_id, params, lam)
     for i in range(0, dom.n_interior, max(1, dom.n_interior // 40)):
         p = dom.node_coords[i]
         brute = np.sqrt(((bpts - p) ** 2).sum(axis=1)).min()
-        assert abs(bd[i] - brute) < 2e-4 * dom.diameter
+        assert abs(bd[i] - brute) < 2e-4 * diameter(dom)
 
 
 def test_all_interior_nodes_strictly_inside():

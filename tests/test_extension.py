@@ -8,6 +8,7 @@ import pytest
 
 from fracfield.errors import QuadratureFailure
 from fracfield.extension import extension_energy, k_alpha, solve_profile
+from oracles import ode_residual, profile_samples
 
 ALPHAS = (0.25, 0.5, 0.75)
 
@@ -42,7 +43,7 @@ def test_flux_limit_matches_k_alpha(alpha, profiles):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_profile_positive_decreasing(alpha, profiles):
     p = profiles[alpha]
-    psi = p.samples[:, 1]
+    psi = profile_samples(p)[:, 1]
     assert (psi > 0).all()
     assert (np.diff(psi) < 1e-14).all()
     # psi(0+) = 1, approached at the Frobenius rate s^(2*alpha)
@@ -54,11 +55,11 @@ def test_profile_positive_decreasing(alpha, profiles):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_ode_residual_small_on_samples(alpha, profiles):
     p = profiles[alpha]
-    s = p.samples[:, 0]
+    s = profile_samples(p)[:, 0]
     # below 1e-4 the evaluations are the Frobenius series itself, and the FD
     # stencil degenerates; above s_max the march has no dense output
     s = s[(s >= 1e-4) & (s <= p.s_max - 1e-3)]
-    assert np.max(p.ode_residual(s)) < 1e-7
+    assert np.max(ode_residual(p, s)) < 1e-7
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -106,8 +107,11 @@ def test_profile_series_march_agree_at_interior_point():
 
 def test_samples_table_layout():
     p = solve_profile(0.5, n_samples=123)
-    assert p.samples.shape == (123, 3)
-    s = p.samples[:, 0]
+    table = profile_samples(p, 123)
+    assert table.shape == (123, 3)
+    s = table[:, 0]
     assert s[0] == pytest.approx(1e-8)
     assert s[-1] == pytest.approx(p.s_max)
     assert (np.diff(np.log(s)) > 0).all()
+    assert np.array_equal(table[:, 1], p.psi(s))
+    assert np.array_equal(table[:, 2], p.psi_prime(s))

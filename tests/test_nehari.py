@@ -8,6 +8,7 @@ identities that eliminate the potential term.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 
 import numpy as np
@@ -48,11 +49,29 @@ def disk_basis():
     return assemble_and_decompose(dom, alpha=0.5)
 
 
+@contextlib.contextmanager
+def _accepted_values():
+    """The F of every step the descent kernel accepts inside the block, in order,
+    collected by wrapping nehari._line_search."""
+    accepted: list[float] = []
+    line_search = nehari._line_search
+
+    def recorded(*args):
+        trial = line_search(*args)
+        if trial is not None:
+            accepted.append(trial[2])
+        return trial
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nehari, "_line_search", recorded)
+        yield accepted
+
+
 @pytest.fixture(scope="module")
 def disk_ground(disk_basis):
     seed = gaussian_bump_seed(disk_basis, (0.0, 0.0), 0.4)
-    trace: list[float] = []
-    rec = ground_state(disk_basis, NL, seed, tol=1e-8, energy_trace=trace)
+    with _accepted_values() as trace:
+        rec = ground_state(disk_basis, NL, seed, tol=1e-8)
     return rec, seed, trace
 
 
@@ -175,14 +194,15 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     rr = np.sqrt((dom.node_coords**2).sum(axis=1))
     ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
     rho = annulus_level(annulus4, NL).rho_schedule[0]
-    pen_trace: list[float] = []
     e = Energy(annulus4, NL)
-    c, _, _, _, its = nehari._retracted_descent(
-        e, ring.coeffs, *_penalty(e, rho, np.zeros(2)), 1e-8, 20000, pen_trace
-    )
+    with _accepted_values() as pen_trace:
+        c, _, _, _, its = nehari._retracted_descent(
+            e, ring.coeffs, *_penalty(e, rho, np.zeros(2)), 1e-8, 20000
+        )
     assert len(pen_trace) == its > 0
-    # accepted values never rise; a few late steps leave F unchanged in the
-    # last bit, where the Armijo decrement is below the roundoff of F
+    # accepted values never rise here; a few late steps may leave F unchanged
+    # in the last bit, accepted by the rounding case of the acceptance rule
+    # because they lower the dual gradient norm
     assert np.all(np.diff(pen_trace) <= 0)
     assert pen_trace[-1] < pen_trace[0]
 
@@ -195,15 +215,15 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
 def test_newton_step_finishes_formerly_stalled_start(unblocked_basis, lapack):
     # full span of the R=2 disk at h=0.125: with the Armijo test alone, start
     # random-1 of rng_seed 430440614 stalled on the evr basis after 1612
-    # iterations at residual 1.28e-8, no halving passing the test; the floor
-    # step finished it, and now the Newton step does in a few dozen
+    # iterations at residual 1.28e-8, no halving passing the test; a second
+    # pass that accepted rounding-level steps lowering the gradient norm
+    # finished it, and now the Newton step does in a few dozen
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
     basis = assemble_and_decompose(dom) if lapack == "evd" else unblocked_basis(dom)
     tag, center, width = _multistart_seeds(basis, 8, 430440614)[1]
     assert tag == "random-1"
-    trace: list[float] = []
-    rec = ground_state(basis, NL, gaussian_bump_seed(basis, center, width),
-                       tol=1e-8, energy_trace=trace)
+    with _accepted_values() as trace:
+        rec = ground_state(basis, NL, gaussian_bump_seed(basis, center, width), tol=1e-8)
     assert rec.converged
     assert rec.iterations <= 100
     F = np.array(trace)
@@ -213,31 +233,110 @@ def test_newton_step_finishes_formerly_stalled_start(unblocked_basis, lapack):
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])
 def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch):
-    # the pinned lambda=6 annulus level with the Newton step held off: its
-    # last penalty stage then ends where no Armijo halving passes for rounding
-    # alone, and floor steps must finish it. With Newton the stages mostly
-    # jump past that floor, and whether one lands on it changes with the
-    # basis and the BLAS thread count. Without Newton it still depends on
-    # rounding (on the parity-blocked basis under one BLAS thread no stage
-    # lands there), so both cases take the unblocked oracle: the floor step
-    # is a property of the kernel, not of the basis
+    # the pinned lambda=6 annulus level: its last penalty stage ends where the
+    # Armijo case of the acceptance rule fails or passes for rounding alone,
+    # and steps accepted by the rounding case must finish it, each raising F
+    # by at most the rounding allowance. Whether a stage lands on that floor
+    # changes with the basis and the BLAS thread count, so both cases take
+    # the unblocked oracle: the rule is a property of the kernel, not of the
+    # basis
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=6.0, h=0.25)
     basis = unblocked_basis(dom, driver=lapack)
-    floor_step = nehari._floor_step
+    line_search = nehari._line_search
     rises: list[float] = []
 
-    def recorded(obj, c, values, d, dv, F, *rest):
-        trial = floor_step(obj, c, values, d, dv, F, *rest)
-        if trial is not None:
+    def recorded(obj, c, values, d, dv, t, F, *rest):
+        trial = line_search(obj, c, values, d, dv, t, F, *rest)
+        if trial is not None and trial[4] is not None:
             rises.append((trial[2] - F) / (64 * np.finfo(float).eps * max(abs(F), 1.0)))
         return trial
 
-    monkeypatch.setattr(nehari, "_floor_step", recorded)
-    monkeypatch.setattr(nehari, "_NEWTON_AFTER", 20000)
+    monkeypatch.setattr(nehari, "_line_search", recorded)
     rep = annulus_level(basis, NL)
     assert rep.record.converged
     assert rises
     assert max(rises) <= 1.0
+
+
+@pytest.mark.parametrize("descent", ["ring-seed", "pinned-at-the-floor"])
+def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
+    # ring-seed: the penalized descent from annulus_level's ring seed at its
+    # first rho, where an Armijo test without the strict decrease once
+    # accepted steps that left F unchanged. pinned-at-the-floor: the level
+    # pinned at 22.5 degrees at tol 1e-14, below what rounding lets the
+    # residual reach, where such a test still does, and where under one BLAS
+    # thread a bare "the norm drops" rounding case accepts steps that the
+    # factor 1 - _ARMIJO refuses.
+    # Each accepted trial is recomputed here from the line search's inputs:
+    # its halving t, F and the gradients at both ends
+    line_search = nehari._line_search
+    cases: list[str] = []
+
+    def checked(obj, c, values, d, dv, t, F, slope, gd, value, grad):
+        trial = line_search(obj, c, values, d, dv, t, F, slope, gd, value, grad)
+        if trial is None:
+            return trial
+        new_c, new_v, F_new, aux, g_new = trial
+        g = grad(c, values, value(c, values)[1])
+        for _ in range(nehari._MAX_BACKTRACKS):
+            try:
+                if np.array_equal(obj.retract(c - t * d, values - t * dv)[0], new_c):
+                    break
+            except NonpositiveField:
+                pass
+            t *= 0.5
+        else:
+            raise AssertionError("accepted point is no halving of the step")
+        assert value(new_c, new_v)[0] == F_new
+        if F_new < F and F_new <= F - 1e-4 * t * float(g @ d):
+            cases.append("armijo")
+        else:
+            g1 = grad(new_c, new_v, aux)
+            assert g_new is not None and np.array_equal(g_new, g1)
+            assert abs(F_new - F) <= 64 * np.finfo(float).eps * max(abs(F), 1.0)
+            assert float(g1 @ (g1 / obj.w)) <= (1.0 - 1e-4) * float(g @ (g / obj.w))
+            cases.append("rounding")
+        return trial
+
+    if descent == "ring-seed":
+        e = Energy(annulus4, NL)
+        rr = np.sqrt((annulus4.dom.node_coords**2).sum(axis=1))
+        ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
+        rho = annulus_level(annulus4, NL).rho_schedule[0]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nehari, "_line_search", checked)
+            *_, its = nehari._retracted_descent(
+                e, ring.coeffs, *_penalty(e, rho, np.zeros(2)), 1e-8, 20000
+            )
+    else:
+        angle = np.pi / 8
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nehari, "_line_search", checked)
+            its = annulus_level(annulus4, NL, x_tilde=(2.8 * np.cos(angle), 2.8 * np.sin(angle)),
+                                tol=1e-14).record.iterations
+        assert "rounding" in cases
+    assert len(cases) == its > 0
+
+
+def test_pinned_level_work_is_bounded_at_the_rounding_floor(annulus4, monkeypatch):
+    # at tol 1e-14, below what rounding lets the pinned residual reach, every
+    # Newton step's Armijo test passed or failed by rounding alone, and the
+    # kernel retried Newton at almost every step: 15k-40k Hessian products.
+    # The rounding case of the acceptance rule accepts those steps while the
+    # gradient still drops and stops the descent once it does not
+    newton_direction = nehari._newton_direction
+    products = 0
+
+    def counted(*args):
+        nonlocal products
+        y, used = newton_direction(*args)
+        products += used
+        return y, used
+
+    monkeypatch.setattr(nehari, "_newton_direction", counted)
+    angle = np.pi / 8
+    annulus_level(annulus4, NL, x_tilde=(2.8 * np.cos(angle), 2.8 * np.sin(angle)), tol=1e-14)
+    assert 0 < products <= 3000
 
 
 def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
@@ -315,7 +414,7 @@ def test_level_positive_and_collapses_on_disk(disk_basis):
     assert rep.value > 0
     assert rep.n_converged >= 3
     assert rep.spread <= 1e-8 * (1.0 + abs(rep.value))
-    assert rep.best.energy == rep.value
+    assert rep.records[0].energy == rep.value
 
 
 def test_level_threaded_matches_serial(disk_basis):

@@ -3,9 +3,12 @@
 Every public top-level function or class in src/fracfield must be referenced
 in code, not in a docstring, somewhere in the package outside its own
 definition, or be a layer that perfbench/spans.py traces;
-EXCEPTIONS names the ones that wait for a caller. Code that only tests call
-belongs in tests/. Every name a module imports must be used by that module,
-and every module-level constant must be read somewhere in the package.
+EXCEPTIONS names the ones that wait for a caller. Every public method or
+property of a class there must be read as an attribute of that name in the
+package outside its own definition, or in perfbench/spans.py. Code that only
+tests call belongs in tests/. Every name a module imports must be used by
+that module, and every module-level constant must be read somewhere in the
+package.
 """
 
 from __future__ import annotations
@@ -85,6 +88,27 @@ def _public_defs() -> list[tuple[str, str, ast.AST]]:
     ]
 
 
+def _public_members() -> list[tuple[str, str, ast.FunctionDef]]:
+    """(module, Class.member, definition) for each public method or property."""
+    return [
+        (mod, f"{cls.name}.{node.name}", node)
+        for mod, tree in _modules().items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+
+
+def _attribute_names(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
+    """Every name read as an attribute, x.name for any x, in tree outside skip."""
+    inside = set() if skip is None else {id(n) for n in ast.walk(skip)}
+    return {
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and id(node) not in inside
+    }
+
+
 def _constants() -> list[tuple[str, str, ast.AST]]:
     """(module, name, assignment) for each top-level NAME or _NAME assignment."""
     return [
@@ -128,6 +152,19 @@ def _unreferenced() -> list[str]:
 def test_every_public_definition_has_a_caller_in_src():
     # an exception that gains a caller leaves the list
     assert _unreferenced() == sorted(EXCEPTIONS)
+
+
+def test_every_public_member_has_a_caller_in_src():
+    # by name only: a member counts as called when any object's attribute of
+    # that name is read
+    spans = _attribute_names(ast.parse((ROOT / "perfbench" / "spans.py").read_text()))
+    modules = _modules()
+    uncalled = [
+        f"{mod}.{name}" for mod, name, node in _public_members()
+        if node.name not in spans
+        and not any(node.name in _attribute_names(tree, node) for tree in modules.values())
+    ]
+    assert uncalled == []
 
 
 def test_every_module_constant_is_read():

@@ -279,8 +279,9 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
 
 @pytest.mark.parametrize("lam", [2.0, 4.0, 6.0])
 def test_annulus_level_converges_on_evd_and_evr(unblocked_basis, lam):
-    # the last penalty stage ends where rounding decides whether an Armijo
-    # step passes; the floor step must finish it on the evd and evr bases alike
+    # the last penalty stage ends where rounding decides whether a step
+    # passes the Armijo case of the acceptance rule; its rounding case must
+    # finish the stage on the evd and evr bases alike
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=lam, h=0.25)
     levels = []
     for basis in (assemble_and_decompose(dom), unblocked_basis(dom)):
