@@ -131,9 +131,9 @@ class GridDomain:
         """Distance to the closed region lambda*Omega (zero inside)."""
         return np.maximum(0.0, -self.signed_boundary_distance(pts))
 
-    def grid_values(self, interior_values: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        """Scatter a flat interior vector onto the full (ny, nx) grid."""
-        out = np.full((self.ny, self.nx), fill, dtype=float)
+    def grid_values(self, interior_values: np.ndarray) -> np.ndarray:
+        """Scatter a flat interior vector onto the full (ny, nx) grid, zero outside the mask."""
+        out = np.zeros((self.ny, self.nx))
         out[self.mask] = interior_values
         return out
 

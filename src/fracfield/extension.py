@@ -34,6 +34,8 @@ _SERIES_TERMS = 48
 _MATCH_POINT = 1.0
 _ASYMPTOTIC_PAD = 8.0
 _ASYMPTOTIC_TERMS = 5
+# points of solve_profile's positivity and monotonicity checks
+_N_SAMPLES = 400
 
 
 def k_alpha(alpha: float) -> float:
@@ -118,16 +120,16 @@ class BesselProfile:
             out[far] = -(s[far] ** (1.0 - 2.0 * self.alpha)) * self.psi_prime(s[far])
         return out
 
-    def flux_limit(self, s: float = 1e-16) -> float:
-        """Numerical realization of -lim s^(1-2*alpha) psi'(s); converges to k_alpha."""
-        return float(self.flux(np.array([s]))[0])
+    def flux_limit(self) -> float:
+        """-s^(1-2*alpha) psi'(s) at s = 1e-16, which realizes the limit s -> 0: k_alpha."""
+        return float(self.flux(np.array([1e-16]))[0])
 
 
-def solve_profile(alpha: float, s_max: float = 25.0, n_samples: int = 400) -> BesselProfile:
+def solve_profile(alpha: float, s_max: float = 25.0) -> BesselProfile:
     """Build the decaying profile for fractional order alpha on (0, s_max].
 
     Raises IntegrationFailure if the profile loses positivity or monotonicity
-    on n_samples log-graded points of [1e-8, s_max] or the series and march
+    on _N_SAMPLES log-graded points of [1e-8, s_max] or the series and march
     disagree at the matching point.
     """
     if not 0.0 < alpha < 1.0:
@@ -197,7 +199,7 @@ def solve_profile(alpha: float, s_max: float = 25.0, n_samples: int = 400) -> Be
         _sol=sol,
         _sigma=float(sigma),
     )
-    psi_g = profile.psi(np.geomspace(1e-8, s_max, n_samples))
+    psi_g = profile.psi(np.geomspace(1e-8, s_max, _N_SAMPLES))
     if not (psi_g > 0).all():
         raise IntegrationFailure("profile lost positivity on the sample grid")
     if not (np.diff(psi_g) < 1e-14).all():
@@ -253,11 +255,11 @@ def extension_energy(profile: BesselProfile, mu: float) -> float:
     return value
 
 
-def scaling_check(alphas, mus, s_max: float = 25.0):
+def scaling_check(alphas, mus):
     """Rows (alpha, mu, computed, expected, rel_err) for the mu^alpha identity."""
     rows = []
     for alpha in alphas:
-        profile = solve_profile(alpha, s_max=s_max)
+        profile = solve_profile(alpha)
         for mu in mus:
             got = extension_energy(profile, mu)
             want = mu**alpha

@@ -3,13 +3,14 @@
 In the mode coordinates the second variation of the energy at u is
 the symmetric K x K operator H v = (mu^alpha + 1) v - h^2 Phi^T (h'(u) Phi v),
 a diagonal quadratic-form part minus the Gram operator of the modes under the
-node weights h^2 h'(u), applied by Energy.hessian_vector and never formed. The
-Morse index is the number of eigenvalues below -eps_null; eigenvalues within
-eps_null of zero are counted as null and make the point degenerate. Both need
-only the bottom of the spectrum. The count check compares the index-1/index-2
-census of a solution list against the prediction 2 P1 - 1 built from
-hard-coded Poincare polynomials (rectangle, disk: 1; annulus: 1 + t), split
-as P1 points of index 1 and P1 - 1 points of index 2.
+node weights h^2 h'(u), applied by the map Energy.hessian returns and never
+formed. The Morse index is the number of eigenvalues below -eps_null;
+eigenvalues within eps_null of zero are counted as null and make the point
+degenerate. Both need only the bottom of the spectrum. The count check
+compares the index-1/index-2 census of a solution list against the
+prediction 2 P1 - 1 built from hard-coded Poincare polynomials (rectangle,
+disk: 1; annulus: 1 + t), split as P1 points of index 1 and P1 - 1 points of
+index 2.
 
 Indices are reported for the full space, not the manifold tangent: every
 solution carries one negative ray direction, so manifold minima score 1 and
@@ -97,7 +98,7 @@ def _smallest_eigenvalues(e: Energy, values: np.ndarray, k: int) -> np.ndarray:
         # H = W: its products are exact, so Lanczos from one start vector
         # would find one copy of each repeated weight
         return np.sort(e.w)[:k]
-    return _smallest_eigenpairs(lambda v: e.hessian_vector(values, v), e.w.size, k)[0]
+    return _smallest_eigenpairs(e.hessian(values), e.w.size, k)[0]
 
 
 def _smallest_eigenpairs(
@@ -155,10 +156,9 @@ def classify_record(
     basis: SpectralBasis,
     nl: Nonlinearity,
     record: SolutionRecord,
-    eps_null: float | None = None,
 ) -> tuple[SolutionRecord, HessianSpectrumReport]:
     """Attach the Morse index of the record's field to the record itself."""
-    report = hessian_spectrum(basis, nl, record.u, eps_null=eps_null)
+    report = hessian_spectrum(basis, nl, record.u)
     return dataclasses.replace(record, morse_index=report.morse_index), report
 
 
@@ -166,14 +166,13 @@ def classify_records(
     basis: SpectralBasis,
     nl: Nonlinearity,
     records: Sequence[SolutionRecord],
-    eps_null: float | None = None,
     workers: int = 1,
 ) -> list[tuple[SolutionRecord, HessianSpectrumReport]]:
     """classify_record over a batch; spectra are independent, so threads help."""
     if workers > 1 and len(records) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda r: classify_record(basis, nl, r, eps_null), records))
-    return [classify_record(basis, nl, r, eps_null) for r in records]
+            return list(pool.map(lambda r: classify_record(basis, nl, r), records))
+    return [classify_record(basis, nl, r) for r in records]
 
 
 @dataclass(frozen=True)

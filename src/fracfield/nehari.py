@@ -8,8 +8,10 @@ the energy along the ray. Ground states are found by retracted descent: a
 step on coefficients followed by the closed-form rescaling back onto M. On M
 the radial derivative of I vanishes (I'(u)[u] = J(u) = 0), so the full
 gradient is tangent to first order and the retracted step decreases energy
-for small step sizes. The functional, its gradient, Hessian action and the
-retraction are model.Energy's; the descent takes them as given.
+for small step sizes. The descent kernel takes one objective object, a
+model.Energy or its model.PinnedEnergy, and reads from it the value F, the
+gradient, the Hessian action and the retraction; it never applies the basis
+itself.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
@@ -21,10 +23,10 @@ max_iter counts accepted steps. Two kinds are tried in turn at each iterate.
 
 - Newton step, from the (_NEWTON_AFTER + 1)-th step on, once the residual is
   at most _NEWTON_RESIDUAL, and while fewer than max_iter Hessian products
-  have been spent. Both objectives supply a Hessian action: ground_state's
-  plain energy and the barycenter penalty of topology.annulus_level. A Newton
-  step costs about a dozen products with phi (the basis's matvec and rmatvec,
-  block by block) and a BB step two, so starts that BB finishes within
+  have been spent. The objective's hessian(values) supplies the Hessian
+  action, for ground_state's plain energy and for the pinned objective of
+  topology.annulus_level alike. A Newton step costs about a dozen products
+  with phi and a BB step two, so starts that BB finishes within
   _NEWTON_AFTER steps, as most annulus starts do, never pay for one, while
   starts that creep along near-null translation modes for thousands of BB
   steps finish in a few dozen Newton steps. The
@@ -73,14 +75,12 @@ import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
-from typing import Any
 
 import numpy as np
 
-from .domain import GridDomain, build_domain
+from .domain import build_domain
 from .errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from .model import Energy, Nonlinearity
+from .model import Energy, Nonlinearity, _barycenter
 from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 _ARMIJO = 1e-4
@@ -138,16 +138,6 @@ class LimitLevelReport:
     levels: tuple[float, ...]
 
 
-def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(u+, beta, sum (u+)^2): the positive part, its mass center and its nodal mass."""
-    up = np.maximum(values, 0.0)
-    w = up * up
-    mass = float(w.sum())
-    if mass <= 0.0:
-        raise NonpositiveField("barycenter undefined: u+ vanishes on the grid")
-    return up, (dom.node_coords * w[:, None]).sum(axis=0) / mass, mass
-
-
 def _require_positive_part(values: np.ndarray) -> None:
     if not np.any(values > 0.0):
         raise NonpositiveField("field has no positive part on the grid")
@@ -188,36 +178,27 @@ def ground_state(
         raise ValueError(f"tol must be positive, got {tol}")
     basis.check_same_domain(seed.dom)
     _require_positive_part(seed.values)
-    obj = Energy(basis, nl)
     c, values, energy, residual, iterations = _retracted_descent(
-        obj, np.asarray(seed.coeffs, dtype=float), obj.value,
-        lambda c, values, _: obj.grad(c, values),
-        lambda values: partial(obj.hessian_vector, values), tol, max_iter,
-    )
+        Energy(basis, nl), np.asarray(seed.coeffs, dtype=float), tol, max_iter)
     return _solution_record(basis, c, values, energy, residual, tol, seed_tag, iterations)
 
 
-_Value = Callable[[np.ndarray, np.ndarray], tuple[float, Any]]
-_Grad = Callable[[np.ndarray, np.ndarray, Any], np.ndarray]
-_Hessian = Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]]
-
-
 def _retracted_descent(
-    obj: Energy, c: np.ndarray, value: _Value, grad: _Grad, hess: _Hessian,
-    tol: float, max_iter: int,
+    obj: Energy, c: np.ndarray, tol: float, max_iter: int,
 ) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """The one descent on the Nehari manifold: (c, values, F, residual, iterations).
+    """The one descent on the Nehari manifold of the objective F = obj.energy:
+    (c, values, F, residual, iterations).
 
     Retract c, then take the module docstring's Newton or Barzilai-Borwein
     steps until the residual is at most tol, max_iter steps are taken, or no
-    step is accepted. value(c, values) gives (F, aux) at every trial point;
-    grad(c, values, aux) runs at accepted points and at trials the rounding
-    case of the acceptance rule judges; hess(values) is the Hessian of F at
-    the point with these values, as the map v -> H v, for the Newton step.
+    step is accepted. obj.energy runs at every trial point; obj.grad at
+    accepted points and at trials the rounding case of the acceptance rule
+    judges; obj.hessian(values), the map v -> H v at the point with these
+    values, for the Newton step.
     """
     c, values = obj.retract(c, obj.values(c))
-    F, aux = value(c, values)
-    g = grad(c, values, aux)
+    F = obj.energy(c, values)
+    g = obj.grad(c, values)
     d = g / obj.w
     gd = float(g @ d)
 
@@ -237,19 +218,19 @@ def _retracted_descent(
                 step = min(max(float(s @ s) / sy, 1e-14), 1e14)
         trial = None
         if iterations >= _NEWTON_AFTER and residual <= _NEWTON_RESIDUAL and products < max_iter:
-            newton, used = _newton_direction(obj, c, g, hess(values), residual)
+            newton, used = _newton_direction(obj, c, g, obj.hessian(values), residual)
             products += used
             if newton is not None:
                 trial = _line_search(obj, c, values, -newton, -obj.values(newton), 1.0,
-                                     F, -float(g @ newton), gd, value, grad)
+                                     F, -float(g @ newton), gd)
         if trial is None:
-            trial = _line_search(obj, c, values, d, obj.values(d), step, F, gd, gd, value, grad)
+            trial = _line_search(obj, c, values, d, obj.values(d), step, F, gd, gd)
         if trial is None:
             break
         prev_c, prev_d = c, d
-        c, values, F, aux, g = trial
+        c, values, F, g = trial
         if g is None:
-            g = grad(c, values, aux)
+            g = obj.grad(c, values)
         d = g / obj.w
         gd = float(g @ d)
         iterations += 1
@@ -316,10 +297,10 @@ def _rounding_allowance(F: float) -> float:
 
 def _line_search(
     obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray, t: float,
-    F: float, slope: float, gd: float, value: _Value, grad: _Grad,
-) -> tuple[np.ndarray, np.ndarray, float, Any, np.ndarray | None] | None:
+    F: float, slope: float, gd: float,
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None] | None:
     """First retracted trial c - t d over halvings of t that the module docstring's
-    acceptance rule passes, as (c, values, F, aux, g), or None when none does.
+    acceptance rule passes, as (c, values, F, g), or None when none does.
 
     dv = phi d, slope = <g, d> and gd = ||g||_*^2 at c. g is the gradient at
     the trial when the rule's rounding case computed it, else None.
@@ -331,13 +312,13 @@ def _line_search(
         except NonpositiveField:
             t *= 0.5
             continue
-        F_new, aux = value(new_c, new_v)
+        F_new = obj.energy(new_c, new_v)
         if F_new < F and F_new <= F - _ARMIJO * t * slope:
-            return new_c, new_v, F_new, aux, None
+            return new_c, new_v, F_new, None
         if abs(F_new - F) <= allowance:
-            g = grad(new_c, new_v, aux)
+            g = obj.grad(new_c, new_v)
             if float(g @ (g / obj.w)) <= (1.0 - _ARMIJO) * gd:
-                return new_c, new_v, F_new, aux, g
+                return new_c, new_v, F_new, g
         t *= 0.5
     return None
 
@@ -393,8 +374,9 @@ def level_c(
 ) -> LevelReport:
     """Ground-state level: minimum converged energy across a multistart batch.
 
-    Starts are independent; with workers > 1 they run on a thread pool (the
-    dense basis is shared read-only and the matrix products release the GIL).
+    Starts are independent; with workers > 1 they run on a thread pool. Each
+    start builds its own Energy, which only reads the shared basis, and the
+    basis products release the GIL.
     Converged records are merged in _level_order, so neither scheduling nor
     rounding picks the best record, whose energy is the level.
     """

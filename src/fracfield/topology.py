@@ -17,7 +17,6 @@ representatives, so counts here are orbit-class counts.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +30,10 @@ from .errors import (
     NonpositiveField,
     SaddleNotEscaped,
 )
-from .model import Energy, Nonlinearity, h_prime
+from .model import Energy, Nonlinearity, PinnedEnergy, _barycenter
 from .morse import _smallest_eigenpairs, default_eps_null
 from .nehari import (
     SolutionRecord,
-    _Hessian,
-    _Value,
-    _barycenter,
     _line_search,
     _residual,
     _retracted_descent,
@@ -185,67 +181,17 @@ class AnnulusLevelReport:
     rho_schedule: tuple[float, ...]
 
 
-def _penalty(
-    obj: Energy, rho: float, x_tilde: np.ndarray,
-) -> tuple[_Value, Callable[..., np.ndarray], _Hessian]:
-    """The kernel's value, grad and hess callables for F = I + rho |beta(u) - x_tilde|^2.
-
-    beta is _barycenter's, as in the records. The penalty's nodal gradient
-    4 rho s q / M is computed with F at each trial point and reused at accepted
-    ones. With s = u+, m = 1[u > 0], M = sum s^2, r_i = x_i - beta,
-    q = r . (beta - x_tilde) and Bz = 2 sum s_i z_i r_i / M (the change of
-    beta along z), the penalty's nodal Hessian on z is
-
-        4 rho / M [s (r . Bz) + m q z - 2 (s <s q, z> + s q <s, z>) / M],
-
-    a diagonal on the positive set plus a term of rank at most 3. hess(values)
-    computes the per-point terms once and returns the map v -> H_F v, which
-    adds that Hessian to the energy's second variation on z = phi v in one
-    basis matvec and one rmatvec. The penalty is 0-homogeneous, so its
-    Hessian sends c to minus its gradient: H_F c + g_F = H_I c + g_I = J'(c),
-    and the Newton step's tangent space is the plain energy's.
-    """
-    dom = obj.basis.dom
-
-    def value(c: np.ndarray, values: np.ndarray) -> tuple[float, np.ndarray]:
-        up, beta, M = _barycenter(dom, values)
-        gap = beta - x_tilde
-        pvals = 4.0 * rho * up * ((dom.node_coords - beta) @ gap) / M
-        return obj.energy(c, values) + rho * float(gap @ gap), pvals
-
-    def grad(c: np.ndarray, values: np.ndarray, pvals: np.ndarray) -> np.ndarray:
-        return obj.grad(c, values) + obj.basis.rmatvec(pvals)
-
-    def hess(values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        s, beta, M = _barycenter(dom, values)
-        r = dom.node_coords - beta
-        q = r @ (beta - x_tilde)
-        sq, sr = s * q, s[:, None] * r
-        diag = (4.0 * rho / M) * (s > 0.0) * q - obj.h2 * h_prime(obj.nl, values)
-
-        def hv(v: np.ndarray) -> np.ndarray:
-            z = obj.basis.matvec(v)
-            bz = 2.0 * (z @ sr) / M
-            low_rank = s * (r @ bz) - 2.0 * (s * float(sq @ z) + sq * float(s @ z)) / M
-            return obj.w * v + obj.basis.rmatvec((4.0 * rho / M) * low_rank + diag * z)
-
-        return hv
-
-    return value, grad, hess
-
-
-def _saddle_escape(
-    obj: Energy, hv: Callable[[np.ndarray], np.ndarray], c: np.ndarray,
-) -> np.ndarray | None:
+def _saddle_escape(obj: PinnedEnergy, c: np.ndarray, values: np.ndarray) -> np.ndarray | None:
     """The escape step from a stage's end point c when it is a saddle of F, else None.
 
-    The two smallest eigenvalues of F's Hessian hv there, by morse's Lanczos: the
+    The two smallest eigenvalues of F's Hessian there, by morse's Lanczos: the
     first is the ray's, negative at every point of the manifold, and a second
     one below -eps_null makes the point a saddle on the manifold. The step is
     _ESCAPE_SIZE |c| along the second eigenvector, signed so that its largest
     component is positive.
     """
-    ev, vecs = _smallest_eigenpairs(hv, c.size, 2, vectors=True, maxiter=_CHECK_RESTARTS)
+    ev, vecs = _smallest_eigenpairs(obj.hessian(values), c.size, 2, vectors=True,
+                                    maxiter=_CHECK_RESTARTS)
     if ev[1] >= -default_eps_null(obj.basis):
         return None
     v = vecs[:, 1]
@@ -269,12 +215,12 @@ def annulus_level(
     seed is a radially symmetric ring at the mid radius, whose barycenter is
     already the center.
 
-    Each stage builds _penalty's callables for its rho once and runs nehari's
-    descent kernel on them, Newton finish included. The penalty is
-    scale-invariant along rays (beta ignores positive scaling), so the Nehari
-    retraction leaves it unchanged and the plain solver's descent argument
-    carries over. A converged stage is checked to second order, on the same
-    Hessian action (_saddle_escape): where its end point is
+    Each stage builds one PinnedEnergy for its rho and runs nehari's descent
+    kernel on it, Newton finish included. The penalty is scale-invariant
+    along rays (beta ignores positive scaling), so the Nehari retraction
+    leaves it unchanged and the plain solver's descent argument carries over.
+    A converged stage is checked to second order, on the same Hessian action
+    (_saddle_escape): where its end point is
     a saddle of the penalized objective, as the symmetric four-bump point
     that the ring seed can reach at lam=2, the stage is rerun from a step off
     it, at most _MAX_ESCAPES times in all, then SaddleNotEscaped is raised.
@@ -305,13 +251,13 @@ def annulus_level(
     k = iterations = escapes = 0
     unchecked: EigSolveFailure | None = None
     while k < len(rhos):
-        value, grad, hess = _penalty(obj, rhos[k], target)
-        c, values, _, residual, its = _retracted_descent(obj, c, value, grad, hess, tol, max_iter)
+        pinned = PinnedEnergy(basis, nl, rhos[k], target)
+        c, values, _, residual, its = _retracted_descent(pinned, c, tol, max_iter)
         iterations += its
         if residual > tol:
             break  # an unconverged stage ends the continuation
         try:
-            step = _saddle_escape(obj, hess(values), c)
+            step = _saddle_escape(pinned, c, values)
         except EigSolveFailure as exc:
             unchecked = exc
             break
@@ -589,8 +535,7 @@ def band_saddle(
                 moved.append((k, new_c))
             else:
                 gd = float(g @ d)
-                trial = _line_search(obj, c, values, d, obj.values(d), step, energies[k],
-                                     gd, gd, obj.value, lambda c, v, _: obj.grad(c, v))
+                trial = _line_search(obj, c, values, d, obj.values(d), step, energies[k], gd, gd)
                 if trial is not None:
                     moved.append((k, trial[0]))
         for k, new_c in moved:

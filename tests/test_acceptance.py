@@ -216,7 +216,7 @@ def test_a3_variational_calculus(capsys, disk_host):
             v /= np.linalg.norm(v)
             cp, cm = c + eps * v, c - eps * v
             fd = (e.grad(cp, e.values(cp)) - e.grad(cm, e.values(cm))) / (2.0 * eps)
-            hv = e.hessian_vector(e.values(c), v)
+            hv = e.hessian(e.values(c))(v)
             worst_h = max(worst_h, float(np.linalg.norm(hv - fd) / max(np.linalg.norm(fd), 1e-12)))
         assert worst_h <= 1e-5
 

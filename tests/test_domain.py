@@ -163,9 +163,9 @@ def test_index_map_and_grid_scatter_roundtrip():
     assert np.array_equal(idx, np.arange(dom.n_interior))
     assert (dom.index_of[~dom.mask] == -1).all()
     vals = np.arange(dom.n_interior, dtype=float)
-    grid = dom.grid_values(vals, fill=-7.0)
+    grid = dom.grid_values(vals)
     assert np.array_equal(grid[dom.mask], vals)
-    assert (grid[~dom.mask] == -7.0).all()
+    assert (grid[~dom.mask] == 0.0).all()
     # node_coords really are the masked meshgrid points, row-major
     X, Y = np.meshgrid(dom.xs, dom.ys)
     assert np.array_equal(dom.node_coords[:, 0], X[dom.mask])

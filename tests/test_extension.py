@@ -106,7 +106,7 @@ def test_profile_series_march_agree_at_interior_point():
 
 
 def test_samples_table_layout():
-    p = solve_profile(0.5, n_samples=123)
+    p = solve_profile(0.5)
     table = profile_samples(p, 123)
     assert table.shape == (123, 3)
     s = table[:, 0]

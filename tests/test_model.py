@@ -74,7 +74,6 @@ def test_energy_identity_and_parts(square16):
     assert potential_part > 0
     assert quadratic_part > 0
     assert value == pytest.approx(_energy_value(basis, nl, c), rel=1e-12)
-    assert e.value(c, values) == (value, None)
 
 
 @pytest.mark.parametrize("seed,offset", [(0, 0.5), (1, 0.5), (2, 0.0)])
@@ -125,7 +124,7 @@ def test_hessian_vector_matches_gradient_differences(square16):
         gp = e.grad(c0 + eps * v, e.values(c0 + eps * v))
         gm = e.grad(c0 - eps * v, e.values(c0 - eps * v))
         fd = (gp - gm) / (2 * eps)
-        hv = e.hessian_vector(e.values(c0), v)
+        hv = e.hessian(e.values(c0))(v)
         worst = max(worst, float(np.linalg.norm(fd - hv) / max(np.linalg.norm(fd), 1e-10)))
     assert worst <= 1e-5
 

@@ -13,17 +13,20 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracfield import nehari
 from fracfield.domain import build_domain
 from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from fracfield.model import Energy, power_model
+from fracfield.model import Energy, PinnedEnergy, power_model
 from fracfield.nehari import (
     _geometric_tail,
     _level_order,
     _multistart_seeds,
     _newton_direction,
     _residual,
+    _rounding_allowance,
     gaussian_bump_seed,
     ground_state,
     level_c,
@@ -31,7 +34,7 @@ from fracfield.nehari import (
     nehari_scale,
 )
 from fracfield.spectral import assemble_and_decompose
-from fracfield.topology import _penalty, annulus_level
+from fracfield.topology import annulus_level
 from oracles import dense_phi, nehari_scale_root
 
 NL = power_model()
@@ -194,11 +197,9 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     rr = np.sqrt((dom.node_coords**2).sum(axis=1))
     ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
     rho = annulus_level(annulus4, NL).rho_schedule[0]
-    e = Energy(annulus4, NL)
+    pinned = PinnedEnergy(annulus4, NL, rho, np.zeros(2))
     with _accepted_values() as pen_trace:
-        c, _, _, _, its = nehari._retracted_descent(
-            e, ring.coeffs, *_penalty(e, rho, np.zeros(2)), 1e-8, 20000
-        )
+        c, _, _, _, its = nehari._retracted_descent(pinned, ring.coeffs, 1e-8, 20000)
     assert len(pen_trace) == its > 0
     # accepted values never rise here; a few late steps may leave F unchanged
     # in the last bit, accepted by the rounding case of the acceptance rule
@@ -209,6 +210,23 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     for basis, u in ((disk_basis, rec.u), (annulus4, annulus4.synthesize(c))):
         Q = float(np.sum(basis.weights * u.coeffs**2))
         assert abs(_j(basis, u)) <= 1e-12 * Q
+
+
+@settings(max_examples=10, deadline=None)
+@given(x=st.floats(-0.3, 0.3), y=st.floats(-0.3, 0.3), width=st.floats(0.08, 0.4))
+def test_descent_properties_over_bump_seeds(square16, x, y, width):
+    # for any bump seed: accepted energies, from the retracted seed on, rise
+    # by at most the rounding allowance; the start converges; it ends on M
+    seed = gaussian_bump_seed(square16, (x, y), width)
+    e = Energy(square16, NL)
+    F0 = e.energy(*e.retract(seed.coeffs, e.values(seed.coeffs)))
+    with _accepted_values() as trace:
+        rec = ground_state(square16, NL, seed)
+    F = [F0, *trace]
+    assert all(b - a <= _rounding_allowance(a) for a, b in zip(F, F[1:]))
+    assert rec.converged
+    Q = float(np.sum(square16.weights * rec.u.coeffs**2))
+    assert abs(_j(square16, rec.u)) <= 1e-12 * Q
 
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])
@@ -247,7 +265,7 @@ def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch)
 
     def recorded(obj, c, values, d, dv, t, F, *rest):
         trial = line_search(obj, c, values, d, dv, t, F, *rest)
-        if trial is not None and trial[4] is not None:
+        if trial is not None and trial[3] is not None:
             rises.append((trial[2] - F) / (64 * np.finfo(float).eps * max(abs(F), 1.0)))
         return trial
 
@@ -272,12 +290,12 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
     line_search = nehari._line_search
     cases: list[str] = []
 
-    def checked(obj, c, values, d, dv, t, F, slope, gd, value, grad):
-        trial = line_search(obj, c, values, d, dv, t, F, slope, gd, value, grad)
+    def checked(obj, c, values, d, dv, t, F, slope, gd):
+        trial = line_search(obj, c, values, d, dv, t, F, slope, gd)
         if trial is None:
             return trial
-        new_c, new_v, F_new, aux, g_new = trial
-        g = grad(c, values, value(c, values)[1])
+        new_c, new_v, F_new, g_new = trial
+        g = obj.grad(c, values)
         for _ in range(nehari._MAX_BACKTRACKS):
             try:
                 if np.array_equal(obj.retract(c - t * d, values - t * dv)[0], new_c):
@@ -287,11 +305,11 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
             t *= 0.5
         else:
             raise AssertionError("accepted point is no halving of the step")
-        assert value(new_c, new_v)[0] == F_new
+        assert obj.energy(new_c, new_v) == F_new
         if F_new < F and F_new <= F - 1e-4 * t * float(g @ d):
             cases.append("armijo")
         else:
-            g1 = grad(new_c, new_v, aux)
+            g1 = obj.grad(new_c, new_v)
             assert g_new is not None and np.array_equal(g_new, g1)
             assert abs(F_new - F) <= 64 * np.finfo(float).eps * max(abs(F), 1.0)
             assert float(g1 @ (g1 / obj.w)) <= (1.0 - 1e-4) * float(g @ (g / obj.w))
@@ -299,14 +317,13 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
         return trial
 
     if descent == "ring-seed":
-        e = Energy(annulus4, NL)
         rr = np.sqrt((annulus4.dom.node_coords**2).sum(axis=1))
         ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
         rho = annulus_level(annulus4, NL).rho_schedule[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nehari, "_line_search", checked)
             *_, its = nehari._retracted_descent(
-                e, ring.coeffs, *_penalty(e, rho, np.zeros(2)), 1e-8, 20000
+                PinnedEnergy(annulus4, NL, rho, np.zeros(2)), ring.coeffs, 1e-8, 20000
             )
     else:
         angle = np.pi / 8
@@ -345,19 +362,21 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
     # products each time; the descent stops trying it once max_iter products
     # are spent
     rec = disk_ground[0]
-    e = Energy(disk_basis, NL)
     products = 0
 
-    def hess(values):
-        def hv(v):
-            nonlocal products
-            products += 1
-            return e.hessian_vector(values, v)
-        return hv
+    class Counted(Energy):
+        def hessian(self, values):
+            hess = super().hessian(values)
+
+            def hv(v):
+                nonlocal products
+                products += 1
+                return hess(v)
+            return hv
 
     max_iter = 200
     *_, residual, _ = nehari._retracted_descent(
-        e, rec.u.coeffs, e.value, lambda c, values, _: e.grad(c, values), hess, 0.0, max_iter)
+        Counted(disk_basis, NL), rec.u.coeffs, 0.0, max_iter)
     assert residual > 0.0
     assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
 
@@ -369,7 +388,7 @@ def test_newton_direction_is_tangent_and_descends(disk_basis):
         c, values = e.retract(c0, e.values(c0))
         g = e.grad(c, values)
         residual = _residual(float(g @ (g / e.w)), e.energy(c, values))
-        y, _ = _newton_direction(e, c, g, lambda v: e.hessian_vector(values, v), residual)
+        y, _ = _newton_direction(e, c, g, e.hessian(values), residual)
         assert y is not None
         # J'(c) from J = Q - h^2 sum (u+)^3, not from the H c + g the solver uses
         a = 2.0 * e.w * c - 3.0 * e.h2 * (dense_phi(e.basis).T @ np.maximum(values, 0.0) ** 2)

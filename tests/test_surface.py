@@ -8,7 +8,7 @@ property of a class there must be read as an attribute of that name in the
 package outside its own definition, or in perfbench/spans.py. Code that only
 tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
-package.
+package. Outside spectral, only model calls the basis's matvec and rmatvec.
 """
 
 from __future__ import annotations
@@ -174,6 +174,19 @@ def test_every_module_constant_is_read():
         if not _referenced(mod, name, node, modules)
     ]
     assert unread == []
+
+
+def test_only_model_applies_the_basis():
+    # the state lives in coefficient space behind model.Energy: outside
+    # spectral, which defines the products with phi, only model applies them
+    callers = sorted(
+        f"{mod}:{node.lineno}" for mod, tree in _modules().items()
+        if mod not in {"spectral", "model"}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in {"matvec", "rmatvec"}
+    )
+    assert callers == []
 
 
 def test_every_traced_layer_is_defined():

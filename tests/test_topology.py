@@ -22,13 +22,12 @@ from fracfield.errors import (
     NonpositiveField,
     SaddleNotEscaped,
 )
-from fracfield.model import Energy, power_model
+from fracfield.model import Energy, PinnedEnergy, _barycenter, power_model
 from fracfield.morse import _smallest_eigenpairs
-from fracfield.nehari import _barycenter, _retracted_descent, gaussian_bump_seed, ground_state
+from fracfield.nehari import _retracted_descent, gaussian_bump_seed, ground_state
 from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
-    _penalty,
     adjacent_orbit_image,
     annulus_level,
     mass_clusters,
@@ -270,7 +269,8 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
     energy = e.energy(c, values)
     rho = abs(energy) / 2e-6
     # max_iter=0: the kernel retracts the seed, evaluates F there and stops
-    c_k, values_k, F, _, its = _retracted_descent(e, c0, *_penalty(e, rho, x_tilde), 1e-8, 0)
+    pinned = PinnedEnergy(annulus4, NL, rho, x_tilde)
+    c_k, values_k, F, _, its = _retracted_descent(pinned, c0, 1e-8, 0)
     assert its == 0
     assert np.array_equal(c_k, c) and np.array_equal(values_k, values)
     gap = beta - x_tilde
@@ -297,7 +297,7 @@ def test_annulus_level_infeasible_target(annulus4):
 
 
 def _off_centre_penalty(annulus4):
-    """(Energy, value, grad, hess, c, values) for a bump off the axes, cut below zero
+    """(Energy, PinnedEnergy, c, values) for a bump off the axes, cut below zero
     so m = 1[u > 0] is not all ones, with x_tilde off its barycenter and rho
     making the penalty's gradient comparable to the energy's."""
     e = Energy(annulus4, NL)
@@ -308,11 +308,37 @@ def _off_centre_penalty(annulus4):
     beta = _barycenter(dom, values)[1]
     x_tilde = beta + np.array([0.4, -0.3])
     rho = float(np.linalg.norm(e.grad(c, values))) / 0.5
-    return (e, *_penalty(e, rho, x_tilde), c, values)
+    return e, PinnedEnergy(annulus4, NL, rho, x_tilde), c, values
+
+
+def test_pinned_gradient_matches_energy_differences(annulus4):
+    # the Hessian test differences the gradient; this one differences F itself,
+    # so a gradient that is wrong but consistent with its Hessian fails here
+    e, pinned, c, values = _off_centre_penalty(annulus4)
+    g, g_energy = pinned.grad(c, values), e.grad(c, values)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        v = rng.standard_normal(c.size) * np.exp(-0.01 * np.arange(c.size))
+        z = e.values(v)
+        eps = 2e-5 / float(np.abs(z).max())
+        # central differences stay on one side of u = 0 at every node
+        assert np.all(np.abs(values) > 10.0 * eps * np.abs(z))
+
+        def diff(energy):
+            return (energy(c + eps * v, e.values(c + eps * v))
+                    - energy(c - eps * v, e.values(c - eps * v))) / (2.0 * eps)
+
+        fd = diff(pinned.energy)
+        assert abs(fd - float(g @ v)) <= 1e-8 * abs(fd)
+        # the penalty's part alone, not drowned by the energy's
+        fd_pen = fd - diff(e.energy)
+        pen = float((g - g_energy) @ v)
+        assert abs(pen) >= 0.1 * abs(fd)
+        assert abs(fd_pen - pen) <= 1e-8 * abs(pen)
 
 
 def test_penalty_hessian_matches_gradient_differences(annulus4):
-    e, value, grad, hess, c, values = _off_centre_penalty(annulus4)
+    e, pinned, c, values = _off_centre_penalty(annulus4)
     # central differences stay on one side of u = 0 at every node
     rng = np.random.default_rng(3)
     for _ in range(3):
@@ -323,14 +349,13 @@ def test_penalty_hessian_matches_gradient_differences(annulus4):
 
         def g(t):
             ct = c + t * v
-            vt = e.values(ct)
-            return grad(ct, vt, value(ct, vt)[1])
+            return pinned.grad(ct, e.values(ct))
 
         fd = (g(eps) - g(-eps)) / (2.0 * eps)
-        hv = hess(values)(v)
+        hv = pinned.hessian(values)(v)
         assert np.linalg.norm(fd - hv) <= 1e-8 * np.linalg.norm(hv)
         # the penalty's part alone, not drowned by the energy's
-        pen = hv - e.hessian_vector(values, v)
+        pen = hv - e.hessian(values)(v)
         fd_pen = fd - (e.grad(c + eps * v, e.values(c + eps * v))
                        - e.grad(c - eps * v, e.values(c - eps * v))) / (2.0 * eps)
         assert np.linalg.norm(pen) >= 0.1 * np.linalg.norm(hv)
@@ -338,21 +363,22 @@ def test_penalty_hessian_matches_gradient_differences(annulus4):
 
 
 def test_penalty_hessian_is_symmetric(annulus4):
-    _, _, _, hess, c, values = _off_centre_penalty(annulus4)
+    _, pinned, c, values = _off_centre_penalty(annulus4)
+    hess = pinned.hessian(values)
     rng = np.random.default_rng(4)
     for _ in range(5):
         a, b = rng.standard_normal((2, c.size))
-        lhs, rhs = float(a @ hess(values)(b)), float(hess(values)(a) @ b)
-        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(hess(values)(a)) * np.linalg.norm(b)
+        lhs, rhs = float(a @ hess(b)), float(hess(a) @ b)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(hess(a)) * np.linalg.norm(b)
 
 
 def test_penalty_hessian_sends_c_to_nehari_differential(annulus4):
     # the penalty is 0-homogeneous, so H_F c + g_F = J'(c), here computed from
     # J = Q - h^2 sum (u+)^3 and not from the energy's Hessian
-    e, value, grad, hess, c, values = _off_centre_penalty(annulus4)
+    e, pinned, c, values = _off_centre_penalty(annulus4)
     jprime = 2.0 * e.w * c - 3.0 * e.h2 * (dense_phi(e.basis).T @ np.maximum(values, 0.0) ** 2)
-    g = grad(c, values, value(c, values)[1])
-    lhs = hess(values)(c) + g
+    g = pinned.grad(c, values)
+    lhs = pinned.hessian(values)(c) + g
     assert np.linalg.norm(lhs - jprime) <= 1e-12 * np.linalg.norm(g - e.grad(c, values))
 
 
@@ -394,10 +420,9 @@ def test_annulus_level_escapes_the_four_bump_saddle(annulus2, monkeypatch):
     fractions = mass_clusters(rep.record.u)
     assert len(fractions) == 2
     assert fractions[0] == pytest.approx(fractions[1], rel=1e-6)
-    e = Energy(basis, NL)
-    hess = _penalty(e, rep.rho_schedule[-1], np.zeros(2))[2]
-    values = e.values(rep.record.u.coeffs)
-    ev, _ = _smallest_eigenpairs(hess(values), basis.K, 2)
+    pinned = PinnedEnergy(basis, NL, rep.rho_schedule[-1], np.zeros(2))
+    values = pinned.values(rep.record.u.coeffs)
+    ev, _ = _smallest_eigenpairs(pinned.hessian(values), basis.K, 2)
     assert ev[0] < 0.0 < ev[1]
 
 
