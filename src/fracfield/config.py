@@ -125,12 +125,12 @@ def _require(mapping: dict, key: str, path: str):
     return mapping[key]
 
 
-def _number(mapping: dict, key: str, path: str, lo=None, hi=None, strict_lo=True):
+def _number(mapping: dict, key: str, path: str, lo=None, hi=None):
     v = _require(mapping, key, path)
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
         raise ConfigInvalid(f"field \"{path}.{key}\" must be a finite number, got {v!r}")
     v = float(v)
-    if lo is not None and (v <= lo if strict_lo else v < lo):
+    if lo is not None and v <= lo:
         raise ConfigInvalid(f"field \"{path}.{key}\" must be > {lo}, got {v}")
     if hi is not None and v >= hi:
         raise ConfigInvalid(f"field \"{path}.{key}\" must be < {hi}, got {v}")

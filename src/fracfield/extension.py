@@ -55,6 +55,21 @@ def _series_coeffs(alpha: float, n_terms: int):
     return a, b
 
 
+def _series(a: np.ndarray, b: np.ndarray, alpha: float, s):
+    """(psi, psi', -s^(1-2*alpha) psi') from the Frobenius series at s <= _MATCH_POINT.
+
+    The flux is organized to avoid overflow as s -> 0.
+    """
+    polyval = np.polynomial.polynomial.polyval
+    z = s * s
+    n = np.arange(a.size)
+    da = polyval(z, 2.0 * n[1:] * a[1:])
+    db = polyval(z, (2.0 * n + 2.0 * alpha) * b)
+    psi = polyval(z, a) + s ** (2.0 * alpha) * polyval(z, b)
+    dpsi = s * da + s ** (2.0 * alpha - 1.0) * db
+    return psi, dpsi, -(s ** (2.0 - 2.0 * alpha)) * da - db
+
+
 @dataclass(frozen=True)
 class BesselProfile:
     """Profile psi on (0, s_max] from series and dense-march data.
@@ -70,24 +85,11 @@ class BesselProfile:
     _sol: object = field(repr=False)
     _sigma: float = field(repr=False)
 
-    def _series_psi(self, s):
-        z = s * s
-        A = np.polynomial.polynomial.polyval(z, self._a)
-        B = np.polynomial.polynomial.polyval(z, self._b)
-        return A + s ** (2.0 * self.alpha) * B
-
-    def _series_dpsi(self, s):
-        z = s * s
-        n = np.arange(self._a.size)
-        da = np.polynomial.polynomial.polyval(z, 2.0 * n[1:] * self._a[1:])
-        db = np.polynomial.polynomial.polyval(z, (2.0 * n + 2.0 * self.alpha) * self._b)
-        return s * da + s ** (2.0 * self.alpha - 1.0) * db
-
     def psi(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         near = s <= _MATCH_POINT
-        out[near] = self._series_psi(s[near])
+        out[near] = _series(self._a, self._b, self.alpha, s[near])[0]
         far = ~near
         if far.any():
             w = self._sol(s[far])[0]
@@ -98,7 +100,7 @@ class BesselProfile:
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         near = s <= _MATCH_POINT
-        out[near] = self._series_dpsi(s[near])
+        out[near] = _series(self._a, self._b, self.alpha, s[near])[1]
         far = ~near
         if far.any():
             w, dw = self._sol(s[far])
@@ -106,15 +108,11 @@ class BesselProfile:
         return out
 
     def flux(self, s) -> np.ndarray:
-        """-s^(1-2*alpha) * psi'(s), organized to avoid overflow as s -> 0."""
+        """-s^(1-2*alpha) * psi'(s)."""
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         near = s <= _MATCH_POINT
-        z = s[near] * s[near]
-        n = np.arange(self._a.size)
-        da = np.polynomial.polynomial.polyval(z, 2.0 * n[1:] * self._a[1:])
-        db = np.polynomial.polynomial.polyval(z, (2.0 * n + 2.0 * self.alpha) * self._b)
-        out[near] = -(s[near] ** (2.0 - 2.0 * self.alpha)) * da - db
+        out[near] = _series(self._a, self._b, self.alpha, s[near])[2]
         far = ~near
         if far.any():
             out[far] = -(s[far] ** (1.0 - 2.0 * self.alpha)) * self.psi_prime(s[far])
@@ -172,14 +170,7 @@ def solve_profile(alpha: float, s_max: float = 25.0) -> BesselProfile:
     sol = res.sol
 
     # match the free scale to the series at s0, then cross-check the derivative
-    z0 = s0 * s0
-    A0 = float(np.polynomial.polynomial.polyval(z0, a))
-    B0 = float(np.polynomial.polynomial.polyval(z0, b))
-    psi0 = A0 + s0 ** (2.0 * alpha) * B0
-    n = np.arange(a.size)
-    dpsi0 = s0 * float(np.polynomial.polynomial.polyval(z0, 2.0 * n[1:] * a[1:])) + s0 ** (
-        2.0 * alpha - 1.0
-    ) * float(np.polynomial.polynomial.polyval(z0, (2.0 * n + 2.0 * alpha) * b))
+    psi0, dpsi0, _ = _series(a, b, alpha, s0)
 
     w_s0, dw_s0 = sol(s0)
     sigma = psi0 * math.exp(s0) / w_s0

@@ -6,8 +6,9 @@ a diagonal quadratic-form part minus the Gram operator of the modes under the
 node weights h^2 h'(u), applied by the map Energy.hessian returns and never
 formed. The Morse index is the number of eigenvalues below -eps_null;
 eigenvalues within eps_null of zero are counted as null and make the point
-degenerate. Both need only the bottom of the spectrum. The count check
-compares the index-1/index-2 census of a solution list against the
+degenerate. Both need only the bottom of the spectrum, and only the
+HessianSpectrumReport holds the index: records carry none. The count check
+compares the index-1/index-2 census of the spectra against the
 prediction 2 P1 - 1 built from hard-coded Poincare polynomials (rectangle,
 disk: 1; annulus: 1 + t), split as P1 points of index 1 and P1 - 1 points of
 index 2.
@@ -20,7 +21,6 @@ manifold saddles score 2.
 from __future__ import annotations
 
 import concurrent.futures
-import dataclasses
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -152,27 +152,17 @@ def ray_second_derivative(
     return Q - e.h2 * float(np.sum(h_prime(nl, values) * values**2))
 
 
-def classify_record(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
-    record: SolutionRecord,
-) -> tuple[SolutionRecord, HessianSpectrumReport]:
-    """Attach the Morse index of the record's field to the record itself."""
-    report = hessian_spectrum(basis, nl, record.u)
-    return dataclasses.replace(record, morse_index=report.morse_index), report
-
-
 def classify_records(
     basis: SpectralBasis,
     nl: Nonlinearity,
     records: Sequence[SolutionRecord],
     workers: int = 1,
-) -> list[tuple[SolutionRecord, HessianSpectrumReport]]:
-    """classify_record over a batch; spectra are independent, so threads help."""
+) -> list[HessianSpectrumReport]:
+    """hessian_spectrum of each record's field, in record order; threads help."""
     if workers > 1 and len(records) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda r: classify_record(basis, nl, r), records))
-    return [classify_record(basis, nl, r) for r in records]
+            return list(pool.map(lambda r: hessian_spectrum(basis, nl, r.u), records))
+    return [hessian_spectrum(basis, nl, r.u) for r in records]
 
 
 @dataclass(frozen=True)
@@ -180,13 +170,12 @@ class MorseCountReport:
     """Census of Morse indices against the topological prediction.
 
     The target counts come from 2 P1 - 1 split as P1 index-1 points and
-    P1 - 1 index-2 points. degenerate_tags lists records excluded from the
-    census because their spectrum has null modes (the prediction assumes
-    nondegenerate points); matches compares only the counted ones.
+    P1 - 1 index-2 points; the found counts come from the spectra.
+    degenerate_tags lists records excluded from the census because their
+    spectrum has null modes (the prediction assumes nondegenerate points);
+    matches compares only the counted ones.
     """
 
-    shape_id: str
-    p1: int
     target_total: int
     target_index1: int
     target_index2: int
@@ -199,42 +188,34 @@ class MorseCountReport:
 
 def morse_count_check(
     records: Sequence[SolutionRecord],
+    spectra: Sequence[HessianSpectrumReport],
     shape_id: str,
-    spectra: Sequence[HessianSpectrumReport] | None = None,
 ) -> MorseCountReport:
-    """Compare the index-1/index-2 counts of records against 2 P1 - 1.
+    """Compare the index-1/index-2 counts of records' spectra against 2 P1 - 1.
 
-    Every record must already carry a Morse index (see classify_record).
-    When the matching spectra are supplied, records with null modes are
-    reported as degenerate and left out of the comparison instead of being
-    asserted against a count that assumes nondegeneracy.
+    spectra[k] is the spectrum of records[k] (see classify_records); a length
+    mismatch raises ValueError. Records with null modes are reported as
+    degenerate and left out of the comparison instead of being asserted
+    against a count that assumes nondegeneracy.
     """
     if shape_id not in _POINCARE_AT_ONE:
         raise UnknownDomainTopology(
             f"no Poincare polynomial stored for shape {shape_id!r}; "
             f"known: {sorted(_POINCARE_AT_ONE)}"
         )
-    if spectra is not None and len(spectra) != len(records):
-        raise ValueError(
-            f"got {len(spectra)} spectra for {len(records)} records; must align"
-        )
     p1 = _POINCARE_AT_ONE[shape_id]
     degenerate: list[str] = []
     idx1 = idx2 = counted = 0
-    for k, rec in enumerate(records):
-        if rec.morse_index is None:
-            raise ValueError(f"record {rec.seed_tag!r} carries no Morse index")
-        if spectra is not None and not spectra[k].nondegenerate:
+    for rec, spec in zip(records, spectra, strict=True):
+        if not spec.nondegenerate:
             degenerate.append(rec.seed_tag)
             continue
         counted += 1
-        if rec.morse_index == 1:
+        if spec.morse_index == 1:
             idx1 += 1
-        elif rec.morse_index == 2:
+        elif spec.morse_index == 2:
             idx2 += 1
     return MorseCountReport(
-        shape_id=shape_id,
-        p1=p1,
         target_total=2 * p1 - 1,
         target_index1=p1,
         target_index2=p1 - 1,

@@ -98,8 +98,8 @@ class SolutionRecord:
     """One computed critical-point candidate with its diagnostics.
 
     residual is the normalized dual gradient norm described in the module
-    docstring; positive means min u >= -1e-8 * max u on the grid; morse_index
-    stays None until a second-variation pass fills it in.
+    docstring; positive means min u >= -1e-8 * max u on the grid. Its Morse
+    index is not kept here but in morse.hessian_spectrum's report.
     """
 
     u: Field
@@ -110,7 +110,6 @@ class SolutionRecord:
     seed_tag: str
     iterations: int
     converged: bool
-    morse_index: int | None = None
 
 
 @dataclass(frozen=True)

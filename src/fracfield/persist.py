@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SCHEMA_VERSION, canonical_json
+from .morse import HessianSpectrumReport
 from .nehari import SolutionRecord
 from .spectral import Field
 
@@ -41,8 +42,8 @@ def _plain(obj):
     return obj
 
 
-def record_summary(rec: SolutionRecord) -> dict:
-    """JSON-ready digest of a solution record (field data stays out)."""
+def record_summary(rec: SolutionRecord, spec: HessianSpectrumReport) -> dict:
+    """JSON-ready digest of a solution record and its spectrum's index (field data stays out)."""
     return {
         "energy": rec.energy,
         "residual": rec.residual,
@@ -51,7 +52,7 @@ def record_summary(rec: SolutionRecord) -> dict:
         "seed_tag": rec.seed_tag,
         "iterations": rec.iterations,
         "converged": rec.converged,
-        "morse_index": rec.morse_index,
+        "morse_index": spec.morse_index,
     }
 
 

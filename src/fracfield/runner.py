@@ -72,24 +72,23 @@ def run_solve(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     basis = _basis(cfg)
     report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed, workers=workers)
-    pairs = classify_records(basis, nl, report.records, workers=workers)
-    records = [rec for rec, _ in pairs]
-    spectra = [rep for _, rep in pairs]
+    records = report.records
+    spectra = classify_records(basis, nl, records, workers=workers)
     best = records[0]
     results = {
         "level": report.value,
         "spread": report.spread,
         "n_converged": report.n_converged,
         "n_requested": report.n_requested,
-        "best": record_summary(best),
-        "records": [record_summary(r) for r in records],
-        "null_counts": [rep.null_count for rep in spectra],
+        "best": record_summary(best, spectra[0]),
+        "records": [record_summary(r, spec) for r, spec in zip(records, spectra)],
+        "null_counts": [spec.null_count for spec in spectra],
     }
     write_results_json(out_dir, "solve", cfg.config_hash, cfg.canonical, results)
     rows = [
         [cfg.lam, r.energy, r.residual, r.iterations,
-         r.barycenter[0], r.barycenter[1], r.morse_index]
-        for r in records
+         r.barycenter[0], r.barycenter[1], spec.morse_index]
+        for r, spec in zip(records, spectra)
     ]
     write_csv(out_dir, "solve", cfg.config_hash,
               ["lambda", "level", "residual", "iterations",
@@ -235,19 +234,19 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
                                  tol=cfg.tol, max_iter=cfg.max_iter)
 
     reps = [cl.representative for cl in report.classes]
-    pairs = classify_records(basis, nl, reps, workers=workers)
+    spectra = classify_records(basis, nl, reps, workers=workers)
 
     saddle_info = None
-    extra_records = []
-    extra_spectra = []
+    census_records = list(reps)
+    census_spectra = list(spectra)
     if len(report.classes) >= 2:
-        lo = pairs[0][0]
-        partner = adjacent_orbit_image(basis, lo.u)
+        partner = adjacent_orbit_image(basis, reps[0].u)
         if partner is not None:
-            band_report = band_saddle(basis, nl, lo.u, partner, tol=max(cfg.tol, 1e-6))
-            srec, sspec = classify_records(basis, nl, [band_report.saddle], workers=1)[0]
+            band_report = band_saddle(basis, nl, reps[0].u, partner, tol=max(cfg.tol, 1e-6))
+            srec = band_report.saddle
+            [sspec] = classify_records(basis, nl, [srec], workers=1)
             saddle_info = {
-                "record": record_summary(srec),
+                "record": record_summary(srec, sspec),
                 "null_count": sspec.null_count,
                 "nondegenerate": sspec.nondegenerate,
                 # the interior images are not critical points and stop wherever
@@ -256,18 +255,15 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
                 "sweeps": band_report.sweeps,
             }
             if band_report.converged:
-                extra_records.append(srec)
-                extra_spectra.append(sspec)
-
-    census_records = [rec for rec, _ in pairs] + extra_records
-    census_spectra = [spec for _, spec in pairs] + extra_spectra
-    census = morse_count_check(census_records, cfg.shape, spectra=census_spectra)
+                census_records.append(srec)
+                census_spectra.append(sspec)
+    census = morse_count_check(census_records, census_spectra, cfg.shape)
 
     classes_json = []
     rows = []
-    for k, ((rec, spec), cl) in enumerate(zip(pairs, report.classes)):
+    for k, (rec, spec, cl) in enumerate(zip(reps, spectra, report.classes)):
         classes_json.append({
-            "record": record_summary(rec),
+            "record": record_summary(rec, spec),
             "orbit_size": cl.orbit_size,
             "below_ball_level": cl.below_ball_level,
             "beta_in_plus": cl.beta_in_plus,
@@ -275,7 +271,7 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
             "nondegenerate": spec.nondegenerate,
         })
         rows.append([k, rec.energy, rec.barycenter[0], rec.barycenter[1],
-                     rec.morse_index, cl.orbit_size, cl.below_ball_level])
+                     spec.morse_index, cl.orbit_size, cl.below_ball_level])
     results = {
         "n_classes": report.n_classes,
         "n_seeds": report.n_seeds,
@@ -300,7 +296,7 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
               ["id", "energy", "bary_x", "bary_y", "morse_index", "orbit_size",
                "below_ball_level"], rows)
     if cfg.dump_fields:
-        for k, (rec, _) in enumerate(pairs):
+        for k, rec in enumerate(reps):
             dump_field(out_dir, f"class-{k}", cfg.config_hash, rec.u)
     return results
 
@@ -347,24 +343,23 @@ def run_morse(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     classes = sorted(orbit_classes(basis, in_seed_order),
                      key=lambda cl: min((r.energy, r.seed_tag) for r in cl))
     reps = [cl[0] for cl in classes]
-    pairs = classify_records(basis, nl, reps, workers=workers)
+    spectra = classify_records(basis, nl, reps, workers=workers)
     rows = []
     recs_json = []
-    for (rec, spec), cl in zip(pairs, classes):
+    for rec, spec, cl in zip(reps, spectra, classes):
         rsd = ray_second_derivative(basis, nl, rec.u, tol=1e-6)
         rows.append([cfg.lam, rec.energy, rec.residual, rec.iterations,
                      rec.barycenter[0], rec.barycenter[1],
-                     rec.morse_index, spec.null_count])
+                     spec.morse_index, spec.null_count])
         recs_json.append({
-            **record_summary(rec),
+            **record_summary(rec, spec),
             "class_size": len(cl),
             "null_count": spec.null_count,
             "nondegenerate": spec.nondegenerate,
             "ray_second_derivative": rsd,
             "smallest_eigenvalues": [float(v) for v in spec.eigenvalues[:6]],
         })
-    census = morse_count_check([rec for rec, _ in pairs], cfg.shape,
-                               spectra=[spec for _, spec in pairs])
+    census = morse_count_check(reps, spectra, cfg.shape)
     results = {
         "records": recs_json,
         "census": {

@@ -240,6 +240,8 @@ def annulus_level(
         mid = 0.5 * (dom.params["R"] + dom.params["r"]) * dom.lam
         width = (dom.params["R"] - dom.params["r"]) * dom.lam / 3.0
         seed = basis.analyze(np.exp(-((rr - mid) ** 2) / (2.0 * width * width)))
+    else:
+        basis.check_same_domain(seed.dom)
 
     c = np.asarray(seed.coeffs, dtype=float)
     values = obj.values(c)

@@ -105,8 +105,9 @@ def orbit_hunt(annulus4):
     band = band_saddle(annulus4, NL, lo, partner, tol=1e-6)
 
     reps = [cl.representative for cl in report.classes]
-    pairs = classify_records(annulus4, NL, reps + [band.saddle])
-    return report, band, pairs, time.perf_counter() - t0
+    records = reps + [band.saddle]
+    spectra = classify_records(annulus4, NL, records)
+    return report, band, records, spectra, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -133,7 +134,7 @@ def disk_census(disk_host):
     seed = gaussian_bump_seed(disk_host, (0.0, 0.0), 0.5)
     rec = ground_state(disk_host, NL, seed, tol=1e-8, seed_tag="disk-census")
     assert rec.converged
-    return classify_records(disk_host, NL, [rec])
+    return [rec], classify_records(disk_host, NL, [rec])
 
 
 def test_a1_spectral_exactness(capsys):
@@ -266,7 +267,7 @@ def test_a5_level_asymptotics(capsys, ball_scan, orbit_hunt, annulus2_levels):
         gap1, gap2 = c2 - c4, c4 - c8
         assert gap2 < 0.5 * gap1
 
-        report, _, _, _ = orbit_hunt
+        report, _, _, _, _ = orbit_hunt
         _, c_omega2 = annulus2_levels
         tested = {"B_2": c2, "B_4": c4, "B_8": c8,
                   "annulus_2": c_omega2,
@@ -287,7 +288,7 @@ def test_a6_annulus_constrained_level(capsys, annulus4, ball_scan, orbit_hunt,
         rel_margin = (a4.value - limit.value) / limit.value
         assert rel_margin >= 0.05
 
-        report, _, _, _ = orbit_hunt
+        report, _, _, _, _ = orbit_hunt
         c_omega4 = report.classes[0].representative.energy
         assert a4.value >= c_omega4
 
@@ -301,7 +302,7 @@ def test_a6_annulus_constrained_level(capsys, annulus4, ball_scan, orbit_hunt,
 
 def test_a7_multiplicity_and_localization(capsys, orbit_hunt):
     with verdict(capsys, 7, "orbit classes, localization, band saddle") as info:
-        report, band, pairs, elapsed = orbit_hunt
+        report, band, _, spectra, elapsed = orbit_hunt
 
         assert report.n_classes >= 2
         below = [cl for cl in report.classes if cl.below_ball_level]
@@ -311,7 +312,7 @@ def test_a7_multiplicity_and_localization(capsys, orbit_hunt):
         # best-effort clause: a converged nondegenerate saddle must have
         # index 2; a degenerate one only has to be flagged as such
         assert band.converged
-        _, saddle_spec = pairs[-1]
+        saddle_spec = spectra[-1]
         if saddle_spec.nondegenerate:
             assert saddle_spec.morse_index == 2
             saddle_note = "saddle index 2 nondegenerate"
@@ -327,20 +328,13 @@ def test_a7_multiplicity_and_localization(capsys, orbit_hunt):
 
 def test_a8_morse_census(capsys, disk_census, orbit_hunt):
     with verdict(capsys, 8, "Morse counts against 2 P(1) - 1") as info:
-        disk_pairs = disk_census
-        disk_check = morse_count_check(
-            [rec for rec, _ in disk_pairs], "disk",
-            spectra=[sp for _, sp in disk_pairs],
-        )
+        disk_check = morse_count_check(*disk_census, "disk")
         assert disk_check.target_total == 1
         assert disk_check.counted == 1
         assert disk_check.matches
 
-        _, _, pairs, _ = orbit_hunt
-        ann_check = morse_count_check(
-            [rec for rec, _ in pairs], "annulus",
-            spectra=[sp for _, sp in pairs],
-        )
+        _, _, records, spectra, _ = orbit_hunt
+        ann_check = morse_count_check(records, spectra, "annulus")
         assert ann_check.target_total == 3
         assert ann_check.target_index1 == 2 and ann_check.target_index2 == 1
         assert ann_check.found_index1 == 2 and ann_check.found_index2 == 1

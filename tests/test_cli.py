@@ -449,6 +449,54 @@ class TestMultiplicityAndReport:
         assert "multiplicity" in md
 
 
+@pytest.fixture(scope="module")
+def morse_out(tmp_path_factory):
+    """One directory with the default morse run beside a solve and a
+    verify-extension run, for report to aggregate."""
+    tmp = tmp_path_factory.mktemp("morse")
+    out = tmp / "out"
+    assert main(["morse", "--out", str(out), "--quiet"]) == 0
+    path = write_config(tmp, small_solve_config())
+    assert main(["solve", "--config", path, "--out", str(out), "--quiet"]) == 0
+    assert main(["verify-extension", "--out", str(out), "--quiet"]) == 0
+    return out
+
+
+class TestMorseAndReport:
+    def test_one_class_of_index_one(self, morse_out):
+        res = json.loads((morse_out / "morse.json").read_text())["results"]
+        [rec] = res["records"]
+        assert rec["class_size"] == 4
+        assert rec["morse_index"] == 1
+        assert rec["null_count"] == 0
+        assert rec["nondegenerate"] is True
+        assert rec["ray_second_derivative"] < 0.0
+        assert res["census"]["counted"] == 1
+        assert res["census"]["matches"] is True
+
+    def test_morse_csv_header(self, morse_out):
+        lines = (morse_out / "morse.csv").read_text().splitlines()
+        assert lines[2].split(",") == [
+            "lambda", "level", "residual", "iterations", "barycenter_x",
+            "barycenter_y", "morse_index", "null_count",
+        ]
+        assert lines[3].split(",")[-2:] == ["1", "0"]
+
+    def test_report_summarizes_each_task(self, morse_out):
+        assert main(["report", "--out", str(morse_out), "--quiet"]) == 0
+        res = json.loads((morse_out / "report.json").read_text())["results"]
+        assert res["tasks"] == ["morse", "solve", "verify-extension"]
+        solve = json.loads((morse_out / "solve.json").read_text())["results"]
+        assert res["summary"] == {
+            "solve": {"level": solve["level"], "converged": True},
+            "verify_extension": {"all_passed": True},
+            "morse": {"counted": 1, "matches": True},
+        }
+        md = (morse_out / "report.md").read_text().splitlines()
+        assert [line.split(":")[0] for line in md[2:]] == [
+            "- solve", "- verify-extension", "- morse"]
+
+
 class TestSweepOutputs:
     def test_rows_say_whether_the_pinned_level_converged(self, tmp_path):
         out = tmp_path / "o"

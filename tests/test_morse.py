@@ -11,8 +11,6 @@ by the construction (zero field, ground states, two-bump band saddle).
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,7 +21,6 @@ from fracfield.errors import EigSolveFailure, OffManifold, UnknownDomainTopology
 from fracfield.model import Energy, h_prime, power_model
 from fracfield.morse import (
     HessianSpectrumReport,
-    classify_record,
     classify_records,
     default_eps_null,
     hessian_spectrum,
@@ -303,21 +300,20 @@ def test_eigensolve_failures_are_typed(monkeypatch, square16, square_ground):
         hessian_spectrum(square16, NL, square_ground.u)
 
 
-def test_classify_records_attaches_indices(disk_host, disk_ground):
-    assert disk_ground.morse_index is None
-    pairs = classify_records(disk_host, NL, [disk_ground, disk_ground], workers=2)
-    serial, report = classify_record(disk_host, NL, disk_ground)
+def test_classify_records_returns_spectra_in_order(disk_host, disk_ground):
+    threaded = classify_records(disk_host, NL, [disk_ground, disk_ground], workers=2)
+    [serial] = classify_records(disk_host, NL, [disk_ground])
     assert serial.morse_index == 1
-    assert serial.energy == disk_ground.energy
-    for rec, rep in pairs:
-        assert rec.morse_index == 1
-        assert np.allclose(rep.eigenvalues, report.eigenvalues, rtol=1e-12)
+    assert len(threaded) == 2
+    for rep in threaded:
+        assert rep.morse_index == 1
+        assert np.allclose(rep.eigenvalues, serial.eigenvalues, rtol=1e-12)
 
 
-def _fake_spectrum(null_count: int) -> HessianSpectrumReport:
+def _fake_spectrum(morse_index: int, null_count: int = 0) -> HessianSpectrumReport:
     return HessianSpectrumReport(
         eigenvalues=np.array([-1.0, 1.0]),
-        morse_index=1,
+        morse_index=morse_index,
         null_count=null_count,
         nondegenerate=null_count == 0,
         eps_null=1e-6,
@@ -325,9 +321,7 @@ def _fake_spectrum(null_count: int) -> HessianSpectrumReport:
 
 
 def test_morse_count_check_disk(disk_ground):
-    rec = dataclasses.replace(disk_ground, morse_index=1)
-    report = morse_count_check([rec], "disk")
-    assert report.p1 == 1
+    report = morse_count_check([disk_ground], [_fake_spectrum(1)], "disk")
     assert report.target_total == 1
     assert (report.target_index1, report.target_index2) == (1, 0)
     assert (report.found_index1, report.found_index2) == (1, 0)
@@ -336,19 +330,20 @@ def test_morse_count_check_disk(disk_ground):
 
 
 def test_morse_count_check_annulus_census(disk_ground):
-    recs = [dataclasses.replace(disk_ground, morse_index=m) for m in (1, 1, 2)]
-    report = morse_count_check(recs, "annulus")
+    recs = [disk_ground] * 3
+    spectra = [_fake_spectrum(m) for m in (1, 1, 2)]
+    report = morse_count_check(recs, spectra, "annulus")
     assert report.target_total == 3
     assert (report.target_index1, report.target_index2) == (2, 1)
     assert report.matches
-    short = morse_count_check(recs[:2], "annulus")
+    short = morse_count_check(recs[:2], spectra[:2], "annulus")
     assert not short.matches
 
 
 def test_morse_count_check_excludes_degenerate(disk_ground):
-    recs = [dataclasses.replace(disk_ground, morse_index=m) for m in (1, 1, 2)]
-    spectra = [_fake_spectrum(0), _fake_spectrum(2), _fake_spectrum(0)]
-    report = morse_count_check(recs, "annulus", spectra=spectra)
+    recs = [disk_ground] * 3
+    spectra = [_fake_spectrum(1), _fake_spectrum(1, null_count=2), _fake_spectrum(2)]
+    report = morse_count_check(recs, spectra, "annulus")
     assert report.counted == 2
     assert report.degenerate_tags == (recs[1].seed_tag,)
     assert (report.found_index1, report.found_index2) == (1, 1)
@@ -356,13 +351,10 @@ def test_morse_count_check_excludes_degenerate(disk_ground):
 
 
 def test_morse_count_check_validation(disk_ground):
-    rec = dataclasses.replace(disk_ground, morse_index=1)
     with pytest.raises(UnknownDomainTopology):
-        morse_count_check([rec], "pentagon")
-    with pytest.raises(ValueError, match="Morse index"):
-        morse_count_check([disk_ground], "disk")
-    with pytest.raises(ValueError, match="align"):
-        morse_count_check([rec], "disk", spectra=[])
+        morse_count_check([disk_ground], [_fake_spectrum(1)], "pentagon")
+    with pytest.raises(ValueError, match="shorter"):
+        morse_count_check([disk_ground], [], "disk")
 
 
 def test_compactness_echo_spectrum_decays(disk_host, disk_ground):

@@ -18,6 +18,7 @@ from fracfield import topology
 from fracfield.errors import (
     BallDoesNotFit,
     ConstraintViolated,
+    DomainMismatch,
     EigSolveFailure,
     NonpositiveField,
     SaddleNotEscaped,
@@ -451,6 +452,13 @@ def test_unconverged_stage_ends_the_continuation(annulus4):
 def test_annulus_level_rejects_other_shapes(disk_host):
     with pytest.raises(ValueError, match="annulus"):
         annulus_level(disk_host, NL)
+
+
+def test_annulus_level_rejects_a_seed_from_another_domain(annulus4):
+    disk = assemble_and_decompose(build_domain("disk", {"R": 1.0}, lam=1.0, h=0.2), alpha=0.5)
+    seed = gaussian_bump_seed(disk, (0.0, 0.0), 0.5)
+    with pytest.raises(DomainMismatch):
+        annulus_level(annulus4, NL, seed=seed)
 
 
 # ------------------------------------------------------------- mass clusters
