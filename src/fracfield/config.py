@@ -248,6 +248,8 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
         if not isinstance(radii, list) or len(radii) < 3:
             raise ConfigInvalid("field \"sweep.radii\" must be a list of at least 3 radii")
         radii = [_number({"v": x}, "v", "sweep.radii", lo=0.0) for x in radii]
+        if any(b <= a for a, b in zip(radii, radii[1:])):
+            raise ConfigInvalid(f"field \"sweep.radii\" must be strictly increasing, got {radii}")
         canonical["sweep"] = {"lambdas": lambdas, "radii": radii}
     elif "sweep" in raw:
         raise ConfigInvalid(f"field \"sweep\" is only valid for task sweep-lambda, not {eff_task!r}")

@@ -478,28 +478,30 @@ def band_saddle(
     side of the climbing image so the band cannot slide off the barrier. The
     climbing image follows the gradient with its path-tangent component
     reversed, converging to the saddle instead of the minima.
+
+    Each image carries its nodal values with its coefficients: phi is linear,
+    so a move, a retraction or an interpolation applies to both. A sweep thus
+    makes one product with phi (phi d) and one with its transpose (the
+    gradient) per interior image, _N_IMAGES - 2 = 11 of each. phi c is
+    synthesized only at set-up and once more at the end, for the interior
+    images of the final profile and for the saddle record.
     """
     obj = Energy(basis, nl)
     basis.check_same_domain(end_a.dom)
     basis.check_same_domain(end_b.dom)
 
-    ts = np.linspace(0.0, 1.0, _N_IMAGES)
     path = []
-    for t in ts:
+    for t in np.linspace(0.0, 1.0, _N_IMAGES):
         c = (1.0 - t) * end_a.coeffs + t * end_b.coeffs
-        path.append(np.asarray(obj.retract(c, obj.values(c))[0]))
+        path.append(obj.retract(c, obj.values(c)))
 
-    def profile() -> tuple[list[np.ndarray], list[float]]:
-        vals = [obj.values(c) for c in path]
-        return vals, [obj.energy(c, v) for c, v in zip(path, vals)]
-
-    def redistribute(path: list[np.ndarray], lo: int, hi: int) -> None:
+    def redistribute(lo: int, hi: int) -> None:
         # equal-arclength reparametrization of images strictly between lo, hi
         if hi - lo < 2:
             return
         seg = path[lo : hi + 1]
         lengths = [0.0]
-        for a, b in zip(seg, seg[1:]):
+        for (a, _), (b, _) in zip(seg, seg[1:]):
             lengths.append(lengths[-1] + float(np.linalg.norm(b - a)))
         total = lengths[-1]
         if total <= 0.0:
@@ -511,8 +513,8 @@ def band_saddle(
             while lengths[j + 1] < tgt:
                 j += 1
             frac = (tgt - lengths[j]) / max(lengths[j + 1] - lengths[j], 1e-300)
-            c = (1.0 - frac) * seg[j] + frac * seg[j + 1]
-            out.append(np.asarray(obj.retract(c, obj.values(c))[0]))
+            (ca, va), (cb, vb) = seg[j], seg[j + 1]
+            out.append(obj.retract((1.0 - frac) * ca + frac * cb, (1.0 - frac) * va + frac * vb))
         out.append(seg[-1])
         path[lo : hi + 1] = out
 
@@ -520,37 +522,42 @@ def band_saddle(
     saddle_residual = np.inf
     sweeps_done = 0
     for sweep in range(_MAX_SWEEPS):
-        vals, energies = profile()
+        energies = [obj.energy(c, v) for c, v in path]
         k_star = 1 + int(np.argmax(energies[1:-1]))
 
         moved = []
         for k in range(1, _N_IMAGES - 1):
-            c, values = path[k], vals[k]
+            c, values = path[k]
             g = obj.grad(c, values)
             d = g / obj.w
+            dv = obj.values(d)
             if k == k_star:
-                tau = path[k + 1] - path[k - 1]
-                tau /= max(float(np.linalg.norm(tau)), 1e-300)
-                d = d - 2.0 * float(d @ tau) * tau
+                # phi tau from the neighbours' carried values, as tau from their coefficients
+                (c_lo, v_lo), (c_hi, v_hi) = path[k - 1], path[k + 1]
+                norm = max(float(np.linalg.norm(c_hi - c_lo)), 1e-300)
+                tau, tau_v = (c_hi - c_lo) / norm, (v_hi - v_lo) / norm
+                proj = 2.0 * float(d @ tau)
+                d, dv = d - proj * tau, dv - proj * tau_v
                 saddle_residual = _residual(float(g @ (g / obj.w)), energies[k])
-                new_c, _ = obj.retract(c - step * d, obj.values(c - step * d))
-                moved.append((k, new_c))
+                moved.append((k, obj.retract(c - step * d, values - step * dv)))
             else:
                 gd = float(g @ d)
-                trial = _line_search(obj, c, values, d, obj.values(d), step, energies[k], gd, gd)
+                trial = _line_search(obj, c, values, d, dv, step, energies[k], gd, gd)
                 if trial is not None:
-                    moved.append((k, trial[0]))
-        for k, new_c in moved:
-            path[k] = new_c
+                    moved.append((k, trial[:2]))
+        for k, image in moved:
+            path[k] = image
         sweeps_done = sweep + 1
         if saddle_residual <= tol:
             break
-        redistribute(path, 0, k_star)
-        redistribute(path, k_star, _N_IMAGES - 1)
+        redistribute(0, k_star)
+        redistribute(k_star, _N_IMAGES - 1)
 
-    vals, energies = profile()
+    # the endpoints never move; the interior images are synthesized afresh
+    path[1:-1] = [(c, obj.values(c)) for c, _ in path[1:-1]]
+    energies = [obj.energy(c, v) for c, v in path]
     k_star = 1 + int(np.argmax(energies[1:-1]))
-    c, values = path[k_star], vals[k_star]
+    c, values = path[k_star]
     g = obj.grad(c, values)
     residual = _residual(float(g @ (g / obj.w)), energies[k_star])
     rec = _solution_record(basis, c, values, energies[k_star], residual, tol,

@@ -245,6 +245,17 @@ class TestExitCodes:
         assert code == 2
         assert f'"{section}"' in capsys.readouterr().err
 
+    @pytest.mark.parametrize("radii", [[1.0, 4.0, 2.0], [1.0, 1.0, 2.0]])
+    def test_sweep_radii_out_of_order_exit_2(self, tmp_path, capsys, radii):
+        cfg = default_config("sweep-lambda")
+        cfg["sweep"]["radii"] = radii
+        out = tmp_path / "o"
+        code = main(["sweep-lambda", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--quiet"])
+        assert code == 2
+        assert "sweep.radii" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_task_failure_exits_3(self, tmp_path, capsys):
         # h too coarse for the unit disk: the mask keeps too few nodes
         cfg = small_solve_config()
@@ -497,19 +508,34 @@ class TestMorseAndReport:
             "- solve", "- verify-extension", "- morse"]
 
 
+@pytest.fixture(scope="module")
+def sweep_out(tmp_path_factory):
+    """The default sweep-lambda run's output directory."""
+    out = tmp_path_factory.mktemp("sweep") / "out"
+    assert main(["sweep-lambda", "--out", str(out), "--quiet"]) == 0
+    return out
+
+
 class TestSweepOutputs:
-    def test_rows_say_whether_the_pinned_level_converged(self, tmp_path):
-        out = tmp_path / "o"
-        assert main(["sweep-lambda", "--out", str(out), "--quiet"]) == 0
-        rows = json.loads((out / "sweep.json").read_text())["results"]["rows"]
+    def test_rows_say_whether_the_pinned_level_converged(self, sweep_out):
+        rows = json.loads((sweep_out / "sweep.json").read_text())["results"]["rows"]
         assert [r["lambda"] for r in rows] == [2.0, 4.0]
         assert all(r["annulus_converged"] is True for r in rows)
         # the flag is in the JSON only; the CSV columns stay as they were
-        lines = (out / "sweep.csv").read_text().splitlines()
+        lines = (sweep_out / "sweep.csv").read_text().splitlines()
         assert lines[2].split(",") == [
             "lambda", "c_level", "ball_level", "annulus_level", "solution_count",
             "min_barycenter_margin", "localized", "runtime_s",
         ]
+
+    def test_report_summarizes_the_sweep(self, sweep_out):
+        assert main(["report", "--out", str(sweep_out), "--quiet"]) == 0
+        res = json.loads((sweep_out / "report.json").read_text())["results"]
+        limit = json.loads((sweep_out / "sweep.json").read_text())["results"]["limit_level"]
+        assert res["tasks"] == ["sweep"]
+        assert res["summary"] == {"sweep": {"limit_level": limit["value"], "rows": 2}}
+        md = (sweep_out / "report.md").read_text().splitlines()
+        assert md[2:] == [f"- sweep: 2 rows, limit level {limit['value']:.9g}"]
 
 
 class TestJsonHygiene:

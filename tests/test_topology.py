@@ -25,12 +25,19 @@ from fracfield.errors import (
 )
 from fracfield.model import Energy, PinnedEnergy, _barycenter, power_model
 from fracfield.morse import _smallest_eigenpairs
-from fracfield.nehari import _retracted_descent, gaussian_bump_seed, ground_state
-from fracfield.spectral import assemble_and_decompose
+from fracfield.nehari import (
+    _residual,
+    _retracted_descent,
+    _rounding_allowance,
+    gaussian_bump_seed,
+    ground_state,
+)
+from fracfield.spectral import SpectralBasis, assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
     adjacent_orbit_image,
     annulus_level,
+    band_saddle,
     mass_clusters,
     multiplicity_search,
     symmetry_group,
@@ -516,7 +523,7 @@ def test_radial_asymmetry_of_disk_ground_state(disk_host):
 # ---------------------------------------------------------------- band pass
 
 
-def test_band_saddle_between_adjacent_minima(annulus_classes, annulus_band):
+def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_band):
     report = annulus_band
     assert report.converged
     assert report.saddle.residual <= 1e-6
@@ -527,6 +534,35 @@ def test_band_saddle_between_adjacent_minima(annulus_classes, annulus_band):
     assert report.energies[-1] == pytest.approx(e_min, rel=1e-9)
     assert max(report.energies) == report.saddle.energy
     assert report.saddle.positive
+    # the band moves nodal values along with coefficients; the record must
+    # still be what phi c gives, not what the carried values drifted to
+    rec = report.saddle
+    obj = Energy(annulus4, NL)
+    c = rec.u.coeffs
+    values = obj.values(c)
+    energy = obj.energy(c, values)
+    assert abs(energy - rec.energy) <= _rounding_allowance(rec.energy)
+    g = obj.grad(c, values)
+    assert _residual(float(g @ (g / obj.w)), energy) == pytest.approx(rec.residual, rel=1e-12)
+
+
+def test_band_saddle_products_per_sweep(annulus4, annulus_classes, monkeypatch):
+    # one phi product per interior image and sweep, plus the synthesis at
+    # set-up and at the end: the carried values serve every other use
+    lo = annulus_classes.classes[0].representative.u
+    partner = adjacent_orbit_image(annulus4, lo)
+    calls = []
+    matvec = SpectralBasis.matvec
+
+    def counted(self, c):
+        calls.append(1)
+        return matvec(self, c)
+
+    monkeypatch.setattr(SpectralBasis, "matvec", counted)
+    report = band_saddle(annulus4, NL, lo, partner, tol=1e-6)
+    assert report.converged and report.sweeps > 1
+    n = topology._N_IMAGES
+    assert len(calls) <= (n - 2) * report.sweeps + 2 * n
 
 
 def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):
