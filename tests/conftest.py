@@ -43,13 +43,30 @@ def annulus_classes(annulus4):
 
 
 @pytest.fixture(scope="session")
-def annulus_band(annulus4, annulus_classes):
-    """Climbing-image band between two adjacent images of the lowest class."""
+def annulus_band_run(annulus4, annulus_classes):
+    """Climbing-image band between two adjacent images of the lowest class,
+    with the number of products with phi it made."""
     nl = power_model()
     lo = annulus_classes.classes[0].representative.u
     rotated = adjacent_orbit_image(annulus4, lo)
     assert rotated is not None
-    return band_saddle(annulus4, nl, lo, rotated, tol=1e-6)
+    matvecs = 0
+    matvec = SpectralBasis.matvec
+
+    def counted(self, c):
+        nonlocal matvecs
+        matvecs += 1
+        return matvec(self, c)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpectralBasis, "matvec", counted)
+        report = band_saddle(annulus4, nl, lo, rotated, tol=1e-6)
+    return report, matvecs
+
+
+@pytest.fixture(scope="session")
+def annulus_band(annulus_band_run):
+    return annulus_band_run[0]
 
 
 @pytest.fixture(scope="session")

@@ -32,12 +32,11 @@ from fracfield.nehari import (
     gaussian_bump_seed,
     ground_state,
 )
-from fracfield.spectral import SpectralBasis, assemble_and_decompose
+from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
     adjacent_orbit_image,
     annulus_level,
-    band_saddle,
     mass_clusters,
     multiplicity_search,
     symmetry_group,
@@ -47,7 +46,7 @@ from oracles import dense_phi, radial_asymmetry
 NL = power_model()
 
 MID_RADIUS = 2.8  # annulus lam=4: 0.5 (R + r) lam with R=1, r=0.4
-# the annulus4, disk_host, annulus_classes, annulus_band fixtures live in
+# the annulus4, disk_host, annulus_classes, annulus_band(_run) fixtures live in
 # conftest.py, shared session-wide
 
 
@@ -546,23 +545,13 @@ def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_
     assert _residual(float(g @ (g / obj.w)), energy) == pytest.approx(rec.residual, rel=1e-12)
 
 
-def test_band_saddle_products_per_sweep(annulus4, annulus_classes, monkeypatch):
+def test_band_saddle_products_per_sweep(annulus_band_run):
     # one phi product per interior image and sweep, plus the synthesis at
     # set-up and at the end: the carried values serve every other use
-    lo = annulus_classes.classes[0].representative.u
-    partner = adjacent_orbit_image(annulus4, lo)
-    calls = []
-    matvec = SpectralBasis.matvec
-
-    def counted(self, c):
-        calls.append(1)
-        return matvec(self, c)
-
-    monkeypatch.setattr(SpectralBasis, "matvec", counted)
-    report = band_saddle(annulus4, NL, lo, partner, tol=1e-6)
+    report, matvecs = annulus_band_run
     assert report.converged and report.sweeps > 1
     n = topology._N_IMAGES
-    assert len(calls) <= (n - 2) * report.sweeps + 2 * n
+    assert matvecs <= (n - 2) * report.sweeps + 2 * n
 
 
 def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):

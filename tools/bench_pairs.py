@@ -7,9 +7,10 @@ Usage, from the root of a checkout:
 
 Each pair runs ``perfbench/run.py --workload W --seed S+i --seconds T
 --trace 0`` once in the base checkout and once in this one, each from its own
-root, one after the other. Even pairs run the base first and odd pairs this
-tree first, so neither side always meets the machine in the state the other
-left. --seconds defaults to BENCHMARK.json's run_seconds.
+root, one after the other, with T the run_seconds of this tree's
+BENCHMARK.json, so both sides run for the same time. Even pairs run the base
+first and odd pairs this tree first, so neither side always meets the machine
+in the state the other left.
 
 One line per run as it finishes, then one line per end-to-end metric of
 this tree's BENCHMARK.json: each side's median and quartiles, how many pairs
@@ -54,7 +55,6 @@ def main(argv: list[str] | None = None) -> int:
                         choices=[w["name"] for w in spec["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True, help="pair i runs seed + i")
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -64,7 +64,7 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            out = run_once(trees[side], args.workload, args.seed + i, args.seconds)
+            out = run_once(trees[side], args.workload, args.seed + i, spec["run_seconds"])
             runs[side].append(out)
             values = ", ".join(f"{k} {m['value']:.4g}" for k, m in out["metrics"].items())
             print(f"pair {i + 1} {side}: correct {out['correct']}, {values}", flush=True)
