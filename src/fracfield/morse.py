@@ -1,10 +1,21 @@
 """Second-variation spectra, Morse indices, and the solution-count comparison.
 
 In the mode coordinates the second variation of the energy at u is
-the symmetric K x K operator H v = (mu^alpha + 1) v - h^2 Phi^T (h'(u) Phi v),
+the symmetric K x K operator H v = W v - h^2 Phi^T (h'(u) Phi v), W = mu^alpha + 1,
 a diagonal quadratic-form part minus the Gram operator of the modes under the
 node weights h^2 h'(u), applied by the map Energy.hessian returns and never
-formed. The Morse index is the number of eigenvalues below -eps_null;
+formed. Its spectrum reaches max W, about 12 at h = 0.25, and its bottom
+eigenvalues sit close together on that scale. So Lanczos runs instead on the
+congruent S = W^-1/2 H W^-1/2 = I - W^-1/2 Phi^T D Phi W^-1/2, D = h^2 h'(u) >= 0:
+S <= I, and all but a few of its eigenvalues cluster at 1. Its eigenvalues are
+those of the pencil H x = theta W x, and every eigenvalue reported here is
+such a theta. By Sylvester's law of inertia S has as many negative, zero and
+positive eigenvalues as H; by Ostrowski's theorem each theta has the sign of
+the matching eigenvalue of H and equals it divided by some weight in
+[min W, max W]. At a critical point u of the energy, H u = (1 - p) W u,
+so 1 - p is an eigenvalue of S.
+
+The Morse index is the number of eigenvalues below -eps_null;
 eigenvalues within eps_null of zero are counted as null and make the point
 degenerate. Both need only the bottom of the spectrum, and only the
 HessianSpectrumReport holds the index: records carry none. The count check
@@ -36,17 +47,21 @@ from .spectral import Field, SpectralBasis
 _POINCARE_AT_ONE = {"rectangle": 1, "disk": 1, "annulus": 2}
 
 
-def default_eps_null(basis: SpectralBasis) -> float:
-    """1e-6 (mu_1^alpha + 1): wide enough to catch rotational-orbit modes."""
-    return 1e-6 * float(basis.weights[0])
+# The default null threshold on theta, the eigenvalues of S. A mode of H
+# within 1e-6 min W of zero has |theta| <= 1e-6, so it stays null here; a
+# mode with |lambda_H| up to 1e-6 max W may also be flagged, which errs toward
+# calling a point degenerate.
+DEFAULT_EPS_NULL = 1e-6
 
 
 @dataclass(frozen=True)
 class HessianSpectrumReport:
     """Census of the second variation at one field.
 
-    eigenvalues holds the k >= min(6, K) smallest eigenvalues, ascending; the
-    largest exceeds eps_null unless k = K. morse_index counts those below
+    eigenvalues holds the k >= min(6, K) smallest eigenvalues theta of the
+    pencil H x = theta W x (those of S), ascending; the largest exceeds
+    eps_null unless k = K. theta has the sign of the matching eigenvalue of H,
+    not its size. morse_index counts those below
     -eps_null, null_count those within [-eps_null, eps_null]; nondegenerate
     means null_count is zero, and only then is the critical-group polynomial
     of the point the single power t^morse_index.
@@ -65,14 +80,16 @@ def hessian_spectrum(
     u: Field,
     eps_null: float | None = None,
 ) -> HessianSpectrumReport:
-    """Count negative and null modes from the smallest eigenvalues, k = 6, 12, ...
+    """Count negative and null modes from the smallest theta of S, k = 6, 12, ...
 
-    k doubles until the largest of the k exceeds eps_null, so no null mode is
-    cut off. Raises EigSolveFailure when the eigensolve fails.
+    eps_null bounds |theta| of a null mode (default DEFAULT_EPS_NULL) and must
+    be positive and finite: ValueError otherwise. k doubles until the largest
+    of the k exceeds eps_null, so no null mode is cut off. Raises
+    EigSolveFailure when the eigensolve fails.
     """
-    eps = default_eps_null(basis) if eps_null is None else float(eps_null)
-    if eps <= 0.0:
-        raise ValueError(f"eps_null must be positive, got {eps_null}")
+    eps = DEFAULT_EPS_NULL if eps_null is None else float(eps_null)
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"eps_null must be positive and finite, got {eps_null}")
     basis.check_same_domain(u.dom)
     e = Energy(basis, nl)
     values = e.values(u.coeffs)
@@ -93,12 +110,14 @@ def hessian_spectrum(
 
 
 def _smallest_eigenvalues(e: Energy, values: np.ndarray, k: int) -> np.ndarray:
-    """The min(k, K) smallest Hessian eigenvalues at these values, ascending."""
+    """The min(k, K) smallest eigenvalues of S = W^-1/2 H W^-1/2 at these values, ascending."""
+    K = e.w.size
     if not np.any(h_prime(e.nl, values)):
-        # H = W: its products are exact, so Lanczos from one start vector
-        # would find one copy of each repeated weight
-        return np.sort(e.w)[:k]
-    return _smallest_eigenpairs(e.hessian(values), e.w.size, k)[0]
+        # S = I: Lanczos from one start vector would find one copy of 1
+        return np.ones(min(k, K))
+    hess = e.hessian(values)
+    scale = 1.0 / np.sqrt(e.w)
+    return _smallest_eigenpairs(lambda v: scale * hess(scale * v), K, k)[0]
 
 
 def _smallest_eigenpairs(

@@ -31,7 +31,7 @@ from .errors import (
     SaddleNotEscaped,
 )
 from .model import Energy, Nonlinearity, PinnedEnergy, _barycenter
-from .morse import _smallest_eigenpairs, default_eps_null
+from .morse import _smallest_eigenpairs
 from .nehari import (
     SolutionRecord,
     _line_search,
@@ -49,6 +49,8 @@ log = logging.getLogger(__name__)
 _ESCAPE_SIZE = 0.1
 _MAX_ESCAPES = 4
 _CHECK_RESTARTS = 50
+# _saddle_escape's null threshold on F's Hessian itself, in units of min W
+_ESCAPE_EPS_NULL = 1e-6
 # penalty weights of annulus_level's continuation, in units of the seed's
 # energy over (lam r)^2
 _RHO_MULTIPLIERS = (1.0, 10.0, 100.0, 1000.0)
@@ -184,15 +186,16 @@ class AnnulusLevelReport:
 def _saddle_escape(obj: PinnedEnergy, c: np.ndarray, values: np.ndarray) -> np.ndarray | None:
     """The escape step from a stage's end point c when it is a saddle of F, else None.
 
-    The two smallest eigenvalues of F's Hessian there, by morse's Lanczos: the
-    first is the ray's, negative at every point of the manifold, and a second
-    one below -eps_null makes the point a saddle on the manifold. The step is
+    The two smallest eigenvalues of F's Hessian there, by morse's Lanczos on the
+    Hessian itself, not on morse's S: the first is the ray's, negative at every
+    point of the manifold, and a second one below -_ESCAPE_EPS_NULL min W makes
+    the point a saddle on the manifold. The step is
     _ESCAPE_SIZE |c| along the second eigenvector, signed so that its largest
     component is positive.
     """
     ev, vecs = _smallest_eigenpairs(obj.hessian(values), c.size, 2, vectors=True,
                                     maxiter=_CHECK_RESTARTS)
-    if ev[1] >= -default_eps_null(obj.basis):
+    if ev[1] >= -_ESCAPE_EPS_NULL * float(obj.basis.weights[0]):
         return None
     v = vecs[:, 1]
     v = v if v[np.argmax(np.abs(v))] > 0.0 else -v

@@ -7,6 +7,8 @@ eight-seed multistart once per session keeps the suite fast.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -43,25 +45,39 @@ def annulus_classes(annulus4):
 
 
 @pytest.fixture(scope="session")
-def annulus_band_run(annulus4, annulus_classes):
+def count_matvecs():
+    """A context manager that counts the SpectralBasis.matvec calls made inside it.
+
+    `with count_matvecs() as calls:` leaves the count in calls[0].
+    """
+
+    @contextlib.contextmanager
+    def counting():
+        calls = [0]
+        matvec = SpectralBasis.matvec
+
+        def counted(self, c):
+            calls[0] += 1
+            return matvec(self, c)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(SpectralBasis, "matvec", counted)
+            yield calls
+
+    return counting
+
+
+@pytest.fixture(scope="session")
+def annulus_band_run(annulus4, annulus_classes, count_matvecs):
     """Climbing-image band between two adjacent images of the lowest class,
     with the number of products with phi it made."""
     nl = power_model()
     lo = annulus_classes.classes[0].representative.u
     rotated = adjacent_orbit_image(annulus4, lo)
     assert rotated is not None
-    matvecs = 0
-    matvec = SpectralBasis.matvec
-
-    def counted(self, c):
-        nonlocal matvecs
-        matvecs += 1
-        return matvec(self, c)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(SpectralBasis, "matvec", counted)
+    with count_matvecs() as calls:
         report = band_saddle(annulus4, nl, lo, rotated, tol=1e-6)
-    return report, matvecs
+    return report, calls[0]
 
 
 @pytest.fixture(scope="session")
