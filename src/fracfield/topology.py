@@ -17,6 +17,7 @@ representatives, so counts here are orbit-class counts.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -432,6 +433,11 @@ def multiplicity_search(
     )
 
 
+def _same_place(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two barycenters lie within 2h of each other, which marks one state."""
+    return float(np.hypot(*(a - b))) <= 2.0 * dom.h
+
+
 def adjacent_orbit_image(basis: SpectralBasis, u: Field) -> Field | None:
     """First symmetry image of u whose barycenter flips in x and keeps y, or None.
 
@@ -445,7 +451,7 @@ def adjacent_orbit_image(basis: SpectralBasis, u: Field) -> Field | None:
     for perm in symmetry_group(basis.dom)[1:]:
         cand = u.values[perm]
         b = _barycenter(basis.dom, cand)[1]
-        if float(np.hypot(*(b - ref))) <= 2.0 * basis.dom.h:
+        if _same_place(basis.dom, b, ref):
             continue
         if b[0] * ref[0] < 0 and abs(b[1] - ref[1]) <= 2.0 * basis.dom.h:
             return basis.analyze(cand)
@@ -488,10 +494,39 @@ def band_saddle(
     gradient) per interior image, _N_IMAGES - 2 = 11 of each. phi c is
     synthesized only at set-up and once more at the end, for the interior
     images of the final profile and for the saddle record.
+
+    Every image moves from one step length, 1, along d = W^-1 g, the gradient
+    preconditioned by the quadratic-form weights W. Near a critical point
+    g = H e for the offset e, so W^-1 g = W^-1 H e and the rates are set by
+    the pencil H x = theta W x of morse. There theta = 1 - x^T Phi^T D Phi x
+    / x^T W x <= 1, since D = h^2 h'(u) >= 0, and at a critical point the ray
+    mode has theta_0 = 1 - p, the lowest eigenvalue at every point measured:
+    the spectrum lies in [1 - p, 1]. So:
+
+    - A plain image's first trial, c - W^-1 g = h^2 W^-1 Phi^T h(u), is the
+      fixed-point map u <- (A^alpha + I)^-1 h(u): it keeps u positive, and
+      the Nehari retraction then rescales it. The line search halves from 1
+      only when that trial fails its acceptance rule.
+    - The climbing image's offset contracts by 1 - theta on each mode the
+      retraction keeps (theta in (0, 1]) and, with the tangent component
+      reversed, by |1 + theta_tau| on its path-tangent mode. Per sweep that
+      is about max(1 - theta_+, |1 + theta_tau|), with theta_+ the smallest
+      positive theta: about 0.66 at the lam=6 band, which converges in 10
+      sweeps. A step of 0.1 would contract by 1 - 0.1 theta_+, about 0.964
+      there, and take 106.
+
+    Raises ValueError for a tol that is not finite and positive, and for ends
+    whose barycenters lie within 2h of each other: a band between one state
+    and itself climbs nothing, and its highest image is a minimum.
     """
-    obj = Energy(basis, nl)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
     basis.check_same_domain(end_a.dom)
     basis.check_same_domain(end_b.dom)
+    if _same_place(basis.dom, _barycenter(basis.dom, end_a.values)[1],
+                   _barycenter(basis.dom, end_b.values)[1]):
+        raise ValueError("band ends are one state: their barycenters lie within 2h")
+    obj = Energy(basis, nl)
 
     path = []
     for t in np.linspace(0.0, 1.0, _N_IMAGES):
@@ -521,7 +556,7 @@ def band_saddle(
         out.append(seg[-1])
         path[lo : hi + 1] = out
 
-    step = 0.1
+    step = 1.0
     saddle_residual = np.inf
     sweeps_done = 0
     for sweep in range(_MAX_SWEEPS):

@@ -24,7 +24,7 @@ from fracfield.errors import (
     SaddleNotEscaped,
 )
 from fracfield.model import Energy, PinnedEnergy, _barycenter, power_model
-from fracfield.morse import _smallest_eigenpairs
+from fracfield.morse import _smallest_eigenpairs, hessian_spectrum
 from fracfield.nehari import (
     _residual,
     _retracted_descent,
@@ -32,11 +32,12 @@ from fracfield.nehari import (
     gaussian_bump_seed,
     ground_state,
 )
-from fracfield.spectral import assemble_and_decompose
+from fracfield.spectral import SpectralBasis, assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
     adjacent_orbit_image,
     annulus_level,
+    band_saddle,
     mass_clusters,
     multiplicity_search,
     symmetry_group,
@@ -552,6 +553,51 @@ def test_band_saddle_products_per_sweep(annulus_band_run):
     assert report.converged and report.sweeps > 1
     n = topology._N_IMAGES
     assert matvecs <= (n - 2) * report.sweeps + 2 * n
+    # step 1 on the W-preconditioned gradient contracts the climbing image by
+    # about 0.66 per sweep (11 sweeps here); step 0.1 takes 123
+    assert report.sweeps <= 20
+
+
+def test_band_saddle_beyond_p_two(annulus4):
+    # the pencil's spectrum lies in [1 - p, 1], so step 1 stays the natural
+    # length for p > 2: 4 sweeps here, where step 0.1 takes 49 to the same point
+    nl = power_model(p=2.5)
+    centers = [(MID_RADIUS * np.cos(k * np.pi / 4), MID_RADIUS * np.sin(k * np.pi / 4))
+               for k in range(8)]
+    classes = multiplicity_search(annulus4, nl, centers, ball_radius=1.0)
+    lo = classes.classes[0].representative.u
+    partner = adjacent_orbit_image(annulus4, lo)
+    assert partner is not None
+    report = band_saddle(annulus4, nl, lo, partner)
+    assert report.converged and report.sweeps <= 10
+    assert report.saddle.energy == pytest.approx(3.1152564, rel=1e-6)
+    rep = hessian_spectrum(annulus4, nl, report.saddle.u)
+    assert rep.morse_index == 2 and rep.nondegenerate
+
+
+@pytest.fixture
+def no_phi_products(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("a product with phi ran before validation")
+
+    monkeypatch.setattr(SpectralBasis, "matvec", refuse)
+    monkeypatch.setattr(SpectralBasis, "rmatvec", refuse)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
+def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_phi_products):
+    # unchecked, nan runs all _MAX_SWEEPS sweeps and returns converged=False
+    a, b = (cl.representative.u for cl in annulus_classes.classes)
+    with pytest.raises(ValueError, match="tol"):
+        band_saddle(annulus4, NL, a, b, tol=tol)
+
+
+def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, no_phi_products):
+    # unchecked, a band from a minimum to itself converges in 1 sweep and
+    # reports the minimum (index 1) as its saddle
+    lo = annulus_classes.classes[0].representative.u
+    with pytest.raises(ValueError, match="one state"):
+        band_saddle(annulus4, NL, lo, lo)
 
 
 def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):

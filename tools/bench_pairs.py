@@ -17,6 +17,8 @@ this tree's BENCHMARK.json: each side's median and quartiles, how many pairs
 the change won in the metric's better direction, and the change between the
 medians next to the base's interquartile range. The last line says whether
 every run reported ``correct: true`` and how many checks failed on each side.
+A run that exits nonzero stops the pairs: the script prints its side, seed,
+exit code and the tail of its stderr, and exits 1.
 """
 
 from __future__ import annotations
@@ -29,14 +31,23 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+STDERR_TAIL = 20
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The last stdout line of one untraced benchmark run in tree, as a dict."""
+def run_once(side: str, tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The last stdout line of one untraced benchmark run in tree, as a dict.
+
+    A run that exits nonzero ends the script with exit status 1, after
+    printing to stderr the side, the seed, the run's exit code and the last
+    STDERR_TAIL lines of its stderr.
+    """
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
-        cwd=tree, capture_output=True, text=True, check=True)
+        cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        tail = "\n".join(proc.stderr.splitlines()[-STDERR_TAIL:])
+        sys.exit(f"{side} run at seed {seed} exited {proc.returncode}; its stderr ends:\n{tail}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -64,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     for i in range(args.pairs):
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            out = run_once(trees[side], args.workload, args.seed + i, spec["run_seconds"])
+            out = run_once(side, trees[side], args.workload, args.seed + i, spec["run_seconds"])
             runs[side].append(out)
             values = ", ".join(f"{k} {m['value']:.4g}" for k, m in out["metrics"].items())
             print(f"pair {i + 1} {side}: correct {out['correct']}, {values}", flush=True)
