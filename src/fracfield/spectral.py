@@ -15,26 +15,41 @@ only when no mode is cut, and the comparisons across lambda are what the
 tasks exist to make. Which orthonormal basis of a degenerate eigenspace comes
 back does not matter, since the span is everything.
 
-The dense decomposition is split by parity. The axis mirrors x -> -x and
-y -> -y preserve the mask of every disk and annulus, and of a rectangle whose
-sides h divides, and the 5-point Laplacian commutes with each mirror that
-preserves the mask. In a frame of signed, normalized sums over reflection
-orbits (at most 4 nodes each), A therefore splits exactly into one block per
-parity class: 4 blocks of about n/4 with both mirrors, 2 with one, and a
-single block in the identity frame with none (Bossavit, CMAME 1986). Each
-block goes through LAPACK's divide and conquer routine (``evd``) in place,
-which is about 16 times less dense work than one decomposition of A when
-there are 4 blocks.
+The dense decomposition is split by the grid symmetries of the mask. The
+axis mirrors x -> -x and y -> -y and the swap (x, y) -> (y, x) preserve the
+mask of every disk and annulus, and of a square whose sides h divides; the
+mirrors alone preserve that of such a rectangle. The 5-point Laplacian
+commutes with each symmetry that preserves the mask. In a frame of signed,
+normalized sums over symmetry orbits, A therefore splits exactly into one
+block per symmetry class (Bossavit, CMAME 1986; Fassler-Stiefel, Group
+Theoretical Methods and Their Applications, 1992):
+
+* the mirrors alone: 4 classes, one sign per mirror, over orbits of at most
+  4 nodes; one mirror gives 2 and none a single block in the identity frame;
+* with the swap: the two classes with equal mirror signs split by swap
+  parity, 4 blocks of about n/8 over orbits of at most 8 nodes. The class
+  odd in x and even in y and the class even in x and odd in y are mapped
+  onto each other by the swap, the pair that D4's two-dimensional
+  representation E carries. The second frame is the first with its rows
+  permuted by the swap, so both have one block of about n/4, decomposed and
+  held once.
+
+Each block goes through LAPACK's divide and conquer routine (``evd``) in
+place. With the swap and both mirrors that is 4 (n/8)^3 + (n/4)^3 =
+3 n^3/128 of dense work, about 43 times less than one decomposition of A.
 
 The n x n matrix phi of eigenvectors is never formed. The basis keeps its
-factors: the frames side by side as one sparse orthogonal Q (at most 4
-nonzeros per row), each block's eigenvectors V_b and the permutation from
+factors: the frames side by side as one sparse orthogonal Q (one nonzero
+per row in each frame, so at most 6 per row), each block's eigenvectors V_b
+(the shared one listed for both frames of the pair) and the permutation from
 ascending order to block order. phi c is Q times the stacked V_b c_b, and
-phi^T x the reverse, about 4 times fewer flops than a dense product with 4
-blocks. The blocks hold about n^2/4 doubles. The build peaks at about
-0.4 n^2: the blocks done so far, and the block being decomposed with its
-LAPACK workspace, about 3 (n/4)^2. A dense phi took n^2 more, and one dense
-``evd`` of all of A held 3 n^2.
+phi^T x the reverse; the pair's V is applied to its two slices as two
+products. With the swap and both mirrors the blocks hold 4 (n/8)^2 +
+(n/4)^2 = n^2/8 doubles, and a product reads 3 n^2/16 of them, the pair's
+twice, against n^2/4 held and read with the mirrors alone. The build
+peaks at about 0.22 n^2: the two blocks built before the pair, n^2/32, and
+the pair's block with its LAPACK workspace, about 3 (n/4)^2. A dense phi
+took n^2 more, and one dense ``evd`` of all of A held 3 n^2.
 """
 
 from __future__ import annotations
@@ -110,9 +125,13 @@ class SpectralBasis:
     K : number of modes, equal to the interior node count
     mu : (K,) eigenvalues, ascending, all positive
     weights : (K,) mu^alpha + 1, the diagonal of the quadratic-form operator
-    frame : (n, n) sparse orthogonal Q, at most 4 nonzeros per row
+    frame : (n, n) sparse orthogonal Q, one nonzero per row in each frame,
+        at most 6 per row
     blocks : the V_b in frame order, square, with 1/h folded in, so that phi
-        is orthonormal in the h^2-weighted inner product
+        is orthonormal in the h^2-weighted inner product. A frame that is the
+        swap image of the one before lists that frame's V_b, the same array,
+        so the pair's eigenvectors are held once: about n^2/8 doubles in all
+        on a mask with the swap and both mirrors
     order : (K,) for each mode in ascending order, its index in block order
     """
 
@@ -120,7 +139,8 @@ class SpectralBasis:
         self, dom: GridDomain, alpha: float, frame: scipy.sparse.csr_matrix,
         blocks: list[tuple[np.ndarray, np.ndarray]],
     ):
-        """blocks holds (mu_b, V_b) per parity block, in frame order."""
+        """blocks holds (mu_b, V_b) per frame, in frame order; a swap pair's
+        two entries are one tuple."""
         if not 0.0 < alpha <= 1.0:
             raise EigSolveFailure(f"alpha must be in (0, 1], got {alpha}")
         self.dom = dom
@@ -175,50 +195,90 @@ class SpectralBasis:
         return Field(self.dom, self.matvec(coeffs), coeffs)
 
 
-def _parity_frames(dom: GridDomain) -> list[scipy.sparse.csr_matrix]:
-    """Sparse orthonormal frames Q_b, one per parity class of the axis mirrors.
+def _class_frame(group: list[tuple[np.ndarray, tuple[int, ...]]],
+                 signs: tuple[int, ...]) -> scipy.sparse.csr_matrix | None:
+    """Sparse orthonormal frame of one symmetry class over the orbits of group.
 
-    The mirrors are the axis reflections ix -> nx-1-ix and iy -> ny-1-iy that
-    preserve the mask: k of them give 2^k classes, one sign per mirror. A
-    class's column for a reflection orbit (at most 4 nodes) weights each node
-    by the class's sign of the group element that maps the orbit's smallest
-    index onto it, summed and normalized; it vanishes for odd parity on a node
-    that lies on the mirror's axis and is then dropped. Columns follow their
-    orbit's smallest index, and every node lies in exactly one kept column.
+    group lists each element as a permutation with the generators composing
+    it, and signs gives the class's sign per generator, so that an element's
+    sign is the product over the generators composing it. A column for an
+    orbit weights each node i by the summed signs of the elements that map i
+    onto the orbit's smallest index, normalized. Those are the inverses of the
+    elements that map the smallest index onto i, with the same signs. Every
+    node of an orbit thus carries one magnitude, the smallest index a plus
+    sign, and a column that sums to zero is dropped. Columns follow their
+    orbit's smallest index. None when every column is dropped.
+    """
+    n = group[0][0].size
+    rep = np.min([p for p, _ in group], axis=0)
+    orbit = np.unique(rep, return_inverse=True)[1]
+    coef = sum(math.prod(signs[j] for j in used) * (p == rep) for p, used in group)
+    nodes = np.flatnonzero(coef)
+    if nodes.size == 0:
+        return None
+    kept, col = np.unique(orbit[nodes], return_inverse=True)
+    norm = np.sqrt(np.bincount(col, weights=coef[nodes] ** 2.0))
+    return scipy.sparse.csr_matrix(
+        (coef[nodes] / norm[col], (nodes, col)), shape=(n, kept.size))
+
+
+def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]]:
+    """Sparse orthonormal frames Q_b, one per symmetry class of the mask, each
+    with whether it shares the block of the frame before it.
+
+    The symmetries are the axis mirrors ix -> nx-1-ix and iy -> ny-1-iy and
+    the swap (ix, iy) -> (iy, ix) that preserve the mask. Without the swap,
+    k mirrors give 2^k classes, one sign per mirror, over orbits of at most 4
+    nodes. With the swap, a class the swap maps onto itself (both mirror signs
+    equal, or no mirror at all) splits by swap parity, over orbits of at most
+    8 nodes. The class odd in one mirror and even in the other is mapped onto
+    its partner: its frame is built over the mirror orbits, and the partner's
+    frame is that frame with its rows permuted by the swap. As A commutes
+    with the swap, the two have the same block Q^T A Q, so the partner
+    shares it. The swap maps each mirror orbit's smallest index onto the
+    smallest index of the image orbit, so the partner's columns keep a plus
+    sign there. Each frame holds at most one entry in each row.
     """
     n = dom.n_interior
     mirrors = [p for p in (grid_symmetry(dom, -1, 0, 0, 1), grid_symmetry(dom, 1, 0, 0, -1))
                if p is not None]
-    # the group the mirrors generate; each element with the mirrors composing it
+    swap = grid_symmetry(dom, 0, 1, 1, 0)
+    # the group the mirrors generate; each element with the generators composing it
     group: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.arange(n), ())]
     for j, m in enumerate(mirrors):
         group += [(m[p], used + (j,)) for p, used in group]
-    rep = np.min([p for p, _ in group], axis=0)
-    orbit = np.unique(rep, return_inverse=True)[1]
 
-    frames = []
+    # with the swap, the mask's whole D4 (or the swap alone), the swap sign last
+    full, splits = group, [()]
+    if swap is not None:
+        full = group + [(swap[p], used + (len(mirrors),)) for p, used in group]
+        splits = [(1,), (-1,)]
+    frames: list[tuple[scipy.sparse.csr_matrix, bool]] = []
     for signs in itertools.product((1, -1), repeat=len(mirrors)):
-        # the elements are involutions, so g maps rep onto i exactly when it maps i onto rep
-        coef = sum(math.prod(signs[j] for j in used) * (p == rep) for p, used in group)
-        nodes = np.flatnonzero(coef)
-        if nodes.size == 0:
-            continue
-        kept, col = np.unique(orbit[nodes], return_inverse=True)
-        norm = np.sqrt(np.bincount(col, weights=coef[nodes] ** 2.0))
-        frames.append(scipy.sparse.csr_matrix(
-            (coef[nodes] / norm[col], (nodes, col)), shape=(n, kept.size)))
+        if swap is None or len(set(signs)) <= 1:
+            for split in splits:
+                Q = _class_frame(full, signs + split)
+                if Q is not None:
+                    frames.append((Q, False))
+        elif signs[0] == 1:  # even in x; its swap image is the class odd in x
+            Q = _class_frame(group, signs)
+            if Q is not None:
+                frames += [(Q, False), (Q[swap], True)]
     return frames
 
 
 def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis:
     """Assemble the masked Laplacian and decompose it over the full span.
 
-    The parity-blocked build is described in the module docstring.
+    The symmetry-blocked build is described in the module docstring.
     """
     A = assemble_laplacian(dom)
     frames = _parity_frames(dom)
     blocks = []
-    for Q in frames:
+    for Q, shared in frames:
+        if shared:  # the swap image of the frame before: the same block, held once
+            blocks.append(blocks[-1])
+            continue
         # Fortran order, so LAPACK overwrites the block instead of copying it
         B = (Q.T @ A @ Q).toarray(order="F")
         try:
@@ -230,14 +290,17 @@ def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis
         # products q v. All nodes of an orbit carry one magnitude w and its
         # first node a plus sign, and the columns follow those first nodes,
         # so the sign rule (largest |entry| positive, first index on ties)
-        # reads off |w V|, which holds phi's magnitudes bit for bit
+        # reads off |w V|, which holds phi's magnitudes bit for bit. The
+        # swap image of Q has the same w and maps first nodes onto first
+        # nodes, so the rule holds for its modes too
         w = np.empty(Q.shape[1])
         w[Q.indices] = np.abs(Q.data)
         peak = np.abs(V * w[:, None]).argmax(axis=0)
         V *= np.where(V[peak, np.arange(mu_b.size)] < 0, -1.0, 1.0)
         blocks.append((mu_b, V))
 
-    basis = SpectralBasis(dom, alpha, scipy.sparse.hstack(frames, format="csr"), blocks)
+    basis = SpectralBasis(dom, alpha, scipy.sparse.hstack([Q for Q, _ in frames], format="csr"),
+                          blocks)
     if not np.all(np.isfinite(basis.mu)):
         raise EigSolveFailure("eigendecomposition produced non-finite eigenvalues")
     if basis.mu[0] <= 0:

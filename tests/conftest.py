@@ -90,7 +90,7 @@ def unblocked_basis():
     """Builds the full-span basis from one dense eigendecomposition of all of A.
 
     An independent reference for assemble_and_decompose, which decomposes A
-    block by block in its parity frames. driver="evr" runs LAPACK's MRRR
+    block by block in its symmetry frames. driver="evr" runs LAPACK's MRRR
     routine and driver="evd" the divide and conquer routine the blocks use,
     both in place on the whole matrix; the pairs agree with the blocked
     build's to rounding. The eigenvectors are the basis's single block, in

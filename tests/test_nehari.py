@@ -360,7 +360,10 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
     # from a converged start, at tol 0, which no residual meets, the Newton
     # step is tried at every step from the 21st on and costs several Hessian
     # products each time; the descent stops trying it once max_iter products
-    # are spent
+    # are spent. Left uncapped, the run at the rounding floor lasts until no
+    # step is accepted, which took 135 to 653 products on bases that differ
+    # only by rounding, so a cap of 50 binds, and a larger cap lets the same
+    # start spend more
     rec = disk_ground[0]
     products = 0
 
@@ -374,11 +377,15 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
                 return hess(v)
             return hv
 
-    max_iter = 200
-    *_, residual, _ = nehari._retracted_descent(
-        Counted(disk_basis, NL), rec.u.coeffs, 0.0, max_iter)
-    assert residual > 0.0
-    assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
+    spent = []
+    for max_iter in (50, 200):
+        products = 0
+        *_, residual, _ = nehari._retracted_descent(
+            Counted(disk_basis, NL), rec.u.coeffs, 0.0, max_iter)
+        assert residual > 0.0
+        assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
+        spent.append(products)
+    assert spent[1] > spent[0]
 
 
 def test_newton_direction_is_tangent_and_descends(disk_basis):

@@ -15,8 +15,10 @@ in the state the other left.
 One line per run as it finishes, then one line per end-to-end metric of
 this tree's BENCHMARK.json: each side's median and quartiles, how many pairs
 the change won in the metric's better direction, and the change between the
-medians next to the base's interquartile range. The last line says whether
-every run reported ``correct: true`` and how many checks failed on each side.
+medians next to the base's interquartile range. Under each such line come
+each side's per-run values, sorted, so that a bimodal metric shows its
+modes. The last line says whether every run reported ``correct: true`` and
+how many checks failed on each side.
 A run that exits nonzero stops the pairs: the script prints its side, seed,
 exit code and the tail of its stderr, and exits 1.
 """
@@ -90,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name}: base {b2:.4g} ({b1:.4g}-{b3:.4g}) -> change {c2:.4g} "
               f"({c1:.4g}-{c3:.4g}) {metric['unit']}; change better in {wins}/{args.pairs}; "
               f"median change {c2 - b2:+.3g} vs base IQR {b3 - b1:.3g}")
+        for side, values in (("base", base), ("change", change)):
+            print(f"    {side} runs, sorted: {' '.join(f'{v:.4g}' for v in sorted(values))}")
     correct = all(r["correct"] for side in runs.values() for r in side)
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     print(f"  all correct: {correct}; failed checks: base {failed['base']}, "
