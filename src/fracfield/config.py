@@ -15,13 +15,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .domain import SHAPE_PARAMS
 from .errors import ConfigInvalid
 
 SCHEMA_VERSION = 1
 
 TASKS = ("solve", "sweep-lambda", "multiplicity", "verify-extension", "morse", "report")
-
-_SHAPE_PARAMS = {"rectangle": ("a", "b"), "disk": ("R",), "annulus": ("R", "r")}
 
 
 def default_config(task: str = "solve") -> dict:
@@ -189,12 +188,12 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
 
     dom_raw = _object(_require(raw, "domain", ""), "domain")
     shape = _require(dom_raw, "shape", "domain")
-    if shape not in _SHAPE_PARAMS:
+    if shape not in SHAPE_PARAMS:
         raise ConfigInvalid(
-            f"field \"domain.shape\" must be one of {sorted(_SHAPE_PARAMS)}, got {shape!r}"
+            f"field \"domain.shape\" must be one of {sorted(SHAPE_PARAMS)}, got {shape!r}"
         )
     params_raw = _object(_require(dom_raw, "params", "domain"), "domain.params")
-    expected = _SHAPE_PARAMS[shape]
+    expected = SHAPE_PARAMS[shape]
     if set(params_raw) != set(expected):
         raise ConfigInvalid(
             f"field \"domain.params\" for {shape!r} must have keys {list(expected)}, "

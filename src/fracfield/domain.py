@@ -13,6 +13,11 @@ the same node set with coordinates exactly doubled:
   out by the strict-inside test);
 * disk, annulus: a node sits exactly at the center, so the node set is
   symmetric under the full grid symmetry group of the shape.
+
+Two facts about the shape are read off its mask here and nowhere else: the
+D4 maps that preserve it (mask_symmetries), by which the eigenbasis blocks
+and the orbit classes group, and its Betti numbers (mask_betti), which give
+the Morse census its Poincare polynomial P_t = b0 + b1 t.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ import numpy as np
 
 from .errors import BadShapeParams, EmptyMask
 
-SHAPES = ("rectangle", "disk", "annulus")
+# each shape's parameters, of the unit shape Omega
+SHAPE_PARAMS = {"rectangle": ("a", "b"), "disk": ("R",), "annulus": ("R", "r")}
 
 # Strict-inside margin, relative to the domain scale. Keeps exact-boundary
 # nodes out of the mask regardless of rounding direction.
@@ -35,13 +41,13 @@ _MIN_NODES = 25
 
 
 def _validate(shape_id: str, params: dict, lam: float, h: float) -> None:
-    if shape_id not in SHAPES:
-        raise BadShapeParams(f"unknown shape {shape_id!r}; expected one of {SHAPES}")
+    if shape_id not in SHAPE_PARAMS:
+        raise BadShapeParams(f"unknown shape {shape_id!r}; expected one of {tuple(SHAPE_PARAMS)}")
     if not (lam > 0) or not math.isfinite(lam):
         raise BadShapeParams(f"lambda must be positive and finite, got {lam}")
     if not (h > 0) or not math.isfinite(h):
         raise BadShapeParams(f"h must be positive and finite, got {h}")
-    expected = {"rectangle": {"a", "b"}, "disk": {"R"}, "annulus": {"R", "r"}}[shape_id]
+    expected = set(SHAPE_PARAMS[shape_id])
     if set(params) != expected:
         raise BadShapeParams(
             f"{shape_id} expects params {sorted(expected)}, got {sorted(params)}"
@@ -74,7 +80,7 @@ class GridDomain:
 
     Attributes
     ----------
-    shape_id : one of SHAPES
+    shape_id : a key of SHAPE_PARAMS
     params : shape parameters of the unit shape Omega
     lam : scaling factor lambda > 0
     h : grid spacing
@@ -212,41 +218,63 @@ def build_domain(shape_id: str, params: dict, lam: float, h: float) -> GridDomai
     )
 
 
-def grid_symmetry(dom: GridDomain, a: int, b: int, c: int, d: int) -> np.ndarray | None:
-    """Interior-index permutation of the grid map (x, y) -> (a x + b y, c x + d y).
+# The eight grid maps (x, y) -> (a x + b y, c x + d y) of D4 as (a, b, c, d),
+# each with the generators whose product, in the order listed, it is: 0 the
+# x-mirror x -> -x, 1 the y-mirror y -> -y, 2 the swap (x, y) -> (y, x)
+_D4 = (
+    ((1, 0, 0, 1), ()),
+    ((-1, 0, 0, 1), (0,)),
+    ((1, 0, 0, -1), (1,)),
+    ((-1, 0, 0, -1), (0, 1)),
+    ((0, 1, 1, 0), (2,)),
+    ((0, -1, 1, 0), (0, 2)),
+    ((0, 1, -1, 0), (1, 2)),
+    ((0, -1, -1, 0), (0, 1, 2)),
+)
 
-    The map acts about the grid's own center. It is None unless it carries the
-    interior node set exactly onto itself, so a slightly asymmetric grid keeps
-    only the symmetries it really has.
+
+def mask_symmetries(dom: GridDomain) -> list[tuple[np.ndarray, tuple[int, ...]]]:
+    """The D4 maps that preserve the mask, each as an interior-index permutation
+    with the generators composing it, in _D4 order: the identity first.
+
+    The maps act about the grid's own center. One that does not carry the
+    interior node set exactly onto itself is left out, so a slightly
+    asymmetric grid keeps only the symmetries it really has.
     """
     # grid offsets from the center, doubled so a half-integer center stays
     # integer; an image with odd doubled offset falls between nodes
-    iy, ix = np.nonzero(dom.index_of >= 0)
+    iy, ix = np.nonzero(dom.mask)
     ox = 2 * ix - (dom.nx - 1)
     oy = 2 * iy - (dom.ny - 1)
-    jx = a * ox + b * oy + (dom.nx - 1)
-    jy = c * ox + d * oy + (dom.ny - 1)
-    if np.any(jx % 2) or np.any(jy % 2):
-        return None
-    jx, jy = jx // 2, jy // 2
-    if np.any((jx < 0) | (jx >= dom.nx) | (jy < 0) | (jy >= dom.ny)):
-        return None
-    perm = dom.index_of[jy, jx]
-    return perm if np.all(perm >= 0) else None
+    found = []
+    for (a, b, c, d), used in _D4:
+        jx = a * ox + b * oy + (dom.nx - 1)
+        jy = c * ox + d * oy + (dom.ny - 1)
+        if np.any(jx % 2) or np.any(jy % 2):
+            continue
+        jx, jy = jx // 2, jy // 2
+        if np.any((jx < 0) | (jx >= dom.nx) | (jy < 0) | (jy >= dom.ny)):
+            continue
+        perm = dom.index_of[jy, jx]
+        if np.all(perm >= 0):
+            found.append((perm, used))
+    return found
 
 
-def neighborhood_membership(dom: GridDomain, point, band: float, side: str) -> bool:
-    """Membership of a point in the band neighborhoods of lambda*Omega.
+def mask_betti(dom: GridDomain) -> tuple[int, int]:
+    """Betti numbers (b0, b1) of the mask as the 5-point stencil sees it.
 
-    side = "outer_plus": distance from the point to the region is <= band.
-    side = "inner_minus": the point lies inside with boundary distance >= band.
+    b0 counts the mask's components under 4-connectivity, the stencil's. b1
+    counts its holes: the components of the complement under the dual
+    8-connectivity, padded by one node so that the outside is one of them,
+    less that one. A ring that the grid breaks reads as its pieces, not as
+    a ring.
     """
-    if band < 0:
-        raise BadShapeParams(f"band must be nonnegative, got {band}")
-    p = np.asarray(point, float).reshape(1, 2)
-    sd = float(dom.signed_boundary_distance(p)[0])
-    if side == "outer_plus":
-        return (-sd if sd < 0 else 0.0) <= band
-    if side == "inner_minus":
-        return sd >= band and sd > 0
-    raise ValueError(f"side must be 'outer_plus' or 'inner_minus', got {side!r}")
+    # imported here, not with the module: scipy.ndimage loaded ahead of the
+    # rest of scipy raised the peak RSS of a disk solve, which never calls
+    # this, by about 0.5 MB
+    from scipy import ndimage
+
+    outside = np.pad(~dom.mask, 1, constant_values=True)
+    return (ndimage.label(dom.mask)[1],
+            ndimage.label(outside, structure=np.ones((3, 3), dtype=bool))[1] - 1)

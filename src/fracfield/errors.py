@@ -61,10 +61,6 @@ class OffManifold(FracfieldError):
     """A computation assumed a Nehari-manifold point but |J(u)| was too large."""
 
 
-class UnknownDomainTopology(FracfieldError):
-    """No hard-coded topological data for this shape."""
-
-
 class ConfigInvalid(FracfieldError):
     """A run configuration failed validation. The message names the offending field."""
 

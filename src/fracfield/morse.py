@@ -20,9 +20,10 @@ eigenvalues within eps_null of zero are counted as null and make the point
 degenerate. Both need only the bottom of the spectrum, and only the
 HessianSpectrumReport holds the index: records carry none. The count check
 compares the index-1/index-2 census of the spectra against the
-prediction 2 P1 - 1 built from hard-coded Poincare polynomials (rectangle,
-disk: 1; annulus: 1 + t), split as P1 points of index 1 and P1 - 1 points of
-index 2.
+prediction 2 P1 - 1, split as P1 points of index 1 and P1 - 1 points of
+index 2. P1 = b0 + b1 is the Poincare polynomial at t = 1, with the Betti
+numbers read from the domain's mask (domain.mask_betti): 1 on a disk or a
+rectangle, 2 on an annulus whose ring the grid keeps closed.
 
 Indices are reported for the full space, not the manifold tangent: every
 solution carries one negative ray direction, so manifold minima score 1 and
@@ -39,13 +40,11 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg
 
-from .errors import EigSolveFailure, OffManifold, UnknownDomainTopology
+from .domain import GridDomain, mask_betti
+from .errors import EigSolveFailure, OffManifold
 from .model import Energy, Nonlinearity, h_prime
 from .nehari import SolutionRecord
 from .spectral import Field, SpectralBasis
-
-_POINCARE_AT_ONE = {"rectangle": 1, "disk": 1, "annulus": 2}
-
 
 # The default null threshold on theta, the eigenvalues of S. A mode of H
 # within 1e-6 min W of zero has |theta| <= 1e-6, so it stays null here; a
@@ -208,21 +207,17 @@ class MorseCountReport:
 def morse_count_check(
     records: Sequence[SolutionRecord],
     spectra: Sequence[HessianSpectrumReport],
-    shape_id: str,
+    dom: GridDomain,
 ) -> MorseCountReport:
-    """Compare the index-1/index-2 counts of records' spectra against 2 P1 - 1.
+    """Compare the index-1/index-2 counts of records' spectra against 2 P1 - 1,
+    with P1 = b0 + b1 from dom's mask.
 
     spectra[k] is the spectrum of records[k] (see classify_records); a length
     mismatch raises ValueError. Records with null modes are reported as
     degenerate and left out of the comparison instead of being asserted
     against a count that assumes nondegeneracy.
     """
-    if shape_id not in _POINCARE_AT_ONE:
-        raise UnknownDomainTopology(
-            f"no Poincare polynomial stored for shape {shape_id!r}; "
-            f"known: {sorted(_POINCARE_AT_ONE)}"
-        )
-    p1 = _POINCARE_AT_ONE[shape_id]
+    p1 = sum(mask_betti(dom))
     degenerate: list[str] = []
     idx1 = idx2 = counted = 0
     for rec, spec in zip(records, spectra, strict=True):

@@ -257,7 +257,7 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
             if band_report.converged:
                 census_records.append(srec)
                 census_spectra.append(sspec)
-    census = morse_count_check(census_records, census_spectra, cfg.shape)
+    census = morse_count_check(census_records, census_spectra, basis.dom)
 
     classes_json = []
     rows = []
@@ -359,7 +359,7 @@ def run_morse(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
             "ray_second_derivative": rsd,
             "smallest_eigenvalues": [float(v) for v in spec.eigenvalues[:6]],
         })
-    census = morse_count_check(reps, spectra, cfg.shape)
+    census = morse_count_check(reps, spectra, basis.dom)
     results = {
         "records": recs_json,
         "census": {

@@ -15,7 +15,8 @@ only when no mode is cut, and the comparisons across lambda are what the
 tasks exist to make. Which orthonormal basis of a degenerate eigenspace comes
 back does not matter, since the span is everything.
 
-The dense decomposition is split by the grid symmetries of the mask. The
+The dense decomposition is split by the grid symmetries of the mask, which
+domain.mask_symmetries lists with the generators composing each. The
 axis mirrors x -> -x and y -> -y and the swap (x, y) -> (y, x) preserve the
 mask of every disk and annulus, and of a square whose sides h divides; the
 mirrors alone preserve that of such a rectangle. The 5-point Laplacian
@@ -62,7 +63,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .domain import GridDomain, grid_symmetry
+from .domain import GridDomain, mask_symmetries
 from .errors import DomainMismatch, EigSolveFailure
 
 
@@ -196,7 +197,7 @@ class SpectralBasis:
 
 
 def _class_frame(group: list[tuple[np.ndarray, tuple[int, ...]]],
-                 signs: tuple[int, ...]) -> scipy.sparse.csr_matrix | None:
+                 signs: dict[int, int]) -> scipy.sparse.csr_matrix | None:
     """Sparse orthonormal frame of one symmetry class over the orbits of group.
 
     group lists each element as a permutation with the generators composing
@@ -227,9 +228,9 @@ def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]
     with whether it shares the block of the frame before it.
 
     The symmetries are the axis mirrors ix -> nx-1-ix and iy -> ny-1-iy and
-    the swap (ix, iy) -> (iy, ix) that preserve the mask. Without the swap,
-    k mirrors give 2^k classes, one sign per mirror, over orbits of at most 4
-    nodes. With the swap, a class the swap maps onto itself (both mirror signs
+    the swap (ix, iy) -> (iy, ix) that preserve the mask, and the group they
+    make, all read from domain.mask_symmetries. Without the swap, k mirrors
+    give 2^k classes, one sign per mirror, over orbits of at most 4 nodes. With the swap, a class the swap maps onto itself (both mirror signs
     equal, or no mirror at all) splits by swap parity, over orbits of at most
     8 nodes. The class odd in one mirror and even in the other is mapped onto
     its partner: its frame is built over the mirror orbits, and the partner's
@@ -239,25 +240,21 @@ def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]
     smallest index of the image orbit, so the partner's columns keep a plus
     sign there. Each frame holds at most one entry in each row.
     """
-    n = dom.n_interior
-    mirrors = [p for p in (grid_symmetry(dom, -1, 0, 0, 1), grid_symmetry(dom, 1, 0, 0, -1))
-               if p is not None]
-    swap = grid_symmetry(dom, 0, 1, 1, 0)
-    # the group the mirrors generate; each element with the generators composing it
-    group: list[tuple[np.ndarray, tuple[int, ...]]] = [(np.arange(n), ())]
-    for j, m in enumerate(mirrors):
-        group += [(m[p], used + (j,)) for p, used in group]
-
-    # with the swap, the mask's whole D4 (or the swap alone), the swap sign last
-    full, splits = group, [()]
-    if swap is not None:
-        full = group + [(swap[p], used + (len(mirrors),)) for p, used in group]
-        splits = [(1,), (-1,)]
+    elements = mask_symmetries(dom)
+    generators = {used[0]: p for p, used in elements if len(used) == 1}
+    # the group the mask's generators make (its whole D4, or less), and the
+    # mirrors' subgroup within it
+    full = [(p, used) for p, used in elements if set(used) <= generators.keys()]
+    group = [(p, used) for p, used in full if 2 not in used]
+    mirrors = sorted(generators.keys() - {2})
+    swap = generators.get(2)
+    splits = [{}] if swap is None else [{2: 1}, {2: -1}]
     frames: list[tuple[scipy.sparse.csr_matrix, bool]] = []
-    for signs in itertools.product((1, -1), repeat=len(mirrors)):
-        if swap is None or len(set(signs)) <= 1:
+    for mirror_signs in itertools.product((1, -1), repeat=len(mirrors)):
+        signs = dict(zip(mirrors, mirror_signs))
+        if swap is None or len(set(mirror_signs)) <= 1:
             for split in splits:
-                Q = _class_frame(full, signs + split)
+                Q = _class_frame(full, signs | split)
                 if Q is not None:
                     frames.append((Q, False))
         elif signs[0] == 1:  # even in x; its swap image is the class odd in x

@@ -9,9 +9,10 @@ realizes the category counting numerically: a disk collapses to one orbit
 class, an annulus at large scale sustains at least two, and an elastic band
 strung between two classes hunts the connecting saddle.
 
-Grid symmetries are the exact mask-preserving subgroup (at most D4); the
-continuum rotation orbit on an annulus collapses to finitely many pinned
-representatives, so counts here are orbit-class counts.
+Grid symmetries are the exact mask-preserving subgroup of D4, taken from
+domain.mask_symmetries; the continuum rotation orbit on an annulus collapses
+to finitely many pinned representatives, so counts here are orbit-class
+counts.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .domain import GridDomain, build_domain, grid_symmetry, neighborhood_membership
+from .domain import GridDomain, build_domain, mask_symmetries
 from .errors import (
     BallDoesNotFit,
     ConstraintViolated,
@@ -64,28 +65,10 @@ _N_IMAGES = 13
 _MAX_SWEEPS = 400
 
 
-_D4 = (
-    (1, 0, 0, 1),
-    (-1, 0, 0, 1),
-    (1, 0, 0, -1),
-    (-1, 0, 0, -1),
-    (0, 1, 1, 0),
-    (0, -1, 1, 0),
-    (0, 1, -1, 0),
-    (0, -1, -1, 0),
-)
-
-
 def symmetry_group(dom: GridDomain) -> list[np.ndarray]:
-    """Mask-preserving D4 elements as interior-index permutations.
-
-    Candidates that do not map the interior node set onto itself exactly are
-    dropped (see grid_symmetry), so slightly asymmetric grids degrade to
-    smaller groups rather than producing wrong permutations. The identity is
-    always first.
-    """
-    perms = (grid_symmetry(dom, *g) for g in _D4)
-    return [p for p in perms if p is not None]
+    """Mask-preserving D4 elements as interior-index permutations, in
+    domain.mask_symmetries order: the identity first."""
+    return [p for p, _ in mask_symmetries(dom)]
 
 
 class PsiSeeder:
@@ -130,7 +113,7 @@ class PsiSeeder:
         the domain by at least the ball radius.
         """
         dom = self.basis_dom.dom
-        if not neighborhood_membership(dom, x_tilde, self.ball_radius, side="inner_minus"):
+        if not float(dom.signed_boundary_distance(x_tilde)[0]) >= self.ball_radius:
             raise BallDoesNotFit(
                 f"center {x_tilde} is closer than {self.ball_radius} to the boundary "
                 "of the host domain"
@@ -414,9 +397,7 @@ def multiplicity_search(
         # so picking the lowest would let rounding choose
         rep = members[0]
         below = rep.energy <= seeder.ball_level * (1.0 + 1e-12)
-        in_plus = neighborhood_membership(
-            basis.dom, rep.barycenter, ball_radius, side="outer_plus"
-        )
+        in_plus = float(basis.dom.region_distance(rep.barycenter)[0]) <= ball_radius
         classes.append(OrbitClass(
             representative=rep,
             orbit_size=len(members),

@@ -5,8 +5,10 @@ checks the package's route: the dense eigenvector matrix phi from the basis's
 factors instead of their products, the Nehari scale by bracketing a root of
 J(t u) instead of its closed form, the radial symmetry of a field by
 averaging over exact grid radii, and the profile ODE by finite differences
-of the profile's derivative. The rest are measurements the package has no
-use for: a domain's diameter and a table of profile samples.
+of the profile's derivative, and the mask-preserving grid maps by looking up
+node coordinates instead of by grid index arithmetic. The rest are
+measurements the package has no use for: a domain's diameter and a table of
+profile samples.
 """
 
 from __future__ import annotations
@@ -29,6 +31,35 @@ def diameter(dom: GridDomain) -> float:
     if dom.shape_id == "rectangle":
         return dom.lam * math.hypot(dom.params["a"], dom.params["b"])
     return 2.0 * dom.lam * dom.params["R"]
+
+
+# D4 as integer matrices acting on (x, y): the identity, the x-mirror, the
+# y-mirror, the half turn, the swap (x, y) -> (y, x), then the quarter turn
+# (x, y) -> (-y, x), the quarter turn (x, y) -> (y, -x) and the anti-diagonal
+# mirror (x, y) -> (-y, -x)
+D4_MATRICES = tuple(np.array(m) for m in (
+    [[1, 0], [0, 1]], [[-1, 0], [0, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, -1]],
+    [[0, 1], [1, 0]], [[0, -1], [1, 0]], [[0, 1], [-1, 0]], [[0, -1], [-1, 0]],
+))
+
+
+def mask_preserving_maps(dom: GridDomain) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(matrix, permutation) of each D4 map that carries the mask onto itself,
+    in D4_MATRICES order, the maps acting about the grid's center.
+
+    Each node is keyed by its offset from the center in half steps, and a map
+    preserves the mask when every node's image key is some node's key.
+    perm[i] is the node that node i goes to.
+    """
+    center = 0.5 * np.array([dom.xs[0] + dom.xs[-1], dom.ys[0] + dom.ys[-1]])
+    keys = np.rint(2.0 * (dom.node_coords - center) / dom.h).astype(np.int64)
+    node = {k: i for i, k in enumerate(map(tuple, keys.tolist()))}
+    found = []
+    for M in D4_MATRICES:
+        images = [node.get(k) for k in map(tuple, (keys @ M.T).tolist())]
+        if None not in images:
+            found.append((M, np.array(images)))
+    return found
 
 
 def profile_samples(profile: BesselProfile, n_samples: int = 400) -> np.ndarray:

@@ -326,15 +326,15 @@ def test_a7_multiplicity_and_localization(capsys, orbit_hunt):
                           f"{saddle_note}, {elapsed:.0f}s")
 
 
-def test_a8_morse_census(capsys, disk_census, orbit_hunt):
+def test_a8_morse_census(capsys, disk_census, orbit_hunt, disk_host, annulus4):
     with verdict(capsys, 8, "Morse counts against 2 P(1) - 1") as info:
-        disk_check = morse_count_check(*disk_census, "disk")
+        disk_check = morse_count_check(*disk_census, disk_host.dom)
         assert disk_check.target_total == 1
         assert disk_check.counted == 1
         assert disk_check.matches
 
         _, _, records, spectra, _ = orbit_hunt
-        ann_check = morse_count_check(records, spectra, "annulus")
+        ann_check = morse_count_check(records, spectra, annulus4.dom)
         assert ann_check.target_total == 3
         assert ann_check.target_index1 == 2 and ann_check.target_index2 == 1
         assert ann_check.found_index1 == 2 and ann_check.found_index2 == 1

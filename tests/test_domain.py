@@ -1,4 +1,5 @@
-"""Masked-grid construction: node counts, distances, scaling, and neighborhoods."""
+"""Masked-grid construction: node counts, distances, scaling, neighborhoods and
+Betti numbers."""
 
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfield.domain import build_domain, neighborhood_membership
+from fracfield.domain import build_domain, mask_betti
 from fracfield.errors import BadShapeParams, EmptyMask
 from oracles import diameter
 
@@ -112,27 +113,28 @@ def test_all_interior_nodes_strictly_inside():
 
 
 def test_neighborhood_membership_annulus():
+    # inside by at least a band: signed distance; within a band of the
+    # region: region distance
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, 4.0, 0.1)
+
+    def depth(p):
+        return float(dom.signed_boundary_distance(p)[0])
+
+    def reach(p):
+        return float(dom.region_distance(p)[0])
+
     mid = np.array([4.0 * 0.7, 0.0])  # radius lam*(R+r)/2 = 2.8, depth 1.2
-    assert neighborhood_membership(dom, mid, 0.2, "inner_minus")
-    assert neighborhood_membership(dom, mid, 1.19, "inner_minus")
-    assert not neighborhood_membership(dom, mid, 1.3, "inner_minus")
-    assert neighborhood_membership(dom, mid, 0.0, "outer_plus")
+    assert depth(mid) >= 0.2
+    assert depth(mid) >= 1.19
+    assert not depth(mid) >= 1.3
+    assert reach(mid) <= 0.0
     out = np.array([4.1, 0.0])  # 0.1 beyond the outer circle
-    assert neighborhood_membership(dom, out, 0.2, "outer_plus")
-    assert not neighborhood_membership(dom, out, 0.05, "outer_plus")
+    assert reach(out) <= 0.2
+    assert not reach(out) <= 0.05
     hole = np.array([0.0, 0.0])  # region distance lam*r = 1.6
-    assert neighborhood_membership(dom, hole, 1.7, "outer_plus")
-    assert not neighborhood_membership(dom, hole, 1.5, "outer_plus")
-    assert not neighborhood_membership(dom, hole, 0.1, "inner_minus")
-
-
-def test_neighborhood_rejects_bad_side_and_band():
-    dom = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        neighborhood_membership(dom, (0.0, 0.0), 0.1, "sideways")
-    with pytest.raises(BadShapeParams):
-        neighborhood_membership(dom, (0.0, 0.0), -0.1, "outer_plus")
+    assert reach(hole) <= 1.7
+    assert not reach(hole) <= 1.5
+    assert not depth(hole) >= 0.1
 
 
 def test_empty_mask_raises():
@@ -178,3 +180,25 @@ def test_content_hash_distinguishes_domains():
     d3 = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
     assert d1.content_hash != d2.content_hash
     assert d1.content_hash == d3.content_hash
+
+
+@pytest.mark.parametrize(
+    "shape_id,params,lam,h,betti",
+    [
+        ("disk", {"R": 1.0}, 1.0, 0.1, (1, 0)),
+        ("disk", {"R": 2.0}, 1.0, 0.125, (1, 0)),
+        ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.25, (1, 0)),
+        ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.3, (1, 0)),
+        ("annulus", {"R": 1.0, "r": 0.4}, 2.0, 0.25, (1, 1)),
+        ("annulus", {"R": 1.0, "r": 0.4}, 4.0, 0.25, (1, 1)),
+        ("annulus", {"R": 1.0, "r": 0.4}, 6.0, 0.25, (1, 1)),
+        ("annulus", {"R": 1.0, "r": 0.4}, 8.0, 0.25, (1, 1)),
+        ("annulus", {"R": 1.0, "r": 0.4}, 6.0, 0.125, (1, 1)),
+        # a ring 0.3 wide at h = 0.25: the stencil breaks it into 16 pieces
+        ("annulus", {"R": 1.0, "r": 0.9}, 3.0, 0.25, (16, 0)),
+    ],
+    ids=["disk-h0.1", "disk-h0.125", "rectangle-divided", "rectangle-undivided",
+         "annulus2", "annulus4", "annulus6", "annulus8", "annulus6-h0.125", "thin-ring"],
+)
+def test_mask_betti_numbers(shape_id, params, lam, h, betti):
+    assert mask_betti(build_domain(shape_id, params, lam, h)) == betti

@@ -20,7 +20,7 @@ import scipy.sparse.linalg
 
 from fracfield import morse
 from fracfield.domain import build_domain
-from fracfield.errors import EigSolveFailure, OffManifold, UnknownDomainTopology
+from fracfield.errors import EigSolveFailure, OffManifold
 from fracfield.model import Energy, h_prime, power_model
 from fracfield.morse import (
     DEFAULT_EPS_NULL,
@@ -359,8 +359,13 @@ def _fake_spectrum(morse_index: int, null_count: int = 0) -> HessianSpectrumRepo
     )
 
 
+def _annulus_dom():
+    return build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
+
+
 def test_morse_count_check_disk(disk_ground):
-    report = morse_count_check([disk_ground], [_fake_spectrum(1)], "disk")
+    # P(1) = b0 + b1 = 1 from the disk's mask
+    report = morse_count_check([disk_ground], [_fake_spectrum(1)], disk_ground.u.dom)
     assert report.target_total == 1
     assert (report.target_index1, report.target_index2) == (1, 0)
     assert (report.found_index1, report.found_index2) == (1, 0)
@@ -371,18 +376,18 @@ def test_morse_count_check_disk(disk_ground):
 def test_morse_count_check_annulus_census(disk_ground):
     recs = [disk_ground] * 3
     spectra = [_fake_spectrum(m) for m in (1, 1, 2)]
-    report = morse_count_check(recs, spectra, "annulus")
+    report = morse_count_check(recs, spectra, _annulus_dom())  # P(1) = 1 + 1
     assert report.target_total == 3
     assert (report.target_index1, report.target_index2) == (2, 1)
     assert report.matches
-    short = morse_count_check(recs[:2], spectra[:2], "annulus")
+    short = morse_count_check(recs[:2], spectra[:2], _annulus_dom())
     assert not short.matches
 
 
 def test_morse_count_check_excludes_degenerate(disk_ground):
     recs = [disk_ground] * 3
     spectra = [_fake_spectrum(1), _fake_spectrum(1, null_count=2), _fake_spectrum(2)]
-    report = morse_count_check(recs, spectra, "annulus")
+    report = morse_count_check(recs, spectra, _annulus_dom())
     assert report.counted == 2
     assert report.degenerate_tags == (recs[1].seed_tag,)
     assert (report.found_index1, report.found_index2) == (1, 1)
@@ -390,10 +395,8 @@ def test_morse_count_check_excludes_degenerate(disk_ground):
 
 
 def test_morse_count_check_validation(disk_ground):
-    with pytest.raises(UnknownDomainTopology):
-        morse_count_check([disk_ground], [_fake_spectrum(1)], "pentagon")
     with pytest.raises(ValueError, match="shorter"):
-        morse_count_check([disk_ground], [], "disk")
+        morse_count_check([disk_ground], [], disk_ground.u.dom)
 
 
 def test_compactness_echo_spectrum_decays(disk_host, disk_ground):

@@ -1,5 +1,6 @@
 """Eigenbasis exactness on the square, field projections, fractional powers."""
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -8,11 +9,11 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfield.domain import build_domain, grid_symmetry
+from fracfield.domain import build_domain, mask_symmetries
 from fracfield.errors import DomainMismatch, EigSolveFailure
 from fracfield.model import Energy, power_model
 from fracfield.spectral import _parity_frames, assemble_and_decompose, assemble_laplacian
-from oracles import dense_phi
+from oracles import dense_phi, mask_preserving_maps
 
 
 def _closed_form_square(n_side):
@@ -144,6 +145,27 @@ def test_blocked_basis_matches_unblocked_oracle(unblocked_basis, shape, params, 
     assert (peaks > 0).all()
 
 
+# the generators that mask_symmetries composes its elements of: the x-mirror,
+# the y-mirror and the swap
+_GENERATORS = (np.array([[-1, 0], [0, 1]]), np.array([[1, 0], [0, -1]]),
+               np.array([[0, 1], [1, 0]]))
+
+
+@_BLOCKED_DOMAINS
+def test_mask_symmetries_are_the_mask_preserving_d4_maps_in_order(shape, params, lam, h,
+                                                                  n_frames, n_distinct):
+    # element by element and in D4 order: adjacent_orbit_image takes the first
+    # image that passes, so the order is part of what the group says
+    dom = build_domain(shape, params, lam=lam, h=h)
+    got = mask_symmetries(dom)
+    want = mask_preserving_maps(dom)
+    assert len(got) == len(want)
+    for (perm, used), (M, ref) in zip(got, want):
+        assert np.array_equal(perm, ref)
+        composed = functools.reduce(np.matmul, [_GENERATORS[j] for j in used], np.eye(2, dtype=int))
+        assert np.array_equal(composed, M)
+
+
 @_BLOCKED_DOMAINS
 def test_factored_apply_and_adjoint_match_dense_phi(shape, params, lam, h, n_frames, n_distinct):
     # matvec and rmatvec go through the factors, dense_phi forms their product
@@ -189,7 +211,7 @@ def test_swap_partners_share_their_block(shape, params, lam, h):
     (k,) = [i for i, (_, shared) in enumerate(frames) if shared]
     bounds = np.cumsum([0] + [Q.shape[1] for Q, _ in frames])
     first, partner = slice(bounds[k - 1], bounds[k]), slice(bounds[k], bounds[k + 1])
-    swap = grid_symmetry(dom, 0, 1, 1, 0)
+    swap = {used: p for p, used in mask_symmetries(dom)}[(2,)]
     # A commutes with the swap, so the two frames give one block
     A = assemble_laplacian(dom)
     (Q, _), (Q_swapped, _) = frames[k - 1], frames[k]

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fracfield.domain import build_domain, neighborhood_membership
+from fracfield.domain import build_domain
 from fracfield import topology
 from fracfield.errors import (
     BallDoesNotFit,
@@ -120,10 +120,10 @@ def test_barycenter_band_membership_detects_hole(annulus4, disk_host):
     rr = np.sqrt((dom.node_coords**2).sum(axis=1))
     beta = _beta(annulus4.analyze(np.exp(-((rr - MID_RADIUS) ** 2))))
     assert abs(beta[0]) <= 1e-10 and abs(beta[1]) <= 1e-10
-    assert neighborhood_membership(dom, beta, 1.0, side="outer_plus") is False
+    assert not dom.region_distance(beta)[0] <= 1.0
     # while a bump inside the disk is trivially within any band of it
     inside = _beta(disk_host.analyze(_bump_values(disk_host.dom, (0.0, 0.0))))
-    assert neighborhood_membership(disk_host.dom, inside, 0.05, side="outer_plus") is True
+    assert disk_host.dom.region_distance(inside)[0] <= 0.05
 
 
 # ------------------------------------------------------------ symmetry group
