@@ -188,7 +188,7 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
 
     dom_raw = _object(_require(raw, "domain", ""), "domain")
     shape = _require(dom_raw, "shape", "domain")
-    if shape not in SHAPE_PARAMS:
+    if not isinstance(shape, str) or shape not in SHAPE_PARAMS:
         raise ConfigInvalid(
             f"field \"domain.shape\" must be one of {sorted(SHAPE_PARAMS)}, got {shape!r}"
         )

@@ -270,9 +270,9 @@ def mask_betti(dom: GridDomain) -> tuple[int, int]:
     less that one. A ring that the grid breaks reads as its pieces, not as
     a ring.
     """
-    # imported here, not with the module: scipy.ndimage loaded ahead of the
-    # rest of scipy raised the peak RSS of a disk solve, which never calls
-    # this, by about 0.5 MB
+    # imported here, not with the module, like scipy.integrate in
+    # extension.solve_profile and scipy.ndimage in topology.mass_clusters:
+    # the process of a task that never calls them should not load them
     from scipy import ndimage
 
     outside = np.pad(~dom.mask, 1, constant_values=True)

@@ -18,6 +18,10 @@ companion solution amplifies roundoff by e^(+s)), so the profile is built
 from a Frobenius series on (0, s0] matched to an adaptive integrator run
 inward from a large-s asymptotic start in the rescaled variable
 w(s) = psi(s) * e^(+s), where the contaminating mode decays instead.
+
+solve_profile is the one function that loads scipy.integrate (for
+solve_ivp), and it loads it when called, so a task that never builds the
+profile does not pay for that import.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import IntegrationFailure, QuadratureFailure
 
@@ -134,6 +137,8 @@ def solve_profile(alpha: float, s_max: float = 25.0) -> BesselProfile:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if s_max < 5.0:
         raise ValueError(f"s_max must be at least 5, got {s_max}")
+    # imported here, not with the module: see domain.mask_betti
+    from scipy.integrate import solve_ivp
 
     a, b = _series_coeffs(alpha, _SERIES_TERMS)
     s0 = _MATCH_POINT

@@ -13,6 +13,9 @@ Grid symmetries are the exact mask-preserving subgroup of D4, taken from
 domain.mask_symmetries; the continuum rotation orbit on an annulus collapses
 to finitely many pinned representatives, so counts here are orbit-class
 counts.
+
+mass_clusters loads scipy.ndimage (for its component labelling) when
+called, not with the module, as domain.mask_betti does.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .domain import GridDomain, build_domain, mask_symmetries
 from .errors import (
@@ -148,6 +150,9 @@ def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
     if total <= 0.0:
         raise NonpositiveField("mass clustering undefined: u+ vanishes on the grid")
     grid = u.dom.grid_values(up)
+    # imported here, not with the module: see domain.mask_betti
+    from scipy import ndimage
+
     labels, n_comp = ndimage.label(grid >= level_frac * up.max())
     fractions = []
     for comp in range(1, n_comp + 1):

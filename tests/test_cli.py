@@ -99,6 +99,13 @@ class TestValidation:
         with pytest.raises(ConfigInvalid, match=r"model\.theta"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("bad", [["disk"], {"disk": 1}, 1, None])
+    def test_shape_must_be_a_known_name(self, bad):
+        cfg = default_config("solve")
+        cfg["domain"]["shape"] = bad
+        with pytest.raises(ConfigInvalid, match=r"domain\.shape"):
+            validate_config(cfg)
+
     def test_shape_params_exact_keys(self):
         cfg = default_config("solve")
         cfg["domain"]["params"] = {"R": 1.0, "bogus": 2.0}
@@ -234,6 +241,16 @@ class TestExitCodes:
         code = main(["solve", "--config", path, "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_non_string_shape_exits_2_and_names_field(self, tmp_path, capsys):
+        cfg = default_config("solve")
+        cfg["domain"]["shape"] = ["disk"]
+        out = tmp_path / "o"
+        code = main(["solve", "--config", write_config(tmp_path, cfg), "--out", str(out),
+                     "--quiet"])
+        assert code == 2
+        assert "domain.shape" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("section", ["output", "sweep"])
     def test_non_object_section_exits_2(self, tmp_path, capsys, section):

@@ -9,12 +9,17 @@ package outside its own definition, or in perfbench/spans.py. Code that only
 tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
 package. Outside spectral, only model calls the basis's matvec and rmatvec.
+Importing the CLI loads none of the scipy subpackages that only some tasks
+call (LAZY_SCIPY): the functions that call them import them.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,6 +30,11 @@ SRC = ROOT / "src" / "fracfield"
 # mass_clusters waits for its caller: the census's cluster counts in the
 # results JSON (ROADMAP item 1(a))
 EXCEPTIONS = {"topology.mass_clusters"}
+
+# scipy.integrate (extension.solve_profile) pulls in scipy.optimize and
+# scipy.special; scipy.ndimage serves domain.mask_betti and
+# topology.mass_clusters
+LAZY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.ndimage")
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -203,3 +213,12 @@ def test_every_import_is_used(mod):
         if not any(u == path or u.startswith(path + ".") for u in uses)
     ]
     assert unused == []
+
+
+def test_importing_the_cli_loads_no_lazy_scipy_subpackage():
+    # a fresh interpreter: this one has loaded them for other tests
+    code = ("import sys, fracfield.cli; "
+            f"print(' '.join(m for m in {LAZY_SCIPY!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert proc.stdout.split() == []
