@@ -3,14 +3,13 @@
 Exit codes: 0 success, 2 configuration invalid (message names the offending
 field), 3 task failure (solver or pipeline error, stage named). The --seed
 flag overrides solver.rng_seed before hashing so outputs are stamped with
-what actually ran; FRACFIELD_WORKERS serves as the fallback for --workers.
+what actually ran.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
 
 from .config import TASKS, load_config
@@ -38,23 +37,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: fracfield_out)")
         sp.add_argument("--seed", type=int, default=None,
                         help="override solver.rng_seed")
-        sp.add_argument("--workers", type=int, default=None,
-                        help="worker threads (fallback: FRACFIELD_WORKERS, then 1)")
         sp.add_argument("--quiet", action="store_true",
                         help="suppress progress logging")
     return parser
-
-
-def resolve_workers(flag: int | None) -> int:
-    if flag is not None:
-        return max(1, flag)
-    env = os.environ.get("FRACFIELD_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            log.warning("ignoring non-integer FRACFIELD_WORKERS=%r", env)
-    return 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -63,10 +48,9 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    workers = resolve_workers(args.workers)
     try:
         cfg = load_config(args.config, task=args.task, seed=args.seed)
-        run(cfg, args.out, workers=workers)
+        run(cfg, args.out)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import BadShapeParams, EmptyMask
 
@@ -261,20 +262,44 @@ def mask_symmetries(dom: GridDomain) -> list[tuple[np.ndarray, tuple[int, ...]]]
     return found
 
 
+def mask_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The 4-adjacent pairs of a boolean grid's True nodes, as (i, j): indices
+    of those nodes in row-major order, j the right or the lower neighbor of i,
+    the horizontal pairs first."""
+    index = np.full(mask.shape, -1, dtype=np.int64)
+    index[mask] = np.arange(int(mask.sum()))
+    across = mask[:, :-1] & mask[:, 1:]
+    down = mask[:-1, :] & mask[1:, :]
+    return (np.concatenate([index[:, :-1][across], index[:-1, :][down]]),
+            np.concatenate([index[:, 1:][across], index[1:, :][down]]))
+
+
+def mask_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
+    """(count, labels): the components of a boolean grid's True nodes under
+    4-connectivity, the 5-point stencil's, and each node's component, the
+    nodes in row-major order."""
+    # imported here, not with the module, like scipy.integrate in
+    # extension.solve_profile: the process of a task that never calls them
+    # should not load them (csgraph adds about 1 MB resident)
+    from scipy.sparse.csgraph import connected_components
+
+    i, j = mask_pairs(mask)
+    n = int(mask.sum())
+    graph = scipy.sparse.coo_matrix((np.ones(i.size), (i, j)), shape=(n, n))
+    return connected_components(graph, directed=False)
+
+
 def mask_betti(dom: GridDomain) -> tuple[int, int]:
     """Betti numbers (b0, b1) of the mask as the 5-point stencil sees it.
 
-    b0 counts the mask's components under 4-connectivity, the stencil's. b1
-    counts its holes: the components of the complement under the dual
-    8-connectivity, padded by one node so that the outside is one of them,
-    less that one. A ring that the grid breaks reads as its pieces, not as
-    a ring.
+    b0 counts the mask's components under 4-connectivity, the stencil's. A
+    planar complex has no 2-cycles, so b1 = b0 - (V - E + F), the Euler
+    characteristic of the mask's nodes, 4-adjacent pairs and fully filled
+    2 x 2 squares: the holes that the complement's dual 8-connectivity sees.
+    A ring that the grid breaks reads as its pieces, not as a ring.
     """
-    # imported here, not with the module, like scipy.integrate in
-    # extension.solve_profile and scipy.ndimage in topology.mass_clusters:
-    # the process of a task that never calls them should not load them
-    from scipy import ndimage
-
-    outside = np.pad(~dom.mask, 1, constant_values=True)
-    return (ndimage.label(dom.mask)[1],
-            ndimage.label(outside, structure=np.ones((3, 3), dtype=bool))[1] - 1)
+    m = dom.mask
+    b0 = mask_components(m)[0]
+    squares = m[:-1, :-1] & m[:-1, 1:] & m[1:, :-1] & m[1:, 1:]
+    euler = int(m.sum()) - mask_pairs(m)[0].size + int(squares.sum())
+    return b0, b0 - euler

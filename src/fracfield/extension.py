@@ -137,7 +137,7 @@ def solve_profile(alpha: float, s_max: float = 25.0) -> BesselProfile:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     if s_max < 5.0:
         raise ValueError(f"s_max must be at least 5, got {s_max}")
-    # imported here, not with the module: see domain.mask_betti
+    # imported here, not with the module: see domain.mask_components
     from scipy.integrate import solve_ivp
 
     a, b = _series_coeffs(alpha, _SERIES_TERMS)

@@ -9,9 +9,10 @@ critical points are automatically candidates for positive solutions. The
 L2 gradient has spectral coefficients (mu_k^alpha + 1) b_k - <h(u), phi_k>.
 Energy is the one implementation of I, with its gradient, the Nehari functional
 J, the Hessian action and the closed-form retraction onto the manifold;
-PinnedEnergy adds the barycenter penalty of the pinned annulus level. Either
-is the one objective the descent kernel takes. Outside spectral, only this
-module calls the basis's matvec and rmatvec.
+PinnedEnergy adds the barycenter penalty of the pinned annulus level, and
+RestrictedEnergy confines the energy to a span of modes, such as a mirror's
+fixed-point subspace. Each is the one objective the descent kernel takes.
+Outside spectral, only this module calls the basis's matvec and rmatvec.
 """
 
 from __future__ import annotations
@@ -170,3 +171,24 @@ class PinnedEnergy(Energy):
             return self.w * v + self.basis.rmatvec(scale * low_rank + diag * z)
 
         return hv
+
+
+class RestrictedEnergy(Energy):
+    """I on the span of the modes in keep, a (K,) boolean mask: grad and the
+    Hessian action are zeroed off keep, so a descent from coefficients that
+    vanish there keeps them exactly 0. With keep the modes a mirror fixes
+    (SpectralBasis.mirror_signs == 1), I is invariant under the mirror, so a
+    critical point of the restriction is a critical point of I (symmetric
+    criticality: Palais, Comm. Math. Phys. 69, 1979).
+    """
+
+    def __init__(self, basis: SpectralBasis, nl: Nonlinearity, keep: np.ndarray):
+        super().__init__(basis, nl)
+        self.keep = keep
+
+    def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
+        return np.where(self.keep, super().grad(c, values), 0.0)
+
+    def hessian(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        hv = super().hessian(values)
+        return lambda v: np.where(self.keep, hv(v), 0.0)

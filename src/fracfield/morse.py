@@ -32,7 +32,6 @@ manifold saddles score 2.
 
 from __future__ import annotations
 
-import concurrent.futures
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
@@ -174,12 +173,8 @@ def classify_records(
     basis: SpectralBasis,
     nl: Nonlinearity,
     records: Sequence[SolutionRecord],
-    workers: int = 1,
 ) -> list[HessianSpectrumReport]:
-    """hessian_spectrum of each record's field, in record order; threads help."""
-    if workers > 1 and len(records) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda r: hessian_spectrum(basis, nl, r.u), records))
+    """hessian_spectrum of each record's field, in record order."""
     return [hessian_spectrum(basis, nl, r.u) for r in records]
 
 

@@ -11,7 +11,7 @@ gradient is tangent to first order and the retracted step decreases energy
 for small step sizes. The descent kernel takes one objective object, a
 model.Energy or its model.PinnedEnergy, and reads from it the value F, the
 gradient, the Hessian action and the retraction; it never applies the basis
-itself.
+itself. topology.band_saddle runs it on a model.RestrictedEnergy.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
@@ -47,8 +47,8 @@ max_iter counts accepted steps. Two kinds are tried in turn at each iterate.
   the BB length. Taken when there is no Newton step or none of its halvings
   passes.
 
-Acceptance rule, one for both kinds and for the non-climbing images of
-topology.band_saddle. A trial with value F_new passes in one of two cases:
+Acceptance rule, one for both kinds. A trial with value F_new passes in one
+of two cases:
 
 - Armijo decrease: F_new < F and F_new <= F - _ARMIJO t <g, d>.
 - Rounding case: |F_new - F| is at most the rounding allowance
@@ -73,7 +73,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -369,30 +368,19 @@ def level_c(
     tol: float = 1e-8,
     max_iter: int = 20000,
     rng_seed: int = 0,
-    workers: int = 1,
 ) -> LevelReport:
     """Ground-state level: minimum converged energy across a multistart batch.
 
-    Starts are independent; with workers > 1 they run on a thread pool. Each
-    start builds its own Energy, which only reads the shared basis, and the
-    basis products release the GIL.
-    Converged records are merged in _level_order, so neither scheduling nor
-    rounding picks the best record, whose energy is the level.
+    Converged records are merged in _level_order, so rounding does not pick
+    the best record, whose energy is the level.
     """
     if n_multistarts < 1:
         raise ValueError(f"n_multistarts must be >= 1, got {n_multistarts}")
-    specs = _multistart_seeds(basis, n_multistarts, rng_seed)
-
-    def run(spec: tuple[str, tuple[float, float], float]) -> SolutionRecord:
-        tag, center, width = spec
-        seed = gaussian_bump_seed(basis, center, width)
-        return ground_state(basis, nl, seed, tol=tol, max_iter=max_iter, seed_tag=tag)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, specs))
-    else:
-        results = [run(s) for s in specs]
+    results = [
+        ground_state(basis, nl, gaussian_bump_seed(basis, center, width), tol=tol,
+                     max_iter=max_iter, seed_tag=tag)
+        for tag, center, width in _multistart_seeds(basis, n_multistarts, rng_seed)
+    ]
 
     good = _level_order([r for r in results if r.converged])
     if not good:
@@ -426,7 +414,6 @@ def limit_level_estimate(
     tol: float = 1e-8,
     n_multistarts: int = 2,
     rng_seed: int = 0,
-    workers: int = 1,
 ) -> LimitLevelReport:
     """Extrapolate ball levels c(B_xi) over expanding radii at fixed grid step.
 
@@ -445,10 +432,7 @@ def limit_level_estimate(
     for xi in radii:
         dom = build_domain("disk", {"R": float(xi)}, lam=1.0, h=h)
         basis = assemble_and_decompose(dom, alpha=alpha)
-        rep = level_c(
-            basis, nl, n_multistarts=n_multistarts, tol=tol,
-            rng_seed=rng_seed, workers=workers,
-        )
+        rep = level_c(basis, nl, n_multistarts=n_multistarts, tol=tol, rng_seed=rng_seed)
         levels.append(rep.value)
 
     value, error_bar = _geometric_tail(levels, radii)

@@ -38,9 +38,9 @@ from .nehari import (
 from .persist import dump_field, read_results_json, record_summary, write_csv, write_results_json
 from .spectral import SpectralBasis, assemble_and_decompose
 from .topology import (
-    adjacent_orbit_image,
     annulus_level,
     band_saddle,
+    moving_mirrors,
     multiplicity_search,
     orbit_classes,
 )
@@ -67,13 +67,13 @@ def _basis(cfg: RunConfig) -> SpectralBasis:
     return assemble_and_decompose(_domain(cfg), alpha=cfg.alpha)
 
 
-def run_solve(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
+def run_solve(cfg: RunConfig, out_dir: str | Path) -> dict:
     nl = _nonlinearity(cfg)
     basis = _basis(cfg)
     report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
-                     max_iter=cfg.max_iter, rng_seed=cfg.rng_seed, workers=workers)
+                     max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     records = report.records
-    spectra = classify_records(basis, nl, records, workers=workers)
+    spectra = classify_records(basis, nl, records)
     best = records[0]
     results = {
         "level": report.value,
@@ -98,7 +98,7 @@ def run_solve(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     return results
 
 
-def run_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
+def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict:
     nl = _nonlinearity(cfg)
     # every row's domain first: masks are cheap, and a K below some row's node
     # count then fails before the limit level or any row is computed. A domain
@@ -112,7 +112,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
         except FracfieldError as exc:
             domains.append(exc)
     limit = limit_level_estimate(nl, cfg.radii, cfg.h, alpha=cfg.alpha, tol=cfg.tol,
-                                 rng_seed=cfg.rng_seed, workers=workers)
+                                 rng_seed=cfg.rng_seed)
     rows = []
     json_rows = []
     threshold_lambda = None
@@ -121,7 +121,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
         try:
             if isinstance(dom, FracfieldError):
                 raise dom
-            row, jrow = _sweep_row(cfg, nl, dom, workers)
+            row, jrow = _sweep_row(cfg, nl, dom)
         except FracfieldError as exc:
             log.warning("sweep row lambda=%s failed: %s", lam, exc)
             row = [lam, None, None, None, 0, None, 0]
@@ -163,11 +163,11 @@ def _annulus_seeding(cfg: RunConfig, lam: float) -> tuple[list[tuple[float, floa
     return centers, seed_radius
 
 
-def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain, workers: int):
+def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain):
     lam = dom.lam
     basis = assemble_and_decompose(dom, alpha=cfg.alpha)
     report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
-                     max_iter=cfg.max_iter, rng_seed=cfg.rng_seed, workers=workers)
+                     max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     records = list(report.records)
     n_solutions = report.n_converged
     is_annulus = cfg.shape == "annulus"
@@ -226,7 +226,7 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain, workers: int):
     return row, jrow
 
 
-def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
+def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
     nl = _nonlinearity(cfg)
     basis = _basis(cfg)
     centers, seed_radius = _annulus_seeding(cfg, basis.dom.lam)
@@ -234,29 +234,24 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
                                  tol=cfg.tol, max_iter=cfg.max_iter)
 
     reps = [cl.representative for cl in report.classes]
-    spectra = classify_records(basis, nl, reps, workers=workers)
+    spectra = classify_records(basis, nl, reps)
 
     saddle_info = None
     census_records = list(reps)
     census_spectra = list(spectra)
-    if len(report.classes) >= 2:
-        partner = adjacent_orbit_image(basis, reps[0].u)
-        if partner is not None:
-            band_report = band_saddle(basis, nl, reps[0].u, partner, tol=max(cfg.tol, 1e-6))
-            srec = band_report.saddle
-            [sspec] = classify_records(basis, nl, [srec], workers=1)
-            saddle_info = {
-                "record": record_summary(srec, sspec),
-                "null_count": sspec.null_count,
-                "nondegenerate": sspec.nondegenerate,
-                # the interior images are not critical points and stop wherever
-                # the climbing image converges; only the ends are written
-                "band_endpoint_energies": [band_report.energies[0], band_report.energies[-1]],
-                "sweeps": band_report.sweeps,
-            }
-            if band_report.converged:
-                census_records.append(srec)
-                census_spectra.append(sspec)
+    mirrors = moving_mirrors(basis, reps[0].u) if len(report.classes) >= 2 else []
+    if mirrors:
+        srec = band_saddle(basis, nl, reps[0].u, mirrors[0], tol=cfg.tol,
+                           max_iter=cfg.max_iter).saddle
+        [sspec] = classify_records(basis, nl, [srec])
+        saddle_info = {
+            "record": record_summary(srec, sspec),
+            "null_count": sspec.null_count,
+            "nondegenerate": sspec.nondegenerate,
+        }
+        if srec.converged:
+            census_records.append(srec)
+            census_spectra.append(sspec)
     census = morse_count_check(census_records, census_spectra, basis.dom)
 
     classes_json = []
@@ -301,7 +296,7 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> d
     return results
 
 
-def run_verify_extension(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
+def run_verify_extension(cfg: RunConfig, out_dir: str | Path) -> dict:
     alphas = (0.25, 0.5, 0.75)
     mus = (1.0, 4.0)
     rows = []
@@ -330,11 +325,11 @@ def run_verify_extension(cfg: RunConfig, out_dir: str | Path, workers: int = 1) 
     return results
 
 
-def run_morse(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
+def run_morse(cfg: RunConfig, out_dir: str | Path) -> dict:
     nl = _nonlinearity(cfg)
     basis = _basis(cfg)
     report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
-                     max_iter=cfg.max_iter, rng_seed=cfg.rng_seed, workers=workers)
+                     max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     # multistarts rediscover the same critical point; the census must count
     # distinct orbit classes, so only class representatives enter it. A class
     # is represented by its first start in seed order: members agree in energy
@@ -343,7 +338,7 @@ def run_morse(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     classes = sorted(orbit_classes(basis, in_seed_order),
                      key=lambda cl: min((r.energy, r.seed_tag) for r in cl))
     reps = [cl[0] for cl in classes]
-    spectra = classify_records(basis, nl, reps, workers=workers)
+    spectra = classify_records(basis, nl, reps)
     rows = []
     recs_json = []
     for rec, spec, cl in zip(reps, spectra, classes):
@@ -377,7 +372,7 @@ def run_morse(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     return results
 
 
-def run_report(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
+def run_report(cfg: RunConfig, out_dir: str | Path) -> dict:
     """Aggregate any task outputs already present in out_dir into one index."""
     out = Path(out_dir)
     found = {}
@@ -433,10 +428,14 @@ TASK_RUNNERS = {
 
 def run(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
     """Dispatch the configured task; FracfieldError escapes other than
-    ConfigInvalid become TaskFailed."""
+    ConfigInvalid become TaskFailed. Tasks run in the calling thread: workers
+    stays only because perfbench/run.py passes workers=1, and any other value
+    raises ValueError."""
+    if workers != 1:
+        raise ValueError(f"tasks run in one thread: workers must be 1, got {workers}")
     runner = TASK_RUNNERS[cfg.task]
     try:
-        return runner(cfg, out_dir, workers=workers)
+        return runner(cfg, out_dir)
     except (ConfigInvalid, TaskFailed):
         raise
     except FracfieldError as exc:

@@ -51,6 +51,11 @@ twice, against n^2/4 held and read with the mirrors alone. The build
 peaks at about 0.22 n^2: the two blocks built before the pair, n^2/32, and
 the pair's block with its LAPACK workspace, about 3 (n/4)^2. A dense phi
 took n^2 more, and one dense ``evd`` of all of A held 3 n^2.
+
+Every mode of a frame has the frame's sign under each mirror; the basis keeps
+them as one label array, mirror_signs, in ascending mode order (0 for a mirror
+the mask lacks). A mirror thus acts on coefficients as a diagonal of +-1, and
+its fixed-point subspace is the span of the modes it labels +1.
 """
 
 from __future__ import annotations
@@ -63,7 +68,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .domain import GridDomain, mask_symmetries
+from .domain import GridDomain, mask_pairs, mask_symmetries
 from .errors import DomainMismatch, EigSolveFailure
 
 
@@ -76,28 +81,13 @@ def assemble_laplacian(dom: GridDomain) -> scipy.sparse.csr_matrix:
     """
     n = dom.n_interior
     inv_h2 = 1.0 / dom.h**2
-    idx = dom.index_of
-    m = dom.mask
-
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [np.full(n, 4.0 * inv_h2)]
-    # horizontal and vertical neighbor pairs, each added symmetrically
-    pairs_h = m[:, :-1] & m[:, 1:]
-    pairs_v = m[:-1, :] & m[1:, :]
-    for i, j in (
-        (idx[:, :-1][pairs_h], idx[:, 1:][pairs_h]),
-        (idx[:-1, :][pairs_v], idx[1:, :][pairs_v]),
-    ):
-        rows.extend([i, j])
-        cols.extend([j, i])
-        vals.extend([np.full(i.size, -inv_h2), np.full(i.size, -inv_h2)])
-
-    A = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return A.tocsr()
+    # the neighbor pairs, each added symmetrically; the mask's nodes in
+    # row-major order are the interior indices
+    i, j = mask_pairs(dom.mask)
+    rows = np.concatenate([np.arange(n), i, j])
+    cols = np.concatenate([np.arange(n), j, i])
+    vals = np.concatenate([np.full(n, 4.0 * inv_h2), np.full(2 * i.size, -inv_h2)])
+    return scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
 @dataclass(frozen=True)
@@ -134,14 +124,18 @@ class SpectralBasis:
         so the pair's eigenvectors are held once: about n^2/8 doubles in all
         on a mask with the swap and both mirrors
     order : (K,) for each mode in ascending order, its index in block order
+    mirror_signs : (K, 2) int8, each mode's sign under the x-mirror and the
+        y-mirror (generators 0 and 1 of domain.mask_symmetries); 0 where the
+        mask lacks that mirror or the frame does not split by it
     """
 
     def __init__(
         self, dom: GridDomain, alpha: float, frame: scipy.sparse.csr_matrix,
-        blocks: list[tuple[np.ndarray, np.ndarray]],
+        blocks: list[tuple[np.ndarray, np.ndarray]], signs: list[tuple[int, int]],
     ):
         """blocks holds (mu_b, V_b) per frame, in frame order; a swap pair's
-        two entries are one tuple."""
+        two entries are one tuple. signs holds each frame's sign under the
+        x-mirror and the y-mirror, in frame order."""
         if not 0.0 < alpha <= 1.0:
             raise EigSolveFailure(f"alpha must be in (0, 1], got {alpha}")
         self.dom = dom
@@ -155,6 +149,8 @@ class SpectralBasis:
         self._position = np.argsort(self.order)  # the inverse permutation
         self.mu = mu[self.order]
         self.K = int(self.mu.size)
+        self.mirror_signs = np.repeat(np.array(signs, dtype=np.int8),
+                                      [V.shape[0] for V in self.blocks], axis=0)[self.order]
         self.weights = self.mu**alpha + 1.0
         self._h2 = dom.h**2
 
@@ -223,9 +219,13 @@ def _class_frame(group: list[tuple[np.ndarray, tuple[int, ...]]],
         (coef[nodes] / norm[col], (nodes, col)), shape=(n, kept.size))
 
 
-def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]]:
+def _parity_frames(
+    dom: GridDomain,
+) -> list[tuple[scipy.sparse.csr_matrix, bool, tuple[int, int]]]:
     """Sparse orthonormal frames Q_b, one per symmetry class of the mask, each
-    with whether it shares the block of the frame before it.
+    with whether it shares the block of the frame before it and with the
+    class's sign under the x-mirror and the y-mirror (0 for a mirror the mask
+    lacks).
 
     The symmetries are the axis mirrors ix -> nx-1-ix and iy -> ny-1-iy and
     the swap (ix, iy) -> (iy, ix) that preserve the mask, and the group they
@@ -238,7 +238,9 @@ def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]
     with the swap, the two have the same block Q^T A Q, so the partner
     shares it. The swap maps each mirror orbit's smallest index onto the
     smallest index of the image orbit, so the partner's columns keep a plus
-    sign there. Each frame holds at most one entry in each row.
+    sign there. Each frame holds at most one entry in each row. The swap
+    exchanges the two mirrors, so the partner's signs are the frame's,
+    exchanged.
     """
     elements = mask_symmetries(dom)
     generators = {used[0]: p for p, used in elements if len(used) == 1}
@@ -249,18 +251,19 @@ def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]
     mirrors = sorted(generators.keys() - {2})
     swap = generators.get(2)
     splits = [{}] if swap is None else [{2: 1}, {2: -1}]
-    frames: list[tuple[scipy.sparse.csr_matrix, bool]] = []
+    frames: list[tuple[scipy.sparse.csr_matrix, bool, tuple[int, int]]] = []
     for mirror_signs in itertools.product((1, -1), repeat=len(mirrors)):
         signs = dict(zip(mirrors, mirror_signs))
+        label = (signs.get(0, 0), signs.get(1, 0))
         if swap is None or len(set(mirror_signs)) <= 1:
             for split in splits:
                 Q = _class_frame(full, signs | split)
                 if Q is not None:
-                    frames.append((Q, False))
+                    frames.append((Q, False, label))
         elif signs[0] == 1:  # even in x; its swap image is the class odd in x
             Q = _class_frame(group, signs)
             if Q is not None:
-                frames += [(Q, False), (Q[swap], True)]
+                frames += [(Q, False, label), (Q[swap], True, label[::-1])]
     return frames
 
 
@@ -272,7 +275,7 @@ def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis
     A = assemble_laplacian(dom)
     frames = _parity_frames(dom)
     blocks = []
-    for Q, shared in frames:
+    for Q, shared, _ in frames:
         if shared:  # the swap image of the frame before: the same block, held once
             blocks.append(blocks[-1])
             continue
@@ -296,8 +299,8 @@ def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis
         V *= np.where(V[peak, np.arange(mu_b.size)] < 0, -1.0, 1.0)
         blocks.append((mu_b, V))
 
-    basis = SpectralBasis(dom, alpha, scipy.sparse.hstack([Q for Q, _ in frames], format="csr"),
-                          blocks)
+    basis = SpectralBasis(dom, alpha, scipy.sparse.hstack([Q for Q, *_ in frames], format="csr"),
+                          blocks, [label for *_, label in frames])
     if not np.all(np.isfinite(basis.mu)):
         raise EigSolveFailure("eigendecomposition produced non-finite eigenvalues")
     if basis.mu[0] <= 0:

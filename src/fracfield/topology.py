@@ -6,16 +6,15 @@ seed map that plants a translated ball ground state at a chosen center and
 projects it onto the Nehari manifold. Running the descent solver from seeds
 spread over the domain and grouping the results by the grid symmetry group
 realizes the category counting numerically: a disk collapses to one orbit
-class, an annulus at large scale sustains at least two, and an elastic band
-strung between two classes hunts the connecting saddle.
+class, an annulus at large scale sustains at least two. The saddle between
+a class representative and its mirror image is found as a minimum of the
+energy on the Nehari manifold inside the mirror's fixed-point subspace
+(band_saddle).
 
 Grid symmetries are the exact mask-preserving subgroup of D4, taken from
 domain.mask_symmetries; the continuum rotation orbit on an annulus collapses
 to finitely many pinned representatives, so counts here are orbit-class
 counts.
-
-mass_clusters loads scipy.ndimage (for its component labelling) when
-called, not with the module, as domain.mask_betti does.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import GridDomain, build_domain, mask_symmetries
+from .domain import GridDomain, build_domain, mask_components, mask_symmetries
 from .errors import (
     BallDoesNotFit,
     ConstraintViolated,
@@ -34,11 +33,10 @@ from .errors import (
     NonpositiveField,
     SaddleNotEscaped,
 )
-from .model import Energy, Nonlinearity, PinnedEnergy, _barycenter
+from .model import Energy, Nonlinearity, PinnedEnergy, RestrictedEnergy, _barycenter
 from .morse import _smallest_eigenpairs
 from .nehari import (
     SolutionRecord,
-    _line_search,
     _residual,
     _retracted_descent,
     _solution_record,
@@ -62,9 +60,6 @@ _RHO_MULTIPLIERS = (1.0, 10.0, 100.0, 1000.0)
 # first and whose relative L2 distance under some grid symmetry is below the second
 _ENERGY_GAP_TOL = 1e-4
 _L2_DIST_TOL = 1e-2
-# band_saddle's image count, endpoints included, and its sweep cap
-_N_IMAGES = 13
-_MAX_SWEEPS = 400
 
 
 def symmetry_group(dom: GridDomain) -> list[np.ndarray]:
@@ -150,15 +145,11 @@ def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
     if total <= 0.0:
         raise NonpositiveField("mass clustering undefined: u+ vanishes on the grid")
     grid = u.dom.grid_values(up)
-    # imported here, not with the module: see domain.mask_betti
-    from scipy import ndimage
-
-    labels, n_comp = ndimage.label(grid >= level_frac * up.max())
-    fractions = []
-    for comp in range(1, n_comp + 1):
-        vals = grid[labels == comp]
-        fractions.append(float((vals * vals).sum()) / total)
-    return tuple(sorted(fractions, reverse=True))
+    high = grid >= level_frac * up.max()
+    _, labels = mask_components(high)
+    vals = grid[high]
+    mass = np.bincount(labels, weights=vals * vals)
+    return tuple(sorted((float(m) / total for m in mass), reverse=True))
 
 
 @dataclass(frozen=True)
@@ -419,176 +410,66 @@ def multiplicity_search(
     )
 
 
-def _same_place(dom: GridDomain, a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two barycenters lie within 2h of each other, which marks one state."""
-    return float(np.hypot(*(a - b))) <= 2.0 * dom.h
-
-
-def adjacent_orbit_image(basis: SpectralBasis, u: Field) -> Field | None:
-    """First symmetry image of u whose barycenter flips in x and keeps y, or None.
-
-    "Keeps y" means within 2h of u's y: on an axis state that coordinate is
-    rounding noise, and its sign must not choose. Images with a barycenter
-    within 2h of u's are passed over: they are u again (an axis state mirrored
-    across its own axis), and a band to them climbs nothing.
-    """
+def moving_mirrors(basis: SpectralBasis, u: Field) -> list[int]:
+    """The mirrors of the mask, as generators (0 the x-mirror, 1 the y-mirror,
+    in domain.mask_symmetries order), that move u's barycenter by more than
+    2h. A mirror that does not, as the one across an axis u sits on, maps u
+    onto itself up to rounding."""
     basis.check_same_domain(u.dom)
-    ref = _barycenter(basis.dom, u.values)[1]
-    for perm in symmetry_group(basis.dom)[1:]:
-        cand = u.values[perm]
-        b = _barycenter(basis.dom, cand)[1]
-        if _same_place(basis.dom, b, ref):
-            continue
-        if b[0] * ref[0] < 0 and abs(b[1] - ref[1]) <= 2.0 * basis.dom.h:
-            return basis.analyze(cand)
-    return None
+    dom = basis.dom
+    beta = _barycenter(dom, u.values)[1]
+    return [
+        used[0] for perm, used in mask_symmetries(dom)
+        if used in ((0,), (1,))
+        and float(np.hypot(*(_barycenter(dom, u.values[perm])[1] - beta))) > 2.0 * dom.h
+    ]
 
 
 @dataclass(frozen=True)
-class BandSaddleReport:
-    """Climbing-image elastic band outcome between two minimizer classes.
-
-    saddle is the climbing image as a record (converged means its own full
-    gradient met the tolerance, i.e. it is a genuine critical point, not just
-    the band's highest image); energies is the final path profile.
-    """
+class SaddleReport:
+    """band_saddle's saddle; sweeps counts its accepted descent steps, as
+    saddle.iterations does."""
 
     saddle: SolutionRecord
-    energies: tuple[float, ...]
-    converged: bool
     sweeps: int
 
 
 def band_saddle(
     basis: SpectralBasis,
     nl: Nonlinearity,
-    end_a: Field,
-    end_b: Field,
-    tol: float = 1e-6,
-) -> BandSaddleReport:
-    """String method with a climbing image, run inside the Nehari manifold.
+    u: Field,
+    mirror: int,
+    tol: float = 1e-8,
+    max_iter: int = 20000,
+) -> SaddleReport:
+    """The saddle between u and its image u∘σ under a mirror σ of the mask,
+    as a minimum of I on the Nehari manifold in σ's fixed-point subspace.
 
-    Images interpolate the endpoint coefficients, are retracted onto the
-    manifold after every move, and are redistributed by arclength on each
-    side of the climbing image so the band cannot slide off the barrier. The
-    climbing image follows the gradient with its path-tangent component
-    reversed, converging to the saddle instead of the minima.
+    mirror is σ's generator, as moving_mirrors gives it. The descent starts
+    from u + u∘σ with its coefficients odd under σ set to 0, and runs
+    nehari's kernel on a model.RestrictedEnergy, which keeps them exactly 0.
+    Its record is judged on the full-space residual of I. On the annulus at
+    lam = 4, 6 and 8 (h = 0.25, tol 1e-8) it takes 3 to 8 steps to the
+    index-2 saddle that a climbing-image band between u and u∘σ found, with
+    energies equal to 5.2e-12 relative.
 
-    Each image carries its nodal values with its coefficients: phi is linear,
-    so a move, a retraction or an interpolation applies to both. A sweep thus
-    makes one product with phi (phi d) and one with its transpose (the
-    gradient) per interior image, _N_IMAGES - 2 = 11 of each. phi c is
-    synthesized only at set-up and once more at the end, for the interior
-    images of the final profile and for the saddle record.
-
-    Every image moves from one step length, 1, along d = W^-1 g, the gradient
-    preconditioned by the quadratic-form weights W. Near a critical point
-    g = H e for the offset e, so W^-1 g = W^-1 H e and the rates are set by
-    the pencil H x = theta W x of morse. There theta = 1 - x^T Phi^T D Phi x
-    / x^T W x <= 1, since D = h^2 h'(u) >= 0, and at a critical point the ray
-    mode has theta_0 = 1 - p, the lowest eigenvalue at every point measured:
-    the spectrum lies in [1 - p, 1]. So:
-
-    - A plain image's first trial, c - W^-1 g = h^2 W^-1 Phi^T h(u), is the
-      fixed-point map u <- (A^alpha + I)^-1 h(u): it keeps u positive, and
-      the Nehari retraction then rescales it. The line search halves from 1
-      only when that trial fails its acceptance rule.
-    - The climbing image's offset contracts by 1 - theta on each mode the
-      retraction keeps (theta in (0, 1]) and, with the tangent component
-      reversed, by |1 + theta_tau| on its path-tangent mode. Per sweep that
-      is about max(1 - theta_+, |1 + theta_tau|), with theta_+ the smallest
-      positive theta: about 0.66 at the lam=6 band, which converges in 10
-      sweeps. A step of 0.1 would contract by 1 - 0.1 theta_+, about 0.964
-      there, and take 106.
-
-    Raises ValueError for a tol that is not finite and positive, and for ends
-    whose barycenters lie within 2h of each other: a band between one state
-    and itself climbs nothing, and its highest image is a minimum.
+    Raises ValueError for a tol that is not finite and positive, and for a
+    mirror not in moving_mirrors(basis, u): the descent from a u that σ
+    leaves in place ends at u, a minimum.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
-    basis.check_same_domain(end_a.dom)
-    basis.check_same_domain(end_b.dom)
-    if _same_place(basis.dom, _barycenter(basis.dom, end_a.values)[1],
-                   _barycenter(basis.dom, end_b.values)[1]):
-        raise ValueError("band ends are one state: their barycenters lie within 2h")
-    obj = Energy(basis, nl)
-
-    path = []
-    for t in np.linspace(0.0, 1.0, _N_IMAGES):
-        c = (1.0 - t) * end_a.coeffs + t * end_b.coeffs
-        path.append(obj.retract(c, obj.values(c)))
-
-    def redistribute(lo: int, hi: int) -> None:
-        # equal-arclength reparametrization of images strictly between lo, hi
-        if hi - lo < 2:
-            return
-        seg = path[lo : hi + 1]
-        lengths = [0.0]
-        for (a, _), (b, _) in zip(seg, seg[1:]):
-            lengths.append(lengths[-1] + float(np.linalg.norm(b - a)))
-        total = lengths[-1]
-        if total <= 0.0:
-            return
-        targets = np.linspace(0.0, total, len(seg))
-        out = [seg[0]]
-        j = 0
-        for tgt in targets[1:-1]:
-            while lengths[j + 1] < tgt:
-                j += 1
-            frac = (tgt - lengths[j]) / max(lengths[j + 1] - lengths[j], 1e-300)
-            (ca, va), (cb, vb) = seg[j], seg[j + 1]
-            out.append(obj.retract((1.0 - frac) * ca + frac * cb, (1.0 - frac) * va + frac * vb))
-        out.append(seg[-1])
-        path[lo : hi + 1] = out
-
-    step = 1.0
-    saddle_residual = np.inf
-    sweeps_done = 0
-    for sweep in range(_MAX_SWEEPS):
-        energies = [obj.energy(c, v) for c, v in path]
-        k_star = 1 + int(np.argmax(energies[1:-1]))
-
-        moved = []
-        for k in range(1, _N_IMAGES - 1):
-            c, values = path[k]
-            g = obj.grad(c, values)
-            d = g / obj.w
-            dv = obj.values(d)
-            if k == k_star:
-                # phi tau from the neighbours' carried values, as tau from their coefficients
-                (c_lo, v_lo), (c_hi, v_hi) = path[k - 1], path[k + 1]
-                norm = max(float(np.linalg.norm(c_hi - c_lo)), 1e-300)
-                tau, tau_v = (c_hi - c_lo) / norm, (v_hi - v_lo) / norm
-                proj = 2.0 * float(d @ tau)
-                d, dv = d - proj * tau, dv - proj * tau_v
-                saddle_residual = _residual(float(g @ (g / obj.w)), energies[k])
-                moved.append((k, obj.retract(c - step * d, values - step * dv)))
-            else:
-                gd = float(g @ d)
-                trial = _line_search(obj, c, values, d, dv, step, energies[k], gd, gd)
-                if trial is not None:
-                    moved.append((k, trial[:2]))
-        for k, image in moved:
-            path[k] = image
-        sweeps_done = sweep + 1
-        if saddle_residual <= tol:
-            break
-        redistribute(0, k_star)
-        redistribute(k_star, _N_IMAGES - 1)
-
-    # the endpoints never move; the interior images are synthesized afresh
-    path[1:-1] = [(c, obj.values(c)) for c, _ in path[1:-1]]
-    energies = [obj.energy(c, v) for c, v in path]
-    k_star = 1 + int(np.argmax(energies[1:-1]))
-    c, values = path[k_star]
-    g = obj.grad(c, values)
-    residual = _residual(float(g @ (g / obj.w)), energies[k_star])
-    rec = _solution_record(basis, c, values, energies[k_star], residual, tol,
-                           "band-climbing-image", sweeps_done)
-    return BandSaddleReport(
-        saddle=rec,
-        energies=tuple(float(e) for e in energies),
-        converged=rec.converged,
-        sweeps=sweeps_done,
-    )
+    if mirror not in moving_mirrors(basis, u):
+        raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
+                         "u and its image would be one state")
+    perm = next(p for p, used in mask_symmetries(basis.dom) if used == (mirror,))
+    obj = RestrictedEnergy(basis, nl, basis.mirror_signs[:, mirror] == 1)
+    start = basis.analyze(u.values + u.values[perm])
+    c, values, energy, _, steps = _retracted_descent(
+        obj, np.where(obj.keep, start.coeffs, 0.0), tol, max_iter)
+    full = Energy(basis, nl)
+    g = full.grad(c, values)
+    residual = _residual(float(g @ (g / full.w)), energy)
+    rec = _solution_record(basis, c, values, energy, residual, tol,
+                           f"mirror-{'xy'[mirror]}-fixed", steps)
+    return SaddleReport(saddle=rec, sweeps=steps)

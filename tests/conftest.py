@@ -17,7 +17,7 @@ import scipy.sparse
 from fracfield.domain import build_domain
 from fracfield.model import power_model
 from fracfield.spectral import SpectralBasis, assemble_and_decompose, assemble_laplacian
-from fracfield.topology import adjacent_orbit_image, band_saddle, multiplicity_search
+from fracfield.topology import band_saddle, moving_mirrors, multiplicity_search
 
 ANNULUS_MID_RADIUS = 2.8  # 0.5 (R + r) lam with R=1, r=0.4, lam=4
 
@@ -68,21 +68,21 @@ def count_matvecs():
 
 
 @pytest.fixture(scope="session")
-def annulus_band_run(annulus4, annulus_classes, count_matvecs):
-    """Climbing-image band between two adjacent images of the lowest class,
-    with the number of products with phi it made."""
+def annulus_saddle_run(annulus4, annulus_classes, count_matvecs):
+    """The saddle between the lowest class and its image under the first
+    mirror that moves it, with the number of products with phi it made."""
     nl = power_model()
     lo = annulus_classes.classes[0].representative.u
-    rotated = adjacent_orbit_image(annulus4, lo)
-    assert rotated is not None
+    mirrors = moving_mirrors(annulus4, lo)
+    assert mirrors
     with count_matvecs() as calls:
-        report = band_saddle(annulus4, nl, lo, rotated, tol=1e-6)
+        report = band_saddle(annulus4, nl, lo, mirrors[0])
     return report, calls[0]
 
 
 @pytest.fixture(scope="session")
-def annulus_band(annulus_band_run):
-    return annulus_band_run[0]
+def annulus_saddle(annulus_saddle_run):
+    return annulus_saddle_run[0]
 
 
 @pytest.fixture(scope="session")
@@ -94,7 +94,8 @@ def unblocked_basis():
     routine and driver="evd" the divide and conquer routine the blocks use,
     both in place on the whole matrix; the pairs agree with the blocked
     build's to rounding. The eigenvectors are the basis's single block, in
-    the identity frame, so its products with phi are plain dense ones.
+    the identity frame, so its products with phi are plain dense ones. That
+    frame does not split by any mirror, so every mirror sign reads 0.
     """
 
     def build(dom, alpha=0.5, driver="evr"):
@@ -106,6 +107,6 @@ def unblocked_basis():
         flip = phi[np.abs(phi).argmax(axis=0), np.arange(mu.size)] < 0
         phi[:, flip] *= -1.0
         return SpectralBasis(dom, alpha, scipy.sparse.identity(mu.size, format="csr"),
-                             [(mu, phi)])
+                             [(mu, phi)], [(0, 0)])
 
     return build

@@ -30,9 +30,9 @@ from fracfield.nehari import (
 )
 from fracfield.spectral import assemble_and_decompose, assemble_laplacian
 from fracfield.topology import (
-    adjacent_orbit_image,
     annulus_level,
     band_saddle,
+    moving_mirrors,
     multiplicity_search,
 )
 from oracles import nehari_scale_root, radial_asymmetry
@@ -89,7 +89,7 @@ def ball_scan():
 
 @pytest.fixture(scope="module")
 def orbit_hunt(annulus4):
-    """Multiplicity search, band saddle, and Hessian spectra on the lam=4
+    """Multiplicity search, mirror saddle, and Hessian spectra on the lam=4
     annulus with the comparison ball that the task pipeline uses."""
     t0 = time.perf_counter()
     lam, R, r = 4.0, 1.0, 0.4
@@ -100,14 +100,13 @@ def orbit_hunt(annulus4):
     report = multiplicity_search(annulus4, NL, centers, ball_radius=radius)
 
     lo = report.classes[0].representative.u
-    partner = adjacent_orbit_image(annulus4, lo)
-    assert partner is not None
-    band = band_saddle(annulus4, NL, lo, partner, tol=1e-6)
+    mirror, *_ = moving_mirrors(annulus4, lo)
+    saddle = band_saddle(annulus4, NL, lo, mirror).saddle
 
     reps = [cl.representative for cl in report.classes]
-    records = reps + [band.saddle]
+    records = reps + [saddle]
     spectra = classify_records(annulus4, NL, records)
-    return report, band, records, spectra, time.perf_counter() - t0
+    return report, saddle, records, spectra, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
@@ -301,8 +300,8 @@ def test_a6_annulus_constrained_level(capsys, annulus4, ball_scan, orbit_hunt,
 
 
 def test_a7_multiplicity_and_localization(capsys, orbit_hunt):
-    with verdict(capsys, 7, "orbit classes, localization, band saddle") as info:
-        report, band, _, spectra, elapsed = orbit_hunt
+    with verdict(capsys, 7, "orbit classes, localization, mirror saddle") as info:
+        report, saddle, _, spectra, elapsed = orbit_hunt
 
         assert report.n_classes >= 2
         below = [cl for cl in report.classes if cl.below_ball_level]
@@ -311,7 +310,7 @@ def test_a7_multiplicity_and_localization(capsys, orbit_hunt):
 
         # best-effort clause: a converged nondegenerate saddle must have
         # index 2; a degenerate one only has to be flagged as such
-        assert band.converged
+        assert saddle.converged
         saddle_spec = spectra[-1]
         if saddle_spec.nondegenerate:
             assert saddle_spec.morse_index == 2

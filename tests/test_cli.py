@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from fracfield import nehari, runner
-from fracfield.cli import main, resolve_workers
+from fracfield.cli import main
 from fracfield.config import (
     TASKS,
     canonical_json,
@@ -215,22 +215,14 @@ class TestLoadConfig:
         assert text.endswith("\n")
 
 
-class TestWorkerResolution:
-    def test_flag_wins(self, monkeypatch):
-        monkeypatch.setenv("FRACFIELD_WORKERS", "8")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("FRACFIELD_WORKERS", "5")
-        assert resolve_workers(None) == 5
-
-    def test_garbage_env_means_one(self, monkeypatch):
-        monkeypatch.setenv("FRACFIELD_WORKERS", "lots")
-        assert resolve_workers(None) == 1
-
-    def test_default_one(self, monkeypatch):
-        monkeypatch.delenv("FRACFIELD_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
+def test_run_takes_one_worker_only(tmp_path):
+    # tasks run in the calling thread; run keeps its workers keyword for
+    # perfbench/run.py, which passes 1, and refuses any other value up front
+    cfg = load_config(None, task="verify-extension", seed=None)
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            runner.run(cfg, tmp_path, workers=workers)
+    assert not any(tmp_path.iterdir())
 
 
 class TestExitCodes:
@@ -460,6 +452,18 @@ class TestMultiplicityAndReport:
             assert cl["record"]["morse_index"] == 1
         assert res["band_saddle"]["record"]["morse_index"] == 2
         assert res["census"]["matches"] is True
+
+    def test_saddle_block(self, multi_out):
+        # the saddle is the x-mirror's fixed-point minimum, converged at the
+        # config's tol on the full-space residual; its step count is the
+        # record's iterations, so no band fields are written
+        doc = json.loads((multi_out / "multiplicity.json").read_text())
+        saddle = doc["results"]["band_saddle"]
+        assert sorted(saddle) == ["nondegenerate", "null_count", "record"]
+        rec = saddle["record"]
+        assert rec["seed_tag"] == "mirror-x-fixed"
+        assert rec["converged"] and rec["residual"] <= doc["config"]["solver"]["tol"]
+        assert saddle["nondegenerate"] and saddle["null_count"] == 0
 
     def test_multiplicity_csv_header(self, multi_out):
         lines = (multi_out / "multiplicity.csv").read_text().splitlines()

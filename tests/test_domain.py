@@ -2,11 +2,13 @@
 Betti numbers."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from fracfield.domain import build_domain, mask_betti
 from fracfield.errors import BadShapeParams, EmptyMask
@@ -202,3 +204,18 @@ def test_content_hash_distinguishes_domains():
 )
 def test_mask_betti_numbers(shape_id, params, lam, h, betti):
     assert mask_betti(build_domain(shape_id, params, lam, h)) == betti
+
+
+def test_mask_betti_matches_the_label_oracle_on_random_masks():
+    # scipy.ndimage.label as the oracle: b0 counts the mask's 4-connected
+    # components, b1 the 8-connected components of its complement padded by
+    # one node, less the outside. Random masks of every density, with empty
+    # rows, lone nodes and diagonal contacts; mask_betti reads only the mask
+    rng = np.random.default_rng(11)
+    eight = np.ones((3, 3), dtype=bool)
+    for _ in range(500):
+        ny, nx = rng.integers(1, 16, size=2)
+        mask = rng.random((ny, nx)) < rng.uniform(0.1, 0.95)
+        want = (ndimage.label(mask)[1],
+                ndimage.label(np.pad(~mask, 1, constant_values=True), structure=eight)[1] - 1)
+        assert mask_betti(SimpleNamespace(mask=mask)) == want

@@ -8,7 +8,7 @@ spectrum of the pencil H x = theta W x, and the index counts with the inertia
 of the LDL^T factorizations of H + eps W and H - eps W (Sylvester's law: by
 congruence those are the inertias of S + eps I and S - eps I, with
 S = W^-1/2 H W^-1/2). Index examples use states whose stability type is
-forced by the construction (zero field, ground states, two-bump band saddle).
+forced by the construction (zero field, ground states, two-bump mirror saddle).
 """
 
 from __future__ import annotations
@@ -218,9 +218,9 @@ def test_annulus_classes_are_local_minima(annulus4, annulus_classes):
         assert rep.eigenvalues[1] > 0.25
 
 
-def test_band_saddle_has_index_two(annulus4, annulus_band):
-    assert annulus_band.converged
-    rep = hessian_spectrum(annulus4, NL, annulus_band.saddle.u)
+def test_band_saddle_has_index_two(annulus4, annulus_saddle):
+    assert annulus_saddle.saddle.converged
+    rep = hessian_spectrum(annulus4, NL, annulus_saddle.saddle.u)
     assert rep.morse_index == 2
     assert rep.nondegenerate
     # the two descent modes are the near-degenerate single-bump ray pair
@@ -230,11 +230,11 @@ def test_band_saddle_has_index_two(annulus4, annulus_band):
 
 @pytest.fixture
 def critical_points(square16, square_ground, disk_host, disk_ground, annulus4,
-                    annulus_classes, annulus_band):
+                    annulus_classes, annulus_saddle):
     """(basis, field) at every converged critical point the fixtures build."""
     cases = [(square16, square_ground.u), (disk_host, disk_ground.u)]
     cases += [(annulus4, cl.representative.u) for cl in annulus_classes.classes]
-    cases.append((annulus4, annulus_band.saddle.u))
+    cases.append((annulus4, annulus_saddle.saddle.u))
     return cases
 
 
@@ -257,9 +257,9 @@ def test_ray_is_the_lowest_mode_of_s(critical_points):
         assert abs(theta - (1.0 - NL.p)) <= 1e-10
 
 
-def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_band, count_matvecs):
+def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_saddle, count_matvecs):
     # Lanczos on H took 131-133 products per point here; on S it takes 53-56
-    points = [cl.representative.u for cl in annulus_classes.classes] + [annulus_band.saddle.u]
+    points = [cl.representative.u for cl in annulus_classes.classes] + [annulus_saddle.saddle.u]
     for u in points:
         with count_matvecs() as calls:
             hessian_spectrum(annulus4, NL, u)
@@ -339,14 +339,13 @@ def test_eigensolve_failures_are_typed(monkeypatch, square16, square_ground):
         hessian_spectrum(square16, NL, square_ground.u)
 
 
-def test_classify_records_returns_spectra_in_order(disk_host, disk_ground):
-    threaded = classify_records(disk_host, NL, [disk_ground, disk_ground], workers=2)
-    [serial] = classify_records(disk_host, NL, [disk_ground])
-    assert serial.morse_index == 1
-    assert len(threaded) == 2
-    for rep in threaded:
-        assert rep.morse_index == 1
-        assert np.allclose(rep.eigenvalues, serial.eigenvalues, rtol=1e-12)
+def test_classify_records_returns_spectra_in_order(annulus4, annulus_classes, annulus_saddle):
+    records = [annulus_saddle.saddle] + [cl.representative for cl in annulus_classes.classes]
+    spectra = classify_records(annulus4, NL, records)
+    assert [spec.morse_index for spec in spectra] == [2, 1, 1]
+    for rec, spec in zip(records, spectra):
+        want = hessian_spectrum(annulus4, NL, rec.u).eigenvalues
+        assert np.allclose(spec.eigenvalues, want, rtol=1e-12, atol=0.0)
 
 
 def _fake_spectrum(morse_index: int, null_count: int = 0) -> HessianSpectrumReport:

@@ -443,13 +443,6 @@ def test_level_positive_and_collapses_on_disk(disk_basis):
     assert rep.records[0].energy == rep.value
 
 
-def test_level_threaded_matches_serial(disk_basis):
-    serial = level_c(disk_basis, NL, n_multistarts=3, rng_seed=5, workers=1)
-    threaded = level_c(disk_basis, NL, n_multistarts=3, rng_seed=5, workers=3)
-    assert serial.value == threaded.value
-    assert [r.seed_tag for r in serial.records] == [r.seed_tag for r in threaded.records]
-
-
 def test_level_order_ignores_rounding_and_tag_spelling(disk_ground):
     rec = disk_ground[0]
     E = rec.energy

@@ -118,7 +118,7 @@ def test_blocked_basis_matches_unblocked_oracle(unblocked_basis, shape, params, 
                                                 n_frames, n_distinct):
     dom = build_domain(shape, params, lam=lam, h=h)
     n = dom.n_interior
-    frames = [Q for Q, _ in _parity_frames(dom)]
+    frames = [Q for Q, *_ in _parity_frames(dom)]
     assert len(frames) == n_frames
     # the frames together are an orthonormal basis in which A is block diagonal
     Q = scipy.sparse.hstack(frames).toarray()
@@ -154,8 +154,8 @@ _GENERATORS = (np.array([[-1, 0], [0, 1]]), np.array([[1, 0], [0, -1]]),
 @_BLOCKED_DOMAINS
 def test_mask_symmetries_are_the_mask_preserving_d4_maps_in_order(shape, params, lam, h,
                                                                   n_frames, n_distinct):
-    # element by element and in D4 order: adjacent_orbit_image takes the first
-    # image that passes, so the order is part of what the group says
+    # element by element and in D4 order: runner takes the first mirror that
+    # topology.moving_mirrors lists, so the order is part of what the group says
     dom = build_domain(shape, params, lam=lam, h=h)
     got = mask_symmetries(dom)
     want = mask_preserving_maps(dom)
@@ -164,6 +164,33 @@ def test_mask_symmetries_are_the_mask_preserving_d4_maps_in_order(shape, params,
         assert np.array_equal(perm, ref)
         composed = functools.reduce(np.matmul, [_GENERATORS[j] for j in used], np.eye(2, dtype=int))
         assert np.array_equal(composed, M)
+
+
+@pytest.mark.parametrize(
+    "shape, params, lam, h, n_mirrors",
+    [("disk", {"R": 1.0}, 1.0, 0.1, 2), ("annulus", {"R": 1.0, "r": 0.4}, 4.0, 0.25, 2),
+     ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.25, 2),
+     # h does not divide the sides: the mask has no mirror
+     ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.3, 0)],
+    ids=["disk", "annulus4", "rectangle-divided", "rectangle-undivided"],
+)
+def test_mirror_signs_are_the_measured_signs(shape, params, lam, h, n_mirrors):
+    # the sum of all modes, mirrored, analyzes to each mode's sign under the
+    # mirror: the mirror acts on coefficients as the diagonal of its labels.
+    # A mirror the mask lacks labels every mode 0
+    dom = build_domain(shape, params, lam=lam, h=h)
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    assert basis.mirror_signs.shape == (basis.K, 2)
+    total = basis.synthesize(np.ones(basis.K)).values
+    mirrors = {used[0]: perm for perm, used in mask_symmetries(dom) if used in ((0,), (1,))}
+    assert len(mirrors) == n_mirrors
+    for j in (0, 1):
+        if j not in mirrors:
+            assert not basis.mirror_signs[:, j].any()
+            continue
+        measured = basis.analyze(total[mirrors[j]]).coeffs
+        assert np.max(np.abs(measured - basis.mirror_signs[:, j])) <= 1e-12
+        assert set(basis.mirror_signs[:, j].tolist()) == {-1, 1}
 
 
 @_BLOCKED_DOMAINS
@@ -208,13 +235,13 @@ def test_swap_partners_share_their_block(shape, params, lam, h):
     # the nodes permuted by the swap, bit for bit
     dom = build_domain(shape, params, lam=lam, h=h)
     frames = _parity_frames(dom)
-    (k,) = [i for i, (_, shared) in enumerate(frames) if shared]
-    bounds = np.cumsum([0] + [Q.shape[1] for Q, _ in frames])
+    (k,) = [i for i, (_, shared, _) in enumerate(frames) if shared]
+    bounds = np.cumsum([0] + [Q.shape[1] for Q, *_ in frames])
     first, partner = slice(bounds[k - 1], bounds[k]), slice(bounds[k], bounds[k + 1])
     swap = {used: p for p, used in mask_symmetries(dom)}[(2,)]
     # A commutes with the swap, so the two frames give one block
     A = assemble_laplacian(dom)
-    (Q, _), (Q_swapped, _) = frames[k - 1], frames[k]
+    (Q, *_), (Q_swapped, *_) = frames[k - 1], frames[k]
     assert (Q_swapped != Q[swap]).nnz == 0
     assert np.array_equal((Q_swapped.T @ A @ Q_swapped).toarray(), (Q.T @ A @ Q).toarray())
 

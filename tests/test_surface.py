@@ -32,8 +32,7 @@ SRC = ROOT / "src" / "fracfield"
 EXCEPTIONS = {"topology.mass_clusters"}
 
 # scipy.integrate (extension.solve_profile) pulls in scipy.optimize and
-# scipy.special; scipy.ndimage serves domain.mask_betti and
-# topology.mass_clusters
+# scipy.special; no task needs scipy.ndimage, which loads scipy.special too
 LAZY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.ndimage")
 
 

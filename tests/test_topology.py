@@ -1,4 +1,4 @@
-"""Barycenter, orbit counting, pinned levels, and band-saddle checks.
+"""Barycenter, orbit counting, pinned levels, and mirror-saddle checks.
 
 Oracle strategy: barycenter examples use hand-placed bumps with closed-form
 centers and exact grid-translation equivariance; the psi seed is checked
@@ -35,10 +35,10 @@ from fracfield.nehari import (
 from fracfield.spectral import SpectralBasis, assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
-    adjacent_orbit_image,
     annulus_level,
     band_saddle,
     mass_clusters,
+    moving_mirrors,
     multiplicity_search,
     symmetry_group,
 )
@@ -47,7 +47,7 @@ from oracles import dense_phi, radial_asymmetry
 NL = power_model()
 
 MID_RADIUS = 2.8  # annulus lam=4: 0.5 (R + r) lam with R=1, r=0.4
-# the annulus4, disk_host, annulus_classes, annulus_band(_run) fixtures live in
+# the annulus4, disk_host, annulus_classes, annulus_saddle(_run) fixtures live in
 # conftest.py, shared session-wide
 
 
@@ -520,56 +520,56 @@ def test_radial_asymmetry_of_disk_ground_state(disk_host):
     assert radial_asymmetry(rec.u) <= 0.02
 
 
-# ---------------------------------------------------------------- band pass
+# ---------------------------------------------------------------- saddle
 
 
-def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_band):
-    report = annulus_band
-    assert report.converged
-    assert report.saddle.residual <= 1e-6
-    e_min = annulus_classes.classes[0].representative.energy
-    assert report.saddle.energy > e_min * 1.5
-    assert report.saddle.energy == pytest.approx(8.7955, rel=1e-3)
-    assert report.energies[0] == pytest.approx(e_min, rel=1e-9)
-    assert report.energies[-1] == pytest.approx(e_min, rel=1e-9)
-    assert max(report.energies) == report.saddle.energy
-    assert report.saddle.positive
-    # the band moves nodal values along with coefficients; the record must
-    # still be what phi c gives, not what the carried values drifted to
-    rec = report.saddle
+def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_saddle):
+    # the saddle between the lowest class and its x-mirror image, as the
+    # minimum of I on the Nehari manifold in the x-mirror's fixed-point
+    # subspace; a climbing-image band strung between the two reached
+    # 8.795460970536, two bumps side by side at twice the class energy
+    rec = annulus_saddle.saddle
+    assert rec.converged and rec.positive
+    assert rec.seed_tag == "mirror-x-fixed"
+    assert rec.energy == pytest.approx(8.795460970536, rel=1e-10)
+    assert rec.energy > 1.5 * annulus_classes.classes[0].representative.energy
+    # the odd-sector coefficients start at 0 and stay exactly 0
+    odd = annulus4.mirror_signs[:, 0] == -1
+    assert odd.sum() > annulus4.K // 3
+    assert np.all(rec.u.coeffs[odd] == 0.0)
+    # the record is judged on the full-space residual of I, the odd modes
+    # included, recomputed here from phi c rather than the carried values
     obj = Energy(annulus4, NL)
     c = rec.u.coeffs
     values = obj.values(c)
     energy = obj.energy(c, values)
     assert abs(energy - rec.energy) <= _rounding_allowance(rec.energy)
     g = obj.grad(c, values)
-    assert _residual(float(g @ (g / obj.w)), energy) == pytest.approx(rec.residual, rel=1e-12)
+    residual = _residual(float(g @ (g / obj.w)), energy)
+    assert residual == pytest.approx(rec.residual, rel=1e-12)
+    assert residual <= 1e-8
 
 
-def test_band_saddle_products_per_sweep(annulus_band_run):
-    # one phi product per interior image and sweep, plus the synthesis at
-    # set-up and at the end: the carried values serve every other use
-    report, matvecs = annulus_band_run
-    assert report.converged and report.sweeps > 1
-    n = topology._N_IMAGES
-    assert matvecs <= (n - 2) * report.sweeps + 2 * n
-    # step 1 on the W-preconditioned gradient contracts the climbing image by
-    # about 0.66 per sweep (11 sweeps here); step 0.1 takes 123
-    assert report.sweeps <= 20
+def test_band_saddle_products_per_sweep(annulus_saddle_run):
+    # one product with phi per accepted step (phi d; a halving reuses it),
+    # plus the start's synthesis and the record's. The band took 11 sweeps
+    # of 11 products each here; the descent takes 8 steps
+    report, matvecs = annulus_saddle_run
+    assert report.sweeps == report.saddle.iterations
+    assert 1 <= report.sweeps <= 10
+    assert matvecs <= report.sweeps + 2
 
 
 def test_band_saddle_beyond_p_two(annulus4):
-    # the pencil's spectrum lies in [1 - p, 1], so step 1 stays the natural
-    # length for p > 2: 4 sweeps here, where step 0.1 takes 49 to the same point
+    # the same saddle for p = 2.5: the band reached 3.1152564, index 2
     nl = power_model(p=2.5)
     centers = [(MID_RADIUS * np.cos(k * np.pi / 4), MID_RADIUS * np.sin(k * np.pi / 4))
                for k in range(8)]
     classes = multiplicity_search(annulus4, nl, centers, ball_radius=1.0)
     lo = classes.classes[0].representative.u
-    partner = adjacent_orbit_image(annulus4, lo)
-    assert partner is not None
-    report = band_saddle(annulus4, nl, lo, partner)
-    assert report.converged and report.sweeps <= 10
+    mirror, *_ = moving_mirrors(annulus4, lo)
+    report = band_saddle(annulus4, nl, lo, mirror)
+    assert report.saddle.converged and report.sweeps <= 10
     assert report.saddle.energy == pytest.approx(3.1152564, rel=1e-6)
     rep = hessian_spectrum(annulus4, nl, report.saddle.u)
     assert rep.morse_index == 2 and rep.nondegenerate
@@ -586,61 +586,41 @@ def no_phi_products(monkeypatch):
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
 def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_phi_products):
-    # unchecked, nan runs all _MAX_SWEEPS sweeps and returns converged=False
-    a, b = (cl.representative.u for cl in annulus_classes.classes)
+    # unchecked, nan runs max_iter steps and returns converged=False
+    lo = annulus_classes.classes[0].representative.u
     with pytest.raises(ValueError, match="tol"):
-        band_saddle(annulus4, NL, a, b, tol=tol)
+        band_saddle(annulus4, NL, lo, 0, tol=tol)
 
 
 def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, no_phi_products):
-    # unchecked, a band from a minimum to itself converges in 1 sweep and
-    # reports the minimum (index 1) as its saddle
-    lo = annulus_classes.classes[0].representative.u
+    # unchecked, a mirror that leaves u in place starts the descent at 2u,
+    # which retracts onto u itself, a minimum (index 1) reported as the saddle
+    axis = annulus_classes.classes[1].representative.u
+    (fixing,) = {0, 1} - set(moving_mirrors(annulus4, axis))
     with pytest.raises(ValueError, match="one state"):
-        band_saddle(annulus4, NL, lo, lo)
+        band_saddle(annulus4, NL, axis, fixing)
+    # generator 2 is the swap, no mirror
+    with pytest.raises(ValueError, match="one state"):
+        band_saddle(annulus4, NL, axis, 2)
 
 
-def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):
+def test_moving_mirrors_skip_a_mirror_that_leaves_the_state_in_place(annulus4,
+                                                                     annulus_classes):
     # an axis state mirrored across its own axis is itself again, and the
-    # off-axis coordinate of its barycenter is rounding noise, so the sign
-    # rule alone can take that mirror for the partner
+    # off-axis coordinate of its barycenter is rounding noise of either sign;
+    # the rule compares barycenter distances with 2h, so neither that mirror
+    # nor the noise's sign can make it pick the state itself
     h = annulus4.dom.h
     axis = annulus_classes.classes[1].representative
-    assert min(abs(axis.barycenter[0]), abs(axis.barycenter[1])) < h
     images = [annulus4.analyze(axis.u.values[p]) for p in symmetry_group(annulus4.dom)]
-    # the states at (0, 2.8) and (0, -2.8), each twice, since the
-    # representative is its own mirror image
+    on_x = [u for u in images if abs(_beta(u)[1]) < h]
     on_y = [u for u in images if abs(_beta(u)[0]) < h]
-    assert len(on_y) == 4
+    # the states at (+-2.8, 0) and (0, +-2.8), each twice, since the
+    # representative is its own mirror image
+    assert len(on_x) == len(on_y) == 4
+    for u in on_x:
+        assert moving_mirrors(annulus4, u) == [0]
     for u in on_y:
-        ref = np.array(_beta(u))
-        partner = adjacent_orbit_image(annulus4, u)
-        if partner is not None:
-            assert np.hypot(*(np.array(_beta(partner)) - ref)) > 2 * h
-
-
-def test_adjacent_orbit_image_ignores_the_sign_of_rounding_noise(annulus4, annulus_classes,
-                                                                 monkeypatch):
-    # on an axis state the off-axis barycenter coordinate is rounding noise;
-    # the partner must not depend on the sign that noise draws
-    h = annulus4.dom.h
-    images = [annulus4.analyze(rep.u.values[p])
-              for rep in (c.representative for c in annulus_classes.classes)
-              for p in symmetry_group(annulus4.dom)]
-    u = next(v for v in images if abs(_beta(v)[1]) < h and _beta(v)[0] > h)
-    barycenter = topology._barycenter
-    partners = []
-    for noise in (1e-17, -1e-17):
-        def nudged(dom, values, noise=noise):
-            up, beta, mass = barycenter(dom, values)
-            if values is u.values:
-                beta = np.array([beta[0], noise])
-            return up, beta, mass
-
-        monkeypatch.setattr(topology, "_barycenter", nudged)
-        partners.append(adjacent_orbit_image(annulus4, u))
-    assert partners[0] is not None and partners[1] is not None
-    assert np.array_equal(partners[0].values, partners[1].values)
-    bx, by = _beta(partners[0])
-    assert bx == pytest.approx(-_beta(u)[0], abs=h)
-    assert abs(by - _beta(u)[1]) <= 2 * h
+        assert moving_mirrors(annulus4, u) == [1]
+    # off the axes both mirrors move the state, the x-mirror first
+    assert moving_mirrors(annulus4, annulus_classes.classes[0].representative.u) == [0, 1]

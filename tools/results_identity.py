@@ -6,7 +6,7 @@ Usage, from the root of a checkout:
     python3 tools/results_identity.py --seed 0 --against path/to/base/src
 
 Imports fracfield from --src (default: this checkout's src) and runs, one
-after another with workers=1, the built-in default config of solve, morse,
+after another, the built-in default config of solve, morse,
 sweep-lambda, multiplicity and verify-extension, then every task of the
 workloads in perfbench/workloads.py. Each goes through
 fracfield.config.load_config, with --seed as the rng_seed override, and
@@ -65,7 +65,7 @@ def run_configs(src: Path, seed: int, out: Path) -> None:
         if config is not None:
             cfg_path = task_dir / "config.json"
             cfg_path.write_text(json.dumps(config))
-        runner.run(load_config(cfg_path, task=task, seed=seed), task_dir, workers=1)
+        runner.run(load_config(cfg_path, task=task, seed=seed), task_dir)
         for path in sorted(task_dir.glob("*.json")):
             if path.name != "config.json":
                 print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {label}/{path.name}",
