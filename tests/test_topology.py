@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from fracfield.domain import build_domain
+from fracfield.domain import build_domain, mask_symmetries
 from fracfield import topology
 from fracfield.errors import (
     BallDoesNotFit,
@@ -604,12 +604,10 @@ def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, n
         band_saddle(annulus4, NL, axis, 2)
 
 
-def test_moving_mirrors_skip_a_mirror_that_leaves_the_state_in_place(annulus4,
-                                                                     annulus_classes):
-    # an axis state mirrored across its own axis is itself again, and the
-    # off-axis coordinate of its barycenter is rounding noise of either sign;
-    # the rule compares barycenter distances with 2h, so neither that mirror
-    # nor the noise's sign can make it pick the state itself
+def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):
+    # the adjacent image band_saddle starts from is u∘σ for a mirror σ that
+    # moving_mirrors gives; an axis state mirrored across its own axis is itself
+    # again, so that mirror must not be among them
     h = annulus4.dom.h
     axis = annulus_classes.classes[1].representative
     images = [annulus4.analyze(axis.u.values[p]) for p in symmetry_group(annulus4.dom)]
@@ -624,3 +622,35 @@ def test_moving_mirrors_skip_a_mirror_that_leaves_the_state_in_place(annulus4,
         assert moving_mirrors(annulus4, u) == [1]
     # off the axes both mirrors move the state, the x-mirror first
     assert moving_mirrors(annulus4, annulus_classes.classes[0].representative.u) == [0, 1]
+    # and every image a moving mirror makes lies more than 2h from the state
+    mirrors = {used[0]: perm for perm, used in mask_symmetries(annulus4.dom)
+               if used in ((0,), (1,))}
+    for u in images + [annulus_classes.classes[0].representative.u]:
+        ref = np.array(_beta(u))
+        for m in moving_mirrors(annulus4, u):
+            partner = annulus4.analyze(u.values[mirrors[m]])
+            assert np.hypot(*(np.array(_beta(partner)) - ref)) > 2 * h
+
+
+def test_adjacent_orbit_image_ignores_the_sign_of_rounding_noise(annulus4, annulus_classes,
+                                                                 monkeypatch):
+    # on an axis state the off-axis barycenter coordinate is rounding noise;
+    # moving_mirrors compares distances with 2h, so the mirrors it gives, and
+    # with them the adjacent images, must not depend on the sign that noise draws
+    h = annulus4.dom.h
+    images = [annulus4.analyze(rep.u.values[p])
+              for rep in (c.representative for c in annulus_classes.classes)
+              for p in symmetry_group(annulus4.dom)]
+    u = next(v for v in images if abs(_beta(v)[1]) < h and _beta(v)[0] > h)
+    barycenter = topology._barycenter
+    found = []
+    for noise in (1e-17, -1e-17):
+        def nudged(dom, values, noise=noise):
+            up, beta, mass = barycenter(dom, values)
+            if values is u.values:
+                beta = np.array([beta[0], noise])
+            return up, beta, mass
+
+        monkeypatch.setattr(topology, "_barycenter", nudged)
+        found.append(moving_mirrors(annulus4, u))
+    assert found[0] == found[1] == [0]
