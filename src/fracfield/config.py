@@ -125,14 +125,18 @@ def _require(mapping: dict, key: str, path: str):
 
 
 def _number(mapping: dict, key: str, path: str, lo=None, hi=None):
-    v = _require(mapping, key, path)
+    return _finite(_require(mapping, key, path), f"{path}.{key}", lo, hi)
+
+
+def _finite(v, field: str, lo=None, hi=None) -> float:
+    """v as a float in the open interval (lo, hi), else ConfigInvalid naming field."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ConfigInvalid(f"field \"{path}.{key}\" must be a finite number, got {v!r}")
+        raise ConfigInvalid(f"field \"{field}\" must be a finite number, got {v!r}")
     v = float(v)
     if lo is not None and v <= lo:
-        raise ConfigInvalid(f"field \"{path}.{key}\" must be > {lo}, got {v}")
+        raise ConfigInvalid(f"field \"{field}\" must be > {lo}, got {v}")
     if hi is not None and v >= hi:
-        raise ConfigInvalid(f"field \"{path}.{key}\" must be < {hi}, got {v}")
+        raise ConfigInvalid(f"field \"{field}\" must be < {hi}, got {v}")
     return v
 
 
@@ -242,11 +246,11 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
         lambdas = sweep_raw.get("lambdas")
         if not isinstance(lambdas, list) or len(lambdas) < 2:
             raise ConfigInvalid("field \"sweep.lambdas\" must be a list of at least 2 values")
-        lambdas = [_number({"v": x}, "v", "sweep.lambdas", lo=0.0) for x in lambdas]
+        lambdas = [_finite(x, f"sweep.lambdas[{i}]", lo=0.0) for i, x in enumerate(lambdas)]
         radii = sweep_raw.get("radii", default_config("sweep-lambda")["sweep"]["radii"])
         if not isinstance(radii, list) or len(radii) < 3:
             raise ConfigInvalid("field \"sweep.radii\" must be a list of at least 3 radii")
-        radii = [_number({"v": x}, "v", "sweep.radii", lo=0.0) for x in radii]
+        radii = [_finite(x, f"sweep.radii[{i}]", lo=0.0) for i, x in enumerate(radii)]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigInvalid(f"field \"sweep.radii\" must be strictly increasing, got {radii}")
         canonical["sweep"] = {"lambdas": lambdas, "radii": radii}

@@ -12,13 +12,14 @@ J, the Hessian action and the closed-form retraction onto the manifold;
 PinnedEnergy adds the barycenter penalty of the pinned annulus level, and
 RestrictedEnergy confines the energy to a span of modes, such as a mirror's
 fixed-point subspace. Each is the one objective the descent kernel takes.
+An Energy is the functional itself, built from a basis and the exponent p:
+the solvers of nehari, morse and topology take one instead of its parts.
 Outside spectral, only this module calls the basis's matvec and rmatvec.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,32 +28,19 @@ from .errors import NonpositiveField
 from .spectral import SpectralBasis
 
 
-@dataclass(frozen=True)
-class Nonlinearity:
-    """The power family h(s) = (s_+)^p."""
-
-    p: float
-
-
-def power_model(alpha: float = 0.5, p: float = 2.0) -> Nonlinearity:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    return Nonlinearity(p=p)
-
-
-def h_eval(nl: Nonlinearity, s):
+def h_eval(p: float, s):
     sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-    return sp**nl.p
+    return sp**p
 
 
-def h_prime(nl: Nonlinearity, s):
+def h_prime(p: float, s):
     sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-    return nl.p * sp ** (nl.p - 1.0)
+    return p * sp ** (p - 1.0)
 
 
-def H_eval(nl: Nonlinearity, s):
+def H_eval(p: float, s):
     sp = np.maximum(np.asarray(s, dtype=float), 0.0)
-    return sp ** (nl.p + 1.0) / (nl.p + 1.0)
+    return sp ** (p + 1.0) / (p + 1.0)
 
 
 def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -74,9 +62,9 @@ class Energy:
     the basis's matvec and rmatvec, block by block on its factors.
     """
 
-    def __init__(self, basis: SpectralBasis, nl: Nonlinearity):
+    def __init__(self, basis: SpectralBasis, p: float):
         self.basis = basis
-        self.nl = nl
+        self.p = p
         self.w = basis.weights
         self.h2 = basis.dom.h**2
 
@@ -88,19 +76,19 @@ class Energy:
         return float(np.sum(self.w * c * c))
 
     def energy(self, c: np.ndarray, values: np.ndarray) -> float:
-        return 0.5 * self.quadratic(c) - self.h2 * float(np.sum(H_eval(self.nl, values)))
+        return 0.5 * self.quadratic(c) - self.h2 * float(np.sum(H_eval(self.p, values)))
 
     def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Spectral coefficients of the L2 gradient: w c - <h(u), phi_k>."""
-        return self.w * c - self.h2 * self.basis.rmatvec(h_eval(self.nl, values))
+        return self.w * c - self.h2 * self.basis.rmatvec(h_eval(self.p, values))
 
     def j(self, c: np.ndarray, values: np.ndarray) -> float:
         """J(u) = Q(u) - <h(u), u>_h; zero exactly on the Nehari manifold."""
-        return self.quadratic(c) - self.h2 * float(np.sum(h_eval(self.nl, values) * values))
+        return self.quadratic(c) - self.h2 * float(np.sum(h_eval(self.p, values) * values))
 
     def hessian(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         """Second variation at the field with these values, as v -> w v - <h'(u) phi v, phi_k>."""
-        hp = h_prime(self.nl, values)
+        hp = h_prime(self.p, values)
 
         def hv(v: np.ndarray) -> np.ndarray:
             return self.w * v - self.h2 * self.basis.rmatvec(hp * self.basis.matvec(v))
@@ -110,10 +98,10 @@ class Energy:
     def nehari_t(self, c: np.ndarray, values: np.ndarray) -> float:
         """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1))."""
         Q = self.quadratic(c)
-        P = self.h2 * float(np.sum(np.maximum(values, 0.0) ** (self.nl.p + 1.0)))
+        P = self.h2 * float(np.sum(np.maximum(values, 0.0) ** (self.p + 1.0)))
         if P <= 0.0 or Q <= 0.0:
             raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
-        return (Q / P) ** (1.0 / (self.nl.p - 1.0))
+        return (Q / P) ** (1.0 / (self.p - 1.0))
 
     def retract(self, c: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         t = self.nehari_t(c, values)
@@ -140,8 +128,8 @@ class PinnedEnergy(Energy):
     reason the Nehari retraction leaves the penalty unchanged.
     """
 
-    def __init__(self, basis: SpectralBasis, nl: Nonlinearity, rho: float, x_tilde: np.ndarray):
-        super().__init__(basis, nl)
+    def __init__(self, basis: SpectralBasis, p: float, rho: float, x_tilde: np.ndarray):
+        super().__init__(basis, p)
         self.rho = rho
         self.x_tilde = x_tilde
 
@@ -162,7 +150,7 @@ class PinnedEnergy(Energy):
         q = r @ (beta - self.x_tilde)
         sq, sr = s * q, s[:, None] * r
         scale = 4.0 * self.rho / M
-        diag = scale * (s > 0.0) * q - self.h2 * h_prime(self.nl, values)
+        diag = scale * (s > 0.0) * q - self.h2 * h_prime(self.p, values)
 
         def hv(v: np.ndarray) -> np.ndarray:
             z = self.basis.matvec(v)
@@ -182,8 +170,8 @@ class RestrictedEnergy(Energy):
     criticality: Palais, Comm. Math. Phys. 69, 1979).
     """
 
-    def __init__(self, basis: SpectralBasis, nl: Nonlinearity, keep: np.ndarray):
-        super().__init__(basis, nl)
+    def __init__(self, basis: SpectralBasis, p: float, keep: np.ndarray):
+        super().__init__(basis, p)
         self.keep = keep
 
     def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:

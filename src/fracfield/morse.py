@@ -41,9 +41,9 @@ import scipy.sparse.linalg
 
 from .domain import GridDomain, mask_betti
 from .errors import EigSolveFailure, OffManifold
-from .model import Energy, Nonlinearity, h_prime
+from .model import Energy, h_prime
 from .nehari import SolutionRecord
-from .spectral import Field, SpectralBasis
+from .spectral import Field
 
 # The default null threshold on theta, the eigenvalues of S. A mode of H
 # within 1e-6 min W of zero has |theta| <= 1e-6, so it stays null here; a
@@ -73,8 +73,7 @@ class HessianSpectrumReport:
 
 
 def hessian_spectrum(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     u: Field,
     eps_null: float | None = None,
 ) -> HessianSpectrumReport:
@@ -88,14 +87,13 @@ def hessian_spectrum(
     eps = DEFAULT_EPS_NULL if eps_null is None else float(eps_null)
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps_null must be positive and finite, got {eps_null}")
-    basis.check_same_domain(u.dom)
-    e = Energy(basis, nl)
-    values = e.values(u.coeffs)
+    energy.basis.check_same_domain(u.dom)
+    values = energy.values(u.coeffs)
     k = 6
-    ev = _smallest_eigenvalues(e, values, k)
-    while ev[-1] <= eps and ev.size < basis.K:
+    ev = _smallest_eigenvalues(energy, values, k)
+    while ev[-1] <= eps and ev.size < energy.basis.K:
         k *= 2
-        ev = _smallest_eigenvalues(e, values, k)
+        ev = _smallest_eigenvalues(energy, values, k)
     morse = int(np.sum(ev < -eps))
     null = int(np.sum(np.abs(ev) <= eps))
     return HessianSpectrumReport(
@@ -110,7 +108,7 @@ def hessian_spectrum(
 def _smallest_eigenvalues(e: Energy, values: np.ndarray, k: int) -> np.ndarray:
     """The min(k, K) smallest eigenvalues of S = W^-1/2 H W^-1/2 at these values, ascending."""
     K = e.w.size
-    if not np.any(h_prime(e.nl, values)):
+    if not np.any(h_prime(e.p, values)):
         # S = I: Lanczos from one start vector would find one copy of 1
         return np.ones(min(k, K))
     hess = e.hessian(values)
@@ -148,8 +146,7 @@ def _smallest_eigenpairs(
 
 
 def ray_second_derivative(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     u: Field,
     tol: float = 1e-8,
 ) -> float:
@@ -159,23 +156,21 @@ def ray_second_derivative(
     makes every solution at least index 1. Raises OffManifold when u does not
     satisfy |J(u)| <= tol Q.
     """
-    basis.check_same_domain(u.dom)
-    e = Energy(basis, nl)
-    values = e.values(u.coeffs)
-    Q = e.quadratic(u.coeffs)
-    J = e.j(u.coeffs, values)
+    energy.basis.check_same_domain(u.dom)
+    values = energy.values(u.coeffs)
+    Q = energy.quadratic(u.coeffs)
+    J = energy.j(u.coeffs, values)
     if abs(J) > tol * Q:
         raise OffManifold(f"|J(u)| = {abs(J):.3g} exceeds {tol:.1g} Q = {tol * Q:.3g}")
-    return Q - e.h2 * float(np.sum(h_prime(nl, values) * values**2))
+    return Q - energy.h2 * float(np.sum(h_prime(energy.p, values) * values**2))
 
 
 def classify_records(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     records: Sequence[SolutionRecord],
 ) -> list[HessianSpectrumReport]:
     """hessian_spectrum of each record's field, in record order."""
-    return [hessian_spectrum(basis, nl, r.u) for r in records]
+    return [hessian_spectrum(energy, r.u) for r in records]
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ import numpy as np
 
 from .domain import build_domain
 from .errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from .model import Energy, Nonlinearity, _barycenter
+from .model import Energy, _barycenter
 from .spectral import Field, SpectralBasis, assemble_and_decompose
 
 _ARMIJO = 1e-4
@@ -141,12 +141,11 @@ def _require_positive_part(values: np.ndarray) -> None:
         raise NonpositiveField("field has no positive part on the grid")
 
 
-def nehari_scale(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
+def nehari_scale(energy: Energy, u: Field) -> float:
     """Closed-form t > 0 with J(t u) = 0 for the power family."""
-    basis.check_same_domain(u.dom)
+    energy.basis.check_same_domain(u.dom)
     _require_positive_part(u.values)
-    obj = Energy(basis, nl)
-    return obj.nehari_t(u.coeffs, obj.values(u.coeffs))
+    return energy.nehari_t(u.coeffs, energy.values(u.coeffs))
 
 
 def gaussian_bump_seed(basis: SpectralBasis, center: tuple[float, float], width: float) -> Field:
@@ -159,8 +158,7 @@ def gaussian_bump_seed(basis: SpectralBasis, center: tuple[float, float], width:
 
 
 def ground_state(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     seed: Field,
     tol: float = 1e-8,
     max_iter: int = 20000,
@@ -174,11 +172,11 @@ def ground_state(
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    basis.check_same_domain(seed.dom)
+    energy.basis.check_same_domain(seed.dom)
     _require_positive_part(seed.values)
-    c, values, energy, residual, iterations = _retracted_descent(
-        Energy(basis, nl), np.asarray(seed.coeffs, dtype=float), tol, max_iter)
-    return _solution_record(basis, c, values, energy, residual, tol, seed_tag, iterations)
+    c, values, F, residual, iterations = _retracted_descent(
+        energy, np.asarray(seed.coeffs, dtype=float), tol, max_iter)
+    return _solution_record(energy.basis, c, values, F, residual, tol, seed_tag, iterations)
 
 
 def _retracted_descent(
@@ -362,8 +360,7 @@ def start_order(seed_tag: str) -> int:
 
 
 def level_c(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     n_multistarts: int = 4,
     tol: float = 1e-8,
     max_iter: int = 20000,
@@ -376,8 +373,9 @@ def level_c(
     """
     if n_multistarts < 1:
         raise ValueError(f"n_multistarts must be >= 1, got {n_multistarts}")
+    basis = energy.basis
     results = [
-        ground_state(basis, nl, gaussian_bump_seed(basis, center, width), tol=tol,
+        ground_state(energy, gaussian_bump_seed(basis, center, width), tol=tol,
                      max_iter=max_iter, seed_tag=tag)
         for tag, center, width in _multistart_seeds(basis, n_multistarts, rng_seed)
     ]
@@ -407,7 +405,7 @@ def _level_order(records: list[SolutionRecord]) -> list[SolutionRecord]:
 
 
 def limit_level_estimate(
-    nl: Nonlinearity,
+    p: float,
     radii: list[float],
     h: float,
     alpha: float = 0.5,
@@ -431,8 +429,8 @@ def limit_level_estimate(
     levels = []
     for xi in radii:
         dom = build_domain("disk", {"R": float(xi)}, lam=1.0, h=h)
-        basis = assemble_and_decompose(dom, alpha=alpha)
-        rep = level_c(basis, nl, n_multistarts=n_multistarts, tol=tol, rng_seed=rng_seed)
+        energy = Energy(assemble_and_decompose(dom, alpha=alpha), p)
+        rep = level_c(energy, n_multistarts=n_multistarts, tol=tol, rng_seed=rng_seed)
         levels.append(rep.value)
 
     value, error_bar = _geometric_tail(levels, radii)

@@ -1,9 +1,10 @@
 """Task execution behind the CLI: one function per subcommand, shared plumbing.
 
-Each task builds its own bases, runs the corresponding library pipeline, and
-writes a results JSON plus a CSV summary through the persist module. All
-functions return the results dict they persisted; failures surface as
-FracfieldError subclasses for the CLI to map onto exit codes.
+Each task builds its own bases, each with its model.Energy (_energy), runs the
+corresponding library pipeline on that functional, and writes a results JSON
+plus a CSV summary through the persist module. All functions return the
+results dict they persisted; failures surface as FracfieldError subclasses
+for the CLI to map onto exit codes.
 
 Every basis spans its whole grid. solver.K stays in the schema as a bound a
 config may state: null, or at least the node count of the configured domain
@@ -12,6 +13,7 @@ at each lambda the task runs; a smaller K is a ConfigInvalid naming it.
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import time
 from pathlib import Path
@@ -22,7 +24,7 @@ from .config import RunConfig
 from .domain import GridDomain, build_domain
 from .errors import ConfigInvalid, EmptyMask, FracfieldError, TaskFailed
 from .extension import k_alpha, scaling_check, solve_profile
-from .model import Nonlinearity, power_model
+from .model import Energy
 from .morse import (
     classify_records,
     morse_count_check,
@@ -36,7 +38,7 @@ from .nehari import (
     start_order,
 )
 from .persist import dump_field, read_results_json, record_summary, write_csv, write_results_json
-from .spectral import SpectralBasis, assemble_and_decompose
+from .spectral import assemble_and_decompose
 from .topology import (
     annulus_level,
     band_saddle,
@@ -46,10 +48,6 @@ from .topology import (
 )
 
 log = logging.getLogger(__name__)
-
-
-def _nonlinearity(cfg: RunConfig) -> Nonlinearity:
-    return power_model(alpha=cfg.alpha, p=cfg.p)
 
 
 def _domain(cfg: RunConfig, lam: float | None = None) -> GridDomain:
@@ -63,17 +61,19 @@ def _domain(cfg: RunConfig, lam: float | None = None) -> GridDomain:
     return dom
 
 
-def _basis(cfg: RunConfig) -> SpectralBasis:
-    return assemble_and_decompose(_domain(cfg), alpha=cfg.alpha)
+def _energy(cfg: RunConfig, dom: GridDomain | None = None) -> Energy:
+    """The task's functional: cfg's exponent on the basis of dom (default: the
+    configured domain)."""
+    return Energy(assemble_and_decompose(_domain(cfg) if dom is None else dom,
+                                         alpha=cfg.alpha), cfg.p)
 
 
 def run_solve(cfg: RunConfig, out_dir: str | Path) -> dict:
-    nl = _nonlinearity(cfg)
-    basis = _basis(cfg)
-    report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
+    energy = _energy(cfg)
+    report = level_c(energy, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     records = report.records
-    spectra = classify_records(basis, nl, records)
+    spectra = classify_records(energy, records)
     best = records[0]
     results = {
         "level": report.value,
@@ -99,7 +99,6 @@ def run_solve(cfg: RunConfig, out_dir: str | Path) -> dict:
 
 
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict:
-    nl = _nonlinearity(cfg)
     # every row's domain first: masks are cheap, and a K below some row's node
     # count then fails before the limit level or any row is computed. A domain
     # that cannot be built is that row's error.
@@ -111,7 +110,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict:
             raise
         except FracfieldError as exc:
             domains.append(exc)
-    limit = limit_level_estimate(nl, cfg.radii, cfg.h, alpha=cfg.alpha, tol=cfg.tol,
+    limit = limit_level_estimate(cfg.p, cfg.radii, cfg.h, alpha=cfg.alpha, tol=cfg.tol,
                                  rng_seed=cfg.rng_seed)
     rows = []
     json_rows = []
@@ -121,7 +120,7 @@ def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict:
         try:
             if isinstance(dom, FracfieldError):
                 raise dom
-            row, jrow = _sweep_row(cfg, nl, dom)
+            row, jrow = _sweep_row(cfg, dom)
         except FracfieldError as exc:
             log.warning("sweep row lambda=%s failed: %s", lam, exc)
             row = [lam, None, None, None, 0, None, 0]
@@ -163,10 +162,10 @@ def _annulus_seeding(cfg: RunConfig, lam: float) -> tuple[list[tuple[float, floa
     return centers, seed_radius
 
 
-def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain):
+def _sweep_row(cfg: RunConfig, dom: GridDomain):
     lam = dom.lam
-    basis = assemble_and_decompose(dom, alpha=cfg.alpha)
-    report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
+    energy = _energy(cfg, dom)
+    report = level_c(energy, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     records = list(report.records)
     n_solutions = report.n_converged
@@ -177,14 +176,14 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain):
     margin = None
     localized = False
     if is_annulus:
-        a_rep = annulus_level(basis, nl, tol=cfg.tol, max_iter=cfg.max_iter)
+        a_rep = annulus_level(energy, tol=cfg.tol, max_iter=cfg.max_iter)
         a_level, a_converged = a_rep.value, a_rep.record.converged
         # random starts pin to grid-commensurate local minima at coarse h, so
         # the level estimate also seeds states on the mid circle and keeps the
         # best of both batches
         centers, seed_radius = _annulus_seeding(cfg, lam)
         try:
-            mrep = multiplicity_search(basis, nl, centers, ball_radius=seed_radius,
+            mrep = multiplicity_search(energy, centers, ball_radius=seed_radius,
                                        tol=cfg.tol, max_iter=cfg.max_iter)
             ball_level = mrep.ball_level
             records += [cl.representative for cl in mrep.classes]
@@ -194,8 +193,8 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain):
             # but plain bumps at the same centers still steer descent into the
             # one-bump branch
             for i, center in enumerate(centers):
-                seed = gaussian_bump_seed(basis, center, seed_radius)
-                rec = ground_state(basis, nl, seed, tol=cfg.tol,
+                seed = gaussian_bump_seed(energy.basis, center, seed_radius)
+                rec = ground_state(energy, seed, tol=cfg.tol,
                                    max_iter=cfg.max_iter, seed_tag=f"bump-{i}")
                 if rec.converged:
                     records.append(rec)
@@ -204,7 +203,7 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain):
             margins = []
             for rec in records:
                 if rec.energy <= ball_level:
-                    dist = float(basis.dom.region_distance(
+                    dist = float(dom.region_distance(
                         np.asarray(rec.barycenter, float).reshape(1, 2))[0])
                     margins.append(seed_radius - dist)
             margin = min(margins) if margins else None
@@ -227,23 +226,23 @@ def _sweep_row(cfg: RunConfig, nl: Nonlinearity, dom: GridDomain):
 
 
 def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
-    nl = _nonlinearity(cfg)
-    basis = _basis(cfg)
-    centers, seed_radius = _annulus_seeding(cfg, basis.dom.lam)
-    report = multiplicity_search(basis, nl, centers, ball_radius=seed_radius,
+    energy = _energy(cfg)
+    dom = energy.basis.dom
+    centers, seed_radius = _annulus_seeding(cfg, dom.lam)
+    report = multiplicity_search(energy, centers, ball_radius=seed_radius,
                                  tol=cfg.tol, max_iter=cfg.max_iter)
 
     reps = [cl.representative for cl in report.classes]
-    spectra = classify_records(basis, nl, reps)
+    spectra = classify_records(energy, reps)
 
     saddle_info = None
     census_records = list(reps)
     census_spectra = list(spectra)
-    mirrors = moving_mirrors(basis, reps[0].u) if len(report.classes) >= 2 else []
+    mirrors = moving_mirrors(energy.basis, reps[0].u) if len(report.classes) >= 2 else []
     if mirrors:
-        srec = band_saddle(basis, nl, reps[0].u, mirrors[0], tol=cfg.tol,
+        srec = band_saddle(energy, reps[0].u, mirrors[0], tol=cfg.tol,
                            max_iter=cfg.max_iter).saddle
-        [sspec] = classify_records(basis, nl, [srec])
+        [sspec] = classify_records(energy, [srec])
         saddle_info = {
             "record": record_summary(srec, sspec),
             "null_count": sspec.null_count,
@@ -252,7 +251,7 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
         if srec.converged:
             census_records.append(srec)
             census_spectra.append(sspec)
-    census = morse_count_check(census_records, census_spectra, basis.dom)
+    census = morse_count_check(census_records, census_spectra, dom)
 
     classes_json = []
     rows = []
@@ -275,16 +274,7 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
         "ball_level": report.ball_level,
         "classes": classes_json,
         "band_saddle": saddle_info,
-        "census": {
-            "target_total": census.target_total,
-            "target_index1": census.target_index1,
-            "target_index2": census.target_index2,
-            "found_index1": census.found_index1,
-            "found_index2": census.found_index2,
-            "counted": census.counted,
-            "degenerate_tags": list(census.degenerate_tags),
-            "matches": census.matches,
-        },
+        "census": dataclasses.asdict(census),
     }
     write_results_json(out_dir, "multiplicity", cfg.config_hash, cfg.canonical, results)
     write_csv(out_dir, "multiplicity", cfg.config_hash,
@@ -326,9 +316,9 @@ def run_verify_extension(cfg: RunConfig, out_dir: str | Path) -> dict:
 
 
 def run_morse(cfg: RunConfig, out_dir: str | Path) -> dict:
-    nl = _nonlinearity(cfg)
-    basis = _basis(cfg)
-    report = level_c(basis, nl, n_multistarts=cfg.n_starts, tol=cfg.tol,
+    energy = _energy(cfg)
+    basis = energy.basis
+    report = level_c(energy, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     # multistarts rediscover the same critical point; the census must count
     # distinct orbit classes, so only class representatives enter it. A class
@@ -338,11 +328,11 @@ def run_morse(cfg: RunConfig, out_dir: str | Path) -> dict:
     classes = sorted(orbit_classes(basis, in_seed_order),
                      key=lambda cl: min((r.energy, r.seed_tag) for r in cl))
     reps = [cl[0] for cl in classes]
-    spectra = classify_records(basis, nl, reps)
+    spectra = classify_records(energy, reps)
     rows = []
     recs_json = []
     for rec, spec, cl in zip(reps, spectra, classes):
-        rsd = ray_second_derivative(basis, nl, rec.u, tol=1e-6)
+        rsd = ray_second_derivative(energy, rec.u, tol=1e-6)
         rows.append([cfg.lam, rec.energy, rec.residual, rec.iterations,
                      rec.barycenter[0], rec.barycenter[1],
                      spec.morse_index, spec.null_count])
@@ -373,47 +363,48 @@ def run_morse(cfg: RunConfig, out_dir: str | Path) -> dict:
 
 
 def run_report(cfg: RunConfig, out_dir: str | Path) -> dict:
-    """Aggregate any task outputs already present in out_dir into one index."""
+    """Aggregate any task outputs already present in out_dir into one index.
+
+    A results file that cannot be read, is not JSON or lacks a field the
+    summary reads is a TaskFailed naming it.
+    """
     out = Path(out_dir)
-    found = {}
+    tasks = []
+    lines = ["# Run report", ""]
+    summary = {}
     for name in ("solve", "sweep", "multiplicity", "verify-extension", "morse"):
         path = out / f"{name}.json"
         if path.exists():
-            found[name] = read_results_json(path)
-    if not found:
+            try:
+                entry, line = _report_entry(name, read_results_json(path)["results"])
+            except (OSError, ValueError, KeyError, TypeError) as exc:
+                raise TaskFailed(f"cannot report {path}: {type(exc).__name__}: {exc}") from exc
+            tasks.append(name)
+            summary[name.replace("-", "_")] = entry
+            lines.append(f"- {name}: {line}")
+    if not tasks:
         raise TaskFailed(f"nothing to report: no task outputs found in {out}")
-    lines = ["# Run report", ""]
-    summary = {}
-    if "solve" in found:
-        r = found["solve"]["results"]
-        summary["solve"] = {"level": r["level"], "converged": r["best"]["converged"]}
-        lines.append(f"- solve: level {r['level']:.9g}, best converged: {r['best']['converged']}")
-    if "sweep" in found:
-        r = found["sweep"]["results"]
-        summary["sweep"] = {"limit_level": r["limit_level"]["value"],
-                            "rows": len(r["rows"])}
-        lines.append(f"- sweep: {len(r['rows'])} rows, limit level "
-                     f"{r['limit_level']['value']:.9g}")
-    if "multiplicity" in found:
-        r = found["multiplicity"]["results"]
-        summary["multiplicity"] = {"n_classes": r["n_classes"],
-                                   "census_matches": r["census"]["matches"]}
-        lines.append(f"- multiplicity: {r['n_classes']} classes, census matches: "
-                     f"{r['census']['matches']}")
-    if "verify-extension" in found:
-        r = found["verify-extension"]["results"]
-        summary["verify_extension"] = {"all_passed": r["all_passed"]}
-        lines.append(f"- verify-extension: all passed: {r['all_passed']}")
-    if "morse" in found:
-        r = found["morse"]["results"]
-        summary["morse"] = {"counted": r["census"]["counted"],
-                            "matches": r["census"]["matches"]}
-        lines.append(f"- morse: {r['census']['counted']} counted, matches: "
-                     f"{r['census']['matches']}")
-    results = {"tasks": sorted(found), "summary": summary}
+    results = {"tasks": sorted(tasks), "summary": summary}
     write_results_json(out_dir, "report", cfg.config_hash, cfg.canonical, results)
     (out / "report.md").write_text("\n".join(lines) + "\n")
     return results
+
+
+def _report_entry(name: str, r: dict) -> tuple[dict, str]:
+    """run_report's summary entry and line for one task's results."""
+    if name == "solve":
+        return ({"level": r["level"], "converged": r["best"]["converged"]},
+                f"level {r['level']:.9g}, best converged: {r['best']['converged']}")
+    if name == "sweep":
+        return ({"limit_level": r["limit_level"]["value"], "rows": len(r["rows"])},
+                f"{len(r['rows'])} rows, limit level {r['limit_level']['value']:.9g}")
+    if name == "multiplicity":
+        return ({"n_classes": r["n_classes"], "census_matches": r["census"]["matches"]},
+                f"{r['n_classes']} classes, census matches: {r['census']['matches']}")
+    if name == "verify-extension":
+        return {"all_passed": r["all_passed"]}, f"all passed: {r['all_passed']}"
+    return ({"counted": r["census"]["counted"], "matches": r["census"]["matches"]},
+            f"{r['census']['counted']} counted, matches: {r['census']['matches']}")
 
 
 TASK_RUNNERS = {

@@ -33,7 +33,7 @@ from .errors import (
     NonpositiveField,
     SaddleNotEscaped,
 )
-from .model import Energy, Nonlinearity, PinnedEnergy, RestrictedEnergy, _barycenter
+from .model import Energy, PinnedEnergy, RestrictedEnergy, _barycenter
 from .morse import _smallest_eigenpairs
 from .nehari import (
     SolutionRecord,
@@ -71,32 +71,26 @@ def symmetry_group(dom: GridDomain) -> list[np.ndarray]:
 class PsiSeeder:
     """Cache of a ball ground state, stamped onto a host domain on demand.
 
-    Solves the ground state of B_rho (same grid step as the host)
-    once; seed(x) translates it by a grid-aligned shift to snap(x), extends by
-    zero, and projects the result onto the host Nehari manifold.
+    Solves the ground state of B_rho (same grid step, alpha and p as the host
+    energy) once; seed(x) translates it by a grid-aligned shift to snap(x),
+    extends by zero, and projects the result onto the host Nehari manifold.
     """
 
-    def __init__(
-        self,
-        basis_dom: SpectralBasis,
-        nl: Nonlinearity,
-        ball_radius: float,
-        tol: float = 1e-8,
-    ):
+    def __init__(self, energy: Energy, ball_radius: float, tol: float = 1e-8):
         if ball_radius <= 0.0:
             raise ValueError(f"ball_radius must be positive, got {ball_radius}")
-        self.basis_dom = basis_dom
-        self.nl = nl
+        self.energy = energy
         self.ball_radius = float(ball_radius)
-        ball_dom = build_domain("disk", {"R": self.ball_radius}, lam=1.0, h=basis_dom.dom.h)
-        self.basis_ball = assemble_and_decompose(ball_dom, alpha=basis_dom.alpha)
+        ball_dom = build_domain("disk", {"R": self.ball_radius}, lam=1.0, h=energy.basis.dom.h)
+        self.basis_ball = assemble_and_decompose(ball_dom, alpha=energy.basis.alpha)
         seed = gaussian_bump_seed(self.basis_ball, (0.0, 0.0), 0.5 * self.ball_radius)
-        self.ball_state = ground_state(self.basis_ball, nl, seed, tol=tol, seed_tag="ball-cache")
+        self.ball_state = ground_state(Energy(self.basis_ball, energy.p), seed, tol=tol,
+                                       seed_tag="ball-cache")
         self.ball_level = self.ball_state.energy
 
     def snap(self, x_tilde: tuple[float, float]) -> tuple[float, float]:
         """Nearest host grid node to x_tilde."""
-        dom = self.basis_dom.dom
+        dom = self.energy.basis.dom
         ix = int(np.clip(round((x_tilde[0] - dom.xs[0]) / dom.h), 0, dom.nx - 1))
         iy = int(np.clip(round((x_tilde[1] - dom.ys[0]) / dom.h), 0, dom.ny - 1))
         return float(dom.xs[ix]), float(dom.ys[iy])
@@ -109,7 +103,7 @@ class PsiSeeder:
         host mask are dropped. Raises BallDoesNotFit when x_tilde is not inside
         the domain by at least the ball radius.
         """
-        dom = self.basis_dom.dom
+        dom = self.energy.basis.dom
         if not float(dom.signed_boundary_distance(x_tilde)[0]) >= self.ball_radius:
             raise BallDoesNotFit(
                 f"center {x_tilde} is closer than {self.ball_radius} to the boundary "
@@ -127,8 +121,8 @@ class PsiSeeder:
         if dropped:
             log.debug("seed: %d ball nodes fell outside the host mask after snapping", dropped)
 
-        f = self.basis_dom.analyze(ext)
-        return self.basis_dom.synthesize(nehari_scale(self.basis_dom, self.nl, f) * f.coeffs)
+        f = self.energy.basis.analyze(ext)
+        return self.energy.basis.synthesize(nehari_scale(self.energy, f) * f.coeffs)
 
 
 def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
@@ -183,8 +177,7 @@ def _saddle_escape(obj: PinnedEnergy, c: np.ndarray, values: np.ndarray) -> np.n
 
 
 def annulus_level(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     x_tilde: tuple[float, float] = (0.0, 0.0),
     seed: Field | None = None,
     tol: float = 1e-8,
@@ -198,10 +191,11 @@ def annulus_level(
     seed is a radially symmetric ring at the mid radius, whose barycenter is
     already the center.
 
-    Each stage builds one PinnedEnergy for its rho and runs nehari's descent
-    kernel on it, Newton finish included. The penalty is scale-invariant
-    along rays (beta ignores positive scaling), so the Nehari retraction
-    leaves it unchanged and the plain solver's descent argument carries over.
+    Each stage builds one PinnedEnergy on energy's basis and exponent for its
+    rho and runs nehari's descent kernel on it, Newton finish included. The
+    penalty is scale-invariant along rays (beta ignores positive scaling), so
+    the Nehari retraction leaves it unchanged and the plain solver's descent
+    argument carries over.
     A converged stage is checked to second order, on the same Hessian action
     (_saddle_escape): where its end point is
     a saddle of the penalized objective, as the symmetric four-bump point
@@ -212,10 +206,10 @@ def annulus_level(
     ConstraintViolated if the barycenter it ends at sits farther than 2h from
     the target, else with the check's EigSolveFailure if there was one.
     """
+    basis = energy.basis
     dom = basis.dom
     if dom.shape_id != "annulus":
         raise ValueError(f"annulus_level needs an annulus domain, got {dom.shape_id!r}")
-    obj = Energy(basis, nl)
     target = np.array([float(x_tilde[0]), float(x_tilde[1])])
 
     if seed is None:
@@ -227,16 +221,16 @@ def annulus_level(
         basis.check_same_domain(seed.dom)
 
     c = np.asarray(seed.coeffs, dtype=float)
-    values = obj.values(c)
-    c, values = obj.retract(c, values)
-    e_typ = obj.energy(c, values)
+    values = energy.values(c)
+    c, values = energy.retract(c, values)
+    e_typ = energy.energy(c, values)
     length = dom.lam * dom.params["r"]
     rhos = tuple(m * abs(e_typ) / length**2 for m in _RHO_MULTIPLIERS)
 
     k = iterations = escapes = 0
     unchecked: EigSolveFailure | None = None
     while k < len(rhos):
-        pinned = PinnedEnergy(basis, nl, rhos[k], target)
+        pinned = PinnedEnergy(basis, energy.p, rhos[k], target)
         c, values, _, residual, its = _retracted_descent(pinned, c, tol, max_iter)
         iterations += its
         if residual > tol:
@@ -256,9 +250,9 @@ def annulus_level(
                 f"stage rho={rhos[k]:.3g} still ends at a saddle after {escapes} escapes"
             )
 
-    values = obj.values(c)
+    values = energy.values(c)
     record = _solution_record(
-        basis, c, values, obj.energy(c, values), residual, tol, "ring-penalty", iterations
+        basis, c, values, energy.energy(c, values), residual, tol, "ring-penalty", iterations
     )
     beta = np.array(record.barycenter)
     dist = float(np.sqrt(((beta - target) ** 2).sum()))
@@ -358,8 +352,7 @@ def orbit_classes(
 
 
 def multiplicity_search(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     seed_centers: list[tuple[float, float]],
     ball_radius: float,
     tol: float = 1e-8,
@@ -373,12 +366,13 @@ def multiplicity_search(
     """
     if not seed_centers:
         raise ValueError("need at least one seed center")
-    seeder = PsiSeeder(basis, nl, ball_radius, tol=tol)
+    basis = energy.basis
+    seeder = PsiSeeder(energy, ball_radius, tol=tol)
     records: list[SolutionRecord] = []
     for k, center in enumerate(seed_centers):
         seed = seeder.seed(center)
         rec = ground_state(
-            basis, nl, seed, tol=tol, max_iter=max_iter,
+            energy, seed, tol=tol, max_iter=max_iter,
             seed_tag=f"psi-{k}@({center[0]:.3g},{center[1]:.3g})",
         )
         if rec.converged:
@@ -435,8 +429,7 @@ class SaddleReport:
 
 
 def band_saddle(
-    basis: SpectralBasis,
-    nl: Nonlinearity,
+    energy: Energy,
     u: Field,
     mirror: int,
     tol: float = 1e-8,
@@ -448,28 +441,28 @@ def band_saddle(
     mirror is σ's generator, as moving_mirrors gives it. The descent starts
     from u + u∘σ with its coefficients odd under σ set to 0, and runs
     nehari's kernel on a model.RestrictedEnergy, which keeps them exactly 0.
-    Its record is judged on the full-space residual of I. On the annulus at
+    Its record is judged on the full-space residual of energy. On the annulus at
     lam = 4, 6 and 8 (h = 0.25, tol 1e-8) it takes 3 to 8 steps to the
     index-2 saddle that a climbing-image band between u and u∘σ found, with
     energies equal to 5.2e-12 relative.
 
     Raises ValueError for a tol that is not finite and positive, and for a
-    mirror not in moving_mirrors(basis, u): the descent from a u that σ
+    mirror not in moving_mirrors(energy.basis, u): the descent from a u that σ
     leaves in place ends at u, a minimum.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive and finite, got {tol}")
+    basis = energy.basis
     if mirror not in moving_mirrors(basis, u):
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
                          "u and its image would be one state")
     perm = next(p for p, used in mask_symmetries(basis.dom) if used == (mirror,))
-    obj = RestrictedEnergy(basis, nl, basis.mirror_signs[:, mirror] == 1)
+    obj = RestrictedEnergy(basis, energy.p, basis.mirror_signs[:, mirror] == 1)
     start = basis.analyze(u.values + u.values[perm])
-    c, values, energy, _, steps = _retracted_descent(
+    c, values, F, _, steps = _retracted_descent(
         obj, np.where(obj.keep, start.coeffs, 0.0), tol, max_iter)
-    full = Energy(basis, nl)
-    g = full.grad(c, values)
-    residual = _residual(float(g @ (g / full.w)), energy)
-    rec = _solution_record(basis, c, values, energy, residual, tol,
+    g = energy.grad(c, values)
+    residual = _residual(float(g @ (g / energy.w)), F)
+    rec = _solution_record(basis, c, values, F, residual, tol,
                            f"mirror-{'xy'[mirror]}-fixed", steps)
     return SaddleReport(saddle=rec, sweeps=steps)

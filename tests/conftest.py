@@ -15,7 +15,7 @@ import scipy.linalg
 import scipy.sparse
 
 from fracfield.domain import build_domain
-from fracfield.model import power_model
+from fracfield.model import Energy
 from fracfield.spectral import SpectralBasis, assemble_and_decompose, assemble_laplacian
 from fracfield.topology import band_saddle, moving_mirrors, multiplicity_search
 
@@ -36,12 +36,11 @@ def disk_host():
 
 @pytest.fixture(scope="session")
 def annulus_classes(annulus4):
-    nl = power_model()
     centers = [
         (ANNULUS_MID_RADIUS * np.cos(k * np.pi / 4), ANNULUS_MID_RADIUS * np.sin(k * np.pi / 4))
         for k in range(8)
     ]
-    return multiplicity_search(annulus4, nl, centers, ball_radius=1.0)
+    return multiplicity_search(Energy(annulus4, 2.0), centers, ball_radius=1.0)
 
 
 @pytest.fixture(scope="session")
@@ -71,12 +70,11 @@ def count_matvecs():
 def annulus_saddle_run(annulus4, annulus_classes, count_matvecs):
     """The saddle between the lowest class and its image under the first
     mirror that moves it, with the number of products with phi it made."""
-    nl = power_model()
     lo = annulus_classes.classes[0].representative.u
     mirrors = moving_mirrors(annulus4, lo)
     assert mirrors
     with count_matvecs() as calls:
-        report = band_saddle(annulus4, nl, lo, mirrors[0])
+        report = band_saddle(Energy(annulus4, 2.0), lo, mirrors[0])
     return report, calls[0]
 
 

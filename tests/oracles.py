@@ -22,7 +22,7 @@ from scipy.optimize import brentq
 from fracfield.domain import GridDomain
 from fracfield.errors import NonpositiveField
 from fracfield.extension import BesselProfile
-from fracfield.model import Nonlinearity, h_eval
+from fracfield.model import h_eval
 from fracfield.spectral import Field, SpectralBasis
 
 
@@ -97,7 +97,7 @@ def dense_phi(basis: SpectralBasis) -> np.ndarray:
     return (basis.frame @ scipy.linalg.block_diag(*basis.blocks))[:, basis.order]
 
 
-def nehari_scale_root(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float:
+def nehari_scale_root(basis: SpectralBasis, p: float, u: Field) -> float:
     """Root-finder route to the projection scale, independent of the closed form.
 
     Works through generic h evaluations only, so it cross-checks the power
@@ -112,7 +112,7 @@ def nehari_scale_root(basis: SpectralBasis, nl: Nonlinearity, u: Field) -> float
 
     def j_of_t(t: float) -> float:
         tv = t * values
-        return t * t * Q - h2 * float(np.sum(h_eval(nl, tv) * tv))
+        return t * t * Q - h2 * float(np.sum(h_eval(p, tv) * tv))
 
     lo = hi = 1.0
     for _ in range(200):

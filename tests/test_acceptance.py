@@ -20,7 +20,7 @@ from fracfield.cli import main as cli_main
 from fracfield.config import default_config
 from fracfield.domain import build_domain
 from fracfield.extension import k_alpha, scaling_check, solve_profile
-from fracfield.model import Energy, power_model
+from fracfield.model import Energy
 from fracfield.morse import classify_records, hessian_spectrum, morse_count_check
 from fracfield.nehari import (
     gaussian_bump_seed,
@@ -37,7 +37,7 @@ from fracfield.topology import (
 )
 from oracles import nehari_scale_root, radial_asymmetry
 
-NL = power_model()
+P = 2.0
 
 
 @contextmanager
@@ -62,7 +62,7 @@ def _ball_ground(radius: float, h: float):
     dom = build_domain("disk", {"R": radius}, lam=1.0, h=h)
     basis = assemble_and_decompose(dom, alpha=0.5)
     seed = gaussian_bump_seed(basis, (0.0, 0.0), 0.5 * radius)
-    rec = ground_state(basis, NL, seed, tol=1e-8, seed_tag="ball")
+    rec = ground_state(Energy(basis, P), seed, tol=1e-8, seed_tag="ball")
     assert rec.converged
     return basis, rec
 
@@ -74,7 +74,7 @@ def disk1500():
     dom = build_domain("disk", {"R": 1.0}, lam=1.0, h=0.045)
     basis = assemble_and_decompose(dom, alpha=0.5)
     seed = gaussian_bump_seed(basis, (0.0, 0.0), 0.5)
-    rec = ground_state(basis, NL, seed, tol=1e-8, seed_tag="fine-disk")
+    rec = ground_state(Energy(basis, P), seed, tol=1e-8, seed_tag="fine-disk")
     return basis, rec, time.perf_counter() - t0
 
 
@@ -83,7 +83,7 @@ def ball_scan():
     """Ball levels over doubling radii plus the extrapolated limit level."""
     t0 = time.perf_counter()
     levels = {xi: _ball_ground(float(xi), 0.25)[1].energy for xi in (2, 4, 8)}
-    limit = limit_level_estimate(NL, [1.0, 2.0, 4.0], 0.25, alpha=0.5, tol=1e-8)
+    limit = limit_level_estimate(P, [1.0, 2.0, 4.0], 0.25, alpha=0.5, tol=1e-8)
     return levels, limit, time.perf_counter() - t0
 
 
@@ -97,15 +97,15 @@ def orbit_hunt(annulus4):
     mid = 0.5 * (R + r) * lam
     centers = [(mid * np.cos(k * np.pi / 4), mid * np.sin(k * np.pi / 4))
                for k in range(8)]
-    report = multiplicity_search(annulus4, NL, centers, ball_radius=radius)
+    report = multiplicity_search(Energy(annulus4, P), centers, ball_radius=radius)
 
     lo = report.classes[0].representative.u
     mirror, *_ = moving_mirrors(annulus4, lo)
-    saddle = band_saddle(annulus4, NL, lo, mirror).saddle
+    saddle = band_saddle(Energy(annulus4, P), lo, mirror).saddle
 
     reps = [cl.representative for cl in report.classes]
     records = reps + [saddle]
-    spectra = classify_records(annulus4, NL, records)
+    spectra = classify_records(Energy(annulus4, P), records)
     return report, saddle, records, spectra, time.perf_counter() - t0
 
 
@@ -115,12 +115,12 @@ def annulus2_levels():
     asymptotics and constrained-level checks."""
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=2.0, h=0.25)
     basis = assemble_and_decompose(dom, alpha=0.5)
-    pinned = annulus_level(basis, NL, tol=1e-8)
+    pinned = annulus_level(Energy(basis, P), tol=1e-8)
     mid = 0.5 * (1.0 + 0.4) * 2.0
     best = np.inf
     for k in range(8):
         center = (mid * np.cos(k * np.pi / 4), mid * np.sin(k * np.pi / 4))
-        rec = ground_state(basis, NL, gaussian_bump_seed(basis, center, 0.54),
+        rec = ground_state(Energy(basis, P), gaussian_bump_seed(basis, center, 0.54),
                            tol=1e-8, seed_tag=f"lam2-{k}")
         if rec.converged:
             best = min(best, rec.energy)
@@ -131,9 +131,9 @@ def annulus2_levels():
 @pytest.fixture(scope="module")
 def disk_census(disk_host):
     seed = gaussian_bump_seed(disk_host, (0.0, 0.0), 0.5)
-    rec = ground_state(disk_host, NL, seed, tol=1e-8, seed_tag="disk-census")
+    rec = ground_state(Energy(disk_host, P), seed, tol=1e-8, seed_tag="disk-census")
     assert rec.converged
-    return [rec], classify_records(disk_host, NL, [rec])
+    return [rec], classify_records(Energy(disk_host, P), [rec])
 
 
 def test_a1_spectral_exactness(capsys):
@@ -195,7 +195,7 @@ def test_a3_variational_calculus(capsys, disk_host):
         rng = np.random.default_rng(11)
         K = disk_host.mu.size
         c = rng.standard_normal(K)
-        e = Energy(disk_host, NL)
+        e = Energy(disk_host, P)
         g = e.grad(c, e.values(c))
         eps = 1e-6 * max(1.0, float(np.linalg.norm(c)))
 
@@ -223,8 +223,8 @@ def test_a3_variational_calculus(capsys, disk_host):
         worst_t = 0.0
         for _ in range(50):
             w = disk_host.synthesize(rng.standard_normal(K))
-            t_cf = nehari_scale(disk_host, NL, w)
-            t_rf = nehari_scale_root(disk_host, NL, w)
+            t_cf = nehari_scale(Energy(disk_host, P), w)
+            t_rf = nehari_scale_root(disk_host, P, w)
             worst_t = max(worst_t, abs(t_cf - t_rf) / t_cf)
         assert worst_t <= 1e-10
 
@@ -243,13 +243,13 @@ def test_a4_ground_state_properties(capsys, disk1500):
 
         c = rec.u.coeffs
         Q = float(c @ (basis.weights * c))
-        e = Energy(basis, NL)
+        e = Energy(basis, P)
         assert abs(e.j(c, e.values(c))) <= 1e-8 * Q
 
         asym = radial_asymmetry(rec.u, center=(0.0, 0.0))
         assert asym <= 0.02
 
-        spec = hessian_spectrum(basis, NL, rec.u)
+        spec = hessian_spectrum(Energy(basis, P), rec.u)
         assert spec.morse_index == 1 and spec.null_count == 0
 
         assert elapsed < 300.0
@@ -283,7 +283,7 @@ def test_a6_annulus_constrained_level(capsys, annulus4, ball_scan, orbit_hunt,
                                       annulus2_levels):
     with verdict(capsys, 6, "center-pinned annulus level stays high") as info:
         _, limit, _ = ball_scan
-        a4 = annulus_level(annulus4, NL, tol=1e-8)
+        a4 = annulus_level(Energy(annulus4, P), tol=1e-8)
         rel_margin = (a4.value - limit.value) / limit.value
         assert rel_margin >= 0.05
 

@@ -88,6 +88,9 @@ class TestValidation:
         cfg["model"]["alpha"] = 1.5
         with pytest.raises(ConfigInvalid, match=r"model\.alpha"):
             validate_config(cfg)
+        cfg["model"]["alpha"] = 1.0
+        with pytest.raises(ConfigInvalid, match=r"model\.alpha"):
+            validate_config(cfg)
 
     def test_exponent_bounds(self):
         cfg = default_config("solve")
@@ -125,6 +128,16 @@ class TestValidation:
         del cfg["sweep"]
         with pytest.raises(ConfigInvalid, match='"sweep"'):
             validate_config(cfg)
+
+    @pytest.mark.parametrize("key", ["lambdas", "radii"])
+    @pytest.mark.parametrize("bad", [-1.0, "3", True])
+    def test_sweep_element_named_by_index(self, key, bad):
+        cfg = default_config("sweep-lambda")
+        cfg["sweep"][key][1] = bad
+        with pytest.raises(ConfigInvalid) as info:
+            validate_config(cfg)
+        assert f'"sweep.{key}[1]"' in str(info.value)
+        assert '.v"' not in str(info.value)
 
     def test_sweep_section_rejected_elsewhere(self):
         cfg = default_config("solve")
@@ -320,6 +333,16 @@ class TestExitCodes:
         code = main(["report", "--out", str(tmp_path / "empty"), "--quiet"])
         assert code == 3
         assert "nothing to report" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"schema_version": 1, "resu', '{"results": {}}'],
+                             ids=["truncated", "no-level"])
+    def test_report_on_unreadable_results_exits_3(self, tmp_path, capsys, text):
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "solve.json").write_text(text)
+        code = main(["report", "--out", str(out), "--quiet"])
+        assert code == 3
+        assert "solve.json" in capsys.readouterr().err
 
     def test_module_entry_point(self):
         proc = subprocess.run(

@@ -14,14 +14,14 @@ from fracfield.domain import build_domain
 from fracfield.model import (
     Energy,
     H_eval,
-    Nonlinearity,
     h_eval,
     h_prime,
-    power_model,
 )
 from fracfield.nehari import nehari_scale
 from fracfield.spectral import assemble_and_decompose
 from oracles import dense_phi
+
+P = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -30,11 +30,11 @@ def square16():
     return assemble_and_decompose(dom, alpha=0.5)
 
 
-def _energy_value(basis, nl, coeffs: np.ndarray) -> float:
+def _energy_value(basis, p, coeffs: np.ndarray) -> float:
     # independent of model.Energy: raw definition in coefficient space
     values = dense_phi(basis) @ coeffs
     quad = 0.5 * float(np.sum(basis.weights * coeffs**2))
-    pot = basis.dom.h**2 * float(np.sum(H_eval(nl, values)))
+    pot = basis.dom.h**2 * float(np.sum(H_eval(p, values)))
     return quad - pot
 
 
@@ -45,54 +45,48 @@ def _positive_bump_coeffs(basis, offset: float = 0.5) -> np.ndarray:
 
 
 def test_pointwise_evaluations_and_vectorization():
-    nl = power_model()
     s = np.array([-2.0, -1e-9, 0.0, 1e-9, 0.5, 3.0])
-    np.testing.assert_allclose(h_eval(nl, s), [0.0, 0.0, 0.0, 1e-18, 0.25, 9.0], rtol=1e-12)
-    np.testing.assert_allclose(h_prime(nl, s), [0.0, 0.0, 0.0, 2e-9, 1.0, 6.0], rtol=1e-12)
-    np.testing.assert_allclose(H_eval(nl, s), [0.0, 0.0, 0.0, 1e-27 / 3, 0.25 / 6, 9.0], rtol=1e-12)
-    assert float(h_eval(nl, 2.0)) == 4.0
+    np.testing.assert_allclose(h_eval(P, s), [0.0, 0.0, 0.0, 1e-18, 0.25, 9.0], rtol=1e-12)
+    np.testing.assert_allclose(h_prime(P, s), [0.0, 0.0, 0.0, 2e-9, 1.0, 6.0], rtol=1e-12)
+    np.testing.assert_allclose(H_eval(P, s), [0.0, 0.0, 0.0, 1e-27 / 3, 0.25 / 6, 9.0], rtol=1e-12)
+    assert float(h_eval(P, 2.0)) == 4.0
 
 
 def test_critical_exponent_and_subcriticality():
-    nl = power_model(alpha=0.5)
     # the fractional critical exponent 2N/(N - 2 alpha) is 4 in the plane
-    assert nl.p + 1 < 2 * 2 / (2 - 2 * 0.5)
-    with pytest.raises(ValueError):
-        power_model(alpha=1.0)
+    assert P + 1 < 2 * 2 / (2 - 2 * 0.5)
 
 
 def test_energy_identity_and_parts(square16):
     basis = square16
-    nl = power_model()
-    e = Energy(basis, nl)
+    e = Energy(basis, P)
     c = _positive_bump_coeffs(basis)
     values = e.values(c)
     quadratic_part = 0.5 * e.quadratic(c)
-    potential_part = basis.dom.h**2 * float(np.sum(H_eval(nl, values)))
+    potential_part = basis.dom.h**2 * float(np.sum(H_eval(P, values)))
     value = e.energy(c, values)
     assert value == pytest.approx(quadratic_part - potential_part, abs=1e-12)
     assert potential_part > 0
     assert quadratic_part > 0
-    assert value == pytest.approx(_energy_value(basis, nl, c), rel=1e-12)
+    assert value == pytest.approx(_energy_value(basis, P, c), rel=1e-12)
 
 
 @pytest.mark.parametrize("seed,offset", [(0, 0.5), (1, 0.5), (2, 0.0)])
 def test_gradient_matches_central_differences(square16, seed, offset):
     basis = square16
-    nl = power_model()
     rng = np.random.default_rng(seed)
     if offset > 0:
         c0 = _positive_bump_coeffs(basis, offset)
     else:
         c0 = rng.standard_normal(basis.K) * 0.3  # sign-changing field
-    e = Energy(basis, nl)
+    e = Energy(basis, P)
     g = e.grad(c0, e.values(c0))
     eps = 1e-6 * max(1.0, float(np.linalg.norm(c0)))
     worst = 0.0
     for _ in range(20):
         v = rng.standard_normal(basis.K)
         v /= np.linalg.norm(v)
-        fd = (_energy_value(basis, nl, c0 + eps * v) - _energy_value(basis, nl, c0 - eps * v)) / (2 * eps)
+        fd = (_energy_value(basis, P, c0 + eps * v) - _energy_value(basis, P, c0 - eps * v)) / (2 * eps)
         ref = max(abs(fd), 1e-10)
         worst = max(worst, abs(fd - float(g @ v)) / ref)
     assert worst <= 1e-6
@@ -100,7 +94,7 @@ def test_gradient_matches_central_differences(square16, seed, offset):
 
 def test_gradient_norm_is_coefficient_norm(square16):
     basis = square16
-    e = Energy(basis, power_model())
+    e = Energy(basis, P)
     c = _positive_bump_coeffs(basis)
     g = e.grad(c, e.values(c))
     # by orthonormality the coefficient norm is the quadrature L2 norm of the
@@ -112,9 +106,8 @@ def test_gradient_norm_is_coefficient_norm(square16):
 
 def test_hessian_vector_matches_gradient_differences(square16):
     basis = square16
-    nl = power_model()
     c0 = _positive_bump_coeffs(basis, offset=0.5)  # stays away from the kink at 0
-    e = Energy(basis, nl)
+    e = Energy(basis, P)
     rng = np.random.default_rng(7)
     eps = 1e-6
     worst = 0.0
@@ -133,10 +126,9 @@ def test_ray_has_mountain_pass_profile(square16):
     # along t -> I(t u) for a positive bump: rise from 0, unique interior
     # positive max, then monotone decrease through negative values
     basis = square16
-    nl = power_model()
     c0 = _positive_bump_coeffs(basis, offset=0.0)
     ts = np.geomspace(1e-3, 1e3, 400)
-    vals = np.array([_energy_value(basis, nl, t * c0) for t in ts])
+    vals = np.array([_energy_value(basis, P, t * c0) for t in ts])
     k = int(np.argmax(vals))
     assert 0 < k < ts.size - 1
     assert vals[k] > 0
@@ -154,4 +146,4 @@ def test_energy_rejects_foreign_domain(square16):
     u = foreign.synthesize(np.ones(foreign.K))
     # Energy works on raw arrays; the Field entry points check the domain
     with pytest.raises(DomainMismatch):
-        nehari_scale(square16, power_model(), u)
+        nehari_scale(Energy(square16, P), u)

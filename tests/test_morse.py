@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 from fracfield import morse
 from fracfield.domain import build_domain
 from fracfield.errors import EigSolveFailure, OffManifold
-from fracfield.model import Energy, h_prime, power_model
+from fracfield.model import Energy, h_prime
 from fracfield.morse import (
     DEFAULT_EPS_NULL,
     HessianSpectrumReport,
@@ -34,14 +34,14 @@ from fracfield.nehari import gaussian_bump_seed, ground_state
 from fracfield.spectral import SpectralBasis, assemble_and_decompose
 from oracles import dense_phi
 
-NL = power_model()
+P = 2.0
 
 
 def _gram(basis: SpectralBasis, u) -> np.ndarray:
     """The Gram matrix G of the modes under node weights h^2 h'(u), exactly symmetric."""
     phi = dense_phi(basis)
     values = phi @ u.coeffs
-    w = basis.dom.h**2 * h_prime(NL, values)
+    w = basis.dom.h**2 * h_prime(P, values)
     G = phi.T @ (w[:, None] * phi)
     for j in range(G.shape[0] - 1):
         G[j + 1:, j] = G[j, j + 1:]
@@ -111,7 +111,7 @@ def square16():
 @pytest.fixture(scope="module")
 def square_ground(square16):
     seed = gaussian_bump_seed(square16, (0.0, 0.0), 0.25)
-    rec = ground_state(square16, NL, seed)
+    rec = ground_state(Energy(square16, P), seed)
     assert rec.converged
     return rec
 
@@ -119,14 +119,14 @@ def square_ground(square16):
 @pytest.fixture(scope="module")
 def disk_ground(disk_host):
     seed = gaussian_bump_seed(disk_host, (0.0, 0.0), 0.4)
-    rec = ground_state(disk_host, NL, seed)
+    rec = ground_state(Energy(disk_host, P), seed)
     assert rec.converged
     return rec
 
 
 def test_zero_field_spectrum(square16):
     zero = square16.synthesize(np.zeros(square16.K))
-    rep = hessian_spectrum(square16, NL, zero)
+    rep = hessian_spectrum(Energy(square16, P), zero)
     assert rep.morse_index == 0
     assert rep.null_count == 0
     assert rep.nondegenerate
@@ -140,7 +140,7 @@ def test_zero_field_spectrum(square16):
 def test_hessian_exactly_symmetric_and_matches_product(square16, square_ground):
     H = hessian_matrix(square16, square_ground.u)
     assert float(np.abs(H - H.T).max()) == 0.0
-    e = Energy(square16, NL)
+    e = Energy(square16, P)
     values = e.values(square_ground.u.coeffs)
     hess = e.hessian(values)
     rng = np.random.default_rng(3)
@@ -153,7 +153,7 @@ def test_hessian_exactly_symmetric_and_matches_product(square16, square_ground):
 def test_hessian_matches_finite_difference_gradient(square16, square_ground):
     u = square_ground.u
     H = hessian_matrix(square16, u)
-    e = Energy(square16, NL)
+    e = Energy(square16, P)
     rng = np.random.default_rng(7)
     eps = 1e-6 * max(1.0, float(np.linalg.norm(u.coeffs)))
     worst = 0.0
@@ -171,7 +171,7 @@ def test_hessian_matches_finite_difference_gradient(square16, square_ground):
 
 def test_ground_states_have_index_one(square16, square_ground, disk_host, disk_ground):
     for basis, rec in ((square16, square_ground), (disk_host, disk_ground)):
-        rep = hessian_spectrum(basis, NL, rec.u)
+        rep = hessian_spectrum(Energy(basis, P), rec.u)
         assert rep.morse_index == 1
         assert rep.nondegenerate
         assert np.all(np.diff(rep.eigenvalues) >= 0)
@@ -181,7 +181,7 @@ def test_ground_states_have_index_one(square16, square_ground, disk_host, disk_g
 def test_ray_second_derivative_identities(disk_host, disk_ground):
     u = disk_ground.u
     Q = float(np.sum(disk_host.weights * u.coeffs**2))
-    rsd = ray_second_derivative(disk_host, NL, u)
+    rsd = ray_second_derivative(Energy(disk_host, P), u)
     assert rsd < 0
     # for h(s) = s^2 the ray curvature is (1 - p) Q = -Q exactly
     assert rsd == pytest.approx(-Q, rel=1e-12)
@@ -192,7 +192,7 @@ def test_ray_second_derivative_identities(disk_host, disk_ground):
 def test_ray_second_derivative_rejects_off_manifold(disk_host, disk_ground):
     off = disk_host.synthesize(1.3 * disk_ground.u.coeffs)
     with pytest.raises(OffManifold):
-        ray_second_derivative(disk_host, NL, off)
+        ray_second_derivative(Energy(disk_host, P), off)
 
 
 def test_eps_null_validation(square16, square_ground, monkeypatch):
@@ -205,14 +205,14 @@ def test_eps_null_validation(square16, square_ground, monkeypatch):
     monkeypatch.setattr(morse, "_smallest_eigenvalues", no_solve)
     for eps in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="eps_null"):
-            hessian_spectrum(square16, NL, square_ground.u, eps_null=eps)
+            hessian_spectrum(Energy(square16, P), square_ground.u, eps_null=eps)
 
 
 def test_annulus_classes_are_local_minima(annulus4, annulus_classes):
     # both orbit classes on the coarse annulus are genuine minima: exactly the
     # ray instability and nothing else, comfortably nondegenerate
     for cl in annulus_classes.classes:
-        rep = hessian_spectrum(annulus4, NL, cl.representative.u)
+        rep = hessian_spectrum(Energy(annulus4, P), cl.representative.u)
         assert rep.morse_index == 1
         assert rep.nondegenerate
         assert rep.eigenvalues[1] > 0.25
@@ -220,7 +220,7 @@ def test_annulus_classes_are_local_minima(annulus4, annulus_classes):
 
 def test_band_saddle_has_index_two(annulus4, annulus_saddle):
     assert annulus_saddle.saddle.converged
-    rep = hessian_spectrum(annulus4, NL, annulus_saddle.saddle.u)
+    rep = hessian_spectrum(Energy(annulus4, P), annulus_saddle.saddle.u)
     assert rep.morse_index == 2
     assert rep.nondegenerate
     # the two descent modes are the near-degenerate single-bump ray pair
@@ -240,7 +240,7 @@ def critical_points(square16, square_ground, disk_host, disk_ground, annulus4,
 
 def test_index_counts_match_sylvester_inertia(critical_points):
     for basis, u in critical_points:
-        rep = hessian_spectrum(basis, NL, u)
+        rep = hessian_spectrum(Energy(basis, P), u)
         H = hessian_matrix(basis, u)
         assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, rep.eps_null,
                                                                       basis.weights)
@@ -253,8 +253,8 @@ def test_index_counts_match_sylvester_inertia(critical_points):
 def test_ray_is_the_lowest_mode_of_s(critical_points):
     # at a critical point H u = (1 - p) W u, and 1 - p is S's smallest eigenvalue
     for basis, u in critical_points:
-        theta = hessian_spectrum(basis, NL, u).eigenvalues[0]
-        assert abs(theta - (1.0 - NL.p)) <= 1e-10
+        theta = hessian_spectrum(Energy(basis, P), u).eigenvalues[0]
+        assert abs(theta - (1.0 - P)) <= 1e-10
 
 
 def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_saddle, count_matvecs):
@@ -262,7 +262,7 @@ def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_saddle, co
     points = [cl.representative.u for cl in annulus_classes.classes] + [annulus_saddle.saddle.u]
     for u in points:
         with count_matvecs() as calls:
-            hessian_spectrum(annulus4, NL, u)
+            hessian_spectrum(Energy(annulus4, P), u)
         assert calls[0] <= 80
 
 
@@ -278,7 +278,7 @@ def test_null_guard_widens_past_first_k(square16, square_ground):
     H = hessian_matrix(square16, square_ground.u)
     ev = pencil_spectrum(square16, square_ground.u)
     eps, inside = _eps_with_null_count(ev, 8, 14)
-    rep = hessian_spectrum(square16, NL, square_ground.u, eps_null=eps)
+    rep = hessian_spectrum(Energy(square16, P), square_ground.u, eps_null=eps)
     # theta = -1 lies outside every eps taken here, so only null modes are inside
     assert rep.null_count == inside > 6
     assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps, square16.weights)
@@ -294,7 +294,7 @@ def square6_ground():
     # a 6 x 6 grid: small enough that the doubling k reaches the formed-H branch
     dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, lam=1.0, h=1.0 / 7.0)
     basis = assemble_and_decompose(dom, alpha=0.5)
-    rec = ground_state(basis, NL, gaussian_bump_seed(basis, (0.0, 0.0), 0.25))
+    rec = ground_state(Energy(basis, P), gaussian_bump_seed(basis, (0.0, 0.0), 0.25))
     assert rec.converged
     return basis, rec
 
@@ -312,7 +312,7 @@ def test_small_span_spectrum(square6_ground, monkeypatch, nulls, lanczos_ks, siz
     eigsh = scipy.sparse.linalg.eigsh
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                         lambda *a, **kw: ks.append(kw["k"]) or eigsh(*a, **kw))
-    rep = hessian_spectrum(basis, NL, rec.u, eps_null=eps)
+    rep = hessian_spectrum(Energy(basis, P), rec.u, eps_null=eps)
     # k doubles by Lanczos while the largest of the k stays within eps; at
     # k = 48 >= K all K eigenvalues come from the formed S
     assert ks == lanczos_ks
@@ -322,8 +322,8 @@ def test_small_span_spectrum(square6_ground, monkeypatch, nulls, lanczos_ks, siz
 
 
 def test_spectrum_repeats_bitwise(disk_host, disk_ground):
-    first = hessian_spectrum(disk_host, NL, disk_ground.u)
-    again = hessian_spectrum(disk_host, NL, disk_ground.u)
+    first = hessian_spectrum(Energy(disk_host, P), disk_ground.u)
+    again = hessian_spectrum(Energy(disk_host, P), disk_ground.u)
     assert first.eigenvalues.tobytes() == again.eigenvalues.tobytes()
 
 
@@ -333,18 +333,18 @@ def test_eigensolve_failures_are_typed(monkeypatch, square16, square_ground):
 
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
     with pytest.raises(EigSolveFailure, match="eigensolve failed"):
-        hessian_spectrum(square16, NL, square_ground.u)
+        hessian_spectrum(Energy(square16, P), square_ground.u)
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda A, k, **kw: np.full(k, np.nan))
     with pytest.raises(EigSolveFailure, match="non-finite"):
-        hessian_spectrum(square16, NL, square_ground.u)
+        hessian_spectrum(Energy(square16, P), square_ground.u)
 
 
 def test_classify_records_returns_spectra_in_order(annulus4, annulus_classes, annulus_saddle):
     records = [annulus_saddle.saddle] + [cl.representative for cl in annulus_classes.classes]
-    spectra = classify_records(annulus4, NL, records)
+    spectra = classify_records(Energy(annulus4, P), records)
     assert [spec.morse_index for spec in spectra] == [2, 1, 1]
     for rec, spec in zip(records, spectra):
-        want = hessian_spectrum(annulus4, NL, rec.u).eigenvalues
+        want = hessian_spectrum(Energy(annulus4, P), rec.u).eigenvalues
         assert np.allclose(spec.eigenvalues, want, rtol=1e-12, atol=0.0)
 
 

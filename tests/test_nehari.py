@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from fracfield import nehari
 from fracfield.domain import build_domain
 from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from fracfield.model import Energy, PinnedEnergy, power_model
+from fracfield.model import Energy, PinnedEnergy
 from fracfield.nehari import (
     _geometric_tail,
     _level_order,
@@ -37,7 +37,7 @@ from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import annulus_level
 from oracles import dense_phi, nehari_scale_root
 
-NL = power_model()
+P = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -74,7 +74,7 @@ def _accepted_values():
 def disk_ground(disk_basis):
     seed = gaussian_bump_seed(disk_basis, (0.0, 0.0), 0.4)
     with _accepted_values() as trace:
-        rec = ground_state(disk_basis, NL, seed, tol=1e-8)
+        rec = ground_state(Energy(disk_basis, P), seed, tol=1e-8)
     return rec, seed, trace
 
 
@@ -84,13 +84,13 @@ def _bump(basis, center=(0.1, -0.05), width=0.3):
 
 def _j(basis, u):
     """J at the span representation of u."""
-    e = Energy(basis, NL)
+    e = Energy(basis, P)
     return e.j(u.coeffs, e.values(u.coeffs))
 
 
 def test_scale_satisfies_defining_equation(square16):
     u = _bump(square16)
-    t = nehari_scale(square16, NL, u)
+    t = nehari_scale(Energy(square16, P), u)
     assert t > 0
     scaled = square16.synthesize(t * u.coeffs)
     Q = float(np.sum(square16.weights * scaled.coeffs**2))
@@ -98,34 +98,35 @@ def test_scale_satisfies_defining_equation(square16):
 
 
 def test_scale_closed_form_algebra(square16):
-    # independent reconstruction: t^(p-1) = Q/P with P the weighted cubic sum
+    # independent reconstruction: t^(p-1) = Q/cubic with cubic the weighted cubic sum
     # of the span representation (the variational ops never see raw values)
     u = _bump(square16)
     span_values = dense_phi(square16) @ u.coeffs
     Q = float(np.sum(square16.weights * u.coeffs**2))
-    P = square16.dom.h ** 2 * float(np.sum(np.maximum(span_values, 0.0) ** 3))
-    assert nehari_scale(square16, NL, u) == pytest.approx((Q / P) ** (1.0 / (NL.p - 1.0)), rel=1e-14)
+    cubic = square16.dom.h ** 2 * float(np.sum(np.maximum(span_values, 0.0) ** 3))
+    assert nehari_scale(Energy(square16, P), u) == pytest.approx(
+        (Q / cubic) ** (1.0 / (P - 1.0)), rel=1e-14)
 
 
 def test_scale_fixed_point_on_manifold(square16):
     u = _bump(square16)
-    t = nehari_scale(square16, NL, u)
+    t = nehari_scale(Energy(square16, P), u)
     proj = square16.synthesize(t * u.coeffs)
-    assert nehari_scale(square16, NL, proj) == pytest.approx(1.0, abs=1e-10)
+    assert nehari_scale(Energy(square16, P), proj) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scale_ray_reparametrization(square16):
     u = _bump(square16)
-    t1 = nehari_scale(square16, NL, u)
+    t1 = nehari_scale(Energy(square16, P), u)
     for c in (0.5, 2.0):
         uc = square16.synthesize(c * u.coeffs)
-        assert nehari_scale(square16, NL, uc) * c == pytest.approx(t1, rel=1e-12)
+        assert nehari_scale(Energy(square16, P), uc) * c == pytest.approx(t1, rel=1e-12)
 
 
 def test_scale_rejects_nonpositive_field(square16):
     neg = square16.analyze(-np.abs(_bump(square16).values))
     with pytest.raises(NonpositiveField):
-        nehari_scale(square16, NL, neg)
+        nehari_scale(Energy(square16, P), neg)
 
 
 def test_scale_matches_root_finder_on_random_fields(square16):
@@ -136,15 +137,15 @@ def test_scale_matches_root_finder_on_random_fields(square16):
         u = square16.synthesize(c)
         if not np.any(u.values > 0):
             continue
-        t_closed = nehari_scale(square16, NL, u)
-        t_root = nehari_scale_root(square16, NL, u)
+        t_closed = nehari_scale(Energy(square16, P), u)
+        t_root = nehari_scale_root(square16, P, u)
         assert abs(t_root - t_closed) <= 1e-10 * t_closed
         checked += 1
 
 
 def _ray_max(basis, u):
     """(t*, I(t* u)) from the closed-form Nehari scale."""
-    e = Energy(basis, NL)
+    e = Energy(basis, P)
     values = e.values(u.coeffs)
     t = e.nehari_t(u.coeffs, values)
     return t, e.energy(t * u.coeffs, t * values)
@@ -155,7 +156,7 @@ def test_ray_max_against_dense_scan(square16):
     t_star, value = _ray_max(square16, u)
     assert value > 0
     ts = np.linspace(1e-6, 4 * t_star, 1200)
-    e = Energy(square16, NL)
+    e = Energy(square16, P)
     values = e.values(u.coeffs)
     profile = np.array([e.energy(t * u.coeffs, t * values) for t in ts])
     assert np.all(value >= profile - 1e-12 * abs(value))
@@ -181,7 +182,7 @@ def test_ground_state_converges_positive_on_manifold(disk_basis, disk_ground):
     Q = float(np.sum(disk_basis.weights * rec.u.coeffs**2))
     assert abs(_j(disk_basis, rec.u)) <= 1e-10 * Q
     # on-manifold identity eliminates the potential term
-    assert rec.energy == pytest.approx((0.5 - 1.0 / (NL.p + 1.0)) * Q, rel=1e-8)
+    assert rec.energy == pytest.approx((0.5 - 1.0 / (P + 1.0)) * Q, rel=1e-8)
 
 
 def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, annulus4):
@@ -196,8 +197,8 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     dom = annulus4.dom
     rr = np.sqrt((dom.node_coords**2).sum(axis=1))
     ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
-    rho = annulus_level(annulus4, NL).rho_schedule[0]
-    pinned = PinnedEnergy(annulus4, NL, rho, np.zeros(2))
+    rho = annulus_level(Energy(annulus4, P)).rho_schedule[0]
+    pinned = PinnedEnergy(annulus4, P, rho, np.zeros(2))
     with _accepted_values() as pen_trace:
         c, _, _, _, its = nehari._retracted_descent(pinned, ring.coeffs, 1e-8, 20000)
     assert len(pen_trace) == its > 0
@@ -218,10 +219,10 @@ def test_descent_properties_over_bump_seeds(square16, x, y, width):
     # for any bump seed: accepted energies, from the retracted seed on, rise
     # by at most the rounding allowance; the start converges; it ends on M
     seed = gaussian_bump_seed(square16, (x, y), width)
-    e = Energy(square16, NL)
+    e = Energy(square16, P)
     F0 = e.energy(*e.retract(seed.coeffs, e.values(seed.coeffs)))
     with _accepted_values() as trace:
-        rec = ground_state(square16, NL, seed)
+        rec = ground_state(Energy(square16, P), seed)
     F = [F0, *trace]
     assert all(b - a <= _rounding_allowance(a) for a, b in zip(F, F[1:]))
     assert rec.converged
@@ -241,7 +242,7 @@ def test_newton_step_finishes_formerly_stalled_start(unblocked_basis, lapack):
     tag, center, width = _multistart_seeds(basis, 8, 430440614)[1]
     assert tag == "random-1"
     with _accepted_values() as trace:
-        rec = ground_state(basis, NL, gaussian_bump_seed(basis, center, width), tol=1e-8)
+        rec = ground_state(Energy(basis, P), gaussian_bump_seed(basis, center, width), tol=1e-8)
     assert rec.converged
     assert rec.iterations <= 100
     F = np.array(trace)
@@ -270,7 +271,7 @@ def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch)
         return trial
 
     monkeypatch.setattr(nehari, "_line_search", recorded)
-    rep = annulus_level(basis, NL)
+    rep = annulus_level(Energy(basis, P))
     assert rep.record.converged
     assert rises
     assert max(rises) <= 1.0
@@ -319,17 +320,18 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
     if descent == "ring-seed":
         rr = np.sqrt((annulus4.dom.node_coords**2).sum(axis=1))
         ring = annulus4.analyze(np.exp(-((rr - 2.8) ** 2) / (2.0 * 0.8**2)))
-        rho = annulus_level(annulus4, NL).rho_schedule[0]
+        rho = annulus_level(Energy(annulus4, P)).rho_schedule[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nehari, "_line_search", checked)
             *_, its = nehari._retracted_descent(
-                PinnedEnergy(annulus4, NL, rho, np.zeros(2)), ring.coeffs, 1e-8, 20000
+                PinnedEnergy(annulus4, P, rho, np.zeros(2)), ring.coeffs, 1e-8, 20000
             )
     else:
         angle = np.pi / 8
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nehari, "_line_search", checked)
-            its = annulus_level(annulus4, NL, x_tilde=(2.8 * np.cos(angle), 2.8 * np.sin(angle)),
+            its = annulus_level(Energy(annulus4, P),
+                                x_tilde=(2.8 * np.cos(angle), 2.8 * np.sin(angle)),
                                 tol=1e-14).record.iterations
         assert "rounding" in cases
     assert len(cases) == its > 0
@@ -352,7 +354,8 @@ def test_pinned_level_work_is_bounded_at_the_rounding_floor(annulus4, monkeypatc
 
     monkeypatch.setattr(nehari, "_newton_direction", counted)
     angle = np.pi / 8
-    annulus_level(annulus4, NL, x_tilde=(2.8 * np.cos(angle), 2.8 * np.sin(angle)), tol=1e-14)
+    annulus_level(Energy(annulus4, P), x_tilde=(2.8 * np.cos(angle), 2.8 * np.sin(angle)),
+                  tol=1e-14)
     assert 0 < products <= 3000
 
 
@@ -381,7 +384,7 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
     for max_iter in (50, 200):
         products = 0
         *_, residual, _ = nehari._retracted_descent(
-            Counted(disk_basis, NL), rec.u.coeffs, 0.0, max_iter)
+            Counted(disk_basis, P), rec.u.coeffs, 0.0, max_iter)
         assert residual > 0.0
         assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
         spent.append(products)
@@ -389,7 +392,7 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
 
 
 def test_newton_direction_is_tangent_and_descends(disk_basis):
-    e = Energy(disk_basis, NL)
+    e = Energy(disk_basis, P)
     for center, width in (((0.0, 0.0), 0.4), ((0.3, -0.2), 0.25)):
         c0 = gaussian_bump_seed(disk_basis, center, width).coeffs
         c, values = e.retract(c0, e.values(c0))
@@ -408,7 +411,7 @@ def test_newton_finish_converges_every_full_span_disk_start():
     # 5,000 iterations each, creeping along the near-null translation modes
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
     basis = assemble_and_decompose(dom)
-    rep = level_c(basis, NL, n_multistarts=8, rng_seed=0)
+    rep = level_c(Energy(basis, P), n_multistarts=8, rng_seed=0)
     assert rep.n_converged == 8
     assert max(r.iterations for r in rep.records) <= 100
     assert rep.value == pytest.approx(5.509143886951, rel=1e-10)
@@ -423,7 +426,7 @@ def test_ground_state_barycenter_near_center(disk_ground):
 
 def test_ground_state_unconverged_record_when_starved(disk_basis):
     seed = gaussian_bump_seed(disk_basis, (0.3, 0.0), 0.3)
-    rec = ground_state(disk_basis, NL, seed, tol=1e-12, max_iter=3)
+    rec = ground_state(Energy(disk_basis, P), seed, tol=1e-12, max_iter=3)
     assert not rec.converged
     assert rec.iterations <= 3
     assert rec.residual > 1e-12
@@ -432,11 +435,11 @@ def test_ground_state_unconverged_record_when_starved(disk_basis):
 def test_ground_state_rejects_nonpositive_seed(disk_basis):
     flat = disk_basis.analyze(np.full(disk_basis.dom.n_interior, -1.0))
     with pytest.raises(NonpositiveField):
-        ground_state(disk_basis, NL, flat)
+        ground_state(Energy(disk_basis, P), flat)
 
 
 def test_level_positive_and_collapses_on_disk(disk_basis):
-    rep = level_c(disk_basis, NL, n_multistarts=4, rng_seed=1)
+    rep = level_c(Energy(disk_basis, P), n_multistarts=4, rng_seed=1)
     assert rep.value > 0
     assert rep.n_converged >= 3
     assert rep.spread <= 1e-8 * (1.0 + abs(rep.value))
@@ -460,17 +463,17 @@ def test_level_decreases_when_square_expands():
     for lam in (1.0, 2.0):
         dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, lam=lam, h=1.0 / 17.0)
         basis = assemble_and_decompose(dom, alpha=0.5)
-        levels[lam] = level_c(basis, NL, n_multistarts=2, rng_seed=0).value
+        levels[lam] = level_c(Energy(basis, P), n_multistarts=2, rng_seed=0).value
     assert levels[1.0] > levels[2.0] > 0
 
 
 def test_level_all_starts_failed(disk_basis):
     with pytest.raises(AllStartsFailed):
-        level_c(disk_basis, NL, n_multistarts=2, tol=1e-13, max_iter=1)
+        level_c(Energy(disk_basis, P), n_multistarts=2, tol=1e-13, max_iter=1)
 
 
 def test_limit_level_estimate_below_last_level():
-    rep = limit_level_estimate(NL, [1.0, 2.0, 4.0], h=0.25, n_multistarts=1)
+    rep = limit_level_estimate(P, [1.0, 2.0, 4.0], h=0.25, n_multistarts=1)
     assert rep.value < rep.levels[-1]
     assert rep.value > 0
     assert rep.error_bar > 0
@@ -481,16 +484,15 @@ def test_limit_level_estimate_stable_under_refinement():
     # run at alpha=0.75 where the ground-state core is wide enough that
     # h=0.25 already resolves it; at alpha=0.5 the core spans ~2 cells and
     # the level itself is still drifting >20% per refinement at this h
-    nl = power_model(alpha=0.75)
-    coarse = limit_level_estimate(nl, [1.0, 2.0, 4.0], h=0.25, alpha=0.75, n_multistarts=1)
-    fine = limit_level_estimate(nl, [1.0, 2.0, 4.0], h=0.125, alpha=0.75, n_multistarts=1)
+    coarse = limit_level_estimate(P, [1.0, 2.0, 4.0], h=0.25, alpha=0.75, n_multistarts=1)
+    fine = limit_level_estimate(P, [1.0, 2.0, 4.0], h=0.125, alpha=0.75, n_multistarts=1)
     assert abs(fine.value - coarse.value) <= 0.05 * abs(fine.value)
 
 
 def test_limit_level_estimate_rejects_flat_levels():
     # radii so close the discrete masks coincide: levels equal up to rounding
     with pytest.raises(NonmonotoneLevels):
-        limit_level_estimate(NL, [1.0, 1.001, 1.002], h=0.3, n_multistarts=1)
+        limit_level_estimate(P, [1.0, 1.001, 1.002], h=0.3, n_multistarts=1)
 
 
 def test_limit_level_rejects_gaps_within_rounding():
@@ -509,6 +511,6 @@ def test_limit_level_rejects_gaps_within_rounding():
 
 def test_limit_level_estimate_input_validation():
     with pytest.raises(ValueError):
-        limit_level_estimate(NL, [1.0, 2.0], h=0.25)
+        limit_level_estimate(P, [1.0, 2.0], h=0.25)
     with pytest.raises(ValueError):
-        limit_level_estimate(NL, [2.0, 1.0, 4.0], h=0.25)
+        limit_level_estimate(P, [2.0, 1.0, 4.0], h=0.25)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from fracfield.domain import build_domain, mask_symmetries
 from fracfield.errors import DomainMismatch, EigSolveFailure
-from fracfield.model import Energy, power_model
+from fracfield.model import Energy
 from fracfield.spectral import _parity_frames, assemble_and_decompose, assemble_laplacian
 from oracles import dense_phi, mask_preserving_maps
 
@@ -311,7 +311,7 @@ def test_energy_norm_fundamental_mode(square16):
     e0[0] = 3.0
     u = basis.synthesize(e0)
     want = 9.0 * (basis.mu[0] ** 0.5 + 1.0)
-    assert Energy(basis, power_model()).quadratic(u.coeffs) == pytest.approx(want, rel=1e-13)
+    assert Energy(basis, 2.0).quadratic(u.coeffs) == pytest.approx(want, rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -322,7 +322,7 @@ def test_alpha_norm_homogeneity(c):
     rng = np.random.default_rng(11)
     u = basis.synthesize(rng.standard_normal(basis.K))
     cu = basis.synthesize(c * u.coeffs)
-    q = Energy(basis, power_model()).quadratic
+    q = Energy(basis, 2.0).quadratic
     assert q(cu.coeffs) == pytest.approx(c * c * q(u.coeffs), rel=1e-12, abs=1e-12)
 
 

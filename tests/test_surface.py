@@ -10,7 +10,8 @@ tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
 package. Outside spectral, only model calls the basis's matvec and rmatvec.
 Importing the CLI loads none of the scipy subpackages that only some tasks
-call (LAZY_SCIPY): the functions that call them import them.
+call (LAZY_SCIPY): the functions that call them import them. README's
+library example runs as written.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fracfield"
 
 # mass_clusters waits for its caller: the census's cluster counts in the
-# results JSON (ROADMAP item 1(a))
+# results JSON (ROADMAP item 3(a))
 EXCEPTIONS = {"topology.mass_clusters"}
 
 # scipy.integrate (extension.solve_profile) pulls in scipy.optimize and
@@ -221,3 +222,13 @@ def test_importing_the_cli_loads_no_lazy_scipy_subpackage():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     assert proc.stdout.split() == []
+
+
+def test_readme_library_use_block_runs(capsys):
+    # the README's one code example, run as written: a ground state on a
+    # disk is a manifold minimum, so its printed Morse index is 1
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"^## Library use\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    assert block is not None
+    exec(compile(block.group(1), "README.md", "exec"), {})
+    assert capsys.readouterr().out.split()[-1] == "1"

@@ -23,7 +23,7 @@ from fracfield.errors import (
     NonpositiveField,
     SaddleNotEscaped,
 )
-from fracfield.model import Energy, PinnedEnergy, _barycenter, power_model
+from fracfield.model import Energy, PinnedEnergy, _barycenter
 from fracfield.morse import _smallest_eigenpairs, hessian_spectrum
 from fracfield.nehari import (
     _residual,
@@ -44,7 +44,7 @@ from fracfield.topology import (
 )
 from oracles import dense_phi, radial_asymmetry
 
-NL = power_model()
+P = 2.0
 
 MID_RADIUS = 2.8  # annulus lam=4: 0.5 (R + r) lam with R=1, r=0.4
 # the annulus4, disk_host, annulus_classes, annulus_saddle(_run) fixtures live in
@@ -53,7 +53,7 @@ MID_RADIUS = 2.8  # annulus lam=4: 0.5 (R + r) lam with R=1, r=0.4
 
 def _energy_and_j(basis, u):
     """(I, J) at the span representation of u."""
-    e = Energy(basis, NL)
+    e = Energy(basis, P)
     values = e.values(u.coeffs)
     return e.energy(u.coeffs, values), e.j(u.coeffs, values)
 
@@ -157,7 +157,7 @@ def test_symmetry_group_elements_are_exact_permutations(annulus4):
 
 
 def test_psi_seed_postconditions(annulus4):
-    seeder = PsiSeeder(annulus4, NL, ball_radius=1.0)
+    seeder = PsiSeeder(Energy(annulus4, P), ball_radius=1.0)
     assert seeder.ball_level > 0
     for angle in (0.2, 1.1, 2.3, 3.7, 5.1):
         x_tilde = (MID_RADIUS * np.cos(angle), MID_RADIUS * np.sin(angle))
@@ -176,7 +176,7 @@ def test_psi_seed_postconditions(annulus4):
 @pytest.fixture(scope="module")
 def disk_seeder(disk_host):
     # host disk and seeding ball share shape, radius, and grid
-    return PsiSeeder(disk_host, NL, ball_radius=1.0)
+    return PsiSeeder(Energy(disk_host, P), ball_radius=1.0)
 
 
 def test_psi_seed_on_matching_disk_reproduces_ball_state(disk_host, disk_seeder):
@@ -187,7 +187,7 @@ def test_psi_seed_on_matching_disk_reproduces_ball_state(disk_host, disk_seeder)
 
 
 def test_psi_seed_ball_must_fit(annulus4, disk_seeder):
-    seeder = PsiSeeder(annulus4, NL, ball_radius=1.0)
+    seeder = PsiSeeder(Energy(annulus4, P), ball_radius=1.0)
     with pytest.raises(BallDoesNotFit):
         seeder.seed((3.7, 0.0))  # only 0.3 from the outer boundary
     with pytest.raises(BallDoesNotFit):
@@ -228,7 +228,7 @@ def test_multiplicity_order_independent(annulus4, annulus_classes):
         (MID_RADIUS * np.cos(k * np.pi / 4), MID_RADIUS * np.sin(k * np.pi / 4))
         for k in (3, 0, 6, 1)
     ]
-    rep = multiplicity_search(annulus4, NL, centers, ball_radius=1.0)
+    rep = multiplicity_search(Energy(annulus4, P), centers, ball_radius=1.0)
     assert rep.n_classes == 2
     for got, ref in zip(rep.classes, annulus_classes.classes):
         assert got.representative.energy == pytest.approx(ref.representative.energy, rel=1e-9)
@@ -236,7 +236,7 @@ def test_multiplicity_order_independent(annulus4, annulus_classes):
 
 def test_multiplicity_collapses_on_disk(disk_host):
     centers = [(0.0, 0.0), (0.2, 0.0), (-0.2, 0.0), (0.0, 0.2), (0.0, -0.2)]
-    rep = multiplicity_search(disk_host, NL, centers, ball_radius=0.5)
+    rep = multiplicity_search(Energy(disk_host, P), centers, ball_radius=0.5)
     assert rep.n_classes == 1
     assert rep.classes[0].orbit_size == 5
     assert rep.classes[0].below_ball_level
@@ -244,14 +244,14 @@ def test_multiplicity_collapses_on_disk(disk_host):
 
 def test_multiplicity_rejects_empty_centers(annulus4):
     with pytest.raises(ValueError, match="seed center"):
-        multiplicity_search(annulus4, NL, [], ball_radius=1.0)
+        multiplicity_search(Energy(annulus4, P), [], ball_radius=1.0)
 
 
 # ------------------------------------------------------------- pinned level
 
 
 def test_annulus_level_pinned_to_center(annulus4, annulus_classes):
-    rep = annulus_level(annulus4, NL, x_tilde=(0.0, 0.0))
+    rep = annulus_level(Energy(annulus4, P), x_tilde=(0.0, 0.0))
     assert rep.record.converged
     assert rep.distance_to_target <= 2 * annulus4.dom.h
     assert rep.record.positive
@@ -269,7 +269,7 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
     # the penalty's beta is the records' barycenter, bit for bit: with x_tilde
     # 1e-3 from beta and rho making the penalty as large as I, a one-ulp change
     # of beta would move F by about 1e-12
-    e = Energy(annulus4, NL)
+    e = Energy(annulus4, P)
     c0 = gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).coeffs
     c, values = e.retract(c0, e.values(c0))
     beta = _barycenter(annulus4.dom, values)[1]
@@ -277,7 +277,7 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
     energy = e.energy(c, values)
     rho = abs(energy) / 2e-6
     # max_iter=0: the kernel retracts the seed, evaluates F there and stops
-    pinned = PinnedEnergy(annulus4, NL, rho, x_tilde)
+    pinned = PinnedEnergy(annulus4, P, rho, x_tilde)
     c_k, values_k, F, _, its = _retracted_descent(pinned, c0, 1e-8, 0)
     assert its == 0
     assert np.array_equal(c_k, c) and np.array_equal(values_k, values)
@@ -293,7 +293,7 @@ def test_annulus_level_converges_on_evd_and_evr(unblocked_basis, lam):
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=lam, h=0.25)
     levels = []
     for basis in (assemble_and_decompose(dom), unblocked_basis(dom)):
-        rep = annulus_level(basis, NL)
+        rep = annulus_level(Energy(basis, P))
         assert rep.record.converged
         levels.append(rep.value)
     assert levels[0] == pytest.approx(levels[1], rel=1e-12)
@@ -301,14 +301,14 @@ def test_annulus_level_converges_on_evd_and_evr(unblocked_basis, lam):
 
 def test_annulus_level_infeasible_target(annulus4):
     with pytest.raises(ConstraintViolated):
-        annulus_level(annulus4, NL, x_tilde=(10.0, 0.0), max_iter=2000)
+        annulus_level(Energy(annulus4, P), x_tilde=(10.0, 0.0), max_iter=2000)
 
 
 def _off_centre_penalty(annulus4):
     """(Energy, PinnedEnergy, c, values) for a bump off the axes, cut below zero
     so m = 1[u > 0] is not all ones, with x_tilde off its barycenter and rho
     making the penalty's gradient comparable to the energy's."""
-    e = Energy(annulus4, NL)
+    e = Energy(annulus4, P)
     dom = annulus4.dom
     values = _bump_values(dom, (MID_RADIUS * np.cos(0.5), MID_RADIUS * np.sin(0.5)), 0.8) - 0.05
     c = annulus4.analyze(values).coeffs
@@ -316,7 +316,7 @@ def _off_centre_penalty(annulus4):
     beta = _barycenter(dom, values)[1]
     x_tilde = beta + np.array([0.4, -0.3])
     rho = float(np.linalg.norm(e.grad(c, values))) / 0.5
-    return e, PinnedEnergy(annulus4, NL, rho, x_tilde), c, values
+    return e, PinnedEnergy(annulus4, P, rho, x_tilde), c, values
 
 
 def test_pinned_gradient_matches_energy_differences(annulus4):
@@ -421,14 +421,14 @@ def test_annulus_level_escapes_the_four_bump_saddle(annulus2, monkeypatch):
         return step
 
     monkeypatch.setattr(topology, "_saddle_escape", counted)
-    rep = annulus_level(basis, NL, seed=_diagonal_bumps_seed(basis))
+    rep = annulus_level(Energy(basis, P), seed=_diagonal_bumps_seed(basis))
     assert sum(taken) >= 1
     assert rep.record.converged
     assert rep.value == pytest.approx(9.418961681314, rel=1e-11)
     fractions = mass_clusters(rep.record.u)
     assert len(fractions) == 2
     assert fractions[0] == pytest.approx(fractions[1], rel=1e-6)
-    pinned = PinnedEnergy(basis, NL, rep.rho_schedule[-1], np.zeros(2))
+    pinned = PinnedEnergy(basis, P, rep.rho_schedule[-1], np.zeros(2))
     values = pinned.values(rep.record.u.coeffs)
     ev, _ = _smallest_eigenpairs(pinned.hessian(values), basis.K, 2)
     assert ev[0] < 0.0 < ev[1]
@@ -437,7 +437,7 @@ def test_annulus_level_escapes_the_four_bump_saddle(annulus2, monkeypatch):
 def test_annulus_level_escapes_are_bounded(annulus2, monkeypatch):
     monkeypatch.setattr(topology, "_MAX_ESCAPES", 0)
     with pytest.raises(SaddleNotEscaped):
-        annulus_level(annulus2, NL, seed=_diagonal_bumps_seed(annulus2))
+        annulus_level(Energy(annulus2, P), seed=_diagonal_bumps_seed(annulus2))
 
 
 def test_annulus_level_check_failure_is_typed(annulus4, monkeypatch):
@@ -445,27 +445,27 @@ def test_annulus_level_check_failure_is_typed(annulus4, monkeypatch):
     # is an eigensolve failure, not a level
     monkeypatch.setattr(topology, "_CHECK_RESTARTS", 1)
     with pytest.raises(EigSolveFailure):
-        annulus_level(annulus4, NL)
+        annulus_level(Energy(annulus4, P))
 
 
 def test_unconverged_stage_ends_the_continuation(annulus4):
     # the ring seed's barycenter is the target, so the level is returned,
     # unconverged, after the first stage's max_iter steps
-    rep = annulus_level(annulus4, NL, max_iter=5)
+    rep = annulus_level(Energy(annulus4, P), max_iter=5)
     assert not rep.record.converged
     assert rep.record.iterations == 5
 
 
 def test_annulus_level_rejects_other_shapes(disk_host):
     with pytest.raises(ValueError, match="annulus"):
-        annulus_level(disk_host, NL)
+        annulus_level(Energy(disk_host, P))
 
 
 def test_annulus_level_rejects_a_seed_from_another_domain(annulus4):
     disk = assemble_and_decompose(build_domain("disk", {"R": 1.0}, lam=1.0, h=0.2), alpha=0.5)
     seed = gaussian_bump_seed(disk, (0.0, 0.0), 0.5)
     with pytest.raises(DomainMismatch):
-        annulus_level(annulus4, NL, seed=seed)
+        annulus_level(Energy(annulus4, P), seed=seed)
 
 
 # ------------------------------------------------------------- mass clusters
@@ -515,7 +515,7 @@ def test_radial_asymmetry_discriminates(disk_host):
 
 def test_radial_asymmetry_of_disk_ground_state(disk_host):
     seed = gaussian_bump_seed(disk_host, (0.0, 0.0), 0.4)
-    rec = ground_state(disk_host, NL, seed)
+    rec = ground_state(Energy(disk_host, P), seed)
     assert rec.converged
     assert radial_asymmetry(rec.u) <= 0.02
 
@@ -539,7 +539,7 @@ def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_
     assert np.all(rec.u.coeffs[odd] == 0.0)
     # the record is judged on the full-space residual of I, the odd modes
     # included, recomputed here from phi c rather than the carried values
-    obj = Energy(annulus4, NL)
+    obj = Energy(annulus4, P)
     c = rec.u.coeffs
     values = obj.values(c)
     energy = obj.energy(c, values)
@@ -562,16 +562,16 @@ def test_band_saddle_products_per_sweep(annulus_saddle_run):
 
 def test_band_saddle_beyond_p_two(annulus4):
     # the same saddle for p = 2.5: the band reached 3.1152564, index 2
-    nl = power_model(p=2.5)
+    energy = Energy(annulus4, 2.5)
     centers = [(MID_RADIUS * np.cos(k * np.pi / 4), MID_RADIUS * np.sin(k * np.pi / 4))
                for k in range(8)]
-    classes = multiplicity_search(annulus4, nl, centers, ball_radius=1.0)
+    classes = multiplicity_search(energy, centers, ball_radius=1.0)
     lo = classes.classes[0].representative.u
     mirror, *_ = moving_mirrors(annulus4, lo)
-    report = band_saddle(annulus4, nl, lo, mirror)
+    report = band_saddle(energy, lo, mirror)
     assert report.saddle.converged and report.sweeps <= 10
     assert report.saddle.energy == pytest.approx(3.1152564, rel=1e-6)
-    rep = hessian_spectrum(annulus4, nl, report.saddle.u)
+    rep = hessian_spectrum(energy, report.saddle.u)
     assert rep.morse_index == 2 and rep.nondegenerate
 
 
@@ -589,7 +589,7 @@ def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_
     # unchecked, nan runs max_iter steps and returns converged=False
     lo = annulus_classes.classes[0].representative.u
     with pytest.raises(ValueError, match="tol"):
-        band_saddle(annulus4, NL, lo, 0, tol=tol)
+        band_saddle(Energy(annulus4, P), lo, 0, tol=tol)
 
 
 def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, no_phi_products):
@@ -598,10 +598,10 @@ def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, n
     axis = annulus_classes.classes[1].representative.u
     (fixing,) = {0, 1} - set(moving_mirrors(annulus4, axis))
     with pytest.raises(ValueError, match="one state"):
-        band_saddle(annulus4, NL, axis, fixing)
+        band_saddle(Energy(annulus4, P), axis, fixing)
     # generator 2 is the swap, no mirror
     with pytest.raises(ValueError, match="one state"):
-        band_saddle(annulus4, NL, axis, 2)
+        band_saddle(Energy(annulus4, P), axis, 2)
 
 
 def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):
