@@ -213,7 +213,8 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
 
     model_raw = _object(_require(raw, "model", ""), "model")
     alpha = _number(model_raw, "alpha", "model", lo=0.0, hi=1.0)
-    p = _number(model_raw, "p", "model", lo=1.0)
+    # subcritical growth: p + 1 below the critical exponent 2N/(N - 2 alpha), N = 2
+    p = _number(model_raw, "p", "model", lo=1.0, hi=(1.0 + alpha) / (1.0 - alpha))
     theta = _number(model_raw, "theta", "model", lo=2.0)
     q = _number(model_raw, "q", "model", lo=2.0)
 

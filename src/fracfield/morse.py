@@ -13,7 +13,8 @@ such a theta. By Sylvester's law of inertia S has as many negative, zero and
 positive eigenvalues as H; by Ostrowski's theorem each theta has the sign of
 the matching eigenvalue of H and equals it divided by some weight in
 [min W, max W]. At a critical point u of the energy, H u = (1 - p) W u,
-so 1 - p is an eigenvalue of S.
+so 1 - p is an eigenvalue of S. This Lanczos is the package's only Hessian
+eigensolve: topology.annulus_level's check runs it on a PinnedEnergy.
 
 The Morse index is the number of eigenvalues below -eps_null;
 eigenvalues within eps_null of zero are counted as null and make the point
@@ -32,7 +33,7 @@ manifold saddles score 2.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +46,10 @@ from .model import Energy, h_prime
 from .nehari import SolutionRecord
 from .spectral import Field
 
-# The default null threshold on theta, the eigenvalues of S. A mode of H
-# within 1e-6 min W of zero has |theta| <= 1e-6, so it stays null here; a
-# mode with |lambda_H| up to 1e-6 max W may also be flagged, which errs toward
-# calling a point degenerate.
+# The default null threshold on theta, which has the sign of H's eigenvalue,
+# and topology's escape threshold. A mode of H within 1e-6 min W of zero has
+# |theta| <= 1e-6, so it stays null; one with |lambda_H| up to 1e-6 max W may
+# also be flagged, which errs toward calling a point degenerate.
 DEFAULT_EPS_NULL = 1e-6
 
 
@@ -90,10 +91,10 @@ def hessian_spectrum(
     energy.basis.check_same_domain(u.dom)
     values = energy.values(u.coeffs)
     k = 6
-    ev = _smallest_eigenvalues(energy, values, k)
+    ev = _smallest_eigenpairs(energy, values, k)[0]
     while ev[-1] <= eps and ev.size < energy.basis.K:
         k *= 2
-        ev = _smallest_eigenvalues(energy, values, k)
+        ev = _smallest_eigenpairs(energy, values, k)[0]
     morse = int(np.sum(ev < -eps))
     null = int(np.sum(np.abs(ev) <= eps))
     return HessianSpectrumReport(
@@ -105,44 +106,42 @@ def hessian_spectrum(
     )
 
 
-def _smallest_eigenvalues(e: Energy, values: np.ndarray, k: int) -> np.ndarray:
-    """The min(k, K) smallest eigenvalues of S = W^-1/2 H W^-1/2 at these values, ascending."""
-    K = e.w.size
-    if not np.any(h_prime(e.p, values)):
-        # S = I: Lanczos from one start vector would find one copy of 1
-        return np.ones(min(k, K))
-    hess = e.hessian(values)
-    scale = 1.0 / np.sqrt(e.w)
-    return _smallest_eigenpairs(lambda v: scale * hess(scale * v), K, k)[0]
-
-
 def _smallest_eigenpairs(
-    matvec: Callable[[np.ndarray], np.ndarray], K: int, k: int,
+    energy: Energy, values: np.ndarray, k: int,
     vectors: bool = False, maxiter: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The min(k, K) smallest eigenvalues of the symmetric K x K operator matvec,
-    ascending, with their eigenvectors as columns if vectors is set (else None).
+    """The min(k, K) smallest theta of H x = theta W x, H = energy.hessian(values),
+    ascending, with their eigenvectors x = W^-1/2 v, v S's unit eigenvectors,
+    as columns if vectors is set (else None).
 
-    Lanczos (ARPACK) with the start vector and the restart generator fixed: by
+    Lanczos (ARPACK) on S with the start vector and the restart generator fixed: by
     default ARPACK draws them from OS entropy. maxiter caps its restarts (ARPACK's
     default is 10 K). Raises EigSolveFailure when the solve fails or runs out.
     """
+    K = energy.w.size
+    k = min(k, K)
+    scale = 1.0 / np.sqrt(energy.w)
+    if not np.any(h_prime(energy.p, values)):
+        # S = I: Lanczos from one start vector would find one copy of 1
+        return np.ones(k), scale[:, None] * np.eye(K, k) if vectors else None
+    hess = energy.hessian(values)
     try:
         if k < K:
-            H = scipy.sparse.linalg.LinearOperator((K, K), matvec=matvec, dtype=float)
-            found = scipy.sparse.linalg.eigsh(H, k=k, which="SA", v0=np.ones(K), tol=1e-12,
+            S = scipy.sparse.linalg.LinearOperator(
+                (K, K), matvec=lambda v: scale * hess(scale * v), dtype=float)
+            found = scipy.sparse.linalg.eigsh(S, k=k, which="SA", v0=np.ones(K), tol=1e-12,
                                               return_eigenvectors=vectors, rng=0,
                                               maxiter=maxiter)
-        else:  # eigsh needs k < K: form H from K products
-            found = scipy.linalg.eigh(np.column_stack([matvec(c) for c in np.eye(K)]),
-                                      eigvals_only=not vectors)
+        else:  # eigsh needs k < K: form S from K products
+            S = scale[:, None] * np.column_stack([hess(c) for c in np.diag(scale)])
+            found = scipy.linalg.eigh(S, eigvals_only=not vectors)
     except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
         raise EigSolveFailure(f"Hessian eigensolve failed: {exc}") from exc
     ev, vecs = found if vectors else (found, None)
     if not np.all(np.isfinite(ev)):
         raise EigSolveFailure("Hessian spectrum contains non-finite eigenvalues")
     order = np.argsort(ev)
-    return ev[order], None if vecs is None else vecs[:, order]
+    return ev[order], None if vecs is None else scale[:, None] * vecs[:, order]
 
 
 def ray_second_derivative(

@@ -136,6 +136,12 @@ class LimitLevelReport:
     levels: tuple[float, ...]
 
 
+def _check_tol(tol: float) -> None:
+    # at inf a descent calls its start converged; at nan it never stops
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+
+
 def _require_positive_part(values: np.ndarray) -> None:
     if not np.any(values > 0.0):
         raise NonpositiveField("field has no positive part on the grid")
@@ -168,10 +174,10 @@ def ground_state(
 
     Energies of accepted iterates rise by at most the rounding allowance of
     the module docstring. On iteration exhaustion the best iterate is
-    returned marked unconverged rather than raised.
+    returned marked unconverged rather than raised. A tol that is not finite
+    and positive is a ValueError.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     energy.basis.check_same_domain(seed.dom)
     _require_positive_part(seed.values)
     c, values, F, residual, iterations = _retracted_descent(

@@ -321,12 +321,10 @@ def run_morse(cfg: RunConfig, out_dir: str | Path) -> dict:
     report = level_c(energy, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     # multistarts rediscover the same critical point; the census must count
-    # distinct orbit classes, so only class representatives enter it. A class
-    # is represented by its first start in seed order: members agree in energy
-    # only to rounding, so picking the lowest would let rounding choose
+    # distinct orbit classes, so only class representatives enter it, each
+    # its class's first start in seed order
     in_seed_order = sorted(report.records, key=lambda r: start_order(r.seed_tag))
-    classes = sorted(orbit_classes(basis, in_seed_order),
-                     key=lambda cl: min((r.energy, r.seed_tag) for r in cl))
+    classes = orbit_classes(basis, in_seed_order)
     reps = [cl[0] for cl in classes]
     spectra = classify_records(energy, reps)
     rows = []
@@ -347,13 +345,7 @@ def run_morse(cfg: RunConfig, out_dir: str | Path) -> dict:
     census = morse_count_check(reps, spectra, basis.dom)
     results = {
         "records": recs_json,
-        "census": {
-            "target_total": census.target_total,
-            "found_index1": census.found_index1,
-            "found_index2": census.found_index2,
-            "counted": census.counted,
-            "matches": census.matches,
-        },
+        "census": dataclasses.asdict(census),
     }
     write_results_json(out_dir, "morse", cfg.config_hash, cfg.canonical, results)
     write_csv(out_dir, "morse", cfg.config_hash,

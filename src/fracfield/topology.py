@@ -34,9 +34,10 @@ from .errors import (
     SaddleNotEscaped,
 )
 from .model import Energy, PinnedEnergy, RestrictedEnergy, _barycenter
-from .morse import _smallest_eigenpairs
+from .morse import DEFAULT_EPS_NULL, _smallest_eigenpairs
 from .nehari import (
     SolutionRecord,
+    _check_tol,
     _residual,
     _retracted_descent,
     _solution_record,
@@ -51,8 +52,6 @@ log = logging.getLogger(__name__)
 _ESCAPE_SIZE = 0.1
 _MAX_ESCAPES = 4
 _CHECK_RESTARTS = 50
-# _saddle_escape's null threshold on F's Hessian itself, in units of min W
-_ESCAPE_EPS_NULL = 1e-6
 # penalty weights of annulus_level's continuation, in units of the seed's
 # energy over (lam r)^2
 _RHO_MULTIPLIERS = (1.0, 10.0, 100.0, 1000.0)
@@ -160,20 +159,19 @@ class AnnulusLevelReport:
 def _saddle_escape(obj: PinnedEnergy, c: np.ndarray, values: np.ndarray) -> np.ndarray | None:
     """The escape step from a stage's end point c when it is a saddle of F, else None.
 
-    The two smallest eigenvalues of F's Hessian there, by morse's Lanczos on the
-    Hessian itself, not on morse's S: the first is the ray's, negative at every
-    point of the manifold, and a second one below -_ESCAPE_EPS_NULL min W makes
-    the point a saddle on the manifold. The step is
-    _ESCAPE_SIZE |c| along the second eigenvector, signed so that its largest
-    component is positive.
+    The two smallest theta of F's Hessian pencil there, by morse's Lanczos on
+    S: the first is the ray's, negative at every point of the manifold, and a
+    second one below -morse.DEFAULT_EPS_NULL makes the point a saddle on the
+    manifold, as hessian_spectrum would count it. The step is
+    _ESCAPE_SIZE sqrt(Q(c)) times the second pencil eigenvector x, whose x^T W x
+    is 1, signed so that its largest component is positive.
     """
-    ev, vecs = _smallest_eigenpairs(obj.hessian(values), c.size, 2, vectors=True,
-                                    maxiter=_CHECK_RESTARTS)
-    if ev[1] >= -_ESCAPE_EPS_NULL * float(obj.basis.weights[0]):
+    ev, vecs = _smallest_eigenpairs(obj, values, 2, vectors=True, maxiter=_CHECK_RESTARTS)
+    if ev[1] >= -DEFAULT_EPS_NULL:
         return None
-    v = vecs[:, 1]
-    v = v if v[np.argmax(np.abs(v))] > 0.0 else -v
-    return _ESCAPE_SIZE * float(np.linalg.norm(c)) * v
+    x = vecs[:, 1]
+    x = x if x[np.argmax(np.abs(x))] > 0.0 else -x
+    return _ESCAPE_SIZE * math.sqrt(obj.quadratic(c)) * x
 
 
 def annulus_level(
@@ -196,16 +194,18 @@ def annulus_level(
     penalty is scale-invariant along rays (beta ignores positive scaling), so
     the Nehari retraction leaves it unchanged and the plain solver's descent
     argument carries over.
-    A converged stage is checked to second order, on the same Hessian action
-    (_saddle_escape): where its end point is
+    A converged stage is checked to second order, by morse's Lanczos on the
+    stage's PinnedEnergy (_saddle_escape): where its end point is
     a saddle of the penalized objective, as the symmetric four-bump point
     that the ring seed can reach at lam=2, the stage is rerun from a step off
     it, at most _MAX_ESCAPES times in all, then SaddleNotEscaped is raised.
     An unconverged stage ends the continuation, and so does a check whose
     Lanczos solve fails within _CHECK_RESTARTS restarts. Fails with
     ConstraintViolated if the barycenter it ends at sits farther than 2h from
-    the target, else with the check's EigSolveFailure if there was one.
+    the target, else with the check's EigSolveFailure if there was one, and
+    with ValueError at once for a tol that is not finite and positive.
     """
+    _check_tol(tol)
     basis = energy.basis
     dom = basis.dom
     if dom.shape_id != "annulus":
@@ -323,7 +323,9 @@ def orbit_classes(
 
     Two records land in the same class iff their relative energy gap is below
     _ENERGY_GAP_TOL AND some grid-symmetry image brings their relative L2
-    distance below _L2_DIST_TOL. Each class lists its records in input order.
+    distance below _L2_DIST_TOL. Each class lists its records in input order,
+    and the classes are sorted by their first record's (energy, seed_tag). That
+    record represents it: members agree in energy only to rounding.
     """
     perms = symmetry_group(basis.dom)
     n = len(records)
@@ -348,7 +350,7 @@ def orbit_classes(
     groups: dict[int, list[SolutionRecord]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(records[i])
-    return list(groups.values())
+    return sorted(groups.values(), key=lambda cl: (cl[0].energy, cl[0].seed_tag))
 
 
 def multiplicity_search(
@@ -380,11 +382,8 @@ def multiplicity_search(
         else:
             log.warning("multiplicity start %d at %s did not converge; dropped", k, center)
 
-    n = len(records)
     classes = []
     for members in orbit_classes(basis, records):
-        # first in seed order: orbit members agree in energy only to rounding,
-        # so picking the lowest would let rounding choose
         rep = members[0]
         below = rep.energy <= seeder.ball_level * (1.0 + 1e-12)
         in_plus = float(basis.dom.region_distance(rep.barycenter)[0]) <= ball_radius
@@ -394,13 +393,12 @@ def multiplicity_search(
             below_ball_level=below,
             beta_in_plus=in_plus,
         ))
-    classes.sort(key=lambda cl: (cl.representative.energy, cl.representative.seed_tag))
     return MultiplicityReport(
         classes=tuple(classes),
         ball_level=seeder.ball_level,
         ball_radius=float(ball_radius),
         n_seeds=len(seed_centers),
-        n_converged=n,
+        n_converged=len(records),
     )
 
 
@@ -450,8 +448,7 @@ def band_saddle(
     mirror not in moving_mirrors(energy.basis, u): the descent from a u that σ
     leaves in place ends at u, a minimum.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive and finite, got {tol}")
+    _check_tol(tol)
     basis = energy.basis
     if mirror not in moving_mirrors(basis, u):
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "

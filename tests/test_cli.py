@@ -93,10 +93,12 @@ class TestValidation:
             validate_config(cfg)
 
     def test_exponent_bounds(self):
-        cfg = default_config("solve")
-        cfg["model"]["p"] = 1.0
-        with pytest.raises(ConfigInvalid, match=r"model\.p"):
-            validate_config(cfg)
+        # at alpha = 0.5, p + 1 must stay below the critical exponent 4
+        for p, bound in ((1.0, "> 1.0"), (3.0, "< 3.0"), (5.0, "< 3.0")):
+            cfg = default_config("solve")
+            cfg["model"]["p"] = p
+            with pytest.raises(ConfigInvalid, match=rf"model\.p.*{bound}"):
+                validate_config(cfg)
         cfg = default_config("solve")
         cfg["model"]["theta"] = 2.0
         with pytest.raises(ConfigInvalid, match=r"model\.theta"):
@@ -528,6 +530,12 @@ class TestMorseAndReport:
         assert rec["ray_second_derivative"] < 0.0
         assert res["census"]["counted"] == 1
         assert res["census"]["matches"] is True
+
+    def test_census_keys_match_multiplicity(self, morse_out, multi_out):
+        # both tasks write the one MorseCountReport
+        census = [json.loads((out / name).read_text())["results"]["census"]
+                  for out, name in ((morse_out, "morse.json"), (multi_out, "multiplicity.json"))]
+        assert list(census[0]) == list(census[1])
 
     def test_morse_csv_header(self, morse_out):
         lines = (morse_out / "morse.csv").read_text().splitlines()

@@ -10,7 +10,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from fracfield.config import default_config, validate_config
 from fracfield.domain import build_domain
+from fracfield.errors import ConfigInvalid
 from fracfield.model import (
     Energy,
     H_eval,
@@ -53,8 +55,20 @@ def test_pointwise_evaluations_and_vectorization():
 
 
 def test_critical_exponent_and_subcriticality():
-    # the fractional critical exponent 2N/(N - 2 alpha) is 4 in the plane
-    assert P + 1 < 2 * 2 / (2 - 2 * 0.5)
+    # config validation keeps p + 1 below the fractional critical exponent
+    # 2N/(N - 2 alpha) in the plane, N = 2; at alpha = 0.5 that is 4
+    cfg = default_config("solve")
+    for alpha in (0.25, 0.5, 0.75):
+        critical = 2 * 2 / (2 - 2 * alpha)
+        cfg["model"]["alpha"] = alpha
+        cfg["model"]["p"] = (critical - 1) * (1 - 1e-9)
+        validate_config(cfg)
+        for p in ((critical - 1) * (1 + 1e-9), critical):
+            cfg["model"]["p"] = p
+            with pytest.raises(ConfigInvalid, match=r"model\.p"):
+                validate_config(cfg)
+    cfg["model"]["alpha"], cfg["model"]["p"] = 0.5, P
+    assert validate_config(cfg).p + 1 < 2 * 2 / (2 - 2 * 0.5)
 
 
 def test_energy_identity_and_parts(square16):

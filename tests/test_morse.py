@@ -21,7 +21,7 @@ import scipy.sparse.linalg
 from fracfield import morse
 from fracfield.domain import build_domain
 from fracfield.errors import EigSolveFailure, OffManifold
-from fracfield.model import Energy, h_prime
+from fracfield.model import Energy, PinnedEnergy, h_prime
 from fracfield.morse import (
     DEFAULT_EPS_NULL,
     HessianSpectrumReport,
@@ -202,7 +202,7 @@ def test_eps_null_validation(square16, square_ground, monkeypatch):
         raise AssertionError("eps_null reached the eigensolve")
 
     # inf would widen k until H is formed; nan compares false with every theta
-    monkeypatch.setattr(morse, "_smallest_eigenvalues", no_solve)
+    monkeypatch.setattr(morse, "_smallest_eigenpairs", no_solve)
     for eps in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="eps_null"):
             hessian_spectrum(Energy(square16, P), square_ground.u, eps_null=eps)
@@ -319,6 +319,33 @@ def test_small_span_spectrum(square6_ground, monkeypatch, nulls, lanczos_ks, siz
     assert rep.eigenvalues.size == size
     assert np.allclose(rep.eigenvalues, ev[:size], rtol=1e-10, atol=1e-10)
     assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps, basis.weights)
+
+
+@pytest.fixture(scope="module")
+def disk4_ground():
+    dom = build_domain("disk", {"R": 1.0}, lam=1.0, h=0.25)
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    rec = ground_state(Energy(basis, P), gaussian_bump_seed(basis, (0.0, 0.0), 0.4))
+    assert rec.converged
+    return basis, rec
+
+
+@pytest.mark.parametrize("k", [4, 64], ids=["lanczos", "formed-s"])
+def test_eigenpairs_solve_the_pencil(disk4_ground, k):
+    # every pair the one Lanczos routine returns, for the plain and the pinned
+    # energy, is an eigenpair of H x = theta W x with x^T W x = 1
+    basis, rec = disk4_ground
+    assert 4 < basis.K <= 64
+    for energy in (Energy(basis, P), PinnedEnergy(basis, P, 10.0, np.array([0.2, 0.1]))):
+        values = energy.values(rec.u.coeffs)
+        hess = energy.hessian(values)
+        theta, x = morse._smallest_eigenpairs(energy, values, k, vectors=True)
+        assert theta.size == x.shape[1] == min(k, basis.K)
+        assert np.all(np.diff(theta) >= 0.0)
+        for t, col in zip(theta, x.T):
+            wx = energy.w * col
+            assert np.linalg.norm(hess(col) - t * wx) <= 1e-10 * np.linalg.norm(wx)
+        assert np.allclose(x.T @ (energy.w[:, None] * x), np.eye(theta.size), atol=1e-10)
 
 
 def test_spectrum_repeats_bitwise(disk_host, disk_ground):

@@ -430,8 +430,31 @@ def test_annulus_level_escapes_the_four_bump_saddle(annulus2, monkeypatch):
     assert fractions[0] == pytest.approx(fractions[1], rel=1e-6)
     pinned = PinnedEnergy(basis, P, rep.rho_schedule[-1], np.zeros(2))
     values = pinned.values(rep.record.u.coeffs)
-    ev, _ = _smallest_eigenpairs(pinned.hessian(values), basis.K, 2)
+    ev, _ = _smallest_eigenpairs(pinned, values, 2)
     assert ev[0] < 0.0 < ev[1]
+
+
+def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
+    # the check steps exactly where hessian_spectrum of the stage's objective
+    # counts index 2 (the four-bump saddle), and at the level's end point,
+    # index 1, it returns None
+    basis = annulus2
+    escape = topology._saddle_escape
+    checks: list[tuple[int, bool]] = []
+
+    def indexed(obj, c, values):
+        step = escape(obj, c, values)
+        checks.append((hessian_spectrum(obj, basis.synthesize(c)).morse_index, step is not None))
+        return step
+
+    monkeypatch.setattr(topology, "_saddle_escape", indexed)
+    rep = annulus_level(Energy(basis, P), seed=_diagonal_bumps_seed(basis))
+    assert (2, True) in checks
+    assert all(index == (2 if stepped else 1) for index, stepped in checks)
+    pinned = PinnedEnergy(basis, P, rep.rho_schedule[-1], np.zeros(2))
+    c = rep.record.u.coeffs
+    assert hessian_spectrum(pinned, rep.record.u).morse_index == 1
+    assert escape(pinned, c, pinned.values(c)) is None
 
 
 def test_annulus_level_escapes_are_bounded(annulus2, monkeypatch):
@@ -586,10 +609,16 @@ def no_phi_products(monkeypatch):
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
 def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_phi_products):
-    # unchecked, nan runs max_iter steps and returns converged=False
+    # unchecked, nan runs max_iter steps and returns converged=False, and inf
+    # returns the retracted start as converged; the three descent entry points
+    # refuse both before any product with phi
+    energy = Energy(annulus4, P)
     lo = annulus_classes.classes[0].representative.u
-    with pytest.raises(ValueError, match="tol"):
-        band_saddle(Energy(annulus4, P), lo, 0, tol=tol)
+    for call in (lambda: band_saddle(energy, lo, 0, tol=tol),
+                 lambda: ground_state(energy, lo, tol=tol),
+                 lambda: annulus_level(energy, tol=tol)):
+        with pytest.raises(ValueError, match="tol"):
+            call()
 
 
 def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, no_phi_products):
