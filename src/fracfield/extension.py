@@ -89,36 +89,30 @@ class BesselProfile:
     _sigma: float = field(repr=False)
 
     def psi(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        near = s <= _MATCH_POINT
-        out[near] = _series(self._a, self._b, self.alpha, s[near])[0]
-        far = ~near
-        if far.any():
-            w = self._sol(s[far])[0]
-            out[far] = self._sigma * w * np.exp(-s[far])
-        return out
+        return self._evaluate(s, 0)
 
     def psi_prime(self, s) -> np.ndarray:
-        s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
-        near = s <= _MATCH_POINT
-        out[near] = _series(self._a, self._b, self.alpha, s[near])[1]
-        far = ~near
-        if far.any():
-            w, dw = self._sol(s[far])
-            out[far] = self._sigma * (dw - w) * np.exp(-s[far])
-        return out
+        return self._evaluate(s, 1)
 
     def flux(self, s) -> np.ndarray:
         """-s^(1-2*alpha) * psi'(s)."""
+        return self._evaluate(s, 2)
+
+    def _evaluate(self, s, k: int) -> np.ndarray:
+        """Entry k of (psi, psi', flux): the series up to _MATCH_POINT, the march beyond."""
         s = np.asarray(s, dtype=float)
         out = np.empty_like(s)
         near = s <= _MATCH_POINT
-        out[near] = _series(self._a, self._b, self.alpha, s[near])[2]
+        out[near] = _series(self._a, self._b, self.alpha, s[near])[k]
         far = ~near
         if far.any():
-            out[far] = -(s[far] ** (1.0 - 2.0 * self.alpha)) * self.psi_prime(s[far])
+            sf = s[far]
+            w, dw = self._sol(sf)
+            if k == 0:
+                out[far] = self._sigma * w * np.exp(-sf)
+            else:
+                dpsi = self._sigma * (dw - w) * np.exp(-sf)
+                out[far] = dpsi if k == 1 else -(sf ** (1.0 - 2.0 * self.alpha)) * dpsi
         return out
 
     def flux_limit(self) -> float:

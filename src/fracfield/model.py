@@ -14,7 +14,8 @@ RestrictedEnergy confines the energy to a span of modes, such as a mirror's
 fixed-point subspace. Each is the one objective the descent kernel takes.
 An Energy is the functional itself, built from a basis and the exponent p:
 the solvers of nehari, morse and topology take one instead of its parts.
-Outside spectral, only this module calls the basis's matvec and rmatvec.
+Outside spectral, only this module calls the basis's matvec and rmatvec or
+reads a Field's coefficients, and only it and morse's pencil read W.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from .domain import GridDomain
 from .errors import NonpositiveField
-from .spectral import SpectralBasis
+from .spectral import Field, SpectralBasis
 
 
 def h_eval(p: float, s):
@@ -57,9 +58,9 @@ class Energy:
     """The functional I on the span, on raw arrays: coefficients c and values = phi @ c.
 
     Methods taking both trust the caller to pass such a pair, so one synthesis
-    serves value, gradient and retraction; callers holding a Field check its
-    domain against the basis first. Products with phi and its transpose are
-    the basis's matvec and rmatvec, block by block on its factors.
+    serves value, gradient and retraction; coords reads a Field's, checking
+    its domain. Products with phi and its transpose are the basis's matvec
+    and rmatvec, block by block on its factors.
     """
 
     def __init__(self, basis: SpectralBasis, p: float):
@@ -68,8 +69,17 @@ class Energy:
         self.w = basis.weights
         self.h2 = basis.dom.h**2
 
+    def coords(self, u: Field) -> np.ndarray:
+        """u's coefficients as floats; DomainMismatch when u lives on another domain."""
+        self.basis.check_same_domain(u.dom)
+        return np.asarray(u.coeffs, dtype=float)
+
     def values(self, c: np.ndarray) -> np.ndarray:
         return self.basis.matvec(c)
+
+    def riesz(self, g: np.ndarray) -> np.ndarray:
+        """W^-1 g, the Riesz representative of a gradient g: g riesz(g) is ||g||_*^2."""
+        return g / self.w
 
     def quadratic(self, c: np.ndarray) -> float:
         """Q(u) = sum_k (mu_k^alpha + 1) c_k^2, the squared energy norm."""
@@ -167,12 +177,16 @@ class RestrictedEnergy(Energy):
     vanish there keeps them exactly 0. With keep the modes a mirror fixes
     (SpectralBasis.mirror_signs == 1), I is invariant under the mirror, so a
     critical point of the restriction is a critical point of I (symmetric
-    criticality: Palais, Comm. Math. Phys. 69, 1979).
+    criticality: Palais, Comm. Math. Phys. 69, 1979). coords zeroes a
+    Field's coefficients off keep.
     """
 
     def __init__(self, basis: SpectralBasis, p: float, keep: np.ndarray):
         super().__init__(basis, p)
         self.keep = keep
+
+    def coords(self, u: Field) -> np.ndarray:
+        return np.where(self.keep, super().coords(u), 0.0)
 
     def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
         return np.where(self.keep, super().grad(c, values), 0.0)

@@ -88,8 +88,7 @@ def hessian_spectrum(
     eps = DEFAULT_EPS_NULL if eps_null is None else float(eps_null)
     if not 0.0 < eps < np.inf:
         raise ValueError(f"eps_null must be positive and finite, got {eps_null}")
-    energy.basis.check_same_domain(u.dom)
-    values = energy.values(u.coeffs)
+    values = energy.values(energy.coords(u))
     k = 6
     ev = _smallest_eigenpairs(energy, values, k)[0]
     while ev[-1] <= eps and ev.size < energy.basis.K:
@@ -118,7 +117,7 @@ def _smallest_eigenpairs(
     default ARPACK draws them from OS entropy. maxiter caps its restarts (ARPACK's
     default is 10 K). Raises EigSolveFailure when the solve fails or runs out.
     """
-    K = energy.w.size
+    K = energy.basis.K
     k = min(k, K)
     scale = 1.0 / np.sqrt(energy.w)
     if not np.any(h_prime(energy.p, values)):
@@ -155,10 +154,10 @@ def ray_second_derivative(
     makes every solution at least index 1. Raises OffManifold when u does not
     satisfy |J(u)| <= tol Q.
     """
-    energy.basis.check_same_domain(u.dom)
-    values = energy.values(u.coeffs)
-    Q = energy.quadratic(u.coeffs)
-    J = energy.j(u.coeffs, values)
+    c = energy.coords(u)
+    values = energy.values(c)
+    Q = energy.quadratic(c)
+    J = energy.j(c, values)
     if abs(J) > tol * Q:
         raise OffManifold(f"|J(u)| = {abs(J):.3g} exceeds {tol:.1g} Q = {tol * Q:.3g}")
     return Q - energy.h2 * float(np.sum(h_prime(energy.p, values) * values**2))

@@ -9,9 +9,9 @@ step on coefficients followed by the closed-form rescaling back onto M. On M
 the radial derivative of I vanishes (I'(u)[u] = J(u) = 0), so the full
 gradient is tangent to first order and the retracted step decreases energy
 for small step sizes. The descent kernel takes one objective object, a
-model.Energy or its model.PinnedEnergy, and reads from it the value F, the
-gradient, the Hessian action and the retraction; it never applies the basis
-itself. topology.band_saddle runs it on a model.RestrictedEnergy.
+model.Energy or its model.PinnedEnergy, and reads from it F, the gradient,
+the Hessian action, the retraction and W^-1 g (riesz); it applies neither
+phi nor W itself. topology.band_saddle runs it on a model.RestrictedEnergy.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
@@ -142,18 +142,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be positive and finite, got {tol}")
 
 
-def _require_positive_part(values: np.ndarray) -> None:
-    if not np.any(values > 0.0):
-        raise NonpositiveField("field has no positive part on the grid")
-
-
-def nehari_scale(energy: Energy, u: Field) -> float:
-    """Closed-form t > 0 with J(t u) = 0 for the power family."""
-    energy.basis.check_same_domain(u.dom)
-    _require_positive_part(u.values)
-    return energy.nehari_t(u.coeffs, energy.values(u.coeffs))
-
-
 def gaussian_bump_seed(basis: SpectralBasis, center: tuple[float, float], width: float) -> Field:
     """Gaussian bump analyzed into the basis; the structured localized seed."""
     if width <= 0.0:
@@ -178,10 +166,10 @@ def ground_state(
     and positive is a ValueError.
     """
     _check_tol(tol)
-    energy.basis.check_same_domain(seed.dom)
-    _require_positive_part(seed.values)
-    c, values, F, residual, iterations = _retracted_descent(
-        energy, np.asarray(seed.coeffs, dtype=float), tol, max_iter)
+    c = energy.coords(seed)
+    if not np.any(seed.values > 0.0):
+        raise NonpositiveField("field has no positive part on the grid")
+    c, values, F, residual, iterations = _retracted_descent(energy, c, tol, max_iter)
     return _solution_record(energy.basis, c, values, F, residual, tol, seed_tag, iterations)
 
 
@@ -201,7 +189,7 @@ def _retracted_descent(
     c, values = obj.retract(c, obj.values(c))
     F = obj.energy(c, values)
     g = obj.grad(c, values)
-    d = g / obj.w
+    d = obj.riesz(g)
     gd = float(g @ d)
 
     step = 1.0 / max(1.0, math.sqrt(gd))
@@ -233,7 +221,7 @@ def _retracted_descent(
         c, values, F, g = trial
         if g is None:
             g = obj.grad(c, values)
-        d = g / obj.w
+        d = obj.riesz(g)
         gd = float(g @ d)
         iterations += 1
     return c, values, F, _residual(gd, F), iterations
@@ -253,12 +241,12 @@ def _newton_direction(
     direction (g y >= 0), as when the first curvature is nonpositive.
     """
     a = hv(c) + g
-    wa = a / obj.w
+    wa = obj.riesz(a)
     a_wa = float(a @ wa)
 
     def project(r: np.ndarray) -> np.ndarray:
         """W^-1 r, W-orthogonally projected onto the tangent space."""
-        z = r / obj.w
+        z = obj.riesz(r)
         return z - (float(a @ z) / a_wa) * wa
 
     y = np.zeros_like(c)
@@ -319,7 +307,7 @@ def _line_search(
             return new_c, new_v, F_new, None
         if abs(F_new - F) <= allowance:
             g = obj.grad(new_c, new_v)
-            if float(g @ (g / obj.w)) <= (1.0 - _ARMIJO) * gd:
+            if float(g @ obj.riesz(g)) <= (1.0 - _ARMIJO) * gd:
                 return new_c, new_v, F_new, g
         t *= 0.5
     return None
@@ -375,8 +363,10 @@ def level_c(
     """Ground-state level: minimum converged energy across a multistart batch.
 
     Converged records are merged in _level_order, so rounding does not pick
-    the best record, whose energy is the level.
+    the best record, whose energy is the level. A tol that is not finite and
+    positive is a ValueError before any work.
     """
+    _check_tol(tol)
     if n_multistarts < 1:
         raise ValueError(f"n_multistarts must be >= 1, got {n_multistarts}")
     basis = energy.basis
@@ -425,8 +415,10 @@ def limit_level_estimate(
     ratio rho = g2/g1 the tail sums to g2 rho/(1 - rho) below the last level.
     Raises NonmonotoneLevels when a level fails to drop below the one before
     by more than rounding or the gaps fail to shrink, both signs the grid is
-    too coarse for the expansion.
+    too coarse for the expansion. A tol that is not finite and positive is a
+    ValueError before any basis is built.
     """
+    _check_tol(tol)
     if len(radii) < 3:
         raise ValueError(f"need at least 3 radii, got {len(radii)}")
     if any(b <= a for a, b in zip(radii, radii[1:])):

@@ -41,9 +41,8 @@ from .nehari import (
     _residual,
     _retracted_descent,
     _solution_record,
-    gaussian_bump_seed,
     ground_state,
-    nehari_scale,
+    level_c,
 )
 from .spectral import Field, SpectralBasis, assemble_and_decompose
 
@@ -71,20 +70,21 @@ class PsiSeeder:
     """Cache of a ball ground state, stamped onto a host domain on demand.
 
     Solves the ground state of B_rho (same grid step, alpha and p as the host
-    energy) once; seed(x) translates it by a grid-aligned shift to snap(x),
-    extends by zero, and projects the result onto the host Nehari manifold.
+    energy) once, as level_c's one centred start (AllStartsFailed unless it
+    converges within tol and max_iter); seed(x) translates it by a grid-aligned
+    shift to snap(x), extends by zero, and projects it onto the host manifold.
     """
 
-    def __init__(self, energy: Energy, ball_radius: float, tol: float = 1e-8):
+    def __init__(self, energy: Energy, ball_radius: float, tol: float = 1e-8,
+                 max_iter: int = 20000):
         if ball_radius <= 0.0:
             raise ValueError(f"ball_radius must be positive, got {ball_radius}")
         self.energy = energy
         self.ball_radius = float(ball_radius)
         ball_dom = build_domain("disk", {"R": self.ball_radius}, lam=1.0, h=energy.basis.dom.h)
         self.basis_ball = assemble_and_decompose(ball_dom, alpha=energy.basis.alpha)
-        seed = gaussian_bump_seed(self.basis_ball, (0.0, 0.0), 0.5 * self.ball_radius)
-        self.ball_state = ground_state(Energy(self.basis_ball, energy.p), seed, tol=tol,
-                                       seed_tag="ball-cache")
+        self.ball_state = level_c(Energy(self.basis_ball, energy.p), n_multistarts=1, tol=tol,
+                                  max_iter=max_iter).records[0]
         self.ball_level = self.ball_state.energy
 
     def snap(self, x_tilde: tuple[float, float]) -> tuple[float, float]:
@@ -120,8 +120,9 @@ class PsiSeeder:
         if dropped:
             log.debug("seed: %d ball nodes fell outside the host mask after snapping", dropped)
 
-        f = self.energy.basis.analyze(ext)
-        return self.energy.basis.synthesize(nehari_scale(self.energy, f) * f.coeffs)
+        e = self.energy
+        c = e.coords(e.basis.analyze(ext))
+        return e.basis.synthesize(e.retract(c, e.values(c))[0])
 
 
 def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
@@ -217,12 +218,8 @@ def annulus_level(
         mid = 0.5 * (dom.params["R"] + dom.params["r"]) * dom.lam
         width = (dom.params["R"] - dom.params["r"]) * dom.lam / 3.0
         seed = basis.analyze(np.exp(-((rr - mid) ** 2) / (2.0 * width * width)))
-    else:
-        basis.check_same_domain(seed.dom)
-
-    c = np.asarray(seed.coeffs, dtype=float)
-    values = energy.values(c)
-    c, values = energy.retract(c, values)
+    c = energy.coords(seed)
+    c, values = energy.retract(c, energy.values(c))
     e_typ = energy.energy(c, values)
     length = dom.lam * dom.params["r"]
     rhos = tuple(m * abs(e_typ) / length**2 for m in _RHO_MULTIPLIERS)
@@ -364,12 +361,15 @@ def multiplicity_search(
 
     Class membership is decided by orbit_classes; a class is represented by
     its member from the earliest seed center. Unconverged starts are logged
-    and dropped, never raised.
+    and dropped, never raised; an unconverged seeding ball (PsiSeeder, same
+    tol and max_iter) raises AllStartsFailed. A tol that is not finite and
+    positive is a ValueError before any work.
     """
+    _check_tol(tol)
     if not seed_centers:
         raise ValueError("need at least one seed center")
     basis = energy.basis
-    seeder = PsiSeeder(energy, ball_radius, tol=tol)
+    seeder = PsiSeeder(energy, ball_radius, tol=tol, max_iter=max_iter)
     records: list[SolutionRecord] = []
     for k, center in enumerate(seed_centers):
         seed = seeder.seed(center)
@@ -436,9 +436,9 @@ def band_saddle(
     """The saddle between u and its image u∘σ under a mirror σ of the mask,
     as a minimum of I on the Nehari manifold in σ's fixed-point subspace.
 
-    mirror is σ's generator, as moving_mirrors gives it. The descent starts
-    from u + u∘σ with its coefficients odd under σ set to 0, and runs
-    nehari's kernel on a model.RestrictedEnergy, which keeps them exactly 0.
+    mirror is σ's generator, as moving_mirrors gives it. The descent runs
+    nehari's kernel on a model.RestrictedEnergy from its coords of u + u∘σ,
+    whose coefficients odd under σ are 0, and keeps them exactly 0.
     Its record is judged on the full-space residual of energy. On the annulus at
     lam = 4, 6 and 8 (h = 0.25, tol 1e-8) it takes 3 to 8 steps to the
     index-2 saddle that a climbing-image band between u and u∘σ found, with
@@ -455,11 +455,10 @@ def band_saddle(
                          "u and its image would be one state")
     perm = next(p for p, used in mask_symmetries(basis.dom) if used == (mirror,))
     obj = RestrictedEnergy(basis, energy.p, basis.mirror_signs[:, mirror] == 1)
-    start = basis.analyze(u.values + u.values[perm])
-    c, values, F, _, steps = _retracted_descent(
-        obj, np.where(obj.keep, start.coeffs, 0.0), tol, max_iter)
+    start = obj.coords(basis.analyze(u.values + u.values[perm]))
+    c, values, F, _, steps = _retracted_descent(obj, start, tol, max_iter)
     g = energy.grad(c, values)
-    residual = _residual(float(g @ (g / energy.w)), F)
+    residual = _residual(float(g @ energy.riesz(g)), F)
     rec = _solution_record(basis, c, values, F, residual, tol,
                            f"mirror-{'xy'[mirror]}-fixed", steps)
     return SaddleReport(saddle=rec, sweeps=steps)

@@ -26,7 +26,6 @@ from fracfield.nehari import (
     gaussian_bump_seed,
     ground_state,
     limit_level_estimate,
-    nehari_scale,
 )
 from fracfield.spectral import assemble_and_decompose, assemble_laplacian
 from fracfield.topology import (
@@ -223,7 +222,8 @@ def test_a3_variational_calculus(capsys, disk_host):
         worst_t = 0.0
         for _ in range(50):
             w = disk_host.synthesize(rng.standard_normal(K))
-            t_cf = nehari_scale(Energy(disk_host, P), w)
+            cw = e.coords(w)
+            t_cf = e.nehari_t(cw, e.values(cw))
             t_rf = nehari_scale_root(disk_host, P, w)
             worst_t = max(worst_t, abs(t_cf - t_rf) / t_cf)
         assert worst_t <= 1e-10

@@ -289,6 +289,15 @@ class TestExitCodes:
         assert code == 3
         assert "task error" in capsys.readouterr().err
 
+    def test_unconverged_seeding_ball_exits_3(self, tmp_path, capsys):
+        # the ball state is solved within solver.max_iter like every start
+        cfg = default_config("multiplicity")
+        cfg["solver"]["max_iter"] = 3
+        code = main(["multiplicity", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "o"), "--quiet"])
+        assert code == 3
+        assert "AllStartsFailed" in capsys.readouterr().err
+
     def test_solve_k_below_node_count_exits_2(self, tmp_path, capsys):
         cfg = small_solve_config()
         d = cfg["domain"]

@@ -19,7 +19,6 @@ from fracfield.model import (
     h_eval,
     h_prime,
 )
-from fracfield.nehari import nehari_scale
 from fracfield.spectral import assemble_and_decompose
 from oracles import dense_phi
 
@@ -158,6 +157,6 @@ def test_energy_rejects_foreign_domain(square16):
 
     foreign = assemble_and_decompose(other, alpha=0.5)
     u = foreign.synthesize(np.ones(foreign.K))
-    # Energy works on raw arrays; the Field entry points check the domain
+    # Energy works on raw arrays; coords, its one reader of a Field, checks the domain
     with pytest.raises(DomainMismatch):
-        nehari_scale(Energy(square16, P), u)
+        Energy(square16, P).coords(u)

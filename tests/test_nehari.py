@@ -31,7 +31,6 @@ from fracfield.nehari import (
     ground_state,
     level_c,
     limit_level_estimate,
-    nehari_scale,
 )
 from fracfield.spectral import assemble_and_decompose
 from fracfield.topology import annulus_level
@@ -82,6 +81,13 @@ def _bump(basis, center=(0.1, -0.05), width=0.3):
     return gaussian_bump_seed(basis, center, width)
 
 
+def _scale(basis, u):
+    """The closed-form Nehari scale t of u, J(t u) = 0, read through Energy."""
+    e = Energy(basis, P)
+    c = e.coords(u)
+    return e.nehari_t(c, e.values(c))
+
+
 def _j(basis, u):
     """J at the span representation of u."""
     e = Energy(basis, P)
@@ -90,7 +96,7 @@ def _j(basis, u):
 
 def test_scale_satisfies_defining_equation(square16):
     u = _bump(square16)
-    t = nehari_scale(Energy(square16, P), u)
+    t = _scale(square16, u)
     assert t > 0
     scaled = square16.synthesize(t * u.coeffs)
     Q = float(np.sum(square16.weights * scaled.coeffs**2))
@@ -104,29 +110,29 @@ def test_scale_closed_form_algebra(square16):
     span_values = dense_phi(square16) @ u.coeffs
     Q = float(np.sum(square16.weights * u.coeffs**2))
     cubic = square16.dom.h ** 2 * float(np.sum(np.maximum(span_values, 0.0) ** 3))
-    assert nehari_scale(Energy(square16, P), u) == pytest.approx(
+    assert _scale(square16, u) == pytest.approx(
         (Q / cubic) ** (1.0 / (P - 1.0)), rel=1e-14)
 
 
 def test_scale_fixed_point_on_manifold(square16):
     u = _bump(square16)
-    t = nehari_scale(Energy(square16, P), u)
+    t = _scale(square16, u)
     proj = square16.synthesize(t * u.coeffs)
-    assert nehari_scale(Energy(square16, P), proj) == pytest.approx(1.0, abs=1e-10)
+    assert _scale(square16, proj) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_scale_ray_reparametrization(square16):
     u = _bump(square16)
-    t1 = nehari_scale(Energy(square16, P), u)
+    t1 = _scale(square16, u)
     for c in (0.5, 2.0):
         uc = square16.synthesize(c * u.coeffs)
-        assert nehari_scale(Energy(square16, P), uc) * c == pytest.approx(t1, rel=1e-12)
+        assert _scale(square16, uc) * c == pytest.approx(t1, rel=1e-12)
 
 
 def test_scale_rejects_nonpositive_field(square16):
     neg = square16.analyze(-np.abs(_bump(square16).values))
     with pytest.raises(NonpositiveField):
-        nehari_scale(Energy(square16, P), neg)
+        _scale(square16, neg)
 
 
 def test_scale_matches_root_finder_on_random_fields(square16):
@@ -137,7 +143,7 @@ def test_scale_matches_root_finder_on_random_fields(square16):
         u = square16.synthesize(c)
         if not np.any(u.values > 0):
             continue
-        t_closed = nehari_scale(Energy(square16, P), u)
+        t_closed = _scale(square16, u)
         t_root = nehari_scale_root(square16, P, u)
         assert abs(t_root - t_closed) <= 1e-10 * t_closed
         checked += 1

@@ -8,7 +8,8 @@ property of a class there must be read as an attribute of that name in the
 package outside its own definition, or in perfbench/spans.py. Code that only
 tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
-package. Outside spectral, only model calls the basis's matvec and rmatvec.
+package. Outside spectral, only model calls the basis's matvec and rmatvec
+or reads a Field's coeffs, and outside model only morse reads the weights w.
 Importing the CLI loads none of the scipy subpackages that only some tasks
 call (LAZY_SCIPY): the functions that call them import them. README's
 library example runs as written.
@@ -197,6 +198,21 @@ def test_only_model_applies_the_basis():
         and node.func.attr in {"matvec", "rmatvec"}
     )
     assert callers == []
+
+
+def _attribute_readers(attr: str) -> set[str]:
+    return {
+        mod for mod, tree in _modules().items()
+        if any(isinstance(node, ast.Attribute) and node.attr == attr for node in ast.walk(tree))
+    }
+
+
+def test_only_model_reads_coefficients_and_weights():
+    # model.Energy owns the coordinates: coords reads a Field's coefficients
+    # and riesz applies W^-1, so a new operator backend changes model alone;
+    # morse's pencil takes W^-1/2 for its congruence
+    assert _attribute_readers("coeffs") <= {"spectral", "model"}
+    assert _attribute_readers("w") <= {"model", "morse"}
 
 
 def test_every_traced_layer_is_defined():

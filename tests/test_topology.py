@@ -16,6 +16,7 @@ import pytest
 from fracfield.domain import build_domain, mask_symmetries
 from fracfield import topology
 from fracfield.errors import (
+    AllStartsFailed,
     BallDoesNotFit,
     ConstraintViolated,
     DomainMismatch,
@@ -31,6 +32,8 @@ from fracfield.nehari import (
     _rounding_allowance,
     gaussian_bump_seed,
     ground_state,
+    level_c,
+    limit_level_estimate,
 )
 from fracfield.spectral import SpectralBasis, assemble_and_decompose
 from fracfield.topology import (
@@ -245,6 +248,15 @@ def test_multiplicity_collapses_on_disk(disk_host):
 def test_multiplicity_rejects_empty_centers(annulus4):
     with pytest.raises(ValueError, match="seed center"):
         multiplicity_search(Energy(annulus4, P), [], ball_radius=1.0)
+
+
+@pytest.mark.parametrize("limits", [{"max_iter": 3}, {"tol": 1e-17}])
+def test_multiplicity_fails_typed_on_an_unconverged_ball(annulus4, limits):
+    # the seeding ball is solved within the caller's tol and max_iter: a ball
+    # state that does not converge is no level to compare the classes against
+    centers = [(MID_RADIUS, 0.0), (0.0, MID_RADIUS)]
+    with pytest.raises(AllStartsFailed):
+        multiplicity_search(Energy(annulus4, P), centers, ball_radius=1.0, **limits)
 
 
 # ------------------------------------------------------------- pinned level
@@ -610,13 +622,16 @@ def no_phi_products(monkeypatch):
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
 def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_phi_products):
     # unchecked, nan runs max_iter steps and returns converged=False, and inf
-    # returns the retracted start as converged; the three descent entry points
-    # refuse both before any product with phi
+    # returns the retracted start as converged; the descent entry points and
+    # the multistart ones refuse both before any product with phi
     energy = Energy(annulus4, P)
     lo = annulus_classes.classes[0].representative.u
     for call in (lambda: band_saddle(energy, lo, 0, tol=tol),
                  lambda: ground_state(energy, lo, tol=tol),
-                 lambda: annulus_level(energy, tol=tol)):
+                 lambda: annulus_level(energy, tol=tol),
+                 lambda: level_c(energy, tol=tol),
+                 lambda: multiplicity_search(energy, [(MID_RADIUS, 0.0)], 1.0, tol=tol),
+                 lambda: limit_level_estimate(P, [1.0, 2.0, 3.0], 0.25, tol=tol)):
         with pytest.raises(ValueError, match="tol"):
             call()
 
