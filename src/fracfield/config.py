@@ -5,6 +5,10 @@ ConfigInvalid with the dotted path of the offending field in the message, so
 a missing "alpha" is reported as exactly that. The canonical form (defaults
 filled, keys sorted) is what gets hashed and echoed into every output file;
 two configs with the same canonical form produce the same config_hash.
+
+A solver.K that a config sets, for any task, must be at least the interior
+node count of the domain at each lambda the task runs (sweep.lambdas, else
+domain.lambda); a grid too coarse to build is left to the task to report.
 """
 
 from __future__ import annotations
@@ -13,10 +17,11 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
-from .domain import SHAPE_PARAMS
-from .errors import ConfigInvalid
+from .domain import SHAPE_PARAMS, build_domain
+from .errors import ConfigInvalid, EmptyMask
 
 SCHEMA_VERSION = 1
 
@@ -42,75 +47,49 @@ def default_config(task: str = "solve") -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated, canonicalized run description.
+    """Validated run description: each field is a checked value, defaults filled.
 
-    canonical holds the JSON-ready dict with every default filled in; the
-    typed accessors below read from it. config_hash is the sha256 of the
-    canonical serialization, stamped into all outputs.
+    canonical is the JSON-ready dict of those values that every output file
+    echoes; config_hash, the sha256 of its serialization, is stamped into
+    all outputs. lambdas and radii are empty except for sweep-lambda.
     """
 
-    canonical: dict
-    config_hash: str
+    task: str
+    shape: str
+    params: dict
+    lam: float
+    h: float
+    alpha: float
+    p: float
+    theta: float
+    q: float
+    K: int | None
+    tol: float
+    max_iter: int
+    n_starts: int
+    rng_seed: int
+    dump_fields: bool
+    lambdas: tuple[float, ...]
+    radii: tuple[float, ...]
 
-    @property
-    def task(self) -> str:
-        return self.canonical["task"]
+    @cached_property
+    def canonical(self) -> dict:
+        doc = {
+            "task": self.task,
+            "domain": {"shape": self.shape, "params": dict(self.params),
+                       "lambda": self.lam, "h": self.h},
+            "model": {"alpha": self.alpha, "p": self.p, "theta": self.theta, "q": self.q},
+            "solver": {"K": self.K, "tol": self.tol, "max_iter": self.max_iter,
+                       "n_starts": self.n_starts, "rng_seed": self.rng_seed},
+            "output": {"dump_fields": self.dump_fields},
+        }
+        if self.task == "sweep-lambda":
+            doc["sweep"] = {"lambdas": list(self.lambdas), "radii": list(self.radii)}
+        return doc
 
-    @property
-    def shape(self) -> str:
-        return self.canonical["domain"]["shape"]
-
-    @property
-    def params(self) -> dict:
-        return dict(self.canonical["domain"]["params"])
-
-    @property
-    def lam(self) -> float:
-        return self.canonical["domain"]["lambda"]
-
-    @property
-    def h(self) -> float:
-        return self.canonical["domain"]["h"]
-
-    @property
-    def alpha(self) -> float:
-        return self.canonical["model"]["alpha"]
-
-    @property
-    def p(self) -> float:
-        return self.canonical["model"]["p"]
-
-    @property
-    def K(self) -> int | None:
-        return self.canonical["solver"]["K"]
-
-    @property
-    def tol(self) -> float:
-        return self.canonical["solver"]["tol"]
-
-    @property
-    def max_iter(self) -> int:
-        return self.canonical["solver"]["max_iter"]
-
-    @property
-    def n_starts(self) -> int:
-        return self.canonical["solver"]["n_starts"]
-
-    @property
-    def rng_seed(self) -> int:
-        return self.canonical["solver"]["rng_seed"]
-
-    @property
-    def lambdas(self) -> list[float]:
-        return list(self.canonical.get("sweep", {}).get("lambdas", []))
-
-    @property
-    def radii(self) -> list[float]:
-        return list(self.canonical.get("sweep", {}).get("radii", []))
-
-    @property
-    def dump_fields(self) -> bool:
-        return self.canonical["output"]["dump_fields"]
+    @cached_property
+    def config_hash(self) -> str:
+        return hashlib.sha256(canonical_json(self.canonical).encode()).hexdigest()
 
 
 def canonical_json(obj) -> str:
@@ -231,15 +210,7 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
     if not isinstance(dump_fields, bool):
         raise ConfigInvalid(f"field \"output.dump_fields\" must be a bool, got {dump_fields!r}")
 
-    canonical: dict = {
-        "task": eff_task,
-        "domain": {"shape": shape, "params": params, "lambda": lam, "h": h},
-        "model": {"alpha": alpha, "p": p, "theta": theta, "q": q},
-        "solver": {"K": K, "tol": tol, "max_iter": max_iter,
-                   "n_starts": n_starts, "rng_seed": rng_seed},
-        "output": {"dump_fields": dump_fields},
-    }
-
+    lambdas, radii = [], []
     if eff_task == "sweep-lambda":
         if raw.get("sweep") is None:
             raise ConfigInvalid("missing required field \"sweep\" for task sweep-lambda")
@@ -254,7 +225,6 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
         radii = [_finite(x, f"sweep.radii[{i}]", lo=0.0) for i, x in enumerate(radii)]
         if any(b <= a for a, b in zip(radii, radii[1:])):
             raise ConfigInvalid(f"field \"sweep.radii\" must be strictly increasing, got {radii}")
-        canonical["sweep"] = {"lambdas": lambdas, "radii": radii}
     elif "sweep" in raw:
         raise ConfigInvalid(f"field \"sweep\" is only valid for task sweep-lambda, not {eff_task!r}")
 
@@ -263,8 +233,24 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
             f"field \"domain.shape\" must be \"annulus\" for task multiplicity, got {shape!r}"
         )
 
-    blob = canonical_json(canonical)
-    return RunConfig(canonical=canonical, config_hash=hashlib.sha256(blob.encode()).hexdigest())
+    if K is not None:
+        for at in lambdas or [lam]:
+            try:
+                n = build_domain(shape, params, lam=at, h=h).n_interior
+            except EmptyMask:
+                continue  # the task reports a grid with too few nodes itself
+            if K < n:
+                raise ConfigInvalid(
+                    f"field \"solver.K\" must be null or at least the {n} interior "
+                    f"nodes of the {shape} at lambda={at:g}, got {K}"
+                )
+
+    return RunConfig(
+        task=eff_task, shape=shape, params=params, lam=lam, h=h,
+        alpha=alpha, p=p, theta=theta, q=q,
+        K=K, tol=tol, max_iter=max_iter, n_starts=n_starts, rng_seed=rng_seed,
+        dump_fields=dump_fields, lambdas=tuple(lambdas), radii=tuple(radii),
+    )
 
 
 def load_config(path: str | Path | None, task: str | None = None,

@@ -7,8 +7,7 @@ results dict they persisted; failures surface as FracfieldError subclasses
 for the CLI to map onto exit codes.
 
 Every basis spans its whole grid. solver.K stays in the schema as a bound a
-config may state: null, or at least the node count of the configured domain
-at each lambda the task runs; a smaller K is a ConfigInvalid naming it.
+config may state, and config.validate_config checks it before any task runs.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .domain import GridDomain, build_domain
-from .errors import ConfigInvalid, EmptyMask, FracfieldError, TaskFailed
+from .domain import build_domain
+from .errors import EmptyMask, FracfieldError, TaskFailed
 from .extension import k_alpha, scaling_check, solve_profile
 from .model import Energy
 from .morse import (
@@ -50,22 +49,11 @@ from .topology import (
 log = logging.getLogger(__name__)
 
 
-def _domain(cfg: RunConfig, lam: float | None = None) -> GridDomain:
-    """The configured domain at lam (default: the config's), with solver.K checked."""
+def _energy(cfg: RunConfig, lam: float | None = None) -> Energy:
+    """The task's functional: cfg's exponent on the basis of the configured
+    domain at lam (default: the config's)."""
     dom = build_domain(cfg.shape, cfg.params, lam=cfg.lam if lam is None else lam, h=cfg.h)
-    if cfg.K is not None and cfg.K < dom.n_interior:
-        raise ConfigInvalid(
-            f"field \"solver.K\" must be null or at least the {dom.n_interior} interior "
-            f"nodes of the {cfg.shape} at lambda={dom.lam:g}, got {cfg.K}"
-        )
-    return dom
-
-
-def _energy(cfg: RunConfig, dom: GridDomain | None = None) -> Energy:
-    """The task's functional: cfg's exponent on the basis of dom (default: the
-    configured domain)."""
-    return Energy(assemble_and_decompose(_domain(cfg) if dom is None else dom,
-                                         alpha=cfg.alpha), cfg.p)
+    return Energy(assemble_and_decompose(dom, alpha=cfg.alpha), cfg.p)
 
 
 def run_solve(cfg: RunConfig, out_dir: str | Path) -> dict:
@@ -99,28 +87,15 @@ def run_solve(cfg: RunConfig, out_dir: str | Path) -> dict:
 
 
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict:
-    # every row's domain first: masks are cheap, and a K below some row's node
-    # count then fails before the limit level or any row is computed. A domain
-    # that cannot be built is that row's error.
-    domains: list[GridDomain | FracfieldError] = []
-    for lam in cfg.lambdas:
-        try:
-            domains.append(_domain(cfg, lam))
-        except ConfigInvalid:
-            raise
-        except FracfieldError as exc:
-            domains.append(exc)
     limit = limit_level_estimate(cfg.p, cfg.radii, cfg.h, alpha=cfg.alpha, tol=cfg.tol,
                                  rng_seed=cfg.rng_seed)
     rows = []
     json_rows = []
     threshold_lambda = None
-    for lam, dom in zip(cfg.lambdas, domains):
+    for lam in cfg.lambdas:
         t0 = time.perf_counter()
         try:
-            if isinstance(dom, FracfieldError):
-                raise dom
-            row, jrow = _sweep_row(cfg, dom)
+            row, jrow = _sweep_row(cfg, lam)
         except FracfieldError as exc:
             log.warning("sweep row lambda=%s failed: %s", lam, exc)
             row = [lam, None, None, None, 0, None, 0]
@@ -162,20 +137,15 @@ def _annulus_seeding(cfg: RunConfig, lam: float) -> tuple[list[tuple[float, floa
     return centers, seed_radius
 
 
-def _sweep_row(cfg: RunConfig, dom: GridDomain):
-    lam = dom.lam
-    energy = _energy(cfg, dom)
+def _sweep_row(cfg: RunConfig, lam: float):
+    energy = _energy(cfg, lam)
     report = level_c(energy, n_multistarts=cfg.n_starts, tol=cfg.tol,
                      max_iter=cfg.max_iter, rng_seed=cfg.rng_seed)
     records = list(report.records)
     n_solutions = report.n_converged
-    is_annulus = cfg.shape == "annulus"
-    ball_level = None
-    a_level = None
-    a_converged = None
-    margin = None
+    ball_level = a_level = a_converged = margin = None
     localized = False
-    if is_annulus:
+    if cfg.shape == "annulus":
         a_rep = annulus_level(energy, tol=cfg.tol, max_iter=cfg.max_iter)
         a_level, a_converged = a_rep.value, a_rep.record.converged
         # random starts pin to grid-commensurate local minima at coarse h, so
@@ -185,9 +155,6 @@ def _sweep_row(cfg: RunConfig, dom: GridDomain):
         try:
             mrep = multiplicity_search(energy, centers, ball_radius=seed_radius,
                                        tol=cfg.tol, max_iter=cfg.max_iter)
-            ball_level = mrep.ball_level
-            records += [cl.representative for cl in mrep.classes]
-            n_solutions += mrep.n_converged
         except EmptyMask:
             # comparison ball under-resolved at this h: no level to gate on,
             # but plain bumps at the same centers still steer descent into the
@@ -199,13 +166,12 @@ def _sweep_row(cfg: RunConfig, dom: GridDomain):
                 if rec.converged:
                     records.append(rec)
                     n_solutions += 1
-        if ball_level is not None:
-            margins = []
-            for rec in records:
-                if rec.energy <= ball_level:
-                    dist = float(dom.region_distance(
-                        np.asarray(rec.barycenter, float).reshape(1, 2))[0])
-                    margins.append(seed_radius - dist)
+        else:
+            records += [cl.representative for cl in mrep.classes]
+            n_solutions += mrep.n_converged
+            ball_level = mrep.ball_level
+            margins = [seed_radius - float(energy.basis.dom.region_distance(rec.barycenter)[0])
+                       for rec in records if mrep.below_ball_level(rec.energy)]
             margin = min(margins) if margins else None
             # vacuously-true rows do not count: the flag marks rows where low
             # states exist and all of them sit inside the tube
@@ -256,16 +222,17 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
     classes_json = []
     rows = []
     for k, (rec, spec, cl) in enumerate(zip(reps, spectra, report.classes)):
+        below = report.below_ball_level(rec.energy)
         classes_json.append({
             "record": record_summary(rec, spec),
             "orbit_size": cl.orbit_size,
-            "below_ball_level": cl.below_ball_level,
+            "below_ball_level": below,
             "beta_in_plus": cl.beta_in_plus,
             "null_count": spec.null_count,
             "nondegenerate": spec.nondegenerate,
         })
         rows.append([k, rec.energy, rec.barycenter[0], rec.barycenter[1],
-                     spec.morse_index, cl.orbit_size, cl.below_ball_level])
+                     spec.morse_index, cl.orbit_size, below])
     results = {
         "n_classes": report.n_classes,
         "n_seeds": report.n_seeds,
@@ -410,16 +377,15 @@ TASK_RUNNERS = {
 
 
 def run(cfg: RunConfig, out_dir: str | Path, workers: int = 1) -> dict:
-    """Dispatch the configured task; FracfieldError escapes other than
-    ConfigInvalid become TaskFailed. Tasks run in the calling thread: workers
-    stays only because perfbench/run.py passes workers=1, and any other value
-    raises ValueError."""
+    """Dispatch the configured task; FracfieldError escapes become TaskFailed.
+    Tasks run in the calling thread: workers stays only because
+    perfbench/run.py passes workers=1, and any other value raises ValueError."""
     if workers != 1:
         raise ValueError(f"tasks run in one thread: workers must be 1, got {workers}")
     runner = TASK_RUNNERS[cfg.task]
     try:
         return runner(cfg, out_dir)
-    except (ConfigInvalid, TaskFailed):
+    except TaskFailed:
         raise
     except FracfieldError as exc:
         raise TaskFailed(f"task {cfg.task} failed: {type(exc).__name__}: {exc}") from exc

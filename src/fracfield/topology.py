@@ -27,6 +27,7 @@ import numpy as np
 
 from .domain import GridDomain, build_domain, mask_components, mask_symmetries
 from .errors import (
+    AllStartsFailed,
     BallDoesNotFit,
     ConstraintViolated,
     EigSolveFailure,
@@ -70,9 +71,10 @@ class PsiSeeder:
     """Cache of a ball ground state, stamped onto a host domain on demand.
 
     Solves the ground state of B_rho (same grid step, alpha and p as the host
-    energy) once, as level_c's one centred start (AllStartsFailed unless it
-    converges within tol and max_iter); seed(x) translates it by a grid-aligned
-    shift to snap(x), extends by zero, and projects it onto the host manifold.
+    energy) once, as level_c's one centred start; unless it converges within
+    tol and max_iter, AllStartsFailed names the ball radius, tol and max_iter.
+    seed(x) translates it by a grid-aligned shift to snap(x), extends by zero,
+    and projects it onto the host manifold.
     """
 
     def __init__(self, energy: Energy, ball_radius: float, tol: float = 1e-8,
@@ -83,8 +85,14 @@ class PsiSeeder:
         self.ball_radius = float(ball_radius)
         ball_dom = build_domain("disk", {"R": self.ball_radius}, lam=1.0, h=energy.basis.dom.h)
         self.basis_ball = assemble_and_decompose(ball_dom, alpha=energy.basis.alpha)
-        self.ball_state = level_c(Energy(self.basis_ball, energy.p), n_multistarts=1, tol=tol,
-                                  max_iter=max_iter).records[0]
+        try:
+            self.ball_state = level_c(Energy(self.basis_ball, energy.p), n_multistarts=1,
+                                      tol=tol, max_iter=max_iter).records[0]
+        except AllStartsFailed as exc:
+            raise AllStartsFailed(
+                f"the seeding ball of radius {self.ball_radius:g} did not converge "
+                f"at tol={tol:g} within max_iter={max_iter}"
+            ) from exc
         self.ball_level = self.ball_state.energy
 
     def snap(self, x_tilde: tuple[float, float]) -> tuple[float, float]:
@@ -275,7 +283,6 @@ class OrbitClass:
 
     representative: SolutionRecord
     orbit_size: int
-    below_ball_level: bool
     beta_in_plus: bool
 
 
@@ -284,8 +291,9 @@ class MultiplicityReport:
     """Deduplicated multistart outcome with the localization predicate.
 
     classes are sorted by energy. ball_level is c(B_rho) for the seeding ball;
-    below_ball_level marks classes in the low sublevel where the barycenter is
-    predicted to stay within distance rho of the domain (beta_in_plus).
+    below_ball_level tells whether an energy lies in the low sublevel where the
+    barycenter is predicted to stay within distance rho of the domain
+    (beta_in_plus).
     """
 
     classes: tuple[OrbitClass, ...]
@@ -297,6 +305,10 @@ class MultiplicityReport:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
+
+    def below_ball_level(self, energy: float) -> bool:
+        """Whether energy is at most ball_level, up to rounding."""
+        return energy <= self.ball_level * (1.0 + 1e-12)
 
 
 def _l2_orbit_distance(
@@ -372,25 +384,21 @@ def multiplicity_search(
     seeder = PsiSeeder(energy, ball_radius, tol=tol, max_iter=max_iter)
     records: list[SolutionRecord] = []
     for k, center in enumerate(seed_centers):
-        seed = seeder.seed(center)
-        rec = ground_state(
-            energy, seed, tol=tol, max_iter=max_iter,
-            seed_tag=f"psi-{k}@({center[0]:.3g},{center[1]:.3g})",
-        )
+        tag = f"psi-{k}@({center[0]:.3g},{center[1]:.3g})"
+        rec = ground_state(energy, seeder.seed(center), tol=tol, max_iter=max_iter,
+                           seed_tag=tag)
         if rec.converged:
             records.append(rec)
         else:
-            log.warning("multiplicity start %d at %s did not converge; dropped", k, center)
+            log.warning("multiplicity start %s did not converge; dropped", tag)
 
     classes = []
     for members in orbit_classes(basis, records):
         rep = members[0]
-        below = rep.energy <= seeder.ball_level * (1.0 + 1e-12)
         in_plus = float(basis.dom.region_distance(rep.barycenter)[0]) <= ball_radius
         classes.append(OrbitClass(
             representative=rep,
             orbit_size=len(members),
-            below_ball_level=below,
             beta_in_plus=in_plus,
         ))
     return MultiplicityReport(
@@ -405,16 +413,13 @@ def multiplicity_search(
 def moving_mirrors(basis: SpectralBasis, u: Field) -> list[int]:
     """The mirrors of the mask, as generators (0 the x-mirror, 1 the y-mirror,
     in domain.mask_symmetries order), that move u's barycenter by more than
-    2h. A mirror that does not, as the one across an axis u sits on, maps u
-    onto itself up to rounding."""
+    2h. The mask has mirror m where basis.mirror_signs labels its modes, and m
+    reflects coordinate m about the origin, the center of every grid with
+    mirrors, so it moves beta by 2|beta_m|. A mirror that does not move it, as
+    the one across an axis u sits on, maps u onto itself up to rounding."""
     basis.check_same_domain(u.dom)
-    dom = basis.dom
-    beta = _barycenter(dom, u.values)[1]
-    return [
-        used[0] for perm, used in mask_symmetries(dom)
-        if used in ((0,), (1,))
-        and float(np.hypot(*(_barycenter(dom, u.values[perm])[1] - beta))) > 2.0 * dom.h
-    ]
+    beta = _barycenter(basis.dom, u.values)[1]
+    return [m for m in (0, 1) if basis.mirror_signs[:, m].any() and abs(beta[m]) > basis.dom.h]
 
 
 @dataclass(frozen=True)
@@ -437,8 +442,9 @@ def band_saddle(
     as a minimum of I on the Nehari manifold in σ's fixed-point subspace.
 
     mirror is σ's generator, as moving_mirrors gives it. The descent runs
-    nehari's kernel on a model.RestrictedEnergy from its coords of u + u∘σ,
-    whose coefficients odd under σ are 0, and keeps them exactly 0.
+    nehari's kernel on a model.RestrictedEnergy from its coords of u, the
+    σ-even part (c + σc)/2 of u's coefficients c, retracted onto the
+    manifold; the coefficients odd under σ start at 0 and stay exactly 0.
     Its record is judged on the full-space residual of energy. On the annulus at
     lam = 4, 6 and 8 (h = 0.25, tol 1e-8) it takes 3 to 8 steps to the
     index-2 saddle that a climbing-image band between u and u∘σ found, with
@@ -453,10 +459,8 @@ def band_saddle(
     if mirror not in moving_mirrors(basis, u):
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
                          "u and its image would be one state")
-    perm = next(p for p, used in mask_symmetries(basis.dom) if used == (mirror,))
     obj = RestrictedEnergy(basis, energy.p, basis.mirror_signs[:, mirror] == 1)
-    start = obj.coords(basis.analyze(u.values + u.values[perm]))
-    c, values, F, _, steps = _retracted_descent(obj, start, tol, max_iter)
+    c, values, F, _, steps = _retracted_descent(obj, obj.coords(u), tol, max_iter)
     g = energy.grad(c, values)
     residual = _residual(float(g @ energy.riesz(g)), F)
     rec = _solution_record(basis, c, values, F, residual, tol,

@@ -304,7 +304,8 @@ def test_a7_multiplicity_and_localization(capsys, orbit_hunt):
         report, saddle, _, spectra, elapsed = orbit_hunt
 
         assert report.n_classes >= 2
-        below = [cl for cl in report.classes if cl.below_ball_level]
+        below = [cl for cl in report.classes
+                 if report.below_ball_level(cl.representative.energy)]
         assert below, "no class under the comparison level; predicate is vacuous"
         assert all(cl.beta_in_plus for cl in below)
 

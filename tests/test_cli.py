@@ -183,6 +183,38 @@ class TestValidation:
             validate_config(cfg)
 
 
+class TestKBound:
+    # validate_config checks solver.K against the domain at each lambda the
+    # task runs, for every task whose config sets it
+
+    @pytest.mark.parametrize("task", ["solve", "morse", "verify-extension", "report"])
+    def test_k_below_the_node_count_is_invalid(self, task):
+        cfg = default_config(task)
+        d = cfg["domain"]
+        n = build_domain(d["shape"], d["params"], lam=d["lambda"], h=d["h"]).n_interior
+        cfg["solver"]["K"] = n - 1
+        with pytest.raises(ConfigInvalid, match=rf'"solver\.K".* {n} interior nodes'):
+            validate_config(cfg)
+        cfg["solver"]["K"] = n
+        assert validate_config(cfg).K == n
+
+    def test_an_empty_grid_is_skipped_and_becomes_its_rows_error(self, tmp_path):
+        # at lambda=0.3 the h=0.15 disk keeps fewer than 25 nodes: the K
+        # check skips that grid, and the sweep reports it as the row's error
+        cfg = default_config("sweep-lambda")
+        cfg["domain"] = small_solve_config()["domain"]
+        cfg["solver"]["n_starts"] = 2
+        cfg["sweep"] = {"lambdas": [0.3, 1.0], "radii": [0.5, 0.75, 1.0]}
+        d = cfg["domain"]
+        cfg["solver"]["K"] = build_domain(d["shape"], d["params"], lam=1.0,
+                                          h=d["h"]).n_interior
+        rc = validate_config(cfg)
+        rows = runner.run(rc, tmp_path)["rows"]
+        assert rows[0]["lambda"] == 0.3
+        assert rows[0]["error"].startswith("EmptyMask: ")
+        assert rows[1]["lambda"] == 1.0 and "error" not in rows[1]
+
+
 class TestLoadConfig:
     def test_none_path_gives_defaults(self):
         rc = load_config(None, task="solve", seed=None)
@@ -296,7 +328,9 @@ class TestExitCodes:
         code = main(["multiplicity", "--config", write_config(tmp_path, cfg),
                      "--out", str(tmp_path / "o"), "--quiet"])
         assert code == 3
-        assert "AllStartsFailed" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "AllStartsFailed: the seeding ball of radius 1.08 did not converge" in err
+        assert "max_iter=3" in err
 
     def test_solve_k_below_node_count_exits_2(self, tmp_path, capsys):
         cfg = small_solve_config()
@@ -588,6 +622,17 @@ class TestSweepOutputs:
             "lambda", "c_level", "ball_level", "annulus_level", "solution_count",
             "min_barycenter_margin", "localized", "runtime_s",
         ]
+
+    def test_an_under_resolved_ball_falls_back_to_bump_starts(self, sweep_out):
+        # at lambda=2 the comparison ball (radius 0.54) keeps too few nodes at
+        # h=0.25: no ball level to gate on, so no margin and no localization,
+        # and the 8 bump starts add to the 4 random ones
+        row = json.loads((sweep_out / "sweep.json").read_text())["results"]["rows"][0]
+        assert row["lambda"] == 2.0
+        assert row["ball_level"] is None
+        assert row["min_barycenter_margin"] is None
+        assert row["localized"] is False
+        assert row["solution_count"] == 12
 
     def test_report_summarizes_the_sweep(self, sweep_out):
         assert main(["report", "--out", str(sweep_out), "--quiet"]) == 0

@@ -10,6 +10,8 @@ tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
 package. Outside spectral, only model calls the basis's matvec and rmatvec
 or reads a Field's coeffs, and outside model only morse reads the weights w.
+Outside domain and spectral, only topology.symmetry_group calls
+mask_symmetries.
 Importing the CLI loads none of the scipy subpackages that only some tasks
 call (LAZY_SCIPY): the functions that call them import them. README's
 library example runs as written.
@@ -213,6 +215,21 @@ def test_only_model_reads_coefficients_and_weights():
     # morse's pencil takes W^-1/2 for its congruence
     assert _attribute_readers("coeffs") <= {"spectral", "model"}
     assert _attribute_readers("w") <= {"model", "morse"}
+
+
+def test_only_symmetry_group_reads_the_mask_symmetries():
+    # outside domain, which finds them, and spectral, which splits the basis
+    # by them, the mirrors act through the basis's sign labels; only the
+    # orbit clustering's symmetry_group needs the node permutations
+    callers = sorted(
+        f"{mod}.{fn.name}" for mod, tree in _modules().items()
+        if mod not in {"domain", "spectral"}
+        for fn in tree.body if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and "mask_symmetries" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    )
+    assert callers == ["topology.symmetry_group"]
 
 
 def test_every_traced_layer_is_defined():

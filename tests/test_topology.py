@@ -213,7 +213,7 @@ def test_multiplicity_two_orbit_classes_on_annulus(annulus_classes):
     gap = hi.representative.energy - lo.representative.energy
     assert gap == pytest.approx(0.0090, abs=0.002)
     for cl in rep.classes:
-        assert cl.below_ball_level
+        assert rep.below_ball_level(cl.representative.energy)
         assert cl.beta_in_plus
         assert cl.representative.positive
         assert cl.representative.residual <= 1e-8 * (1 + abs(cl.representative.energy))
@@ -242,7 +242,7 @@ def test_multiplicity_collapses_on_disk(disk_host):
     rep = multiplicity_search(Energy(disk_host, P), centers, ball_radius=0.5)
     assert rep.n_classes == 1
     assert rep.classes[0].orbit_size == 5
-    assert rep.classes[0].below_ball_level
+    assert rep.below_ball_level(rep.classes[0].representative.energy)
 
 
 def test_multiplicity_rejects_empty_centers(annulus4):
@@ -255,8 +255,27 @@ def test_multiplicity_fails_typed_on_an_unconverged_ball(annulus4, limits):
     # the seeding ball is solved within the caller's tol and max_iter: a ball
     # state that does not converge is no level to compare the classes against
     centers = [(MID_RADIUS, 0.0), (0.0, MID_RADIUS)]
-    with pytest.raises(AllStartsFailed):
+    with pytest.raises(AllStartsFailed, match="seeding ball of radius 1 "):
         multiplicity_search(Energy(annulus4, P), centers, ball_radius=1.0, **limits)
+
+
+def test_multiplicity_warning_names_the_dropped_start(annulus4, monkeypatch, caplog):
+    # a start that does not converge is logged by its seed tag, whose center
+    # is already formatted, and dropped
+    def second_start_stalls(energy, seed, seed_tag, **kwargs):
+        if seed_tag.startswith("psi-1@"):
+            kwargs["max_iter"] = 1
+        return ground_state(energy, seed, seed_tag=seed_tag, **kwargs)
+
+    monkeypatch.setattr(topology, "ground_state", second_start_stalls)
+    # numpy scalars, as the runner's centers are
+    centers = [tuple(np.array(c)) for c in ((MID_RADIUS, 0.0), (0.0, MID_RADIUS))]
+    with caplog.at_level("WARNING", logger="fracfield.topology"):
+        rep = multiplicity_search(Energy(annulus4, P), centers, ball_radius=1.0)
+    assert rep.n_seeds == 2 and rep.n_converged == 1
+    [warning] = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
+    assert "psi-1@(0,2.8)" in warning
+    assert "np.float64" not in warning
 
 
 # ------------------------------------------------------------- pinned level
