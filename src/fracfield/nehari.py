@@ -19,35 +19,55 @@ this quantity is <= tol.
 
 Steps: every accepted step is a retracted trial c - t d, with t halved up to
 _MAX_BACKTRACKS times until the acceptance rule below passes (_line_search);
-max_iter counts accepted steps. Two kinds are tried in turn at each iterate.
+max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
 
 - Newton step, from the (_NEWTON_AFTER + 1)-th step on, once the residual is
-  at most _NEWTON_RESIDUAL, and while fewer than max_iter Hessian products
-  have been spent. The objective's hessian(values) supplies the Hessian
-  action, for ground_state's plain energy and for the pinned objective of
+  at most sqrt(tol), while fewer than max_iter Hessian products have been
+  spent, and until a Newton step lands at the rounding floor. The
+  objective's hessian(values) supplies the Hessian action, for
+  ground_state's plain energy and for the pinned objective of
   topology.annulus_level alike. A Newton step costs about a dozen products
-  with phi and a BB step two, so starts that BB finishes within
-  _NEWTON_AFTER steps, as most annulus starts do, never pay for one, while
-  starts that creep along near-null translation modes for thousands of BB
-  steps finish in a few dozen Newton steps. The
-  residual gate keeps Newton to the basin BB has chosen: from a residual
-  near 1 a Newton step can cross into another basin, as it takes the pinned
-  lambda=6 annulus level to a lower ring-shaped minimum. At 0.1, ground-state
-  attempts on the benchmark configs keep their results, while gates of 0.25
-  and more let that lambda=6 level leave its basin. The direction is a
-  truncated preconditioned CG solve of H y = -g on the tangent space
-  {y : J'(c) y = 0} (Steihaug 1983; Absil, Mahony and Sepulchre 2008),
-  preconditioned by W = diag(mu^alpha + 1) with the W-orthogonal
-  projection onto the tangent space. CG stops at relative residual
-  min(_CG_FORCING, sqrt(residual)), at the first nonpositive curvature, or
-  after _CG_MAX_ITER products; J'(c) = H c + g costs one product more. The
-  step is tried from t = 1 and skipped when the direction is not a descent
-  direction.
-- Barzilai-Borwein step along the Riesz-preconditioned gradient W^-1 g, from
-  the BB length. Taken when there is no Newton step or none of its halvings
-  passes.
+  with phi and an L-BFGS step two. Near tol Newton converges quadratically,
+  so from sqrt(tol) one or two Newton steps finish a descent that L-BFGS
+  has brought there. Two variants of the gate were measured: from residual
+  0.1, the gate of the earlier Barzilai-Borwein kernel, Newton steps spent
+  most of the L-BFGS saving again (4,452 products with phi and its
+  transpose for the eight R=2 disk starts below, against 1,512); with no
+  Newton step at all the first pinned stage of the lambda=6 annulus level
+  took 95 steps instead of 65, and the annulus sweep 898 instead of 824.
+  The gate also keeps Newton to the basin the first-order steps have
+  chosen: from a residual near 1 a Newton step can cross into another
+  basin, as it takes the pinned lambda=6 annulus level to a lower
+  ring-shaped minimum. Once an accepted Newton step changes F by no more
+  than the rounding allowance below, F can no longer tell its progress,
+  and the descent tries no further Newton step: retried there, Newton took
+  2,495 and 4,617 Hessian products (1 and 2 BLAS threads) on the lambda=4
+  annulus level pinned at 22.5 degrees at tol 1e-14, against 180 and 141.
+  The direction is a truncated preconditioned CG solve of H y = -g on the
+  tangent space {y : J'(c) y = 0} (Steihaug 1983; Absil, Mahony and
+  Sepulchre 2008), preconditioned by W = diag(mu^alpha + 1) with the
+  W-orthogonal projection onto the tangent space. CG stops at relative
+  residual min(_CG_FORCING, sqrt(residual)), at the first nonpositive
+  curvature, or after _CG_MAX_ITER products; J'(c) = H c + g costs one
+  product more. The step is tried from t = 1 and skipped when the direction
+  is not a descent direction.
+- L-BFGS step along H g from t = 1 (Nocedal, Math. Comp. 35, 1980), taken
+  when there is no Newton step or none of its halvings passes. H is the
+  inverse Hessian that the two-loop recursion builds from the pairs (s, y)
+  of the last _LBFGS_MEMORY accepted steps, s the step and y the change of
+  the gradient along it, from W^-1 scaled by s y / (y W^-1 y) of the newest
+  pair. A pair is kept only when s y > 0. Off-centre starts move their bump
+  to the centre along the soft translation modes of the lattice's pinning
+  landscape, and the pairs keep the curvature along them: on the R=2 disk
+  at h=0.125, the eight starts of rng_seed 0 took 4,694 products with phi
+  and its transpose at Barzilai-Borwein steps with Newton from residual
+  0.1, and 1,512 here. When none of its halvings passes, the memory is
+  cleared.
+- Gradient step along W^-1 g, from t = 1/max(1, ||g||_*): the first step,
+  and the step after the memory is cleared. When none of its halvings
+  passes either, the descent stops.
 
-Acceptance rule, one for both kinds. A trial with value F_new passes in one
+Acceptance rule, one for all kinds. A trial with value F_new passes in one
 of two cases:
 
 - Armijo decrease: F_new < F and F_new <= F - _ARMIJO t <g, d>.
@@ -72,6 +92,7 @@ the rounding case.
 from __future__ import annotations
 
 import math
+from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -86,7 +107,7 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 60
 _ROUNDING_ULPS = 64
 _NEWTON_AFTER = 20
-_NEWTON_RESIDUAL = 0.1
+_LBFGS_MEMORY = 8
 _CG_FORCING = 0.1
 _CG_MAX_ITER = 300
 _POSITIVITY_EPS = 1e-8
@@ -179,52 +200,95 @@ def _retracted_descent(
     """The one descent on the Nehari manifold of the objective F = obj.energy:
     (c, values, F, residual, iterations).
 
-    Retract c, then take the module docstring's Newton or Barzilai-Borwein
-    steps until the residual is at most tol, max_iter steps are taken, or no
-    step is accepted. obj.energy runs at every trial point; obj.grad at
-    accepted points and at trials the rounding case of the acceptance rule
-    judges; obj.hessian(values), the map v -> H v at the point with these
-    values, for the Newton step.
+    Retract c, then take the module docstring's Newton, L-BFGS or scaled
+    gradient steps until the residual is at most tol, max_iter steps are
+    taken, or no step is accepted. obj.energy runs at every trial point;
+    obj.grad at accepted points and at trials the rounding case of the
+    acceptance rule judges; obj.hessian(values), the map v -> H v at the
+    point with these values, for the Newton step. Every direction is a linear
+    combination of gradients, their W^-1 images and steps, so coefficients
+    that obj.grad keeps at 0 stay exactly 0.
     """
     c, values = obj.retract(c, obj.values(c))
     F = obj.energy(c, values)
     g = obj.grad(c, values)
-    d = obj.riesz(g)
-    gd = float(g @ d)
+    wg = obj.riesz(g)
+    gd = float(g @ wg)
 
-    step = 1.0 / max(1.0, math.sqrt(gd))
+    newton_gate = math.sqrt(tol)
+    memory = _LBFGSMemory(obj)
     iterations = products = 0
-    prev_c: np.ndarray | None = None
-    prev_d: np.ndarray | None = None
+    at_floor = False
     for _ in range(max_iter):
         residual = _residual(gd, F)
         if residual <= tol:
             break
-        if prev_c is not None:
-            s = c - prev_c
-            y = d - prev_d
-            sy = float(s @ y)
-            if sy > 0.0:
-                step = min(max(float(s @ s) / sy, 1e-14), 1e14)
         trial = None
-        if iterations >= _NEWTON_AFTER and residual <= _NEWTON_RESIDUAL and products < max_iter:
+        if (iterations >= _NEWTON_AFTER and residual <= newton_gate and products < max_iter
+                and not at_floor):
             newton, used = _newton_direction(obj, c, g, obj.hessian(values), residual)
             products += used
             if newton is not None:
                 trial = _line_search(obj, c, values, -newton, -obj.values(newton), 1.0,
                                      F, -float(g @ newton), gd)
+                at_floor = trial is not None and abs(trial[2] - F) <= _rounding_allowance(F)
+        if trial is None and memory:
+            d = memory.direction(g)
+            trial = _line_search(obj, c, values, d, obj.values(d), 1.0, F, float(g @ d), gd)
+            if trial is None:
+                memory.clear()
         if trial is None:
-            trial = _line_search(obj, c, values, d, obj.values(d), step, F, gd, gd)
+            trial = _line_search(obj, c, values, wg, obj.values(wg), 1.0 / max(1.0, math.sqrt(gd)),
+                                 F, gd, gd)
         if trial is None:
             break
-        prev_c, prev_d = c, d
-        c, values, F, g = trial
-        if g is None:
-            g = obj.grad(c, values)
-        d = obj.riesz(g)
-        gd = float(g @ d)
+        new_c, values, F, new_g = trial
+        if new_g is None:
+            new_g = obj.grad(new_c, values)
+        memory.store(new_c - c, new_g - g)
+        c, g = new_c, new_g
+        wg = obj.riesz(g)
+        gd = float(g @ wg)
         iterations += 1
     return c, values, F, _residual(gd, F), iterations
+
+
+class _LBFGSMemory:
+    """The curvature pairs (s, y, s y) of the last _LBFGS_MEMORY accepted steps,
+    oldest first, with s the step in coefficients and y the change of the
+    gradient along it, and the L-BFGS direction they define (Nocedal, Math.
+    Comp. 35, 1980)."""
+
+    def __init__(self, obj: Energy):
+        self.obj = obj
+        self.pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
+
+    def __len__(self) -> int:
+        return len(self.pairs)
+
+    def store(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Keep the pair only when s y > 0, which keeps the inverse Hessian positive definite."""
+        sy = float(s @ y)
+        if sy > 0.0:
+            self.pairs.append((s, y, sy))
+
+    def clear(self) -> None:
+        self.pairs.clear()
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """H g by the two-loop recursion over the pairs, from the initial inverse
+        Hessian W^-1 scaled by s y / (y W^-1 y) of the newest pair."""
+        q = g.copy()
+        alphas = []
+        for s, y, sy in reversed(self.pairs):
+            a = float(s @ q) / sy
+            q -= a * y
+            alphas.append(a)
+        _, y, sy = self.pairs[-1]
+        r = (sy / float(y @ self.obj.riesz(y))) * self.obj.riesz(q)
+        for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
+            r += (a - float(y @ r) / sy) * s
+        return r
 
 
 def _newton_direction(

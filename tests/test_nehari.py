@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from fracfield import nehari
 from fracfield.domain import build_domain
 from fracfield.errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
-from fracfield.model import Energy, PinnedEnergy
+from fracfield.model import Energy, PinnedEnergy, RestrictedEnergy
 from fracfield.nehari import (
     _geometric_tail,
     _level_order,
@@ -32,7 +32,7 @@ from fracfield.nehari import (
     level_c,
     limit_level_estimate,
 )
-from fracfield.spectral import assemble_and_decompose
+from fracfield.spectral import SpectralBasis, assemble_and_decompose
 from fracfield.topology import annulus_level
 from oracles import dense_phi, nehari_scale_root
 
@@ -258,11 +258,12 @@ def test_newton_step_finishes_formerly_stalled_start(unblocked_basis, lapack):
 
 @pytest.mark.parametrize("lapack", ["evd", "evr"])
 def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch):
-    # the pinned lambda=6 annulus level: its last penalty stage ends where the
-    # Armijo case of the acceptance rule fails or passes for rounding alone,
-    # and steps accepted by the rounding case must finish it, each raising F
-    # by at most the rounding allowance. Whether a stage lands on that floor
-    # changes with the basis and the BLAS thread count, so both cases take
+    # the pinned lambda=6 annulus level at tol 1e-13, just above the residual
+    # rounding lets it reach: its penalty stages end where the Armijo case of
+    # the acceptance rule fails or passes for rounding alone, and steps
+    # accepted by the rounding case must finish them, each raising F by at
+    # most the rounding allowance. At tol 1e-8 whether a stage lands on that
+    # floor changes with the basis and the BLAS thread count. Both cases take
     # the unblocked oracle: the rule is a property of the kernel, not of the
     # basis
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=6.0, h=0.25)
@@ -277,7 +278,7 @@ def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch)
         return trial
 
     monkeypatch.setattr(nehari, "_line_search", recorded)
-    rep = annulus_level(Energy(basis, P))
+    rep = annulus_level(Energy(basis, P), tol=1e-13)
     assert rep.record.converged
     assert rises
     assert max(rises) <= 1.0
@@ -365,36 +366,63 @@ def test_pinned_level_work_is_bounded_at_the_rounding_floor(annulus4, monkeypatc
     assert 0 < products <= 3000
 
 
-def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground):
-    # from a converged start, at tol 0, which no residual meets, the Newton
-    # step is tried at every step from the 21st on and costs several Hessian
-    # products each time; the descent stops trying it once max_iter products
-    # are spent. Left uncapped, the run at the rounding floor lasts until no
-    # step is accepted, which took 135 to 653 products on bases that differ
-    # only by rounding, so a cap of 50 binds, and a larger cap lets the same
-    # start spend more
+def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground, monkeypatch):
+    # a Hessian action with no positive curvature: CG stops at its first
+    # product and no Newton direction is a descent direction, so Newton is
+    # never accepted and never lands at the rounding floor. Walks at the floor
+    # end after a number of steps that changes with rounding (28 to 1,096
+    # from four converged disk starts at tol 1e-18), so the line search here
+    # accepts a step of length 0 at every call: from a converged start, at
+    # tol 1e-16, which its residual does not meet but under whose gate
+    # sqrt(tol) it lies, Newton is tried at every step from the 21st on for
+    # two products each, until max_iter products are spent. A cap of 50
+    # binds, and a larger cap lets the same start spend more
     rec = disk_ground[0]
+    assert 1e-16 < rec.residual <= 1e-8
     products = 0
 
-    class Counted(Energy):
+    class Concave(Energy):
         def hessian(self, values):
             hess = super().hessian(values)
 
             def hv(v):
                 nonlocal products
                 products += 1
-                return hess(v)
+                return -hess(v)
             return hv
 
+    monkeypatch.setattr(nehari, "_line_search",
+                        lambda obj, c, values, d, dv, t, F, slope, gd: (c, values, F, None))
     spent = []
     for max_iter in (50, 200):
         products = 0
-        *_, residual, _ = nehari._retracted_descent(
-            Counted(disk_basis, P), rec.u.coeffs, 0.0, max_iter)
-        assert residual > 0.0
+        *_, residual, its = nehari._retracted_descent(
+            Concave(disk_basis, P), rec.u.coeffs, 1e-16, max_iter)
+        assert residual > 1e-16
+        assert its == max_iter
         assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
         spent.append(products)
     assert spent[1] > spent[0]
+
+
+def test_newton_is_not_retried_at_the_rounding_floor(disk_basis, disk_ground, monkeypatch):
+    # from a converged start at tol 1e-18, the first Newton step changes F by
+    # less than the rounding allowance: F can no longer tell its progress, and
+    # the descent takes no further Newton step, however long it runs
+    newton_direction = nehari._newton_direction
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return newton_direction(*args)
+
+    monkeypatch.setattr(nehari, "_newton_direction", counted)
+    *_, residual, its = nehari._retracted_descent(
+        Energy(disk_basis, P), disk_ground[0].u.coeffs, 1e-18, 20000)
+    assert residual > 1e-18
+    assert its > nehari._NEWTON_AFTER
+    assert calls == 1
 
 
 def test_newton_direction_is_tangent_and_descends(disk_basis):
@@ -412,15 +440,149 @@ def test_newton_direction_is_tangent_and_descends(disk_basis):
         assert float(g @ y) < 0.0
 
 
-def test_newton_finish_converges_every_full_span_disk_start():
+def test_newton_finish_converges_every_full_span_disk_start(monkeypatch):
     # at the Barzilai-Borwein steps alone, random-1 and random-3 took about
-    # 5,000 iterations each, creeping along the near-null translation modes
+    # 5,000 iterations each, creeping along the near-null translation modes;
+    # Barzilai-Borwein steps with Newton from residual 0.1 took 947 products
+    # with phi and its transpose for the costliest start, L-BFGS with Newton
+    # from sqrt(tol) about 310
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
     basis = assemble_and_decompose(dom)
+    products = 0
+    per_start = []
+
+    def counted(method):
+        def product(self, x):
+            nonlocal products
+            products += 1
+            return method(self, x)
+        return product
+
+    def one_start(*args, **kwargs):
+        nonlocal products
+        products = 0
+        rec = ground_state(*args, **kwargs)
+        per_start.append(products)
+        return rec
+
+    monkeypatch.setattr(SpectralBasis, "matvec", counted(SpectralBasis.matvec))
+    monkeypatch.setattr(SpectralBasis, "rmatvec", counted(SpectralBasis.rmatvec))
+    monkeypatch.setattr(nehari, "ground_state", one_start)
     rep = level_c(Energy(basis, P), n_multistarts=8, rng_seed=0)
     assert rep.n_converged == 8
-    assert max(r.iterations for r in rep.records) <= 100
+    assert len(per_start) == 8
+    assert max(per_start) <= 400
     assert rep.value == pytest.approx(5.509143886951, rel=1e-10)
+
+
+def test_lbfgs_memory_keeps_pairs_of_positive_curvature(disk_basis):
+    # a pair with s y <= 0 is not stored; the memory keeps the newest
+    # _LBFGS_MEMORY pairs; the direction meets the secant equation H y = s
+    # of the newest pair and is a descent direction
+    e = Energy(disk_basis, P)
+    rng = np.random.default_rng(5)
+    memory = nehari._LBFGSMemory(e)
+    s = rng.standard_normal(disk_basis.K)
+    for y in (-s, np.zeros_like(s), -e.w * s):
+        memory.store(s, y)
+    assert len(memory) == 0
+    pairs = []
+    for _ in range(nehari._LBFGS_MEMORY + 3):
+        s = rng.standard_normal(disk_basis.K)
+        y = e.w * s + 0.1 * rng.standard_normal(disk_basis.K)
+        memory.store(s, y)
+        pairs.append((s, y))
+    memory.store(s, -y)
+    assert len(memory) == nehari._LBFGS_MEMORY
+    assert all(np.array_equal(kept[0], s) for kept, (s, _) in
+               zip(memory.pairs, pairs[-nehari._LBFGS_MEMORY:]))
+    assert all(sy > 0.0 for _, _, sy in memory.pairs)
+    s, y = pairs[-1]
+    assert np.linalg.norm(memory.direction(y) - s) <= 1e-10 * np.linalg.norm(s)
+    g = rng.standard_normal(disk_basis.K)
+    assert float(g @ memory.direction(g)) > 0.0
+
+
+@pytest.mark.parametrize("gradient_step", ["accepted", "rejected"])
+def test_rejected_lbfgs_direction_clears_memory(disk_basis, monkeypatch, gradient_step):
+    # the line search refuses the third L-BFGS direction: the memory is
+    # cleared and the scaled W^-1 g step is tried next, from
+    # t = 1/max(1, ||g||_*). Where it is accepted the descent goes on and
+    # rebuilds the memory from that step's pair; where it is refused too the
+    # descent stops there
+    e = Energy(disk_basis, P)
+    direction = nehari._LBFGSMemory.direction
+    line_search = nehari._line_search
+    events: list[tuple] = []
+
+    def spied_direction(self, g):
+        events.append(("lbfgs", len(self)))
+        return direction(self, g)
+
+    def spied_search(obj, c, values, d, dv, t, F, slope, gd):
+        last = events[-1][0] if events else None
+        refused = ((last == "lbfgs" and sum(ev[0] == "lbfgs" for ev in events) == 3)
+                   or (last == "refused" and gradient_step == "rejected"))
+        trial = None if refused else line_search(obj, c, values, d, dv, t, F, slope, gd)
+        events.append(("refused" if refused else "search", d, t, gd, obj.grad(c, values),
+                       trial is not None))
+        return trial
+
+    monkeypatch.setattr(nehari._LBFGSMemory, "direction", spied_direction)
+    monkeypatch.setattr(nehari, "_line_search", spied_search)
+    seed = gaussian_bump_seed(disk_basis, (0.3, -0.2), 0.25)
+    *_, its = nehari._retracted_descent(e, seed.coeffs, 1e-8, 20000)
+
+    refused = [i for i, ev in enumerate(events) if ev[0] == "refused"]
+    first = refused[0]
+    assert events[first - 1][0] == "lbfgs"
+    _, d, t, gd, g, _ = events[first + 1]
+    assert np.array_equal(d, e.riesz(g))
+    assert t == 1.0 / max(1.0, np.sqrt(gd))
+    steps_before = sum(ev[0] == "search" and ev[5] for ev in events[:first])
+    if gradient_step == "rejected":
+        assert refused == [first, first + 1]
+        assert len(events) == first + 2
+        assert its == steps_before
+    else:
+        assert refused == [first]
+        assert events[first + 1][5]
+        assert ("lbfgs", 1) in events[first + 2:]
+        assert its > steps_before + 1
+
+
+def test_restricted_descent_keeps_odd_coefficients_zero_past_the_memory(annulus4):
+    # on the x-mirror's fixed-point subspace, from the even part of an
+    # off-axis bump, the descent runs more steps than the memory holds pairs:
+    # L-BFGS directions then combine a full memory, and every accepted point
+    # keeps its odd coefficients exactly 0
+    keep = annulus4.mirror_signs[:, 0] == 1
+    obj = RestrictedEnergy(annulus4, P, keep)
+    seed = gaussian_bump_seed(annulus4, (1.0, 2.6), 0.8)
+    line_search = nehari._line_search
+    accepted: list[np.ndarray] = []
+    memory_sizes: list[int] = []
+    direction = nehari._LBFGSMemory.direction
+
+    def spied_direction(self, g):
+        memory_sizes.append(len(self))
+        return direction(self, g)
+
+    def recorded(*args):
+        trial = line_search(*args)
+        if trial is not None:
+            accepted.append(trial[0])
+        return trial
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nehari, "_line_search", recorded)
+        mp.setattr(nehari._LBFGSMemory, "direction", spied_direction)
+        c, *_, residual, its = nehari._retracted_descent(obj, obj.coords(seed), 1e-8, 20000)
+    assert residual <= 1e-8
+    assert its == len(accepted) > nehari._LBFGS_MEMORY
+    assert nehari._LBFGS_MEMORY in memory_sizes
+    assert all(np.all(a[~keep] == 0.0) for a in accepted)
+    assert np.any(c[keep] != 0.0)
 
 
 def test_ground_state_barycenter_near_center(disk_ground):
