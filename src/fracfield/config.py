@@ -2,9 +2,11 @@
 
 Configs are plain JSON documents. Validation errors always raise
 ConfigInvalid with the dotted path of the offending field in the message, so
-a missing "alpha" is reported as exactly that. The canonical form (defaults
-filled, keys sorted) is what gets hashed and echoed into every output file;
-two configs with the same canonical form produce the same config_hash.
+a missing "alpha" is reported as exactly that, and so is a key that the
+domain, model, solver or output section does not define. The canonical form
+(defaults filled, keys sorted) is what gets hashed and echoed into every
+output file; two configs with the same canonical form produce the same
+config_hash.
 
 A solver.K that a config sets, for any task, must be at least the interior
 node count of the domain at each lambda the task runs (sweep.lambdas, else
@@ -134,14 +136,19 @@ def _object(v, path: str) -> dict:
     return v
 
 
+def _known(given: dict, name: str) -> dict:
+    """The config's section name, given, once each of its keys is checked to be
+    a field of the default section; ConfigInvalid names the first that is not."""
+    fields = default_config()[name]
+    for key in given:
+        if key not in fields:
+            raise ConfigInvalid(f"unknown field \"{name}.{key}\"")
+    return given
+
+
 def _section(raw: dict, name: str) -> dict:
     """raw[name] over the default section; a key the default lacks is rejected."""
-    defaults = default_config()[name]
-    given = _object(raw.get(name, {}), name)
-    for key in given:
-        if key not in defaults:
-            raise ConfigInvalid(f"unknown field \"{name}.{key}\"")
-    return {**defaults, **given}
+    return {**default_config()[name], **_known(_object(raw.get(name, {}), name), name)}
 
 
 def validate_config(raw: dict, task: str | None = None) -> RunConfig:
@@ -169,7 +176,7 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
         if key not in known:
             raise ConfigInvalid(f"unknown field {key!r} (known: {sorted(known)})")
 
-    dom_raw = _object(_require(raw, "domain", ""), "domain")
+    dom_raw = _known(_object(_require(raw, "domain", ""), "domain"), "domain")
     shape = _require(dom_raw, "shape", "domain")
     if not isinstance(shape, str) or shape not in SHAPE_PARAMS:
         raise ConfigInvalid(
@@ -190,7 +197,7 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
     lam = _number(dom_raw, "lambda", "domain", lo=0.0)
     h = _number(dom_raw, "h", "domain", lo=0.0)
 
-    model_raw = _object(_require(raw, "model", ""), "model")
+    model_raw = _known(_object(_require(raw, "model", ""), "model"), "model")
     alpha = _number(model_raw, "alpha", "model", lo=0.0, hi=1.0)
     # subcritical growth: p + 1 below the critical exponent 2N/(N - 2 alpha), N = 2
     p = _number(model_raw, "p", "model", lo=1.0, hi=(1.0 + alpha) / (1.0 - alpha))

@@ -278,8 +278,8 @@ def mask_components(mask: np.ndarray) -> tuple[int, np.ndarray]:
     """(count, labels): the components of a boolean grid's True nodes under
     4-connectivity, the 5-point stencil's, and each node's component, the
     nodes in row-major order."""
-    # imported here, not with the module, like scipy.integrate in
-    # extension.solve_profile: the process of a task that never calls them
+    # imported here, not with the module, like scipy.special in
+    # extension.BesselProfile: the process of a task that never calls them
     # should not load them (csgraph adds about 1 MB resident)
     from scipy.sparse.csgraph import connected_components
 

@@ -25,10 +25,6 @@ class EigSolveFailure(FracfieldError):
     """The dense symmetric eigendecomposition failed or produced invalid modes."""
 
 
-class IntegrationFailure(FracfieldError):
-    """The profile ODE march failed: positivity loss, matching error, or solver breakdown."""
-
-
 class QuadratureFailure(FracfieldError):
     """A quadrature's internal error estimate exceeded its accuracy contract."""
 

@@ -16,9 +16,9 @@ the matching eigenvalue of H and equals it divided by some weight in
 so 1 - p is an eigenvalue of S. This Lanczos is the package's only Hessian
 eigensolve: topology.annulus_level's check runs it on a PinnedEnergy.
 
-The Morse index is the number of eigenvalues below -eps_null;
-eigenvalues within eps_null of zero are counted as null and make the point
-degenerate. Both need only the bottom of the spectrum, and only the
+The Morse index is the number of eigenvalues below -DEFAULT_EPS_NULL;
+eigenvalues within DEFAULT_EPS_NULL of zero are counted as null and make the
+point degenerate. Both need only the bottom of the spectrum, and only the
 HessianSpectrumReport holds the index: records carry none. The count check
 compares the index-1/index-2 census of the spectra against the
 prediction 2 P1 - 1, split as P1 points of index 1 and P1 - 1 points of
@@ -46,7 +46,7 @@ from .model import Energy, h_prime
 from .nehari import SolutionRecord
 from .spectral import Field
 
-# The default null threshold on theta, which has the sign of H's eigenvalue,
+# The null threshold on theta, which has the sign of H's eigenvalue,
 # and topology's escape threshold. A mode of H within 1e-6 min W of zero has
 # |theta| <= 1e-6, so it stays null; one with |lambda_H| up to 1e-6 max W may
 # also be flagged, which errs toward calling a point degenerate.
@@ -59,35 +59,26 @@ class HessianSpectrumReport:
 
     eigenvalues holds the k >= min(6, K) smallest eigenvalues theta of the
     pencil H x = theta W x (those of S), ascending; the largest exceeds
-    eps_null unless k = K. theta has the sign of the matching eigenvalue of H,
-    not its size. morse_index counts those below
-    -eps_null, null_count those within [-eps_null, eps_null]; nondegenerate
-    means null_count is zero, and only then is the critical-group polynomial
-    of the point the single power t^morse_index.
+    DEFAULT_EPS_NULL unless k = K. theta has the sign of the matching
+    eigenvalue of H, not its size. morse_index counts those below
+    -DEFAULT_EPS_NULL, null_count those within DEFAULT_EPS_NULL of zero;
+    nondegenerate means null_count is zero, and only then is the
+    critical-group polynomial of the point the single power t^morse_index.
     """
 
     eigenvalues: np.ndarray
     morse_index: int
     null_count: int
     nondegenerate: bool
-    eps_null: float
 
 
-def hessian_spectrum(
-    energy: Energy,
-    u: Field,
-    eps_null: float | None = None,
-) -> HessianSpectrumReport:
+def hessian_spectrum(energy: Energy, u: Field) -> HessianSpectrumReport:
     """Count negative and null modes from the smallest theta of S, k = 6, 12, ...
 
-    eps_null bounds |theta| of a null mode (default DEFAULT_EPS_NULL) and must
-    be positive and finite: ValueError otherwise. k doubles until the largest
-    of the k exceeds eps_null, so no null mode is cut off. Raises
-    EigSolveFailure when the eigensolve fails.
+    k doubles until the largest of the k exceeds DEFAULT_EPS_NULL, so no null
+    mode is cut off. Raises EigSolveFailure when the eigensolve fails.
     """
-    eps = DEFAULT_EPS_NULL if eps_null is None else float(eps_null)
-    if not 0.0 < eps < np.inf:
-        raise ValueError(f"eps_null must be positive and finite, got {eps_null}")
+    eps = DEFAULT_EPS_NULL
     values = energy.values(energy.coords(u))
     k = 6
     ev = _smallest_eigenpairs(energy, values, k)[0]
@@ -101,7 +92,6 @@ def hessian_spectrum(
         morse_index=morse,
         null_count=null,
         nondegenerate=null == 0,
-        eps_null=eps,
     )
 
 

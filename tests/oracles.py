@@ -63,7 +63,7 @@ def mask_preserving_maps(dom: GridDomain) -> list[tuple[np.ndarray, np.ndarray]]
 
 
 def profile_samples(profile: BesselProfile, n_samples: int = 400) -> np.ndarray:
-    """(n_samples, 3) table of (s, psi(s), psi'(s)) on solve_profile's log-graded grid."""
+    """(n_samples, 3) table of (s, psi(s), psi'(s)) on a log-graded grid of [1e-8, s_max]."""
     s = np.geomspace(1e-8, profile.s_max, n_samples)
     return np.stack([s, profile.psi(s), profile.psi_prime(s)], axis=1)
 

@@ -66,6 +66,15 @@ class TestValidation:
         with pytest.raises(ConfigInvalid, match=r"solver\.momentum"):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("section, key, value",
+                             [("domain", "basis", "polar"), ("model", "nonlinearity", "cubic")])
+    def test_unknown_domain_or_model_field(self, section, key, value):
+        # not dropped from canonical and config_hash: rejected like solver's
+        cfg = default_config("solve")
+        cfg[section][key] = value
+        with pytest.raises(ConfigInvalid, match=rf"unknown field \"{section}\.{key}\""):
+            validate_config(cfg)
+
     def test_task_conflict(self):
         cfg = default_config("solve")
         with pytest.raises(ConfigInvalid, match="subcommand"):

@@ -1,4 +1,5 @@
-"""Profile ODE correctness, flux normalization, and the mu^alpha energy identity."""
+"""Profile against a Bessel oracle, ODE correctness, flux normalization, and the
+mu^alpha energy identity."""
 
 import math
 
@@ -36,6 +37,21 @@ def test_half_alpha_profile_is_exp(profiles):
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
+def test_profile_against_multiprecision_bessel(alpha, profiles):
+    # oracle: psi = c s^alpha K_alpha(s) and psi' = -c s^alpha K_(1-alpha)(s),
+    # c = 2^(1-alpha) / Gamma(alpha), with mpmath's besselk at 30 digits
+    p = profiles[alpha]
+    s = np.geomspace(1e-8, 25.0, 120)
+    with mpmath.workdps(30):
+        c = mpmath.mpf(2) ** (1 - mpmath.mpf(alpha)) / mpmath.gamma(alpha)
+        psi = [float(c * mpmath.mpf(x) ** alpha * mpmath.besselk(alpha, x)) for x in s]
+        dpsi = [float(-c * mpmath.mpf(x) ** alpha * mpmath.besselk(1 - mpmath.mpf(alpha), x))
+                for x in s]
+    assert np.max(np.abs(p.psi(s) / psi - 1.0)) < 1e-12
+    assert np.max(np.abs(p.psi_prime(s) / dpsi - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
 def test_flux_limit_matches_k_alpha(alpha, profiles):
     assert abs(profiles[alpha].flux_limit() - k_alpha(alpha)) < 1e-6
 
@@ -55,10 +71,11 @@ def test_profile_positive_decreasing(alpha, profiles):
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_ode_residual_small_on_samples(alpha, profiles):
     p = profiles[alpha]
+    # the finite difference of the closed-form psi' checks that the closed form
+    # solves the ODE; below 1e-4 the stencil's step is too small for the
+    # difference to resolve a psi'' of order 1 (alpha = 0.5)
     s = profile_samples(p)[:, 0]
-    # below 1e-4 the evaluations are the Frobenius series itself, and the FD
-    # stencil degenerates; above s_max the march has no dense output
-    s = s[(s >= 1e-4) & (s <= p.s_max - 1e-3)]
+    s = s[s >= 1e-4]
     assert np.max(ode_residual(p, s)) < 1e-7
 
 
@@ -91,18 +108,6 @@ def test_preconditions_rejected():
     p = solve_profile(0.5)
     with pytest.raises(ValueError):
         extension_energy(p, -1.0)
-
-
-def test_profile_series_march_agree_at_interior_point():
-    # psi is evaluated by series below s0=1 and by the march above; the two
-    # representations must agree across the seam
-    p = solve_profile(0.3)
-    left = p.psi(np.array([1.0 - 1e-9]))[0]
-    right = p.psi(np.array([1.0 + 1e-9]))[0]
-    assert left == pytest.approx(right, rel=1e-7)
-    dleft = p.psi_prime(np.array([1.0 - 1e-9]))[0]
-    dright = p.psi_prime(np.array([1.0 + 1e-9]))[0]
-    assert dleft == pytest.approx(dright, rel=1e-7)
 
 
 def test_samples_table_layout():

@@ -195,19 +195,6 @@ def test_ray_second_derivative_rejects_off_manifold(disk_host, disk_ground):
         ray_second_derivative(Energy(disk_host, P), off)
 
 
-def test_eps_null_validation(square16, square_ground, monkeypatch):
-    assert DEFAULT_EPS_NULL == 1e-6
-
-    def no_solve(*args):
-        raise AssertionError("eps_null reached the eigensolve")
-
-    # inf would widen k until H is formed; nan compares false with every theta
-    monkeypatch.setattr(morse, "_smallest_eigenpairs", no_solve)
-    for eps in (0.0, np.nan, np.inf):
-        with pytest.raises(ValueError, match="eps_null"):
-            hessian_spectrum(Energy(square16, P), square_ground.u, eps_null=eps)
-
-
 def test_annulus_classes_are_local_minima(annulus4, annulus_classes):
     # both orbit classes on the coarse annulus are genuine minima: exactly the
     # ray instability and nothing else, comfortably nondegenerate
@@ -239,14 +226,15 @@ def critical_points(square16, square_ground, disk_host, disk_ground, annulus4,
 
 
 def test_index_counts_match_sylvester_inertia(critical_points):
+    assert DEFAULT_EPS_NULL == 1e-6  # the threshold README states
     for basis, u in critical_points:
         rep = hessian_spectrum(Energy(basis, P), u)
         H = hessian_matrix(basis, u)
-        assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, rep.eps_null,
+        assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, DEFAULT_EPS_NULL,
                                                                       basis.weights)
         k = rep.eigenvalues.size
         assert 6 <= k < basis.K
-        assert rep.eigenvalues[-1] > rep.eps_null
+        assert rep.eigenvalues[-1] > DEFAULT_EPS_NULL
         assert np.allclose(rep.eigenvalues, pencil_spectrum(basis, u)[:k], rtol=1e-10, atol=1e-10)
 
 
@@ -267,18 +255,19 @@ def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_saddle, co
 
 
 def _eps_with_null_count(ev: np.ndarray, lo: int, hi: int) -> tuple[float, int]:
-    """An eps_null midway in the widest gap between the lo-th and hi-th smallest |ev|,
+    """A null threshold midway in the widest gap between the lo-th and hi-th smallest |ev|,
     with the number of eigenvalues it takes in."""
     mags = np.sort(np.abs(ev))
     j = lo + int(np.argmax(np.diff(mags[lo:hi + 1])))
     return 0.5 * (mags[j] + mags[j + 1]), j + 1
 
 
-def test_null_guard_widens_past_first_k(square16, square_ground):
+def test_null_guard_widens_past_first_k(square16, square_ground, monkeypatch):
     H = hessian_matrix(square16, square_ground.u)
     ev = pencil_spectrum(square16, square_ground.u)
     eps, inside = _eps_with_null_count(ev, 8, 14)
-    rep = hessian_spectrum(Energy(square16, P), square_ground.u, eps_null=eps)
+    monkeypatch.setattr(morse, "DEFAULT_EPS_NULL", eps)
+    rep = hessian_spectrum(Energy(square16, P), square_ground.u)
     # theta = -1 lies outside every eps taken here, so only null modes are inside
     assert rep.null_count == inside > 6
     assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps, square16.weights)
@@ -312,7 +301,8 @@ def test_small_span_spectrum(square6_ground, monkeypatch, nulls, lanczos_ks, siz
     eigsh = scipy.sparse.linalg.eigsh
     monkeypatch.setattr(scipy.sparse.linalg, "eigsh",
                         lambda *a, **kw: ks.append(kw["k"]) or eigsh(*a, **kw))
-    rep = hessian_spectrum(Energy(basis, P), rec.u, eps_null=eps)
+    monkeypatch.setattr(morse, "DEFAULT_EPS_NULL", eps)
+    rep = hessian_spectrum(Energy(basis, P), rec.u)
     # k doubles by Lanczos while the largest of the k stays within eps; at
     # k = 48 >= K all K eigenvalues come from the formed S
     assert ks == lanczos_ks
@@ -381,7 +371,6 @@ def _fake_spectrum(morse_index: int, null_count: int = 0) -> HessianSpectrumRepo
         morse_index=morse_index,
         null_count=null_count,
         nondegenerate=null_count == 0,
-        eps_null=1e-6,
     )
 
 

@@ -13,7 +13,8 @@ or reads a Field's coeffs, and outside model only morse reads the weights w.
 Outside domain and spectral, only topology.symmetry_group calls
 mask_symmetries.
 Importing the CLI loads none of the scipy subpackages that only some tasks
-call (LAZY_SCIPY): the functions that call them import them. README's
+call (LAZY_SCIPY): the functions that call them import them. verify-extension
+loads neither scipy.integrate nor scipy.optimize. README's
 library example runs as written.
 """
 
@@ -35,8 +36,9 @@ SRC = ROOT / "src" / "fracfield"
 # results JSON (ROADMAP item 3(a))
 EXCEPTIONS = {"topology.mass_clusters"}
 
-# scipy.integrate (extension.solve_profile) pulls in scipy.optimize and
-# scipy.special; no task needs scipy.ndimage, which loads scipy.special too
+# verify-extension loads scipy.special (extension.BesselProfile) and neither
+# scipy.integrate nor scipy.optimize; no task needs scipy.ndimage, which loads
+# scipy.special too
 LAZY_SCIPY = ("scipy.integrate", "scipy.optimize", "scipy.special", "scipy.ndimage")
 
 
@@ -252,6 +254,17 @@ def test_importing_the_cli_loads_no_lazy_scipy_subpackage():
     # a fresh interpreter: this one has loaded them for other tests
     code = ("import sys, fracfield.cli; "
             f"print(' '.join(m for m in {LAZY_SCIPY!r} if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
+    assert proc.stdout.split() == []
+
+
+def test_verify_extension_loads_neither_integrate_nor_optimize(tmp_path):
+    # a fresh interpreter, as above; the profile is a closed form in scipy.special
+    code = ("import sys; from fracfield.cli import main; "
+            f"code = main(['verify-extension', '--out', {str(tmp_path)!r}, '--quiet']); "
+            "print(' '.join(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules)); "
+            "sys.exit(code)")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, check=True)
     assert proc.stdout.split() == []
