@@ -226,6 +226,10 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
         if not isinstance(lambdas, list) or len(lambdas) < 2:
             raise ConfigInvalid("field \"sweep.lambdas\" must be a list of at least 2 values")
         lambdas = [_finite(x, f"sweep.lambdas[{i}]", lo=0.0) for i, x in enumerate(lambdas)]
+        # run_sweep reads the localization threshold off the rows in this order
+        if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
+            raise ConfigInvalid(
+                f"field \"sweep.lambdas\" must be strictly increasing, got {lambdas}")
         radii = sweep_raw.get("radii", default_config("sweep-lambda")["sweep"]["radii"])
         if not isinstance(radii, list) or len(radii) < 3:
             raise ConfigInvalid("field \"sweep.radii\" must be a list of at least 3 radii")

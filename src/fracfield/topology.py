@@ -6,7 +6,11 @@ seed map that plants a translated ball ground state at a chosen center and
 projects it onto the Nehari manifold. Running the descent solver from seeds
 spread over the domain and grouping the results by the grid symmetry group
 realizes the category counting numerically: a disk collapses to one orbit
-class, an annulus at large scale sustains at least two. The saddle between
+class, an annulus at large scale sustains at least two. The search descends
+once per orbit of the seeds under the grid symmetries: a seed whose snapped
+center is an earlier descended seed's under a symmetry takes that record
+mapped by the symmetry, which the D4-equivariance of the energy and of the
+descent makes its own descent up to rounding. The saddle between
 a class representative and its mirror image is found as a minimum of the
 energy on the Nehari manifold inside the mirror's fixed-point subspace
 (band_saddle).
@@ -21,7 +25,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -95,12 +99,33 @@ class PsiSeeder:
             ) from exc
         self.ball_level = self.ball_state.energy
 
-    def snap(self, x_tilde: tuple[float, float]) -> tuple[float, float]:
-        """Nearest host grid node to x_tilde."""
+    def _grid_node(self, x_tilde: tuple[float, float]) -> tuple[int, int]:
+        """(ix, iy) of the nearest host grid node to x_tilde."""
         dom = self.energy.basis.dom
         ix = int(np.clip(round((x_tilde[0] - dom.xs[0]) / dom.h), 0, dom.nx - 1))
         iy = int(np.clip(round((x_tilde[1] - dom.ys[0]) / dom.h), 0, dom.ny - 1))
+        return ix, iy
+
+    def snap(self, x_tilde: tuple[float, float]) -> tuple[float, float]:
+        """Nearest host grid node to x_tilde."""
+        dom = self.energy.basis.dom
+        ix, iy = self._grid_node(x_tilde)
         return float(dom.xs[ix]), float(dom.ys[iy])
+
+    def node(self, x_tilde: tuple[float, float]) -> int:
+        """Interior index of snap(x_tilde), -1 where that node is outside the mask."""
+        ix, iy = self._grid_node(x_tilde)
+        return int(self.energy.basis.dom.index_of[iy, ix])
+
+    def check_fits(self, x_tilde: tuple[float, float]) -> None:
+        """Raise BallDoesNotFit unless x_tilde is inside the domain by at least
+        the ball radius."""
+        dom = self.energy.basis.dom
+        if not float(dom.signed_boundary_distance(x_tilde)[0]) >= self.ball_radius:
+            raise BallDoesNotFit(
+                f"center {x_tilde} is closer than {self.ball_radius} to the boundary "
+                "of the host domain"
+            )
 
     def seed(self, x_tilde: tuple[float, float]) -> Field:
         """The ball state stamped at the snapped center, zero-extended, projected to M.
@@ -108,14 +133,10 @@ class PsiSeeder:
         The ball shares the host's grid step, so the stamp is an exact
         node-to-node copy, no interpolation; ball nodes that land outside the
         host mask are dropped. Raises BallDoesNotFit when x_tilde is not inside
-        the domain by at least the ball radius.
+        the domain by at least the ball radius (check_fits).
         """
+        self.check_fits(x_tilde)
         dom = self.energy.basis.dom
-        if not float(dom.signed_boundary_distance(x_tilde)[0]) >= self.ball_radius:
-            raise BallDoesNotFit(
-                f"center {x_tilde} is closer than {self.ball_radius} to the boundary "
-                "of the host domain"
-            )
         stamp = self.basis_ball.dom.node_coords + self.snap(x_tilde)
         jx, jy = np.rint((stamp - (dom.xs[0], dom.ys[0])) / dom.h).astype(np.int64).T
         on_grid = (jx >= 0) & (jx < dom.nx) & (jy >= 0) & (jy < dom.ny)
@@ -369,24 +390,54 @@ def multiplicity_search(
     tol: float = 1e-8,
     max_iter: int = 20000,
 ) -> MultiplicityReport:
-    """Descend from translated-bump seeds and count symmetry-orbit classes.
+    """Descend from translated-bump seeds, one descent per seed orbit, and
+    count symmetry-orbit classes.
+
+    A seed is descended only if its snapped center node is not the image of
+    an earlier descended seed's node under a mask permutation p of
+    symmetry_group, matched exactly as integer node indices, earlier seeds
+    and the identity first. Any other seed's record is that source record
+    mapped by the p with p[node_k] == node_j, where k is the seed and j the
+    source: u is analyze(src.u.values[p]) and the barycenter is read from
+    those values; energy, residual, iterations, converged and positive are
+    copied, and seed_tag is the seed's own. That is the seed's own descent up
+    to rounding: its seed is the source's seed mapped by p, as the ball state
+    is D4-symmetric and p preserves the mask, and p commutes with the masked
+    Laplacian, so I, its gradient, W^-1 and the retraction commute with it,
+    and with them every step of the descent kernel.
 
     Class membership is decided by orbit_classes; a class is represented by
-    its member from the earliest seed center. Unconverged starts are logged
-    and dropped, never raised; an unconverged seeding ball (PsiSeeder, same
-    tol and max_iter) raises AllStartsFailed. A tol that is not finite and
+    its member from the earliest seed center, always a descended seed, as an
+    image lists after its source. Unconverged starts, images included, are
+    logged and dropped, never raised; an unconverged seeding ball (PsiSeeder,
+    same tol and max_iter) raises AllStartsFailed, and every center that the
+    ball does not fit raises BallDoesNotFit. A tol that is not finite and
     positive is a ValueError before any work.
     """
     _check_tol(tol)
     if not seed_centers:
         raise ValueError("need at least one seed center")
     basis = energy.basis
+    perms = symmetry_group(basis.dom)
     seeder = PsiSeeder(energy, ball_radius, tol=tol, max_iter=max_iter)
+    descended: list[tuple[int, SolutionRecord]] = []
     records: list[SolutionRecord] = []
     for k, center in enumerate(seed_centers):
         tag = f"psi-{k}@({center[0]:.3g},{center[1]:.3g})"
-        rec = ground_state(energy, seeder.seed(center), tol=tol, max_iter=max_iter,
-                           seed_tag=tag)
+        seeder.check_fits(center)
+        node = seeder.node(center)
+        image = None if node < 0 else next(
+            ((p, src) for src_node, src in descended for p in perms if p[node] == src_node),
+            None)
+        if image is None:
+            rec = ground_state(energy, seeder.seed(center), tol=tol, max_iter=max_iter,
+                               seed_tag=tag)
+            descended.append((node, rec))
+        else:
+            p, src = image
+            u = basis.analyze(src.u.values[p])
+            rec = replace(src, u=u, seed_tag=tag,
+                          barycenter=tuple(_barycenter(basis.dom, u.values)[1].tolist()))
         if rec.converged:
             records.append(rec)
         else:

@@ -140,6 +140,14 @@ class TestValidation:
         with pytest.raises(ConfigInvalid, match='"sweep"'):
             validate_config(cfg)
 
+    @pytest.mark.parametrize("lambdas", [[6.0, 4.0, 2.0], [2.0, 4.0, 4.0]])
+    def test_sweep_lambdas_strictly_increasing(self, lambdas):
+        # the localization threshold is read off the rows in config order
+        cfg = default_config("sweep-lambda")
+        cfg["sweep"]["lambdas"] = lambdas
+        with pytest.raises(ConfigInvalid, match=r"sweep\.lambdas.*strictly increasing"):
+            validate_config(cfg)
+
     @pytest.mark.parametrize("key", ["lambdas", "radii"])
     @pytest.mark.parametrize("bad", [-1.0, "3", True])
     def test_sweep_element_named_by_index(self, key, bad):

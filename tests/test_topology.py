@@ -268,14 +268,85 @@ def test_multiplicity_warning_names_the_dropped_start(annulus4, monkeypatch, cap
         return ground_state(energy, seed, seed_tag=seed_tag, **kwargs)
 
     monkeypatch.setattr(topology, "ground_state", second_start_stalls)
-    # numpy scalars, as the runner's centers are
-    centers = [tuple(np.array(c)) for c in ((MID_RADIUS, 0.0), (0.0, MID_RADIUS))]
+    # numpy scalars, as the runner's centers are; an axis and a diagonal
+    # center, two seed orbits, so that the second start is descended
+    diagonal = MID_RADIUS / np.sqrt(2.0)
+    centers = [tuple(np.array(c)) for c in ((MID_RADIUS, 0.0), (diagonal, diagonal))]
     with caplog.at_level("WARNING", logger="fracfield.topology"):
         rep = multiplicity_search(Energy(annulus4, P), centers, ball_radius=1.0)
     assert rep.n_seeds == 2 and rep.n_converged == 1
     [warning] = [r.getMessage() for r in caplog.records if "did not converge" in r.getMessage()]
-    assert "psi-1@(0,2.8)" in warning
+    assert "psi-1@(1.98,1.98)" in warning
     assert "np.float64" not in warning
+
+
+def _mid_circle(*degrees):
+    return [(MID_RADIUS * np.cos(np.radians(d)), MID_RADIUS * np.sin(np.radians(d)))
+            for d in degrees]
+
+
+@pytest.fixture
+def descents(monkeypatch):
+    """The seed tags that multiplicity_search runs ground_state on, in order."""
+    tags: list[str] = []
+
+    def counted(energy, seed, seed_tag, **kwargs):
+        tags.append(seed_tag)
+        return ground_state(energy, seed, seed_tag=seed_tag, **kwargs)
+
+    monkeypatch.setattr(topology, "ground_state", counted)
+    return tags
+
+
+def test_multiplicity_descends_once_per_seed_orbit(annulus4, disk_host, descents):
+    # the eight mid-circle centers form two orbits of the mask's D4, the axis
+    # and the diagonal one
+    rep = multiplicity_search(Energy(annulus4, P), _mid_circle(*range(0, 360, 45)),
+                              ball_radius=1.0)
+    assert descents == ["psi-0@(2.8,0)", "psi-1@(1.98,1.98)"]
+    assert rep.n_converged == 8
+    assert sorted(cl.orbit_size for cl in rep.classes) == [4, 4]
+    # the disk's center and its four axis points
+    descents.clear()
+    centers = [(0.0, 0.0), (0.2, 0.0), (-0.2, 0.0), (0.0, 0.2), (0.0, -0.2)]
+    multiplicity_search(Energy(disk_host, P), centers, ball_radius=0.5)
+    assert len(descents) == 2
+    # no mask symmetry takes the 30 degree node to the axis one
+    descents.clear()
+    multiplicity_search(Energy(annulus4, P), _mid_circle(0, 30), ball_radius=1.0)
+    assert len(descents) == 2
+
+
+def test_multiplicity_image_records_match_their_own_descents(annulus4, descents, monkeypatch):
+    # 120 and 300 degrees are the 30 degree node's images under the quarter
+    # turns, which are not involutions: mapping by the inverse of the right
+    # permutation would put the bump at 300 degrees for 120 and back
+    centers = _mid_circle(30, 120, 150, 300, 0, 90, 180)
+    grouped = topology.orbit_classes
+    seen: list[list] = []
+
+    def recorded(basis, records):
+        seen.append(list(records))
+        return grouped(basis, records)
+
+    monkeypatch.setattr(topology, "orbit_classes", recorded)
+    energy = Energy(annulus4, P)
+    multiplicity_search(energy, centers, ball_radius=1.0)
+    [records] = seen
+    assert len(records) == len(centers)
+    assert len(descents) == 2
+    seeder = PsiSeeder(energy, ball_radius=1.0)
+    images = [rec for rec in records if rec.seed_tag not in descents]
+    assert len(images) == 5
+    for rec in images:
+        k = int(rec.seed_tag[4:rec.seed_tag.index("@")])
+        own = ground_state(energy, seeder.seed(centers[k]), seed_tag=rec.seed_tag)
+        assert rec.energy == pytest.approx(own.energy, rel=1e-12)
+        diff = rec.u.values - own.u.values
+        assert np.sqrt(diff @ diff) <= 1e-10 * np.sqrt(own.u.values @ own.u.values)
+        assert rec.iterations == own.iterations
+        assert rec.converged and rec.positive == own.positive
+        assert rec.barycenter == pytest.approx(own.barycenter, abs=1e-9)
 
 
 # ------------------------------------------------------------- pinned level
