@@ -13,8 +13,9 @@ such a theta. By Sylvester's law of inertia S has as many negative, zero and
 positive eigenvalues as H; by Ostrowski's theorem each theta has the sign of
 the matching eigenvalue of H and equals it divided by some weight in
 [min W, max W]. At a critical point u of the energy, H u = (1 - p) W u,
-so 1 - p is an eigenvalue of S. This Lanczos is the package's only Hessian
-eigensolve: topology.annulus_level's check runs it on a PinnedEnergy.
+so 1 - p is an eigenvalue of S. This Lanczos, capped at _LANCZOS_RESTARTS
+restarts, is the package's only Hessian eigensolve: topology.annulus_level's
+check of the point it returns runs it on a PinnedEnergy.
 
 The Morse index is the number of eigenvalues below -DEFAULT_EPS_NULL;
 eigenvalues within DEFAULT_EPS_NULL of zero are counted as null and make the
@@ -51,6 +52,8 @@ from .spectral import Field
 # |theta| <= 1e-6, so it stays null; one with |lambda_H| up to 1e-6 max W may
 # also be flagged, which errs toward calling a point degenerate.
 DEFAULT_EPS_NULL = 1e-6
+# the restart cap of every Lanczos solve; ARPACK's own default is 10 K
+_LANCZOS_RESTARTS = 50
 
 
 @dataclass(frozen=True)
@@ -96,16 +99,15 @@ def hessian_spectrum(energy: Energy, u: Field) -> HessianSpectrumReport:
 
 
 def _smallest_eigenpairs(
-    energy: Energy, values: np.ndarray, k: int,
-    vectors: bool = False, maxiter: int | None = None,
+    energy: Energy, values: np.ndarray, k: int, vectors: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The min(k, K) smallest theta of H x = theta W x, H = energy.hessian(values),
     ascending, with their eigenvectors x = W^-1/2 v, v S's unit eigenvectors,
     as columns if vectors is set (else None).
 
     Lanczos (ARPACK) on S with the start vector and the restart generator fixed: by
-    default ARPACK draws them from OS entropy. maxiter caps its restarts (ARPACK's
-    default is 10 K). Raises EigSolveFailure when the solve fails or runs out.
+    default ARPACK draws them from OS entropy. It restarts at most _LANCZOS_RESTARTS
+    times. Raises EigSolveFailure when the solve fails or runs out of restarts.
     """
     K = energy.basis.K
     k = min(k, K)
@@ -120,7 +122,7 @@ def _smallest_eigenpairs(
                 (K, K), matvec=lambda v: scale * hess(scale * v), dtype=float)
             found = scipy.sparse.linalg.eigsh(S, k=k, which="SA", v0=np.ones(K), tol=1e-12,
                                               return_eigenvectors=vectors, rng=0,
-                                              maxiter=maxiter)
+                                              maxiter=_LANCZOS_RESTARTS)
         else:  # eigsh needs k < K: form S from K products
             S = scale[:, None] * np.column_stack([hess(c) for c in np.diag(scale)])
             found = scipy.linalg.eigh(S, eigvals_only=not vectors)

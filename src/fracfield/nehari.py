@@ -33,8 +33,9 @@ max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
   0.1, the gate of the earlier Barzilai-Borwein kernel, Newton steps spent
   most of the L-BFGS saving again (4,452 products with phi and its
   transpose for the eight R=2 disk starts below, against 1,512); with no
-  Newton step at all the first pinned stage of the lambda=6 annulus level
-  took 95 steps instead of 65, and the annulus sweep 898 instead of 824.
+  Newton step at all the pinned annulus levels of the rng_seed 0 sweep
+  took 139, 114 and 429 steps instead of 79, 61 and 69 at lambda=4, 6 and 2
+  (one BLAS thread), and the whole sweep 1,215 instead of 735.
   The gate also keeps Newton to the basin the first-order steps have
   chosen: from a residual near 1 a Newton step can cross into another
   basin, as it takes the pinned lambda=6 annulus level to a lower
@@ -470,6 +471,7 @@ def limit_level_estimate(
     h: float,
     alpha: float = 0.5,
     tol: float = 1e-8,
+    max_iter: int = 20000,
     n_multistarts: int = 2,
     rng_seed: int = 0,
 ) -> LimitLevelReport:
@@ -479,8 +481,8 @@ def limit_level_estimate(
     ratio rho = g2/g1 the tail sums to g2 rho/(1 - rho) below the last level.
     Raises NonmonotoneLevels when a level fails to drop below the one before
     by more than rounding or the gaps fail to shrink, both signs the grid is
-    too coarse for the expansion. A tol that is not finite and positive is a
-    ValueError before any basis is built.
+    too coarse for the expansion. Each level_c runs at tol and max_iter. A tol
+    that is not finite and positive is a ValueError before any basis is built.
     """
     _check_tol(tol)
     if len(radii) < 3:
@@ -492,7 +494,8 @@ def limit_level_estimate(
     for xi in radii:
         dom = build_domain("disk", {"R": float(xi)}, lam=1.0, h=h)
         energy = Energy(assemble_and_decompose(dom, alpha=alpha), p)
-        rep = level_c(energy, n_multistarts=n_multistarts, tol=tol, rng_seed=rng_seed)
+        rep = level_c(energy, n_multistarts=n_multistarts, tol=tol, max_iter=max_iter,
+                      rng_seed=rng_seed)
         levels.append(rep.value)
 
     value, error_bar = _geometric_tail(levels, radii)

@@ -88,7 +88,7 @@ def run_solve(cfg: RunConfig, out_dir: str | Path) -> dict:
 
 def run_sweep(cfg: RunConfig, out_dir: str | Path) -> dict:
     limit = limit_level_estimate(cfg.p, cfg.radii, cfg.h, alpha=cfg.alpha, tol=cfg.tol,
-                                 rng_seed=cfg.rng_seed)
+                                 rng_seed=cfg.rng_seed, max_iter=cfg.max_iter)
     rows = []
     json_rows = []
     threshold_lambda = None

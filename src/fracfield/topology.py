@@ -55,7 +55,6 @@ log = logging.getLogger(__name__)
 
 _ESCAPE_SIZE = 0.1
 _MAX_ESCAPES = 4
-_CHECK_RESTARTS = 50
 # penalty weights of annulus_level's continuation, in units of the seed's
 # energy over (lam r)^2
 _RHO_MULTIPLIERS = (1.0, 10.0, 100.0, 1000.0)
@@ -77,7 +76,7 @@ class PsiSeeder:
     Solves the ground state of B_rho (same grid step, alpha and p as the host
     energy) once, as level_c's one centred start; unless it converges within
     tol and max_iter, AllStartsFailed names the ball radius, tol and max_iter.
-    seed(x) translates it by a grid-aligned shift to snap(x), extends by zero,
+    seed(x) translates it by a grid-aligned shift to node(x), extends by zero,
     and projects it onto the host manifold.
     """
 
@@ -99,23 +98,14 @@ class PsiSeeder:
             ) from exc
         self.ball_level = self.ball_state.energy
 
-    def _grid_node(self, x_tilde: tuple[float, float]) -> tuple[int, int]:
-        """(ix, iy) of the nearest host grid node to x_tilde."""
+    def node(self, x_tilde: tuple[float, float]) -> int:
+        """Interior index of the host grid node nearest x_tilde, never -1 where
+        check_fits passes: a ball of 25 nodes or more, centred on a node, has
+        radius over 2 sqrt(2) h, and that node lies within h/sqrt(2) of x_tilde."""
         dom = self.energy.basis.dom
         ix = int(np.clip(round((x_tilde[0] - dom.xs[0]) / dom.h), 0, dom.nx - 1))
         iy = int(np.clip(round((x_tilde[1] - dom.ys[0]) / dom.h), 0, dom.ny - 1))
-        return ix, iy
-
-    def snap(self, x_tilde: tuple[float, float]) -> tuple[float, float]:
-        """Nearest host grid node to x_tilde."""
-        dom = self.energy.basis.dom
-        ix, iy = self._grid_node(x_tilde)
-        return float(dom.xs[ix]), float(dom.ys[iy])
-
-    def node(self, x_tilde: tuple[float, float]) -> int:
-        """Interior index of snap(x_tilde), -1 where that node is outside the mask."""
-        ix, iy = self._grid_node(x_tilde)
-        return int(self.energy.basis.dom.index_of[iy, ix])
+        return int(dom.index_of[iy, ix])
 
     def check_fits(self, x_tilde: tuple[float, float]) -> None:
         """Raise BallDoesNotFit unless x_tilde is inside the domain by at least
@@ -137,7 +127,7 @@ class PsiSeeder:
         """
         self.check_fits(x_tilde)
         dom = self.energy.basis.dom
-        stamp = self.basis_ball.dom.node_coords + self.snap(x_tilde)
+        stamp = self.basis_ball.dom.node_coords + dom.node_coords[self.node(x_tilde)]
         jx, jy = np.rint((stamp - (dom.xs[0], dom.ys[0])) / dom.h).astype(np.int64).T
         on_grid = (jx >= 0) & (jx < dom.nx) & (jy >= 0) & (jy < dom.ny)
         idx = np.full(jx.size, -1)
@@ -187,7 +177,8 @@ class AnnulusLevelReport:
 
 
 def _saddle_escape(obj: PinnedEnergy, c: np.ndarray, values: np.ndarray) -> np.ndarray | None:
-    """The escape step from a stage's end point c when it is a saddle of F, else None.
+    """The escape step from the pinned objective's converged point c when it is
+    a saddle of F, else None.
 
     The two smallest theta of F's Hessian pencil there, by morse's Lanczos on
     S: the first is the ray's, negative at every point of the manifold, and a
@@ -196,7 +187,7 @@ def _saddle_escape(obj: PinnedEnergy, c: np.ndarray, values: np.ndarray) -> np.n
     _ESCAPE_SIZE sqrt(Q(c)) times the second pencil eigenvector x, whose x^T W x
     is 1, signed so that its largest component is positive.
     """
-    ev, vecs = _smallest_eigenpairs(obj, values, 2, vectors=True, maxiter=_CHECK_RESTARTS)
+    ev, vecs = _smallest_eigenpairs(obj, values, 2, vectors=True)
     if ev[1] >= -DEFAULT_EPS_NULL:
         return None
     x = vecs[:, 1]
@@ -224,13 +215,13 @@ def annulus_level(
     penalty is scale-invariant along rays (beta ignores positive scaling), so
     the Nehari retraction leaves it unchanged and the plain solver's descent
     argument carries over.
-    A converged stage is checked to second order, by morse's Lanczos on the
-    stage's PinnedEnergy (_saddle_escape): where its end point is
-    a saddle of the penalized objective, as the symmetric four-bump point
-    that the ring seed can reach at lam=2, the stage is rerun from a step off
-    it, at most _MAX_ESCAPES times in all, then SaddleNotEscaped is raised.
-    An unconverged stage ends the continuation, and so does a check whose
-    Lanczos solve fails within _CHECK_RESTARTS restarts. Fails with
+    An unconverged stage ends the continuation. Only the point it returns is
+    checked to second order, by morse's Lanczos on the last stage's
+    PinnedEnergy (_saddle_escape): where that point is a saddle of the
+    penalized objective, as the symmetric four-bump point that the ring seed
+    can reach at lam=2, the last stage is rerun from a step off it, at most
+    _MAX_ESCAPES times, then SaddleNotEscaped is raised. An unconverged rerun
+    or a failed Lanczos solve ends the checks. Fails with
     ConstraintViolated if the barycenter it ends at sits farther than 2h from
     the target, else with the check's EigSolveFailure if there was one, and
     with ValueError at once for a tol that is not finite and positive.
@@ -253,28 +244,29 @@ def annulus_level(
     length = dom.lam * dom.params["r"]
     rhos = tuple(m * abs(e_typ) / length**2 for m in _RHO_MULTIPLIERS)
 
-    k = iterations = escapes = 0
+    iterations = escapes = 0
     unchecked: EigSolveFailure | None = None
-    while k < len(rhos):
-        pinned = PinnedEnergy(basis, energy.p, rhos[k], target)
+    for rho in rhos:
+        pinned = PinnedEnergy(basis, energy.p, rho, target)
         c, values, _, residual, its = _retracted_descent(pinned, c, tol, max_iter)
         iterations += its
         if residual > tol:
             break  # an unconverged stage ends the continuation
+    while residual <= tol:
         try:
             step = _saddle_escape(pinned, c, values)
         except EigSolveFailure as exc:
             unchecked = exc
             break
         if step is None:
-            k += 1
-        elif escapes < _MAX_ESCAPES:
-            escapes += 1
-            c = c + step
-        else:
+            break
+        if escapes == _MAX_ESCAPES:
             raise SaddleNotEscaped(
-                f"stage rho={rhos[k]:.3g} still ends at a saddle after {escapes} escapes"
+                f"stage rho={rho:.3g} still ends at a saddle after {escapes} escapes"
             )
+        escapes += 1
+        c, values, _, residual, its = _retracted_descent(pinned, c + step, tol, max_iter)
+        iterations += its
 
     values = energy.values(c)
     record = _solution_record(
@@ -426,7 +418,7 @@ def multiplicity_search(
         tag = f"psi-{k}@({center[0]:.3g},{center[1]:.3g})"
         seeder.check_fits(center)
         node = seeder.node(center)
-        image = None if node < 0 else next(
+        image = next(
             ((p, src) for src_node, src in descended for p in perms if p[node] == src_node),
             None)
         if image is None:

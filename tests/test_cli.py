@@ -651,6 +651,23 @@ class TestSweepOutputs:
         assert row["localized"] is False
         assert row["solution_count"] == 12
 
+    def test_max_iter_bounds_the_ball_levels(self, tmp_path, monkeypatch):
+        # solver.max_iter reaches the level_c runs of the limit level's balls
+        cfg = default_config("sweep-lambda")
+        cfg["domain"] = small_solve_config()["domain"]
+        cfg["solver"]["n_starts"] = 2
+        cfg["solver"]["max_iter"] = 5000
+        cfg["sweep"] = {"lambdas": [0.3, 1.0], "radii": [0.5, 0.75, 1.0]}
+        budgets = []
+
+        def spy(*args, **kwargs):
+            budgets.append(kwargs.get("max_iter"))
+            return level_c(*args, **kwargs)
+
+        monkeypatch.setattr(nehari, "level_c", spy)
+        runner.run(validate_config(cfg), tmp_path)
+        assert budgets == [5000] * 3
+
     def test_report_summarizes_the_sweep(self, sweep_out):
         assert main(["report", "--out", str(sweep_out), "--quiet"]) == 0
         res = json.loads((sweep_out / "report.json").read_text())["results"]

@@ -356,6 +356,14 @@ def test_eigensolve_failures_are_typed(monkeypatch, square16, square_ground):
         hessian_spectrum(Energy(square16, P), square_ground.u)
 
 
+def test_restart_cap_binds_every_spectrum(monkeypatch, disk_host, disk_ground):
+    # the Lanczos of the disk ground state takes 3 restarts; capped at 2 it
+    # runs out, and that is a typed failure, not a spectrum
+    monkeypatch.setattr(morse, "_LANCZOS_RESTARTS", 2)
+    with pytest.raises(EigSolveFailure, match="No convergence"):
+        hessian_spectrum(Energy(disk_host, P), disk_ground.u)
+
+
 def test_classify_records_returns_spectra_in_order(annulus4, annulus_classes, annulus_saddle):
     records = [annulus_saddle.saddle] + [cl.representative for cl in annulus_classes.classes]
     spectra = classify_records(Energy(annulus4, P), records)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from fracfield.domain import build_domain, mask_symmetries
-from fracfield import topology
+from fracfield import morse, topology
 from fracfield.errors import (
     AllStartsFailed,
     BallDoesNotFit,
@@ -169,7 +169,7 @@ def test_psi_seed_postconditions(annulus4):
         energy, j = _energy_and_j(annulus4, u)
         assert abs(j) <= 1e-10 * Q
         beta = _beta(u)
-        snapped = seeder.snap(x_tilde)
+        snapped = annulus4.dom.node_coords[seeder.node(x_tilde)]
         assert np.hypot(beta[0] - snapped[0], beta[1] - snapped[1]) <= annulus4.dom.h
         # zero-extension can only lower the quadratic form on a full span, so
         # the projected seed never exceeds the ball level
@@ -559,6 +559,42 @@ def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
     assert escape(pinned, c, pinned.values(c)) is None
 
 
+def test_annulus_level_checks_only_the_point_it_returns(annulus4, annulus2, monkeypatch):
+    # the stages before the last only warm-start the next: the second-order
+    # check runs on the last stage's objective, once where the last stage
+    # ends at a minimum (the centre target on annulus4), and after each
+    # escape's re-descent at the last rho where it ends at a saddle (the
+    # four-bump point that annulus2's diagonal seed keeps to the last stage)
+    descent, escape = topology._retracted_descent, topology._saddle_escape
+    events: list[tuple] = []
+
+    def descended(obj, *args):
+        out = descent(obj, *args)
+        events.append(("descent", obj.rho))
+        return out
+
+    def checked(obj, c, values):
+        step = escape(obj, c, values)
+        events.append(("check", obj.rho, step is not None))
+        return step
+
+    monkeypatch.setattr(topology, "_retracted_descent", descended)
+    monkeypatch.setattr(topology, "_saddle_escape", checked)
+    rep = annulus_level(Energy(annulus4, P))
+    stages = [("descent", rho) for rho in rep.rho_schedule]
+    assert events == stages + [("check", rep.rho_schedule[-1], False)]
+
+    events.clear()
+    rep = annulus_level(Energy(annulus2, P), seed=_diagonal_bumps_seed(annulus2))
+    stages = [("descent", rho) for rho in rep.rho_schedule]
+    last = rep.rho_schedule[-1]
+    escapes = sum(1 for e in events if e[0] == "check" and e[2])
+    assert escapes >= 1
+    assert events == (stages + [("check", last, True), ("descent", last)] * escapes
+                      + [("check", last, False)])
+    assert rep.record.converged
+
+
 def test_annulus_level_escapes_are_bounded(annulus2, monkeypatch):
     monkeypatch.setattr(topology, "_MAX_ESCAPES", 0)
     with pytest.raises(SaddleNotEscaped):
@@ -568,7 +604,7 @@ def test_annulus_level_escapes_are_bounded(annulus2, monkeypatch):
 def test_annulus_level_check_failure_is_typed(annulus4, monkeypatch):
     # one Lanczos restart cannot converge the check: on a feasible target that
     # is an eigensolve failure, not a level
-    monkeypatch.setattr(topology, "_CHECK_RESTARTS", 1)
+    monkeypatch.setattr(morse, "_LANCZOS_RESTARTS", 1)
     with pytest.raises(EigSolveFailure):
         annulus_level(Energy(annulus4, P))
 
