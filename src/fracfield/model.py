@@ -8,14 +8,15 @@ with h(s) = (s_+)^p, H its primitive, acting only on the positive part so
 critical points are automatically candidates for positive solutions. The
 L2 gradient has spectral coefficients (mu_k^alpha + 1) b_k - <h(u), phi_k>.
 Energy is the one implementation of I, with its gradient, the Nehari functional
-J, the Hessian action and the closed-form retraction onto the manifold;
+J, the Hessian action, the operator morse's Lanczos runs on and the
+closed-form retraction onto the manifold;
 PinnedEnergy adds the barycenter penalty of the pinned annulus level, and
 RestrictedEnergy confines the energy to a span of modes, such as a mirror's
 fixed-point subspace. Each is the one objective the descent kernel takes.
 An Energy is the functional itself, built from a basis and the exponent p:
 the solvers of nehari, morse and topology take one instead of its parts.
-Outside spectral, only this module calls the basis's matvec and rmatvec or
-reads a Field's coefficients, and only it and morse's pencil read W.
+Outside spectral, only this module calls the basis's matvec, rmatvec and
+green or reads a Field's coefficients, and only it and morse read W.
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class Energy:
     Methods taking both trust the caller to pass such a pair, so one synthesis
     serves value, gradient and retraction; coords reads a Field's, checking
     its domain. Products with phi and its transpose are the basis's matvec
-    and rmatvec, block by block on its factors.
+    and rmatvec, block by block on its factors, and the Green operator
+    h^2 phi W^-1 phi^T is its green.
     """
 
     def __init__(self, basis: SpectralBasis, p: float):
@@ -104,6 +106,34 @@ class Energy:
             return self.w * v - self.h2 * self.basis.rmatvec(hp * self.basis.matvec(v))
 
         return hv
+
+    def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
+        """The pencil H x = theta W x at these values as (op, start, lift), the
+        form morse's Lanczos runs on (morse module docstring): on nodal vectors,
+        op y = y - sqrt(D) G sqrt(D) y, D = h'(u) and G the basis's green, from
+        start = F 1 = h sqrt(D) phi W^-1/2 1. lift maps op's unit eigenvectors
+        y, as columns, to the pencil's x = h W^-1 phi^T (sqrt(D) y) / sqrt(1 - theta),
+        x^T W x = 1; it has none for theta = 1.
+        """
+        sd = np.sqrt(h_prime(self.p, values))
+        h = self.basis.dom.h
+
+        def op(y: np.ndarray) -> np.ndarray:
+            return y - sd * self.basis.green(sd * y)
+
+        def lift(theta: np.ndarray, Y: np.ndarray) -> np.ndarray:
+            return h * self.basis.rmatvec(sd[:, None] * Y) / (
+                self.w[:, None] * np.sqrt(1.0 - theta))
+
+        return op, h * sd * self.basis.matvec(1.0 / np.sqrt(self.w)), lift
+
+    def _congruent_pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
+        """pencil's (op, start, lift) on coefficients, for any Hessian action:
+        op is S = W^-1/2 H W^-1/2, start ones(K) and lift x = W^-1/2 v."""
+        scale = 1.0 / np.sqrt(self.w)
+        hess = self.hessian(values)
+        return (lambda v: scale * hess(scale * v), np.ones(self.basis.K),
+                lambda theta, V: scale[:, None] * V)
 
     def nehari_t(self, c: np.ndarray, values: np.ndarray) -> float:
         """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1))."""
@@ -170,6 +200,11 @@ class PinnedEnergy(Energy):
 
         return hv
 
+    def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
+        """The coefficient-space S: the penalty's nodal Hessian is indefinite,
+        so F's pencil has no symmetric form with a square root of it."""
+        return self._congruent_pencil(values)
+
 
 class RestrictedEnergy(Energy):
     """I on the span of the modes in keep, a (K,) boolean mask: grad and the
@@ -194,3 +229,8 @@ class RestrictedEnergy(Energy):
     def hessian(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         hv = super().hessian(values)
         return lambda v: np.where(self.keep, hv(v), 0.0)
+
+    def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
+        """The coefficient-space S of the restricted Hessian action, not the
+        whole span's nodal form."""
+        return self._congruent_pencil(values)

@@ -6,14 +6,27 @@ a diagonal quadratic-form part minus the Gram operator of the modes under the
 node weights h^2 h'(u), applied by the map Energy.hessian returns and never
 formed. Its spectrum reaches max W, about 12 at h = 0.25, and its bottom
 eigenvalues sit close together on that scale. So Lanczos runs instead on the
-congruent S = W^-1/2 H W^-1/2 = I - W^-1/2 Phi^T D Phi W^-1/2, D = h^2 h'(u) >= 0:
-S <= I, and all but a few of its eigenvalues cluster at 1. Its eigenvalues are
-those of the pencil H x = theta W x, and every eigenvalue reported here is
-such a theta. By Sylvester's law of inertia S has as many negative, zero and
-positive eigenvalues as H; by Ostrowski's theorem each theta has the sign of
-the matching eigenvalue of H and equals it divided by some weight in
-[min W, max W]. At a critical point u of the energy, H u = (1 - p) W u,
-so 1 - p is an eigenvalue of S. This Lanczos, capped at _LANCZOS_RESTARTS
+congruent S = W^-1/2 H W^-1/2 = I - F^T F, F = h sqrt(D) Phi W^-1/2,
+D = h'(u) >= 0: S <= I, and all but a few of its eigenvalues cluster at 1. Its
+eigenvalues are those of the pencil H x = theta W x, and every eigenvalue
+reported here is such a theta. By Sylvester's law of inertia S has as many
+negative, zero and positive eigenvalues as H; by Ostrowski's theorem each
+theta has the sign of the matching eigenvalue of H and equals it divided by
+some weight in [min W, max W]. At a critical point u of the energy,
+H u = (1 - p) W u, so 1 - p is an eigenvalue of S.
+
+The basis spans the grid, so F is square and F F^T has the eigenvalues of
+F^T F: T = I - F F^T = I - sqrt(D) G sqrt(D), with G = h^2 Phi W^-1 Phi^T
+acting on nodal values, has S's spectrum, and so the counts above. The
+objective supplies the operator (model.Energy.pencil). The plain energy hands
+Lanczos T, whose product is one symmetric pass over the basis's Green blocks
+(spectral.SpectralBasis.green) where S's reads the eigenvector blocks twice.
+Its start vector is F 1, the image of S's ones(K), so its Krylov spaces are
+the F-images of S's: the solves take as many products and find the same
+theta. T's eigenvectors y lift to the pencil's as
+x = h W^-1 Phi^T (sqrt(D) y) / sqrt(1 - theta). A PinnedEnergy keeps S: its
+penalty's nodal Hessian is indefinite and has no square root. A
+RestrictedEnergy keeps S too. This Lanczos, capped at _LANCZOS_RESTARTS
 restarts, is the package's only Hessian eigensolve: topology.annulus_level's
 check of the point it returns runs it on a PinnedEnergy.
 
@@ -102,37 +115,37 @@ def _smallest_eigenpairs(
     energy: Energy, values: np.ndarray, k: int, vectors: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The min(k, K) smallest theta of H x = theta W x, H = energy.hessian(values),
-    ascending, with their eigenvectors x = W^-1/2 v, v S's unit eigenvectors,
-    as columns if vectors is set (else None).
+    ascending, with their eigenvectors x, x^T W x = 1, as columns if vectors is
+    set (else None).
 
-    Lanczos (ARPACK) on S with the start vector and the restart generator fixed: by
-    default ARPACK draws them from OS entropy. It restarts at most _LANCZOS_RESTARTS
-    times. Raises EigSolveFailure when the solve fails or runs out of restarts.
+    Lanczos (ARPACK) on the operator energy.pencil supplies, from its start
+    vector, with the restart generator fixed: by default ARPACK draws both from
+    OS entropy. Its eigenvectors go back through the pencil's lift. It restarts
+    at most _LANCZOS_RESTARTS times. Raises EigSolveFailure when the solve fails
+    or runs out of restarts.
     """
     K = energy.basis.K
     k = min(k, K)
-    scale = 1.0 / np.sqrt(energy.w)
     if not np.any(h_prime(energy.p, values)):
         # S = I: Lanczos from one start vector would find one copy of 1
-        return np.ones(k), scale[:, None] * np.eye(K, k) if vectors else None
-    hess = energy.hessian(values)
+        return np.ones(k), np.eye(K, k) / np.sqrt(energy.w)[:, None] if vectors else None
+    op, start, lift = energy.pencil(values)
     try:
         if k < K:
-            S = scipy.sparse.linalg.LinearOperator(
-                (K, K), matvec=lambda v: scale * hess(scale * v), dtype=float)
-            found = scipy.sparse.linalg.eigsh(S, k=k, which="SA", v0=np.ones(K), tol=1e-12,
+            A = scipy.sparse.linalg.LinearOperator((K, K), matvec=op, dtype=float)
+            found = scipy.sparse.linalg.eigsh(A, k=k, which="SA", v0=start, tol=1e-12,
                                               return_eigenvectors=vectors, rng=0,
                                               maxiter=_LANCZOS_RESTARTS)
-        else:  # eigsh needs k < K: form S from K products
-            S = scale[:, None] * np.column_stack([hess(c) for c in np.diag(scale)])
-            found = scipy.linalg.eigh(S, eigvals_only=not vectors)
+        else:  # eigsh needs k < K: form the operator from K products
+            found = scipy.linalg.eigh(np.column_stack([op(e) for e in np.eye(K)]),
+                                      eigvals_only=not vectors)
     except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
         raise EigSolveFailure(f"Hessian eigensolve failed: {exc}") from exc
     ev, vecs = found if vectors else (found, None)
     if not np.all(np.isfinite(ev)):
         raise EigSolveFailure("Hessian spectrum contains non-finite eigenvalues")
     order = np.argsort(ev)
-    return ev[order], None if vecs is None else scale[:, None] * vecs[:, order]
+    return ev[order], None if vecs is None else lift(ev[order], vecs[:, order])
 
 
 def ray_second_derivative(

@@ -199,16 +199,18 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
                                  tol=cfg.tol, max_iter=cfg.max_iter)
 
     reps = [cl.representative for cl in report.classes]
-    spectra = classify_records(energy, reps)
+    mirrors = moving_mirrors(energy.basis, reps[0].u) if len(report.classes) >= 2 else []
+    srec = band_saddle(energy, reps[0].u, mirrors[0], tol=cfg.tol,
+                       max_iter=cfg.max_iter).saddle if mirrors else None
+    # the spectra run last: the first builds the basis's Green blocks, and
+    # the band saddle's descent ran slower with them held (K = 6,056)
+    spectra = classify_records(energy, reps if srec is None else reps + [srec])
 
     saddle_info = None
     census_records = list(reps)
-    census_spectra = list(spectra)
-    mirrors = moving_mirrors(energy.basis, reps[0].u) if len(report.classes) >= 2 else []
-    if mirrors:
-        srec = band_saddle(energy, reps[0].u, mirrors[0], tol=cfg.tol,
-                           max_iter=cfg.max_iter).saddle
-        [sspec] = classify_records(energy, [srec])
+    census_spectra = spectra[:len(reps)]
+    if srec is not None:
+        sspec = spectra[-1]
         saddle_info = {
             "record": record_summary(srec, sspec),
             "null_count": sspec.null_count,

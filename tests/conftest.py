@@ -45,22 +45,23 @@ def annulus_classes(annulus4):
 
 @pytest.fixture(scope="session")
 def count_matvecs():
-    """A context manager that counts the SpectralBasis.matvec calls made inside it.
+    """A context manager that counts the calls of a SpectralBasis product
+    (matvec unless named) made inside it.
 
     `with count_matvecs() as calls:` leaves the count in calls[0].
     """
 
     @contextlib.contextmanager
-    def counting():
+    def counting(name="matvec"):
         calls = [0]
-        matvec = SpectralBasis.matvec
+        product = getattr(SpectralBasis, name)
 
-        def counted(self, c):
+        def counted(self, x):
             calls[0] += 1
-            return matvec(self, c)
+            return product(self, x)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(SpectralBasis, "matvec", counted)
+            mp.setattr(SpectralBasis, name, counted)
             yield calls
 
     return counting

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracfield import nehari, runner
+from fracfield import nehari, runner, topology
 from fracfield.cli import main
 from fracfield.config import (
     TASKS,
@@ -23,7 +23,9 @@ from fracfield.config import (
 )
 from fracfield.domain import build_domain
 from fracfield.errors import ConfigInvalid
+from fracfield.model import PinnedEnergy
 from fracfield.nehari import level_c
+from fracfield.spectral import SpectralBasis
 
 
 def small_solve_config(**overrides) -> dict:
@@ -667,6 +669,22 @@ class TestSweepOutputs:
         monkeypatch.setattr(nehari, "level_c", spy)
         runner.run(validate_config(cfg), tmp_path)
         assert budgets == [5000] * 3
+
+    def test_a_sweep_builds_no_green_block(self, tmp_path, monkeypatch):
+        # the sweep's only Lanczos solves are its pinned levels' checks, on the
+        # coefficient-space S of a PinnedEnergy: it runs no plain-energy
+        # spectrum, so none of its bases builds the Green blocks
+        builds, solves = [], []
+        build = SpectralBasis._green_blocks
+        monkeypatch.setattr(SpectralBasis, "_green_blocks",
+                            lambda self: builds.append(self) or build(self))
+        eigenpairs = topology._smallest_eigenpairs
+        monkeypatch.setattr(topology, "_smallest_eigenpairs",
+                            lambda energy, *a, **kw: solves.append(type(energy))
+                            or eigenpairs(energy, *a, **kw))
+        runner.run(load_config(None, task="sweep-lambda"), tmp_path)
+        assert solves and set(solves) == {PinnedEnergy}
+        assert builds == []
 
     def test_report_summarizes_the_sweep(self, sweep_out):
         assert main(["report", "--out", str(sweep_out), "--quiet"]) == 0

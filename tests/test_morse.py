@@ -238,6 +238,29 @@ def test_index_counts_match_sylvester_inertia(critical_points):
         assert np.allclose(rep.eigenvalues, pencil_spectrum(basis, u)[:k], rtol=1e-10, atol=1e-10)
 
 
+def _assert_both_copies(basis: SpectralBasis, u, repeated: float, first: int) -> None:
+    """The spectrum at u equals the dense pencil's, and holds both copies of
+    the theta near repeated, from position first on."""
+    ev = hessian_spectrum(Energy(basis, P), u).eigenvalues
+    dense = pencil_spectrum(basis, u)
+    assert np.allclose(ev, dense[:ev.size], rtol=1e-10, atol=1e-10)
+    assert np.allclose(ev[first:first + 2], repeated, rtol=1e-3, atol=0.0)
+    assert np.sum(np.abs(dense - repeated) <= 1e-3 * abs(repeated)) == 2
+
+
+# a symmetric point repeats theta, and Lanczos from a start vector in the
+# symmetric sector alone finds one copy: so it did from ones(n) on nodes
+
+def test_mirror_saddle_has_both_ray_thetas(annulus4, annulus_saddle):
+    # the two bumps' rays both give about -1
+    _assert_both_copies(annulus4, annulus_saddle.saddle.u, -1.0, 0)
+
+
+def test_centred_disk_ground_state_has_both_translation_thetas(disk_host, disk_ground):
+    # the translation pair along x and y
+    _assert_both_copies(disk_host, disk_ground.u, 0.014453, 1)
+
+
 def test_ray_is_the_lowest_mode_of_s(critical_points):
     # at a critical point H u = (1 - p) W u, and 1 - p is S's smallest eigenvalue
     for basis, u in critical_points:
@@ -246,12 +269,15 @@ def test_ray_is_the_lowest_mode_of_s(critical_points):
 
 
 def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_saddle, count_matvecs):
-    # Lanczos on H took 131-133 products per point here; on S it takes 53-56
+    # Lanczos on H took 131-133 products per point here; on S it took 53-56,
+    # each a matvec and an rmatvec, and on the nodal form as many, each one
+    # green. The spectrum's two matvecs are u's values and the start vector
     points = [cl.representative.u for cl in annulus_classes.classes] + [annulus_saddle.saddle.u]
     for u in points:
-        with count_matvecs() as calls:
+        with count_matvecs("green") as products, count_matvecs() as matvecs:
             hessian_spectrum(Energy(annulus4, P), u)
-        assert calls[0] <= 80
+        assert products[0] <= 80
+        assert matvecs[0] == 2
 
 
 def _eps_with_null_count(ev: np.ndarray, lo: int, hi: int) -> tuple[float, int]:

@@ -12,7 +12,12 @@ from hypothesis import strategies as st
 from fracfield.domain import build_domain, mask_symmetries
 from fracfield.errors import DomainMismatch, EigSolveFailure
 from fracfield.model import Energy
-from fracfield.spectral import _parity_frames, assemble_and_decompose, assemble_laplacian
+from fracfield.spectral import (
+    SpectralBasis,
+    _parity_frames,
+    assemble_and_decompose,
+    assemble_laplacian,
+)
 from oracles import dense_phi, mask_preserving_maps
 
 
@@ -209,6 +214,59 @@ def test_factored_apply_and_adjoint_match_dense_phi(shape, params, lam, h, n_fra
     # the two are adjoint: <phi c, x> = <c, phi^T x>
     lhs, rhs = float(basis.matvec(c) @ x), float(c @ basis.rmatvec(x))
     assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(basis.matvec(c)) * np.linalg.norm(x)
+
+
+@_BLOCKED_DOMAINS
+def test_green_matches_dense_product(shape, params, lam, h, n_frames, n_distinct):
+    # G = h^2 phi W^-1 phi^T, applied block by block on the frames' upper
+    # triangles, against the dense product of phi's columns; the rectangles
+    # have no swap, or the swap alone
+    basis = assemble_and_decompose(build_domain(shape, params, lam=lam, h=h), alpha=0.5)
+    phi = dense_phi(basis)
+    G = h**2 * (phi / basis.weights) @ phi.T
+    x = np.random.default_rng(8).standard_normal((4, basis.K))
+    for col in x:
+        want = G @ col
+        assert np.linalg.norm(basis.green(col) - want) <= 1e-13 * np.linalg.norm(want)
+    # one block per frame, square, its distinct blocks as many as the V_b
+    assert [g.shape[0] for g in basis._green] == [V.shape[0] for V in basis.blocks]
+    assert len({id(g) for g in basis._green}) == n_distinct
+
+
+@pytest.mark.parametrize(
+    "shape, params, lam, h",
+    [("annulus", {"R": 1.0, "r": 0.4}, 4.0, 0.25), ("disk", {"R": 1.0}, 1.0, 0.1)],
+    ids=["annulus4", "disk"],
+)
+def test_swap_partners_share_their_green_block(shape, params, lam, h):
+    # the swap pair's G_b is one array, as its V_b is: the Green blocks hold
+    # as many doubles as the eigenvector blocks, about n^2/8
+    basis = assemble_and_decompose(build_domain(shape, params, lam=lam, h=h), alpha=0.5)
+    basis.green(np.ones(basis.K))
+    (k,) = [i for i in range(1, len(basis.blocks)) if basis.blocks[i] is basis.blocks[i - 1]]
+    assert basis._green[k] is basis._green[k - 1]
+    distinct = {id(g): g for g in basis._green}.values()
+    assert sum(g.nbytes for g in distinct) == sum(
+        V.nbytes for V in {id(V): V for V in basis.blocks}.values())
+
+
+def test_green_blocks_are_built_once_per_basis(monkeypatch):
+    # lazily, on the first product, and never again for that basis
+    builds = []
+    build = SpectralBasis._green_blocks
+    monkeypatch.setattr(SpectralBasis, "_green_blocks",
+                        lambda self: builds.append(self) or build(self))
+    dom = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    assert builds == [] and basis._green is None
+    x = np.random.default_rng(9).standard_normal(basis.K)
+    first = basis.green(x)
+    assert np.array_equal(basis.green(x), first)
+    basis.green(2.0 * x)
+    assert builds == [basis]
+    other = assemble_and_decompose(dom, alpha=0.5)
+    other.green(x)
+    assert builds == [basis, other]
 
 
 def test_identity_frame_apply_is_the_dense_product(unblocked_basis):
