@@ -5,18 +5,41 @@ The functional on a spectral basis is
     I(u) = (1/2) * Q(u) - h^2 * sum_i H(u_i),      Q(u) = sum_k (mu_k^alpha + 1) b_k^2,
 
 with h(s) = (s_+)^p, H its primitive, acting only on the positive part so
-critical points are automatically candidates for positive solutions. The
-L2 gradient has spectral coefficients (mu_k^alpha + 1) b_k - <h(u), phi_k>.
+critical points are automatically candidates for positive solutions.
 Energy is the one implementation of I, with its gradient, the Nehari functional
-J, the Hessian action, the operator morse's Lanczos runs on and the
-closed-form retraction onto the manifold;
+J, its curvature, the operator morse's Lanczos runs on and the closed-form
+retraction onto the manifold;
 PinnedEnergy adds the barycenter penalty of the pinned annulus level, and
-RestrictedEnergy confines the energy to a span of modes, such as a mirror's
-fixed-point subspace. Each is the one objective the descent kernel takes.
+RestrictedEnergy confines the energy to a mirror's fixed-point subspace.
+Each is the one objective the descent kernel takes.
 An Energy is the functional itself, built from a basis and the exponent p:
 the solvers of nehari, morse and topology take one instead of its parts.
-Outside spectral, only this module calls the basis's matvec, rmatvec and
-green or reads a Field's coefficients, and only it and morse read W.
+Outside spectral, only this module calls the basis's matvec, rmatvec,
+green and fixed_green or reads a Field's coefficients, and only it and
+morse read W.
+
+Nodal representation. A point is the pair (u, r) of nodal vectors with
+u = phi c and r = (A^alpha + I) u = phi W c, W = diag(mu^alpha + 1); the
+basis spans the grid, so phi is invertible with inverse h^2 phi^T. A point
+enters from its coefficients as point(c) (one product with two columns) and
+leaves as a Field (field(u), one rmatvec); in between the descent kernel
+applies no phi. With G = h^2 phi W^-1 phi^T = (A^alpha + I)^-1 the basis's
+Green operator:
+
+- Q = h^2 u . r. A gradient is a nodal dual g, for I g = r - h(u); it pairs
+  with a point v as h^2 g . v_u, which equals g_c . v_c with
+  g_c = h^2 phi^T g, the coefficient gradient W c - h^2 phi^T h(u).
+- The Riesz map (W^-1 on coefficients) sends g to the point (G g, g): riesz
+  returns G g, one green, and ||g||_*^2 = h^2 g . G g.
+- The second variation sends a point v to the dual v_r - E v_u, where E is
+  the objective's nodal curvature (curvature(u)): h'(u) for I. That takes no
+  product; the coefficient form W v - h^2 phi^T (E phi v) is built from the
+  same E where Lanczos needs it (PinnedEnergy.pencil).
+- On the Nehari manifold Q = P, P = h^2 sum (u+)^(p+1), so
+  I = (p - 1)/(2 (p + 1)) Q there. level(u, Q) returns the retraction's
+  scale and the objective at the retracted point from u and Q alone: the
+  kernel reads Q at a trial point from dot products of its ends and pays
+  one pass over u per trial.
 """
 
 from __future__ import annotations
@@ -52,17 +75,16 @@ def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[np.ndarray, np.nda
     mass = float(w.sum())
     if mass <= 0.0:
         raise NonpositiveField("barycenter undefined: u+ vanishes on the grid")
-    return up, (dom.node_coords * w[:, None]).sum(axis=0) / mass, mass
+    return up, (w @ dom.node_coords) / mass, mass
 
 
 class Energy:
-    """The functional I on the span, on raw arrays: coefficients c and values = phi @ c.
+    """The functional I on the span, on nodal points (u, r) (module docstring).
 
-    Methods taking both trust the caller to pass such a pair, so one synthesis
-    serves value, gradient and retraction; coords reads a Field's, checking
-    its domain. Products with phi and its transpose are the basis's matvec
-    and rmatvec, block by block on its factors, and the Green operator
-    h^2 phi W^-1 phi^T is its green.
+    Methods taking both trust the caller to pass such a pair; coords reads a
+    Field's coefficients, checking its domain. Products with phi and its
+    transpose are the basis's matvec and rmatvec, block by block on its
+    factors, and the Green operator h^2 phi W^-1 phi^T is its green.
     """
 
     def __init__(self, basis: SpectralBasis, p: float):
@@ -79,33 +101,51 @@ class Energy:
     def values(self, c: np.ndarray) -> np.ndarray:
         return self.basis.matvec(c)
 
+    def point(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(phi c, phi W c), the nodal point of coefficients c, from one matvec of two columns."""
+        x = self.basis.matvec(np.column_stack([c, self.w * c]))
+        return x[:, 0].copy(), x[:, 1].copy()
+
+    def field(self, u: np.ndarray) -> Field:
+        """The Field with values u and coefficients h^2 phi^T u."""
+        return Field(self.basis.dom, u, self.h2 * self.basis.rmatvec(u))
+
     def riesz(self, g: np.ndarray) -> np.ndarray:
-        """W^-1 g, the Riesz representative of a gradient g: g riesz(g) is ||g||_*^2."""
-        return g / self.w
+        """G g, the u-part of the Riesz image (G g, g) of a nodal dual g."""
+        return self.basis.green(g)
 
-    def quadratic(self, c: np.ndarray) -> float:
-        """Q(u) = sum_k (mu_k^alpha + 1) c_k^2, the squared energy norm."""
-        return float(np.sum(self.w * c * c))
+    def quadratic(self, u: np.ndarray, r: np.ndarray) -> float:
+        """Q = h^2 u . r = sum_k (mu_k^alpha + 1) c_k^2, the squared energy norm."""
+        return self.h2 * float(u @ r)
 
-    def energy(self, c: np.ndarray, values: np.ndarray) -> float:
-        return 0.5 * self.quadratic(c) - self.h2 * float(np.sum(H_eval(self.p, values)))
+    def energy(self, u: np.ndarray, Q: float) -> float:
+        """The objective at the point with values u and squared energy norm Q."""
+        return 0.5 * Q - self.h2 * float(np.sum(H_eval(self.p, u)))
 
-    def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Spectral coefficients of the L2 gradient: w c - <h(u), phi_k>."""
-        return self.w * c - self.h2 * self.basis.rmatvec(h_eval(self.p, values))
+    def grad(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The nodal dual r - h(u) of the gradient: h^2 phi^T of it is W c - <h(u), phi_k>.
+        Every objective's is r plus a term of u alone, grad(u, 0)."""
+        return r - h_eval(self.p, u)
 
-    def j(self, c: np.ndarray, values: np.ndarray) -> float:
+    def measure(self, u: Field) -> tuple[float, float]:
+        """(F, ||grad F||_*^2) at the field u, from its coefficients c and values:
+        Q = sum w c^2 and the coefficient gradient W c + h^2 phi^T grad(u, 0),
+        one rmatvec. The descent's pair (u, r) holds r = phi W c only to
+        rounding, and its own gradient can fall below the rounding floor of
+        this one, so records are judged here."""
+        c = self.coords(u)
+        g = self.w * c + self.h2 * self.basis.rmatvec(self.grad(u.values, np.zeros_like(c)))
+        return self.energy(u.values, float(np.sum(self.w * c * c))), float(g @ (g / self.w))
+
+    def j(self, u: np.ndarray, Q: float) -> float:
         """J(u) = Q(u) - <h(u), u>_h; zero exactly on the Nehari manifold."""
-        return self.quadratic(c) - self.h2 * float(np.sum(h_eval(self.p, values) * values))
+        return Q - self.h2 * float(np.sum(h_eval(self.p, u) * u))
 
-    def hessian(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        """Second variation at the field with these values, as v -> w v - <h'(u) phi v, phi_k>."""
+    def curvature(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+        """E at the field with these values, as z -> E z: the second variation
+        sends a point v to the dual v_r - E v_u. For I, E = h'(u)."""
         hp = h_prime(self.p, values)
-
-        def hv(v: np.ndarray) -> np.ndarray:
-            return self.w * v - self.h2 * self.basis.rmatvec(hp * self.basis.matvec(v))
-
-        return hv
+        return lambda z: hp * z
 
     def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
         """The pencil H x = theta W x at these values as (op, start, lift), the
@@ -127,25 +167,23 @@ class Energy:
 
         return op, h * sd * self.basis.matvec(1.0 / np.sqrt(self.w)), lift
 
-    def _congruent_pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
-        """pencil's (op, start, lift) on coefficients, for any Hessian action:
-        op is S = W^-1/2 H W^-1/2, start ones(K) and lift x = W^-1/2 v."""
-        scale = 1.0 / np.sqrt(self.w)
-        hess = self.hessian(values)
-        return (lambda v: scale * hess(scale * v), np.ones(self.basis.K),
-                lambda theta, V: scale[:, None] * V)
-
-    def nehari_t(self, c: np.ndarray, values: np.ndarray) -> float:
-        """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1))."""
-        Q = self.quadratic(c)
-        P = self.h2 * float(np.sum(np.maximum(values, 0.0) ** (self.p + 1.0)))
+    def nehari_t(self, u: np.ndarray, Q: float) -> float:
+        """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1)),
+        Q the squared energy norm of the point with values u."""
+        P = self.h2 * float(np.sum(np.maximum(u, 0.0) ** (self.p + 1.0)))
         if P <= 0.0 or Q <= 0.0:
             raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
         return (Q / P) ** (1.0 / (self.p - 1.0))
 
-    def retract(self, c: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = self.nehari_t(c, values)
-        return t * c, t * values
+    def level(self, u: np.ndarray, Q: float) -> tuple[float, float]:
+        """(t, F): the retraction's scale nehari_t(u, Q) and the objective at the
+        retracted point, (p - 1)/(2 (p + 1)) t^2 Q for I."""
+        t = self.nehari_t(u, Q)
+        return t, (self.p - 1.0) / (2.0 * (self.p + 1.0)) * t * t * Q
+
+    def retract(self, u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = self.nehari_t(u, self.quadratic(u, r))
+        return t * u, t * r
 
 
 class PinnedEnergy(Energy):
@@ -153,19 +191,18 @@ class PinnedEnergy(Energy):
 
     beta is _barycenter's, as in the records. With s = u+, m = 1[u > 0],
     M = sum s^2, r_i = x_i - beta and q = r . (beta - x_tilde), the penalty's
-    nodal gradient is 4 rho s q / M, recomputed from the values wherever the
-    gradient is asked for. With Bz = 2 sum s_i z_i r_i / M (the change of beta
-    along z), its nodal Hessian on z is
+    nodal gradient is pvals = 4 rho s q / M, recomputed from the values
+    wherever the gradient is asked for; the dual adds pvals / h^2. With
+    Bz = 2 sum s_i z_i r_i / M (the change of beta along z), its nodal
+    Hessian on z is
 
         4 rho / M [s (r . Bz) + m q z - 2 (s <s q, z> + s q <s, z>) / M],
 
-    a diagonal on the positive set plus a term of rank at most 3. hessian(values)
-    computes the per-point terms once and returns the map v -> H_F v, which
-    adds that Hessian to the energy's second variation on z = phi v in one
-    basis matvec and one rmatvec. The penalty is 0-homogeneous, so its
-    Hessian sends c to minus its gradient: H_F c + g_F = H_I c + g_I = J'(c),
-    and the Newton step's tangent space is the plain energy's. For the same
-    reason the Nehari retraction leaves the penalty unchanged.
+    a diagonal on the positive set plus a term of rank at most 3, which the
+    curvature E subtracts over h^2 from h'(u). The penalty is 0-homogeneous,
+    so its Hessian sends u to minus its gradient: the Newton step's tangent
+    space is the plain energy's, and the Nehari retraction leaves the penalty
+    unchanged, so level adds it at the unretracted point.
     """
 
     def __init__(self, basis: SpectralBasis, p: float, rho: float, x_tilde: np.ndarray):
@@ -173,64 +210,81 @@ class PinnedEnergy(Energy):
         self.rho = rho
         self.x_tilde = x_tilde
 
-    def energy(self, c: np.ndarray, values: np.ndarray) -> float:
-        gap = _barycenter(self.basis.dom, values)[1] - self.x_tilde
-        return super().energy(c, values) + self.rho * float(gap @ gap)
+    def _penalty(self, u: np.ndarray) -> float:
+        gap = _barycenter(self.basis.dom, u)[1] - self.x_tilde
+        return self.rho * float(gap @ gap)
 
-    def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
+    def energy(self, u: np.ndarray, Q: float) -> float:
+        return super().energy(u, Q) + self._penalty(u)
+
+    def level(self, u: np.ndarray, Q: float) -> tuple[float, float]:
+        t, F = super().level(u, Q)
+        return t, F + self._penalty(u)
+
+    def grad(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
         dom = self.basis.dom
-        up, beta, M = _barycenter(dom, values)
-        pvals = 4.0 * self.rho * up * ((dom.node_coords - beta) @ (beta - self.x_tilde)) / M
-        return super().grad(c, values) + self.basis.rmatvec(pvals)
+        up, beta, M = _barycenter(dom, u)
+        d = beta - self.x_tilde
+        pvals = 4.0 * self.rho * up * (dom.node_coords @ d - float(beta @ d)) / M
+        return super().grad(u, r) + pvals / self.h2
 
-    def hessian(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    def curvature(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
         dom = self.basis.dom
         s, beta, M = _barycenter(dom, values)
         r = dom.node_coords - beta
         q = r @ (beta - self.x_tilde)
         sq, sr = s * q, s[:, None] * r
-        scale = 4.0 * self.rho / M
-        diag = scale * (s > 0.0) * q - self.h2 * h_prime(self.p, values)
+        scale = 4.0 * self.rho / (M * self.h2)
+        diag = h_prime(self.p, values) - scale * (s > 0.0) * q
 
-        def hv(v: np.ndarray) -> np.ndarray:
-            z = self.basis.matvec(v)
+        def E(z: np.ndarray) -> np.ndarray:
             bz = 2.0 * (z @ sr) / M
             low_rank = s * (r @ bz) - 2.0 * (s * float(sq @ z) + sq * float(s @ z)) / M
-            return self.w * v + self.basis.rmatvec(scale * low_rank + diag * z)
+            return diag * z - scale * low_rank
 
-        return hv
+        return E
 
     def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
-        """The coefficient-space S: the penalty's nodal Hessian is indefinite,
-        so F's pencil has no symmetric form with a square root of it."""
-        return self._congruent_pencil(values)
+        """The pencil on coefficients: op is S = W^-1/2 H W^-1/2 with
+        H v = W v - h^2 phi^T (E phi v), start ones(K) and lift x = W^-1/2 v.
+        The penalty's nodal Hessian is indefinite, so F's pencil has no
+        symmetric nodal form with a square root of it."""
+        scale = 1.0 / np.sqrt(self.w)
+        E = self.curvature(values)
+
+        def op(v: np.ndarray) -> np.ndarray:
+            x = scale * v
+            return scale * (self.w * x - self.h2 * self.basis.rmatvec(E(self.basis.matvec(x))))
+
+        return op, np.ones(self.basis.K), lambda theta, V: scale[:, None] * V
 
 
 class RestrictedEnergy(Energy):
-    """I on the span of the modes in keep, a (K,) boolean mask: grad and the
-    Hessian action are zeroed off keep, so a descent from coefficients that
-    vanish there keeps them exactly 0. With keep the modes a mirror fixes
-    (SpectralBasis.mirror_signs == 1), I is invariant under the mirror, so a
-    critical point of the restriction is a critical point of I (symmetric
-    criticality: Palais, Comm. Math. Phys. 69, 1979). coords zeroes a
-    Field's coefficients off keep.
+    """I on the fixed-point subspace of a mirror of the mask, the span of the
+    modes it labels +1 (SpectralBasis.mirror_signs); mirror is its generator.
+    I is invariant under the mirror, so a critical point of the restriction
+    is a critical point of I (symmetric criticality: Palais, Comm. Math.
+    Phys. 69, 1979).
+
+    coords and field zero the coefficients the mirror labels -1, and riesz
+    is the basis's fixed_green, whose values are exactly mirror-even. A point
+    entered from such coefficients is exactly even, the gradient and every
+    step built from it stay so, and a descent's record has its odd
+    coefficients exactly 0. Its pencil is I's: the second variation of the
+    whole space, which the saddle's Morse index counts.
     """
 
-    def __init__(self, basis: SpectralBasis, p: float, keep: np.ndarray):
+    def __init__(self, basis: SpectralBasis, p: float, mirror: int):
         super().__init__(basis, p)
-        self.keep = keep
+        self.mirror = mirror
+        self.keep = basis.mirror_signs[:, mirror] == 1
 
     def coords(self, u: Field) -> np.ndarray:
         return np.where(self.keep, super().coords(u), 0.0)
 
-    def grad(self, c: np.ndarray, values: np.ndarray) -> np.ndarray:
-        return np.where(self.keep, super().grad(c, values), 0.0)
+    def field(self, u: np.ndarray) -> Field:
+        f = super().field(u)
+        return Field(f.dom, u, np.where(self.keep, f.coeffs, 0.0))
 
-    def hessian(self, values: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-        hv = super().hessian(values)
-        return lambda v: np.where(self.keep, hv(v), 0.0)
-
-    def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
-        """The coefficient-space S of the restricted Hessian action, not the
-        whole span's nodal form."""
-        return self._congruent_pencil(values)
+    def riesz(self, g: np.ndarray) -> np.ndarray:
+        return self.basis.fixed_green(g, self.mirror)

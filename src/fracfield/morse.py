@@ -3,8 +3,9 @@
 In the mode coordinates the second variation of the energy at u is
 the symmetric K x K operator H v = W v - h^2 Phi^T (h'(u) Phi v), W = mu^alpha + 1,
 a diagonal quadratic-form part minus the Gram operator of the modes under the
-node weights h^2 h'(u), applied by the map Energy.hessian returns and never
-formed. Its spectrum reaches max W, about 12 at h = 0.25, and its bottom
+node weights h^2 h'(u), never formed: h'(u) is the objective's nodal
+curvature E (model.Energy.curvature), and the objective applies H only
+through its pencil. Its spectrum reaches max W, about 12 at h = 0.25, and its bottom
 eigenvalues sit close together on that scale. So Lanczos runs instead on the
 congruent S = W^-1/2 H W^-1/2 = I - F^T F, F = h sqrt(D) Phi W^-1/2,
 D = h'(u) >= 0: S <= I, and all but a few of its eigenvalues cluster at 1. Its
@@ -26,7 +27,8 @@ the F-images of S's: the solves take as many products and find the same
 theta. T's eigenvectors y lift to the pencil's as
 x = h W^-1 Phi^T (sqrt(D) y) / sqrt(1 - theta). A PinnedEnergy keeps S: its
 penalty's nodal Hessian is indefinite and has no square root. A
-RestrictedEnergy keeps S too. This Lanczos, capped at _LANCZOS_RESTARTS
+RestrictedEnergy's pencil is I's, on the whole space, which the saddle's
+Morse index counts. This Lanczos, capped at _LANCZOS_RESTARTS
 restarts, is the package's only Hessian eigensolve: topology.annulus_level's
 check of the point it returns runs it on a PinnedEnergy.
 
@@ -114,9 +116,9 @@ def hessian_spectrum(energy: Energy, u: Field) -> HessianSpectrumReport:
 def _smallest_eigenpairs(
     energy: Energy, values: np.ndarray, k: int, vectors: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The min(k, K) smallest theta of H x = theta W x, H = energy.hessian(values),
-    ascending, with their eigenvectors x, x^T W x = 1, as columns if vectors is
-    set (else None).
+    """The min(k, K) smallest theta of H x = theta W x, H the objective's
+    second variation at values, ascending, with their eigenvectors x,
+    x^T W x = 1, as columns if vectors is set (else None).
 
     Lanczos (ARPACK) on the operator energy.pencil supplies, from its start
     vector, with the restart generator fixed: by default ARPACK draws both from
@@ -159,10 +161,9 @@ def ray_second_derivative(
     makes every solution at least index 1. Raises OffManifold when u does not
     satisfy |J(u)| <= tol Q.
     """
-    c = energy.coords(u)
-    values = energy.values(c)
-    Q = energy.quadratic(c)
-    J = energy.j(c, values)
+    values, r = energy.point(energy.coords(u))
+    Q = energy.quadratic(values, r)
+    J = energy.j(values, Q)
     if abs(J) > tol * Q:
         raise OffManifold(f"|J(u)| = {abs(J):.3g} exceeds {tol:.1g} Q = {tol * Q:.3g}")
     return Q - energy.h2 * float(np.sum(h_prime(energy.p, values) * values**2))

@@ -5,29 +5,36 @@ where Q(u) = sum_k (mu_k^alpha + 1) b_k^2. For the power family h(s) = (s_+)^p
 every ray through a field with nontrivial positive part meets M exactly once,
 at t = (Q/P)^(1/(p-1)) with P = h^2 sum (u_+)^(p+1), and that point maximizes
 the energy along the ray. Ground states are found by retracted descent: a
-step on coefficients followed by the closed-form rescaling back onto M. On M
-the radial derivative of I vanishes (I'(u)[u] = J(u) = 0), so the full
-gradient is tangent to first order and the retracted step decreases energy
-for small step sizes. The descent kernel takes one objective object, a
-model.Energy or its model.PinnedEnergy, and reads from it F, the gradient,
-the Hessian action, the retraction and W^-1 g (riesz); it applies neither
-phi nor W itself. topology.band_saddle runs it on a model.RestrictedEnergy.
+step followed by the closed-form rescaling back onto M. On M the radial
+derivative of I vanishes (I'(u)[u] = J(u) = 0), so the full gradient is
+tangent to first order and the retracted step decreases energy for small
+step sizes. The descent kernel takes one objective object, a model.Energy
+or its model.PinnedEnergy, and runs on its nodal points (u, r), r =
+(A^alpha + I) u (model module docstring): it reads from the objective F at
+the retracted trial (level), the nodal gradient, the curvature E of the
+second variation and the Riesz image G g (riesz, one green), and applies no
+phi within a step. topology.band_saddle runs it on a model.RestrictedEnergy.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
-this quantity is <= tol.
+this quantity is <= tol. It is read from the record's coefficients
+(model.Energy.measure), not from the descent's nodal pair.
 
-Steps: every accepted step is a retracted trial c - t d, with t halved up to
+Steps: every accepted step is a retracted trial x - t d of the point
+x = (u, r) along a direction d given as a point, with t halved up to
 _MAX_BACKTRACKS times until the acceptance rule below passes (_line_search);
 max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
 
 - Newton step, from the (_NEWTON_AFTER + 1)-th step on, once the residual is
   at most sqrt(tol), while fewer than max_iter Hessian products have been
   spent, and until a Newton step lands at the rounding floor. The
-  objective's hessian(values) supplies the Hessian action, for
-  ground_state's plain energy and for the pinned objective of
-  topology.annulus_level alike. A Newton step costs about a dozen products
-  with phi and an L-BFGS step two. Near tol Newton converges quadratically,
+  objective's curvature(values) supplies the Hessian action v_r - E v_u,
+  for ground_state's plain energy and for the pinned objective of
+  topology.annulus_level alike. A Newton step costs one green per CG
+  iteration, about half a dozen, and an L-BFGS or gradient step one green,
+  for the Riesz image of the new gradient; neither applies phi (the
+  counts of products with phi below are of the coefficient-space kernel
+  this one replaced, which took two per step). Near tol Newton converges quadratically,
   so from sqrt(tol) one or two Newton steps finish a descent that L-BFGS
   has brought there. Two variants of the gate were measured: from residual
   0.1, the gate of the earlier Barzilai-Borwein kernel, Newton steps spent
@@ -45,26 +52,33 @@ max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
   2,495 and 4,617 Hessian products (1 and 2 BLAS threads) on the lambda=4
   annulus level pinned at 22.5 degrees at tol 1e-14, against 180 and 141.
   The direction is a truncated preconditioned CG solve of H y = -g on the
-  tangent space {y : J'(c) y = 0} (Steihaug 1983; Absil, Mahony and
-  Sepulchre 2008), preconditioned by W = diag(mu^alpha + 1) with the
-  W-orthogonal projection onto the tangent space. CG stops at relative
-  residual min(_CG_FORCING, sqrt(residual)), at the first nonpositive
-  curvature, or after _CG_MAX_ITER products; J'(c) = H c + g costs one
-  product more. The step is tried from t = 1 and skipped when the direction
-  is not a descent direction.
+  tangent space {y : J'(u) y = 0} (Steihaug 1983; Absil, Mahony and
+  Sepulchre 2008), preconditioned by the Riesz map (W = diag(mu^alpha + 1)
+  on coefficients) with the W-orthogonal projection onto the tangent space.
+  CG stops at relative residual min(_CG_FORCING, sqrt(residual)), at the
+  first nonpositive curvature, or after _CG_MAX_ITER products; J'(u) =
+  H (u, r) + g costs one product more, and its Riesz image one green. The
+  step is tried from t = 1 and skipped when the direction is not a descent
+  direction.
 - L-BFGS step along H g from t = 1 (Nocedal, Math. Comp. 35, 1980), taken
   when there is no Newton step or none of its halvings passes. H is the
   inverse Hessian that the two-loop recursion builds from the pairs (s, y)
   of the last _LBFGS_MEMORY accepted steps, s the step and y the change of
-  the gradient along it, from W^-1 scaled by s y / (y W^-1 y) of the newest
-  pair. A pair is kept only when s y > 0. Off-centre starts move their bump
+  the gradient along it, from the Riesz map scaled by s y / (y G y) of the
+  newest pair; each pair keeps G y, the difference of the Riesz images at
+  its ends, so the recursion applies no green. A step is kept as the sum of
+  its two terms, (t_N - 1) x - t_N t d for the retracted trial t_N (x - t d),
+  not as a difference of points: its u- and r-parts then carry rounding
+  relative to its size, and the pair (u, r) stays consistent to about
+  4e-15 where differences of points let tiny Newton steps near a saddle
+  feed 1e-12 into it. A pair is kept only when s y > 0. Off-centre starts move their bump
   to the centre along the soft translation modes of the lattice's pinning
   landscape, and the pairs keep the curvature along them: on the R=2 disk
   at h=0.125, the eight starts of rng_seed 0 took 4,694 products with phi
   and its transpose at Barzilai-Borwein steps with Newton from residual
   0.1, and 1,512 here. When none of its halvings passes, the memory is
   cleared.
-- Gradient step along W^-1 g, from t = 1/max(1, ||g||_*): the first step,
+- Gradient step along the Riesz image (G g, g), from t = 1/max(1, ||g||_*): the first step,
   and the step after the memory is cleared. When none of its halvings
   passes either, the descent stops.
 
@@ -112,6 +126,7 @@ _LBFGS_MEMORY = 8
 _CG_FORCING = 0.1
 _CG_MAX_ITER = 300
 _POSITIVITY_EPS = 1e-8
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -191,153 +206,189 @@ def ground_state(
     c = energy.coords(seed)
     if not np.any(seed.values > 0.0):
         raise NonpositiveField("field has no positive part on the grid")
-    c, values, F, residual, iterations = _retracted_descent(energy, c, tol, max_iter)
-    return _solution_record(energy.basis, c, values, F, residual, tol, seed_tag, iterations)
+    u, _, F, residual, iterations = _retracted_descent(energy, *energy.point(c), tol, max_iter)
+    return _solution_record(u, F, residual, tol, seed_tag, iterations)
 
 
 def _retracted_descent(
-    obj: Energy, c: np.ndarray, tol: float, max_iter: int,
-) -> tuple[np.ndarray, np.ndarray, float, float, int]:
-    """The one descent on the Nehari manifold of the objective F = obj.energy:
-    (c, values, F, residual, iterations).
+    obj: Energy, u: np.ndarray, r: np.ndarray, tol: float, max_iter: int,
+) -> tuple[Field, np.ndarray, float, float, int]:
+    """The one descent on the Nehari manifold of the objective F: from the
+    nodal point (u, r), (u, r, F, residual, iterations) at its end, with u
+    as the Field obj.field makes of its values.
 
-    Retract c, then take the module docstring's Newton, L-BFGS or scaled
+    Retract (u, r), then take the module docstring's Newton, L-BFGS or scaled
     gradient steps until the residual is at most tol, max_iter steps are
-    taken, or no step is accepted. obj.energy runs at every trial point;
-    obj.grad at accepted points and at trials the rounding case of the
-    acceptance rule judges; obj.hessian(values), the map v -> H v at the
-    point with these values, for the Newton step. Every direction is a linear
-    combination of gradients, their W^-1 images and steps, so coefficients
-    that obj.grad keeps at 0 stay exactly 0.
+    taken, or no step is accepted. The F and residual returned are
+    obj.measure's, read from the end point's coefficients: the pair carries
+    its r only to rounding, and its own residual can fall below the rounding
+    floor of the true one. Where the pair's residual passes tol, or no step
+    is accepted, and the coefficients' residual is above tol, the descent
+    goes on from the pair obj.point makes of those coefficients, as long as
+    their residual drops by the factor 1 - _ARMIJO between such readings.
+    obj.level runs at every trial point; obj.grad and obj.riesz (one green)
+    at accepted points and at trials the rounding case of the acceptance
+    rule judges; obj.curvature(u) for the Newton step. Every direction is a linear combination of gradients, their
+    Riesz images and steps, so a point that obj keeps in a subspace, with
+    gradients and Riesz images in it, stays there.
     """
-    c, values = obj.retract(c, obj.values(c))
-    F = obj.energy(c, values)
-    g = obj.grad(c, values)
-    wg = obj.riesz(g)
-    gd = float(g @ wg)
+    t, F = obj.level(u, obj.quadratic(u, r))
+    u, r = t * u, t * r
+    g = obj.grad(u, r)
+    gg = obj.riesz(g)
+    gd = obj.h2 * float(g @ gg)
 
     newton_gate = math.sqrt(tol)
-    memory = _LBFGSMemory(obj)
+    memory = _LBFGSMemory()
     iterations = products = 0
     at_floor = False
+    read = math.inf  # ||grad F||_*^2 from the coefficients where the pair was last re-read
     for _ in range(max_iter):
         residual = _residual(gd, F)
-        if residual <= tol:
-            break
         trial = None
-        if (iterations >= _NEWTON_AFTER and residual <= newton_gate and products < max_iter
-                and not at_floor):
-            newton, used = _newton_direction(obj, c, g, obj.hessian(values), residual)
-            products += used
-            if newton is not None:
-                trial = _line_search(obj, c, values, -newton, -obj.values(newton), 1.0,
-                                     F, -float(g @ newton), gd)
-                at_floor = trial is not None and abs(trial[2] - F) <= _rounding_allowance(F)
-        if trial is None and memory:
-            d = memory.direction(g)
-            trial = _line_search(obj, c, values, d, obj.values(d), 1.0, F, float(g @ d), gd)
+        if residual > tol:
+            if (iterations >= _NEWTON_AFTER and residual <= newton_gate and products < max_iter
+                    and not at_floor):
+                newton, used = _newton_direction(obj, u, r, g, gg, obj.curvature(u), residual)
+                products += used
+                if newton is not None:
+                    du, dr = newton
+                    trial = _line_search(obj, u, r, -du, -dr, 1.0, F, -obj.h2 * float(g @ du),
+                                         gd)
+                    at_floor = trial is not None and abs(trial[2] - F) <= _rounding_allowance(F)
+            if trial is None and memory:
+                du, dr = memory.direction(g, gg)
+                trial = _line_search(obj, u, r, du, dr, 1.0, F, obj.h2 * float(g @ du), gd)
+                if trial is None:
+                    memory.clear()
             if trial is None:
-                memory.clear()
+                trial = _line_search(obj, u, r, gg, g, 1.0 / max(1.0, math.sqrt(gd)), F, gd, gd)
         if trial is None:
-            trial = _line_search(obj, c, values, wg, obj.values(wg), 1.0 / max(1.0, math.sqrt(gd)),
-                                 F, gd, gd)
-        if trial is None:
-            break
-        new_c, values, F, new_g = trial
+            # the pair's residual passed tol or no step passes: read the point
+            # from its coefficients, and go on from the pair they give while
+            # their residual is above tol and drops between readings
+            field = obj.field(u)
+            F_c, gd_c = obj.measure(field)
+            if _residual(gd_c, F_c) <= tol or gd_c > (1.0 - _ARMIJO) * read:
+                return field, r, F_c, _residual(gd_c, F_c), iterations
+            read = gd_c
+            u, r = obj.point(obj.coords(field))
+            F, g = F_c, obj.grad(u, r)
+            gg = obj.riesz(g)
+            gd = obj.h2 * float(g @ gg)
+            continue
+        s_u, s_r, F, new_g, new_gg = trial
+        u, r = u + s_u, r + s_r
         if new_g is None:
-            new_g = obj.grad(new_c, values)
-        memory.store(new_c - c, new_g - g)
-        c, g = new_c, new_g
-        wg = obj.riesz(g)
-        gd = float(g @ wg)
+            new_g = obj.grad(u, r)
+            new_gg = obj.riesz(new_g)
+        memory.store(s_u, s_r, new_g - g, new_gg - gg)
+        g, gg = new_g, new_gg
+        gd = obj.h2 * float(g @ gg)
         iterations += 1
-    return c, values, F, _residual(gd, F), iterations
+    field = obj.field(u)
+    F, gd = obj.measure(field)
+    return field, r, F, _residual(gd, F), iterations
 
 
 class _LBFGSMemory:
-    """The curvature pairs (s, y, s y) of the last _LBFGS_MEMORY accepted steps,
-    oldest first, with s the step in coefficients and y the change of the
-    gradient along it, and the L-BFGS direction they define (Nocedal, Math.
-    Comp. 35, 1980)."""
+    """The curvature pairs of the last _LBFGS_MEMORY accepted steps, oldest
+    first, as (s_u, s_r, y, Gy, s y): s the step as a point, y the change of
+    the gradient along it (a dual) and Gy the u-part of y's Riesz image, and
+    the L-BFGS direction they define (Nocedal, Math. Comp. 35, 1980). The
+    pairings here drop the common factor h^2, which cancels in every ratio."""
 
-    def __init__(self, obj: Energy):
-        self.obj = obj
-        self.pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
+    def __init__(self):
+        self.pairs: deque[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = deque(
+            maxlen=_LBFGS_MEMORY)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def store(self, s: np.ndarray, y: np.ndarray) -> None:
+    def store(self, s_u: np.ndarray, s_r: np.ndarray, y: np.ndarray, gy: np.ndarray) -> None:
         """Keep the pair only when s y > 0, which keeps the inverse Hessian positive definite."""
-        sy = float(s @ y)
+        sy = float(s_u @ y)
         if sy > 0.0:
-            self.pairs.append((s, y, sy))
+            self.pairs.append((s_u, s_r, y, gy, sy))
 
     def clear(self) -> None:
         self.pairs.clear()
 
-    def direction(self, g: np.ndarray) -> np.ndarray:
-        """H g by the two-loop recursion over the pairs, from the initial inverse
-        Hessian W^-1 scaled by s y / (y W^-1 y) of the newest pair."""
-        q = g.copy()
+    def direction(self, g: np.ndarray, gg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """H g as a point, by the two-loop recursion over the pairs from the
+        initial inverse Hessian, the Riesz map scaled by s y / (y G y) of the
+        newest pair; gg = G g. The Riesz image of q = g - sum a y is
+        (gg - sum a Gy, q), so the recursion applies no green."""
+        q, gq = g, gg
         alphas = []
-        for s, y, sy in reversed(self.pairs):
-            a = float(s @ q) / sy
-            q -= a * y
+        for s_u, _, y, gy, sy in reversed(self.pairs):
+            a = float(s_u @ q) / sy
+            q, gq = q - a * y, gq - a * gy
             alphas.append(a)
-        _, y, sy = self.pairs[-1]
-        r = (sy / float(y @ self.obj.riesz(y))) * self.obj.riesz(q)
-        for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
-            r += (a - float(y @ r) / sy) * s
-        return r
+        _, _, y, gy, sy = self.pairs[-1]
+        scale = sy / float(y @ gy)
+        d_u, d_r = scale * gq, scale * q
+        for (s_u, s_r, y, _, sy), a in zip(self.pairs, reversed(alphas)):
+            b = a - float(y @ d_u) / sy
+            d_u += b * s_u
+            d_r += b * s_r
+        return d_u, d_r
 
 
 def _newton_direction(
-    obj: Energy, c: np.ndarray, g: np.ndarray, hv: Callable[[np.ndarray], np.ndarray],
-    residual: float,
-) -> tuple[np.ndarray | None, int]:
-    """(y, products): the Newton direction y of the module docstring at c, or
-    None, and the number of Hessian products it took.
+    obj: Energy, u: np.ndarray, r: np.ndarray, g: np.ndarray, gg: np.ndarray,
+    E: Callable[[np.ndarray], np.ndarray], residual: float,
+) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+    """(y, products): the Newton direction y of the module docstring at the
+    point (u, r), as a point, or None, and the number of Hessian products it
+    took; gg = G g.
 
-    Projected preconditioned CG from y = 0 on H y = -g, H v = hv(v): every CG
-    direction is W-orthogonally projected onto the tangent space
-    {y : a y = 0}, a = J'(c) = H c + g, so the iterates stay in it; y is
-    projected once more against drift. None when y is not a descent
-    direction (g y >= 0), as when the first curvature is nonpositive.
+    Projected preconditioned CG from y = 0 on H y = -g, H v = v_r - E v_u:
+    every CG direction is W-orthogonally projected onto the tangent space
+    {y : a y = 0}, a = J'(u) = H (u, r) + g, so the iterates stay in it; y is
+    projected once more against drift. The preconditioner is the Riesz map,
+    one green per iteration. None when y is not a descent direction
+    (g y >= 0), as when the first curvature is nonpositive.
     """
-    a = hv(c) + g
-    wa = obj.riesz(a)
-    a_wa = float(a @ wa)
+    def hess(v_u: np.ndarray, v_r: np.ndarray) -> np.ndarray:
+        return v_r - E(v_u)
 
-    def project(r: np.ndarray) -> np.ndarray:
-        """W^-1 r, W-orthogonally projected onto the tangent space."""
-        z = obj.riesz(r)
-        return z - (float(a @ z) / a_wa) * wa
+    a = hess(u, r) + g
+    ga = obj.riesz(a)
+    a_ga = float(a @ ga)
 
-    y = np.zeros_like(c)
-    r = g.copy()
-    z = project(r)
-    rz = float(r @ z)
+    def project(res: np.ndarray, gres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The Riesz image (gres, res) of res, W-orthogonally projected onto the tangent space."""
+        k = float(a @ gres) / a_ga
+        return gres - k * ga, res - k * a
+
+    y_u, y_r = np.zeros_like(u), np.zeros_like(r)
+    res = g.copy()
+    z_u, z_r = project(res, gg)
+    rz = float(res @ z_u)
     rz_stop = min(_CG_FORCING, math.sqrt(residual)) ** 2 * rz
-    p = -z
+    p_u, p_r = -z_u, -z_r
     products = 1
     for _ in range(_CG_MAX_ITER):
-        hp = hv(p)
+        hp = hess(p_u, p_r)
         products += 1
-        curvature = float(p @ hp)
+        curvature = float(p_u @ hp)
         if curvature <= 0.0:
             break
         alpha = rz / curvature
-        y += alpha * p
-        r += alpha * hp
-        z = project(r)
-        rz_new = float(r @ z)
+        y_u += alpha * p_u
+        y_r += alpha * p_r
+        res += alpha * hp
+        z_u, z_r = project(res, obj.riesz(res))
+        rz_new = float(res @ z_u)
         if rz_new <= rz_stop:
             break
-        p = (rz_new / rz) * p - z
+        beta = rz_new / rz
+        p_u, p_r = beta * p_u - z_u, beta * p_r - z_r
         rz = rz_new
-    y -= (float(a @ y) / a_wa) * wa
-    return (y if float(g @ y) < 0.0 else None), products
+    k = float(a @ y_u) / a_ga
+    y_u, y_r = y_u - k * ga, y_r - k * a
+    return ((y_u, y_r) if float(g @ y_u) < 0.0 else None), products
 
 
 def _residual(gd: float, F: float) -> float:
@@ -347,49 +398,57 @@ def _residual(gd: float, F: float) -> float:
 
 def _rounding_allowance(F: float) -> float:
     """_ROUNDING_ULPS eps max(|F|, 1): how far two evaluations of one level may differ."""
-    return _ROUNDING_ULPS * float(np.finfo(float).eps) * max(abs(F), 1.0)
+    return _ROUNDING_ULPS * _EPS * max(abs(F), 1.0)
 
 
 def _line_search(
-    obj: Energy, c: np.ndarray, values: np.ndarray, d: np.ndarray, dv: np.ndarray, t: float,
+    obj: Energy, u: np.ndarray, r: np.ndarray, du: np.ndarray, dr: np.ndarray, t: float,
     F: float, slope: float, gd: float,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None] | None:
-    """First retracted trial c - t d over halvings of t that the module docstring's
-    acceptance rule passes, as (c, values, F, g), or None when none does.
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None, np.ndarray | None] | None:
+    """First retracted trial (u, r) - t (du, dr) over halvings of t that the module
+    docstring's acceptance rule passes, as (u, r, F, g, G g), or None when none does.
 
-    dv = phi d, slope = <g, d> and gd = ||g||_*^2 at c. g is the gradient at
-    the trial when the rule's rounding case computed it, else None.
+    slope = <g, d> and gd = ||g||_*^2 at (u, r). The trial's Q is
+    h^2 (u.r - t (u.dr + du.r) + t^2 du.dr), from three dot products taken
+    once, and obj.level gives its F from Q and the trial's values. g and G g
+    are the gradient at the trial and its Riesz image when the rule's
+    rounding case computed them, else None.
     """
     allowance = _rounding_allowance(F)
+    ur, cross, dd = float(u @ r), float(u @ dr) + float(du @ r), float(du @ dr)
     for _ in range(_MAX_BACKTRACKS):
+        ut = u - t * du
         try:
-            new_c, new_v = obj.retract(c - t * d, values - t * dv)
+            s, F_new = obj.level(ut, obj.h2 * (ur - t * (cross - t * dd)))
         except NonpositiveField:
             t *= 0.5
             continue
-        F_new = obj.energy(new_c, new_v)
-        if F_new < F and F_new <= F - _ARMIJO * t * slope:
-            return new_c, new_v, F_new, None
-        if abs(F_new - F) <= allowance:
-            g = obj.grad(new_c, new_v)
-            if float(g @ obj.riesz(g)) <= (1.0 - _ARMIJO) * gd:
-                return new_c, new_v, F_new, g
+        armijo = F_new < F and F_new <= F - _ARMIJO * t * slope
+        if armijo or abs(F_new - F) <= allowance:
+            # the step to the retracted trial s (u - t d), from its two terms,
+            # so that its u- and r-parts carry rounding relative to its size
+            step = (s - 1.0) * u - (s * t) * du, (s - 1.0) * r - (s * t) * dr
+            if armijo:
+                return *step, F_new, None, None
+            g = obj.grad(u + step[0], r + step[1])
+            gg = obj.riesz(g)
+            if obj.h2 * float(g @ gg) <= (1.0 - _ARMIJO) * gd:
+                return *step, F_new, g, gg
         t *= 0.5
     return None
 
 
 def _solution_record(
-    basis: SpectralBasis, c: np.ndarray, values: np.ndarray, energy: float,
-    residual: float, tol: float, seed_tag: str, iterations: int,
+    u: Field, energy: float, residual: float, tol: float, seed_tag: str, iterations: int,
 ) -> SolutionRecord:
-    """Record for coefficients c; barycenter and positivity are read from values."""
-    vmax = float(values.max())
+    """Record for the field u; barycenter and positivity are read from its values."""
+    vmax = float(u.values.max())
     return SolutionRecord(
-        u=basis.synthesize(c),
+        u=u,
         energy=energy,
         residual=residual,
-        barycenter=tuple(_barycenter(basis.dom, values)[1].tolist()),
-        positive=bool(float(values.min()) >= -_POSITIVITY_EPS * max(vmax, 1e-300)),
+        barycenter=tuple(_barycenter(u.dom, u.values)[1].tolist()),
+        positive=bool(float(u.values.min()) >= -_POSITIVITY_EPS * max(vmax, 1e-300)),
         seed_tag=seed_tag,
         iterations=iterations,
         converged=bool(residual <= tol),

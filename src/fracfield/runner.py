@@ -44,6 +44,7 @@ from .topology import (
     moving_mirrors,
     multiplicity_search,
     orbit_classes,
+    orbit_records,
 )
 
 log = logging.getLogger(__name__)
@@ -158,14 +159,16 @@ def _sweep_row(cfg: RunConfig, lam: float):
         except EmptyMask:
             # comparison ball under-resolved at this h: no level to gate on,
             # but plain bumps at the same centers still steer descent into the
-            # one-bump branch
-            for i, center in enumerate(centers):
-                seed = gaussian_bump_seed(energy.basis, center, seed_radius)
-                rec = ground_state(energy, seed, tol=cfg.tol,
-                                   max_iter=cfg.max_iter, seed_tag=f"bump-{i}")
-                if rec.converged:
-                    records.append(rec)
-                    n_solutions += 1
+            # one-bump branch; the centers are D4 images of one another, so
+            # one descent per orbit gives every bump's record
+            bumps = orbit_records(
+                energy.basis, centers, [f"bump-{i}" for i in range(len(centers))],
+                lambda center, tag: ground_state(
+                    energy, gaussian_bump_seed(energy.basis, center, seed_radius),
+                    tol=cfg.tol, max_iter=cfg.max_iter, seed_tag=tag))
+            converged = [rec for rec in bumps if rec.converged]
+            records += converged
+            n_solutions += len(converged)
         else:
             records += [cl.representative for cl in mrep.classes]
             n_solutions += mrep.n_converged
@@ -202,8 +205,6 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
     mirrors = moving_mirrors(energy.basis, reps[0].u) if len(report.classes) >= 2 else []
     srec = band_saddle(energy, reps[0].u, mirrors[0], tol=cfg.tol,
                        max_iter=cfg.max_iter).saddle if mirrors else None
-    # the spectra run last: the first builds the basis's Green blocks, and
-    # the band saddle's descent ran slower with them held (K = 6,056)
     spectra = classify_records(energy, reps if srec is None else reps + [srec])
 
     saddle_info = None

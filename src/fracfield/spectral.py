@@ -54,14 +54,20 @@ took n^2 more, and one dense ``evd`` of all of A held 3 n^2.
 
 The Green operator G = h^2 phi W^-1 phi^T on nodal values, W = mu^alpha + 1,
 splits over the same frames: G = Q blockdiag(G_b) Q^T, G_b = h^2 V_b W_b^-1 V_b^T.
-morse's Lanczos runs on it for the plain energy (model.Energy.pencil). green
-applies it by one dsymv over each G_b's upper triangle: a product reads
+It is the Riesz map of every descent step (model module docstring) and the
+operator morse's Lanczos runs on for the plain energy (model.Energy.pencil).
+green applies it by one dsymv over each G_b's upper triangle: a product reads
 3 n^2/32 doubles, the pair's twice, against matvec and rmatvec's 3 n^2/8
 together. The G_b are built on the first green, by dsyrk over column panels
 of V_b diag(h / sqrt(w_b)), the pair's once, and held from then on: n^2/8
 more doubles, as many as the V_b. The build took about 1, 4 and 13 ms at
 n = 793, 1,496 and 2,696, and 80-120 ms at 6,056 (2 cores, 2 BLAS threads).
-A basis on which no plain-energy spectrum runs never builds them.
+The first descent on a basis builds them.
+
+fixed_green applies G on the fixed-point subspace of one mirror: the
+frames that the mirror labels -1 are skipped, so the product reads half the
+blocks and its values are exactly even under the mirror (each row of such a
+frame holds the same entries at a node and at its mirror image).
 
 Every mode of a frame has the frame's sign under each mirror; the basis keeps
 them as one label array, mirror_signs, in ascending mode order (0 for a mirror
@@ -122,7 +128,8 @@ class SpectralBasis:
 
     phi, the n x K matrix of eigenvectors, is kept as its factors (module
     docstring) and applied by matvec and rmatvec; green applies the Green
-    operator h^2 phi W^-1 phi^T from blocks built on its first call.
+    operator h^2 phi W^-1 phi^T from blocks built on its first call, and
+    fixed_green its restriction to a mirror's fixed-point subspace.
 
     Attributes
     ----------
@@ -164,11 +171,13 @@ class SpectralBasis:
         self._position = np.argsort(self.order)  # the inverse permutation
         self.mu = mu[self.order]
         self.K = int(self.mu.size)
-        self.mirror_signs = np.repeat(np.array(signs, dtype=np.int8),
+        self._frame_signs = np.array(signs, dtype=np.int8)
+        self.mirror_signs = np.repeat(self._frame_signs,
                                       [V.shape[0] for V in self.blocks], axis=0)[self.order]
         self.weights = self.mu**alpha + 1.0
         self._h2 = dom.h**2
         self._green: list[np.ndarray] | None = None  # the G_b, built by the first green
+        self._every_frame = np.ones(len(self.blocks), dtype=bool)
 
     def _green_blocks(self) -> list[np.ndarray]:
         """The upper triangles of G_b = h^2 V_b W_b^-1 V_b^T in frame order, a
@@ -206,11 +215,22 @@ class SpectralBasis:
     def green(self, x: np.ndarray) -> np.ndarray:
         """G @ x, G = h^2 phi W^-1 phi^T, as Q times the stacked G_b y_b with y = Q^T x:
         one dsymv over each block's upper triangle."""
+        return self._green_over(x, self._every_frame)
+
+    def fixed_green(self, x: np.ndarray, mirror: int) -> np.ndarray:
+        """G_+ @ x, G_+ = h^2 phi_+ W_+^-1 phi_+^T over the modes that mirror (a
+        generator, as in mirror_signs) labels +1: green with the blocks of the
+        frames it labels -1 left out, so the result is exactly mirror-even."""
+        return self._green_over(x, self._frame_signs[:, mirror] == 1)
+
+    def _green_over(self, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """green over the frames kept marks; the others contribute exact zeros."""
         if self._green is None:
             self._green = self._green_blocks()
         y = self._frame_t @ x
-        return self.frame @ np.concatenate([scipy.linalg.blas.dsymv(1.0, G, y[lo:hi])
-                                            for G, (lo, hi) in zip(self._green, self._bounds)])
+        return self.frame @ np.concatenate([
+            scipy.linalg.blas.dsymv(1.0, G, y[lo:hi]) if keep else np.zeros(hi - lo)
+            for G, (lo, hi), keep in zip(self._green, self._bounds, kept)])
 
     def check_same_domain(self, other_dom: GridDomain) -> None:
         if other_dom.content_hash != self.dom.content_hash:

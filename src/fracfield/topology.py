@@ -10,7 +10,8 @@ class, an annulus at large scale sustains at least two. The search descends
 once per orbit of the seeds under the grid symmetries: a seed whose snapped
 center is an earlier descended seed's under a symmetry takes that record
 mapped by the symmetry, which the D4-equivariance of the energy and of the
-descent makes its own descent up to rounding. The saddle between
+descent makes its own descent up to rounding (orbit_records, which the
+sweep's bump starts use too). The saddle between
 a class representative and its mirror image is found as a minimum of the
 energy on the Nehari manifold inside the mirror's fixed-point subspace
 (band_saddle).
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -43,7 +45,6 @@ from .morse import DEFAULT_EPS_NULL, _smallest_eigenpairs
 from .nehari import (
     SolutionRecord,
     _check_tol,
-    _residual,
     _retracted_descent,
     _solution_record,
     ground_state,
@@ -102,10 +103,7 @@ class PsiSeeder:
         """Interior index of the host grid node nearest x_tilde, never -1 where
         check_fits passes: a ball of 25 nodes or more, centred on a node, has
         radius over 2 sqrt(2) h, and that node lies within h/sqrt(2) of x_tilde."""
-        dom = self.energy.basis.dom
-        ix = int(np.clip(round((x_tilde[0] - dom.xs[0]) / dom.h), 0, dom.nx - 1))
-        iy = int(np.clip(round((x_tilde[1] - dom.ys[0]) / dom.h), 0, dom.ny - 1))
-        return int(dom.index_of[iy, ix])
+        return _nearest_node(self.energy.basis.dom, x_tilde)
 
     def check_fits(self, x_tilde: tuple[float, float]) -> None:
         """Raise BallDoesNotFit unless x_tilde is inside the domain by at least
@@ -141,7 +139,59 @@ class PsiSeeder:
 
         e = self.energy
         c = e.coords(e.basis.analyze(ext))
-        return e.basis.synthesize(e.retract(c, e.values(c))[0])
+        u, r = e.point(c)
+        return e.basis.synthesize(e.nehari_t(u, e.quadratic(u, r)) * c)
+
+
+def _nearest_node(dom: GridDomain, x: tuple[float, float]) -> int:
+    """Interior index of the grid node nearest x, -1 when that node is outside the mask."""
+    ix = int(np.clip(round((x[0] - dom.xs[0]) / dom.h), 0, dom.nx - 1))
+    iy = int(np.clip(round((x[1] - dom.ys[0]) / dom.h), 0, dom.ny - 1))
+    return int(dom.index_of[iy, ix])
+
+
+def orbit_records(
+    basis: SpectralBasis, centers: list[tuple[float, float]], tags: list[str],
+    descend: Callable[[tuple[float, float], str], SolutionRecord],
+) -> list[SolutionRecord]:
+    """One record per seed center, in order, from one descent per seed orbit.
+
+    descend(center, tag) runs a seed's descent. A seed is descended only if
+    its snapped center node (the grid node nearest it) is not the image of an
+    earlier descended seed's node under a mask permutation p of
+    symmetry_group, matched exactly as integer node indices, earlier seeds
+    and the identity first. Any other seed's record is that source record
+    mapped by the p with p[node_k] == node_j, where k is the seed and j the
+    source: u is analyze(src.u.values[p]) and the barycenter is read from
+    those values; energy, residual, iterations, converged and positive are
+    copied, and seed_tag is the seed's own. That is the seed's own descent up
+    to rounding when its seed is the source's seed mapped by p: p commutes
+    with the masked Laplacian, so I, its gradient, the Green operator and the
+    retraction commute with it, and with them every step of the descent
+    kernel. A seed stamped at its snapped node from a D4-symmetric state is
+    such an image (multiplicity_search); so is a Gaussian bump whose center
+    is the D4 image of the source's, as the mid-circle centers of the sweep's
+    bump starts are, up to the rounding of their coordinates.
+    """
+    perms = symmetry_group(basis.dom)
+    descended: list[tuple[int, SolutionRecord]] = []
+    records = []
+    for center, tag in zip(centers, tags, strict=True):
+        node = _nearest_node(basis.dom, center)
+        image = next(
+            ((p, src) for src_node, src in descended for p in perms if p[node] == src_node),
+            None) if node >= 0 else None
+        if image is None:
+            rec = descend(center, tag)
+            if node >= 0:
+                descended.append((node, rec))
+        else:
+            p, src = image
+            u = basis.analyze(src.u.values[p])
+            rec = replace(src, u=u, seed_tag=tag,
+                          barycenter=tuple(_barycenter(basis.dom, u.values)[1].tolist()))
+        records.append(rec)
+    return records
 
 
 def mass_clusters(u: Field, level_frac: float = 0.25) -> tuple[float, ...]:
@@ -176,23 +226,24 @@ class AnnulusLevelReport:
     rho_schedule: tuple[float, ...]
 
 
-def _saddle_escape(obj: PinnedEnergy, c: np.ndarray, values: np.ndarray) -> np.ndarray | None:
-    """The escape step from the pinned objective's converged point c when it is
-    a saddle of F, else None.
+def _saddle_escape(obj: PinnedEnergy, u: np.ndarray,
+                   r: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The escape step, as a nodal point, from the pinned objective's converged
+    point (u, r) when it is a saddle of F, else None.
 
     The two smallest theta of F's Hessian pencil there, by morse's Lanczos on
     S: the first is the ray's, negative at every point of the manifold, and a
     second one below -morse.DEFAULT_EPS_NULL makes the point a saddle on the
     manifold, as hessian_spectrum would count it. The step is
-    _ESCAPE_SIZE sqrt(Q(c)) times the second pencil eigenvector x, whose x^T W x
-    is 1, signed so that its largest component is positive.
+    _ESCAPE_SIZE sqrt(Q) times the second pencil eigenvector x, whose x^T W x
+    is 1, signed so that its largest coefficient is positive.
     """
-    ev, vecs = _smallest_eigenpairs(obj, values, 2, vectors=True)
+    ev, vecs = _smallest_eigenpairs(obj, u, 2, vectors=True)
     if ev[1] >= -DEFAULT_EPS_NULL:
         return None
     x = vecs[:, 1]
     x = x if x[np.argmax(np.abs(x))] > 0.0 else -x
-    return _ESCAPE_SIZE * math.sqrt(obj.quadratic(c)) * x
+    return obj.point(_ESCAPE_SIZE * math.sqrt(obj.quadratic(u, r)) * x)
 
 
 def annulus_level(
@@ -238,9 +289,8 @@ def annulus_level(
         mid = 0.5 * (dom.params["R"] + dom.params["r"]) * dom.lam
         width = (dom.params["R"] - dom.params["r"]) * dom.lam / 3.0
         seed = basis.analyze(np.exp(-((rr - mid) ** 2) / (2.0 * width * width)))
-    c = energy.coords(seed)
-    c, values = energy.retract(c, energy.values(c))
-    e_typ = energy.energy(c, values)
+    v, r = energy.retract(*energy.point(energy.coords(seed)))
+    e_typ = energy.energy(v, energy.quadratic(v, r))
     length = dom.lam * dom.params["r"]
     rhos = tuple(m * abs(e_typ) / length**2 for m in _RHO_MULTIPLIERS)
 
@@ -248,13 +298,14 @@ def annulus_level(
     unchecked: EigSolveFailure | None = None
     for rho in rhos:
         pinned = PinnedEnergy(basis, energy.p, rho, target)
-        c, values, _, residual, its = _retracted_descent(pinned, c, tol, max_iter)
+        u, r, _, residual, its = _retracted_descent(pinned, v, r, tol, max_iter)
+        v = u.values
         iterations += its
         if residual > tol:
             break  # an unconverged stage ends the continuation
     while residual <= tol:
         try:
-            step = _saddle_escape(pinned, c, values)
+            step = _saddle_escape(pinned, v, r)
         except EigSolveFailure as exc:
             unchecked = exc
             break
@@ -265,13 +316,13 @@ def annulus_level(
                 f"stage rho={rho:.3g} still ends at a saddle after {escapes} escapes"
             )
         escapes += 1
-        c, values, _, residual, its = _retracted_descent(pinned, c + step, tol, max_iter)
+        u, r, _, residual, its = _retracted_descent(pinned, v + step[0], r + step[1], tol,
+                                                    max_iter)
+        v = u.values
         iterations += its
 
-    values = energy.values(c)
-    record = _solution_record(
-        basis, c, values, energy.energy(c, values), residual, tol, "ring-penalty", iterations
-    )
+    # the level is I's; the residual is the last stage's, of the pinned objective
+    record = _solution_record(u, energy.measure(u)[0], residual, tol, "ring-penalty", iterations)
     beta = np.array(record.barycenter)
     dist = float(np.sqrt(((beta - target) ** 2).sum()))
     if dist > 2.0 * dom.h:
@@ -385,55 +436,35 @@ def multiplicity_search(
     """Descend from translated-bump seeds, one descent per seed orbit, and
     count symmetry-orbit classes.
 
-    A seed is descended only if its snapped center node is not the image of
-    an earlier descended seed's node under a mask permutation p of
-    symmetry_group, matched exactly as integer node indices, earlier seeds
-    and the identity first. Any other seed's record is that source record
-    mapped by the p with p[node_k] == node_j, where k is the seed and j the
-    source: u is analyze(src.u.values[p]) and the barycenter is read from
-    those values; energy, residual, iterations, converged and positive are
-    copied, and seed_tag is the seed's own. That is the seed's own descent up
-    to rounding: its seed is the source's seed mapped by p, as the ball state
-    is D4-symmetric and p preserves the mask, and p commutes with the masked
-    Laplacian, so I, its gradient, W^-1 and the retraction commute with it,
-    and with them every step of the descent kernel.
+    The seeds' records come from orbit_records: a seed whose snapped center
+    node is the image of an earlier descended seed's under a mask
+    permutation takes that record mapped by the permutation. That is its own
+    descent up to rounding, as the ball state is D4-symmetric and the
+    permutation preserves the mask.
 
     Class membership is decided by orbit_classes; a class is represented by
     its member from the earliest seed center, always a descended seed, as an
     image lists after its source. Unconverged starts, images included, are
     logged and dropped, never raised; an unconverged seeding ball (PsiSeeder,
     same tol and max_iter) raises AllStartsFailed, and every center that the
-    ball does not fit raises BallDoesNotFit. A tol that is not finite and
-    positive is a ValueError before any work.
+    ball does not fit raises BallDoesNotFit before any descent. A tol that is
+    not finite and positive is a ValueError before any work.
     """
     _check_tol(tol)
     if not seed_centers:
         raise ValueError("need at least one seed center")
     basis = energy.basis
-    perms = symmetry_group(basis.dom)
     seeder = PsiSeeder(energy, ball_radius, tol=tol, max_iter=max_iter)
-    descended: list[tuple[int, SolutionRecord]] = []
-    records: list[SolutionRecord] = []
-    for k, center in enumerate(seed_centers):
-        tag = f"psi-{k}@({center[0]:.3g},{center[1]:.3g})"
+    for center in seed_centers:
         seeder.check_fits(center)
-        node = seeder.node(center)
-        image = next(
-            ((p, src) for src_node, src in descended for p in perms if p[node] == src_node),
-            None)
-        if image is None:
-            rec = ground_state(energy, seeder.seed(center), tol=tol, max_iter=max_iter,
-                               seed_tag=tag)
-            descended.append((node, rec))
-        else:
-            p, src = image
-            u = basis.analyze(src.u.values[p])
-            rec = replace(src, u=u, seed_tag=tag,
-                          barycenter=tuple(_barycenter(basis.dom, u.values)[1].tolist()))
+    tags = [f"psi-{k}@({x:.3g},{y:.3g})" for k, (x, y) in enumerate(seed_centers)]
+    records: list[SolutionRecord] = []
+    for rec in orbit_records(basis, seed_centers, tags, lambda center, tag: ground_state(
+            energy, seeder.seed(center), tol=tol, max_iter=max_iter, seed_tag=tag)):
         if rec.converged:
             records.append(rec)
         else:
-            log.warning("multiplicity start %s did not converge; dropped", tag)
+            log.warning("multiplicity start %s did not converge; dropped", rec.seed_tag)
 
     classes = []
     for members in orbit_classes(basis, records):
@@ -487,8 +518,12 @@ def band_saddle(
     mirror is σ's generator, as moving_mirrors gives it. The descent runs
     nehari's kernel on a model.RestrictedEnergy from its coords of u, the
     σ-even part (c + σc)/2 of u's coefficients c, retracted onto the
-    manifold; the coefficients odd under σ start at 0 and stay exactly 0.
-    Its record is judged on the full-space residual of energy. On the annulus at
+    manifold; its values stay exactly σ-even, each Riesz map reading half
+    the Green blocks, and the record's coefficients odd under σ are exactly
+    0. Its record is judged on the full-space residual of I, which the
+    kernel's measure reads from those coefficients: at a σ-even point the
+    gradient of the σ-invariant I is σ-even, so it equals the restricted
+    residual to rounding. On the annulus at
     lam = 4, 6 and 8 (h = 0.25, tol 1e-8) it takes 3 to 8 steps to the
     index-2 saddle that a climbing-image band between u and u∘σ found, with
     energies equal to 5.2e-12 relative.
@@ -502,10 +537,7 @@ def band_saddle(
     if mirror not in moving_mirrors(basis, u):
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
                          "u and its image would be one state")
-    obj = RestrictedEnergy(basis, energy.p, basis.mirror_signs[:, mirror] == 1)
-    c, values, F, _, steps = _retracted_descent(obj, obj.coords(u), tol, max_iter)
-    g = energy.grad(c, values)
-    residual = _residual(float(g @ energy.riesz(g)), F)
-    rec = _solution_record(basis, c, values, F, residual, tol,
-                           f"mirror-{'xy'[mirror]}-fixed", steps)
+    obj = RestrictedEnergy(basis, energy.p, mirror)
+    v, _, F, residual, steps = _retracted_descent(obj, *obj.point(obj.coords(u)), tol, max_iter)
+    rec = _solution_record(v, F, residual, tol, f"mirror-{'xy'[mirror]}-fixed", steps)
     return SaddleReport(saddle=rec, sweeps=steps)

@@ -56,9 +56,9 @@ def count_matvecs():
         calls = [0]
         product = getattr(SpectralBasis, name)
 
-        def counted(self, x):
+        def counted(self, *args):
             calls[0] += 1
-            return product(self, x)
+            return product(self, *args)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(SpectralBasis, name, counted)
@@ -70,13 +70,16 @@ def count_matvecs():
 @pytest.fixture(scope="session")
 def annulus_saddle_run(annulus4, annulus_classes, count_matvecs):
     """The saddle between the lowest class and its image under the first
-    mirror that moves it, with the number of products with phi it made."""
+    mirror that moves it, with the number of calls it made of each product
+    of the basis, by name."""
     lo = annulus_classes.classes[0].representative.u
     mirrors = moving_mirrors(annulus4, lo)
     assert mirrors
-    with count_matvecs() as calls:
+    names = ("matvec", "rmatvec", "green", "fixed_green")
+    with contextlib.ExitStack() as stack:
+        calls = {name: stack.enter_context(count_matvecs(name)) for name in names}
         report = band_saddle(Energy(annulus4, 2.0), lo, mirrors[0])
-    return report, calls[0]
+    return report, {name: c[0] for name, c in calls.items()}
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,10 @@ averaging over exact grid radii, and the profile ODE by finite differences
 of the profile's derivative, and the mask-preserving grid maps by looking up
 node coordinates instead of by grid index arithmetic. The rest are
 measurements the package has no use for: a domain's diameter and a table of
-profile samples.
+profile samples. The coefficient forms at the end are views, not oracles:
+they read the package's nodal energy, gradient and curvature at a point
+given by its coefficients, in the coefficients that finite differences of
+an energy in coefficient space give.
 """
 
 from __future__ import annotations
@@ -151,3 +154,26 @@ def radial_asymmetry(u: Field, center: tuple[float, float] = (0.0, 0.0)) -> floa
     means = sums / counts
     dev = u.values - means[inverse]
     return float(np.sqrt((dev @ dev) / norm2))
+
+
+def energy_at(energy, c: np.ndarray) -> float:
+    """The objective at the point with coefficients c."""
+    u, r = energy.point(c)
+    return energy.energy(u, energy.quadratic(u, r))
+
+
+def coefficient_grad(energy, c: np.ndarray) -> np.ndarray:
+    """The gradient at coefficients c in coefficients: h^2 phi^T of the nodal dual."""
+    return energy.h2 * energy.basis.rmatvec(energy.grad(*energy.point(c)))
+
+
+def coefficient_hessian(energy, c: np.ndarray):
+    """v -> H v at coefficients c, on coefficients: h^2 phi^T of the dual
+    v_r - E v_u that the nodal second variation gives at the point of v."""
+    E = energy.curvature(energy.values(c))
+
+    def hv(v: np.ndarray) -> np.ndarray:
+        v_u, v_r = energy.point(v)
+        return energy.h2 * energy.basis.rmatvec(v_r - E(v_u))
+
+    return hv

@@ -653,6 +653,23 @@ class TestSweepOutputs:
         assert row["localized"] is False
         assert row["solution_count"] == 12
 
+    def test_bump_starts_descend_once_per_orbit(self, sweep_out, tmp_path, monkeypatch):
+        # the 8 mid-circle bumps of the lambda=2 row form 2 orbits under the
+        # mask's symmetries: 2 descents give all 8 records, and the row's
+        # count and level are those of the sweep that ran them all
+        descended = []
+
+        def spy(*args, seed_tag, **kwargs):
+            descended.append(seed_tag)
+            return nehari.ground_state(*args, seed_tag=seed_tag, **kwargs)
+
+        monkeypatch.setattr(runner, "ground_state", spy)
+        row = runner.run(load_config(None, task="sweep-lambda"), tmp_path)["rows"][0]
+        assert [t for t in descended if t.startswith("bump-")] == ["bump-0", "bump-1"]
+        want = json.loads((sweep_out / "sweep.json").read_text())["results"]["rows"][0]
+        assert row["solution_count"] == want["solution_count"] == 12
+        assert row["c_level"] == want["c_level"]
+
     def test_max_iter_bounds_the_ball_levels(self, tmp_path, monkeypatch):
         # solver.max_iter reaches the level_c runs of the limit level's balls
         cfg = default_config("sweep-lambda")
@@ -670,12 +687,16 @@ class TestSweepOutputs:
         runner.run(validate_config(cfg), tmp_path)
         assert budgets == [5000] * 3
 
-    def test_a_sweep_builds_no_green_block(self, tmp_path, monkeypatch):
-        # the sweep's only Lanczos solves are its pinned levels' checks, on the
-        # coefficient-space S of a PinnedEnergy: it runs no plain-energy
-        # spectrum, so none of its bases builds the Green blocks
-        builds, solves = [], []
-        build = SpectralBasis._green_blocks
+    def test_each_sweep_basis_builds_its_green_blocks_once(self, tmp_path, monkeypatch):
+        # every descent step applies the Green operator, so each basis the
+        # sweep builds (the limit level's balls, the rows' annuli, the seeding
+        # balls) builds its Green blocks at its first descent and never again;
+        # the sweep's only Lanczos solves stay its pinned levels' checks, on
+        # the coefficient-space S of a PinnedEnergy
+        bases, builds, solves = [], [], []
+        init, build = SpectralBasis.__init__, SpectralBasis._green_blocks
+        monkeypatch.setattr(SpectralBasis, "__init__",
+                            lambda self, *a: bases.append(self) or init(self, *a))
         monkeypatch.setattr(SpectralBasis, "_green_blocks",
                             lambda self: builds.append(self) or build(self))
         eigenpairs = topology._smallest_eigenpairs
@@ -684,7 +705,8 @@ class TestSweepOutputs:
                             or eigenpairs(energy, *a, **kw))
         runner.run(load_config(None, task="sweep-lambda"), tmp_path)
         assert solves and set(solves) == {PinnedEnergy}
-        assert builds == []
+        assert len(bases) >= 5
+        assert [id(b) for b in builds] == [id(b) for b in bases]
 
     def test_report_summarizes_the_sweep(self, sweep_out):
         assert main(["report", "--out", str(sweep_out), "--quiet"]) == 0

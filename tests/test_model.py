@@ -7,20 +7,26 @@ validates both the analytic coefficient formulas and the reported values.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from fracfield.config import default_config, validate_config
 from fracfield.domain import build_domain
 from fracfield.errors import ConfigInvalid
+from fracfield import nehari
 from fracfield.model import (
     Energy,
     H_eval,
+    PinnedEnergy,
+    _barycenter,
     h_eval,
     h_prime,
 )
+from fracfield.nehari import gaussian_bump_seed
 from fracfield.spectral import assemble_and_decompose
-from oracles import dense_phi
+from oracles import coefficient_grad, coefficient_hessian, dense_phi, energy_at
 
 P = 2.0
 
@@ -74,10 +80,10 @@ def test_energy_identity_and_parts(square16):
     basis = square16
     e = Energy(basis, P)
     c = _positive_bump_coeffs(basis)
-    values = e.values(c)
-    quadratic_part = 0.5 * e.quadratic(c)
+    values, r = e.point(c)
+    quadratic_part = 0.5 * e.quadratic(values, r)
     potential_part = basis.dom.h**2 * float(np.sum(H_eval(P, values)))
-    value = e.energy(c, values)
+    value = e.energy(values, 2.0 * quadratic_part)
     assert value == pytest.approx(quadratic_part - potential_part, abs=1e-12)
     assert potential_part > 0
     assert quadratic_part > 0
@@ -93,7 +99,7 @@ def test_gradient_matches_central_differences(square16, seed, offset):
     else:
         c0 = rng.standard_normal(basis.K) * 0.3  # sign-changing field
     e = Energy(basis, P)
-    g = e.grad(c0, e.values(c0))
+    g = coefficient_grad(e, c0)
     eps = 1e-6 * max(1.0, float(np.linalg.norm(c0)))
     worst = 0.0
     for _ in range(20):
@@ -109,7 +115,7 @@ def test_gradient_norm_is_coefficient_norm(square16):
     basis = square16
     e = Energy(basis, P)
     c = _positive_bump_coeffs(basis)
-    g = e.grad(c, e.values(c))
+    g = coefficient_grad(e, c)
     # by orthonormality the coefficient norm is the quadrature L2 norm of the
     # synthesized gradient field
     grad_norm = float(np.sqrt(g @ g))
@@ -127,10 +133,10 @@ def test_hessian_vector_matches_gradient_differences(square16):
     for _ in range(20):
         v = rng.standard_normal(basis.K)
         v /= np.linalg.norm(v)
-        gp = e.grad(c0 + eps * v, e.values(c0 + eps * v))
-        gm = e.grad(c0 - eps * v, e.values(c0 - eps * v))
+        gp = coefficient_grad(e, c0 + eps * v)
+        gm = coefficient_grad(e, c0 - eps * v)
         fd = (gp - gm) / (2 * eps)
-        hv = e.hessian(e.values(c0))(v)
+        hv = coefficient_hessian(e, c0)(v)
         worst = max(worst, float(np.linalg.norm(fd - hv) / max(np.linalg.norm(fd), 1e-10)))
     assert worst <= 1e-5
 
@@ -160,3 +166,97 @@ def test_energy_rejects_foreign_domain(square16):
     # Energy works on raw arrays; coords, its one reader of a Field, checks the domain
     with pytest.raises(DomainMismatch):
         Energy(square16, P).coords(u)
+
+
+def _random_point(basis, seed):
+    """Coefficients c of a random field with a positive part, and a direction v."""
+    rng = np.random.default_rng(seed)
+    c = _positive_bump_coeffs(basis) + 0.05 * rng.standard_normal(basis.K)
+    return c, rng.standard_normal(basis.K)
+
+
+def test_nodal_forms_equal_the_coefficient_forms(square16):
+    # the nodal point (phi c, phi W c), its dual gradient, the pairing and the
+    # Riesz map against the coefficient forms, with a dense phi
+    basis = square16
+    phi = dense_phi(basis)
+    e = Energy(basis, P)
+    for seed in (0, 1):
+        c, v = _random_point(basis, seed)
+        u, r = e.point(c)
+        assert np.linalg.norm(u - phi @ c) <= 1e-12 * np.linalg.norm(u)
+        assert np.linalg.norm(r - phi @ (basis.weights * c)) <= 1e-12 * np.linalg.norm(r)
+        assert e.quadratic(u, r) == pytest.approx(float(c @ (basis.weights * c)), rel=1e-12)
+        g = e.grad(u, r)
+        g_c = basis.weights * c - e.h2 * phi.T @ h_eval(P, phi @ c)
+        assert np.linalg.norm(e.h2 * phi.T @ g - g_c) <= 1e-12 * np.linalg.norm(g_c)
+        pairing = e.h2 * float(g @ e.point(v)[0])
+        assert pairing == pytest.approx(float(g_c @ v), rel=1e-12)
+        riesz = phi @ (g_c / basis.weights)
+        assert np.linalg.norm(e.riesz(g) - riesz) <= 1e-12 * np.linalg.norm(riesz)
+        assert e.h2 * float(g @ e.riesz(g)) == pytest.approx(
+            float(g_c @ (g_c / basis.weights)), rel=1e-12)
+
+
+def test_pinned_dual_matches_energy_differences(square16):
+    # the penalty's nodal dual, paired with a point, is the derivative of F
+    # along it; x_tilde off the barycenter and rho making the penalty count
+    basis = square16
+    e = Energy(basis, P)
+    c, v = _random_point(basis, 2)
+    u, r = e.point(c)
+    pinned = PinnedEnergy(basis, P, 50.0, _barycenter(basis.dom, u)[1] + np.array([0.1, -0.2]))
+    g = pinned.grad(u, r)
+    g_plain = e.grad(u, r)
+    eps = 1e-6
+    fd = (energy_at(pinned, c + eps * v) - energy_at(pinned, c - eps * v)) / (2.0 * eps)
+    dv = e.point(v)[0]
+    assert pinned.h2 * float(g @ dv) == pytest.approx(fd, rel=1e-7)
+    # the penalty's part alone
+    fd_plain = (energy_at(e, c + eps * v) - energy_at(e, c - eps * v)) / (2.0 * eps)
+    pen = pinned.h2 * float((g - g_plain) @ dv)
+    assert abs(pen) >= 0.1 * abs(fd)
+    assert pen == pytest.approx(fd - fd_plain, rel=1e-6)
+
+
+@pytest.mark.parametrize("objective", ["plain", "pinned"])
+def test_a_step_and_a_cg_iteration_apply_one_green(square16, count_matvecs, objective):
+    # an L-BFGS step of the descent kernel and one CG iteration of its Newton
+    # direction each apply the Green operator once and phi not at all
+    basis = square16
+    e = Energy(basis, P)
+    obj = e if objective == "plain" else PinnedEnergy(basis, P, 5.0, np.array([0.05, 0.0]))
+    c = gaussian_bump_seed(basis, (0.2, -0.1), 0.2).coeffs
+    names = ("matvec", "rmatvec", "green")
+
+    def counted(call):
+        with contextlib.ExitStack() as stack:
+            calls = [stack.enter_context(count_matvecs(name)) for name in names]
+            out = call()
+        return out, [n[0] for n in calls]
+
+    # steps 3 and 4 are L-BFGS steps accepted by Armijo, before any Newton
+    # step: one more step costs one green; the ends cancel
+    runs = [counted(lambda k=k: nehari._retracted_descent(obj, *obj.point(c), 1e-14, k))
+            for k in (3, 4)]
+    assert [out[4] for out, _ in runs] == [3, 4]
+    assert [b - a for a, b in zip(runs[0][1], runs[1][1])] == [0, 0, 1]
+
+    u, r = obj.retract(*obj.point(c))
+    g = obj.grad(u, r)
+    gg = obj.riesz(g)
+    E = obj.curvature(u)
+    calls = [0]
+
+    def counted_E(z):
+        calls[0] += 1
+        return E(z)
+
+    (y, used), products = counted(
+        lambda: nehari._newton_direction(obj, u, r, g, gg, counted_E, 1e-6))
+    # E runs once for J'(u) and once per CG iteration, green once for the
+    # Riesz image of J'(u) and once per CG iteration that did not stop at
+    # nonpositive curvature
+    assert y is not None and used == calls[0] > 2
+    assert products[:2] == [0, 0]
+    assert products[2] in (used - 1, used)

@@ -33,7 +33,7 @@ from fracfield.nehari import (
     limit_level_estimate,
 )
 from fracfield.spectral import SpectralBasis, assemble_and_decompose
-from fracfield.topology import annulus_level
+from fracfield.topology import annulus_level, symmetry_group
 from oracles import dense_phi, nehari_scale_root
 
 P = 2.0
@@ -84,14 +84,15 @@ def _bump(basis, center=(0.1, -0.05), width=0.3):
 def _scale(basis, u):
     """The closed-form Nehari scale t of u, J(t u) = 0, read through Energy."""
     e = Energy(basis, P)
-    c = e.coords(u)
-    return e.nehari_t(c, e.values(c))
+    values, r = e.point(e.coords(u))
+    return e.nehari_t(values, e.quadratic(values, r))
 
 
 def _j(basis, u):
     """J at the span representation of u."""
     e = Energy(basis, P)
-    return e.j(u.coeffs, e.values(u.coeffs))
+    values, r = e.point(u.coeffs)
+    return e.j(values, e.quadratic(values, r))
 
 
 def test_scale_satisfies_defining_equation(square16):
@@ -152,9 +153,10 @@ def test_scale_matches_root_finder_on_random_fields(square16):
 def _ray_max(basis, u):
     """(t*, I(t* u)) from the closed-form Nehari scale."""
     e = Energy(basis, P)
-    values = e.values(u.coeffs)
-    t = e.nehari_t(u.coeffs, values)
-    return t, e.energy(t * u.coeffs, t * values)
+    values, r = e.point(u.coeffs)
+    Q = e.quadratic(values, r)
+    t = e.nehari_t(values, Q)
+    return t, e.energy(t * values, t * t * Q)
 
 
 def test_ray_max_against_dense_scan(square16):
@@ -163,8 +165,9 @@ def test_ray_max_against_dense_scan(square16):
     assert value > 0
     ts = np.linspace(1e-6, 4 * t_star, 1200)
     e = Energy(square16, P)
-    values = e.values(u.coeffs)
-    profile = np.array([e.energy(t * u.coeffs, t * values) for t in ts])
+    values, r = e.point(u.coeffs)
+    Q = e.quadratic(values, r)
+    profile = np.array([e.energy(t * values, t * t * Q) for t in ts])
     assert np.all(value >= profile - 1e-12 * abs(value))
     k = int(np.argmax(profile))
     assert ts[k] == pytest.approx(t_star, abs=ts[1] - ts[0])
@@ -206,7 +209,8 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     rho = annulus_level(Energy(annulus4, P)).rho_schedule[0]
     pinned = PinnedEnergy(annulus4, P, rho, np.zeros(2))
     with _accepted_values() as pen_trace:
-        c, _, _, _, its = nehari._retracted_descent(pinned, ring.coeffs, 1e-8, 20000)
+        u, _, _, _, its = nehari._retracted_descent(pinned, *pinned.point(ring.coeffs), 1e-8,
+                                                    20000)
     assert len(pen_trace) == its > 0
     # accepted values never rise here; a few late steps may leave F unchanged
     # in the last bit, accepted by the rounding case of the acceptance rule
@@ -214,7 +218,7 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     assert np.all(np.diff(pen_trace) <= 0)
     assert pen_trace[-1] < pen_trace[0]
 
-    for basis, u in ((disk_basis, rec.u), (annulus4, annulus4.synthesize(c))):
+    for basis, u in ((disk_basis, rec.u), (annulus4, u)):
         Q = float(np.sum(basis.weights * u.coeffs**2))
         assert abs(_j(basis, u)) <= 1e-12 * Q
 
@@ -226,7 +230,8 @@ def test_descent_properties_over_bump_seeds(square16, x, y, width):
     # by at most the rounding allowance; the start converges; it ends on M
     seed = gaussian_bump_seed(square16, (x, y), width)
     e = Energy(square16, P)
-    F0 = e.energy(*e.retract(seed.coeffs, e.values(seed.coeffs)))
+    u, r = e.retract(*e.point(seed.coeffs))
+    F0 = e.energy(u, e.quadratic(u, r))
     with _accepted_values() as trace:
         rec = ground_state(Energy(square16, P), seed)
     F = [F0, *trace]
@@ -271,8 +276,8 @@ def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch)
     line_search = nehari._line_search
     rises: list[float] = []
 
-    def recorded(obj, c, values, d, dv, t, F, *rest):
-        trial = line_search(obj, c, values, d, dv, t, F, *rest)
+    def recorded(obj, u, r, du, dr, t, F, *rest):
+        trial = line_search(obj, u, r, du, dr, t, F, *rest)
         if trial is not None and trial[3] is not None:
             rises.append((trial[2] - F) / (64 * np.finfo(float).eps * max(abs(F), 1.0)))
         return trial
@@ -294,33 +299,39 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
     # thread a bare "the norm drops" rounding case accepts steps that the
     # factor 1 - _ARMIJO refuses.
     # Each accepted trial is recomputed here from the line search's inputs:
-    # its halving t, F and the gradients at both ends
+    # its halving t, F and the gradients at both ends. A trial's F is the
+    # objective at the retraction of (u, r) - t (du, dr), from the trial's
+    # values and its Q, which the line search expands in t
     line_search = nehari._line_search
     cases: list[str] = []
 
-    def checked(obj, c, values, d, dv, t, F, slope, gd):
-        trial = line_search(obj, c, values, d, dv, t, F, slope, gd)
+    def checked(obj, u, r, du, dr, t, F, slope, gd):
+        trial = line_search(obj, u, r, du, dr, t, F, slope, gd)
         if trial is None:
             return trial
-        new_c, new_v, F_new, g_new = trial
-        g = obj.grad(c, values)
+        s_u, s_r, F_new, g_new, _ = trial
+        g = obj.grad(u, r)
+        ur, cross, dd = float(u @ r), float(u @ dr) + float(du @ r), float(du @ dr)
         for _ in range(nehari._MAX_BACKTRACKS):
             try:
-                if np.array_equal(obj.retract(c - t * d, values - t * dv)[0], new_c):
+                s, F_t = obj.level(u - t * du, obj.h2 * (ur - t * (cross - t * dd)))
+                if np.array_equal((s - 1.0) * u - (s * t) * du, s_u):
                     break
             except NonpositiveField:
                 pass
             t *= 0.5
         else:
             raise AssertionError("accepted point is no halving of the step")
-        assert obj.energy(new_c, new_v) == F_new
-        if F_new < F and F_new <= F - 1e-4 * t * float(g @ d):
+        new_u, new_r = u + s_u, r + s_r
+        assert F_t == F_new
+        assert obj.energy(new_u, obj.quadratic(new_u, new_r)) == pytest.approx(F_new, rel=1e-13)
+        if F_new < F and F_new <= F - 1e-4 * t * obj.h2 * float(g @ du):
             cases.append("armijo")
         else:
-            g1 = obj.grad(new_c, new_v)
+            g1 = obj.grad(new_u, new_r)
             assert g_new is not None and np.array_equal(g_new, g1)
             assert abs(F_new - F) <= 64 * np.finfo(float).eps * max(abs(F), 1.0)
-            assert float(g1 @ (g1 / obj.w)) <= (1.0 - 1e-4) * float(g @ (g / obj.w))
+            assert float(g1 @ obj.riesz(g1)) <= (1.0 - 1e-4) * float(g @ obj.riesz(g))
             cases.append("rounding")
         return trial
 
@@ -330,9 +341,8 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
         rho = annulus_level(Energy(annulus4, P)).rho_schedule[0]
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nehari, "_line_search", checked)
-            *_, its = nehari._retracted_descent(
-                PinnedEnergy(annulus4, P, rho, np.zeros(2)), ring.coeffs, 1e-8, 20000
-            )
+            pinned = PinnedEnergy(annulus4, P, rho, np.zeros(2))
+            *_, its = nehari._retracted_descent(pinned, *pinned.point(ring.coeffs), 1e-8, 20000)
     else:
         angle = np.pi / 8
         with pytest.MonkeyPatch.context() as mp:
@@ -367,7 +377,8 @@ def test_pinned_level_work_is_bounded_at_the_rounding_floor(annulus4, monkeypatc
 
 
 def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground, monkeypatch):
-    # a Hessian action with no positive curvature: CG stops at its first
+    # a Hessian action with no positive curvature (a curvature E of 2 max W
+    # makes v_r - E v_u negative definite): CG stops at its first
     # product and no Newton direction is a descent direction, so Newton is
     # never accepted and never lands at the rounding floor. Walks at the floor
     # end after a number of steps that changes with rounding (28 to 1,096
@@ -382,22 +393,21 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground, monkeyp
     products = 0
 
     class Concave(Energy):
-        def hessian(self, values):
-            hess = super().hessian(values)
-
-            def hv(v):
+        def curvature(self, values):
+            def E(z):
                 nonlocal products
                 products += 1
-                return -hess(v)
-            return hv
+                return 2.0 * float(self.w.max()) * z
+            return E
 
     monkeypatch.setattr(nehari, "_line_search",
-                        lambda obj, c, values, d, dv, t, F, slope, gd: (c, values, F, None))
+                        lambda obj, u, r, du, dr, t, F, slope, gd: (0 * u, 0 * r, F, None, None))
     spent = []
     for max_iter in (50, 200):
         products = 0
+        concave = Concave(disk_basis, P)
         *_, residual, its = nehari._retracted_descent(
-            Concave(disk_basis, P), rec.u.coeffs, 1e-16, max_iter)
+            concave, *concave.point(rec.u.coeffs), 1e-16, max_iter)
         assert residual > 1e-16
         assert its == max_iter
         assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
@@ -406,9 +416,12 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground, monkeyp
 
 
 def test_newton_is_not_retried_at_the_rounding_floor(disk_basis, disk_ground, monkeypatch):
-    # from a converged start at tol 1e-18, the first Newton step changes F by
+    # from a converged start at tol 1e-30, the first Newton step changes F by
     # less than the rounding allowance: F can no longer tell its progress, and
-    # the descent takes no further Newton step, however long it runs
+    # the descent takes no further Newton step, however long it runs. The
+    # kernel's own residual, on its nodal pair, falls to about 1e-21 here,
+    # past the 1e-15 that the returned residual, read from the coefficients,
+    # cannot go below: at tol 1e-18 the descent ends before any Newton step
     newton_direction = nehari._newton_direction
     calls = 0
 
@@ -418,8 +431,9 @@ def test_newton_is_not_retried_at_the_rounding_floor(disk_basis, disk_ground, mo
         return newton_direction(*args)
 
     monkeypatch.setattr(nehari, "_newton_direction", counted)
+    e = Energy(disk_basis, P)
     *_, residual, its = nehari._retracted_descent(
-        Energy(disk_basis, P), disk_ground[0].u.coeffs, 1e-18, 20000)
+        e, *e.point(disk_ground[0].u.coeffs), 1e-30, 20000)
     assert residual > 1e-18
     assert its > nehari._NEWTON_AFTER
     assert calls == 1
@@ -427,15 +441,19 @@ def test_newton_is_not_retried_at_the_rounding_floor(disk_basis, disk_ground, mo
 
 def test_newton_direction_is_tangent_and_descends(disk_basis):
     e = Energy(disk_basis, P)
+    phi = dense_phi(e.basis)
     for center, width in (((0.0, 0.0), 0.4), ((0.3, -0.2), 0.25)):
         c0 = gaussian_bump_seed(disk_basis, center, width).coeffs
-        c, values = e.retract(c0, e.values(c0))
-        g = e.grad(c, values)
-        residual = _residual(float(g @ (g / e.w)), e.energy(c, values))
-        y, _ = _newton_direction(e, c, g, e.hessian(values), residual)
+        values, r = e.retract(*e.point(c0))
+        g = e.grad(values, r)
+        gg = e.riesz(g)
+        residual = _residual(e.h2 * float(g @ gg), e.energy(values, e.quadratic(values, r)))
+        y, _ = _newton_direction(e, values, r, g, gg, e.curvature(values), residual)
         assert y is not None
-        # J'(c) from J = Q - h^2 sum (u+)^3, not from the H c + g the solver uses
-        a = 2.0 * e.w * c - 3.0 * e.h2 * (dense_phi(e.basis).T @ np.maximum(values, 0.0) ** 2)
+        # in coefficients, J'(c) from J = Q - h^2 sum (u+)^3, not from the
+        # H (u, r) + g the solver uses
+        c, y, g = (e.h2 * phi.T @ v for v in (values, y[0], g))
+        a = 2.0 * e.w * c - 3.0 * e.h2 * (phi.T @ np.maximum(values, 0.0) ** 2)
         assert abs(float(a @ y)) <= 1e-10 * np.linalg.norm(a) * np.linalg.norm(y)
         assert float(g @ y) < 0.0
 
@@ -445,7 +463,8 @@ def test_newton_finish_converges_every_full_span_disk_start(monkeypatch):
     # 5,000 iterations each, creeping along the near-null translation modes;
     # Barzilai-Borwein steps with Newton from residual 0.1 took 947 products
     # with phi and its transpose for the costliest start, L-BFGS with Newton
-    # from sqrt(tol) about 310
+    # from sqrt(tol) about 310, and the same on nodal points about 190
+    # products, nearly all of them green
     dom = build_domain("disk", {"R": 2.0}, lam=1.0, h=0.125)
     basis = assemble_and_decompose(dom)
     products = 0
@@ -465,8 +484,8 @@ def test_newton_finish_converges_every_full_span_disk_start(monkeypatch):
         per_start.append(products)
         return rec
 
-    monkeypatch.setattr(SpectralBasis, "matvec", counted(SpectralBasis.matvec))
-    monkeypatch.setattr(SpectralBasis, "rmatvec", counted(SpectralBasis.rmatvec))
+    for name in ("matvec", "rmatvec", "green"):
+        monkeypatch.setattr(SpectralBasis, name, counted(getattr(SpectralBasis, name)))
     monkeypatch.setattr(nehari, "ground_state", one_start)
     rep = level_c(Energy(basis, P), n_multistarts=8, rng_seed=0)
     assert rep.n_converged == 8
@@ -479,28 +498,38 @@ def test_lbfgs_memory_keeps_pairs_of_positive_curvature(disk_basis):
     # a pair with s y <= 0 is not stored; the memory keeps the newest
     # _LBFGS_MEMORY pairs; the direction meets the secant equation H y = s
     # of the newest pair and is a descent direction
+    # (pairs given in coefficients: the step s as the point (phi s, phi W s),
+    # the gradient change y as the dual phi y with its Riesz image)
     e = Energy(disk_basis, P)
     rng = np.random.default_rng(5)
-    memory = nehari._LBFGSMemory(e)
+    memory = nehari._LBFGSMemory()
+
+    def store(s, y):
+        dual = e.values(y)
+        memory.store(*e.point(s), dual, e.riesz(dual))
+
     s = rng.standard_normal(disk_basis.K)
     for y in (-s, np.zeros_like(s), -e.w * s):
-        memory.store(s, y)
+        store(s, y)
     assert len(memory) == 0
     pairs = []
     for _ in range(nehari._LBFGS_MEMORY + 3):
         s = rng.standard_normal(disk_basis.K)
         y = e.w * s + 0.1 * rng.standard_normal(disk_basis.K)
-        memory.store(s, y)
+        store(s, y)
         pairs.append((s, y))
-    memory.store(s, -y)
+    store(s, -y)
     assert len(memory) == nehari._LBFGS_MEMORY
-    assert all(np.array_equal(kept[0], s) for kept, (s, _) in
+    assert all(np.array_equal(kept[0], e.point(s)[0]) for kept, (s, _) in
                zip(memory.pairs, pairs[-nehari._LBFGS_MEMORY:]))
-    assert all(sy > 0.0 for _, _, sy in memory.pairs)
+    assert all(sy > 0.0 for *_, sy in memory.pairs)
     s, y = pairs[-1]
-    assert np.linalg.norm(memory.direction(y) - s) <= 1e-10 * np.linalg.norm(s)
-    g = rng.standard_normal(disk_basis.K)
-    assert float(g @ memory.direction(g)) > 0.0
+    dual = e.values(y)
+    d_u, _ = memory.direction(dual, e.riesz(dual))
+    s_u = e.point(s)[0]
+    assert np.linalg.norm(d_u - s_u) <= 1e-10 * np.linalg.norm(s_u)
+    g = e.values(rng.standard_normal(disk_basis.K))
+    assert float(g @ memory.direction(g, e.riesz(g))[0]) > 0.0
 
 
 @pytest.mark.parametrize("gradient_step", ["accepted", "rejected"])
@@ -509,29 +538,31 @@ def test_rejected_lbfgs_direction_clears_memory(disk_basis, monkeypatch, gradien
     # cleared and the scaled W^-1 g step is tried next, from
     # t = 1/max(1, ||g||_*). Where it is accepted the descent goes on and
     # rebuilds the memory from that step's pair; where it is refused too the
-    # descent stops there
+    # descent reads the point from its coefficients, goes on from the pair
+    # they give, whose gradient step is refused again, and stops there: the
+    # second reading is of the same point, so its residual has not dropped
     e = Energy(disk_basis, P)
     direction = nehari._LBFGSMemory.direction
     line_search = nehari._line_search
     events: list[tuple] = []
 
-    def spied_direction(self, g):
+    def spied_direction(self, g, gg):
         events.append(("lbfgs", len(self)))
-        return direction(self, g)
+        return direction(self, g, gg)
 
-    def spied_search(obj, c, values, d, dv, t, F, slope, gd):
+    def spied_search(obj, u, r, du, dr, t, F, slope, gd):
         last = events[-1][0] if events else None
         refused = ((last == "lbfgs" and sum(ev[0] == "lbfgs" for ev in events) == 3)
                    or (last == "refused" and gradient_step == "rejected"))
-        trial = None if refused else line_search(obj, c, values, d, dv, t, F, slope, gd)
-        events.append(("refused" if refused else "search", d, t, gd, obj.grad(c, values),
+        trial = None if refused else line_search(obj, u, r, du, dr, t, F, slope, gd)
+        events.append(("refused" if refused else "search", du, t, gd, obj.grad(u, r),
                        trial is not None))
         return trial
 
     monkeypatch.setattr(nehari._LBFGSMemory, "direction", spied_direction)
     monkeypatch.setattr(nehari, "_line_search", spied_search)
     seed = gaussian_bump_seed(disk_basis, (0.3, -0.2), 0.25)
-    *_, its = nehari._retracted_descent(e, seed.coeffs, 1e-8, 20000)
+    *_, its = nehari._retracted_descent(e, *e.point(seed.coeffs), 1e-8, 20000)
 
     refused = [i for i, ev in enumerate(events) if ev[0] == "refused"]
     first = refused[0]
@@ -541,8 +572,8 @@ def test_rejected_lbfgs_direction_clears_memory(disk_basis, monkeypatch, gradien
     assert t == 1.0 / max(1.0, np.sqrt(gd))
     steps_before = sum(ev[0] == "search" and ev[5] for ev in events[:first])
     if gradient_step == "rejected":
-        assert refused == [first, first + 1]
-        assert len(events) == first + 2
+        assert refused == [first, first + 1, first + 2]
+        assert len(events) == first + 3
         assert its == steps_before
     else:
         assert refused == [first]
@@ -555,33 +586,40 @@ def test_restricted_descent_keeps_odd_coefficients_zero_past_the_memory(annulus4
     # on the x-mirror's fixed-point subspace, from the even part of an
     # off-axis bump, the descent runs more steps than the memory holds pairs:
     # L-BFGS directions then combine a full memory, and every accepted point
-    # keeps its odd coefficients exactly 0
-    keep = annulus4.mirror_signs[:, 0] == 1
-    obj = RestrictedEnergy(annulus4, P, keep)
+    # is exactly even under the mirror, so its odd coefficients are 0
+    obj = RestrictedEnergy(annulus4, P, 0)
+    keep = obj.keep
+    x = annulus4.dom.node_coords
+    (mirror,) = [p for p in symmetry_group(annulus4.dom)
+                 if np.array_equal(x[p], x * np.array([-1.0, 1.0]))]
     seed = gaussian_bump_seed(annulus4, (1.0, 2.6), 0.8)
     line_search = nehari._line_search
-    accepted: list[np.ndarray] = []
+    accepted: list[tuple[np.ndarray, np.ndarray]] = []
     memory_sizes: list[int] = []
     direction = nehari._LBFGSMemory.direction
 
-    def spied_direction(self, g):
+    def spied_direction(self, g, gg):
         memory_sizes.append(len(self))
-        return direction(self, g)
+        return direction(self, g, gg)
 
-    def recorded(*args):
-        trial = line_search(*args)
+    def recorded(obj, u, r, *args):
+        trial = line_search(obj, u, r, *args)
         if trial is not None:
-            accepted.append(trial[0])
+            accepted.append((u + trial[0], r + trial[1]))
         return trial
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nehari, "_line_search", recorded)
         mp.setattr(nehari._LBFGSMemory, "direction", spied_direction)
-        c, *_, residual, its = nehari._retracted_descent(obj, obj.coords(seed), 1e-8, 20000)
+        u, *_, residual, its = nehari._retracted_descent(obj, *obj.point(obj.coords(seed)), 1e-8,
+                                                          20000)
     assert residual <= 1e-8
     assert its == len(accepted) > nehari._LBFGS_MEMORY
     assert nehari._LBFGS_MEMORY in memory_sizes
-    assert all(np.all(a[~keep] == 0.0) for a in accepted)
+    assert all(np.array_equal(v[mirror], v) for point in accepted for v in point)
+    assert np.array_equal(u.values, accepted[-1][0])
+    c = u.coeffs
+    assert np.all(c[~keep] == 0.0)
     assert np.any(c[keep] != 0.0)
 
 

@@ -8,8 +8,9 @@ property of a class there must be read as an attribute of that name in the
 package outside its own definition, or in perfbench/spans.py. Code that only
 tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
-package. Outside spectral, only model calls the basis's matvec, rmatvec and
-green or reads a Field's coeffs, and outside model only morse reads the weights w.
+package. Outside spectral, only model calls the basis's matvec, rmatvec,
+green and fixed_green or reads a Field's coeffs, and outside model only morse
+reads the weights w.
 Outside domain and spectral, only topology.symmetry_group calls
 mask_symmetries.
 Importing the CLI loads none of the scipy subpackages that only some tasks
@@ -192,15 +193,16 @@ def test_every_module_constant_is_read():
 
 
 def test_only_model_applies_the_basis():
-    # the state lives in coefficient space behind model.Energy: outside
-    # spectral, which defines the products with phi and the Green operator
-    # h^2 phi W^-1 phi^T, only model applies them
+    # the state lives behind model.Energy: outside spectral, which defines
+    # the products with phi and the Green operator h^2 phi W^-1 phi^T (and
+    # its restriction to a mirror's fixed-point subspace), only model
+    # applies them
     callers = sorted(
         f"{mod}:{node.lineno}" for mod, tree in _modules().items()
         if mod not in {"spectral", "model"}
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in {"matvec", "rmatvec", "green"}
+        and node.func.attr in {"matvec", "rmatvec", "green", "fixed_green"}
     )
     assert callers == []
 
@@ -213,9 +215,10 @@ def _attribute_readers(attr: str) -> set[str]:
 
 
 def test_only_model_reads_coefficients_and_weights():
-    # model.Energy owns the coordinates: coords reads a Field's coefficients
-    # and riesz applies W^-1, so a new operator backend changes model alone;
-    # morse's pencil takes W^-1/2 for its congruence
+    # model.Energy owns the coordinates: coords and measure read a Field's
+    # coefficients and riesz applies the Green operator, so a new operator
+    # backend changes model alone; morse's pencil takes W^-1/2 for its
+    # congruence
     assert _attribute_readers("coeffs") <= {"spectral", "model"}
     assert _attribute_readers("w") <= {"model", "morse"}
 

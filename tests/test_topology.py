@@ -45,7 +45,13 @@ from fracfield.topology import (
     multiplicity_search,
     symmetry_group,
 )
-from oracles import dense_phi, radial_asymmetry
+from oracles import (
+    coefficient_grad,
+    coefficient_hessian,
+    dense_phi,
+    energy_at,
+    radial_asymmetry,
+)
 
 P = 2.0
 
@@ -57,8 +63,9 @@ MID_RADIUS = 2.8  # annulus lam=4: 0.5 (R + r) lam with R=1, r=0.4
 def _energy_and_j(basis, u):
     """(I, J) at the span representation of u."""
     e = Energy(basis, P)
-    values = e.values(u.coeffs)
-    return e.energy(u.coeffs, values), e.j(u.coeffs, values)
+    values, r = e.point(u.coeffs)
+    Q = e.quadratic(values, r)
+    return e.energy(values, Q), e.j(values, Q)
 
 
 def _bump_values(dom, center, width=0.3):
@@ -373,16 +380,17 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
     # of beta would move F by about 1e-12
     e = Energy(annulus4, P)
     c0 = gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).coeffs
-    c, values = e.retract(c0, e.values(c0))
-    beta = _barycenter(annulus4.dom, values)[1]
+    u0, r0 = e.point(c0)
+    u, r = e.retract(u0, r0)
+    beta = _barycenter(annulus4.dom, u)[1]
     x_tilde = beta + np.array([1e-3, -1e-3])
-    energy = e.energy(c, values)
+    energy = e.measure(e.field(u))[0]
     rho = abs(energy) / 2e-6
-    # max_iter=0: the kernel retracts the seed, evaluates F there and stops
+    # max_iter=0: the kernel retracts the seed, measures F there and stops
     pinned = PinnedEnergy(annulus4, P, rho, x_tilde)
-    c_k, values_k, F, _, its = _retracted_descent(pinned, c0, 1e-8, 0)
+    u_k, r_k, F, _, its = _retracted_descent(pinned, u0, r0, 1e-8, 0)
     assert its == 0
-    assert np.array_equal(c_k, c) and np.array_equal(values_k, values)
+    assert np.array_equal(u_k.values, u) and np.array_equal(r_k, r)
     gap = beta - x_tilde
     assert F == energy + rho * float(gap @ gap)
 
@@ -417,7 +425,7 @@ def _off_centre_penalty(annulus4):
     values = e.values(c)
     beta = _barycenter(dom, values)[1]
     x_tilde = beta + np.array([0.4, -0.3])
-    rho = float(np.linalg.norm(e.grad(c, values))) / 0.5
+    rho = float(np.linalg.norm(coefficient_grad(e, c))) / 0.5
     return e, PinnedEnergy(annulus4, P, rho, x_tilde), c, values
 
 
@@ -425,7 +433,7 @@ def test_pinned_gradient_matches_energy_differences(annulus4):
     # the Hessian test differences the gradient; this one differences F itself,
     # so a gradient that is wrong but consistent with its Hessian fails here
     e, pinned, c, values = _off_centre_penalty(annulus4)
-    g, g_energy = pinned.grad(c, values), e.grad(c, values)
+    g, g_energy = coefficient_grad(pinned, c), coefficient_grad(e, c)
     rng = np.random.default_rng(5)
     for _ in range(3):
         v = rng.standard_normal(c.size) * np.exp(-0.01 * np.arange(c.size))
@@ -435,13 +443,12 @@ def test_pinned_gradient_matches_energy_differences(annulus4):
         assert np.all(np.abs(values) > 10.0 * eps * np.abs(z))
 
         def diff(energy):
-            return (energy(c + eps * v, e.values(c + eps * v))
-                    - energy(c - eps * v, e.values(c - eps * v))) / (2.0 * eps)
+            return (energy_at(energy, c + eps * v) - energy_at(energy, c - eps * v)) / (2.0 * eps)
 
-        fd = diff(pinned.energy)
+        fd = diff(pinned)
         assert abs(fd - float(g @ v)) <= 1e-8 * abs(fd)
         # the penalty's part alone, not drowned by the energy's
-        fd_pen = fd - diff(e.energy)
+        fd_pen = fd - diff(e)
         pen = float((g - g_energy) @ v)
         assert abs(pen) >= 0.1 * abs(fd)
         assert abs(fd_pen - pen) <= 1e-8 * abs(pen)
@@ -458,23 +465,22 @@ def test_penalty_hessian_matches_gradient_differences(annulus4):
         assert np.all(np.abs(values) > 10.0 * eps * np.abs(z))
 
         def g(t):
-            ct = c + t * v
-            return pinned.grad(ct, e.values(ct))
+            return coefficient_grad(pinned, c + t * v)
 
         fd = (g(eps) - g(-eps)) / (2.0 * eps)
-        hv = pinned.hessian(values)(v)
+        hv = coefficient_hessian(pinned, c)(v)
         assert np.linalg.norm(fd - hv) <= 1e-8 * np.linalg.norm(hv)
         # the penalty's part alone, not drowned by the energy's
-        pen = hv - e.hessian(values)(v)
-        fd_pen = fd - (e.grad(c + eps * v, e.values(c + eps * v))
-                       - e.grad(c - eps * v, e.values(c - eps * v))) / (2.0 * eps)
+        pen = hv - coefficient_hessian(e, c)(v)
+        fd_pen = fd - (coefficient_grad(e, c + eps * v)
+                       - coefficient_grad(e, c - eps * v)) / (2.0 * eps)
         assert np.linalg.norm(pen) >= 0.1 * np.linalg.norm(hv)
         assert np.linalg.norm(fd_pen - pen) <= 1e-8 * np.linalg.norm(pen)
 
 
 def test_penalty_hessian_is_symmetric(annulus4):
     _, pinned, c, values = _off_centre_penalty(annulus4)
-    hess = pinned.hessian(values)
+    hess = coefficient_hessian(pinned, c)
     rng = np.random.default_rng(4)
     for _ in range(5):
         a, b = rng.standard_normal((2, c.size))
@@ -487,9 +493,9 @@ def test_penalty_hessian_sends_c_to_nehari_differential(annulus4):
     # J = Q - h^2 sum (u+)^3 and not from the energy's Hessian
     e, pinned, c, values = _off_centre_penalty(annulus4)
     jprime = 2.0 * e.w * c - 3.0 * e.h2 * (dense_phi(e.basis).T @ np.maximum(values, 0.0) ** 2)
-    g = pinned.grad(c, values)
-    lhs = pinned.hessian(values)(c) + g
-    assert np.linalg.norm(lhs - jprime) <= 1e-12 * np.linalg.norm(g - e.grad(c, values))
+    g = coefficient_grad(pinned, c)
+    lhs = coefficient_hessian(pinned, c)(c) + g
+    assert np.linalg.norm(lhs - jprime) <= 1e-12 * np.linalg.norm(g - coefficient_grad(e, c))
 
 
 @pytest.fixture(scope="module")
@@ -544,9 +550,9 @@ def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
     escape = topology._saddle_escape
     checks: list[tuple[int, bool]] = []
 
-    def indexed(obj, c, values):
-        step = escape(obj, c, values)
-        checks.append((hessian_spectrum(obj, basis.synthesize(c)).morse_index, step is not None))
+    def indexed(obj, u, r):
+        step = escape(obj, u, r)
+        checks.append((hessian_spectrum(obj, obj.field(u)).morse_index, step is not None))
         return step
 
     monkeypatch.setattr(topology, "_saddle_escape", indexed)
@@ -556,7 +562,7 @@ def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
     pinned = PinnedEnergy(basis, P, rep.rho_schedule[-1], np.zeros(2))
     c = rep.record.u.coeffs
     assert hessian_spectrum(pinned, rep.record.u).morse_index == 1
-    assert escape(pinned, c, pinned.values(c)) is None
+    assert escape(pinned, *pinned.point(c)) is None
 
 
 def test_annulus_level_checks_only_the_point_it_returns(annulus4, annulus2, monkeypatch):
@@ -573,8 +579,8 @@ def test_annulus_level_checks_only_the_point_it_returns(annulus4, annulus2, monk
         events.append(("descent", obj.rho))
         return out
 
-    def checked(obj, c, values):
-        step = escape(obj, c, values)
+    def checked(obj, u, r):
+        step = escape(obj, u, r)
         events.append(("check", obj.rho, step is not None))
         return step
 
@@ -694,7 +700,12 @@ def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_
     assert rec.seed_tag == "mirror-x-fixed"
     assert rec.energy == pytest.approx(8.795460970536, rel=1e-10)
     assert rec.energy > 1.5 * annulus_classes.classes[0].representative.energy
-    # the odd-sector coefficients start at 0 and stay exactly 0
+    # the values stay exactly even under the mirror, and the odd-sector
+    # coefficients are exactly 0
+    x = annulus4.dom.node_coords
+    (mirror,) = [p for p in symmetry_group(annulus4.dom)
+                 if np.array_equal(x[p], x * np.array([-1.0, 1.0]))]
+    assert np.array_equal(rec.u.values[mirror], rec.u.values)
     odd = annulus4.mirror_signs[:, 0] == -1
     assert odd.sum() > annulus4.K // 3
     assert np.all(rec.u.coeffs[odd] == 0.0)
@@ -702,23 +713,26 @@ def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_
     # included, recomputed here from phi c rather than the carried values
     obj = Energy(annulus4, P)
     c = rec.u.coeffs
-    values = obj.values(c)
-    energy = obj.energy(c, values)
+    energy = energy_at(obj, c)
     assert abs(energy - rec.energy) <= _rounding_allowance(rec.energy)
-    g = obj.grad(c, values)
+    g = coefficient_grad(obj, c)
     residual = _residual(float(g @ (g / obj.w)), energy)
     assert residual == pytest.approx(rec.residual, rel=1e-12)
     assert residual <= 1e-8
 
 
 def test_band_saddle_products_per_sweep(annulus_saddle_run):
-    # one product with phi per accepted step (phi d; a halving reuses it),
-    # plus the start's synthesis and the record's. The band took 11 sweeps
+    # one Riesz map per accepted step, on the fixed-point subspace (the
+    # gradient's; a halving needs none), plus the start's; the start's point
+    # is one matvec of two columns and the record's coefficients and
+    # residual two rmatvecs, and no full green runs. The band took 11 sweeps
     # of 11 products each here; the descent takes 8 steps
-    report, matvecs = annulus_saddle_run
+    report, products = annulus_saddle_run
     assert report.sweeps == report.saddle.iterations
     assert 1 <= report.sweeps <= 10
-    assert matvecs <= report.sweeps + 2
+    assert products["fixed_green"] <= report.sweeps + 2
+    assert products["green"] == 0
+    assert products["matvec"] == 1 and products["rmatvec"] == 2
 
 
 def test_band_saddle_beyond_p_two(annulus4):
