@@ -1,11 +1,12 @@
 """Power-type nonlinearity and the energy functional.
 
-The functional on a spectral basis is
+The functional on a basis is
 
-    I(u) = (1/2) * Q(u) - h^2 * sum_i H(u_i),      Q(u) = sum_k (mu_k^alpha + 1) b_k^2,
+    I(u) = (1/2) * Q(u) - h^2 * sum_i H(u_i),      Q(u) = h^2 u . L u,
 
-with h(s) = (s_+)^p, H its primitive, acting only on the positive part so
-critical points are automatically candidates for positive solutions.
+with L = (-Delta)^alpha + I the basis's operator, h(s) = (s_+)^p and H its
+primitive, acting only on the positive part so critical points are
+automatically candidates for positive solutions.
 Energy is the one implementation of I, with its gradient, the Nehari functional
 J, its curvature, the operator morse's Lanczos runs on and the closed-form
 retraction onto the manifold;
@@ -14,32 +15,26 @@ RestrictedEnergy confines the energy to a mirror's fixed-point subspace.
 Each is the one objective the descent kernel takes.
 An Energy is the functional itself, built from a basis and the exponent p:
 the solvers of nehari, morse and topology take one instead of its parts.
-Outside spectral, only this module calls the basis's matvec, rmatvec,
-green and fixed_green or reads a Field's coefficients, and only it and
-morse read W.
+Outside spectral, only this module applies the basis's operators.
 
 Nodal representation. A point is the pair (u, r) of nodal vectors with
-u = phi c and r = (A^alpha + I) u = phi W c, W = diag(mu^alpha + 1); the
-basis spans the grid, so phi is invertible with inverse h^2 phi^T. A point
-enters from its coefficients as point(c) (one product with two columns) and
-leaves as a Field (field(u), one rmatvec); in between the descent kernel
-applies no phi. With G = h^2 phi W^-1 phi^T = (A^alpha + I)^-1 the basis's
-Green operator:
+r = L u: point(v) = (v, L v), one operator. With G = L^-1 the basis's Green
+operator:
 
 - Q = h^2 u . r. A gradient is a nodal dual g, for I g = r - h(u); it pairs
-  with a point v as h^2 g . v_u, which equals g_c . v_c with
-  g_c = h^2 phi^T g, the coefficient gradient W c - h^2 phi^T h(u).
-- The Riesz map (W^-1 on coefficients) sends g to the point (G g, g): riesz
-  returns G g, one green, and ||g||_*^2 = h^2 g . G g.
+  with a point v as h^2 g . v_u.
+- The Riesz map sends g to the point (G g, g): riesz returns G g, one green,
+  and ||g||_*^2 = h^2 g . G g.
 - The second variation sends a point v to the dual v_r - E v_u, where E is
   the objective's nodal curvature (curvature(u)): h'(u) for I. That takes no
-  product; the coefficient form W v - h^2 phi^T (E phi v) is built from the
-  same E where Lanczos needs it (PinnedEnergy.pencil).
+  product.
 - On the Nehari manifold Q = P, P = h^2 sum (u+)^(p+1), so
   I = (p - 1)/(2 (p + 1)) Q there. level(u, Q) returns the retraction's
   scale and the objective at the retracted point from u and Q alone: the
   kernel reads Q at a trial point from dot products of its ends and pays
   one pass over u per trial.
+- A point's r is L u only to rounding after many steps, so a record is
+  judged at (u, L u) with r made afresh (measure: one operator, one green).
 """
 
 from __future__ import annotations
@@ -50,7 +45,7 @@ import numpy as np
 
 from .domain import GridDomain
 from .errors import NonpositiveField
-from .spectral import Field, SpectralBasis
+from .spectral import SpectralBasis
 
 
 def h_eval(p: float, s):
@@ -81,41 +76,25 @@ def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[np.ndarray, np.nda
 class Energy:
     """The functional I on the span, on nodal points (u, r) (module docstring).
 
-    Methods taking both trust the caller to pass such a pair; coords reads a
-    Field's coefficients, checking its domain. Products with phi and its
-    transpose are the basis's matvec and rmatvec, block by block on its
-    factors, and the Green operator h^2 phi W^-1 phi^T is its green.
+    Methods taking both trust the caller to pass such a pair. L and G are the
+    basis's operator and green.
     """
 
     def __init__(self, basis: SpectralBasis, p: float):
         self.basis = basis
         self.p = p
-        self.w = basis.weights
         self.h2 = basis.dom.h**2
 
-    def coords(self, u: Field) -> np.ndarray:
-        """u's coefficients as floats; DomainMismatch when u lives on another domain."""
-        self.basis.check_same_domain(u.dom)
-        return np.asarray(u.coeffs, dtype=float)
-
-    def values(self, c: np.ndarray) -> np.ndarray:
-        return self.basis.matvec(c)
-
-    def point(self, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(phi c, phi W c), the nodal point of coefficients c, from one matvec of two columns."""
-        x = self.basis.matvec(np.column_stack([c, self.w * c]))
-        return x[:, 0].copy(), x[:, 1].copy()
-
-    def field(self, u: np.ndarray) -> Field:
-        """The Field with values u and coefficients h^2 phi^T u."""
-        return Field(self.basis.dom, u, self.h2 * self.basis.rmatvec(u))
+    def point(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(v, L v), the nodal point with values v."""
+        return v, self.basis.operator(v)
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         """G g, the u-part of the Riesz image (G g, g) of a nodal dual g."""
         return self.basis.green(g)
 
     def quadratic(self, u: np.ndarray, r: np.ndarray) -> float:
-        """Q = h^2 u . r = sum_k (mu_k^alpha + 1) c_k^2, the squared energy norm."""
+        """Q = h^2 u . r, the squared energy norm."""
         return self.h2 * float(u @ r)
 
     def energy(self, u: np.ndarray, Q: float) -> float:
@@ -123,19 +102,19 @@ class Energy:
         return 0.5 * Q - self.h2 * float(np.sum(H_eval(self.p, u)))
 
     def grad(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The nodal dual r - h(u) of the gradient: h^2 phi^T of it is W c - <h(u), phi_k>.
-        Every objective's is r plus a term of u alone, grad(u, 0)."""
+        """The nodal dual r - h(u) of the gradient. Every objective's is r plus
+        a term of u alone, grad(u, 0)."""
         return r - h_eval(self.p, u)
 
-    def measure(self, u: Field) -> tuple[float, float]:
-        """(F, ||grad F||_*^2) at the field u, from its coefficients c and values:
-        Q = sum w c^2 and the coefficient gradient W c + h^2 phi^T grad(u, 0),
-        one rmatvec. The descent's pair (u, r) holds r = phi W c only to
-        rounding, and its own gradient can fall below the rounding floor of
-        this one, so records are judged here."""
-        c = self.coords(u)
-        g = self.w * c + self.h2 * self.basis.rmatvec(self.grad(u.values, np.zeros_like(c)))
-        return self.energy(u.values, float(np.sum(self.w * c * c))), float(g @ (g / self.w))
+    def measure(self, u: np.ndarray) -> tuple[float, float, np.ndarray]:
+        """(F, ||grad F||_*^2, L u) at the values u, from r = L u made afresh:
+        Q = h^2 u . r and the dual g at (u, r), ||g||_*^2 = h^2 g . G g. The
+        descent's pair (u, r) holds r = L u only to rounding, and its own
+        gradient can fall below the rounding floor of this one, so records
+        are judged here."""
+        r = self.basis.operator(u)
+        g = self.grad(u, r)
+        return self.energy(u, self.quadratic(u, r)), self.h2 * float(g @ self.basis.green(g)), r
 
     def j(self, u: np.ndarray, Q: float) -> float:
         """J(u) = Q(u) - <h(u), u>_h; zero exactly on the Nehari manifold."""
@@ -147,25 +126,20 @@ class Energy:
         hp = h_prime(self.p, values)
         return lambda z: hp * z
 
-    def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
-        """The pencil H x = theta W x at these values as (op, start, lift), the
-        form morse's Lanczos runs on (morse module docstring): on nodal vectors,
-        op y = y - sqrt(D) G sqrt(D) y, D = h'(u) and G the basis's green, from
-        start = F 1 = h sqrt(D) phi W^-1/2 1. lift maps op's unit eigenvectors
-        y, as columns, to the pencil's x = h W^-1 phi^T (sqrt(D) y) / sqrt(1 - theta),
-        x^T W x = 1; it has none for theta = 1.
+    def pencil(self, values: np.ndarray) -> tuple[Callable, Callable | None,
+                                                  Callable | None, np.ndarray]:
+        """The eigenproblem morse's Lanczos runs on at these values, as
+        (op, M, Minv, start) for op y = theta M y (morse module docstring).
+        For I it is the standard problem of T y = y - sqrt(D) G sqrt(D) y,
+        D = h'(u), from start h sqrt(D) s, s the basis's start; M and Minv
+        are None.
         """
         sd = np.sqrt(h_prime(self.p, values))
-        h = self.basis.dom.h
 
         def op(y: np.ndarray) -> np.ndarray:
             return y - sd * self.basis.green(sd * y)
 
-        def lift(theta: np.ndarray, Y: np.ndarray) -> np.ndarray:
-            return h * self.basis.rmatvec(sd[:, None] * Y) / (
-                self.w[:, None] * np.sqrt(1.0 - theta))
-
-        return op, h * sd * self.basis.matvec(1.0 / np.sqrt(self.w)), lift
+        return op, None, None, self.basis.dom.h * sd * self.basis.start
 
     def nehari_t(self, u: np.ndarray, Q: float) -> float:
         """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1)),
@@ -244,47 +218,43 @@ class PinnedEnergy(Energy):
 
         return E
 
-    def pencil(self, values: np.ndarray) -> tuple[Callable, np.ndarray, Callable]:
-        """The pencil on coefficients: op is S = W^-1/2 H W^-1/2 with
-        H v = W v - h^2 phi^T (E phi v), start ones(K) and lift x = W^-1/2 v.
-        The penalty's nodal Hessian is indefinite, so F's pencil has no
-        symmetric nodal form with a square root of it."""
-        scale = 1.0 / np.sqrt(self.w)
+    def pencil(self, values: np.ndarray) -> tuple[Callable, Callable | None,
+                                                  Callable | None, np.ndarray]:
+        """The nodal generalized problem (L - E) y = theta L y, E = curvature(values),
+        with M = L, Minv = G and start s. The penalty's nodal Hessian is
+        indefinite, so F's pencil has no standard form with a square root of it."""
         E = self.curvature(values)
 
-        def op(v: np.ndarray) -> np.ndarray:
-            x = scale * v
-            return scale * (self.w * x - self.h2 * self.basis.rmatvec(E(self.basis.matvec(x))))
+        def op(y: np.ndarray) -> np.ndarray:
+            return self.basis.operator(y) - E(y)
 
-        return op, np.ones(self.basis.K), lambda theta, V: scale[:, None] * V
+        return op, self.basis.operator, self.basis.green, self.basis.start
 
 
 class RestrictedEnergy(Energy):
-    """I on the fixed-point subspace of a mirror of the mask, the span of the
-    modes it labels +1 (SpectralBasis.mirror_signs); mirror is its generator.
-    I is invariant under the mirror, so a critical point of the restriction
-    is a critical point of I (symmetric criticality: Palais, Comm. Math.
-    Phys. 69, 1979).
+    """I on the fixed-point subspace of a mirror of the mask; mirror is its
+    generator, and a mirror the mask lacks (SpectralBasis.frame_signs) is a
+    ValueError. I is invariant under the mirror, so a critical point of the
+    restriction is a critical point of I (symmetric criticality: Palais, Comm.
+    Math. Phys. 69, 1979).
 
-    coords and field zero the coefficients the mirror labels -1, and riesz
-    is the basis's fixed_green, whose values are exactly mirror-even. A point
-    entered from such coefficients is exactly even, the gradient and every
-    step built from it stay so, and a descent's record has its odd
-    coefficients exactly 0. Its pencil is I's: the second variation of the
-    whole space, which the saddle's Morse index counts.
+    point and riesz apply the basis's fixed_operator and fixed_green, whose
+    values are exactly mirror-even: point(v) is (G_+ L_+ v, L_+ v), the
+    mirror-even part of v with its image under L. The gradient and every
+    step built from such a point keep its values exactly even. Its pencil and
+    measure are I's: the second variation of the whole space, which the
+    saddle's Morse index counts, and the residual of I on the whole space.
     """
 
     def __init__(self, basis: SpectralBasis, p: float, mirror: int):
+        if not basis.frame_signs[:, mirror].any():
+            raise ValueError(f"the mask has no mirror {mirror}")
         super().__init__(basis, p)
         self.mirror = mirror
-        self.keep = basis.mirror_signs[:, mirror] == 1
 
-    def coords(self, u: Field) -> np.ndarray:
-        return np.where(self.keep, super().coords(u), 0.0)
-
-    def field(self, u: np.ndarray) -> Field:
-        f = super().field(u)
-        return Field(f.dom, u, np.where(self.keep, f.coeffs, 0.0))
+    def point(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        r = self.basis.fixed_operator(v, self.mirror)
+        return self.basis.fixed_green(r, self.mirror), r
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
         return self.basis.fixed_green(g, self.mirror)

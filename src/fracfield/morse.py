@@ -1,32 +1,33 @@
 """Second-variation spectra, Morse indices, and the solution-count comparison.
 
-In the mode coordinates the second variation of the energy at u is
-the symmetric K x K operator H v = W v - h^2 Phi^T (h'(u) Phi v), W = mu^alpha + 1,
-a diagonal quadratic-form part minus the Gram operator of the modes under the
-node weights h^2 h'(u), never formed: h'(u) is the objective's nodal
-curvature E (model.Energy.curvature), and the objective applies H only
-through its pencil. Its spectrum reaches max W, about 12 at h = 0.25, and its bottom
-eigenvalues sit close together on that scale. So Lanczos runs instead on the
-congruent S = W^-1/2 H W^-1/2 = I - F^T F, F = h sqrt(D) Phi W^-1/2,
-D = h'(u) >= 0: S <= I, and all but a few of its eigenvalues cluster at 1. Its
-eigenvalues are those of the pencil H x = theta W x, and every eigenvalue
-reported here is such a theta. By Sylvester's law of inertia S has as many
-negative, zero and positive eigenvalues as H; by Ostrowski's theorem each
-theta has the sign of the matching eigenvalue of H and equals it divided by
-some weight in [min W, max W]. At a critical point u of the energy,
-H u = (1 - p) W u, so 1 - p is an eigenvalue of S.
+On nodal values the second variation of the energy at u sends v to
+(L - E) v, L = (-Delta)^alpha + I the basis's operator and E the
+objective's nodal curvature (model.Energy.curvature): h'(u) for the plain
+energy. It is never formed; the objective applies it only through its
+pencil. Its spectrum reaches max W, W = mu^alpha + 1 the eigenvalues of L,
+about 12 at h = 0.25, and its bottom eigenvalues sit close together on that
+scale. So every eigenvalue reported here is a theta of the pencil
+(L - E) y = theta L y, which is S = W^-1/2 H W^-1/2 = I - F^T F on mode
+coefficients, F = h sqrt(D) phi W^-1/2, D = h'(u) >= 0: S <= I, and all but a
+few of its eigenvalues cluster at 1. By Sylvester's law of inertia the pencil
+has as many negative, zero and positive theta as L - E has eigenvalues; by
+Ostrowski's theorem each theta has the sign of the matching eigenvalue and
+equals it divided by some weight in [min W, max W]. At a critical point u of
+the energy, (L - E) u = (1 - p) L u, so 1 - p is a theta.
 
 The basis spans the grid, so F is square and F F^T has the eigenvalues of
-F^T F: T = I - F F^T = I - sqrt(D) G sqrt(D), with G = h^2 Phi W^-1 Phi^T
-acting on nodal values, has S's spectrum, and so the counts above. The
-objective supplies the operator (model.Energy.pencil). The plain energy hands
-Lanczos T, whose product is one symmetric pass over the basis's Green blocks
-(spectral.SpectralBasis.green) where S's reads the eigenvector blocks twice.
-Its start vector is F 1, the image of S's ones(K), so its Krylov spaces are
-the F-images of S's: the solves take as many products and find the same
-theta. T's eigenvectors y lift to the pencil's as
-x = h W^-1 Phi^T (sqrt(D) y) / sqrt(1 - theta). A PinnedEnergy keeps S: its
-penalty's nodal Hessian is indefinite and has no square root. A
+F^T F: T = I - F F^T = I - sqrt(D) G sqrt(D), with G = L^-1 the basis's
+Green operator, has S's spectrum, and so the counts above. The objective
+supplies the problem (model.Energy.pencil). The plain energy hands Lanczos
+T, whose product is one symmetric pass over the Green blocks
+(spectral.SpectralBasis.green), from the start vector F 1 = h sqrt(D) s,
+s = phi W^-1/2 1 the basis's start: it has a component along every mode, so
+both copies of a repeated theta are found, which a start vector in the
+symmetric sector alone, such as ones(n), misses. A PinnedEnergy's penalty has
+an indefinite nodal Hessian and no square root, so it hands Lanczos the
+generalized problem itself, with M = L and Minv = G, run as ARPACK's mode 2
+(Lehoucq, Sorensen and Yang, ARPACK Users' Guide, 1998) from s, the nodal
+image of S's ones(K): the Krylov spaces are those of S, mapped to nodes. A
 RestrictedEnergy's pencil is I's, on the whole space, which the saddle's
 Morse index counts. This Lanczos, capped at _LANCZOS_RESTARTS
 restarts, is the package's only Hessian eigensolve: topology.annulus_level's
@@ -76,7 +77,7 @@ class HessianSpectrumReport:
     """Census of the second variation at one field.
 
     eigenvalues holds the k >= min(6, K) smallest eigenvalues theta of the
-    pencil H x = theta W x (those of S), ascending; the largest exceeds
+    pencil (L - E) y = theta L y (those of S), ascending; the largest exceeds
     DEFAULT_EPS_NULL unless k = K. theta has the sign of the matching
     eigenvalue of H, not its size. morse_index counts those below
     -DEFAULT_EPS_NULL, null_count those within DEFAULT_EPS_NULL of zero;
@@ -91,13 +92,15 @@ class HessianSpectrumReport:
 
 
 def hessian_spectrum(energy: Energy, u: Field) -> HessianSpectrumReport:
-    """Count negative and null modes from the smallest theta of S, k = 6, 12, ...
+    """Count negative and null modes from the smallest theta of the pencil, k = 6, 12, ...
 
     k doubles until the largest of the k exceeds DEFAULT_EPS_NULL, so no null
-    mode is cut off. Raises EigSolveFailure when the eigensolve fails.
+    mode is cut off. Raises EigSolveFailure when the eigensolve fails, and
+    DomainMismatch when u lives on another domain.
     """
     eps = DEFAULT_EPS_NULL
-    values = energy.values(energy.coords(u))
+    energy.basis.check_same_domain(u.dom)
+    values = u.values
     k = 6
     ev = _smallest_eigenpairs(energy, values, k)[0]
     while ev[-1] <= eps and ev.size < energy.basis.K:
@@ -116,38 +119,46 @@ def hessian_spectrum(energy: Energy, u: Field) -> HessianSpectrumReport:
 def _smallest_eigenpairs(
     energy: Energy, values: np.ndarray, k: int, vectors: bool = False,
 ) -> tuple[np.ndarray, np.ndarray | None]:
-    """The min(k, K) smallest theta of H x = theta W x, H the objective's
-    second variation at values, ascending, with their eigenvectors x,
-    x^T W x = 1, as columns if vectors is set (else None).
+    """The min(k, K) smallest theta of op y = theta M y, the problem that
+    energy.pencil supplies at values (M = I where it gives none), ascending,
+    with their eigenvectors y, h^2 y^T M y = 1, as columns if vectors is set
+    (else None). For a PinnedEnergy that is the pencil (L - E) y = theta L y.
 
-    Lanczos (ARPACK) on the operator energy.pencil supplies, from its start
-    vector, with the restart generator fixed: by default ARPACK draws both from
-    OS entropy. Its eigenvectors go back through the pencil's lift. It restarts
-    at most _LANCZOS_RESTARTS times. Raises EigSolveFailure when the solve fails
-    or runs out of restarts.
+    Lanczos (ARPACK's eigsh, mode 2 where there is an M) from the pencil's
+    start vector, with the restart generator fixed: by default ARPACK draws
+    both from OS entropy. It restarts at most _LANCZOS_RESTARTS times; for
+    k = K it forms op and M from K products each instead. Raises
+    EigSolveFailure when the solve fails or runs out of restarts.
     """
     K = energy.basis.K
     k = min(k, K)
+    h = energy.basis.dom.h
     if not np.any(h_prime(energy.p, values)):
-        # S = I: Lanczos from one start vector would find one copy of 1
-        return np.ones(k), np.eye(K, k) / np.sqrt(energy.w)[:, None] if vectors else None
-    op, start, lift = energy.pencil(values)
+        # T = I: Lanczos from T's start vector, 0, would find nothing
+        return np.ones(k), np.eye(K, k) / h if vectors else None
+    op, M, Minv, start = energy.pencil(values)
     try:
         if k < K:
-            A = scipy.sparse.linalg.LinearOperator((K, K), matvec=op, dtype=float)
-            found = scipy.sparse.linalg.eigsh(A, k=k, which="SA", v0=start, tol=1e-12,
+            def linear(f):
+                return None if f is None else scipy.sparse.linalg.LinearOperator(
+                    (K, K), matvec=f, dtype=float)
+
+            found = scipy.sparse.linalg.eigsh(linear(op), k=k, M=linear(M), Minv=linear(Minv),
+                                              which="SA", v0=start, tol=1e-12,
                                               return_eigenvectors=vectors, rng=0,
                                               maxiter=_LANCZOS_RESTARTS)
-        else:  # eigsh needs k < K: form the operator from K products
-            found = scipy.linalg.eigh(np.column_stack([op(e) for e in np.eye(K)]),
-                                      eigvals_only=not vectors)
+        else:  # eigsh needs k < K: form the operators from K products
+            def formed(f):
+                return None if f is None else np.column_stack([f(e) for e in np.eye(K)])
+
+            found = scipy.linalg.eigh(formed(op), formed(M), eigvals_only=not vectors)
     except (scipy.sparse.linalg.ArpackError, scipy.linalg.LinAlgError) as exc:
         raise EigSolveFailure(f"Hessian eigensolve failed: {exc}") from exc
     ev, vecs = found if vectors else (found, None)
     if not np.all(np.isfinite(ev)):
         raise EigSolveFailure("Hessian spectrum contains non-finite eigenvalues")
     order = np.argsort(ev)
-    return ev[order], None if vecs is None else lift(ev[order], vecs[:, order])
+    return ev[order], None if vecs is None else vecs[:, order] / h
 
 
 def ray_second_derivative(
@@ -161,7 +172,8 @@ def ray_second_derivative(
     makes every solution at least index 1. Raises OffManifold when u does not
     satisfy |J(u)| <= tol Q.
     """
-    values, r = energy.point(energy.coords(u))
+    energy.basis.check_same_domain(u.dom)
+    values, r = energy.point(u.values)
     Q = energy.quadratic(values, r)
     J = energy.j(values, Q)
     if abs(J) > tol * Q:

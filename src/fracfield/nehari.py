@@ -1,7 +1,7 @@
 """Nehari-manifold projection, ground states, and level computations.
 
 The manifold M is the set of nontrivial fields with J(u) = Q(u) - <h(u), u> = 0,
-where Q(u) = sum_k (mu_k^alpha + 1) b_k^2. For the power family h(s) = (s_+)^p
+where Q(u) = h^2 u . L u, L = (-Delta)^alpha + I. For the power family h(s) = (s_+)^p
 every ray through a field with nontrivial positive part meets M exactly once,
 at t = (Q/P)^(1/(p-1)) with P = h^2 sum (u_+)^(p+1), and that point maximizes
 the energy along the ray. Ground states are found by retracted descent: a
@@ -10,15 +10,15 @@ derivative of I vanishes (I'(u)[u] = J(u) = 0), so the full gradient is
 tangent to first order and the retracted step decreases energy for small
 step sizes. The descent kernel takes one objective object, a model.Energy
 or its model.PinnedEnergy, and runs on its nodal points (u, r), r =
-(A^alpha + I) u (model module docstring): it reads from the objective F at
-the retracted trial (level), the nodal gradient, the curvature E of the
-second variation and the Riesz image G g (riesz, one green), and applies no
-phi within a step. topology.band_saddle runs it on a model.RestrictedEnergy.
+L u (model module docstring): it reads from the objective F at the
+retracted trial (level), the nodal gradient, the curvature E of the second
+variation and the Riesz image G g (riesz, one green), G = L^-1, and applies
+no L within a step. topology.band_saddle runs it on a model.RestrictedEnergy.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
-the dual norm sqrt(sum g_k^2 / (mu_k^alpha + 1)); a record is converged iff
-this quantity is <= tol. It is read from the record's coefficients
-(model.Energy.measure), not from the descent's nodal pair.
+the dual norm sqrt(h^2 g . G g) of the nodal dual g; a record is converged iff
+this quantity is <= tol. It is read at the record's values with L u made
+afresh (model.Energy.measure), not from the descent's nodal pair.
 
 Steps: every accepted step is a retracted trial x - t d of the point
 x = (u, r) along a direction d given as a point, with t halved up to
@@ -32,14 +32,11 @@ max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
   for ground_state's plain energy and for the pinned objective of
   topology.annulus_level alike. A Newton step costs one green per CG
   iteration, about half a dozen, and an L-BFGS or gradient step one green,
-  for the Riesz image of the new gradient; neither applies phi (the
-  counts of products with phi below are of the coefficient-space kernel
-  this one replaced, which took two per step). Near tol Newton converges quadratically,
-  so from sqrt(tol) one or two Newton steps finish a descent that L-BFGS
-  has brought there. Two variants of the gate were measured: from residual
-  0.1, the gate of the earlier Barzilai-Borwein kernel, Newton steps spent
-  most of the L-BFGS saving again (4,452 products with phi and its
-  transpose for the eight R=2 disk starts below, against 1,512); with no
+  for the Riesz image of the new gradient; neither applies L. Near tol
+  Newton converges quadratically, so from sqrt(tol) one or two Newton steps
+  finish a descent that L-BFGS has brought there. Two variants of the gate
+  were measured: from residual 0.1, the gate of the earlier Barzilai-Borwein
+  kernel, Newton steps spent most of the L-BFGS saving again; with no
   Newton step at all the pinned annulus levels of the rng_seed 0 sweep
   took 139, 114 and 429 steps instead of 79, 61 and 69 at lambda=4, 6 and 2
   (one BLAS thread), and the whole sweep 1,215 instead of 735.
@@ -53,8 +50,8 @@ max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
   annulus level pinned at 22.5 degrees at tol 1e-14, against 180 and 141.
   The direction is a truncated preconditioned CG solve of H y = -g on the
   tangent space {y : J'(u) y = 0} (Steihaug 1983; Absil, Mahony and
-  Sepulchre 2008), preconditioned by the Riesz map (W = diag(mu^alpha + 1)
-  on coefficients) with the W-orthogonal projection onto the tangent space.
+  Sepulchre 2008), preconditioned by the Riesz map with the projection onto
+  the tangent space that is orthogonal in the energy inner product.
   CG stops at relative residual min(_CG_FORCING, sqrt(residual)), at the
   first nonpositive curvature, or after _CG_MAX_ITER products; J'(u) =
   H (u, r) + g costs one product more, and its Riesz image one green. The
@@ -73,11 +70,8 @@ max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
   4e-15 where differences of points let tiny Newton steps near a saddle
   feed 1e-12 into it. A pair is kept only when s y > 0. Off-centre starts move their bump
   to the centre along the soft translation modes of the lattice's pinning
-  landscape, and the pairs keep the curvature along them: on the R=2 disk
-  at h=0.125, the eight starts of rng_seed 0 took 4,694 products with phi
-  and its transpose at Barzilai-Borwein steps with Newton from residual
-  0.1, and 1,512 here. When none of its halvings passes, the memory is
-  cleared.
+  landscape, and the pairs keep the curvature along them. When none of its
+  halvings passes, the memory is cleared.
 - Gradient step along the Riesz image (G g, g), from t = 1/max(1, ||g||_*): the first step,
   and the step after the memory is cleared. When none of its halvings
   passes either, the descent stops.
@@ -180,12 +174,12 @@ def _check_tol(tol: float) -> None:
 
 
 def gaussian_bump_seed(basis: SpectralBasis, center: tuple[float, float], width: float) -> Field:
-    """Gaussian bump analyzed into the basis; the structured localized seed."""
+    """Gaussian bump on the basis's grid; the structured localized seed."""
     if width <= 0.0:
         raise ValueError(f"width must be positive, got {width}")
     x = basis.dom.node_coords
     d2 = (x[:, 0] - center[0]) ** 2 + (x[:, 1] - center[1]) ** 2
-    return basis.analyze(np.exp(-d2 / (2.0 * width * width)))
+    return Field(basis.dom, np.exp(-d2 / (2.0 * width * width)))
 
 
 def ground_state(
@@ -200,13 +194,14 @@ def ground_state(
     Energies of accepted iterates rise by at most the rounding allowance of
     the module docstring. On iteration exhaustion the best iterate is
     returned marked unconverged rather than raised. A tol that is not finite
-    and positive is a ValueError.
+    and positive is a ValueError, a seed on another domain DomainMismatch.
     """
     _check_tol(tol)
-    c = energy.coords(seed)
+    energy.basis.check_same_domain(seed.dom)
     if not np.any(seed.values > 0.0):
         raise NonpositiveField("field has no positive part on the grid")
-    u, _, F, residual, iterations = _retracted_descent(energy, *energy.point(c), tol, max_iter)
+    u, _, F, residual, iterations = _retracted_descent(energy, *energy.point(seed.values), tol,
+                                                       max_iter)
     return _solution_record(u, F, residual, tol, seed_tag, iterations)
 
 
@@ -215,17 +210,17 @@ def _retracted_descent(
 ) -> tuple[Field, np.ndarray, float, float, int]:
     """The one descent on the Nehari manifold of the objective F: from the
     nodal point (u, r), (u, r, F, residual, iterations) at its end, with u
-    as the Field obj.field makes of its values.
+    as a Field.
 
     Retract (u, r), then take the module docstring's Newton, L-BFGS or scaled
     gradient steps until the residual is at most tol, max_iter steps are
     taken, or no step is accepted. The F and residual returned are
-    obj.measure's, read from the end point's coefficients: the pair carries
-    its r only to rounding, and its own residual can fall below the rounding
-    floor of the true one. Where the pair's residual passes tol, or no step
-    is accepted, and the coefficients' residual is above tol, the descent
-    goes on from the pair obj.point makes of those coefficients, as long as
-    their residual drops by the factor 1 - _ARMIJO between such readings.
+    obj.measure's, read at the end point's values with L u made afresh: the
+    pair carries its r only to rounding, and its own residual can fall below
+    the rounding floor of the true one. Where the pair's residual passes
+    tol, or no step is accepted, and the measured residual is above tol, the
+    descent goes on from (u, L u), as long as that residual drops by the
+    factor 1 - _ARMIJO between such readings.
     obj.level runs at every trial point; obj.grad and obj.riesz (one green)
     at accepted points and at trials the rounding case of the acceptance
     rule judges; obj.curvature(u) for the Newton step. Every direction is a linear combination of gradients, their
@@ -242,7 +237,7 @@ def _retracted_descent(
     memory = _LBFGSMemory()
     iterations = products = 0
     at_floor = False
-    read = math.inf  # ||grad F||_*^2 from the coefficients where the pair was last re-read
+    read = math.inf  # ||grad F||_*^2 measured where the pair was last re-read
     for _ in range(max_iter):
         residual = _residual(gd, F)
         trial = None
@@ -264,15 +259,14 @@ def _retracted_descent(
             if trial is None:
                 trial = _line_search(obj, u, r, gg, g, 1.0 / max(1.0, math.sqrt(gd)), F, gd, gd)
         if trial is None:
-            # the pair's residual passed tol or no step passes: read the point
-            # from its coefficients, and go on from the pair they give while
-            # their residual is above tol and drops between readings
-            field = obj.field(u)
-            F_c, gd_c = obj.measure(field)
+            # the pair's residual passed tol or no step passes: measure the
+            # point with r made afresh, and go on from (u, L u) while that
+            # residual is above tol and drops between readings
+            F_c, gd_c, r_c = obj.measure(u)
             if _residual(gd_c, F_c) <= tol or gd_c > (1.0 - _ARMIJO) * read:
-                return field, r, F_c, _residual(gd_c, F_c), iterations
+                return Field(obj.basis.dom, u), r, F_c, _residual(gd_c, F_c), iterations
             read = gd_c
-            u, r = obj.point(obj.coords(field))
+            r = r_c
             F, g = F_c, obj.grad(u, r)
             gg = obj.riesz(g)
             gd = obj.h2 * float(g @ gg)
@@ -286,9 +280,8 @@ def _retracted_descent(
         g, gg = new_g, new_gg
         gd = obj.h2 * float(g @ gg)
         iterations += 1
-    field = obj.field(u)
-    F, gd = obj.measure(field)
-    return field, r, F, _residual(gd, F), iterations
+    F, gd, _ = obj.measure(u)
+    return Field(obj.basis.dom, u), r, F, _residual(gd, F), iterations
 
 
 class _LBFGSMemory:
@@ -344,8 +337,9 @@ def _newton_direction(
     took; gg = G g.
 
     Projected preconditioned CG from y = 0 on H y = -g, H v = v_r - E v_u:
-    every CG direction is W-orthogonally projected onto the tangent space
-    {y : a y = 0}, a = J'(u) = H (u, r) + g, so the iterates stay in it; y is
+    every CG direction is projected onto the tangent space {y : a y = 0},
+    a = J'(u) = H (u, r) + g, orthogonally in the energy inner product
+    h^2 v_u . w_r, so the iterates stay in it; y is
     projected once more against drift. The preconditioner is the Riesz map,
     one green per iteration. None when y is not a descent direction
     (g y >= 0), as when the first curvature is nonpositive.
@@ -358,7 +352,8 @@ def _newton_direction(
     a_ga = float(a @ ga)
 
     def project(res: np.ndarray, gres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Riesz image (gres, res) of res, W-orthogonally projected onto the tangent space."""
+        """The Riesz image (gres, res) of res, projected onto the tangent space
+        orthogonally in the energy inner product."""
         k = float(a @ gres) / a_ga
         return gres - k * ga, res - k * a
 

@@ -1,19 +1,19 @@
-"""Dirichlet eigenbasis of the masked 5-point Laplacian and spectral fields.
+"""The operator L = (-Delta)^alpha + I of the masked 5-point Laplacian and its inverse.
 
 The fractional operator is realized spectrally: with (mu_k, phi_k) the
-eigenpairs of the negative 5-point Laplacian on the interior nodes (Dirichlet
-outside the mask), a grid field u = sum_k b_k phi_k maps to
+eigenpairs of the negative 5-point Laplacian A on the interior nodes
+(Dirichlet outside the mask), phi_k orthonormal in the quadrature inner
+product <u, v> = h^2 sum_i u_i v_i, a grid field u = sum_k b_k phi_k maps to
 
     (-Delta)^alpha u = sum_k mu_k^alpha b_k phi_k.
 
-Eigenvectors are orthonormal in the quadrature inner product
-<u, v> = h^2 sum_i u_i v_i, and their signs are fixed deterministically
-(largest-magnitude entry positive, first such entry on ties).
-
-Every basis spans the whole interior grid: energies compare across domains
-only when no mode is cut, and the comparisons across lambda are what the
-tasks exist to make. Which orthonormal basis of a degenerate eigenspace comes
-back does not matter, since the span is everything.
+The package reaches it only through two symmetric operators on nodal values:
+L = A^alpha + I = h^2 phi W phi^T and its inverse, the Green operator
+G = h^2 phi W^-1 phi^T, W = diag(mu^alpha + 1). Every basis spans the whole
+interior grid: energies compare across domains only when no mode is cut, and
+the comparisons across lambda are what the tasks exist to make. Which
+orthonormal basis of a degenerate eigenspace the decomposition returns does
+not matter to L and G, which do not depend on it.
 
 The dense decomposition is split by the grid symmetries of the mask, which
 domain.mask_symmetries lists with the generators composing each. The
@@ -39,40 +39,30 @@ Each block goes through LAPACK's divide and conquer routine (``evd``) in
 place. With the swap and both mirrors that is 4 (n/8)^3 + (n/4)^3 =
 3 n^3/128 of dense work, about 43 times less than one decomposition of A.
 
-The n x n matrix phi of eigenvectors is never formed. The basis keeps its
-factors: the frames side by side as one sparse orthogonal Q (one nonzero
-per row in each frame, so at most 6 per row), each block's eigenvectors V_b
-(the shared one listed for both frames of the pair) and the permutation from
-ascending order to block order. phi c is Q times the stacked V_b c_b, and
-phi^T x the reverse; the pair's V is applied to its two slices as two
-products. With the swap and both mirrors the blocks hold 4 (n/8)^2 +
-(n/4)^2 = n^2/8 doubles, and a product reads 3 n^2/16 of them, the pair's
-twice, against n^2/4 held and read with the mirrors alone. The build
-peaks at about 0.22 n^2: the two blocks built before the pair, n^2/32, and
-the pair's block with its LAPACK workspace, about 3 (n/4)^2. A dense phi
-took n^2 more, and one dense ``evd`` of all of A held 3 n^2.
+The eigenvectors are not kept. L and G split over the same frames: with
+the frames side by side as one sparse orthogonal Q (one nonzero per row in
+each frame, so at most 6 per row), L = Q blockdiag(L_b) Q^T and
+G = Q blockdiag(G_b) Q^T, with L_b = h^2 V_b W_b V_b^T and
+G_b = h^2 V_b W_b^-1 V_b^T for block b's eigenvectors V_b (1/h folded in).
+Right after each block's evd both are accumulated by dsyrk over column
+panels of V_b diag(h w_b^(+-1/2)), the pair's once, and V_b is freed. The
+basis keeps one nodal vector besides them, s = phi W^-1/2 1, morse's Lanczos
+start (model.Energy.pencil). s depends on the eigenvectors' signs, which are
+fixed deterministically first (largest-magnitude entry positive, first such
+entry on ties). With the swap and both mirrors each block set holds
+4 (n/8)^2 + (n/4)^2 = n^2/8 doubles. The build peaks at about a third of
+n^2: the blocks built before the pair's, with the pair's block and its
+LAPACK workspace, about 3 (n/4)^2, or its V_b, L_b and G_b and a panel. A
+dense phi took n^2 more, and one dense ``evd`` of all of A held 3 n^2.
 
-The Green operator G = h^2 phi W^-1 phi^T on nodal values, W = mu^alpha + 1,
-splits over the same frames: G = Q blockdiag(G_b) Q^T, G_b = h^2 V_b W_b^-1 V_b^T.
-It is the Riesz map of every descent step (model module docstring) and the
-operator morse's Lanczos runs on for the plain energy (model.Energy.pencil).
-green applies it by one dsymv over each G_b's upper triangle: a product reads
-3 n^2/32 doubles, the pair's twice, against matvec and rmatvec's 3 n^2/8
-together. The G_b are built on the first green, by dsyrk over column panels
-of V_b diag(h / sqrt(w_b)), the pair's once, and held from then on: n^2/8
-more doubles, as many as the V_b. The build took about 1, 4 and 13 ms at
-n = 793, 1,496 and 2,696, and 80-120 ms at 6,056 (2 cores, 2 BLAS threads).
-The first descent on a basis builds them.
-
-fixed_green applies G on the fixed-point subspace of one mirror: the
-frames that the mirror labels -1 are skipped, so the product reads half the
-blocks and its values are exactly even under the mirror (each row of such a
-frame holds the same entries at a node and at its mirror image).
-
-Every mode of a frame has the frame's sign under each mirror; the basis keeps
-them as one label array, mirror_signs, in ascending mode order (0 for a mirror
-the mask lacks). A mirror thus acts on coefficients as a diagonal of +-1, and
-its fixed-point subspace is the span of the modes it labels +1.
+operator and green apply L and G by one dsymv over each block's upper
+triangle: a product reads 3 n^2/32 doubles, the pair's block twice.
+fixed_operator and fixed_green apply them on the fixed-point subspace of one
+mirror: the frames that the mirror labels -1 are skipped, so the product
+reads half the blocks and its values are exactly even under the mirror (each
+row of such a frame holds the same entries at a node and at its mirror
+image). Every frame has one sign under each mirror of the mask; the basis
+keeps them as frame_signs (0 for a mirror the mask lacks).
 """
 
 from __future__ import annotations
@@ -88,9 +78,8 @@ import scipy.sparse
 from .domain import GridDomain, mask_pairs, mask_symmetries
 from .errors import DomainMismatch, EigSolveFailure
 
-# the columns of V_b diag(h / sqrt(w_b)) that one dsyrk adds to G_b
-_GREEN_PANEL = 64
-
+# the columns of V_b diag(h w_b^(+-1/2)) that one dsyrk adds to a block
+_PANEL = 64
 
 def assemble_laplacian(dom: GridDomain) -> scipy.sparse.csr_matrix:
     """Negative 5-point Laplacian on interior nodes with Dirichlet mask.
@@ -112,125 +101,93 @@ def assemble_laplacian(dom: GridDomain) -> scipy.sparse.csr_matrix:
 
 @dataclass(frozen=True)
 class Field:
-    """A grid field together with its spectral coefficients.
+    """A grid field: its values at the interior nodes of dom, as floats.
 
-    values holds the nodal data as given; coeffs its projection onto the
-    modes. The span is the whole grid, so the two always agree to rounding.
+    DomainMismatch when there are not as many values as interior nodes.
     """
 
     dom: GridDomain
     values: np.ndarray
-    coeffs: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.dom.n_interior,):
+            raise DomainMismatch(
+                f"values shape {values.shape} does not match the "
+                f"{self.dom.n_interior} interior nodes"
+            )
+        object.__setattr__(self, "values", values)
 
 
 class SpectralBasis:
-    """All eigenpairs of the masked Laplacian plus the fractional weight.
+    """The operator L = A^alpha + I and its inverse G on nodal values, in blocks.
 
-    phi, the n x K matrix of eigenvectors, is kept as its factors (module
-    docstring) and applied by matvec and rmatvec; green applies the Green
-    operator h^2 phi W^-1 phi^T from blocks built on its first call, and
-    fixed_green its restriction to a mirror's fixed-point subspace.
+    operator and green apply L and G; fixed_operator and fixed_green their
+    restrictions to a mirror's fixed-point subspace (module docstring).
 
     Attributes
     ----------
     dom : GridDomain
     alpha : fractional order in (0, 1]
     K : number of modes, equal to the interior node count
-    mu : (K,) eigenvalues, ascending, all positive
-    weights : (K,) mu^alpha + 1, the diagonal of the quadratic-form operator
     frame : (n, n) sparse orthogonal Q, one nonzero per row in each frame,
         at most 6 per row
-    blocks : the V_b in frame order, square, with 1/h folded in, so that phi
-        is orthonormal in the h^2-weighted inner product. A frame that is the
-        swap image of the one before lists that frame's V_b, the same array,
-        so the pair's eigenvectors are held once: about n^2/8 doubles in all
-        on a mask with the swap and both mirrors
-    order : (K,) for each mode in ascending order, its index in block order
-    mirror_signs : (K, 2) int8, each mode's sign under the x-mirror and the
-        y-mirror (generators 0 and 1 of domain.mask_symmetries); 0 where the
-        mask lacks that mirror or the frame does not split by it
+    operator_blocks, green_blocks : the upper triangles of L_b and G_b in
+        frame order, square. A frame that is the swap image of the one before
+        lists that frame's blocks, the same arrays, so the pair's are held
+        once: about n^2/8 doubles per set on a mask with the swap and both
+        mirrors
+    start : (n,) s = phi W^-1/2 1, the Lanczos start
+    frame_signs : (frames, 2) int8, each frame's sign under the x-mirror and
+        the y-mirror (generators 0 and 1 of domain.mask_symmetries); 0 where
+        the mask lacks that mirror or the frame does not split by it
     """
 
     def __init__(
         self, dom: GridDomain, alpha: float, frame: scipy.sparse.csr_matrix,
-        blocks: list[tuple[np.ndarray, np.ndarray]], signs: list[tuple[int, int]],
+        blocks: list[tuple[np.ndarray, np.ndarray]], start: np.ndarray,
+        signs: list[tuple[int, int]],
     ):
-        """blocks holds (mu_b, V_b) per frame, in frame order; a swap pair's
+        """blocks holds (L_b, G_b) per frame, in frame order; a swap pair's
         two entries are one tuple. signs holds each frame's sign under the
         x-mirror and the y-mirror, in frame order."""
-        if not 0.0 < alpha <= 1.0:
-            raise EigSolveFailure(f"alpha must be in (0, 1], got {alpha}")
         self.dom = dom
         self.alpha = float(alpha)
         self.frame = frame
         self._frame_t = frame.T.tocsr()
-        self.blocks = [V for _, V in blocks]
-        self._bounds = list(itertools.pairwise(np.cumsum([0] + [V.shape[0] for V in self.blocks])))
-        mu = np.concatenate([mu_b for mu_b, _ in blocks])
-        self.order = np.argsort(mu, kind="stable")
-        self._position = np.argsort(self.order)  # the inverse permutation
-        self.mu = mu[self.order]
-        self.K = int(self.mu.size)
-        self._frame_signs = np.array(signs, dtype=np.int8)
-        self.mirror_signs = np.repeat(self._frame_signs,
-                                      [V.shape[0] for V in self.blocks], axis=0)[self.order]
-        self.weights = self.mu**alpha + 1.0
-        self._h2 = dom.h**2
-        self._green: list[np.ndarray] | None = None  # the G_b, built by the first green
-        self._every_frame = np.ones(len(self.blocks), dtype=bool)
+        self.operator_blocks = [L for L, _ in blocks]
+        self.green_blocks = [G for _, G in blocks]
+        self._bounds = list(itertools.pairwise(np.cumsum([0] + [L.shape[0] for L, _ in blocks])))
+        self.K = dom.n_interior
+        self.start = start
+        self.frame_signs = np.array(signs, dtype=np.int8)
+        self._every_frame = np.ones(len(blocks), dtype=bool)
 
-    def _green_blocks(self) -> list[np.ndarray]:
-        """The upper triangles of G_b = h^2 V_b W_b^-1 V_b^T in frame order, a
-        swap pair's block listed twice as one array.
-
-        Each is accumulated by dsyrk over column panels of V_b diag(h / sqrt(w_b)),
-        _GREEN_PANEL columns at a time, so no scaled copy of a whole V_b is made.
-        """
-        scale = self.dom.h / np.sqrt(self.weights[self._position])  # in block order
-        out: list[np.ndarray] = []
-        for k, (V, (lo, hi)) in enumerate(zip(self.blocks, self._bounds)):
-            if k and V is self.blocks[k - 1]:
-                out.append(out[-1])
-                continue
-            G = np.zeros(V.shape, order="F")
-            s = scale[lo:hi]
-            for j in range(0, V.shape[1], _GREEN_PANEL):
-                panel = V[:, j:j + _GREEN_PANEL] * s[j:j + _GREEN_PANEL]
-                G = scipy.linalg.blas.dsyrk(1.0, panel, beta=1.0, c=G, overwrite_c=1)
-            out.append(G)
-        return out
-
-    def matvec(self, c: np.ndarray) -> np.ndarray:
-        """phi @ c, as Q times the stacked V_b c_b, c_b being block b's share of c."""
-        cb = c[self._position]
-        return self.frame @ np.concatenate(
-            [V @ cb[lo:hi] for V, (lo, hi) in zip(self.blocks, self._bounds)])
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """phi.T @ x, as the stacked V_b^T y_b with y = Q^T x, put in ascending order."""
-        y = self._frame_t @ x
-        return np.concatenate(
-            [V.T @ y[lo:hi] for V, (lo, hi) in zip(self.blocks, self._bounds)])[self.order]
+    def operator(self, x: np.ndarray) -> np.ndarray:
+        """L @ x, L = A^alpha + I = h^2 phi W phi^T, as Q times the stacked L_b y_b
+        with y = Q^T x: one dsymv over each block's upper triangle."""
+        return self._apply(self.operator_blocks, x, self._every_frame)
 
     def green(self, x: np.ndarray) -> np.ndarray:
-        """G @ x, G = h^2 phi W^-1 phi^T, as Q times the stacked G_b y_b with y = Q^T x:
-        one dsymv over each block's upper triangle."""
-        return self._green_over(x, self._every_frame)
+        """G @ x, G = L^-1 = h^2 phi W^-1 phi^T, block by block as operator."""
+        return self._apply(self.green_blocks, x, self._every_frame)
+
+    def fixed_operator(self, x: np.ndarray, mirror: int) -> np.ndarray:
+        """L_+ @ x, L restricted to the fixed-point subspace of mirror (a
+        generator, as in frame_signs): operator with the blocks of the frames
+        it labels -1 left out, so the result is exactly mirror-even."""
+        return self._apply(self.operator_blocks, x, self.frame_signs[:, mirror] == 1)
 
     def fixed_green(self, x: np.ndarray, mirror: int) -> np.ndarray:
-        """G_+ @ x, G_+ = h^2 phi_+ W_+^-1 phi_+^T over the modes that mirror (a
-        generator, as in mirror_signs) labels +1: green with the blocks of the
-        frames it labels -1 left out, so the result is exactly mirror-even."""
-        return self._green_over(x, self._frame_signs[:, mirror] == 1)
+        """G_+ @ x, the inverse of L_+ on that subspace, as fixed_operator."""
+        return self._apply(self.green_blocks, x, self.frame_signs[:, mirror] == 1)
 
-    def _green_over(self, x: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        """green over the frames kept marks; the others contribute exact zeros."""
-        if self._green is None:
-            self._green = self._green_blocks()
+    def _apply(self, blocks: list[np.ndarray], x: np.ndarray, kept: np.ndarray) -> np.ndarray:
+        """Q blockdiag(B_b) Q^T x over the frames kept marks; the others contribute exact zeros."""
         y = self._frame_t @ x
         return self.frame @ np.concatenate([
-            scipy.linalg.blas.dsymv(1.0, G, y[lo:hi]) if keep else np.zeros(hi - lo)
-            for G, (lo, hi), keep in zip(self._green, self._bounds, kept)])
+            scipy.linalg.blas.dsymv(1.0, B, y[lo:hi]) if keep else np.zeros(hi - lo)
+            for B, (lo, hi), keep in zip(blocks, self._bounds, kept)])
 
     def check_same_domain(self, other_dom: GridDomain) -> None:
         if other_dom.content_hash != self.dom.content_hash:
@@ -239,23 +196,40 @@ class SpectralBasis:
                 f"{self.dom.content_hash}"
             )
 
-    def analyze(self, values: np.ndarray) -> Field:
-        """Project nodal values onto the modes."""
-        values = np.asarray(values, dtype=float)
-        if values.shape != (self.dom.n_interior,):
-            raise DomainMismatch(
-                f"values shape {values.shape} does not match the "
-                f"{self.dom.n_interior} interior nodes"
-            )
-        return Field(self.dom, values, self._h2 * self.rmatvec(values))
 
-    def synthesize(self, coeffs: np.ndarray) -> Field:
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.K,):
-            raise DomainMismatch(
-                f"coefficient shape {coeffs.shape} does not match K={self.K}"
-            )
-        return Field(self.dom, self.matvec(coeffs), coeffs)
+def _weighted_gram(V: np.ndarray, h: float, w: np.ndarray, power: int) -> np.ndarray:
+    """The upper triangle of h^2 V W^power V^T, W = diag(w), power +1 or -1.
+
+    Accumulated by dsyrk over column panels of V diag(h w^(power/2)),
+    _PANEL columns at a time, so no scaled copy of all of V is made.
+    """
+    scale = h * np.sqrt(w) if power == 1 else h / np.sqrt(w)
+    out = np.zeros(V.shape, order="F")
+    for j in range(0, V.shape[1], _PANEL):
+        out = scipy.linalg.blas.dsyrk(1.0, V[:, j:j + _PANEL] * scale[j:j + _PANEL], beta=1.0,
+                                      c=out, overwrite_c=1)
+    return out
+
+
+def _block_operators(
+    mu: np.ndarray, V: np.ndarray, h: float, alpha: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(L_b, G_b, V_b W_b^-1/2 1) of one block from its eigenpairs (mu, V),
+    V with 1/h folded in, W_b = diag(mu^alpha + 1); L_b and G_b as upper
+    triangles. EigSolveFailure unless every mu is finite and positive."""
+    if not np.all(np.isfinite(mu)):
+        raise EigSolveFailure("eigendecomposition produced non-finite eigenvalues")
+    if mu.min() <= 0:
+        raise EigSolveFailure(
+            f"smallest eigenvalue {mu.min()} is not positive; mask is not a "
+            "proper Dirichlet interior"
+        )
+    w = mu**alpha + 1.0
+    # scipy's BLAS, as every other product of the build: numpy's OpenBLAS
+    # has its own thread pool, whose workers spin after a call and slowed
+    # the next block's evd by up to 2.5 times under 2 threads
+    return (_weighted_gram(V, h, w, 1), _weighted_gram(V, h, w, -1),
+            scipy.linalg.blas.dgemv(1.0, V, 1.0 / np.sqrt(w)))
 
 
 def _class_frame(group: list[tuple[np.ndarray, tuple[int, ...]]],
@@ -334,44 +308,43 @@ def _parity_frames(
 
 
 def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis:
-    """Assemble the masked Laplacian and decompose it over the full span.
+    """Assemble the masked Laplacian, decompose it block by block and keep L and G.
 
     The symmetry-blocked build is described in the module docstring.
     """
+    if not 0.0 < alpha <= 1.0:
+        raise EigSolveFailure(f"alpha must be in (0, 1], got {alpha}")
     A = assemble_laplacian(dom)
     frames = _parity_frames(dom)
-    blocks = []
+    blocks, starts = [], []
     for Q, shared, _ in frames:
-        if shared:  # the swap image of the frame before: the same block, held once
+        if shared:  # the swap image of the frame before: the same blocks, held once
             blocks.append(blocks[-1])
+            starts.append(starts[-1])
             continue
         # Fortran order, so LAPACK overwrites the block instead of copying it
-        B = (Q.T @ A @ Q).toarray(order="F")
         try:
-            mu_b, V = scipy.linalg.eigh(B, overwrite_a=True, driver="evd")
+            mu_b, V = scipy.linalg.eigh((Q.T @ A @ Q).toarray(order="F"), overwrite_a=True,
+                                        driver="evd")
         except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare LAPACK failure
             raise EigSolveFailure(f"dense eigendecomposition failed: {exc}") from exc
         V /= dom.h  # h^2 * phi.T @ phi = I
-        # Q holds one entry in each row it covers, so phi's entries are the
-        # products q v. All nodes of an orbit carry one magnitude w and its
-        # first node a plus sign, and the columns follow those first nodes,
-        # so the sign rule (largest |entry| positive, first index on ties)
-        # reads off |w V|, which holds phi's magnitudes bit for bit. The
-        # swap image of Q has the same w and maps first nodes onto first
-        # nodes, so the rule holds for its modes too
+        # s depends on the eigenvectors' signs: each mode's largest |entry|
+        # is made positive, first index on ties. Q holds one
+        # entry in each row it covers, so phi's entries are the products q v.
+        # All nodes of an orbit carry one magnitude w and its first node a
+        # plus sign, and the columns follow those first nodes, so the rule
+        # reads off |w V|, which holds phi's magnitudes bit for bit. The swap
+        # image of Q has the same w and maps first nodes onto first nodes,
+        # so the rule holds for its modes too
         w = np.empty(Q.shape[1])
         w[Q.indices] = np.abs(Q.data)
         peak = np.abs(V * w[:, None]).argmax(axis=0)
         V *= np.where(V[peak, np.arange(mu_b.size)] < 0, -1.0, 1.0)
-        blocks.append((mu_b, V))
-
-    basis = SpectralBasis(dom, alpha, scipy.sparse.hstack([Q for Q, *_ in frames], format="csr"),
-                          blocks, [label for *_, label in frames])
-    if not np.all(np.isfinite(basis.mu)):
-        raise EigSolveFailure("eigendecomposition produced non-finite eigenvalues")
-    if basis.mu[0] <= 0:
-        raise EigSolveFailure(
-            f"smallest eigenvalue {basis.mu[0]} is not positive; mask is not a "
-            "proper Dirichlet interior"
-        )
-    return basis
+        L, G, s = _block_operators(mu_b, V, dom.h, alpha)
+        del V  # before the next block's evd: the basis keeps no eigenvectors
+        blocks.append((L, G))
+        starts.append(s)
+    frame = scipy.sparse.hstack([Q for Q, *_ in frames], format="csr")
+    return SpectralBasis(dom, alpha, frame, blocks, frame @ np.concatenate(starts),
+                         [label for *_, label in frames])

@@ -138,9 +138,7 @@ class PsiSeeder:
             log.debug("seed: %d ball nodes fell outside the host mask after snapping", dropped)
 
         e = self.energy
-        c = e.coords(e.basis.analyze(ext))
-        u, r = e.point(c)
-        return e.basis.synthesize(e.nehari_t(u, e.quadratic(u, r)) * c)
+        return Field(dom, e.nehari_t(ext, e.quadratic(*e.point(ext))) * ext)
 
 
 def _nearest_node(dom: GridDomain, x: tuple[float, float]) -> int:
@@ -162,8 +160,8 @@ def orbit_records(
     symmetry_group, matched exactly as integer node indices, earlier seeds
     and the identity first. Any other seed's record is that source record
     mapped by the p with p[node_k] == node_j, where k is the seed and j the
-    source: u is analyze(src.u.values[p]) and the barycenter is read from
-    those values; energy, residual, iterations, converged and positive are
+    source: u's values are src.u.values[p] and the barycenter is read from
+    them; energy, residual, iterations, converged and positive are
     copied, and seed_tag is the seed's own. That is the seed's own descent up
     to rounding when its seed is the source's seed mapped by p: p commutes
     with the masked Laplacian, so I, its gradient, the Green operator and the
@@ -187,7 +185,7 @@ def orbit_records(
                 descended.append((node, rec))
         else:
             p, src = image
-            u = basis.analyze(src.u.values[p])
+            u = Field(basis.dom, src.u.values[p])
             rec = replace(src, u=u, seed_tag=tag,
                           barycenter=tuple(_barycenter(basis.dom, u.values)[1].tolist()))
         records.append(rec)
@@ -231,19 +229,20 @@ def _saddle_escape(obj: PinnedEnergy, u: np.ndarray,
     """The escape step, as a nodal point, from the pinned objective's converged
     point (u, r) when it is a saddle of F, else None.
 
-    The two smallest theta of F's Hessian pencil there, by morse's Lanczos on
-    S: the first is the ray's, negative at every point of the manifold, and a
-    second one below -morse.DEFAULT_EPS_NULL makes the point a saddle on the
-    manifold, as hessian_spectrum would count it. The step is
-    _ESCAPE_SIZE sqrt(Q) times the second pencil eigenvector x, whose x^T W x
-    is 1, signed so that its largest coefficient is positive.
+    The two smallest theta of F's Hessian pencil (L - E) y = theta L y there,
+    by morse's Lanczos: the first is the ray's, negative at every point of the
+    manifold, and a second one below -morse.DEFAULT_EPS_NULL makes the point
+    a saddle on the manifold, as hessian_spectrum would count it. The step is
+    _ESCAPE_SIZE sqrt(Q) times the point (y, L y) of the second eigenvector
+    y, whose h^2 y^T L y is 1, signed so that its largest-magnitude value is
+    positive.
     """
     ev, vecs = _smallest_eigenpairs(obj, u, 2, vectors=True)
     if ev[1] >= -DEFAULT_EPS_NULL:
         return None
-    x = vecs[:, 1]
-    x = x if x[np.argmax(np.abs(x))] > 0.0 else -x
-    return obj.point(_ESCAPE_SIZE * math.sqrt(obj.quadratic(u, r)) * x)
+    y = vecs[:, 1]
+    y = y if y[np.argmax(np.abs(y))] > 0.0 else -y
+    return obj.point(_ESCAPE_SIZE * math.sqrt(obj.quadratic(u, r)) * y)
 
 
 def annulus_level(
@@ -259,7 +258,7 @@ def annulus_level(
     rho upward with warm starts; rho is scaled by (seed energy)/(lam r)^2 so
     the penalty competes with the energy from the first stage on. The default
     seed is a radially symmetric ring at the mid radius, whose barycenter is
-    already the center.
+    already the center; a seed on another domain is a DomainMismatch.
 
     Each stage builds one PinnedEnergy on energy's basis and exponent for its
     rho and runs nehari's descent kernel on it, Newton finish included. The
@@ -288,8 +287,9 @@ def annulus_level(
         rr = np.sqrt((dom.node_coords**2).sum(axis=1))
         mid = 0.5 * (dom.params["R"] + dom.params["r"]) * dom.lam
         width = (dom.params["R"] - dom.params["r"]) * dom.lam / 3.0
-        seed = basis.analyze(np.exp(-((rr - mid) ** 2) / (2.0 * width * width)))
-    v, r = energy.retract(*energy.point(energy.coords(seed)))
+        seed = Field(dom, np.exp(-((rr - mid) ** 2) / (2.0 * width * width)))
+    basis.check_same_domain(seed.dom)
+    v, r = energy.retract(*energy.point(seed.values))
     e_typ = energy.energy(v, energy.quadratic(v, r))
     length = dom.lam * dom.params["r"]
     rhos = tuple(m * abs(e_typ) / length**2 for m in _RHO_MULTIPLIERS)
@@ -322,7 +322,8 @@ def annulus_level(
         iterations += its
 
     # the level is I's; the residual is the last stage's, of the pinned objective
-    record = _solution_record(u, energy.measure(u)[0], residual, tol, "ring-penalty", iterations)
+    record = _solution_record(u, energy.measure(u.values)[0], residual, tol, "ring-penalty",
+                              iterations)
     beta = np.array(record.barycenter)
     dist = float(np.sqrt(((beta - target) ** 2).sum()))
     if dist > 2.0 * dom.h:
@@ -487,13 +488,13 @@ def multiplicity_search(
 def moving_mirrors(basis: SpectralBasis, u: Field) -> list[int]:
     """The mirrors of the mask, as generators (0 the x-mirror, 1 the y-mirror,
     in domain.mask_symmetries order), that move u's barycenter by more than
-    2h. The mask has mirror m where basis.mirror_signs labels its modes, and m
+    2h. The mask has mirror m where basis.frame_signs labels its frames, and m
     reflects coordinate m about the origin, the center of every grid with
     mirrors, so it moves beta by 2|beta_m|. A mirror that does not move it, as
     the one across an axis u sits on, maps u onto itself up to rounding."""
     basis.check_same_domain(u.dom)
     beta = _barycenter(basis.dom, u.values)[1]
-    return [m for m in (0, 1) if basis.mirror_signs[:, m].any() and abs(beta[m]) > basis.dom.h]
+    return [m for m in (0, 1) if basis.frame_signs[:, m].any() and abs(beta[m]) > basis.dom.h]
 
 
 @dataclass(frozen=True)
@@ -516,14 +517,13 @@ def band_saddle(
     as a minimum of I on the Nehari manifold in σ's fixed-point subspace.
 
     mirror is σ's generator, as moving_mirrors gives it. The descent runs
-    nehari's kernel on a model.RestrictedEnergy from its coords of u, the
-    σ-even part (c + σc)/2 of u's coefficients c, retracted onto the
+    nehari's kernel on a model.RestrictedEnergy from its point of u's
+    values, the σ-even part (u + u∘σ)/2 to rounding, retracted onto the
     manifold; its values stay exactly σ-even, each Riesz map reading half
-    the Green blocks, and the record's coefficients odd under σ are exactly
-    0. Its record is judged on the full-space residual of I, which the
-    kernel's measure reads from those coefficients: at a σ-even point the
-    gradient of the σ-invariant I is σ-even, so it equals the restricted
-    residual to rounding. On the annulus at
+    the Green blocks. Its record is judged on the full-space residual of I,
+    which the kernel's measure reads: at a σ-even point the gradient of the
+    σ-invariant I is σ-even, so it equals the restricted residual to
+    rounding. On the annulus at
     lam = 4, 6 and 8 (h = 0.25, tol 1e-8) it takes 3 to 8 steps to the
     index-2 saddle that a climbing-image band between u and u∘σ found, with
     energies equal to 5.2e-12 relative.
@@ -538,6 +538,6 @@ def band_saddle(
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
                          "u and its image would be one state")
     obj = RestrictedEnergy(basis, energy.p, mirror)
-    v, _, F, residual, steps = _retracted_descent(obj, *obj.point(obj.coords(u)), tol, max_iter)
+    v, _, F, residual, steps = _retracted_descent(obj, *obj.point(u.values), tol, max_iter)
     rec = _solution_record(v, F, residual, tol, f"mirror-{'xy'[mirror]}-fixed", steps)
     return SaddleReport(saddle=rec, sweeps=steps)

@@ -16,7 +16,12 @@ import scipy.sparse
 
 from fracfield.domain import build_domain
 from fracfield.model import Energy
-from fracfield.spectral import SpectralBasis, assemble_and_decompose, assemble_laplacian
+from fracfield.spectral import (
+    SpectralBasis,
+    _block_operators,
+    assemble_and_decompose,
+    assemble_laplacian,
+)
 from fracfield.topology import band_saddle, moving_mirrors, multiplicity_search
 
 ANNULUS_MID_RADIUS = 2.8  # 0.5 (R + r) lam with R=1, r=0.4, lam=4
@@ -44,15 +49,15 @@ def annulus_classes(annulus4):
 
 
 @pytest.fixture(scope="session")
-def count_matvecs():
-    """A context manager that counts the calls of a SpectralBasis product
-    (matvec unless named) made inside it.
+def count_products():
+    """A context manager that counts the calls of the SpectralBasis product
+    it names made inside it.
 
-    `with count_matvecs() as calls:` leaves the count in calls[0].
+    `with count_products("green") as calls:` leaves the count in calls[0].
     """
 
     @contextlib.contextmanager
-    def counting(name="matvec"):
+    def counting(name):
         calls = [0]
         product = getattr(SpectralBasis, name)
 
@@ -68,16 +73,16 @@ def count_matvecs():
 
 
 @pytest.fixture(scope="session")
-def annulus_saddle_run(annulus4, annulus_classes, count_matvecs):
+def annulus_saddle_run(annulus4, annulus_classes, count_products):
     """The saddle between the lowest class and its image under the first
     mirror that moves it, with the number of calls it made of each product
     of the basis, by name."""
     lo = annulus_classes.classes[0].representative.u
     mirrors = moving_mirrors(annulus4, lo)
     assert mirrors
-    names = ("matvec", "rmatvec", "green", "fixed_green")
+    names = ("operator", "green", "fixed_operator", "fixed_green")
     with contextlib.ExitStack() as stack:
-        calls = {name: stack.enter_context(count_matvecs(name)) for name in names}
+        calls = {name: stack.enter_context(count_products(name)) for name in names}
         report = band_saddle(Energy(annulus4, 2.0), lo, mirrors[0])
     return report, {name: c[0] for name, c in calls.items()}
 
@@ -94,10 +99,10 @@ def unblocked_basis():
     An independent reference for assemble_and_decompose, which decomposes A
     block by block in its symmetry frames. driver="evr" runs LAPACK's MRRR
     routine and driver="evd" the divide and conquer routine the blocks use,
-    both in place on the whole matrix; the pairs agree with the blocked
-    build's to rounding. The eigenvectors are the basis's single block, in
-    the identity frame, so its products with phi are plain dense ones. That
-    frame does not split by any mirror, so every mirror sign reads 0.
+    both in place on the whole matrix; L and G agree with the blocked
+    build's to rounding. The basis has a single block of each, in the
+    identity frame, so its products are plain dense ones. That frame does
+    not split by any mirror, so every frame sign reads 0.
     """
 
     def build(dom, alpha=0.5, driver="evr"):
@@ -108,7 +113,8 @@ def unblocked_basis():
         phi /= dom.h
         flip = phi[np.abs(phi).argmax(axis=0), np.arange(mu.size)] < 0
         phi[:, flip] *= -1.0
+        L, G, start = _block_operators(mu, phi, dom.h, alpha)
         return SpectralBasis(dom, alpha, scipy.sparse.identity(mu.size, format="csr"),
-                             [(mu, phi)], [(0, 0)])
+                             [(L, G)], start, [(0, 0)])
 
     return build

@@ -1,21 +1,23 @@
 """Independent oracles that only the tests use.
 
 Each recomputes something the package computes another way, so agreement
-checks the package's route: the dense eigenvector matrix phi from the basis's
-factors instead of their products, the Nehari scale by bracketing a root of
+checks the package's route: the dense eigenvector matrix phi, which the
+basis never keeps, from the same blocked decomposition with the
+eigenvectors kept, the Nehari scale by bracketing a root of
 J(t u) instead of its closed form, the radial symmetry of a field by
 averaging over exact grid radii, and the profile ODE by finite differences
 of the profile's derivative, and the mask-preserving grid maps by looking up
 node coordinates instead of by grid index arithmetic. The rest are
 measurements the package has no use for: a domain's diameter and a table of
-profile samples. The coefficient forms at the end are views, not oracles:
-they read the package's nodal energy, gradient and curvature at a point
-given by its coefficients, in the coefficients that finite differences of
-an energy in coefficient space give.
+profile samples. The coefficient forms at the end are views on that phi, not
+oracles: they read the package's nodal energy, gradient and curvature at a
+point given by its coefficients, in the coefficients that finite
+differences of an energy in coefficient space give.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -26,7 +28,7 @@ from fracfield.domain import GridDomain
 from fracfield.errors import NonpositiveField
 from fracfield.extension import BesselProfile
 from fracfield.model import h_eval
-from fracfield.spectral import Field, SpectralBasis
+from fracfield.spectral import Field, SpectralBasis, _parity_frames, assemble_laplacian
 
 
 def diameter(dom: GridDomain) -> float:
@@ -90,14 +92,53 @@ def ode_residual(profile: BesselProfile, s, rel_step: float = 1e-4) -> np.ndarra
     return resid / scale
 
 
-def dense_phi(basis: SpectralBasis) -> np.ndarray:
-    """The n x K eigenvector matrix phi, formed from the basis's factors.
+@functools.cache
+def dense_eigenpairs(basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
+    """(mu, phi): all eigenvalues of the masked Laplacian, ascending, and the
+    n x K matrix of its eigenvectors, orthonormal in the h^2-weighted inner
+    product, for the basis's domain.
 
-    Column k is Q times the block-diagonal eigenvectors' column order[k]. Each
-    entry is one product q v, plus zeros from the other blocks, so phi's
-    magnitudes are those the sign rule read.
+    Built as the basis builds its blocks, one evd per symmetry frame with the
+    swap partner's eigenvectors shared, but kept, and signed by the basis's
+    rule: so phi's columns are those the basis's L_b, G_b and start were
+    made from, bit for bit.
     """
-    return (basis.frame @ scipy.linalg.block_diag(*basis.blocks))[:, basis.order]
+    dom = basis.dom
+    A = assemble_laplacian(dom)
+    mus, cols = [], []
+    for Q, shared, _ in _parity_frames(dom):
+        if not shared:
+            mu_b, V = scipy.linalg.eigh((Q.T @ A @ Q).toarray(order="F"), driver="evd")
+            V /= dom.h
+        mus.append(mu_b)
+        cols.append(Q @ V)
+    mu = np.concatenate(mus)
+    order = np.argsort(mu, kind="stable")
+    phi = np.hstack(cols)[:, order]
+    # the basis's sign rule, read off phi itself: largest |entry| positive,
+    # first index on ties
+    phi *= np.where(phi[np.abs(phi).argmax(axis=0), np.arange(mu.size)] < 0, -1.0, 1.0)
+    return mu[order], phi
+
+
+def dense_phi(basis: SpectralBasis) -> np.ndarray:
+    """phi of dense_eigenpairs."""
+    return dense_eigenpairs(basis)[1]
+
+
+def weights(basis: SpectralBasis) -> np.ndarray:
+    """W = mu^alpha + 1 in the order of dense_eigenpairs: L's eigenvalues."""
+    return dense_eigenpairs(basis)[0] ** basis.alpha + 1.0
+
+
+def coefficients(basis: SpectralBasis, u: Field) -> np.ndarray:
+    """u's coefficients h^2 phi^T u in dense_phi's modes."""
+    return basis.dom.h**2 * (dense_phi(basis).T @ u.values)
+
+
+def synthesize(basis: SpectralBasis, c: np.ndarray) -> Field:
+    """The Field with coefficients c: values phi c."""
+    return Field(basis.dom, dense_phi(basis) @ c)
 
 
 def nehari_scale_root(basis: SpectralBasis, p: float, u: Field) -> float:
@@ -107,8 +148,9 @@ def nehari_scale_root(basis: SpectralBasis, p: float, u: Field) -> float:
     shortcut. Brackets the sign change of J(t u) by doubling/halving from 1.
     """
     basis.check_same_domain(u.dom)
-    values = dense_phi(basis) @ u.coeffs
-    Q = float(np.sum(basis.weights * u.coeffs**2))
+    c = coefficients(basis, u)
+    values = dense_phi(basis) @ c
+    Q = float(np.sum(weights(basis) * c**2))
     if Q <= 0.0 or not np.any(values > 0.0):
         raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
     h2 = basis.dom.h**2
@@ -158,22 +200,24 @@ def radial_asymmetry(u: Field, center: tuple[float, float] = (0.0, 0.0)) -> floa
 
 def energy_at(energy, c: np.ndarray) -> float:
     """The objective at the point with coefficients c."""
-    u, r = energy.point(c)
+    u, r = energy.point(dense_phi(energy.basis) @ c)
     return energy.energy(u, energy.quadratic(u, r))
 
 
 def coefficient_grad(energy, c: np.ndarray) -> np.ndarray:
     """The gradient at coefficients c in coefficients: h^2 phi^T of the nodal dual."""
-    return energy.h2 * energy.basis.rmatvec(energy.grad(*energy.point(c)))
+    phi = dense_phi(energy.basis)
+    return energy.h2 * (phi.T @ energy.grad(*energy.point(phi @ c)))
 
 
 def coefficient_hessian(energy, c: np.ndarray):
     """v -> H v at coefficients c, on coefficients: h^2 phi^T of the dual
-    v_r - E v_u that the nodal second variation gives at the point of v."""
-    E = energy.curvature(energy.values(c))
+    v_r - E v_u that the nodal second variation gives at the point of phi v."""
+    phi = dense_phi(energy.basis)
+    E = energy.curvature(phi @ c)
 
     def hv(v: np.ndarray) -> np.ndarray:
-        v_u, v_r = energy.point(v)
-        return energy.h2 * energy.basis.rmatvec(v_r - E(v_u))
+        v_u, v_r = energy.point(phi @ v)
+        return energy.h2 * (phi.T @ (v_r - E(v_u)))
 
     return hv

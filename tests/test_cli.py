@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fracfield import nehari, runner, topology
+from fracfield import nehari, runner, spectral, topology
 from fracfield.cli import main
 from fracfield.config import (
     TASKS,
@@ -688,17 +688,17 @@ class TestSweepOutputs:
         assert budgets == [5000] * 3
 
     def test_each_sweep_basis_builds_its_green_blocks_once(self, tmp_path, monkeypatch):
-        # every descent step applies the Green operator, so each basis the
-        # sweep builds (the limit level's balls, the rows' annuli, the seeding
-        # balls) builds its Green blocks at its first descent and never again;
-        # the sweep's only Lanczos solves stay its pinned levels' checks, on
-        # the coefficient-space S of a PinnedEnergy
+        # each basis the sweep builds (the limit level's balls, the rows'
+        # annuli, the seeding balls) builds the L_b and G_b of each of its
+        # distinct blocks in its build and never again; the sweep's only
+        # Lanczos solves stay its pinned levels' checks, on the nodal pencil
+        # of a PinnedEnergy
         bases, builds, solves = [], [], []
-        init, build = SpectralBasis.__init__, SpectralBasis._green_blocks
+        init, build = SpectralBasis.__init__, spectral._block_operators
         monkeypatch.setattr(SpectralBasis, "__init__",
                             lambda self, *a: bases.append(self) or init(self, *a))
-        monkeypatch.setattr(SpectralBasis, "_green_blocks",
-                            lambda self: builds.append(self) or build(self))
+        monkeypatch.setattr(spectral, "_block_operators",
+                            lambda *a: builds.append(len(bases)) or build(*a))
         eigenpairs = topology._smallest_eigenpairs
         monkeypatch.setattr(topology, "_smallest_eigenpairs",
                             lambda energy, *a, **kw: solves.append(type(energy))
@@ -706,7 +706,10 @@ class TestSweepOutputs:
         runner.run(load_config(None, task="sweep-lambda"), tmp_path)
         assert solves and set(solves) == {PinnedEnergy}
         assert len(bases) >= 5
-        assert [id(b) for b in builds] == [id(b) for b in bases]
+        # the builds before basis k's are its own: as many as its distinct blocks
+        want = [k for k, b in enumerate(bases)
+                for _ in {id(L) for L in b.operator_blocks}]
+        assert builds == want
 
     def test_report_summarizes_the_sweep(self, sweep_out):
         assert main(["report", "--out", str(sweep_out), "--quiet"]) == 0

@@ -31,8 +31,15 @@ from fracfield.morse import (
     ray_second_derivative,
 )
 from fracfield.nehari import gaussian_bump_seed, ground_state
-from fracfield.spectral import SpectralBasis, assemble_and_decompose
-from oracles import coefficient_grad, coefficient_hessian, dense_phi
+from fracfield.spectral import Field, SpectralBasis, assemble_and_decompose
+from oracles import (
+    coefficient_grad,
+    coefficient_hessian,
+    coefficients,
+    dense_phi,
+    synthesize,
+    weights,
+)
 
 P = 2.0
 
@@ -40,7 +47,7 @@ P = 2.0
 def _gram(basis: SpectralBasis, u) -> np.ndarray:
     """The Gram matrix G of the modes under node weights h^2 h'(u), exactly symmetric."""
     phi = dense_phi(basis)
-    values = phi @ u.coeffs
+    values = phi @ coefficients(basis, u)
     w = basis.dom.h**2 * h_prime(P, values)
     G = phi.T @ (w[:, None] * phi)
     for j in range(G.shape[0] - 1):
@@ -51,13 +58,13 @@ def _gram(basis: SpectralBasis, u) -> np.ndarray:
 def hessian_matrix(basis: SpectralBasis, u) -> np.ndarray:
     """Dense symmetric second-variation matrix W - G at the span representation of u."""
     H = -_gram(basis, u)
-    H[np.diag_indices_from(H)] += basis.weights
+    H[np.diag_indices_from(H)] += weights(basis)
     return H
 
 
 def pencil_spectrum(basis: SpectralBasis, u) -> np.ndarray:
     """Ascending eigenvalues theta of the dense pencil H x = theta W x, those of S."""
-    return scipy.linalg.eigh(hessian_matrix(basis, u), np.diag(basis.weights), eigvals_only=True)
+    return scipy.linalg.eigh(hessian_matrix(basis, u), np.diag(weights(basis)), eigvals_only=True)
 
 
 def perturbation_spectrum(basis: SpectralBasis, u) -> np.ndarray:
@@ -68,7 +75,7 @@ def perturbation_spectrum(basis: SpectralBasis, u) -> np.ndarray:
     divides out growing mode energies. At a manifold point with p = 2 the top
     eigenvalue is exactly 2, attained along the ray.
     """
-    sw = 1.0 / np.sqrt(basis.weights)
+    sw = 1.0 / np.sqrt(weights(basis))
     return scipy.linalg.eigvalsh(sw[:, None] * _gram(basis, u) * sw[None, :])
 
 
@@ -125,7 +132,7 @@ def disk_ground(disk_host):
 
 
 def test_zero_field_spectrum(square16):
-    zero = square16.synthesize(np.zeros(square16.K))
+    zero = Field(square16.dom, np.zeros(square16.K))
     rep = hessian_spectrum(Energy(square16, P), zero)
     assert rep.morse_index == 0
     assert rep.null_count == 0
@@ -133,7 +140,7 @@ def test_zero_field_spectrum(square16):
     # H = W, so every theta of the pencil is 1
     assert np.array_equal(rep.eigenvalues, np.ones(6))
     full = scipy.linalg.eigvalsh(hessian_matrix(square16, zero))
-    assert np.allclose(full, np.sort(square16.weights), rtol=1e-12)
+    assert np.allclose(full, weights(square16), rtol=1e-12)
     assert np.allclose(pencil_spectrum(square16, zero), 1.0, rtol=1e-12)
 
 
@@ -141,7 +148,7 @@ def test_hessian_exactly_symmetric_and_matches_product(square16, square_ground):
     H = hessian_matrix(square16, square_ground.u)
     assert float(np.abs(H - H.T).max()) == 0.0
     e = Energy(square16, P)
-    hess = coefficient_hessian(e, square_ground.u.coeffs)
+    hess = coefficient_hessian(e, coefficients(square16, square_ground.u))
     rng = np.random.default_rng(3)
     for _ in range(10):
         v = rng.standard_normal(square16.K)
@@ -154,12 +161,13 @@ def test_hessian_matches_finite_difference_gradient(square16, square_ground):
     H = hessian_matrix(square16, u)
     e = Energy(square16, P)
     rng = np.random.default_rng(7)
-    eps = 1e-6 * max(1.0, float(np.linalg.norm(u.coeffs)))
+    c = coefficients(square16, u)
+    eps = 1e-6 * max(1.0, float(np.linalg.norm(c)))
     worst = 0.0
     for _ in range(10):
         v = rng.standard_normal(square16.K)
         v /= np.linalg.norm(v)
-        cp, cm = u.coeffs + eps * v, u.coeffs - eps * v
+        cp, cm = c + eps * v, c - eps * v
         gp = coefficient_grad(e, cp)
         gm = coefficient_grad(e, cm)
         fd = (gp - gm) / (2.0 * eps)
@@ -179,17 +187,18 @@ def test_ground_states_have_index_one(square16, square_ground, disk_host, disk_g
 
 def test_ray_second_derivative_identities(disk_host, disk_ground):
     u = disk_ground.u
-    Q = float(np.sum(disk_host.weights * u.coeffs**2))
+    c = coefficients(disk_host, u)
+    Q = float(np.sum(weights(disk_host) * c**2))
     rsd = ray_second_derivative(Energy(disk_host, P), u)
     assert rsd < 0
     # for h(s) = s^2 the ray curvature is (1 - p) Q = -Q exactly
     assert rsd == pytest.approx(-Q, rel=1e-12)
     H = hessian_matrix(disk_host, u)
-    assert rsd == pytest.approx(float(u.coeffs @ (H @ u.coeffs)), rel=1e-8)
+    assert rsd == pytest.approx(float(c @ (H @ c)), rel=1e-8)
 
 
 def test_ray_second_derivative_rejects_off_manifold(disk_host, disk_ground):
-    off = disk_host.synthesize(1.3 * disk_ground.u.coeffs)
+    off = Field(disk_host.dom, 1.3 * disk_ground.u.values)
     with pytest.raises(OffManifold):
         ray_second_derivative(Energy(disk_host, P), off)
 
@@ -230,7 +239,7 @@ def test_index_counts_match_sylvester_inertia(critical_points):
         rep = hessian_spectrum(Energy(basis, P), u)
         H = hessian_matrix(basis, u)
         assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, DEFAULT_EPS_NULL,
-                                                                      basis.weights)
+                                                                      weights(basis))
         k = rep.eigenvalues.size
         assert 6 <= k < basis.K
         assert rep.eigenvalues[-1] > DEFAULT_EPS_NULL
@@ -248,7 +257,8 @@ def _assert_both_copies(basis: SpectralBasis, u, repeated: float, first: int) ->
 
 
 # a symmetric point repeats theta, and Lanczos from a start vector in the
-# symmetric sector alone finds one copy: so it did from ones(n) on nodes
+# symmetric sector alone finds one copy: so it did from ones(n) on nodes. The
+# start h sqrt(D) s has a component along every mode
 
 def test_mirror_saddle_has_both_ray_thetas(annulus4, annulus_saddle):
     # the two bumps' rays both give about -1
@@ -267,16 +277,16 @@ def test_ray_is_the_lowest_mode_of_s(critical_points):
         assert abs(theta - (1.0 - P)) <= 1e-10
 
 
-def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_saddle, count_matvecs):
+def test_hessian_spectrum_products(annulus4, annulus_classes, annulus_saddle, count_products):
     # Lanczos on H took 131-133 products per point here; on S it took 53-56,
-    # each a matvec and an rmatvec, and on the nodal form as many, each one
-    # green. The spectrum's two matvecs are u's values and the start vector
+    # and on T as many, each one green. The start vector is the basis's s,
+    # held: the spectrum applies L not at all
     points = [cl.representative.u for cl in annulus_classes.classes] + [annulus_saddle.saddle.u]
     for u in points:
-        with count_matvecs("green") as products, count_matvecs() as matvecs:
+        with count_products("green") as products, count_products("operator") as operators:
             hessian_spectrum(Energy(annulus4, P), u)
         assert products[0] <= 80
-        assert matvecs[0] == 2
+        assert operators[0] == 0
 
 
 def _eps_with_null_count(ev: np.ndarray, lo: int, hi: int) -> tuple[float, int]:
@@ -295,7 +305,7 @@ def test_null_guard_widens_past_first_k(square16, square_ground, monkeypatch):
     rep = hessian_spectrum(Energy(square16, P), square_ground.u)
     # theta = -1 lies outside every eps taken here, so only null modes are inside
     assert rep.null_count == inside > 6
-    assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps, square16.weights)
+    assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps, weights(square16))
     assert rep.morse_index == np.sum(ev < -eps)
     assert rep.null_count == np.sum(np.abs(ev) <= eps)
     k = rep.eigenvalues.size
@@ -329,11 +339,11 @@ def test_small_span_spectrum(square6_ground, monkeypatch, nulls, lanczos_ks, siz
     monkeypatch.setattr(morse, "DEFAULT_EPS_NULL", eps)
     rep = hessian_spectrum(Energy(basis, P), rec.u)
     # k doubles by Lanczos while the largest of the k stays within eps; at
-    # k = 48 >= K all K eigenvalues come from the formed S
+    # k = 48 >= K all K eigenvalues come from the formed T
     assert ks == lanczos_ks
     assert rep.eigenvalues.size == size
     assert np.allclose(rep.eigenvalues, ev[:size], rtol=1e-10, atol=1e-10)
-    assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps, basis.weights)
+    assert (rep.morse_index, rep.null_count) == _sylvester_counts(H, eps, weights(basis))
 
 
 @pytest.fixture(scope="module")
@@ -347,20 +357,28 @@ def disk4_ground():
 
 @pytest.mark.parametrize("k", [4, 64], ids=["lanczos", "formed-s"])
 def test_eigenpairs_solve_the_pencil(disk4_ground, k):
-    # every pair the one Lanczos routine returns, for the plain and the pinned
-    # energy, is an eigenpair of H x = theta W x with x^T W x = 1
+    # every theta the one Lanczos routine returns, for the plain and the
+    # pinned energy, is one of the dense pencil H x = theta W x; each pinned
+    # eigenvector y of (L - E) y = theta L y, h^2 y^T L y = 1, has
+    # coefficients h^2 phi^T y that are the pencil's x, x^T W x = 1
     basis, rec = disk4_ground
     assert 4 < basis.K <= 64
+    phi, w = dense_phi(basis), weights(basis)
+    c = coefficients(basis, rec.u)
     for energy in (Energy(basis, P), PinnedEnergy(basis, P, 10.0, np.array([0.2, 0.1]))):
-        values = energy.values(rec.u.coeffs)
-        hess = coefficient_hessian(energy, rec.u.coeffs)
-        theta, x = morse._smallest_eigenpairs(energy, values, k, vectors=True)
-        assert theta.size == x.shape[1] == min(k, basis.K)
+        hess = coefficient_hessian(energy, c)
+        theta, y = morse._smallest_eigenpairs(energy, rec.u.values, k, vectors=True)
+        assert theta.size == y.shape[1] == min(k, basis.K)
         assert np.all(np.diff(theta) >= 0.0)
-        for t, col in zip(theta, x.T):
-            wx = energy.w * col
-            assert np.linalg.norm(hess(col) - t * wx) <= 1e-10 * np.linalg.norm(wx)
-        assert np.allclose(x.T @ (energy.w[:, None] * x), np.eye(theta.size), atol=1e-10)
+        dense = scipy.linalg.eigh(np.column_stack([hess(e) for e in np.eye(basis.K)]),
+                                  np.diag(w), eigvals_only=True)
+        assert all(np.min(np.abs(dense - t)) <= 1e-10 for t in theta)
+        if isinstance(energy, PinnedEnergy):
+            x = basis.dom.h**2 * (phi.T @ y)
+            for t, col in zip(theta, x.T):
+                wx = w * col
+                assert np.linalg.norm(hess(col) - t * wx) <= 1e-10 * np.linalg.norm(wx)
+            assert np.allclose(x.T @ (w[:, None] * x), np.eye(theta.size), atol=1e-10)
 
 
 def test_spectrum_repeats_bitwise(disk_host, disk_ground):

@@ -1,10 +1,12 @@
-"""Eigenbasis exactness on the square, field projections, fractional powers."""
+"""The operators L = A^alpha + I and G = L^-1: exactness on the square, the
+blocked build against dense products, fractional powers."""
 
 import functools
 import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,21 +14,31 @@ from hypothesis import strategies as st
 from fracfield.domain import build_domain, mask_symmetries
 from fracfield.errors import DomainMismatch, EigSolveFailure
 from fracfield.model import Energy
+from fracfield import spectral
 from fracfield.spectral import (
-    SpectralBasis,
+    Field,
     _parity_frames,
     assemble_and_decompose,
     assemble_laplacian,
 )
-from oracles import dense_phi, mask_preserving_maps
+from oracles import dense_eigenpairs, dense_phi, mask_preserving_maps, weights
 
 
 def _closed_form_square(n_side):
-    """Sorted eigenvalues of the 5-point Laplacian on the unit square."""
+    """(s, j): the 1-D eigenvalues s_j = (4/h^2) sin^2(j pi h/2) of the
+    second difference on n_side nodes, and their indices j. Mode (j, k) of
+    the 5-point Laplacian on the unit square has eigenvalue s_j + s_k and
+    the sampled sine product _sine(dom, j, k) as eigenvector."""
     h = 1.0 / (n_side + 1)
     j = np.arange(1, n_side + 1)
-    s = (4.0 / h**2) * np.sin(j * np.pi * h / 2.0) ** 2
-    return np.sort((s[:, None] + s[None, :]).ravel())
+    return (4.0 / h**2) * np.sin(j * np.pi * h / 2.0) ** 2, j
+
+
+def _sine(dom, j, k):
+    """The sine product of mode (j, k) at the nodes, unit-norm in the h^2 inner product."""
+    x = dom.node_coords[:, 0] + 0.5
+    y = dom.node_coords[:, 1] + 0.5
+    return 2.0 * np.sin(j * np.pi * x) * np.sin(k * np.pi * y)
 
 
 @pytest.fixture(scope="module")
@@ -36,65 +48,81 @@ def square16():
 
 
 def test_square_eigenvalues_match_closed_form(square16):
-    _, basis = square16
-    exact = _closed_form_square(16)[: basis.K]
-    assert np.max(np.abs(basis.mu - exact) / exact) < 1e-10
+    # every sampled sine product is an eigenvector of L = A^alpha + I with
+    # the closed-form eigenvalue mu^alpha + 1, mu = s_j + s_k
+    dom, basis = square16
+    s, j = _closed_form_square(16)
+    worst = 0.0
+    for a in range(16):
+        for b in range(16):
+            sine = _sine(dom, j[a], j[b])
+            w = (s[a] + s[b]) ** 0.5 + 1.0
+            worst = max(worst, np.linalg.norm(basis.operator(sine) - w * sine)
+                        / (w * np.linalg.norm(sine)))
+    assert worst < 1e-10
 
 
 def test_square_eigenvector_is_sine_product(square16):
+    # the fundamental mode (j=k=1) and (2,2), both nondegenerate: L and G
+    # scale the sampled sine product, unit-norm in the h^2 inner product, by
+    # w and 1/w, and it is the oracle's eigenvector up to sign
     dom, basis = square16
-    x = dom.node_coords[:, 0] + 0.5
-    y = dom.node_coords[:, 1] + 0.5
-    # fundamental mode (j=k=1) is nondegenerate; discrete eigenvector equals
-    # the sampled sine product, already unit-norm in the h^2 inner product
-    exact = 2.0 * np.sin(np.pi * x) * np.sin(np.pi * y)
+    s, _ = _closed_form_square(16)
     phi = dense_phi(basis)
-    assert np.max(np.abs(phi[:, 0] - exact)) < 1e-8
-    # (2,2) is the next nondegenerate mode; locate it by its eigenvalue
-    mu22 = (4.0 / dom.h**2) * 2.0 * np.sin(2 * np.pi * dom.h / 2.0) ** 2
-    k = int(np.argmin(np.abs(basis.mu - mu22)))
-    exact22 = 2.0 * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    # the four extrema tie in magnitude, so fix the sign by overlap instead of
-    # re-deriving the tie-break on the sampled array
-    if exact22 @ phi[:, k] < 0:
-        exact22 = -exact22
-    assert np.max(np.abs(phi[:, k] - exact22)) < 1e-8
+    for j, col in ((1, 0), (2, None)):
+        sine = _sine(dom, j, j)
+        w = (2.0 * s[j - 1]) ** 0.5 + 1.0
+        assert np.max(np.abs(basis.operator(sine) - w * sine)) < 1e-8 * w
+        assert np.max(np.abs(basis.green(sine) - sine / w)) < 1e-8 / w
+        assert dom.h**2 * float(sine @ sine) == pytest.approx(1.0, rel=1e-12)
+        if col is not None:
+            assert np.max(np.abs(np.abs(phi[:, col]) - np.abs(sine))) < 1e-8
 
 
 def test_orthonormality_in_quadrature_inner_product():
+    # the oracle's eigenvectors are orthonormal in the h^2 inner product, and
+    # L and G are symmetric in it
     dom = build_domain("disk", {"R": 1.0}, 1.0, 0.08)
     basis = assemble_and_decompose(dom, alpha=0.5)
-    phi = dense_phi(basis)
+    mu, phi = dense_eigenpairs(basis)
     gram = dom.h**2 * (phi.T @ phi)
     assert np.max(np.abs(gram - np.eye(basis.K))) < 1e-10
-    assert basis.mu[0] > 0
-    assert np.all(np.diff(basis.mu) >= 0)
+    assert mu[0] > 0
+    x, y = np.random.default_rng(4).standard_normal((2, basis.K))
+    for apply in (basis.operator, basis.green):
+        lhs, rhs = float(apply(x) @ y), float(x @ apply(y))
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(apply(x)) * np.linalg.norm(y)
 
 
 def test_signs_and_decomposition_deterministic():
+    # two builds give the same blocks and start vector, bit for bit
     dom = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
     b1 = assemble_and_decompose(dom, alpha=0.5)
     b2 = assemble_and_decompose(dom, alpha=0.5)
-    assert np.array_equal(b1.mu, b2.mu)
-    phi1 = dense_phi(b1)
-    assert np.array_equal(phi1, dense_phi(b2))
-    peaks = phi1[np.abs(phi1).argmax(axis=0), np.arange(b1.K)]
-    assert (peaks > 0).all()
+    for one, two in ((b1.operator_blocks, b2.operator_blocks),
+                     (b1.green_blocks, b2.green_blocks)):
+        assert all(np.array_equal(x, y) for x, y in zip(one, two, strict=True))
+    assert np.array_equal(b1.start, b2.start)
+
+
+def _random_products(basis, ref, seed):
+    """The largest relative gap between the operator and green products of
+    basis and ref on a few random vectors."""
+    x = np.random.default_rng(seed).standard_normal((4, basis.K))
+    return max(np.linalg.norm(getattr(basis, name)(col) - getattr(ref, name)(col))
+               / np.linalg.norm(getattr(ref, name)(col))
+               for col in x for name in ("operator", "green"))
 
 
 def test_full_span_basis_matches_evr(unblocked_basis):
-    # the basis takes LAPACK's evd routine on each symmetry block; the pairs it
-    # returns must be those of evr on all of A up to rounding, and
-    # orthonormal to rounding
+    # the basis takes LAPACK's evd routine on each symmetry block; its L and
+    # G must be those of evr on all of A up to rounding
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
     n = dom.n_interior
     basis = assemble_and_decompose(dom, alpha=0.5)
     ref = unblocked_basis(dom)
     assert basis.K == ref.K == n
-    assert np.max(np.abs(basis.mu - ref.mu) / ref.mu) <= 1e-12
-    phi = dense_phi(basis)
-    gram = dom.h**2 * (phi.T @ phi)
-    assert np.max(np.abs(gram - np.eye(n))) <= 1e-12
+    assert _random_products(basis, ref, 1) <= 1e-12
 
 
 # domains with their frames and distinct blocks: the swap and both mirrors
@@ -139,15 +167,13 @@ def test_blocked_basis_matches_unblocked_oracle(unblocked_basis, shape, params, 
     basis = assemble_and_decompose(dom, alpha=0.5)
     ref = unblocked_basis(dom, driver="evd")
     assert basis.K == ref.K == n
-    assert np.max(np.abs(basis.mu - ref.mu) / ref.mu) <= 1e-12
-    assert np.all(np.diff(basis.mu) >= 0)
-    phi = dense_phi(basis)
+    assert _random_products(basis, ref, 2) <= 1e-12
+    # the oracle's eigenvectors, from the same blocks, are orthonormal eigenvectors of A
+    mu, phi = dense_eigenpairs(basis)
+    assert np.all(np.diff(mu) >= 0)
     assert np.max(np.abs(h**2 * (phi.T @ phi) - np.eye(n))) <= 1e-13
-    residual = A @ phi - phi * basis.mu
-    assert np.max(np.abs(residual)) <= 1e-13 * basis.mu[-1] * np.max(np.abs(phi))
-    # largest |entry| positive, first index on ties; argmax takes the first
-    peaks = phi[np.abs(phi).argmax(axis=0), np.arange(n)]
-    assert (peaks > 0).all()
+    residual = A @ phi - phi * mu
+    assert np.max(np.abs(residual)) <= 1e-13 * mu[-1] * np.max(np.abs(phi))
 
 
 # the generators that mask_symmetries composes its elements of: the x-mirror,
@@ -180,40 +206,60 @@ def test_mask_symmetries_are_the_mask_preserving_d4_maps_in_order(shape, params,
     ids=["disk", "annulus4", "rectangle-divided", "rectangle-undivided"],
 )
 def test_mirror_signs_are_the_measured_signs(shape, params, lam, h, n_mirrors):
-    # the sum of all modes, mirrored, analyzes to each mode's sign under the
-    # mirror: the mirror acts on coefficients as the diagonal of its labels.
-    # A mirror the mask lacks labels every mode 0
+    # each frame's columns, mirrored, are the columns times the frame's sign
+    # under the mirror: the mirror acts on the frame as that sign. A mirror
+    # the mask lacks labels every frame 0
     dom = build_domain(shape, params, lam=lam, h=h)
     basis = assemble_and_decompose(dom, alpha=0.5)
-    assert basis.mirror_signs.shape == (basis.K, 2)
-    total = basis.synthesize(np.ones(basis.K)).values
+    assert basis.frame_signs.shape == (len(basis.operator_blocks), 2)
+    bounds = np.cumsum([0] + [L.shape[0] for L in basis.operator_blocks])
     mirrors = {used[0]: perm for perm, used in mask_symmetries(dom) if used in ((0,), (1,))}
     assert len(mirrors) == n_mirrors
     for j in (0, 1):
         if j not in mirrors:
-            assert not basis.mirror_signs[:, j].any()
+            assert not basis.frame_signs[:, j].any()
             continue
-        measured = basis.analyze(total[mirrors[j]]).coeffs
-        assert np.max(np.abs(measured - basis.mirror_signs[:, j])) <= 1e-12
-        assert set(basis.mirror_signs[:, j].tolist()) == {-1, 1}
+        for sign, lo, hi in zip(basis.frame_signs[:, j], bounds[:-1], bounds[1:]):
+            cols = basis.frame[:, lo:hi]
+            assert (cols[mirrors[j]] - sign * cols).nnz == 0
+        assert set(basis.frame_signs[:, j].tolist()) == {-1, 1}
+
+
+def _even_modes(basis, perm):
+    """Which of dense_phi's columns are even under the node permutation perm."""
+    phi = dense_phi(basis)
+    return basis.dom.h**2 * np.sum(phi[perm] * phi, axis=0) > 0.5
 
 
 @_BLOCKED_DOMAINS
-def test_factored_apply_and_adjoint_match_dense_phi(shape, params, lam, h, n_frames, n_distinct):
-    # matvec and rmatvec go through the factors, dense_phi forms their product
-    basis = assemble_and_decompose(build_domain(shape, params, lam=lam, h=h), alpha=0.5)
-    assert len(basis.blocks) == n_frames
-    assert len({id(V) for V in basis.blocks}) == n_distinct
-    phi = dense_phi(basis)
-    rng = np.random.default_rng(5)
-    c, x = rng.standard_normal((2, basis.K))
-    want = phi @ c
-    assert np.linalg.norm(basis.matvec(c) - want) <= 1e-13 * np.linalg.norm(want)
-    want = phi.T @ x
-    assert np.linalg.norm(basis.rmatvec(x) - want) <= 1e-13 * np.linalg.norm(want)
-    # the two are adjoint: <phi c, x> = <c, phi^T x>
-    lhs, rhs = float(basis.matvec(c) @ x), float(c @ basis.rmatvec(x))
-    assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(basis.matvec(c)) * np.linalg.norm(x)
+def test_operator_matches_dense_product(shape, params, lam, h, n_frames, n_distinct):
+    # L = h^2 phi W phi^T, applied block by block on the frames' upper
+    # triangles, against the dense product of phi's columns; G inverts it, s
+    # is phi W^-1/2 1, and the fixed variants are the dense products over the
+    # modes a mirror keeps, with values exactly even under it
+    dom = build_domain(shape, params, lam=lam, h=h)
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    assert len(basis.operator_blocks) == n_frames
+    assert len({id(L) for L in basis.operator_blocks}) == n_distinct
+    phi, w = dense_phi(basis), weights(basis)
+    L = h**2 * (phi * w) @ phi.T
+    x = np.random.default_rng(5).standard_normal((4, basis.K))
+    for col in x:
+        want = L @ col
+        assert np.linalg.norm(basis.operator(col) - want) <= 1e-13 * np.linalg.norm(want)
+        assert np.linalg.norm(basis.green(basis.operator(col)) - col) <= 1e-12 * np.linalg.norm(col)
+    want = phi @ (1.0 / np.sqrt(w))
+    assert np.linalg.norm(basis.start - want) <= 1e-13 * np.linalg.norm(want)
+    mirrors = {used[0]: perm for perm, used in mask_symmetries(dom) if used in ((0,), (1,))}
+    for j, perm in mirrors.items():
+        even = _even_modes(basis, perm)
+        kept = phi[:, even]
+        for apply, power in ((basis.fixed_operator, 1), (basis.fixed_green, -1)):
+            dense = h**2 * (kept * w[even] ** power) @ kept.T
+            for col in x:
+                got = apply(col, j)
+                assert np.array_equal(got[perm], got)
+                assert np.linalg.norm(got - dense @ col) <= 1e-13 * np.linalg.norm(dense @ col)
 
 
 @_BLOCKED_DOMAINS
@@ -223,14 +269,14 @@ def test_green_matches_dense_product(shape, params, lam, h, n_frames, n_distinct
     # have no swap, or the swap alone
     basis = assemble_and_decompose(build_domain(shape, params, lam=lam, h=h), alpha=0.5)
     phi = dense_phi(basis)
-    G = h**2 * (phi / basis.weights) @ phi.T
+    G = h**2 * (phi / weights(basis)) @ phi.T
     x = np.random.default_rng(8).standard_normal((4, basis.K))
     for col in x:
         want = G @ col
         assert np.linalg.norm(basis.green(col) - want) <= 1e-13 * np.linalg.norm(want)
-    # one block per frame, square, its distinct blocks as many as the V_b
-    assert [g.shape[0] for g in basis._green] == [V.shape[0] for V in basis.blocks]
-    assert len({id(g) for g in basis._green}) == n_distinct
+    # one block per frame, square, as many distinct ones as of L
+    assert [g.shape[0] for g in basis.green_blocks] == [L.shape[0] for L in basis.operator_blocks]
+    assert len({id(g) for g in basis.green_blocks}) == n_distinct
 
 
 @pytest.mark.parametrize(
@@ -239,47 +285,45 @@ def test_green_matches_dense_product(shape, params, lam, h, n_frames, n_distinct
     ids=["annulus4", "disk"],
 )
 def test_swap_partners_share_their_green_block(shape, params, lam, h):
-    # the swap pair's G_b is one array, as its V_b is: the Green blocks hold
-    # as many doubles as the eigenvector blocks, about n^2/8
+    # the swap pair's L_b and G_b are one array each: the two block sets hold
+    # as many doubles as each other, about n^2/8 each
     basis = assemble_and_decompose(build_domain(shape, params, lam=lam, h=h), alpha=0.5)
-    basis.green(np.ones(basis.K))
-    (k,) = [i for i in range(1, len(basis.blocks)) if basis.blocks[i] is basis.blocks[i - 1]]
-    assert basis._green[k] is basis._green[k - 1]
-    distinct = {id(g): g for g in basis._green}.values()
+    blocks = basis.operator_blocks
+    (k,) = [i for i in range(1, len(blocks)) if blocks[i] is blocks[i - 1]]
+    assert basis.green_blocks[k] is basis.green_blocks[k - 1]
+    distinct = {id(g): g for g in basis.green_blocks}.values()
     assert sum(g.nbytes for g in distinct) == sum(
-        V.nbytes for V in {id(V): V for V in basis.blocks}.values())
+        L.nbytes for L in {id(L): L for L in blocks}.values())
 
 
 def test_green_blocks_are_built_once_per_basis(monkeypatch):
-    # lazily, on the first product, and never again for that basis
+    # in the build, L_b and G_b of each distinct block once, and never again
+    # for that basis
     builds = []
-    build = SpectralBasis._green_blocks
-    monkeypatch.setattr(SpectralBasis, "_green_blocks",
-                        lambda self: builds.append(self) or build(self))
+    build = spectral._block_operators
+    monkeypatch.setattr(spectral, "_block_operators",
+                        lambda mu, *rest: builds.append(mu.size) or build(mu, *rest))
     dom = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
     basis = assemble_and_decompose(dom, alpha=0.5)
-    assert builds == [] and basis._green is None
+    assert builds == [L.shape[0] for L in {id(L): L for L in basis.operator_blocks}.values()]
     x = np.random.default_rng(9).standard_normal(basis.K)
     first = basis.green(x)
     assert np.array_equal(basis.green(x), first)
-    basis.green(2.0 * x)
-    assert builds == [basis]
-    other = assemble_and_decompose(dom, alpha=0.5)
-    other.green(x)
-    assert builds == [basis, other]
+    basis.operator(x)
+    basis.fixed_green(x, 0)
+    assert len(builds) == 5
 
 
 def test_identity_frame_apply_is_the_dense_product(unblocked_basis):
-    # one block in the identity frame: the products are the plain dense ones,
-    # bit for bit, which is what keeps the oracle basis's arithmetic fixed
+    # one block in the identity frame: the products are the plain dense
+    # symmetric ones of its upper triangle, bit for bit, which is what keeps
+    # the oracle basis's arithmetic fixed
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
     basis = unblocked_basis(dom, driver="evd")
-    (phi,) = basis.blocks
-    assert np.array_equal(dense_phi(basis), phi)
-    rng = np.random.default_rng(6)
-    c, x = rng.standard_normal((2, basis.K))
-    assert np.array_equal(basis.matvec(c), phi @ c)
-    assert np.array_equal(basis.rmatvec(x), phi.T @ x)
+    (L,), (G,) = basis.operator_blocks, basis.green_blocks
+    x = np.random.default_rng(6).standard_normal(basis.K)
+    assert np.array_equal(basis.operator(x), scipy.linalg.blas.dsymv(1.0, L, x))
+    assert np.array_equal(basis.green(x), scipy.linalg.blas.dsymv(1.0, G, x))
 
 
 @pytest.mark.parametrize(
@@ -289,13 +333,10 @@ def test_identity_frame_apply_is_the_dense_product(unblocked_basis):
 )
 def test_swap_partners_share_their_block(shape, params, lam, h):
     # the class odd in x and even in y and its swap image share one block:
-    # their eigenvalues are one array, and each partner mode is its mode with
-    # the nodes permuted by the swap, bit for bit
+    # their L_b are one array and their G_b another
     dom = build_domain(shape, params, lam=lam, h=h)
     frames = _parity_frames(dom)
     (k,) = [i for i, (_, shared, _) in enumerate(frames) if shared]
-    bounds = np.cumsum([0] + [Q.shape[1] for Q, *_ in frames])
-    first, partner = slice(bounds[k - 1], bounds[k]), slice(bounds[k], bounds[k + 1])
     swap = {used: p for p, used in mask_symmetries(dom)}[(2,)]
     # A commutes with the swap, so the two frames give one block
     A = assemble_laplacian(dom)
@@ -304,25 +345,24 @@ def test_swap_partners_share_their_block(shape, params, lam, h):
     assert np.array_equal((Q_swapped.T @ A @ Q_swapped).toarray(), (Q.T @ A @ Q).toarray())
 
     basis = assemble_and_decompose(dom, alpha=0.5)
-    assert basis.blocks[k] is basis.blocks[k - 1]
-    # block order: mode j of the stacked blocks is column position[j] of phi
-    position = np.argsort(basis.order)
-    mu = basis.mu[position]
-    assert np.array_equal(mu[partner], mu[first])
-    phi = dense_phi(basis)[:, position]
-    assert np.array_equal(phi[:, partner], phi[swap][:, first])
-    # each pair is two modes of the one eigenvalue, orthogonal to each other
-    cross = dom.h**2 * np.sum(phi[:, partner] * phi[:, first], axis=0)
-    assert np.max(np.abs(cross)) <= 1e-14
+    assert basis.operator_blocks[k] is basis.operator_blocks[k - 1]
+    assert basis.green_blocks[k] is basis.green_blocks[k - 1]
+    # so L and G commute with the swap
+    x = np.random.default_rng(10).standard_normal(basis.K)
+    for apply in (basis.operator, basis.green):
+        want = apply(x)[swap]
+        assert np.linalg.norm(apply(x[swap]) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 def test_basis_build_memory():
-    # the build keeps the distinct block eigenvectors, the shared pair's once:
-    # about n^2/8 doubles, and never forms phi. At most one block's
-    # eigenvectors and LAPACK workspace, 3 (n/4)^2 for the shared pair's,
-    # sit on top of those built before it. Measured on annulus4 (n = 664):
-    # 0.162 n^2 held after the build and a peak of 0.260 n^2, the sparse
-    # frames and A included; the bounds leave 0.03 n^2 above each
+    # the build keeps L_b and G_b of the distinct blocks, the shared pair's
+    # once: about n^2/4 doubles, and never forms phi nor keeps a V_b. At most
+    # one block's eigenvectors and LAPACK workspace, 3 (n/4)^2 for the
+    # shared pair's, or its V_b, L_b and G_b, sit on top of the blocks built
+    # before it. The bounds are those of the build that kept the V_b, after
+    # its first green built the G_b: measured on annulus4 (n = 664), 0.287 n^2
+    # held and a peak of 0.330 n^2, the sparse frames and A included, with
+    # 0.03 n^2 above each
     dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=4.0, h=0.25)
     assemble_and_decompose(dom, alpha=0.5)  # LAPACK and scipy set up outside the trace
     n2_bytes = 8.0 * dom.n_interior**2
@@ -334,43 +374,29 @@ def test_basis_build_memory():
     finally:
         tracemalloc.stop()
     assert basis.K == dom.n_interior
-    held = sum(V.nbytes for V in {id(V): V for V in basis.blocks}.values())
-    assert held / n2_bytes <= 0.13
-    assert (peak - before) / n2_bytes <= 0.29
-    assert (after - before) / n2_bytes <= 0.19
-
-
-def test_analyze_synthesize_roundtrip_in_span(square16):
-    _, basis = square16
-    rng = np.random.default_rng(7)
-    coeffs = rng.standard_normal(basis.K)
-    u = basis.synthesize(coeffs)
-    assert np.array_equal(u.values, basis.matvec(coeffs))
-    v = basis.analyze(u.values)
-    assert np.max(np.abs(v.coeffs - coeffs)) < 1e-12 * np.max(np.abs(coeffs))
-    resid = v.values - dense_phi(basis) @ v.coeffs
-    assert np.linalg.norm(resid) < 1e-12 * np.linalg.norm(v.values)
+    blocks = basis.operator_blocks + basis.green_blocks
+    held = sum(B.nbytes for B in {id(B): B for B in blocks}.values())
+    assert held / n2_bytes <= 0.26
+    assert (peak - before) / n2_bytes <= 0.36
+    assert (after - before) / n2_bytes <= 0.317
 
 
 def test_fractional_apply_alpha1_matches_stencil(square16):
+    # at alpha = 1, L is the stencil plus the identity
     dom, _ = square16
     basis = assemble_and_decompose(dom, alpha=1.0)
-    L = assemble_laplacian(dom)
-    rng = np.random.default_rng(3)
-    u = basis.synthesize(rng.standard_normal(basis.K))
-    lu = basis.analyze(L @ u.values)
-    want = basis.mu * u.coeffs
-    assert np.max(np.abs(lu.coeffs - want)) < 1e-8 * np.max(np.abs(want))
+    A = assemble_laplacian(dom)
+    u = np.random.default_rng(3).standard_normal(basis.K)
+    want = A @ u + u
+    assert np.max(np.abs(basis.operator(u) - want)) < 1e-10 * np.max(np.abs(want))
 
 
 def test_energy_norm_fundamental_mode(square16):
     _, basis = square16
-    e0 = np.zeros(basis.K)
-    e0[0] = 3.0
-    u = basis.synthesize(e0)
-    want = 9.0 * (basis.mu[0] ** 0.5 + 1.0)
+    mu, phi = dense_eigenpairs(basis)
+    want = 9.0 * (mu[0] ** 0.5 + 1.0)
     e = Energy(basis, 2.0)
-    assert e.quadratic(*e.point(u.coeffs)) == pytest.approx(want, rel=1e-13)
+    assert e.quadratic(*e.point(3.0 * phi[:, 0])) == pytest.approx(want, rel=1e-13)
 
 
 @settings(max_examples=30, deadline=None)
@@ -378,28 +404,25 @@ def test_energy_norm_fundamental_mode(square16):
 def test_alpha_norm_homogeneity(c):
     dom = build_domain("rectangle", {"a": 1.0, "b": 1.0}, 1.0, 1.0 / 9.0)
     basis = assemble_and_decompose(dom, alpha=0.5)
-    rng = np.random.default_rng(11)
-    u = basis.synthesize(rng.standard_normal(basis.K))
-    cu = basis.synthesize(c * u.coeffs)
+    u = np.random.default_rng(11).standard_normal(basis.K)
     e = Energy(basis, 2.0)
 
-    def q(coeffs):
-        return e.quadratic(*e.point(coeffs))
+    def q(values):
+        return e.quadratic(*e.point(values))
 
-    assert q(cu.coeffs) == pytest.approx(c * c * q(u.coeffs), rel=1e-12, abs=1e-12)
+    assert q(c * u) == pytest.approx(c * c * q(u), rel=1e-12, abs=1e-12)
 
 
 def test_domain_mismatch_raised(square16):
-    _, basis = square16
+    dom, basis = square16
     with pytest.raises(DomainMismatch):
-        basis.analyze(np.zeros(10))
+        Field(dom, np.zeros(10))
     other = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
-    other_basis = assemble_and_decompose(other, alpha=0.5)
-    u = other_basis.synthesize(np.zeros(other_basis.K))
+    u = Field(other, np.zeros(other.n_interior))
     with pytest.raises(DomainMismatch):
         basis.check_same_domain(u.dom)
     with pytest.raises(DomainMismatch):
-        basis.synthesize(np.zeros(basis.K + 5))
+        Field(dom, np.zeros(basis.K + 5))
 
 
 def test_bad_alpha_and_k_rejected(square16):

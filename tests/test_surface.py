@@ -8,9 +8,9 @@ property of a class there must be read as an attribute of that name in the
 package outside its own definition, or in perfbench/spans.py. Code that only
 tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
-package. Outside spectral, only model calls the basis's matvec, rmatvec,
-green and fixed_green or reads a Field's coeffs, and outside model only morse
-reads the weights w.
+package. Outside spectral, only model calls the basis's operator, green,
+fixed_operator and fixed_green, and no module reads its blocks or frame. A
+Field is its domain and nodal values.
 Outside domain and spectral, only topology.symmetry_group calls
 mask_symmetries.
 Importing the CLI loads none of the scipy subpackages that only some tasks
@@ -22,6 +22,7 @@ library example runs as written.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -29,6 +30,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from fracfield.spectral import Field
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fracfield"
@@ -194,17 +197,21 @@ def test_every_module_constant_is_read():
 
 def test_only_model_applies_the_basis():
     # the state lives behind model.Energy: outside spectral, which defines
-    # the products with phi and the Green operator h^2 phi W^-1 phi^T (and
-    # its restriction to a mirror's fixed-point subspace), only model
-    # applies them
+    # the operator L = A^alpha + I and the Green operator G = L^-1 (and their
+    # restrictions to a mirror's fixed-point subspace), only model applies
+    # them, and no module reads the blocks or the frame they are kept in, so
+    # a basis that applies L and G another way changes spectral alone
+    products = {"operator", "green", "fixed_operator", "fixed_green"}
     callers = sorted(
         f"{mod}:{node.lineno}" for mod, tree in _modules().items()
         if mod not in {"spectral", "model"}
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-        and node.func.attr in {"matvec", "rmatvec", "green", "fixed_green"}
+        and node.func.attr in products
     )
     assert callers == []
+    layout = {"operator_blocks", "green_blocks", "frame", "_frame_t", "_bounds"}
+    assert set().union(*(_attribute_readers(attr) for attr in layout)) <= {"spectral"}
 
 
 def _attribute_readers(attr: str) -> set[str]:
@@ -214,13 +221,10 @@ def _attribute_readers(attr: str) -> set[str]:
     }
 
 
-def test_only_model_reads_coefficients_and_weights():
-    # model.Energy owns the coordinates: coords and measure read a Field's
-    # coefficients and riesz applies the Green operator, so a new operator
-    # backend changes model alone; morse's pencil takes W^-1/2 for its
-    # congruence
-    assert _attribute_readers("coeffs") <= {"spectral", "model"}
-    assert _attribute_readers("w") <= {"model", "morse"}
+def test_a_field_is_its_nodal_values():
+    # no coefficient representation is kept beside the nodal one
+    assert [f.name for f in dataclasses.fields(Field)] == ["dom", "values"]
+    assert _attribute_readers("coeffs") == set()
 
 
 def test_only_symmetry_group_reads_the_mask_symmetries():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from fracfield.domain import build_domain, mask_symmetries
 from fracfield import morse, topology
@@ -35,7 +36,7 @@ from fracfield.nehari import (
     level_c,
     limit_level_estimate,
 )
-from fracfield.spectral import SpectralBasis, assemble_and_decompose
+from fracfield.spectral import Field, SpectralBasis, assemble_and_decompose
 from fracfield.topology import (
     PsiSeeder,
     annulus_level,
@@ -48,9 +49,11 @@ from fracfield.topology import (
 from oracles import (
     coefficient_grad,
     coefficient_hessian,
+    coefficients,
     dense_phi,
     energy_at,
     radial_asymmetry,
+    weights,
 )
 
 P = 2.0
@@ -61,9 +64,9 @@ MID_RADIUS = 2.8  # annulus lam=4: 0.5 (R + r) lam with R=1, r=0.4
 
 
 def _energy_and_j(basis, u):
-    """(I, J) at the span representation of u."""
+    """(I, J) at u, read through Energy."""
     e = Energy(basis, P)
-    values, r = e.point(u.coeffs)
+    values, r = e.point(u.values)
     Q = e.quadratic(values, r)
     return e.energy(values, Q), e.j(values, Q)
 
@@ -82,7 +85,7 @@ def _beta(u):
 
 
 def test_barycenter_centered_bump(disk_host):
-    u = disk_host.analyze(_bump_values(disk_host.dom, (0.0, 0.0)))
+    u = Field(disk_host.dom, _bump_values(disk_host.dom, (0.0, 0.0)))
     _, beta, mass = _barycenter(u.dom, u.values)
     assert abs(beta[0]) <= disk_host.dom.h
     assert abs(beta[1]) <= disk_host.dom.h
@@ -91,8 +94,8 @@ def test_barycenter_centered_bump(disk_host):
 
 def test_barycenter_grid_translation_equivariance(disk_host):
     dom = disk_host.dom
-    a = _beta(disk_host.analyze(_bump_values(dom, (0.0, 0.0), 0.15)))
-    b = _beta(disk_host.analyze(_bump_values(dom, (3 * dom.h, -2 * dom.h), 0.15)))
+    a = _beta(Field(disk_host.dom, _bump_values(dom, (0.0, 0.0), 0.15)))
+    b = _beta(Field(disk_host.dom, _bump_values(dom, (3 * dom.h, -2 * dom.h), 0.15)))
     # same profile sampled at shifted nodes; mass far from the boundary so the
     # mask clip is negligible at this width
     assert b[0] - a[0] == pytest.approx(3 * dom.h, abs=1e-6)
@@ -102,7 +105,7 @@ def test_barycenter_grid_translation_equivariance(disk_host):
 def test_barycenter_two_equal_bumps_cancel(disk_host):
     dom = disk_host.dom
     vals = _bump_values(dom, (0.5, 0.0), 0.2) + _bump_values(dom, (-0.5, 0.0), 0.2)
-    beta = _beta(disk_host.analyze(vals))
+    beta = _beta(Field(disk_host.dom, vals))
     assert abs(beta[0]) <= 1e-10
     assert abs(beta[1]) <= 1e-10
 
@@ -110,17 +113,17 @@ def test_barycenter_two_equal_bumps_cancel(disk_host):
 def test_barycenter_scale_invariant_and_ignores_negative_part(disk_host):
     dom = disk_host.dom
     vals = _bump_values(dom, (0.3, -0.2)) - 0.05
-    beta = _beta(disk_host.analyze(vals))
-    scaled = _beta(disk_host.analyze(3.7 * vals))
+    beta = _beta(Field(disk_host.dom, vals))
+    scaled = _beta(Field(disk_host.dom, 3.7 * vals))
     assert scaled == pytest.approx(beta, rel=1e-13)
     # deepening the negative part must not move beta
     deeper = np.where(vals <= 0.0, vals - 1.0, vals)
-    assert _beta(disk_host.analyze(deeper)) == beta
+    assert _beta(Field(disk_host.dom, deeper)) == beta
 
 
 def test_barycenter_rejects_nonpositive(disk_host):
     with pytest.raises(NonpositiveField):
-        _beta(disk_host.analyze(-_bump_values(disk_host.dom, (0.0, 0.0))))
+        _beta(Field(disk_host.dom, -_bump_values(disk_host.dom, (0.0, 0.0))))
 
 
 def test_barycenter_band_membership_detects_hole(annulus4, disk_host):
@@ -128,11 +131,11 @@ def test_barycenter_band_membership_detects_hole(annulus4, disk_host):
     # test must say the point is NOT within a 1.0-band of the annulus
     dom = annulus4.dom
     rr = np.sqrt((dom.node_coords**2).sum(axis=1))
-    beta = _beta(annulus4.analyze(np.exp(-((rr - MID_RADIUS) ** 2))))
+    beta = _beta(Field(annulus4.dom, np.exp(-((rr - MID_RADIUS) ** 2))))
     assert abs(beta[0]) <= 1e-10 and abs(beta[1]) <= 1e-10
     assert not dom.region_distance(beta)[0] <= 1.0
     # while a bump inside the disk is trivially within any band of it
-    inside = _beta(disk_host.analyze(_bump_values(disk_host.dom, (0.0, 0.0))))
+    inside = _beta(Field(disk_host.dom, _bump_values(disk_host.dom, (0.0, 0.0))))
     assert disk_host.dom.region_distance(inside)[0] <= 0.05
 
 
@@ -172,7 +175,7 @@ def test_psi_seed_postconditions(annulus4):
     for angle in (0.2, 1.1, 2.3, 3.7, 5.1):
         x_tilde = (MID_RADIUS * np.cos(angle), MID_RADIUS * np.sin(angle))
         u = seeder.seed(x_tilde)
-        Q = float(np.sum(annulus4.weights * u.coeffs**2))
+        Q = float(np.sum(weights(annulus4) * coefficients(annulus4, u) ** 2))
         energy, j = _energy_and_j(annulus4, u)
         assert abs(j) <= 1e-10 * Q
         beta = _beta(u)
@@ -379,12 +382,11 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
     # 1e-3 from beta and rho making the penalty as large as I, a one-ulp change
     # of beta would move F by about 1e-12
     e = Energy(annulus4, P)
-    c0 = gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).coeffs
-    u0, r0 = e.point(c0)
+    u0, r0 = e.point(gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).values)
     u, r = e.retract(u0, r0)
     beta = _barycenter(annulus4.dom, u)[1]
     x_tilde = beta + np.array([1e-3, -1e-3])
-    energy = e.measure(e.field(u))[0]
+    energy = e.measure(u)[0]
     rho = abs(energy) / 2e-6
     # max_iter=0: the kernel retracts the seed, measures F there and stops
     pinned = PinnedEnergy(annulus4, P, rho, x_tilde)
@@ -421,8 +423,8 @@ def _off_centre_penalty(annulus4):
     e = Energy(annulus4, P)
     dom = annulus4.dom
     values = _bump_values(dom, (MID_RADIUS * np.cos(0.5), MID_RADIUS * np.sin(0.5)), 0.8) - 0.05
-    c = annulus4.analyze(values).coeffs
-    values = e.values(c)
+    c = coefficients(annulus4, Field(dom, values))
+    values = dense_phi(annulus4) @ c
     beta = _barycenter(dom, values)[1]
     x_tilde = beta + np.array([0.4, -0.3])
     rho = float(np.linalg.norm(coefficient_grad(e, c))) / 0.5
@@ -437,7 +439,7 @@ def test_pinned_gradient_matches_energy_differences(annulus4):
     rng = np.random.default_rng(5)
     for _ in range(3):
         v = rng.standard_normal(c.size) * np.exp(-0.01 * np.arange(c.size))
-        z = e.values(v)
+        z = dense_phi(annulus4) @ v
         eps = 2e-5 / float(np.abs(z).max())
         # central differences stay on one side of u = 0 at every node
         assert np.all(np.abs(values) > 10.0 * eps * np.abs(z))
@@ -460,7 +462,7 @@ def test_penalty_hessian_matches_gradient_differences(annulus4):
     rng = np.random.default_rng(3)
     for _ in range(3):
         v = rng.standard_normal(c.size) * np.exp(-0.01 * np.arange(c.size))
-        z = e.values(v)
+        z = dense_phi(annulus4) @ v
         eps = 1e-6 / float(np.abs(z).max())
         assert np.all(np.abs(values) > 10.0 * eps * np.abs(z))
 
@@ -492,7 +494,8 @@ def test_penalty_hessian_sends_c_to_nehari_differential(annulus4):
     # the penalty is 0-homogeneous, so H_F c + g_F = J'(c), here computed from
     # J = Q - h^2 sum (u+)^3 and not from the energy's Hessian
     e, pinned, c, values = _off_centre_penalty(annulus4)
-    jprime = 2.0 * e.w * c - 3.0 * e.h2 * (dense_phi(e.basis).T @ np.maximum(values, 0.0) ** 2)
+    jprime = 2.0 * weights(annulus4) * c - 3.0 * e.h2 * (
+        dense_phi(annulus4).T @ np.maximum(values, 0.0) ** 2)
     g = coefficient_grad(pinned, c)
     lhs = coefficient_hessian(pinned, c)(c) + g
     assert np.linalg.norm(lhs - jprime) <= 1e-12 * np.linalg.norm(g - coefficient_grad(e, c))
@@ -510,7 +513,7 @@ def _diagonal_bumps_seed(basis):
     mid = 0.5 * (dom.params["R"] + dom.params["r"]) * dom.lam
     vals = sum(_bump_values(dom, (mid * np.cos(a), mid * np.sin(a)), 0.4)
                for a in np.pi / 4 * np.array([1, 3, 5, 7]))
-    return basis.analyze(vals)
+    return Field(basis.dom, vals)
 
 
 def test_annulus_level_escapes_the_four_bump_saddle(annulus2, monkeypatch):
@@ -537,8 +540,7 @@ def test_annulus_level_escapes_the_four_bump_saddle(annulus2, monkeypatch):
     assert len(fractions) == 2
     assert fractions[0] == pytest.approx(fractions[1], rel=1e-6)
     pinned = PinnedEnergy(basis, P, rep.rho_schedule[-1], np.zeros(2))
-    values = pinned.values(rep.record.u.coeffs)
-    ev, _ = _smallest_eigenpairs(pinned, values, 2)
+    ev, _ = _smallest_eigenpairs(pinned, rep.record.u.values, 2)
     assert ev[0] < 0.0 < ev[1]
 
 
@@ -552,7 +554,8 @@ def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
 
     def indexed(obj, u, r):
         step = escape(obj, u, r)
-        checks.append((hessian_spectrum(obj, obj.field(u)).morse_index, step is not None))
+        checks.append((hessian_spectrum(obj, Field(obj.basis.dom, u)).morse_index,
+                       step is not None))
         return step
 
     monkeypatch.setattr(topology, "_saddle_escape", indexed)
@@ -560,9 +563,40 @@ def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
     assert (2, True) in checks
     assert all(index == (2 if stepped else 1) for index, stepped in checks)
     pinned = PinnedEnergy(basis, P, rep.rho_schedule[-1], np.zeros(2))
-    c = rep.record.u.coeffs
     assert hessian_spectrum(pinned, rep.record.u).morse_index == 1
-    assert escape(pinned, *pinned.point(c)) is None
+    assert escape(pinned, *pinned.point(rep.record.u.values)) is None
+
+
+def test_pinned_pencil_matches_the_dense_coefficient_pencil(annulus4, monkeypatch):
+    # at the ring-penalty point of annulus4, the two smallest theta of the
+    # nodal pencil (L - E) y = theta L y, from ARPACK's mode 2, are those of
+    # the dense coefficient pencil H x = theta W x; the escape step, forced
+    # here at this minimum, is _ESCAPE_SIZE sqrt(Q) times the point (y, L y)
+    # of the second eigenvector y = phi x, h^2 y^T L y = 1, signed so that its
+    # largest-magnitude value is positive
+    rep = annulus_level(Energy(annulus4, P))
+    u = rep.record.u.values
+    pinned = PinnedEnergy(annulus4, P, rep.rho_schedule[-1], np.zeros(2))
+    phi, w = dense_phi(annulus4), weights(annulus4)
+    # H = W - h^2 phi^T E phi with E the curvature at u itself: the penalty is
+    # stiff enough that its E at phi c, c = h^2 phi^T u, moves theta by 1e-12.
+    # So is the pencil: W^-1/2 H W^-1/2 has norm about 3e4, and the dense
+    # generalized and standard solvers agree on theta only to about 5e-12
+    E = pinned.curvature(u)
+    H = np.diag(w) - pinned.h2 * phi.T @ np.column_stack([E(col) for col in phi.T])
+    theta, X = scipy.linalg.eigh(0.5 * (H + H.T), np.diag(w), subset_by_index=[0, 1])
+    got, _ = _smallest_eigenpairs(pinned, u, 2)
+    assert np.max(np.abs(got - theta)) <= 2e-11
+
+    monkeypatch.setattr(topology, "DEFAULT_EPS_NULL", -(theta[1] + 1.0))
+    r = pinned.point(u)[1]
+    step_u, step_r = topology._saddle_escape(pinned, u, r)
+    y = phi @ X[:, 1]
+    y = y if y[np.argmax(np.abs(y))] > 0.0 else -y
+    scale = topology._ESCAPE_SIZE * np.sqrt(pinned.quadratic(u, r))
+    assert np.linalg.norm(step_u / scale - y) <= 1e-8 * np.linalg.norm(y)
+    assert pinned.h2 * float(step_u @ step_r) / scale**2 == pytest.approx(1.0, rel=1e-12)
+    assert np.array_equal(step_r, pinned.point(step_u)[1])
 
 
 def test_annulus_level_checks_only_the_point_it_returns(annulus4, annulus2, monkeypatch):
@@ -640,7 +674,7 @@ def test_annulus_level_rejects_a_seed_from_another_domain(annulus4):
 
 def test_mass_clusters_single_and_split(disk_host):
     dom = disk_host.dom
-    bump = disk_host.analyze(_bump_values(dom, (0.0, 0.0), 0.15))
+    bump = Field(disk_host.dom, _bump_values(dom, (0.0, 0.0), 0.15))
     single = mass_clusters(bump)
     assert len(single) == 1
     # fractions are shares of the total (u+)^2 mass, so the tail below the
@@ -648,7 +682,7 @@ def test_mass_clusters_single_and_split(disk_host):
     assert 0.9 <= single[0] <= 1.0
     assert mass_clusters(bump, level_frac=0.05)[0] >= 0.99
     two = mass_clusters(
-        disk_host.analyze(
+        Field(disk_host.dom, 
             _bump_values(dom, (0.55, 0.0), 0.12) + _bump_values(dom, (-0.55, 0.0), 0.12)
         )
     )
@@ -659,11 +693,11 @@ def test_mass_clusters_single_and_split(disk_host):
 
 
 def test_mass_clusters_validation(disk_host):
-    u = disk_host.analyze(_bump_values(disk_host.dom, (0.0, 0.0)))
+    u = Field(disk_host.dom, _bump_values(disk_host.dom, (0.0, 0.0)))
     with pytest.raises(ValueError, match="level_frac"):
         mass_clusters(u, level_frac=0.0)
     with pytest.raises(NonpositiveField):
-        mass_clusters(disk_host.analyze(-u.values))
+        mass_clusters(Field(disk_host.dom, -u.values))
 
 
 # --------------------------------------------------------- radial asymmetry
@@ -672,12 +706,12 @@ def test_mass_clusters_validation(disk_host):
 def test_radial_asymmetry_discriminates(disk_host):
     dom = disk_host.dom
     rr2 = (dom.node_coords**2).sum(axis=1)
-    radial = disk_host.analyze(np.exp(-rr2))
+    radial = Field(disk_host.dom, np.exp(-rr2))
     assert radial_asymmetry(radial) <= 1e-12
-    offset = disk_host.analyze(_bump_values(dom, (0.4, 0.0), 0.25))
+    offset = Field(disk_host.dom, _bump_values(dom, (0.4, 0.0), 0.25))
     assert radial_asymmetry(offset) > 0.1
     with pytest.raises(NonpositiveField):
-        radial_asymmetry(disk_host.analyze(np.zeros(dom.n_interior)))
+        radial_asymmetry(Field(disk_host.dom, np.zeros(dom.n_interior)))
 
 
 def test_radial_asymmetry_of_disk_ground_state(disk_host):
@@ -700,23 +734,20 @@ def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_
     assert rec.seed_tag == "mirror-x-fixed"
     assert rec.energy == pytest.approx(8.795460970536, rel=1e-10)
     assert rec.energy > 1.5 * annulus_classes.classes[0].representative.energy
-    # the values stay exactly even under the mirror, and the odd-sector
-    # coefficients are exactly 0
+    # the values stay exactly even under the mirror
     x = annulus4.dom.node_coords
     (mirror,) = [p for p in symmetry_group(annulus4.dom)
                  if np.array_equal(x[p], x * np.array([-1.0, 1.0]))]
     assert np.array_equal(rec.u.values[mirror], rec.u.values)
-    odd = annulus4.mirror_signs[:, 0] == -1
-    assert odd.sum() > annulus4.K // 3
-    assert np.all(rec.u.coeffs[odd] == 0.0)
     # the record is judged on the full-space residual of I, the odd modes
-    # included, recomputed here from phi c rather than the carried values
+    # included, recomputed here from phi c on the tests' dense phi rather
+    # than the carried values
     obj = Energy(annulus4, P)
-    c = rec.u.coeffs
+    c = coefficients(annulus4, rec.u)
     energy = energy_at(obj, c)
     assert abs(energy - rec.energy) <= _rounding_allowance(rec.energy)
     g = coefficient_grad(obj, c)
-    residual = _residual(float(g @ (g / obj.w)), energy)
+    residual = _residual(float(g @ (g / weights(annulus4))), energy)
     assert residual == pytest.approx(rec.residual, rel=1e-12)
     assert residual <= 1e-8
 
@@ -724,15 +755,15 @@ def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_
 def test_band_saddle_products_per_sweep(annulus_saddle_run):
     # one Riesz map per accepted step, on the fixed-point subspace (the
     # gradient's; a halving needs none), plus the start's; the start's point
-    # is one matvec of two columns and the record's coefficients and
-    # residual two rmatvecs, and no full green runs. The band took 11 sweeps
-    # of 11 products each here; the descent takes 8 steps
+    # (G_+ L_+ v, L_+ v) is one fixed_operator and one fixed_green more, and
+    # the record's measure, on the whole space, one operator and one green.
+    # The band took 11 sweeps of 11 products each here; the descent takes 7 steps
     report, products = annulus_saddle_run
     assert report.sweeps == report.saddle.iterations
     assert 1 <= report.sweeps <= 10
     assert products["fixed_green"] <= report.sweeps + 2
-    assert products["green"] == 0
-    assert products["matvec"] == 1 and products["rmatvec"] == 2
+    assert products["fixed_operator"] == 1
+    assert products["operator"] == products["green"] == 1
 
 
 def test_band_saddle_beyond_p_two(annulus4):
@@ -751,19 +782,19 @@ def test_band_saddle_beyond_p_two(annulus4):
 
 
 @pytest.fixture
-def no_phi_products(monkeypatch):
-    def refuse(self, x):
-        raise AssertionError("a product with phi ran before validation")
+def no_products(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a product with L or G ran before validation")
 
-    monkeypatch.setattr(SpectralBasis, "matvec", refuse)
-    monkeypatch.setattr(SpectralBasis, "rmatvec", refuse)
+    for name in ("operator", "green", "fixed_operator", "fixed_green"):
+        monkeypatch.setattr(SpectralBasis, name, refuse)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), 0.0, -1e-6])
-def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_phi_products):
+def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_products):
     # unchecked, nan runs max_iter steps and returns converged=False, and inf
     # returns the retracted start as converged; the descent entry points and
-    # the multistart ones refuse both before any product with phi
+    # the multistart ones refuse both before any product with L or G
     energy = Energy(annulus4, P)
     lo = annulus_classes.classes[0].representative.u
     for call in (lambda: band_saddle(energy, lo, 0, tol=tol),
@@ -776,7 +807,7 @@ def test_band_saddle_rejects_meaningless_tol(annulus4, annulus_classes, tol, no_
             call()
 
 
-def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, no_phi_products):
+def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, no_products):
     # unchecked, a mirror that leaves u in place starts the descent at 2u,
     # which retracts onto u itself, a minimum (index 1) reported as the saddle
     axis = annulus_classes.classes[1].representative.u
@@ -794,7 +825,7 @@ def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classe
     # again, so that mirror must not be among them
     h = annulus4.dom.h
     axis = annulus_classes.classes[1].representative
-    images = [annulus4.analyze(axis.u.values[p]) for p in symmetry_group(annulus4.dom)]
+    images = [Field(annulus4.dom, axis.u.values[p]) for p in symmetry_group(annulus4.dom)]
     on_x = [u for u in images if abs(_beta(u)[1]) < h]
     on_y = [u for u in images if abs(_beta(u)[0]) < h]
     # the states at (+-2.8, 0) and (0, +-2.8), each twice, since the
@@ -812,7 +843,7 @@ def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classe
     for u in images + [annulus_classes.classes[0].representative.u]:
         ref = np.array(_beta(u))
         for m in moving_mirrors(annulus4, u):
-            partner = annulus4.analyze(u.values[mirrors[m]])
+            partner = Field(annulus4.dom, u.values[mirrors[m]])
             assert np.hypot(*(np.array(_beta(partner)) - ref)) > 2 * h
 
 
@@ -822,7 +853,7 @@ def test_adjacent_orbit_image_ignores_the_sign_of_rounding_noise(annulus4, annul
     # moving_mirrors compares distances with 2h, so the mirrors it gives, and
     # with them the adjacent images, must not depend on the sign that noise draws
     h = annulus4.dom.h
-    images = [annulus4.analyze(rep.u.values[p])
+    images = [Field(annulus4.dom, rep.u.values[p])
               for rep in (c.representative for c in annulus_classes.classes)
               for p in symmetry_group(annulus4.dom)]
     u = next(v for v in images if abs(_beta(v)[1]) < h and _beta(v)[0] > h)
