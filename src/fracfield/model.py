@@ -17,22 +17,23 @@ An Energy is the functional itself, built from a basis and the exponent p:
 the solvers of nehari, morse and topology take one instead of its parts.
 Outside spectral, only this module applies the basis's operators.
 
-Nodal representation. A point is the pair (u, r) of nodal vectors with
-r = L u: point(v) = (v, L v), one operator. With G = L^-1 the basis's Green
-operator:
+Nodal representation. A point is one C-contiguous (2, K) array x = [u; r]
+of nodal vectors with r = L u: point(v) = [v; L v], one operator. Every
+elementwise update of a point is then one numpy call, and its rows are
+contiguous for the BLAS dot ddot. With G = L^-1 the basis's Green operator:
 
 - Q = h^2 u . r. A gradient is a nodal dual g, for I g = r - h(u); it pairs
   with a point v as h^2 g . v_u.
-- The Riesz map sends g to the point (G g, g): riesz returns G g, one green,
-  and ||g||_*^2 = h^2 g . G g.
+- The Riesz map sends g to the point [G g; g] (riesz, one green), and
+  ||g||_*^2 = h^2 g . G g.
 - The second variation sends a point v to the dual v_r - E v_u, where E is
   the objective's nodal curvature (curvature(u)): h'(u) for I. That takes no
   product.
 - On the Nehari manifold Q = P, P = h^2 sum (u+)^(p+1), so
   I = (p - 1)/(2 (p + 1)) Q there. level(u, Q) returns the retraction's
-  scale and the objective at the retracted point from u and Q alone: the
-  kernel reads Q at a trial point from dot products of its ends and pays
-  one pass over u per trial.
+  scale and the objective at the retracted point from the values u and Q
+  alone: the kernel reads Q at a trial point from dot products of its ends
+  and pays one pass over u per trial.
 - A point's r is L u only to rounding after many steps, so a record is
   judged at (u, L u) with r made afresh (measure: one operator, one green).
 """
@@ -42,6 +43,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .domain import GridDomain
 from .errors import NonpositiveField
@@ -74,10 +76,10 @@ def _barycenter(dom: GridDomain, values: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 class Energy:
-    """The functional I on the span, on nodal points (u, r) (module docstring).
+    """The functional I on the span, on nodal points [u; r] (module docstring).
 
-    Methods taking both trust the caller to pass such a pair. L and G are the
-    basis's operator and green.
+    Methods taking u and r trust the caller to pass the rows of such a point,
+    as obj.grad(*x) does. L and G are the basis's operator and green.
     """
 
     def __init__(self, basis: SpectralBasis, p: float):
@@ -85,33 +87,33 @@ class Energy:
         self.p = p
         self.h2 = basis.dom.h**2
 
-    def point(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(v, L v), the nodal point with values v."""
-        return v, self.basis.operator(v)
+    def point(self, v: np.ndarray) -> np.ndarray:
+        """[v; L v], the nodal point with values v."""
+        return np.array((v, self.basis.operator(v)))
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
-        """G g, the u-part of the Riesz image (G g, g) of a nodal dual g."""
-        return self.basis.green(g)
+        """[G g; g], the Riesz image of a nodal dual g, as a point."""
+        return np.array((self.basis.green(g), g))
 
     def quadratic(self, u: np.ndarray, r: np.ndarray) -> float:
-        """Q = h^2 u . r, the squared energy norm."""
-        return self.h2 * float(u @ r)
+        """Q = h^2 u . r, the squared energy norm of the point [u; r]."""
+        return self.h2 * ddot(u, r)
 
     def energy(self, u: np.ndarray, Q: float) -> float:
         """The objective at the point with values u and squared energy norm Q."""
         return 0.5 * Q - self.h2 * float(np.sum(H_eval(self.p, u)))
 
     def grad(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """The nodal dual r - h(u) of the gradient. Every objective's is r plus
-        a term of u alone, grad(u, 0)."""
+        """The nodal dual r - h(u) of the gradient at the point [u; r]. Every
+        objective's is r plus a term of u alone, grad(u, 0)."""
         return r - h_eval(self.p, u)
 
     def measure(self, u: np.ndarray) -> tuple[float, float, np.ndarray]:
         """(F, ||grad F||_*^2, L u) at the values u, from r = L u made afresh:
-        Q = h^2 u . r and the dual g at (u, r), ||g||_*^2 = h^2 g . G g. The
-        descent's pair (u, r) holds r = L u only to rounding, and its own
-        gradient can fall below the rounding floor of this one, so records
-        are judged here."""
+        Q = h^2 u . r and the dual g at [u; r], ||g||_*^2 = h^2 g . G g. The
+        descent's point holds r = L u only to rounding, and its own gradient
+        can fall below the rounding floor of this one, so records are judged
+        here."""
         r = self.basis.operator(u)
         g = self.grad(u, r)
         return self.energy(u, self.quadratic(u, r)), self.h2 * float(g @ self.basis.green(g)), r
@@ -144,7 +146,7 @@ class Energy:
     def nehari_t(self, u: np.ndarray, Q: float) -> float:
         """Closed-form t > 0 with J(t u) = 0 for the power family: (Q/P)^(1/(p-1)),
         Q the squared energy norm of the point with values u."""
-        P = self.h2 * float(np.sum(np.maximum(u, 0.0) ** (self.p + 1.0)))
+        P = self.h2 * float((np.maximum(u, 0.0) ** (self.p + 1.0)).sum())
         if P <= 0.0 or Q <= 0.0:
             raise NonpositiveField("Nehari projection undefined: u+ vanishes on the grid")
         return (Q / P) ** (1.0 / (self.p - 1.0))
@@ -155,9 +157,9 @@ class Energy:
         t = self.nehari_t(u, Q)
         return t, (self.p - 1.0) / (2.0 * (self.p + 1.0)) * t * t * Q
 
-    def retract(self, u: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        t = self.nehari_t(u, self.quadratic(u, r))
-        return t * u, t * r
+    def retract(self, u: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """The point t [u; r] on the manifold, t = nehari_t(u, Q)."""
+        return self.nehari_t(u, self.quadratic(u, r)) * np.array((u, r))
 
 
 class PinnedEnergy(Energy):
@@ -239,7 +241,7 @@ class RestrictedEnergy(Energy):
     Math. Phys. 69, 1979).
 
     point and riesz apply the basis's fixed_operator and fixed_green, whose
-    values are exactly mirror-even: point(v) is (G_+ L_+ v, L_+ v), the
+    values are exactly mirror-even: point(v) is [G_+ L_+ v; L_+ v], the
     mirror-even part of v with its image under L. The gradient and every
     step built from such a point keep its values exactly even. Its pencil and
     measure are I's: the second variation of the whole space, which the
@@ -252,9 +254,9 @@ class RestrictedEnergy(Energy):
         super().__init__(basis, p)
         self.mirror = mirror
 
-    def point(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def point(self, v: np.ndarray) -> np.ndarray:
         r = self.basis.fixed_operator(v, self.mirror)
-        return self.basis.fixed_green(r, self.mirror), r
+        return np.array((self.basis.fixed_green(r, self.mirror), r))
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
-        return self.basis.fixed_green(g, self.mirror)
+        return np.array((self.basis.fixed_green(g, self.mirror), g))

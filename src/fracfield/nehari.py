@@ -9,19 +9,22 @@ step followed by the closed-form rescaling back onto M. On M the radial
 derivative of I vanishes (I'(u)[u] = J(u) = 0), so the full gradient is
 tangent to first order and the retracted step decreases energy for small
 step sizes. The descent kernel takes one objective object, a model.Energy
-or its model.PinnedEnergy, and runs on its nodal points (u, r), r =
-L u (model module docstring): it reads from the objective F at the
-retracted trial (level), the nodal gradient, the curvature E of the second
-variation and the Riesz image G g (riesz, one green), G = L^-1, and applies
-no L within a step. topology.band_saddle runs it on a model.RestrictedEnergy.
+or its model.PinnedEnergy, and runs on its nodal points, each one (2, K)
+array x = [u; r], r = L u (model module docstring): it reads from the
+objective F at the retracted trial (level), the nodal gradient, the
+curvature E of the second variation and the Riesz image [G g; g] (riesz, one
+green), G = L^-1, and applies no L within a step. Steps, directions, Riesz
+images and the L-BFGS pairs are points too, so each elementwise update is
+one numpy call on 2K values, and every dot is one BLAS ddot on two rows.
+topology.band_saddle runs it on a model.RestrictedEnergy.
 
 Residual convention: records store ||grad I||_* / (1 + |I|), where ||.||_* is
 the dual norm sqrt(h^2 g . G g) of the nodal dual g; a record is converged iff
 this quantity is <= tol. It is read at the record's values with L u made
-afresh (model.Energy.measure), not from the descent's nodal pair.
+afresh (model.Energy.measure), not from the descent's nodal point.
 
 Steps: every accepted step is a retracted trial x - t d of the point
-x = (u, r) along a direction d given as a point, with t halved up to
+x = [u; r] along a direction d given as a point, with t halved up to
 _MAX_BACKTRACKS times until the acceptance rule below passes (_line_search);
 max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
 
@@ -54,25 +57,27 @@ max_iter counts accepted steps. Three kinds are tried in turn at each iterate.
   the tangent space that is orthogonal in the energy inner product.
   CG stops at relative residual min(_CG_FORCING, sqrt(residual)), at the
   first nonpositive curvature, or after _CG_MAX_ITER products; J'(u) =
-  H (u, r) + g costs one product more, and its Riesz image one green. The
+  H x + g costs one product more, and its Riesz image one green. The
   step is tried from t = 1 and skipped when the direction is not a descent
   direction.
 - L-BFGS step along H g from t = 1 (Nocedal, Math. Comp. 35, 1980), taken
   when there is no Newton step or none of its halvings passes. H is the
   inverse Hessian that the two-loop recursion builds from the pairs (s, y)
-  of the last _LBFGS_MEMORY accepted steps, s the step and y the change of
-  the gradient along it, from the Riesz map scaled by s y / (y G y) of the
-  newest pair; each pair keeps G y, the difference of the Riesz images at
-  its ends, so the recursion applies no green. A step is kept as the sum of
-  its two terms, (t_N - 1) x - t_N t d for the retracted trial t_N (x - t d),
-  not as a difference of points: its u- and r-parts then carry rounding
-  relative to its size, and the pair (u, r) stays consistent to about
-  4e-15 where differences of points let tiny Newton steps near a saddle
-  feed 1e-12 into it. A pair is kept only when s y > 0. Off-centre starts move their bump
+  of the last _LBFGS_MEMORY accepted steps, both points: s the step and y
+  the Riesz image [G y_r; y_r] of the change y_r of the gradient along it,
+  the difference of the Riesz images at its ends, from the Riesz map scaled
+  by s y / (y G y) of the newest pair. The recursion applies no green, and
+  each of its updates of q and of the direction is one call on a point. A
+  step is kept as the sum of its two terms, (t_N - 1) x - t_N t d for the
+  retracted trial t_N (x - t d), not as a difference of points: its u- and
+  r-rows then carry rounding relative to its size, and the point [u; r]
+  stays consistent to about 4e-15 where differences of points let tiny
+  Newton steps near a saddle feed 1e-12 into it. A pair is kept only when
+  s y > 0. Off-centre starts move their bump
   to the centre along the soft translation modes of the lattice's pinning
   landscape, and the pairs keep the curvature along them. When none of its
   halvings passes, the memory is cleared.
-- Gradient step along the Riesz image (G g, g), from t = 1/max(1, ||g||_*): the first step,
+- Gradient step along the Riesz image [G g; g], from t = 1/max(1, ||g||_*): the first step,
   and the step after the memory is cleared. When none of its halvings
   passes either, the descent stops.
 
@@ -106,6 +111,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import ddot
 
 from .domain import build_domain
 from .errors import AllStartsFailed, NonmonotoneLevels, NonpositiveField
@@ -200,190 +206,180 @@ def ground_state(
     energy.basis.check_same_domain(seed.dom)
     if not np.any(seed.values > 0.0):
         raise NonpositiveField("field has no positive part on the grid")
-    u, _, F, residual, iterations = _retracted_descent(energy, *energy.point(seed.values), tol,
-                                                       max_iter)
-    return _solution_record(u, F, residual, tol, seed_tag, iterations)
+    x, F, residual, iterations = _retracted_descent(energy, energy.point(seed.values), tol,
+                                                    max_iter)
+    return _solution_record(Field(energy.basis.dom, x[0]), F, residual, tol, seed_tag, iterations)
 
 
 def _retracted_descent(
-    obj: Energy, u: np.ndarray, r: np.ndarray, tol: float, max_iter: int,
-) -> tuple[Field, np.ndarray, float, float, int]:
+    obj: Energy, x: np.ndarray, tol: float, max_iter: int,
+) -> tuple[np.ndarray, float, float, int]:
     """The one descent on the Nehari manifold of the objective F: from the
-    nodal point (u, r), (u, r, F, residual, iterations) at its end, with u
-    as a Field.
+    nodal point x = [u; r], (x, F, residual, iterations) at its end.
 
-    Retract (u, r), then take the module docstring's Newton, L-BFGS or scaled
+    Retract x, then take the module docstring's Newton, L-BFGS or scaled
     gradient steps until the residual is at most tol, max_iter steps are
     taken, or no step is accepted. The F and residual returned are
     obj.measure's, read at the end point's values with L u made afresh: the
-    pair carries its r only to rounding, and its own residual can fall below
-    the rounding floor of the true one. Where the pair's residual passes
+    point carries its r only to rounding, and its own residual can fall below
+    the rounding floor of the true one. Where the point's residual passes
     tol, or no step is accepted, and the measured residual is above tol, the
-    descent goes on from (u, L u), as long as that residual drops by the
+    descent goes on from [u; L u], as long as that residual drops by the
     factor 1 - _ARMIJO between such readings.
     obj.level runs at every trial point; obj.grad and obj.riesz (one green)
     at accepted points and at trials the rounding case of the acceptance
-    rule judges; obj.curvature(u) for the Newton step. Every direction is a linear combination of gradients, their
-    Riesz images and steps, so a point that obj keeps in a subspace, with
-    gradients and Riesz images in it, stays there.
+    rule judges; obj.curvature(u) for the Newton step. Every direction is a
+    linear combination of gradients, their Riesz images and steps, so a
+    point that obj keeps in a subspace, with gradients and Riesz images in
+    it, stays there.
     """
-    t, F = obj.level(u, obj.quadratic(u, r))
-    u, r = t * u, t * r
-    g = obj.grad(u, r)
-    gg = obj.riesz(g)
-    gd = obj.h2 * float(g @ gg)
+    t, F = obj.level(x[0], obj.quadratic(*x))
+    x = t * x
+    gp = obj.riesz(obj.grad(*x))  # [G g; g], the Riesz image of the gradient g
+    gd = obj.h2 * ddot(gp[1], gp[0])
 
     newton_gate = math.sqrt(tol)
     memory = _LBFGSMemory()
     iterations = products = 0
     at_floor = False
-    read = math.inf  # ||grad F||_*^2 measured where the pair was last re-read
+    read = math.inf  # ||grad F||_*^2 measured where the point was last re-read
     for _ in range(max_iter):
         residual = _residual(gd, F)
         trial = None
         if residual > tol:
             if (iterations >= _NEWTON_AFTER and residual <= newton_gate and products < max_iter
                     and not at_floor):
-                newton, used = _newton_direction(obj, u, r, g, gg, obj.curvature(u), residual)
+                newton, used = _newton_direction(obj, x, gp, obj.curvature(x[0]), residual)
                 products += used
                 if newton is not None:
-                    du, dr = newton
-                    trial = _line_search(obj, u, r, -du, -dr, 1.0, F, -obj.h2 * float(g @ du),
-                                         gd)
-                    at_floor = trial is not None and abs(trial[2] - F) <= _rounding_allowance(F)
+                    trial = _line_search(obj, x, -newton, 1.0, F,
+                                         -obj.h2 * ddot(gp[1], newton[0]), gd)
+                    at_floor = trial is not None and abs(trial[1] - F) <= _rounding_allowance(F)
             if trial is None and memory:
-                du, dr = memory.direction(g, gg)
-                trial = _line_search(obj, u, r, du, dr, 1.0, F, obj.h2 * float(g @ du), gd)
+                d = memory.direction(gp)
+                trial = _line_search(obj, x, d, 1.0, F, obj.h2 * ddot(gp[1], d[0]), gd)
                 if trial is None:
                     memory.clear()
             if trial is None:
-                trial = _line_search(obj, u, r, gg, g, 1.0 / max(1.0, math.sqrt(gd)), F, gd, gd)
+                trial = _line_search(obj, x, gp, 1.0 / max(1.0, math.sqrt(gd)), F, gd, gd)
         if trial is None:
-            # the pair's residual passed tol or no step passes: measure the
-            # point with r made afresh, and go on from (u, L u) while that
-            # residual is above tol and drops between readings
-            F_c, gd_c, r_c = obj.measure(u)
+            # the point's residual passed tol or no step passes: measure it
+            # with r made afresh, and go on from [u; L u] while that residual
+            # is above tol and drops between readings
+            F_c, gd_c, r_c = obj.measure(x[0])
             if _residual(gd_c, F_c) <= tol or gd_c > (1.0 - _ARMIJO) * read:
-                return Field(obj.basis.dom, u), r, F_c, _residual(gd_c, F_c), iterations
+                return x, F_c, _residual(gd_c, F_c), iterations
             read = gd_c
-            r = r_c
-            F, g = F_c, obj.grad(u, r)
-            gg = obj.riesz(g)
-            gd = obj.h2 * float(g @ gg)
+            x = np.array((x[0], r_c))
+            F, gp = F_c, obj.riesz(obj.grad(*x))
+            gd = obj.h2 * ddot(gp[1], gp[0])
             continue
-        s_u, s_r, F, new_g, new_gg = trial
-        u, r = u + s_u, r + s_r
-        if new_g is None:
-            new_g = obj.grad(u, r)
-            new_gg = obj.riesz(new_g)
-        memory.store(s_u, s_r, new_g - g, new_gg - gg)
-        g, gg = new_g, new_gg
-        gd = obj.h2 * float(g @ gg)
+        step, F, new_gp = trial
+        x = x + step
+        if new_gp is None:
+            new_gp = obj.riesz(obj.grad(*x))
+        memory.store(step, new_gp - gp)
+        gp = new_gp
+        gd = obj.h2 * ddot(gp[1], gp[0])
         iterations += 1
-    F, gd, _ = obj.measure(u)
-    return Field(obj.basis.dom, u), r, F, _residual(gd, F), iterations
+    F, gd, _ = obj.measure(x[0])
+    return x, F, _residual(gd, F), iterations
 
 
 class _LBFGSMemory:
     """The curvature pairs of the last _LBFGS_MEMORY accepted steps, oldest
-    first, as (s_u, s_r, y, Gy, s y): s the step as a point, y the change of
-    the gradient along it (a dual) and Gy the u-part of y's Riesz image, and
-    the L-BFGS direction they define (Nocedal, Math. Comp. 35, 1980). The
-    pairings here drop the common factor h^2, which cancels in every ratio."""
+    first, as points (s, y, s y): s the step, y = [G y_r; y_r] the Riesz
+    image of the change y_r of the gradient along it (a dual), and the
+    L-BFGS direction they define (Nocedal, Math. Comp. 35, 1980). The
+    pairings here drop the common factor h^2, which cancels in every ratio:
+    s y is s_u . y_r."""
 
     def __init__(self):
-        self.pairs: deque[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, float]] = deque(
-            maxlen=_LBFGS_MEMORY)
+        self.pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=_LBFGS_MEMORY)
 
     def __len__(self) -> int:
         return len(self.pairs)
 
-    def store(self, s_u: np.ndarray, s_r: np.ndarray, y: np.ndarray, gy: np.ndarray) -> None:
+    def store(self, s: np.ndarray, y: np.ndarray) -> None:
         """Keep the pair only when s y > 0, which keeps the inverse Hessian positive definite."""
-        sy = float(s_u @ y)
+        sy = ddot(s[0], y[1])
         if sy > 0.0:
-            self.pairs.append((s_u, s_r, y, gy, sy))
+            self.pairs.append((s, y, sy))
 
     def clear(self) -> None:
         self.pairs.clear()
 
-    def direction(self, g: np.ndarray, gg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def direction(self, gp: np.ndarray) -> np.ndarray:
         """H g as a point, by the two-loop recursion over the pairs from the
         initial inverse Hessian, the Riesz map scaled by s y / (y G y) of the
-        newest pair; gg = G g. The Riesz image of q = g - sum a y is
-        (gg - sum a Gy, q), so the recursion applies no green."""
-        q, gq = g, gg
+        newest pair; gp = [G g; g]. The Riesz image of q = g - sum a y_r is
+        gp - sum a y, so the recursion applies no green, and each update of
+        q or of the direction is one call on both rows."""
+        q = gp
         alphas = []
-        for s_u, _, y, gy, sy in reversed(self.pairs):
-            a = float(s_u @ q) / sy
-            q, gq = q - a * y, gq - a * gy
+        for s, y, sy in reversed(self.pairs):
+            a = ddot(s[0], q[1]) / sy
+            q = q - a * y
             alphas.append(a)
-        _, _, y, gy, sy = self.pairs[-1]
-        scale = sy / float(y @ gy)
-        d_u, d_r = scale * gq, scale * q
-        for (s_u, s_r, y, _, sy), a in zip(self.pairs, reversed(alphas)):
-            b = a - float(y @ d_u) / sy
-            d_u += b * s_u
-            d_r += b * s_r
-        return d_u, d_r
+        _, y, sy = self.pairs[-1]
+        d = (sy / ddot(y[1], y[0])) * q
+        for (s, y, sy), a in zip(self.pairs, reversed(alphas)):
+            d += (a - ddot(y[1], d[0]) / sy) * s
+        return d
 
 
 def _newton_direction(
-    obj: Energy, u: np.ndarray, r: np.ndarray, g: np.ndarray, gg: np.ndarray,
-    E: Callable[[np.ndarray], np.ndarray], residual: float,
-) -> tuple[tuple[np.ndarray, np.ndarray] | None, int]:
+    obj: Energy, x: np.ndarray, gp: np.ndarray, E: Callable[[np.ndarray], np.ndarray],
+    residual: float,
+) -> tuple[np.ndarray | None, int]:
     """(y, products): the Newton direction y of the module docstring at the
-    point (u, r), as a point, or None, and the number of Hessian products it
-    took; gg = G g.
+    point x = [u; r], as a point, or None, and the number of Hessian products
+    it took; gp = [G g; g].
 
     Projected preconditioned CG from y = 0 on H y = -g, H v = v_r - E v_u:
     every CG direction is projected onto the tangent space {y : a y = 0},
-    a = J'(u) = H (u, r) + g, orthogonally in the energy inner product
+    a = J'(u) = H x + g, orthogonally in the energy inner product
     h^2 v_u . w_r, so the iterates stay in it; y is
     projected once more against drift. The preconditioner is the Riesz map,
     one green per iteration. None when y is not a descent direction
     (g y >= 0), as when the first curvature is nonpositive.
     """
-    def hess(v_u: np.ndarray, v_r: np.ndarray) -> np.ndarray:
-        return v_r - E(v_u)
+    def hess(v: np.ndarray) -> np.ndarray:
+        return v[1] - E(v[0])
 
-    a = hess(u, r) + g
-    ga = obj.riesz(a)
-    a_ga = float(a @ ga)
+    a = hess(x) + gp[1]
+    ap = obj.riesz(a)
+    a_ga = ddot(a, ap[0])
 
-    def project(res: np.ndarray, gres: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The Riesz image (gres, res) of res, projected onto the tangent space
-        orthogonally in the energy inner product."""
-        k = float(a @ gres) / a_ga
-        return gres - k * ga, res - k * a
+    def project(rp: np.ndarray) -> np.ndarray:
+        """The Riesz image rp = [G res; res] of res, projected onto the tangent
+        space orthogonally in the energy inner product."""
+        return rp - (ddot(a, rp[0]) / a_ga) * ap
 
-    y_u, y_r = np.zeros_like(u), np.zeros_like(r)
-    res = g.copy()
-    z_u, z_r = project(res, gg)
-    rz = float(res @ z_u)
+    y = np.zeros_like(x)
+    res = gp[1].copy()
+    z = project(gp)
+    rz = ddot(res, z[0])
     rz_stop = min(_CG_FORCING, math.sqrt(residual)) ** 2 * rz
-    p_u, p_r = -z_u, -z_r
+    p = -z
     products = 1
     for _ in range(_CG_MAX_ITER):
-        hp = hess(p_u, p_r)
+        hp = hess(p)
         products += 1
-        curvature = float(p_u @ hp)
+        curvature = ddot(p[0], hp)
         if curvature <= 0.0:
             break
         alpha = rz / curvature
-        y_u += alpha * p_u
-        y_r += alpha * p_r
+        y += alpha * p
         res += alpha * hp
-        z_u, z_r = project(res, obj.riesz(res))
-        rz_new = float(res @ z_u)
+        z = project(obj.riesz(res))
+        rz_new = ddot(res, z[0])
         if rz_new <= rz_stop:
             break
-        beta = rz_new / rz
-        p_u, p_r = beta * p_u - z_u, beta * p_r - z_r
+        p = (rz_new / rz) * p - z
         rz = rz_new
-    k = float(a @ y_u) / a_ga
-    y_u, y_r = y_u - k * ga, y_r - k * a
-    return ((y_u, y_r) if float(g @ y_u) < 0.0 else None), products
+    y = y - (ddot(a, y[0]) / a_ga) * ap
+    return (y if ddot(gp[1], y[0]) < 0.0 else None), products
 
 
 def _residual(gd: float, F: float) -> float:
@@ -397,20 +393,23 @@ def _rounding_allowance(F: float) -> float:
 
 
 def _line_search(
-    obj: Energy, u: np.ndarray, r: np.ndarray, du: np.ndarray, dr: np.ndarray, t: float,
-    F: float, slope: float, gd: float,
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray | None, np.ndarray | None] | None:
-    """First retracted trial (u, r) - t (du, dr) over halvings of t that the module
-    docstring's acceptance rule passes, as (u, r, F, g, G g), or None when none does.
+    obj: Energy, x: np.ndarray, d: np.ndarray, t: float, F: float, slope: float, gd: float,
+) -> tuple[np.ndarray, float, np.ndarray | None] | None:
+    """First retracted trial x - t d over halvings of t that the module
+    docstring's acceptance rule passes, as (step, F, [G g; g]), or None when
+    none does; x = [u; r] and d = [du; dr] are points.
 
-    slope = <g, d> and gd = ||g||_*^2 at (u, r). The trial's Q is
+    slope = <g, d> and gd = ||g||_*^2 at x. The trial's Q is
     h^2 (u.r - t (u.dr + du.r) + t^2 du.dr), from three dot products taken
-    once, and obj.level gives its F from Q and the trial's values. g and G g
-    are the gradient at the trial and its Riesz image when the rule's
-    rounding case computed them, else None.
+    once, and obj.level gives its F from Q and the trial's values. The step
+    is the point from x to the retracted trial. [G g; g] is the Riesz image
+    of the gradient g at the trial when the rule's rounding case computed
+    it, else None.
     """
     allowance = _rounding_allowance(F)
-    ur, cross, dd = float(u @ r), float(u @ dr) + float(du @ r), float(du @ dr)
+    u, r = x
+    du, dr = d
+    ur, cross, dd = ddot(u, r), ddot(u, dr) + ddot(du, r), ddot(du, dr)
     for _ in range(_MAX_BACKTRACKS):
         ut = u - t * du
         try:
@@ -420,15 +419,14 @@ def _line_search(
             continue
         armijo = F_new < F and F_new <= F - _ARMIJO * t * slope
         if armijo or abs(F_new - F) <= allowance:
-            # the step to the retracted trial s (u - t d), from its two terms,
-            # so that its u- and r-parts carry rounding relative to its size
-            step = (s - 1.0) * u - (s * t) * du, (s - 1.0) * r - (s * t) * dr
+            # the step to the retracted trial s (x - t d), from its two terms,
+            # so that it carries rounding relative to its size
+            step = (s - 1.0) * x - (s * t) * d
             if armijo:
-                return *step, F_new, None, None
-            g = obj.grad(u + step[0], r + step[1])
-            gg = obj.riesz(g)
-            if obj.h2 * float(g @ gg) <= (1.0 - _ARMIJO) * gd:
-                return *step, F_new, g, gg
+                return step, F_new, None
+            gp = obj.riesz(obj.grad(*(x + step)))
+            if obj.h2 * ddot(gp[1], gp[0]) <= (1.0 - _ARMIJO) * gd:
+                return step, F_new, gp
         t *= 0.5
     return None
 

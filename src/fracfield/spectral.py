@@ -183,11 +183,14 @@ class SpectralBasis:
         return self._apply(self.green_blocks, x, self.frame_signs[:, mirror] == 1)
 
     def _apply(self, blocks: list[np.ndarray], x: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        """Q blockdiag(B_b) Q^T x over the frames kept marks; the others contribute exact zeros."""
+        """Q blockdiag(B_b) Q^T x over the frames kept marks, each kept block's
+        dsymv written into its rows of one output; the others stay exact zeros."""
         y = self._frame_t @ x
-        return self.frame @ np.concatenate([
-            scipy.linalg.blas.dsymv(1.0, B, y[lo:hi]) if keep else np.zeros(hi - lo)
-            for B, (lo, hi), keep in zip(blocks, self._bounds, kept)])
+        out = np.zeros(self.K)
+        for B, (lo, hi), keep in zip(blocks, self._bounds, kept):
+            if keep:
+                scipy.linalg.blas.dsymv(1.0, B, y[lo:hi], y=out[lo:hi], overwrite_y=1)
+        return self.frame @ out
 
     def check_same_domain(self, other_dom: GridDomain) -> None:
         if other_dom.content_hash != self.dom.content_hash:

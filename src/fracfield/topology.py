@@ -224,25 +224,24 @@ class AnnulusLevelReport:
     rho_schedule: tuple[float, ...]
 
 
-def _saddle_escape(obj: PinnedEnergy, u: np.ndarray,
-                   r: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _saddle_escape(obj: PinnedEnergy, x: np.ndarray) -> np.ndarray | None:
     """The escape step, as a nodal point, from the pinned objective's converged
-    point (u, r) when it is a saddle of F, else None.
+    point x = [u; r] when it is a saddle of F, else None.
 
     The two smallest theta of F's Hessian pencil (L - E) y = theta L y there,
     by morse's Lanczos: the first is the ray's, negative at every point of the
     manifold, and a second one below -morse.DEFAULT_EPS_NULL makes the point
     a saddle on the manifold, as hessian_spectrum would count it. The step is
-    _ESCAPE_SIZE sqrt(Q) times the point (y, L y) of the second eigenvector
+    _ESCAPE_SIZE sqrt(Q) times the point [y; L y] of the second eigenvector
     y, whose h^2 y^T L y is 1, signed so that its largest-magnitude value is
     positive.
     """
-    ev, vecs = _smallest_eigenpairs(obj, u, 2, vectors=True)
+    ev, vecs = _smallest_eigenpairs(obj, x[0], 2, vectors=True)
     if ev[1] >= -DEFAULT_EPS_NULL:
         return None
     y = vecs[:, 1]
     y = y if y[np.argmax(np.abs(y))] > 0.0 else -y
-    return obj.point(_ESCAPE_SIZE * math.sqrt(obj.quadratic(u, r)) * y)
+    return obj.point(_ESCAPE_SIZE * math.sqrt(obj.quadratic(*x)) * y)
 
 
 def annulus_level(
@@ -289,8 +288,8 @@ def annulus_level(
         width = (dom.params["R"] - dom.params["r"]) * dom.lam / 3.0
         seed = Field(dom, np.exp(-((rr - mid) ** 2) / (2.0 * width * width)))
     basis.check_same_domain(seed.dom)
-    v, r = energy.retract(*energy.point(seed.values))
-    e_typ = energy.energy(v, energy.quadratic(v, r))
+    x = energy.retract(*energy.point(seed.values))
+    e_typ = energy.energy(x[0], energy.quadratic(*x))
     length = dom.lam * dom.params["r"]
     rhos = tuple(m * abs(e_typ) / length**2 for m in _RHO_MULTIPLIERS)
 
@@ -298,14 +297,13 @@ def annulus_level(
     unchecked: EigSolveFailure | None = None
     for rho in rhos:
         pinned = PinnedEnergy(basis, energy.p, rho, target)
-        u, r, _, residual, its = _retracted_descent(pinned, v, r, tol, max_iter)
-        v = u.values
+        x, _, residual, its = _retracted_descent(pinned, x, tol, max_iter)
         iterations += its
         if residual > tol:
             break  # an unconverged stage ends the continuation
     while residual <= tol:
         try:
-            step = _saddle_escape(pinned, v, r)
+            step = _saddle_escape(pinned, x)
         except EigSolveFailure as exc:
             unchecked = exc
             break
@@ -316,14 +314,12 @@ def annulus_level(
                 f"stage rho={rho:.3g} still ends at a saddle after {escapes} escapes"
             )
         escapes += 1
-        u, r, _, residual, its = _retracted_descent(pinned, v + step[0], r + step[1], tol,
-                                                    max_iter)
-        v = u.values
+        x, _, residual, its = _retracted_descent(pinned, x + step, tol, max_iter)
         iterations += its
 
     # the level is I's; the residual is the last stage's, of the pinned objective
-    record = _solution_record(u, energy.measure(u.values)[0], residual, tol, "ring-penalty",
-                              iterations)
+    record = _solution_record(Field(dom, x[0]), energy.measure(x[0])[0], residual, tol,
+                              "ring-penalty", iterations)
     beta = np.array(record.barycenter)
     dist = float(np.sqrt(((beta - target) ** 2).sum()))
     if dist > 2.0 * dom.h:
@@ -538,6 +534,7 @@ def band_saddle(
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
                          "u and its image would be one state")
     obj = RestrictedEnergy(basis, energy.p, mirror)
-    v, _, F, residual, steps = _retracted_descent(obj, *obj.point(u.values), tol, max_iter)
-    rec = _solution_record(v, F, residual, tol, f"mirror-{'xy'[mirror]}-fixed", steps)
+    x, F, residual, steps = _retracted_descent(obj, obj.point(u.values), tol, max_iter)
+    rec = _solution_record(Field(basis.dom, x[0]), F, residual, tol,
+                           f"mirror-{'xy'[mirror]}-fixed", steps)
     return SaddleReport(saddle=rec, sweeps=steps)

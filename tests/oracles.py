@@ -7,7 +7,8 @@ eigenvectors kept, the Nehari scale by bracketing a root of
 J(t u) instead of its closed form, the radial symmetry of a field by
 averaging over exact grid radii, and the profile ODE by finite differences
 of the profile's derivative, and the mask-preserving grid maps by looking up
-node coordinates instead of by grid index arithmetic. The rest are
+node coordinates instead of by grid index arithmetic, and the L-BFGS
+direction by the dense BFGS updates instead of the two-loop recursion. The rest are
 measurements the package has no use for: a domain's diameter and a table of
 profile samples. The coefficient forms at the end are views on that phi, not
 oracles: they read the package's nodal energy, gradient and curvature at a
@@ -202,6 +203,27 @@ def energy_at(energy, c: np.ndarray) -> float:
     """The objective at the point with coefficients c."""
     u, r = energy.point(dense_phi(energy.basis) @ c)
     return energy.energy(u, energy.quadratic(u, r))
+
+
+def dense_lbfgs_inverse_hessian(basis: SpectralBasis,
+                                pairs: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The dense inverse Hessian H that the L-BFGS two-loop recursion applies
+    to a nodal dual, from pairs (s, y), oldest first: s a step's values and y
+    the change of the nodal gradient along it.
+
+    H starts from gamma G, G = h^2 phi W^-1 phi^T from the dense phi and
+    gamma = s.y / y.G y of the newest pair, and takes the BFGS update
+    H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T, rho = 1 / s.y, for
+    each pair in turn, in the pairing that drops the factor h^2.
+    """
+    phi = dense_phi(basis)
+    G = basis.dom.h**2 * (phi / weights(basis)) @ phi.T
+    s, y = pairs[-1]
+    H = (s @ y) / (y @ G @ y) * G
+    for s, y in pairs:
+        V = np.eye(s.size) - np.outer(y, s) / (s @ y)
+        H = V.T @ H @ V + np.outer(s, s) / (s @ y)
+    return H
 
 
 def coefficient_grad(energy, c: np.ndarray) -> np.ndarray:

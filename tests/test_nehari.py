@@ -34,7 +34,14 @@ from fracfield.nehari import (
 )
 from fracfield.spectral import Field, SpectralBasis, assemble_and_decompose
 from fracfield.topology import annulus_level, symmetry_group
-from oracles import coefficients, dense_phi, nehari_scale_root, synthesize, weights
+from oracles import (
+    coefficients,
+    dense_lbfgs_inverse_hessian,
+    dense_phi,
+    nehari_scale_root,
+    synthesize,
+    weights,
+)
 
 P = 2.0
 
@@ -61,7 +68,7 @@ def _accepted_values():
     def recorded(*args):
         trial = line_search(*args)
         if trial is not None:
-            accepted.append(trial[2])
+            accepted.append(trial[1])
         return trial
 
     with pytest.MonkeyPatch.context() as mp:
@@ -213,7 +220,7 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     rho = annulus_level(Energy(annulus4, P)).rho_schedule[0]
     pinned = PinnedEnergy(annulus4, P, rho, np.zeros(2))
     with _accepted_values() as pen_trace:
-        u, _, _, _, its = nehari._retracted_descent(pinned, *pinned.point(ring), 1e-8, 20000)
+        x, _, _, its = nehari._retracted_descent(pinned, pinned.point(ring), 1e-8, 20000)
     assert len(pen_trace) == its > 0
     # accepted values never rise here; a few late steps may leave F unchanged
     # in the last bit, accepted by the rounding case of the acceptance rule
@@ -221,7 +228,7 @@ def test_ground_state_descends_from_seed_projection(disk_basis, disk_ground, ann
     assert np.all(np.diff(pen_trace) <= 0)
     assert pen_trace[-1] < pen_trace[0]
 
-    for basis, u in ((disk_basis, rec.u), (annulus4, u)):
+    for basis, u in ((disk_basis, rec.u), (annulus4, Field(dom, x[0]))):
         assert abs(_j(basis, u)) <= 1e-12 * _q(basis, u)
 
 
@@ -277,10 +284,10 @@ def test_floor_step_finishes_stalled_start(unblocked_basis, lapack, monkeypatch)
     line_search = nehari._line_search
     rises: list[float] = []
 
-    def recorded(obj, u, r, du, dr, t, F, *rest):
-        trial = line_search(obj, u, r, du, dr, t, F, *rest)
-        if trial is not None and trial[3] is not None:
-            rises.append((trial[2] - F) / (64 * np.finfo(float).eps * max(abs(F), 1.0)))
+    def recorded(obj, x, d, t, F, *rest):
+        trial = line_search(obj, x, d, t, F, *rest)
+        if trial is not None and trial[2] is not None:
+            rises.append((trial[1] - F) / (64 * np.finfo(float).eps * max(abs(F), 1.0)))
         return trial
 
     monkeypatch.setattr(nehari, "_line_search", recorded)
@@ -301,16 +308,18 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
     # factor 1 - _ARMIJO refuses.
     # Each accepted trial is recomputed here from the line search's inputs:
     # its halving t, F and the gradients at both ends. A trial's F is the
-    # objective at the retraction of (u, r) - t (du, dr), from the trial's
-    # values and its Q, which the line search expands in t
+    # objective at the retraction of x - t d, x = [u; r] and d = [du; dr],
+    # from the trial's values and its Q, which the line search expands in t
     line_search = nehari._line_search
     cases: list[str] = []
 
-    def checked(obj, u, r, du, dr, t, F, slope, gd):
-        trial = line_search(obj, u, r, du, dr, t, F, slope, gd)
+    def checked(obj, x, d, t, F, slope, gd):
+        trial = line_search(obj, x, d, t, F, slope, gd)
         if trial is None:
             return trial
-        s_u, s_r, F_new, g_new, _ = trial
+        (s_u, s_r), F_new, riesz_new = trial
+        g_new = None if riesz_new is None else riesz_new[1]
+        (u, r), (du, dr) = x, d
         g = obj.grad(u, r)
         ur, cross, dd = float(u @ r), float(u @ dr) + float(du @ r), float(du @ dr)
         for _ in range(nehari._MAX_BACKTRACKS):
@@ -332,7 +341,7 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
             g1 = obj.grad(new_u, new_r)
             assert g_new is not None and np.array_equal(g_new, g1)
             assert abs(F_new - F) <= 64 * np.finfo(float).eps * max(abs(F), 1.0)
-            assert float(g1 @ obj.riesz(g1)) <= (1.0 - 1e-4) * float(g @ obj.riesz(g))
+            assert float(g1 @ obj.riesz(g1)[0]) <= (1.0 - 1e-4) * float(g @ obj.riesz(g)[0])
             cases.append("rounding")
         return trial
 
@@ -343,7 +352,7 @@ def test_every_accepted_step_passes_the_acceptance_rule(annulus4, descent):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nehari, "_line_search", checked)
             pinned = PinnedEnergy(annulus4, P, rho, np.zeros(2))
-            *_, its = nehari._retracted_descent(pinned, *pinned.point(ring), 1e-8, 20000)
+            *_, its = nehari._retracted_descent(pinned, pinned.point(ring), 1e-8, 20000)
     else:
         angle = np.pi / 8
         with pytest.MonkeyPatch.context() as mp:
@@ -403,13 +412,13 @@ def test_newton_products_are_capped_at_max_iter(disk_basis, disk_ground, monkeyp
             return E
 
     monkeypatch.setattr(nehari, "_line_search",
-                        lambda obj, u, r, du, dr, t, F, slope, gd: (0 * u, 0 * r, F, None, None))
+                        lambda obj, x, d, t, F, slope, gd: (0 * x, F, None))
     spent = []
     for max_iter in (50, 200):
         products = 0
         concave = Concave(disk_basis, P)
         *_, residual, its = nehari._retracted_descent(
-            concave, *concave.point(rec.u.values), 1e-16, max_iter)
+            concave, concave.point(rec.u.values), 1e-16, max_iter)
         assert residual > 1e-16
         assert its == max_iter
         assert max_iter <= products <= max_iter + nehari._CG_MAX_ITER + 1
@@ -435,7 +444,7 @@ def test_newton_is_not_retried_at_the_rounding_floor(disk_basis, disk_ground, mo
     monkeypatch.setattr(nehari, "_newton_direction", counted)
     e = Energy(disk_basis, P)
     *_, residual, its = nehari._retracted_descent(
-        e, *e.point(disk_ground[0].u.values), 1e-30, 20000)
+        e, e.point(disk_ground[0].u.values), 1e-30, 20000)
     assert residual > 1e-18
     assert its > nehari._NEWTON_AFTER
     assert calls == 1
@@ -445,11 +454,12 @@ def test_newton_direction_is_tangent_and_descends(disk_basis):
     e = Energy(disk_basis, P)
     phi = dense_phi(e.basis)
     for center, width in (((0.0, 0.0), 0.4), ((0.3, -0.2), 0.25)):
-        values, r = e.retract(*e.point(gaussian_bump_seed(disk_basis, center, width).values))
+        x = e.retract(*e.point(gaussian_bump_seed(disk_basis, center, width).values))
+        values, r = x
         g = e.grad(values, r)
         gg = e.riesz(g)
-        residual = _residual(e.h2 * float(g @ gg), e.energy(values, e.quadratic(values, r)))
-        y, _ = _newton_direction(e, values, r, g, gg, e.curvature(values), residual)
+        residual = _residual(e.h2 * float(g @ gg[0]), e.energy(values, e.quadratic(values, r)))
+        y, _ = _newton_direction(e, x, gg, e.curvature(values), residual)
         assert y is not None
         # in coefficients, J'(c) from J = Q - h^2 sum (u+)^3, not from the
         # H (u, r) + g the solver uses
@@ -500,7 +510,7 @@ def test_lbfgs_memory_keeps_pairs_of_positive_curvature(disk_basis):
     # _LBFGS_MEMORY pairs; the direction meets the secant equation H y = s
     # of the newest pair and is a descent direction
     # (pairs given in coefficients on the dense phi: the step s as the point
-    # of phi s, the gradient change y as the dual phi y with its Riesz image)
+    # of phi s, the gradient change y as the Riesz image of the dual phi y)
     e = Energy(disk_basis, P)
     phi, w = dense_phi(disk_basis), weights(disk_basis)
     rng = np.random.default_rng(5)
@@ -508,7 +518,7 @@ def test_lbfgs_memory_keeps_pairs_of_positive_curvature(disk_basis):
 
     def store(s, y):
         dual = phi @ y
-        memory.store(*e.point(phi @ s), dual, e.riesz(dual))
+        memory.store(e.point(phi @ s), e.riesz(dual))
 
     s = rng.standard_normal(disk_basis.K)
     for y in (-s, np.zeros_like(s), -w * s):
@@ -522,16 +532,49 @@ def test_lbfgs_memory_keeps_pairs_of_positive_curvature(disk_basis):
         pairs.append((s, y))
     store(s, -y)
     assert len(memory) == nehari._LBFGS_MEMORY
-    assert all(np.array_equal(kept[0], phi @ s) for kept, (s, _) in
+    assert all(np.array_equal(kept[0][0], phi @ s) for kept, (s, _) in
                zip(memory.pairs, pairs[-nehari._LBFGS_MEMORY:]))
     assert all(sy > 0.0 for *_, sy in memory.pairs)
     s, y = pairs[-1]
     dual = phi @ y
-    d_u, _ = memory.direction(dual, e.riesz(dual))
+    d_u, _ = memory.direction(e.riesz(dual))
     s_u = phi @ s
     assert np.linalg.norm(d_u - s_u) <= 1e-10 * np.linalg.norm(s_u)
     g = phi @ rng.standard_normal(disk_basis.K)
-    assert float(g @ memory.direction(g, e.riesz(g))[0]) > 0.0
+    assert float(g @ memory.direction(e.riesz(g))[0]) > 0.0
+
+
+def test_lbfgs_direction_matches_the_dense_bfgs_inverse_hessian(disk_basis):
+    # the two-loop recursion against the dense inverse Hessian its pairs
+    # define, after 1, 3 and 8 stores, after 11 (the memory has dropped its
+    # oldest 3) and after a clear and 2 more; the direction's r-row is L H g,
+    # as each step's is L s
+    e = Energy(disk_basis, P)
+    phi, w = dense_phi(disk_basis), weights(disk_basis)
+    L = e.h2 * (phi * w) @ phi.T
+    rng = np.random.default_rng(11)
+    memory = nehari._LBFGSMemory()
+    stored: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def store(n):
+        for _ in range(n):
+            s = rng.standard_normal(disk_basis.K)
+            y = phi @ (w * s + 0.1 * rng.standard_normal(disk_basis.K))
+            memory.store(e.point(phi @ s), e.riesz(y))
+            stored.append((phi @ s, y))
+
+    for n, clear in ((1, False), (2, False), (5, False), (3, False), (2, True)):
+        if clear:
+            memory.clear()
+            stored.clear()
+        store(n)
+        kept = stored[-nehari._LBFGS_MEMORY:]
+        assert len(memory) == len(kept)
+        g = phi @ rng.standard_normal(disk_basis.K)
+        d = memory.direction(e.riesz(g))
+        Hg = dense_lbfgs_inverse_hessian(disk_basis, kept) @ g
+        assert np.linalg.norm(d[0] - Hg) <= 1e-12 * np.linalg.norm(Hg)
+        assert np.linalg.norm(d[1] - L @ Hg) <= 1e-12 * np.linalg.norm(L @ Hg)
 
 
 @pytest.mark.parametrize("gradient_step", ["accepted", "rejected"])
@@ -548,23 +591,23 @@ def test_rejected_lbfgs_direction_clears_memory(disk_basis, monkeypatch, gradien
     line_search = nehari._line_search
     events: list[tuple] = []
 
-    def spied_direction(self, g, gg):
+    def spied_direction(self, gp):
         events.append(("lbfgs", len(self)))
-        return direction(self, g, gg)
+        return direction(self, gp)
 
-    def spied_search(obj, u, r, du, dr, t, F, slope, gd):
+    def spied_search(obj, x, d, t, F, slope, gd):
         last = events[-1][0] if events else None
         refused = ((last == "lbfgs" and sum(ev[0] == "lbfgs" for ev in events) == 3)
                    or (last == "refused" and gradient_step == "rejected"))
-        trial = None if refused else line_search(obj, u, r, du, dr, t, F, slope, gd)
-        events.append(("refused" if refused else "search", du, t, gd, obj.grad(u, r),
+        trial = None if refused else line_search(obj, x, d, t, F, slope, gd)
+        events.append(("refused" if refused else "search", d, t, gd, obj.grad(*x),
                        trial is not None))
         return trial
 
     monkeypatch.setattr(nehari._LBFGSMemory, "direction", spied_direction)
     monkeypatch.setattr(nehari, "_line_search", spied_search)
     seed = gaussian_bump_seed(disk_basis, (0.3, -0.2), 0.25)
-    *_, its = nehari._retracted_descent(e, *e.point(seed.values), 1e-8, 20000)
+    *_, its = nehari._retracted_descent(e, e.point(seed.values), 1e-8, 20000)
 
     refused = [i for i, ev in enumerate(events) if ev[0] == "refused"]
     first = refused[0]
@@ -595,25 +638,26 @@ def test_restricted_descent_keeps_odd_coefficients_zero_past_the_memory(annulus4
                  if np.array_equal(x[p], x * np.array([-1.0, 1.0]))]
     seed = gaussian_bump_seed(annulus4, (1.0, 2.6), 0.8)
     line_search = nehari._line_search
-    accepted: list[tuple[np.ndarray, np.ndarray]] = []
+    accepted: list[np.ndarray] = []
     memory_sizes: list[int] = []
     direction = nehari._LBFGSMemory.direction
 
-    def spied_direction(self, g, gg):
+    def spied_direction(self, gp):
         memory_sizes.append(len(self))
-        return direction(self, g, gg)
+        return direction(self, gp)
 
-    def recorded(obj, u, r, *args):
-        trial = line_search(obj, u, r, *args)
+    def recorded(obj, x, *args):
+        trial = line_search(obj, x, *args)
         if trial is not None:
-            accepted.append((u + trial[0], r + trial[1]))
+            accepted.append(x + trial[0])
         return trial
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nehari, "_line_search", recorded)
         mp.setattr(nehari._LBFGSMemory, "direction", spied_direction)
-        u, *_, residual, its = nehari._retracted_descent(obj, *obj.point(seed.values), 1e-8,
-                                                          20000)
+        x, _, residual, its = nehari._retracted_descent(obj, obj.point(seed.values), 1e-8,
+                                                        20000)
+    u = Field(annulus4.dom, x[0])
     assert residual <= 1e-8
     assert its == len(accepted) > nehari._LBFGS_MEMORY
     assert nehari._LBFGS_MEMORY in memory_sizes

@@ -382,17 +382,17 @@ def test_penalty_is_energy_plus_gap_to_the_barycenter(annulus4):
     # 1e-3 from beta and rho making the penalty as large as I, a one-ulp change
     # of beta would move F by about 1e-12
     e = Energy(annulus4, P)
-    u0, r0 = e.point(gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).values)
-    u, r = e.retract(u0, r0)
+    x0 = e.point(gaussian_bump_seed(annulus4, (MID_RADIUS, 0.0), 0.8).values)
+    u, r = e.retract(*x0)
     beta = _barycenter(annulus4.dom, u)[1]
     x_tilde = beta + np.array([1e-3, -1e-3])
     energy = e.measure(u)[0]
     rho = abs(energy) / 2e-6
     # max_iter=0: the kernel retracts the seed, measures F there and stops
     pinned = PinnedEnergy(annulus4, P, rho, x_tilde)
-    u_k, r_k, F, _, its = _retracted_descent(pinned, u0, r0, 1e-8, 0)
+    (u_k, r_k), F, _, its = _retracted_descent(pinned, x0, 1e-8, 0)
     assert its == 0
-    assert np.array_equal(u_k.values, u) and np.array_equal(r_k, r)
+    assert np.array_equal(u_k, u) and np.array_equal(r_k, r)
     gap = beta - x_tilde
     assert F == energy + rho * float(gap @ gap)
 
@@ -552,9 +552,9 @@ def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
     escape = topology._saddle_escape
     checks: list[tuple[int, bool]] = []
 
-    def indexed(obj, u, r):
-        step = escape(obj, u, r)
-        checks.append((hessian_spectrum(obj, Field(obj.basis.dom, u)).morse_index,
+    def indexed(obj, x):
+        step = escape(obj, x)
+        checks.append((hessian_spectrum(obj, Field(obj.basis.dom, x[0])).morse_index,
                        step is not None))
         return step
 
@@ -564,7 +564,7 @@ def test_escape_check_agrees_with_hessian_spectrum(annulus2, monkeypatch):
     assert all(index == (2 if stepped else 1) for index, stepped in checks)
     pinned = PinnedEnergy(basis, P, rep.rho_schedule[-1], np.zeros(2))
     assert hessian_spectrum(pinned, rep.record.u).morse_index == 1
-    assert escape(pinned, *pinned.point(rep.record.u.values)) is None
+    assert escape(pinned, pinned.point(rep.record.u.values)) is None
 
 
 def test_pinned_pencil_matches_the_dense_coefficient_pencil(annulus4, monkeypatch):
@@ -589,8 +589,9 @@ def test_pinned_pencil_matches_the_dense_coefficient_pencil(annulus4, monkeypatc
     assert np.max(np.abs(got - theta)) <= 2e-11
 
     monkeypatch.setattr(topology, "DEFAULT_EPS_NULL", -(theta[1] + 1.0))
-    r = pinned.point(u)[1]
-    step_u, step_r = topology._saddle_escape(pinned, u, r)
+    x = pinned.point(u)
+    r = x[1]
+    step_u, step_r = topology._saddle_escape(pinned, x)
     y = phi @ X[:, 1]
     y = y if y[np.argmax(np.abs(y))] > 0.0 else -y
     scale = topology._ESCAPE_SIZE * np.sqrt(pinned.quadratic(u, r))
@@ -613,8 +614,8 @@ def test_annulus_level_checks_only_the_point_it_returns(annulus4, annulus2, monk
         events.append(("descent", obj.rho))
         return out
 
-    def checked(obj, u, r):
-        step = escape(obj, u, r)
+    def checked(obj, x):
+        step = escape(obj, x)
         events.append(("check", obj.rho, step is not None))
         return step
 
