@@ -11,7 +11,8 @@ Energy is the one implementation of I, with its gradient, the Nehari functional
 J, its curvature, the operator morse's Lanczos runs on and the closed-form
 retraction onto the manifold;
 PinnedEnergy adds the barycenter penalty of the pinned annulus level, and
-RestrictedEnergy confines the energy to a mirror's fixed-point subspace.
+RestrictedEnergy confines the energy to a mirror's fixed-point subspace by a
+pair average on nodal values.
 Each is the one objective the descent kernel takes.
 An Energy is the functional itself, built from a basis and the exponent p:
 the solvers of nehari, morse and topology take one instead of its parts.
@@ -234,29 +235,32 @@ class PinnedEnergy(Energy):
 
 
 class RestrictedEnergy(Energy):
-    """I on the fixed-point subspace of a mirror of the mask; mirror is its
-    generator, and a mirror the mask lacks (SpectralBasis.frame_signs) is a
-    ValueError. I is invariant under the mirror, so a critical point of the
-    restriction is a critical point of I (symmetric criticality: Palais, Comm.
-    Math. Phys. 69, 1979).
+    """I on the fixed-point subspace of a mirror σ of the mask, given as its
+    node permutation sigma. I is invariant under σ, so a critical point of
+    the restriction is a critical point of I (symmetric criticality: Palais,
+    Comm. Math. Phys. 69, 1979).
 
-    point and riesz apply the basis's fixed_operator and fixed_green, whose
-    values are exactly mirror-even: point(v) is [G_+ L_+ v; L_+ v], the
-    mirror-even part of v with its image under L. The gradient and every
-    step built from such a point keep its values exactly even. Its pencil and
-    measure are I's: the second variation of the whole space, which the
-    saddle's Morse index counts, and the residual of I on the whole space.
+    point and riesz follow the basis's operator and green by the pair average
+    P x = (x + x∘σ)/2, whose values are exactly σ-even, as IEEE addition
+    commutes: point(v) is [P G r; r] with r = P L v, the σ-even part of v
+    with its image under L, and riesz(g) is [P G g; g]. The gradient of such
+    a point, and every step built from it, keep its values exactly even.
+    Its pencil and measure are I's: the second variation of the whole space,
+    which the saddle's Morse index counts, and the residual of I on the
+    whole space.
     """
 
-    def __init__(self, basis: SpectralBasis, p: float, mirror: int):
-        if not basis.frame_signs[:, mirror].any():
-            raise ValueError(f"the mask has no mirror {mirror}")
+    def __init__(self, basis: SpectralBasis, p: float, sigma: np.ndarray):
         super().__init__(basis, p)
-        self.mirror = mirror
+        self.sigma = sigma
+
+    def _even(self, x: np.ndarray) -> np.ndarray:
+        """P x = (x + x∘σ)/2."""
+        return 0.5 * (x + x[self.sigma])
 
     def point(self, v: np.ndarray) -> np.ndarray:
-        r = self.basis.fixed_operator(v, self.mirror)
-        return np.array((self.basis.fixed_green(r, self.mirror), r))
+        r = self._even(self.basis.operator(v))
+        return np.array((self._even(self.basis.green(r)), r))
 
     def riesz(self, g: np.ndarray) -> np.ndarray:
-        return np.array((self.basis.fixed_green(g, self.mirror), g))
+        return np.array((self._even(self.basis.green(g)), g))

@@ -56,13 +56,8 @@ LAPACK workspace, about 3 (n/4)^2, or its V_b, L_b and G_b and a panel. A
 dense phi took n^2 more, and one dense ``evd`` of all of A held 3 n^2.
 
 operator and green apply L and G by one dsymv over each block's upper
-triangle: a product reads 3 n^2/32 doubles, the pair's block twice.
-fixed_operator and fixed_green apply them on the fixed-point subspace of one
-mirror: the frames that the mirror labels -1 are skipped, so the product
-reads half the blocks and its values are exactly even under the mirror (each
-row of such a frame holds the same entries at a node and at its mirror
-image). Every frame has one sign under each mirror of the mask; the basis
-keeps them as frame_signs (0 for a mirror the mask lacks).
+triangle: a product reads 3 n^2/32 doubles, the pair's block twice. A basis
+is operator, green and start; its frames only block the evd.
 """
 
 from __future__ import annotations
@@ -122,8 +117,7 @@ class Field:
 class SpectralBasis:
     """The operator L = A^alpha + I and its inverse G on nodal values, in blocks.
 
-    operator and green apply L and G; fixed_operator and fixed_green their
-    restrictions to a mirror's fixed-point subspace (module docstring).
+    operator and green apply L and G (module docstring).
 
     Attributes
     ----------
@@ -138,19 +132,14 @@ class SpectralBasis:
         once: about n^2/8 doubles per set on a mask with the swap and both
         mirrors
     start : (n,) s = phi W^-1/2 1, the Lanczos start
-    frame_signs : (frames, 2) int8, each frame's sign under the x-mirror and
-        the y-mirror (generators 0 and 1 of domain.mask_symmetries); 0 where
-        the mask lacks that mirror or the frame does not split by it
     """
 
     def __init__(
         self, dom: GridDomain, alpha: float, frame: scipy.sparse.csr_matrix,
         blocks: list[tuple[np.ndarray, np.ndarray]], start: np.ndarray,
-        signs: list[tuple[int, int]],
     ):
         """blocks holds (L_b, G_b) per frame, in frame order; a swap pair's
-        two entries are one tuple. signs holds each frame's sign under the
-        x-mirror and the y-mirror, in frame order."""
+        two entries are one tuple."""
         self.dom = dom
         self.alpha = float(alpha)
         self.frame = frame
@@ -160,36 +149,23 @@ class SpectralBasis:
         self._bounds = list(itertools.pairwise(np.cumsum([0] + [L.shape[0] for L, _ in blocks])))
         self.K = dom.n_interior
         self.start = start
-        self.frame_signs = np.array(signs, dtype=np.int8)
-        self._every_frame = np.ones(len(blocks), dtype=bool)
 
     def operator(self, x: np.ndarray) -> np.ndarray:
         """L @ x, L = A^alpha + I = h^2 phi W phi^T, as Q times the stacked L_b y_b
         with y = Q^T x: one dsymv over each block's upper triangle."""
-        return self._apply(self.operator_blocks, x, self._every_frame)
+        return self._apply(self.operator_blocks, x)
 
     def green(self, x: np.ndarray) -> np.ndarray:
         """G @ x, G = L^-1 = h^2 phi W^-1 phi^T, block by block as operator."""
-        return self._apply(self.green_blocks, x, self._every_frame)
+        return self._apply(self.green_blocks, x)
 
-    def fixed_operator(self, x: np.ndarray, mirror: int) -> np.ndarray:
-        """L_+ @ x, L restricted to the fixed-point subspace of mirror (a
-        generator, as in frame_signs): operator with the blocks of the frames
-        it labels -1 left out, so the result is exactly mirror-even."""
-        return self._apply(self.operator_blocks, x, self.frame_signs[:, mirror] == 1)
-
-    def fixed_green(self, x: np.ndarray, mirror: int) -> np.ndarray:
-        """G_+ @ x, the inverse of L_+ on that subspace, as fixed_operator."""
-        return self._apply(self.green_blocks, x, self.frame_signs[:, mirror] == 1)
-
-    def _apply(self, blocks: list[np.ndarray], x: np.ndarray, kept: np.ndarray) -> np.ndarray:
-        """Q blockdiag(B_b) Q^T x over the frames kept marks, each kept block's
-        dsymv written into its rows of one output; the others stay exact zeros."""
+    def _apply(self, blocks: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+        """Q blockdiag(B_b) Q^T x, each block's dsymv written into its rows of
+        one output."""
         y = self._frame_t @ x
         out = np.zeros(self.K)
-        for B, (lo, hi), keep in zip(blocks, self._bounds, kept):
-            if keep:
-                scipy.linalg.blas.dsymv(1.0, B, y[lo:hi], y=out[lo:hi], overwrite_y=1)
+        for B, (lo, hi) in zip(blocks, self._bounds):
+            scipy.linalg.blas.dsymv(1.0, B, y[lo:hi], y=out[lo:hi], overwrite_y=1)
         return self.frame @ out
 
     def check_same_domain(self, other_dom: GridDomain) -> None:
@@ -262,13 +238,9 @@ def _class_frame(group: list[tuple[np.ndarray, tuple[int, ...]]],
         (coef[nodes] / norm[col], (nodes, col)), shape=(n, kept.size))
 
 
-def _parity_frames(
-    dom: GridDomain,
-) -> list[tuple[scipy.sparse.csr_matrix, bool, tuple[int, int]]]:
+def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]]:
     """Sparse orthonormal frames Q_b, one per symmetry class of the mask, each
-    with whether it shares the block of the frame before it and with the
-    class's sign under the x-mirror and the y-mirror (0 for a mirror the mask
-    lacks).
+    with whether it shares the block of the frame before it.
 
     The symmetries are the axis mirrors ix -> nx-1-ix and iy -> ny-1-iy and
     the swap (ix, iy) -> (iy, ix) that preserve the mask, and the group they
@@ -281,9 +253,7 @@ def _parity_frames(
     with the swap, the two have the same block Q^T A Q, so the partner
     shares it. The swap maps each mirror orbit's smallest index onto the
     smallest index of the image orbit, so the partner's columns keep a plus
-    sign there. Each frame holds at most one entry in each row. The swap
-    exchanges the two mirrors, so the partner's signs are the frame's,
-    exchanged.
+    sign there. Each frame holds at most one entry in each row.
     """
     elements = mask_symmetries(dom)
     generators = {used[0]: p for p, used in elements if len(used) == 1}
@@ -294,19 +264,18 @@ def _parity_frames(
     mirrors = sorted(generators.keys() - {2})
     swap = generators.get(2)
     splits = [{}] if swap is None else [{2: 1}, {2: -1}]
-    frames: list[tuple[scipy.sparse.csr_matrix, bool, tuple[int, int]]] = []
+    frames: list[tuple[scipy.sparse.csr_matrix, bool]] = []
     for mirror_signs in itertools.product((1, -1), repeat=len(mirrors)):
         signs = dict(zip(mirrors, mirror_signs))
-        label = (signs.get(0, 0), signs.get(1, 0))
         if swap is None or len(set(mirror_signs)) <= 1:
             for split in splits:
                 Q = _class_frame(full, signs | split)
                 if Q is not None:
-                    frames.append((Q, False, label))
+                    frames.append((Q, False))
         elif signs[0] == 1:  # even in x; its swap image is the class odd in x
             Q = _class_frame(group, signs)
             if Q is not None:
-                frames += [(Q, False, label), (Q[swap], True, label[::-1])]
+                frames += [(Q, False), (Q[swap], True)]
     return frames
 
 
@@ -320,7 +289,7 @@ def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis
     A = assemble_laplacian(dom)
     frames = _parity_frames(dom)
     blocks, starts = [], []
-    for Q, shared, _ in frames:
+    for Q, shared in frames:
         if shared:  # the swap image of the frame before: the same blocks, held once
             blocks.append(blocks[-1])
             starts.append(starts[-1])
@@ -348,6 +317,5 @@ def assemble_and_decompose(dom: GridDomain, alpha: float = 0.5) -> SpectralBasis
         del V  # before the next block's evd: the basis keeps no eigenvectors
         blocks.append((L, G))
         starts.append(s)
-    frame = scipy.sparse.hstack([Q for Q, *_ in frames], format="csr")
-    return SpectralBasis(dom, alpha, frame, blocks, frame @ np.concatenate(starts),
-                         [label for *_, label in frames])
+    frame = scipy.sparse.hstack([Q for Q, _ in frames], format="csr")
+    return SpectralBasis(dom, alpha, frame, blocks, frame @ np.concatenate(starts))

@@ -481,16 +481,23 @@ def multiplicity_search(
     )
 
 
+def _moving_mirrors(basis: SpectralBasis, u: Field) -> dict[int, np.ndarray]:
+    """moving_mirrors, each with its node permutation: the mirrors are
+    generators 0 and 1 of domain.mask_symmetries, where the mask has them."""
+    basis.check_same_domain(u.dom)
+    beta = _barycenter(basis.dom, u.values)[1]
+    return {used[0]: p for p, used in mask_symmetries(basis.dom)
+            if used in ((0,), (1,)) and abs(beta[used[0]]) > basis.dom.h}
+
+
 def moving_mirrors(basis: SpectralBasis, u: Field) -> list[int]:
     """The mirrors of the mask, as generators (0 the x-mirror, 1 the y-mirror,
     in domain.mask_symmetries order), that move u's barycenter by more than
-    2h. The mask has mirror m where basis.frame_signs labels its frames, and m
-    reflects coordinate m about the origin, the center of every grid with
-    mirrors, so it moves beta by 2|beta_m|. A mirror that does not move it, as
-    the one across an axis u sits on, maps u onto itself up to rounding."""
-    basis.check_same_domain(u.dom)
-    beta = _barycenter(basis.dom, u.values)[1]
-    return [m for m in (0, 1) if basis.frame_signs[:, m].any() and abs(beta[m]) > basis.dom.h]
+    2h. Mirror m reflects coordinate m about the origin, the center of every
+    grid with mirrors, so it moves beta by 2|beta_m|. A mirror that does not
+    move it, as the one across an axis u sits on, maps u onto itself up to
+    rounding."""
+    return list(_moving_mirrors(basis, u))
 
 
 @dataclass(frozen=True)
@@ -513,27 +520,28 @@ def band_saddle(
     as a minimum of I on the Nehari manifold in σ's fixed-point subspace.
 
     mirror is σ's generator, as moving_mirrors gives it. The descent runs
-    nehari's kernel on a model.RestrictedEnergy from its point of u's
-    values, the σ-even part (u + u∘σ)/2 to rounding, retracted onto the
-    manifold; its values stay exactly σ-even, each Riesz map reading half
-    the Green blocks. Its record is judged on the full-space residual of I,
-    which the kernel's measure reads: at a σ-even point the gradient of the
-    σ-invariant I is σ-even, so it equals the restricted residual to
-    rounding. On the annulus at
-    lam = 4, 6 and 8 (h = 0.25, tol 1e-8) it takes 3 to 8 steps to the
-    index-2 saddle that a climbing-image band between u and u∘σ found, with
-    energies equal to 5.2e-12 relative.
+    nehari's kernel on a model.RestrictedEnergy of σ's node permutation from
+    its point of u's values, the σ-even part (u + u∘σ)/2 to rounding,
+    retracted onto the manifold; its values stay exactly σ-even, each Riesz
+    map a green and a pair average. Its record is judged on the full-space
+    residual of I, which the kernel's measure reads: at a σ-even point the
+    gradient of the σ-invariant I is σ-even, so it equals the restricted
+    residual to rounding. On the annulus at lam = 4, 6 and 8 (h = 0.25, tol
+    1e-8) it takes 3 to 8 steps to the index-2 saddle that a climbing-image
+    band between u and u∘σ found, with energies equal to 5.2e-12 relative.
 
     Raises ValueError for a tol that is not finite and positive, and for a
-    mirror not in moving_mirrors(energy.basis, u): the descent from a u that σ
-    leaves in place ends at u, a minimum.
+    mirror not in moving_mirrors(energy.basis, u), which a mirror the mask
+    lacks never is: the descent from a u that σ leaves in place ends at u, a
+    minimum.
     """
     _check_tol(tol)
     basis = energy.basis
-    if mirror not in moving_mirrors(basis, u):
+    sigma = _moving_mirrors(basis, u).get(mirror)
+    if sigma is None:
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
                          "u and its image would be one state")
-    obj = RestrictedEnergy(basis, energy.p, mirror)
+    obj = RestrictedEnergy(basis, energy.p, sigma)
     x, F, residual, steps = _retracted_descent(obj, obj.point(u.values), tol, max_iter)
     rec = _solution_record(Field(basis.dom, x[0]), F, residual, tol,
                            f"mirror-{'xy'[mirror]}-fixed", steps)

@@ -80,7 +80,7 @@ def annulus_saddle_run(annulus4, annulus_classes, count_products):
     lo = annulus_classes.classes[0].representative.u
     mirrors = moving_mirrors(annulus4, lo)
     assert mirrors
-    names = ("operator", "green", "fixed_operator", "fixed_green")
+    names = ("operator", "green")
     with contextlib.ExitStack() as stack:
         calls = {name: stack.enter_context(count_products(name)) for name in names}
         report = band_saddle(Energy(annulus4, 2.0), lo, mirrors[0])
@@ -101,8 +101,7 @@ def unblocked_basis():
     routine and driver="evd" the divide and conquer routine the blocks use,
     both in place on the whole matrix; L and G agree with the blocked
     build's to rounding. The basis has a single block of each, in the
-    identity frame, so its products are plain dense ones. That frame does
-    not split by any mirror, so every frame sign reads 0.
+    identity frame, so its products are plain dense ones.
     """
 
     def build(dom, alpha=0.5, driver="evr"):
@@ -115,6 +114,6 @@ def unblocked_basis():
         phi[:, flip] *= -1.0
         L, G, start = _block_operators(mu, phi, dom.h, alpha)
         return SpectralBasis(dom, alpha, scipy.sparse.identity(mu.size, format="csr"),
-                             [(L, G)], start, [(0, 0)])
+                             [(L, G)], start)
 
     return build

@@ -7,8 +7,10 @@ eigenvectors kept, the Nehari scale by bracketing a root of
 J(t u) instead of its closed form, the radial symmetry of a field by
 averaging over exact grid radii, and the profile ODE by finite differences
 of the profile's derivative, and the mask-preserving grid maps by looking up
-node coordinates instead of by grid index arithmetic, and the L-BFGS
-direction by the dense BFGS updates instead of the two-loop recursion. The rest are
+node coordinates instead of by grid index arithmetic, the L-BFGS
+direction by the dense BFGS updates instead of the two-loop recursion, and
+L and G on a mirror's fixed-point subspace by phi's even modes instead of by
+a pair average of nodal values. The rest are
 measurements the package has no use for: a domain's diameter and a table of
 profile samples. The coefficient forms at the end are views on that phi, not
 oracles: they read the package's nodal energy, gradient and curvature at a
@@ -107,7 +109,7 @@ def dense_eigenpairs(basis: SpectralBasis) -> tuple[np.ndarray, np.ndarray]:
     dom = basis.dom
     A = assemble_laplacian(dom)
     mus, cols = [], []
-    for Q, shared, _ in _parity_frames(dom):
+    for Q, shared in _parity_frames(dom):
         if not shared:
             mu_b, V = scipy.linalg.eigh((Q.T @ A @ Q).toarray(order="F"), driver="evd")
             V /= dom.h
@@ -130,6 +132,22 @@ def dense_phi(basis: SpectralBasis) -> np.ndarray:
 def weights(basis: SpectralBasis) -> np.ndarray:
     """W = mu^alpha + 1 in the order of dense_eigenpairs: L's eigenvalues."""
     return dense_eigenpairs(basis)[0] ** basis.alpha + 1.0
+
+
+def restricted_operators(basis: SpectralBasis,
+                         perm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L_+, G_+): L and G restricted to the fixed-point subspace of the mirror
+    with node permutation perm, as dense sums h^2 phi_e W_e^(+-1) phi_e^T over
+    the modes phi_e of dense_phi that are even under it.
+
+    Each of those modes is even or odd under a mirror of the mask, as the
+    blocked decomposition splits by the mirrors, so the even ones are those
+    whose h^2 phi(perm) . phi is 1 rather than -1.
+    """
+    phi, w, h2 = dense_phi(basis), weights(basis), basis.dom.h**2
+    even = h2 * np.sum(phi[perm] * phi, axis=0) > 0.5
+    kept = phi[:, even]
+    return h2 * (kept * w[even]) @ kept.T, h2 * (kept / w[even]) @ kept.T
 
 
 def coefficients(basis: SpectralBasis, u: Field) -> np.ndarray:

@@ -21,7 +21,6 @@ from fracfield.model import (
     Energy,
     H_eval,
     PinnedEnergy,
-    RestrictedEnergy,
     _barycenter,
     h_eval,
     h_prime,
@@ -175,15 +174,6 @@ def test_energy_rejects_foreign_domain(square16):
     # Energy works on raw arrays; the solvers that take a Field check its domain
     with pytest.raises(DomainMismatch):
         nehari.ground_state(Energy(square16, P), u)
-
-
-def test_restricted_energy_needs_a_mirror_of_the_mask():
-    # h does not divide the rectangle's sides, so the mask has no mirror and
-    # no frame is even under one: the restriction would be to nothing
-    dom = build_domain("rectangle", {"a": 2.0, "b": 1.0}, lam=2.0, h=0.3)
-    basis = assemble_and_decompose(dom, alpha=0.5)
-    with pytest.raises(ValueError, match="no mirror"):
-        RestrictedEnergy(basis, P, 0)
 
 
 def _random_point(basis, seed):

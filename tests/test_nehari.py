@@ -632,10 +632,10 @@ def test_restricted_descent_keeps_odd_coefficients_zero_past_the_memory(annulus4
     # off-axis bump, the descent runs more steps than the memory holds pairs:
     # L-BFGS directions then combine a full memory, and every accepted point
     # is exactly even under the mirror, so its odd part is 0
-    obj = RestrictedEnergy(annulus4, P, 0)
     x = annulus4.dom.node_coords
     (mirror,) = [p for p in symmetry_group(annulus4.dom)
                  if np.array_equal(x[p], x * np.array([-1.0, 1.0]))]
+    obj = RestrictedEnergy(annulus4, P, mirror)
     seed = gaussian_bump_seed(annulus4, (1.0, 2.6), 0.8)
     line_search = nehari._line_search
     accepted: list[np.ndarray] = []

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from fracfield.domain import build_domain, mask_symmetries
 from fracfield.errors import DomainMismatch, EigSolveFailure
-from fracfield.model import Energy
+from fracfield.model import Energy, RestrictedEnergy
 from fracfield import spectral
 from fracfield.spectral import (
     Field,
@@ -21,7 +21,13 @@ from fracfield.spectral import (
     assemble_and_decompose,
     assemble_laplacian,
 )
-from oracles import dense_eigenpairs, dense_phi, mask_preserving_maps, weights
+from oracles import (
+    dense_eigenpairs,
+    dense_phi,
+    mask_preserving_maps,
+    restricted_operators,
+    weights,
+)
 
 
 def _closed_form_square(n_side):
@@ -151,7 +157,7 @@ def test_blocked_basis_matches_unblocked_oracle(unblocked_basis, shape, params, 
                                                 n_frames, n_distinct):
     dom = build_domain(shape, params, lam=lam, h=h)
     n = dom.n_interior
-    frames = [Q for Q, *_ in _parity_frames(dom)]
+    frames = [Q for Q, _ in _parity_frames(dom)]
     assert len(frames) == n_frames
     # the frames together are an orthonormal basis in which A is block diagonal
     Q = scipy.sparse.hstack(frames).toarray()
@@ -197,46 +203,11 @@ def test_mask_symmetries_are_the_mask_preserving_d4_maps_in_order(shape, params,
         assert np.array_equal(composed, M)
 
 
-@pytest.mark.parametrize(
-    "shape, params, lam, h, n_mirrors",
-    [("disk", {"R": 1.0}, 1.0, 0.1, 2), ("annulus", {"R": 1.0, "r": 0.4}, 4.0, 0.25, 2),
-     ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.25, 2),
-     # h does not divide the sides: the mask has no mirror
-     ("rectangle", {"a": 2.0, "b": 1.0}, 2.0, 0.3, 0)],
-    ids=["disk", "annulus4", "rectangle-divided", "rectangle-undivided"],
-)
-def test_mirror_signs_are_the_measured_signs(shape, params, lam, h, n_mirrors):
-    # each frame's columns, mirrored, are the columns times the frame's sign
-    # under the mirror: the mirror acts on the frame as that sign. A mirror
-    # the mask lacks labels every frame 0
-    dom = build_domain(shape, params, lam=lam, h=h)
-    basis = assemble_and_decompose(dom, alpha=0.5)
-    assert basis.frame_signs.shape == (len(basis.operator_blocks), 2)
-    bounds = np.cumsum([0] + [L.shape[0] for L in basis.operator_blocks])
-    mirrors = {used[0]: perm for perm, used in mask_symmetries(dom) if used in ((0,), (1,))}
-    assert len(mirrors) == n_mirrors
-    for j in (0, 1):
-        if j not in mirrors:
-            assert not basis.frame_signs[:, j].any()
-            continue
-        for sign, lo, hi in zip(basis.frame_signs[:, j], bounds[:-1], bounds[1:]):
-            cols = basis.frame[:, lo:hi]
-            assert (cols[mirrors[j]] - sign * cols).nnz == 0
-        assert set(basis.frame_signs[:, j].tolist()) == {-1, 1}
-
-
-def _even_modes(basis, perm):
-    """Which of dense_phi's columns are even under the node permutation perm."""
-    phi = dense_phi(basis)
-    return basis.dom.h**2 * np.sum(phi[perm] * phi, axis=0) > 0.5
-
-
 @_BLOCKED_DOMAINS
 def test_operator_matches_dense_product(shape, params, lam, h, n_frames, n_distinct):
     # L = h^2 phi W phi^T, applied block by block on the frames' upper
-    # triangles, against the dense product of phi's columns; G inverts it, s
-    # is phi W^-1/2 1, and the fixed variants are the dense products over the
-    # modes a mirror keeps, with values exactly even under it
+    # triangles, against the dense product of phi's columns; G inverts it and
+    # s is phi W^-1/2 1
     dom = build_domain(shape, params, lam=lam, h=h)
     basis = assemble_and_decompose(dom, alpha=0.5)
     assert len(basis.operator_blocks) == n_frames
@@ -250,16 +221,32 @@ def test_operator_matches_dense_product(shape, params, lam, h, n_frames, n_disti
         assert np.linalg.norm(basis.green(basis.operator(col)) - col) <= 1e-12 * np.linalg.norm(col)
     want = phi @ (1.0 / np.sqrt(w))
     assert np.linalg.norm(basis.start - want) <= 1e-13 * np.linalg.norm(want)
+
+
+@_BLOCKED_DOMAINS
+def test_restricted_point_and_riesz_match_the_dense_restriction(shape, params, lam, h,
+                                                                n_frames, n_distinct):
+    # RestrictedEnergy's point [G_+ L_+ v; L_+ v] and Riesz map [G_+ g; g]
+    # against the dense sums over the modes each axis mirror keeps, with
+    # values exactly even under it. The pair average after each product is
+    # what makes them even: under the y-mirror operator's values are off by
+    # up to 7.1e-15 without it
+    dom = build_domain(shape, params, lam=lam, h=h)
+    basis = assemble_and_decompose(dom, alpha=0.5)
     mirrors = {used[0]: perm for perm, used in mask_symmetries(dom) if used in ((0,), (1,))}
-    for j, perm in mirrors.items():
-        even = _even_modes(basis, perm)
-        kept = phi[:, even]
-        for apply, power in ((basis.fixed_operator, 1), (basis.fixed_green, -1)):
-            dense = h**2 * (kept * w[even] ** power) @ kept.T
-            for col in x:
-                got = apply(col, j)
-                assert np.array_equal(got[perm], got)
-                assert np.linalg.norm(got - dense @ col) <= 1e-13 * np.linalg.norm(dense @ col)
+    assert len(mirrors) == (2 if n_frames >= 4 else 0)
+    x = np.random.default_rng(5).standard_normal((4, basis.K))
+    for perm in mirrors.values():
+        obj = RestrictedEnergy(basis, 2.0, perm)
+        L_plus, G_plus = restricted_operators(basis, perm)
+        for col in x:
+            point, image = obj.point(col), obj.riesz(col)
+            assert np.array_equal(point[:, perm], point)
+            assert np.array_equal(image[0, perm], image[0])
+            assert np.array_equal(image[1], col)
+            for got, want in ((point[1], L_plus @ col), (point[0], G_plus @ (L_plus @ col)),
+                              (image[0], G_plus @ col)):
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 @_BLOCKED_DOMAINS
@@ -310,7 +297,6 @@ def test_green_blocks_are_built_once_per_basis(monkeypatch):
     first = basis.green(x)
     assert np.array_equal(basis.green(x), first)
     basis.operator(x)
-    basis.fixed_green(x, 0)
     assert len(builds) == 5
 
 
@@ -336,11 +322,11 @@ def test_swap_partners_share_their_block(shape, params, lam, h):
     # their L_b are one array and their G_b another
     dom = build_domain(shape, params, lam=lam, h=h)
     frames = _parity_frames(dom)
-    (k,) = [i for i, (_, shared, _) in enumerate(frames) if shared]
+    (k,) = [i for i, (_, shared) in enumerate(frames) if shared]
     swap = {used: p for p, used in mask_symmetries(dom)}[(2,)]
     # A commutes with the swap, so the two frames give one block
     A = assemble_laplacian(dom)
-    (Q, *_), (Q_swapped, *_) = frames[k - 1], frames[k]
+    (Q, _), (Q_swapped, _) = frames[k - 1], frames[k]
     assert (Q_swapped != Q[swap]).nnz == 0
     assert np.array_equal((Q_swapped.T @ A @ Q_swapped).toarray(), (Q.T @ A @ Q).toarray())
 

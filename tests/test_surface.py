@@ -8,11 +8,10 @@ property of a class there must be read as an attribute of that name in the
 package outside its own definition, or in perfbench/spans.py. Code that only
 tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
-package. Outside spectral, only model calls the basis's operator, green,
-fixed_operator and fixed_green, and no module reads its blocks or frame. A
-Field is its domain and nodal values.
-Outside domain and spectral, only topology.symmetry_group calls
-mask_symmetries.
+package. Outside spectral, only model calls the basis's operator and green,
+and no module reads its blocks or frame. A Field is its domain and nodal
+values. Outside domain and spectral, only topology.symmetry_group and
+topology._moving_mirrors call mask_symmetries.
 Importing the CLI loads none of the scipy subpackages that only some tasks
 call (LAZY_SCIPY): the functions that call them import them. verify-extension
 loads neither scipy.integrate nor scipy.optimize. README's
@@ -197,11 +196,12 @@ def test_every_module_constant_is_read():
 
 def test_only_model_applies_the_basis():
     # the state lives behind model.Energy: outside spectral, which defines
-    # the operator L = A^alpha + I and the Green operator G = L^-1 (and their
-    # restrictions to a mirror's fixed-point subspace), only model applies
-    # them, and no module reads the blocks or the frame they are kept in, so
-    # a basis that applies L and G another way changes spectral alone
-    products = {"operator", "green", "fixed_operator", "fixed_green"}
+    # the operator L = A^alpha + I and the Green operator G = L^-1, only model
+    # applies them (restricted to a mirror's fixed-point subspace too, by a
+    # pair average on nodal values), and no module reads the blocks or the
+    # frame they are kept in, so a basis that applies L and G another way
+    # changes spectral alone
+    products = {"operator", "green"}
     callers = sorted(
         f"{mod}:{node.lineno}" for mod, tree in _modules().items()
         if mod not in {"spectral", "model"}
@@ -227,10 +227,12 @@ def test_a_field_is_its_nodal_values():
     assert _attribute_readers("coeffs") == set()
 
 
-def test_only_symmetry_group_reads_the_mask_symmetries():
+def test_only_symmetry_group_and_moving_mirrors_read_the_mask_symmetries():
     # outside domain, which finds them, and spectral, which splits the basis
-    # by them, the mirrors act through the basis's sign labels; only the
-    # orbit clustering's symmetry_group needs the node permutations
+    # by them, topology reads them in two named places: symmetry_group, the
+    # whole group for the orbit clustering, and _moving_mirrors, the axis
+    # mirrors with their node permutations, for moving_mirrors and the band
+    # saddle's restriction
     callers = sorted(
         f"{mod}.{fn.name}" for mod, tree in _modules().items()
         if mod not in {"domain", "spectral"}
@@ -239,7 +241,7 @@ def test_only_symmetry_group_reads_the_mask_symmetries():
         if isinstance(node, ast.Call) and "mask_symmetries" in (
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     )
-    assert callers == ["topology.symmetry_group"]
+    assert callers == ["topology._moving_mirrors", "topology.symmetry_group"]
 
 
 def test_every_traced_layer_is_defined():

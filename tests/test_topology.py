@@ -754,17 +754,16 @@ def test_band_saddle_between_adjacent_minima(annulus4, annulus_classes, annulus_
 
 
 def test_band_saddle_products_per_sweep(annulus_saddle_run):
-    # one Riesz map per accepted step, on the fixed-point subspace (the
+    # one Riesz map per accepted step, a green and a pair average (the
     # gradient's; a halving needs none), plus the start's; the start's point
-    # (G_+ L_+ v, L_+ v) is one fixed_operator and one fixed_green more, and
-    # the record's measure, on the whole space, one operator and one green.
+    # [P G r; r], r = P L v, is one operator and one green more, and the
+    # record's measure, on the whole space, one operator and one green.
     # The band took 11 sweeps of 11 products each here; the descent takes 7 steps
     report, products = annulus_saddle_run
     assert report.sweeps == report.saddle.iterations
     assert 1 <= report.sweeps <= 10
-    assert products["fixed_green"] <= report.sweeps + 2
-    assert products["fixed_operator"] == 1
-    assert products["operator"] == products["green"] == 1
+    assert products["green"] <= report.sweeps + 3
+    assert products["operator"] == 2
 
 
 def test_band_saddle_beyond_p_two(annulus4):
@@ -787,7 +786,7 @@ def no_products(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("a product with L or G ran before validation")
 
-    for name in ("operator", "green", "fixed_operator", "fixed_green"):
+    for name in ("operator", "green"):
         monkeypatch.setattr(SpectralBasis, name, refuse)
 
 
@@ -818,6 +817,40 @@ def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, n
     # generator 2 is the swap, no mirror
     with pytest.raises(ValueError, match="one state"):
         band_saddle(Energy(annulus4, P), axis, 2)
+
+
+def test_band_saddle_needs_a_mirror_of_the_mask(no_products):
+    # h does not divide the rectangle's sides, so the mask has no mirror:
+    # moving_mirrors lists none, and band_saddle refuses both generators
+    # before any product, as the restriction would be to no subspace
+    dom = build_domain("rectangle", {"a": 2.0, "b": 1.0}, lam=2.0, h=0.3)
+    assert not any(used in ((0,), (1,)) for _, used in mask_symmetries(dom))
+    basis = assemble_and_decompose(dom, alpha=0.5)
+    u = gaussian_bump_seed(basis, (0.8, 0.5), 0.3)
+    assert moving_mirrors(basis, u) == []
+    for mirror in (0, 1):
+        with pytest.raises(ValueError, match="no mirror of the mask"):
+            band_saddle(Energy(basis, P), u, mirror)
+
+
+def test_band_saddle_matches_on_the_oracle_basis(annulus4, annulus_classes, annulus_saddle,
+                                                 unblocked_basis):
+    # the pair average restricts any basis: on the identity-frame bases of one
+    # dense decomposition of A, by evd and by evr, the saddle from the lowest
+    # class takes the blocked basis's steps to its energy, with values exactly
+    # even under the mirror
+    lo = annulus_classes.classes[0].representative.u
+    mirror, *_ = moving_mirrors(annulus4, lo)
+    (sigma,) = [p for p, used in mask_symmetries(annulus4.dom) if used == (mirror,)]
+    want = annulus_saddle.saddle
+    assert np.array_equal(want.u.values[sigma], want.u.values)
+    for driver in ("evd", "evr"):
+        report = band_saddle(Energy(unblocked_basis(annulus4.dom, driver=driver), P), lo, mirror)
+        got = report.saddle
+        assert got.converged
+        assert report.sweeps == annulus_saddle.sweeps
+        assert got.energy == pytest.approx(want.energy, rel=1e-12, abs=0.0)
+        assert np.array_equal(got.u.values[sigma], got.u.values)
 
 
 def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classes):
