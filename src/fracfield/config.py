@@ -3,10 +3,10 @@
 Configs are plain JSON documents. Validation errors always raise
 ConfigInvalid with the dotted path of the offending field in the message, so
 a missing "alpha" is reported as exactly that, and so is a key that the
-domain, model, solver or output section does not define. The canonical form
-(defaults filled, keys sorted) is what gets hashed and echoed into every
-output file; two configs with the same canonical form produce the same
-config_hash.
+domain, model, solver, output or sweep section does not define. The
+canonical form (defaults filled, keys sorted) is what gets hashed and echoed
+into every output file; two configs with the same canonical form produce the
+same config_hash.
 
 A solver.K that a config sets, for any task, must be at least the interior
 node count of the domain at each lambda the task runs (sweep.lambdas, else
@@ -138,8 +138,9 @@ def _object(v, path: str) -> dict:
 
 def _known(given: dict, name: str) -> dict:
     """The config's section name, given, once each of its keys is checked to be
-    a field of the default section; ConfigInvalid names the first that is not."""
-    fields = default_config()[name]
+    a field of that section of sweep-lambda's defaults, which hold every
+    section; ConfigInvalid names the first that is not."""
+    fields = default_config("sweep-lambda")[name]
     for key in given:
         if key not in fields:
             raise ConfigInvalid(f"unknown field \"{name}.{key}\"")
@@ -221,7 +222,7 @@ def validate_config(raw: dict, task: str | None = None) -> RunConfig:
     if eff_task == "sweep-lambda":
         if raw.get("sweep") is None:
             raise ConfigInvalid("missing required field \"sweep\" for task sweep-lambda")
-        sweep_raw = _object(raw["sweep"], "sweep")
+        sweep_raw = _known(_object(raw["sweep"], "sweep"), "sweep")
         lambdas = sweep_raw.get("lambdas")
         if not isinstance(lambdas, list) or len(lambdas) < 2:
             raise ConfigInvalid("field \"sweep.lambdas\" must be a list of at least 2 values")

@@ -15,9 +15,9 @@ the same node set with coordinates exactly doubled:
   symmetric under the full grid symmetry group of the shape.
 
 Two facts about the shape are read off its mask here and nowhere else: the
-D4 maps that preserve it (mask_symmetries), by which the eigenbasis blocks
-and the orbit classes group, and its Betti numbers (mask_betti), which give
-the Morse census its Poincare polynomial P_t = b0 + b1 t.
+D4 maps that preserve it (GridDomain.symmetries, found once per domain),
+which split the eigenbasis, group the orbits and give the saddle's mirrors,
+and its Betti numbers (mask_betti), the Morse census's P_t = b0 + b1 t.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -75,6 +76,21 @@ def _corner_nodes(extent: float, h: float) -> np.ndarray:
     return -0.5 * extent + np.arange(n_seg + 1, dtype=float) * h
 
 
+# The eight grid maps (x, y) -> (a x + b y, c x + d y) of D4 as (a, b, c, d),
+# each with the generators whose product, in the order listed, it is: 0 the
+# x-mirror x -> -x, 1 the y-mirror y -> -y, 2 the swap (x, y) -> (y, x)
+_D4 = (
+    ((1, 0, 0, 1), ()),
+    ((-1, 0, 0, 1), (0,)),
+    ((1, 0, 0, -1), (1,)),
+    ((-1, 0, 0, -1), (0, 1)),
+    ((0, 1, 1, 0), (2,)),
+    ((0, -1, 1, 0), (0, 2)),
+    ((0, 1, -1, 0), (1, 2)),
+    ((0, -1, -1, 0), (0, 1, 2)),
+)
+
+
 @dataclass(frozen=True)
 class GridDomain:
     """Immutable masked-grid realization of lambda*Omega.
@@ -115,6 +131,36 @@ class GridDomain:
     @property
     def ny(self) -> int:
         return self.ys.size
+
+    @cached_property
+    def symmetries(self) -> tuple[tuple[np.ndarray, tuple[int, ...]], ...]:
+        """The D4 maps that preserve the mask, each as a read-only interior-index
+        permutation with the generators composing it, in _D4 order: the
+        identity first. Found on first read and shared by every reader.
+
+        The maps act about the grid's own center. One that does not carry the
+        interior node set exactly onto itself is left out, so a slightly
+        asymmetric grid keeps only the symmetries it really has.
+        """
+        # grid offsets from the center, doubled so a half-integer center stays
+        # integer; an image with odd doubled offset falls between nodes
+        iy, ix = np.nonzero(self.mask)
+        ox = 2 * ix - (self.nx - 1)
+        oy = 2 * iy - (self.ny - 1)
+        found = []
+        for (a, b, c, d), used in _D4:
+            jx = a * ox + b * oy + (self.nx - 1)
+            jy = c * ox + d * oy + (self.ny - 1)
+            if np.any(jx % 2) or np.any(jy % 2):
+                continue
+            jx, jy = jx // 2, jy // 2
+            if np.any((jx < 0) | (jx >= self.nx) | (jy < 0) | (jy >= self.ny)):
+                continue
+            perm = self.index_of[jy, jx]
+            if np.all(perm >= 0):
+                perm.flags.writeable = False
+                found.append((perm, used))
+        return tuple(found)
 
     @property
     def content_hash(self) -> str:
@@ -217,49 +263,6 @@ def build_domain(shape_id: str, params: dict, lam: float, h: float) -> GridDomai
         boundary_distance=boundary_distance,
         index_of=index_of,
     )
-
-
-# The eight grid maps (x, y) -> (a x + b y, c x + d y) of D4 as (a, b, c, d),
-# each with the generators whose product, in the order listed, it is: 0 the
-# x-mirror x -> -x, 1 the y-mirror y -> -y, 2 the swap (x, y) -> (y, x)
-_D4 = (
-    ((1, 0, 0, 1), ()),
-    ((-1, 0, 0, 1), (0,)),
-    ((1, 0, 0, -1), (1,)),
-    ((-1, 0, 0, -1), (0, 1)),
-    ((0, 1, 1, 0), (2,)),
-    ((0, -1, 1, 0), (0, 2)),
-    ((0, 1, -1, 0), (1, 2)),
-    ((0, -1, -1, 0), (0, 1, 2)),
-)
-
-
-def mask_symmetries(dom: GridDomain) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-    """The D4 maps that preserve the mask, each as an interior-index permutation
-    with the generators composing it, in _D4 order: the identity first.
-
-    The maps act about the grid's own center. One that does not carry the
-    interior node set exactly onto itself is left out, so a slightly
-    asymmetric grid keeps only the symmetries it really has.
-    """
-    # grid offsets from the center, doubled so a half-integer center stays
-    # integer; an image with odd doubled offset falls between nodes
-    iy, ix = np.nonzero(dom.mask)
-    ox = 2 * ix - (dom.nx - 1)
-    oy = 2 * iy - (dom.ny - 1)
-    found = []
-    for (a, b, c, d), used in _D4:
-        jx = a * ox + b * oy + (dom.nx - 1)
-        jy = c * ox + d * oy + (dom.ny - 1)
-        if np.any(jx % 2) or np.any(jy % 2):
-            continue
-        jx, jy = jx // 2, jy // 2
-        if np.any((jx < 0) | (jx >= dom.nx) | (jy < 0) | (jy >= dom.ny)):
-            continue
-        perm = dom.index_of[jy, jx]
-        if np.all(perm >= 0):
-            found.append((perm, used))
-    return found
 
 
 def mask_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -202,8 +202,8 @@ def run_multiplicity(cfg: RunConfig, out_dir: str | Path) -> dict:
                                  tol=cfg.tol, max_iter=cfg.max_iter)
 
     reps = [cl.representative for cl in report.classes]
-    mirrors = moving_mirrors(energy.basis, reps[0].u) if len(report.classes) >= 2 else []
-    srec = band_saddle(energy, reps[0].u, mirrors[0], tol=cfg.tol,
+    mirrors = moving_mirrors(reps[0].u) if len(report.classes) >= 2 else {}
+    srec = band_saddle(energy, reps[0].u, next(iter(mirrors)), tol=cfg.tol,
                        max_iter=cfg.max_iter).saddle if mirrors else None
     spectra = classify_records(energy, reps if srec is None else reps + [srec])
 

@@ -16,13 +16,13 @@ orthonormal basis of a degenerate eigenspace the decomposition returns does
 not matter to L and G, which do not depend on it.
 
 The dense decomposition is split by the grid symmetries of the mask, which
-domain.mask_symmetries lists with the generators composing each. The
-axis mirrors x -> -x and y -> -y and the swap (x, y) -> (y, x) preserve the
-mask of every disk and annulus, and of a square whose sides h divides; the
-mirrors alone preserve that of such a rectangle. The 5-point Laplacian
-commutes with each symmetry that preserves the mask. In a frame of signed,
-normalized sums over symmetry orbits, A therefore splits exactly into one
-block per symmetry class (Bossavit, CMAME 1986; Fassler-Stiefel, Group
+its domain holds (GridDomain.symmetries) with the generators composing
+each. The axis mirrors x -> -x and y -> -y and the swap (x, y) -> (y, x)
+preserve the mask of every disk and annulus, and of a square whose sides h
+divides; the mirrors alone preserve that of such a rectangle. The 5-point
+Laplacian commutes with each symmetry that preserves the mask. In a frame of
+signed, normalized sums over symmetry orbits, A therefore splits exactly into
+one block per symmetry class (Bossavit, CMAME 1986; Fassler-Stiefel, Group
 Theoretical Methods and Their Applications, 1992):
 
 * the mirrors alone: 4 classes, one sign per mirror, over orbits of at most
@@ -70,7 +70,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .domain import GridDomain, mask_pairs, mask_symmetries
+from .domain import GridDomain, mask_pairs
 from .errors import DomainMismatch, EigSolveFailure
 
 # the columns of V_b diag(h w_b^(+-1/2)) that one dsyrk adds to a block
@@ -244,18 +244,19 @@ def _parity_frames(dom: GridDomain) -> list[tuple[scipy.sparse.csr_matrix, bool]
 
     The symmetries are the axis mirrors ix -> nx-1-ix and iy -> ny-1-iy and
     the swap (ix, iy) -> (iy, ix) that preserve the mask, and the group they
-    make, all read from domain.mask_symmetries. Without the swap, k mirrors
-    give 2^k classes, one sign per mirror, over orbits of at most 4 nodes. With the swap, a class the swap maps onto itself (both mirror signs
-    equal, or no mirror at all) splits by swap parity, over orbits of at most
-    8 nodes. The class odd in one mirror and even in the other is mapped onto
-    its partner: its frame is built over the mirror orbits, and the partner's
-    frame is that frame with its rows permuted by the swap. As A commutes
-    with the swap, the two have the same block Q^T A Q, so the partner
-    shares it. The swap maps each mirror orbit's smallest index onto the
-    smallest index of the image orbit, so the partner's columns keep a plus
-    sign there. Each frame holds at most one entry in each row.
+    make, all read from dom.symmetries. Without the swap, k mirrors give 2^k
+    classes, one sign per mirror, over orbits of at most 4 nodes. With the
+    swap, a class the swap maps onto itself (both mirror signs equal, or no
+    mirror at all) splits by swap parity, over orbits of at most 8 nodes. The
+    class odd in one mirror and even in the other is mapped onto its partner:
+    its frame is built over the mirror orbits, and the partner's frame is that
+    frame with its rows permuted by the swap. As A commutes with the swap, the
+    two have the same block Q^T A Q, so the partner shares it. The swap maps
+    each mirror orbit's smallest index onto the smallest index of the image
+    orbit, so the partner's columns keep a plus sign there. Each frame holds
+    at most one entry in each row.
     """
-    elements = mask_symmetries(dom)
+    elements = dom.symmetries
     generators = {used[0]: p for p, used in elements if len(used) == 1}
     # the group the mask's generators make (its whole D4, or less), and the
     # mirrors' subgroup within it

@@ -16,10 +16,10 @@ a class representative and its mirror image is found as a minimum of the
 energy on the Nehari manifold inside the mirror's fixed-point subspace
 (band_saddle).
 
-Grid symmetries are the exact mask-preserving subgroup of D4, taken from
-domain.mask_symmetries; the continuum rotation orbit on an annulus collapses
-to finitely many pinned representatives, so counts here are orbit-class
-counts.
+Grid symmetries are the domain's exact mask-preserving subgroup of D4
+(GridDomain.symmetries), the whole group for the orbits and its axis mirrors
+for the saddle; the continuum rotation orbit on an annulus collapses to
+finitely many pinned representatives, so counts here are orbit-class counts.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import GridDomain, build_domain, mask_components, mask_symmetries
+from .domain import GridDomain, build_domain, mask_components
 from .errors import (
     AllStartsFailed,
     BallDoesNotFit,
@@ -67,8 +67,8 @@ _L2_DIST_TOL = 1e-2
 
 def symmetry_group(dom: GridDomain) -> list[np.ndarray]:
     """Mask-preserving D4 elements as interior-index permutations, in
-    domain.mask_symmetries order: the identity first."""
-    return [p for p, _ in mask_symmetries(dom)]
+    dom.symmetries order: the identity first."""
+    return [p for p, _ in dom.symmetries]
 
 
 class PsiSeeder:
@@ -481,23 +481,16 @@ def multiplicity_search(
     )
 
 
-def _moving_mirrors(basis: SpectralBasis, u: Field) -> dict[int, np.ndarray]:
-    """moving_mirrors, each with its node permutation: the mirrors are
-    generators 0 and 1 of domain.mask_symmetries, where the mask has them."""
-    basis.check_same_domain(u.dom)
-    beta = _barycenter(basis.dom, u.values)[1]
-    return {used[0]: p for p, used in mask_symmetries(basis.dom)
-            if used in ((0,), (1,)) and abs(beta[used[0]]) > basis.dom.h}
-
-
-def moving_mirrors(basis: SpectralBasis, u: Field) -> list[int]:
-    """The mirrors of the mask, as generators (0 the x-mirror, 1 the y-mirror,
-    in domain.mask_symmetries order), that move u's barycenter by more than
-    2h. Mirror m reflects coordinate m about the origin, the center of every
-    grid with mirrors, so it moves beta by 2|beta_m|. A mirror that does not
-    move it, as the one across an axis u sits on, maps u onto itself up to
-    rounding."""
-    return list(_moving_mirrors(basis, u))
+def moving_mirrors(u: Field) -> dict[int, np.ndarray]:
+    """The mirrors of u's mask that move u's barycenter by more than 2h, as
+    {generator: node permutation} in generator order (0 the x-mirror, 1 the
+    y-mirror, as u.dom.symmetries composes them). Mirror m reflects
+    coordinate m about the origin, the center of every grid with mirrors, so
+    it moves beta by 2|beta_m|. A mirror that does not move it, as the one
+    across an axis u sits on, maps u onto itself up to rounding."""
+    beta = _barycenter(u.dom, u.values)[1]
+    return {used[0]: p for p, used in u.dom.symmetries
+            if used in ((0,), (1,)) and abs(beta[used[0]]) > u.dom.h}
 
 
 @dataclass(frozen=True)
@@ -530,14 +523,15 @@ def band_saddle(
     1e-8) it takes 3 to 8 steps to the index-2 saddle that a climbing-image
     band between u and u∘σ found, with energies equal to 5.2e-12 relative.
 
-    Raises ValueError for a tol that is not finite and positive, and for a
-    mirror not in moving_mirrors(energy.basis, u), which a mirror the mask
-    lacks never is: the descent from a u that σ leaves in place ends at u, a
-    minimum.
+    Raises DomainMismatch for a u off the energy's domain, and ValueError for
+    a tol that is not finite and positive and for a mirror not in
+    moving_mirrors(u), which a mirror the mask lacks never is: the descent
+    from a u that σ leaves in place ends at u, a minimum.
     """
     _check_tol(tol)
     basis = energy.basis
-    sigma = _moving_mirrors(basis, u).get(mirror)
+    basis.check_same_domain(u.dom)
+    sigma = moving_mirrors(u).get(mirror)
     if sigma is None:
         raise ValueError(f"mirror {mirror} is no mirror of the mask that moves u: "
                          "u and its image would be one state")

@@ -78,12 +78,11 @@ def annulus_saddle_run(annulus4, annulus_classes, count_products):
     mirror that moves it, with the number of calls it made of each product
     of the basis, by name."""
     lo = annulus_classes.classes[0].representative.u
-    mirrors = moving_mirrors(annulus4, lo)
-    assert mirrors
+    mirror, *_ = moving_mirrors(lo)
     names = ("operator", "green")
     with contextlib.ExitStack() as stack:
         calls = {name: stack.enter_context(count_products(name)) for name in names}
-        report = band_saddle(Energy(annulus4, 2.0), lo, mirrors[0])
+        report = band_saddle(Energy(annulus4, 2.0), lo, mirror)
     return report, {name: c[0] for name, c in calls.items()}
 
 

@@ -106,7 +106,7 @@ def orbit_hunt(annulus4):
     report = multiplicity_search(Energy(annulus4, P), centers, ball_radius=radius)
 
     lo = report.classes[0].representative.u
-    mirror, *_ = moving_mirrors(annulus4, lo)
+    mirror, *_ = moving_mirrors(lo)
     saddle = band_saddle(Energy(annulus4, P), lo, mirror).saddle
 
     reps = [cl.representative for cl in report.classes]

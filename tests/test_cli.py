@@ -68,11 +68,16 @@ class TestValidation:
         with pytest.raises(ConfigInvalid, match=r"solver\.momentum"):
             validate_config(cfg)
 
-    @pytest.mark.parametrize("section, key, value",
-                             [("domain", "basis", "polar"), ("model", "nonlinearity", "cubic")])
-    def test_unknown_domain_or_model_field(self, section, key, value):
+    @pytest.mark.parametrize("task, section, key, value", [
+        pytest.param("solve", "domain", "basis", "polar", id="domain-basis-polar"),
+        pytest.param("solve", "model", "nonlinearity", "cubic", id="model-nonlinearity-cubic"),
+        # a misspelt radii ran on the default radii, hashed as if it were read
+        pytest.param("sweep-lambda", "sweep", "radius", [1.0, 3.0, 9.0], id="sweep-radius"),
+        pytest.param("sweep-lambda", "sweep", "bogus", 1, id="sweep-bogus"),
+    ])
+    def test_unknown_domain_or_model_field(self, task, section, key, value):
         # not dropped from canonical and config_hash: rejected like solver's
-        cfg = default_config("solve")
+        cfg = default_config(task)
         cfg[section][key] = value
         with pytest.raises(ConfigInvalid, match=rf"unknown field \"{section}\.{key}\""):
             validate_config(cfg)

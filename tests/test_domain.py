@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from fracfield.domain import build_domain, mask_betti
+from fracfield.config import default_config, validate_config
+from fracfield.domain import GridDomain, build_domain, mask_betti
 from fracfield.errors import BadShapeParams, EmptyMask
+from fracfield.runner import run
 from oracles import diameter
 
 
@@ -182,6 +184,39 @@ def test_content_hash_distinguishes_domains():
     d3 = build_domain("disk", {"R": 1.0}, 1.0, 0.1)
     assert d1.content_hash != d2.content_hash
     assert d1.content_hash == d3.content_hash
+
+
+def test_symmetries_are_found_once_and_shared_read_only():
+    # every reader takes the same arrays, so none may write into them
+    dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, 4.0, 0.25)
+    assert dom.symmetries is dom.symmetries
+    perm, used = dom.symmetries[1]
+    assert used == (0,)
+    with pytest.raises(ValueError, match="read-only"):
+        perm[0] = perm[1]
+    assert all(not p.flags.writeable for p, _ in dom.symmetries)
+
+
+def test_the_multiplicity_task_finds_each_domains_symmetries_once(tmp_path, monkeypatch):
+    # the eigenbasis blocks, the orbit descents and classes and the band
+    # saddle's mirrors read one group per domain: the default task builds the
+    # annulus and its seeding ball and finds the D4 maps of each once, where
+    # a fresh search per reader made 6
+    built, found = [], []
+    init, find = GridDomain.__init__, GridDomain.symmetries.func
+
+    def counted_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    def counted_find(dom):
+        found.append(dom)
+        return find(dom)
+
+    monkeypatch.setattr(GridDomain, "__init__", counted_init)
+    monkeypatch.setattr(GridDomain.symmetries, "func", counted_find)
+    run(validate_config(default_config("multiplicity")), tmp_path)
+    assert len(found) == len({id(dom) for dom in found}) == len(built) == 2
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fracfield.domain import build_domain, mask_symmetries
+from fracfield.domain import build_domain
 from fracfield.errors import DomainMismatch, EigSolveFailure
 from fracfield.model import Energy, RestrictedEnergy
 from fracfield import spectral
@@ -182,8 +182,8 @@ def test_blocked_basis_matches_unblocked_oracle(unblocked_basis, shape, params, 
     assert np.max(np.abs(residual)) <= 1e-13 * mu[-1] * np.max(np.abs(phi))
 
 
-# the generators that mask_symmetries composes its elements of: the x-mirror,
-# the y-mirror and the swap
+# the generators that GridDomain.symmetries composes its elements of: the
+# x-mirror, the y-mirror and the swap
 _GENERATORS = (np.array([[-1, 0], [0, 1]]), np.array([[1, 0], [0, -1]]),
                np.array([[0, 1], [1, 0]]))
 
@@ -194,7 +194,7 @@ def test_mask_symmetries_are_the_mask_preserving_d4_maps_in_order(shape, params,
     # element by element and in D4 order: runner takes the first mirror that
     # topology.moving_mirrors lists, so the order is part of what the group says
     dom = build_domain(shape, params, lam=lam, h=h)
-    got = mask_symmetries(dom)
+    got = dom.symmetries
     want = mask_preserving_maps(dom)
     assert len(got) == len(want)
     for (perm, used), (M, ref) in zip(got, want):
@@ -233,7 +233,7 @@ def test_restricted_point_and_riesz_match_the_dense_restriction(shape, params, l
     # up to 7.1e-15 without it
     dom = build_domain(shape, params, lam=lam, h=h)
     basis = assemble_and_decompose(dom, alpha=0.5)
-    mirrors = {used[0]: perm for perm, used in mask_symmetries(dom) if used in ((0,), (1,))}
+    mirrors = {used[0]: perm for perm, used in dom.symmetries if used in ((0,), (1,))}
     assert len(mirrors) == (2 if n_frames >= 4 else 0)
     x = np.random.default_rng(5).standard_normal((4, basis.K))
     for perm in mirrors.values():
@@ -323,7 +323,7 @@ def test_swap_partners_share_their_block(shape, params, lam, h):
     dom = build_domain(shape, params, lam=lam, h=h)
     frames = _parity_frames(dom)
     (k,) = [i for i, (_, shared) in enumerate(frames) if shared]
-    swap = {used: p for p, used in mask_symmetries(dom)}[(2,)]
+    swap = {used: p for p, used in dom.symmetries}[(2,)]
     # A commutes with the swap, so the two frames give one block
     A = assemble_laplacian(dom)
     (Q, _), (Q_swapped, _) = frames[k - 1], frames[k]

@@ -10,8 +10,9 @@ tests call belongs in tests/. Every name a module imports must be used by
 that module, and every module-level constant must be read somewhere in the
 package. Outside spectral, only model calls the basis's operator and green,
 and no module reads its blocks or frame. A Field is its domain and nodal
-values. Outside domain and spectral, only topology.symmetry_group and
-topology._moving_mirrors call mask_symmetries.
+values. Outside domain, the mask's symmetries (GridDomain.symmetries) are
+read only by spectral._parity_frames, topology.symmetry_group and
+topology.moving_mirrors.
 Importing the CLI loads none of the scipy subpackages that only some tasks
 call (LAZY_SCIPY): the functions that call them import them. verify-extension
 loads neither scipy.integrate nor scipy.optimize. README's
@@ -227,21 +228,22 @@ def test_a_field_is_its_nodal_values():
     assert _attribute_readers("coeffs") == set()
 
 
-def test_only_symmetry_group_and_moving_mirrors_read_the_mask_symmetries():
-    # outside domain, which finds them, and spectral, which splits the basis
-    # by them, topology reads them in two named places: symmetry_group, the
-    # whole group for the orbit clustering, and _moving_mirrors, the axis
-    # mirrors with their node permutations, for moving_mirrors and the band
-    # saddle's restriction
-    callers = sorted(
-        f"{mod}.{fn.name}" for mod, tree in _modules().items()
-        if mod not in {"domain", "spectral"}
-        for fn in tree.body if isinstance(fn, (ast.FunctionDef, ast.ClassDef))
-        for node in ast.walk(fn)
-        if isinstance(node, ast.Call) and "mask_symmetries" in (
-            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+def test_only_parity_frames_symmetry_group_and_moving_mirrors_read_the_symmetries():
+    # outside domain, which finds them once per domain, the mask's symmetries
+    # are read in three named places, once each: spectral._parity_frames,
+    # which splits the basis by them, topology.symmetry_group, the whole group
+    # for the orbit descents and clustering, and topology.moving_mirrors, the
+    # axis mirrors with their node permutations for the band saddle's
+    # restriction. A read at module level names the module
+    readers = sorted(
+        f"{mod}.{getattr(top, 'name', '<module>')}" for mod, tree in _modules().items()
+        if mod != "domain"
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr == "symmetries"
     )
-    assert callers == ["topology._moving_mirrors", "topology.symmetry_group"]
+    assert readers == ["spectral._parity_frames", "topology.moving_mirrors",
+                       "topology.symmetry_group"]
 
 
 def test_every_traced_layer_is_defined():

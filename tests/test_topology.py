@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fracfield.domain import build_domain, mask_symmetries
+from fracfield.domain import build_domain
 from fracfield import morse, topology
 from fracfield.errors import (
     AllStartsFailed,
@@ -773,7 +773,7 @@ def test_band_saddle_beyond_p_two(annulus4):
                for k in range(8)]
     classes = multiplicity_search(energy, centers, ball_radius=1.0)
     lo = classes.classes[0].representative.u
-    mirror, *_ = moving_mirrors(annulus4, lo)
+    mirror, *_ = moving_mirrors(lo)
     report = band_saddle(energy, lo, mirror)
     assert report.saddle.converged and report.sweeps <= 10
     assert report.saddle.energy == pytest.approx(3.1152564, rel=1e-6)
@@ -811,7 +811,7 @@ def test_band_saddle_rejects_one_state_at_both_ends(annulus4, annulus_classes, n
     # unchecked, a mirror that leaves u in place starts the descent at 2u,
     # which retracts onto u itself, a minimum (index 1) reported as the saddle
     axis = annulus_classes.classes[1].representative.u
-    (fixing,) = {0, 1} - set(moving_mirrors(annulus4, axis))
+    (fixing,) = {0, 1} - set(moving_mirrors(axis))
     with pytest.raises(ValueError, match="one state"):
         band_saddle(Energy(annulus4, P), axis, fixing)
     # generator 2 is the swap, no mirror
@@ -824,13 +824,23 @@ def test_band_saddle_needs_a_mirror_of_the_mask(no_products):
     # moving_mirrors lists none, and band_saddle refuses both generators
     # before any product, as the restriction would be to no subspace
     dom = build_domain("rectangle", {"a": 2.0, "b": 1.0}, lam=2.0, h=0.3)
-    assert not any(used in ((0,), (1,)) for _, used in mask_symmetries(dom))
+    assert not any(used in ((0,), (1,)) for _, used in dom.symmetries)
     basis = assemble_and_decompose(dom, alpha=0.5)
     u = gaussian_bump_seed(basis, (0.8, 0.5), 0.3)
-    assert moving_mirrors(basis, u) == []
+    assert moving_mirrors(u) == {}
     for mirror in (0, 1):
         with pytest.raises(ValueError, match="no mirror of the mask"):
             band_saddle(Energy(basis, P), u, mirror)
+
+
+def test_band_saddle_rejects_a_state_from_another_domain(annulus4, no_products):
+    # moving_mirrors reads u's own domain, so band_saddle checks it against
+    # the energy's first: a state no mirror moves is refused as off-domain
+    dom = build_domain("annulus", {"R": 1.0, "r": 0.4}, lam=2.0, h=0.25)
+    u = Field(dom, np.ones(dom.n_interior))
+    assert moving_mirrors(u) == {}
+    with pytest.raises(DomainMismatch):
+        band_saddle(Energy(annulus4, P), u, 0)
 
 
 def test_band_saddle_matches_on_the_oracle_basis(annulus4, annulus_classes, annulus_saddle,
@@ -840,8 +850,8 @@ def test_band_saddle_matches_on_the_oracle_basis(annulus4, annulus_classes, annu
     # class takes the blocked basis's steps to its energy, with values exactly
     # even under the mirror
     lo = annulus_classes.classes[0].representative.u
-    mirror, *_ = moving_mirrors(annulus4, lo)
-    (sigma,) = [p for p, used in mask_symmetries(annulus4.dom) if used == (mirror,)]
+    mirror, *_ = moving_mirrors(lo)
+    (sigma,) = [p for p, used in annulus4.dom.symmetries if used == (mirror,)]
     want = annulus_saddle.saddle
     assert np.array_equal(want.u.values[sigma], want.u.values)
     for driver in ("evd", "evr"):
@@ -866,18 +876,20 @@ def test_adjacent_orbit_image_is_never_the_state_itself(annulus4, annulus_classe
     # representative is its own mirror image
     assert len(on_x) == len(on_y) == 4
     for u in on_x:
-        assert moving_mirrors(annulus4, u) == [0]
+        assert list(moving_mirrors(u)) == [0]
     for u in on_y:
-        assert moving_mirrors(annulus4, u) == [1]
+        assert list(moving_mirrors(u)) == [1]
     # off the axes both mirrors move the state, the x-mirror first
-    assert moving_mirrors(annulus4, annulus_classes.classes[0].representative.u) == [0, 1]
-    # and every image a moving mirror makes lies more than 2h from the state
-    mirrors = {used[0]: perm for perm, used in mask_symmetries(annulus4.dom)
+    assert list(moving_mirrors(annulus_classes.classes[0].representative.u)) == [0, 1]
+    # each with the domain's own permutation of that mirror, and every image
+    # a moving mirror makes lies more than 2h from the state
+    mirrors = {used[0]: perm for perm, used in annulus4.dom.symmetries
                if used in ((0,), (1,))}
     for u in images + [annulus_classes.classes[0].representative.u]:
         ref = np.array(_beta(u))
-        for m in moving_mirrors(annulus4, u):
-            partner = Field(annulus4.dom, u.values[mirrors[m]])
+        for m, perm in moving_mirrors(u).items():
+            assert perm is mirrors[m]
+            partner = Field(annulus4.dom, u.values[perm])
             assert np.hypot(*(np.array(_beta(partner)) - ref)) > 2 * h
 
 
@@ -901,5 +913,5 @@ def test_adjacent_orbit_image_ignores_the_sign_of_rounding_noise(annulus4, annul
             return up, beta, mass
 
         monkeypatch.setattr(topology, "_barycenter", nudged)
-        found.append(moving_mirrors(annulus4, u))
+        found.append(list(moving_mirrors(u)))
     assert found[0] == found[1] == [0]
